@@ -187,9 +187,10 @@ int RunMicro(report::BenchContext& ctx) {
   });
 
   // --- meta-blocking edge accumulation (one op = 10k edge updates) -------
-  // The MetaPrune inner loop: accumulate (common_blocks, arcs) per pair
-  // key. The flat_map row is the shipped path; the unordered_map row is
-  // the node-based baseline it replaced, kept for comparison.
+  // Hash-keyed accumulation of (common_blocks, arcs) per pair key, the
+  // pre-sweep MetaPrune inner loop: FlatMap vs the node-based
+  // unordered_map. WeightPairs now accumulates in dense per-record arrays
+  // instead; these rows stay as the FlatMap-vs-umap probe benchmark.
   {
     struct EdgeAccumulator {
       uint32_t common_blocks = 0;

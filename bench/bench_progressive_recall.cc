@@ -7,6 +7,10 @@
 // (ew-cbs) must strictly dominate the seeded random baseline at every
 // sampled fraction, in quick and full mode alike. A scheduler that only
 // ties random is not buying its scheduling cost back.
+//
+// Alongside the curves, `ew-cbs@<pct>` rows time the budgeted schedule
+// at 1%, 10% and 100% of the distinct pairs: progressive cost should
+// follow the budget, not the pair universe.
 
 #include <algorithm>
 #include <cstdio>
@@ -19,6 +23,7 @@
 #include "scenarios.h"
 #include "common/check.h"
 #include "common/timer.h"
+#include "core/budget.h"
 #include "core/pair_sink.h"
 #include "eval/metrics.h"
 #include "pipeline/pipeline.h"
@@ -53,6 +58,7 @@ int RunProgressiveRecall(report::BenchContext& ctx) {
   // (like every scheduler), so its schedule sizes the shared budget.
   const std::vector<std::string> scheds = {"random", "bsa", "rr", "ew-cbs"};
   const std::vector<double> fractions = eval::DefaultRecallFractions();
+  uint64_t universe = 0;
   uint64_t budget = 0;
   std::vector<SchedulerRun> runs;
   for (const std::string& name : scheds) {
@@ -64,10 +70,14 @@ int RunProgressiveRecall(report::BenchContext& ctx) {
     std::vector<core::CandidatePair> ordered;
     r.stats = ctx.TimeRepeats([&](int) {
       WallTimer timer;
-      ordered = scheduler->Schedule(dataset.size(), blocks);
+      ordered = scheduler->Schedule(dataset.size(), blocks,
+                                    core::Budget::kUnlimitedPairs);
       return timer.Seconds();
     });
-    if (budget == 0) budget = std::max<uint64_t>(ordered.size() / 2, 1);
+    if (budget == 0) {
+      universe = ordered.size();
+      budget = std::max<uint64_t>(universe / 2, 1);
+    }
     r.curve = eval::RecallAtBudget(dataset, ordered, budget, fractions);
     runs.push_back(std::move(r));
   }
@@ -107,6 +117,32 @@ int RunProgressiveRecall(report::BenchContext& ctx) {
     run.recall = r.curve;
     run.AddParam("budget_pairs", std::to_string(budget));
     run.AddValue("auc", r.curve.auc);
+    ctx.Record(std::move(run));
+  }
+
+  // Budget-proportional cost: the ew-cbs schedule limited to a fraction
+  // of the distinct pairs (the universe `random` enumerated).
+  std::unique_ptr<progressive::PairScheduler> ew_cbs;
+  status = progressive::MakeScheduler("ew-cbs", /*seed=*/42, &ew_cbs);
+  SABLOCK_CHECK_MSG(status.ok(), status.message().c_str());
+  for (int pct : {1, 10, 100}) {
+    const uint64_t limit = std::max<uint64_t>(universe * pct / 100, 1);
+    report::RunResult run;
+    run.name = "ew-cbs@" + std::to_string(pct) + "%";
+    run.spec = base_spec;
+    run.dataset = "cora-like";
+    run.dataset_records = dataset.size();
+    run.time = ctx.TimeRepeats([&](int) {
+      WallTimer timer;
+      std::vector<core::CandidatePair> top =
+          ew_cbs->Schedule(dataset.size(), blocks, limit);
+      const double seconds = timer.Seconds();
+      SABLOCK_CHECK(top.size() == std::min<uint64_t>(limit, universe));
+      return seconds;
+    });
+    run.AddParam("limit_pairs", std::to_string(limit));
+    std::printf("ew-cbs schedule at %3d%% (%llu pairs): %.4f s\n", pct,
+                static_cast<unsigned long long>(limit), run.time.min_s);
     ctx.Record(std::move(run));
   }
 

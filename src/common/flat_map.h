@@ -20,7 +20,7 @@ struct FlatMapHash {
 };
 
 /// Cache-conscious open-addressing hash map for the blocking hot paths
-/// (meta-blocking edge accumulation, token-posting builds): linear
+/// (token-posting builds, token-id interning): linear
 /// probing over one contiguous slot array, power-of-two capacity,
 /// tombstone-free — erase() uses backward-shift deletion, so lookups
 /// never scan dead entries no matter the insert/erase history.
@@ -30,7 +30,7 @@ struct FlatMapHash {
 /// allocation, and clear()/rehash keep their memory, which is what the
 /// per-table bucket loops want.
 ///
-/// Iteration contract (MetaPrune depends on this): iterating yields the
+/// Iteration contract: iterating yields the
 /// live slots in slot order, which is a pure function of the key hashes
 /// and the insert/erase sequence — two identically-populated maps
 /// iterate identically, across processes and platforms. It is NOT

@@ -93,19 +93,21 @@ class BudgetMeter {
   /// recall-target limit once enough of `total_true` matches were seen.
   /// ConfigureRecall must have been called first.
   void NoteMatch() {
-    if (total_true_ == 0) return;
+    const uint64_t total = total_true_.load(std::memory_order_relaxed);
+    if (total == 0) return;
     uint64_t found = matches_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (budget_.recall_target > 0.0 &&
         static_cast<double>(found) >=
-            budget_.recall_target * static_cast<double>(total_true_)) {
+            budget_.recall_target * static_cast<double>(total)) {
       MarkExhausted();
     }
   }
 
   /// Arms the recall-target limit with the ground-truth match count.
   /// Without this, a recall-target budget never trips (no ground truth).
+  /// Safe to call while other threads spend and note matches.
   void ConfigureRecall(uint64_t total_true_matches) {
-    total_true_ = total_true_matches;
+    total_true_.store(total_true_matches, std::memory_order_relaxed);
   }
 
   bool Exhausted() const {
@@ -147,9 +149,10 @@ class BudgetMeter {
 
   int CurrentReason() const {
     if (spent_.load(std::memory_order_relaxed) >= budget_.pairs) return kPairs;
-    if (budget_.recall_target > 0.0 && total_true_ > 0 &&
+    const uint64_t total = total_true_.load(std::memory_order_relaxed);
+    if (budget_.recall_target > 0.0 && total > 0 &&
         static_cast<double>(matches_.load(std::memory_order_relaxed)) >=
-            budget_.recall_target * static_cast<double>(total_true_)) {
+            budget_.recall_target * static_cast<double>(total)) {
       return kRecall;
     }
     return kSeconds;
@@ -157,7 +160,7 @@ class BudgetMeter {
 
   Budget budget_;
   std::chrono::steady_clock::time_point deadline_;
-  uint64_t total_true_ = 0;
+  std::atomic<uint64_t> total_true_{0};
   std::atomic<uint64_t> spent_{0};
   std::atomic<uint64_t> matches_{0};
   mutable std::atomic<bool> exhausted_{false};

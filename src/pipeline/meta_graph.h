@@ -42,22 +42,55 @@ struct WeightedPair {
   uint32_t b() const { return static_cast<uint32_t>(key & 0xffffffffULL); }
 };
 
+/// The edge ranking every best-first consumer of the blocking graph
+/// shares: heavier edges first, ties broken by ascending pair key. Keys
+/// are unique per graph, so this is a strict total order and any top-K
+/// under it is unique.
+inline bool RanksBefore(const WeightedPair& x, const WeightedPair& y) {
+  if (x.weight != y.weight) return x.weight > y.weight;
+  return x.key < y.key;
+}
+
 /// The weighting phase of meta-blocking as a first-class API: builds the
 /// blocking graph of `input` (record ids in [0, num_records)) and returns
 /// every distinct edge with its weight under `weighting`, one entry per
-/// pair, in the graph's deterministic accumulation order. This is what
-/// MetaPrune prunes — exposed separately so progressive schedulers (and
-/// any future learned pruning) can rank the same per-pair weights without
-/// committing to a pruning algorithm.
+/// pair. This is what MetaPrune prunes — exposed separately so
+/// progressive schedulers (and any future learned pruning) can rank the
+/// same per-pair weights without committing to a pruning algorithm.
+///
+/// Cost contract: one node-centric dense sweep. A record→block index is
+/// built once; then, for each record x in ascending order, CBS and ARCS
+/// of every co-member y > x accumulate in dense per-record arrays. Time
+/// is O(Σ|b| + comparisons) — one array update per comparison of the
+/// input, no hashing — plus a counting pass of the same shape for EJS's
+/// degrees. Memory is O(records + Σ|b|) besides the returned edges.
+/// Edges come grouped by smaller endpoint ascending, then in first
+/// co-occurrence order; weights are bit-identical to summing each pair's
+/// blocks in input block order.
 std::vector<WeightedPair> WeightPairs(size_t num_records,
                                       const core::BlockCollection& input,
                                       MetaWeighting weighting);
+
+/// The best `k` edges of the blocking graph under RanksBefore, sorted —
+/// exactly the first `k` entries of WeightPairs sorted by RanksBefore
+/// (all of them when the graph has fewer). The same sweep as WeightPairs
+/// feeds a bounded selection instead of a materialized edge list: a
+/// buffer compacted to the best k with nth_element whenever it reaches
+/// 2k, after which every edge not ranking ahead of the current k-th is
+/// skipped. Time O(comparisons + K log K), memory O(records + Σ|b| + K).
+/// This is the one top-K-edges implementation: CEP pruning and the
+/// budgeted `ew-*` progressive schedulers both call it.
+std::vector<WeightedPair> TopWeightedPairs(size_t num_records,
+                                           const core::BlockCollection& input,
+                                           MetaWeighting weighting,
+                                           uint64_t k);
 
 /// The graph phase of meta-blocking, reusable by any pipeline: builds the
 /// blocking graph of `input` (whose record ids must lie in
 /// [0, num_records)), weights its edges, prunes, and returns the retained
 /// comparisons as 2-record blocks. Deterministic for a given input block
-/// order.
+/// order. CEP keeps TopWeightedPairs(⌊Σ|b|/2⌋) in rank order, so its
+/// kept set is fixed even when weights tie.
 core::BlockCollection MetaPrune(size_t num_records,
                                 const core::BlockCollection& input,
                                 MetaWeighting weighting,

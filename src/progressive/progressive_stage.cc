@@ -15,6 +15,7 @@ std::string ProgressiveStage::name() const {
 }
 
 void ProgressiveStage::Flush() {
+  if (meter_ == nullptr) Arm();  // no block arrived
   // Canonical content order, for the same reason as MetaStage: the
   // schedulers' tie-breaks are deterministic given a block order, and
   // sorting erases the engine's scheduling-dependent arrival order.
@@ -24,11 +25,8 @@ void ProgressiveStage::Flush() {
   buffered_.clear();
 
   std::vector<core::CandidatePair> ranked =
-      scheduler_->Schedule(dataset_->size(), input);
+      scheduler_->Schedule(dataset_->size(), input, budget_.pairs);
 
-  if (meter_ == nullptr) {
-    meter_ = std::make_shared<core::BudgetMeter>(budget_);
-  }
   const bool track_recall = meter_->budget().recall_target > 0.0;
   if (track_recall) {
     meter_->ConfigureRecall(dataset_->CountTrueMatchPairs());

@@ -27,9 +27,11 @@ namespace sablock::progressive {
 /// of input blocks — never on the engine's scheduling — and progressive
 /// output is identical at any thread count.
 ///
-/// The budget countdown is a shared atomic BudgetMeter; callers that
-/// need one budget across several chains (engine-global budgets) can
-/// inject a shared meter with set_meter() before the run. recall-target
+/// The budget countdown is a BudgetMeter armed at the stage's first
+/// Consume() (or at Flush() when no block arrives), so a `seconds=`
+/// deadline covers buffering, scheduling and emission — the whole wait.
+/// The pair limit also reaches the scheduler, which then ranks only the
+/// best `pairs` candidates instead of the whole universe. recall-target
 /// budgets arm themselves from the dataset's ground truth at flush time
 /// (datasets without ground truth never trip that limit).
 class ProgressiveStage : public pipeline::PipelineStage {
@@ -46,6 +48,7 @@ class ProgressiveStage : public pipeline::PipelineStage {
   }
 
   void Consume(core::Block block) override {
+    if (meter_ == nullptr) Arm();
     buffered_.push_back(std::move(block));
   }
 
@@ -55,13 +58,7 @@ class ProgressiveStage : public pipeline::PipelineStage {
 
   void Flush() override;
 
-  /// Injects a shared budget countdown (replacing the stage-private one
-  /// built from the spec'd Budget). Call before the run.
-  void set_meter(std::shared_ptr<core::BudgetMeter> meter) {
-    meter_ = std::move(meter);
-  }
-
-  /// The meter of the last (or injected) run; null before any flush.
+  /// The run's meter; null before the first Consume() or Flush().
   const std::shared_ptr<core::BudgetMeter>& meter() const { return meter_; }
 
   const core::Budget& budget() const { return budget_; }
@@ -71,6 +68,8 @@ class ProgressiveStage : public pipeline::PipelineStage {
   uint64_t pairs_emitted() const { return pairs_emitted_; }
 
  private:
+  void Arm() { meter_ = std::make_shared<core::BudgetMeter>(budget_); }
+
   std::shared_ptr<const PairScheduler> scheduler_;
   core::Budget budget_;
   uint64_t seed_;

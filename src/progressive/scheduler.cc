@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/pair_set.h"
+#include "core/budget.h"
 #include "pipeline/meta_graph.h"
 
 namespace sablock::progressive {
@@ -22,19 +23,28 @@ core::CandidatePair Unpack(uint64_t key, double score) {
           static_cast<uint32_t>(key & 0xffffffffULL), score};
 }
 
+/// Dedup set sized for at most `limit` distinct pairs out of `input`.
+PairSet SeenSet(const core::BlockCollection& input, uint64_t limit) {
+  return PairSet(
+      std::min<uint64_t>(std::min(input.TotalComparisons(), limit) + 1,
+                         1ULL << 22));
+}
+
 /// Walks `input`'s blocks in a caller-chosen block order, enumerating
 /// each block's pairs lexicographically and emitting every pair the
-/// first time it is seen. Shared by the block-driven schedulers.
+/// first time it is seen, up to `limit` pairs. Shared by the block-driven
+/// schedulers.
 template <typename ScoreFn>
 std::vector<core::CandidatePair> EmitFirstSeen(
     const core::BlockCollection& input, const std::vector<size_t>& order,
-    ScoreFn&& score_of) {
-  PairSet seen(std::min<uint64_t>(input.TotalComparisons() + 1, 1ULL << 22));
+    uint64_t limit, ScoreFn&& score_of) {
+  PairSet seen = SeenSet(input, limit);
   std::vector<core::CandidatePair> out;
   for (size_t index : order) {
     const core::Block& b = input.blocks()[index];
     for (size_t i = 0; i < b.size(); ++i) {
       for (size_t j = i + 1; j < b.size(); ++j) {
+        if (out.size() >= limit) return out;
         if (b[i] == b[j]) continue;
         if (!seen.Insert(b[i], b[j])) continue;
         out.push_back(Unpack(PackPair(b[i], b[j]), score_of(b)));
@@ -60,22 +70,23 @@ class BlockSizeAscendingScheduler : public PairScheduler {
   std::string name() const override { return "bsa"; }
 
   std::vector<core::CandidatePair> Schedule(
-      size_t /*num_records*/,
-      const core::BlockCollection& input) const override {
+      size_t /*num_records*/, const core::BlockCollection& input,
+      uint64_t limit) const override {
     std::vector<size_t> order = IdentityOrder(input.NumBlocks());
     std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
       return input.blocks()[x].size() < input.blocks()[y].size();
     });
-    return EmitFirstSeen(input, order, [](const core::Block& b) {
+    return EmitFirstSeen(input, order, limit, [](const core::Block& b) {
       return 1.0 / static_cast<double>(b.size() - 1);
     });
   }
 };
 
 /// `ew-*` — meta-blocking edge weight: rank every distinct pair by its
-/// blocking-graph weight (pipeline::WeightPairs), highest first. This is
-/// the hierarchy of Galhotra et al.'s progressive recipe: the same
-/// evidence MetaPrune thresholds on, spent best-first instead.
+/// blocking-graph weight, highest first (pipeline::TopWeightedPairs, so
+/// a limit selects the best `limit` edges without sorting the rest).
+/// This is the hierarchy of Galhotra et al.'s progressive recipe: the
+/// same evidence MetaPrune thresholds on, spent best-first instead.
 class EdgeWeightScheduler : public PairScheduler {
  public:
   explicit EdgeWeightScheduler(pipeline::MetaWeighting weighting)
@@ -93,15 +104,10 @@ class EdgeWeightScheduler : public PairScheduler {
   }
 
   std::vector<core::CandidatePair> Schedule(
-      size_t num_records, const core::BlockCollection& input) const override {
+      size_t num_records, const core::BlockCollection& input,
+      uint64_t limit) const override {
     std::vector<pipeline::WeightedPair> weighted =
-        pipeline::WeightPairs(num_records, input, weighting_);
-    std::sort(weighted.begin(), weighted.end(),
-              [](const pipeline::WeightedPair& x,
-                 const pipeline::WeightedPair& y) {
-                if (x.weight != y.weight) return x.weight > y.weight;
-                return x.key < y.key;
-              });
+        pipeline::TopWeightedPairs(num_records, input, weighting_, limit);
     std::vector<core::CandidatePair> out;
     out.reserve(weighted.size());
     for (const pipeline::WeightedPair& e : weighted) {
@@ -123,8 +129,8 @@ class RoundRobinScheduler : public PairScheduler {
   std::string name() const override { return "rr"; }
 
   std::vector<core::CandidatePair> Schedule(
-      size_t /*num_records*/,
-      const core::BlockCollection& input) const override {
+      size_t /*num_records*/, const core::BlockCollection& input,
+      uint64_t limit) const override {
     // Per-block lexicographic pair cursors; one pass per round.
     struct Cursor {
       size_t i = 0;
@@ -132,14 +138,14 @@ class RoundRobinScheduler : public PairScheduler {
     };
     const std::vector<core::Block>& blocks = input.blocks();
     std::vector<Cursor> cursors(blocks.size());
-    PairSet seen(
-        std::min<uint64_t>(input.TotalComparisons() + 1, 1ULL << 22));
+    PairSet seen = SeenSet(input, limit);
     std::vector<core::CandidatePair> out;
     bool emitted = true;
     for (uint64_t round = 0; emitted; ++round) {
       emitted = false;
       double score = 1.0 / static_cast<double>(round + 1);
       for (size_t idx = 0; idx < blocks.size(); ++idx) {
+        if (out.size() >= limit) return out;
         const core::Block& b = blocks[idx];
         Cursor& c = cursors[idx];
         // Advance to this block's next unseen pair, if any.
@@ -173,13 +179,15 @@ class RandomScheduler : public PairScheduler {
   std::string name() const override { return "random"; }
 
   std::vector<core::CandidatePair> Schedule(
-      size_t /*num_records*/,
-      const core::BlockCollection& input) const override {
+      size_t /*num_records*/, const core::BlockCollection& input,
+      uint64_t limit) const override {
+    // The shuffle needs the whole universe; a limit only truncates.
     std::vector<core::CandidatePair> pairs = EmitFirstSeen(
-        input, IdentityOrder(input.NumBlocks()),
+        input, IdentityOrder(input.NumBlocks()), core::Budget::kUnlimitedPairs,
         [](const core::Block&) { return 0.0; });
     std::mt19937_64 rng(seed_);
     std::shuffle(pairs.begin(), pairs.end(), rng);
+    if (pairs.size() > limit) pairs.resize(limit);
     return pairs;
   }
 

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,30 @@ TEST(BudgetMeterTest, SharedMeterAcrossThreadsBoundsOvershoot) {
   EXPECT_LE(total, kBudget + kThreads);
   EXPECT_TRUE(meter->Exhausted());
   EXPECT_STREQ(meter->ExhaustedReason(), "pairs");
+}
+
+// ConfigureRecall may arm the recall limit while other threads already
+// spend and note matches (a progressive stage arms it at flush time on a
+// meter created at its first block). The TSan leg runs this test: the
+// ground-truth count is read by NoteMatch and by the exhausted-reason
+// logic, so its write must be atomic too.
+TEST(BudgetMeterTest, ConfigureRecallRacesSafelyWithSpenders) {
+  constexpr int kThreads = 4;
+  auto meter = std::make_shared<BudgetMeter>(
+      MustParse("pairs=100000,recall-target=0.5"));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      while (meter->Spend(1)) meter->NoteMatch();
+    });
+  }
+  meter->ConfigureRecall(/*total_true_matches=*/1000);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_TRUE(meter->Exhausted());
+  // Either limit may trip first, depending on when recall was armed.
+  const std::string reason = meter->ExhaustedReason();
+  EXPECT_TRUE(reason == "recall" || reason == "pairs") << reason;
 }
 
 TEST(BudgetedSinkTest, SharesOneMeterAcrossSinks) {

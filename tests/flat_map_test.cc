@@ -1,7 +1,7 @@
 // Tests for the open-addressing FlatMap (common/flat_map.h): hash-map
 // semantics against a std::unordered_map reference under a random
 // insert/erase workload, backward-shift deletion correctness, and the
-// deterministic slot-order iteration contract MetaPrune relies on.
+// deterministic slot-order iteration contract.
 
 #include <gtest/gtest.h>
 
@@ -144,7 +144,7 @@ TEST(FlatMapTest, IterationVisitsEveryLiveEntryOnce) {
   }
 }
 
-// The contract MetaPrune's reproducibility rests on: two maps populated
+// The iteration contract: two maps populated
 // by the same insert/erase sequence iterate in the same order — the
 // order is a pure function of the key hashes and the history, with no
 // per-instance or per-process randomization.

@@ -1,18 +1,24 @@
 // Tests for the progressive layer: pair schedulers (ordering contracts,
-// determinism, distinct-pair completeness) and the `progressive` barrier
-// stage (budget stopping, spec parameter validation, pipeline wiring).
+// determinism, distinct-pair completeness, limited-schedule prefixes) and
+// the `progressive` barrier stage (budget stopping, the seconds deadline,
+// spec parameter validation, pipeline wiring).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/pair_set.h"
 #include "core/blocking.h"
+#include "core/budget.h"
+#include "data/cora_generator.h"
 #include "data/record.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stage_registry.h"
@@ -25,6 +31,8 @@ namespace {
 using core::Block;
 using core::BlockCollection;
 using core::CandidatePair;
+
+constexpr uint64_t kAll = core::Budget::kUnlimitedPairs;
 
 // Blocks with deliberately skewed sizes and overlap: {0,1} co-occur in
 // three blocks (high edge weight), the big block dilutes its pairs.
@@ -60,7 +68,7 @@ TEST(SchedulerTest, EverySchedulerEmitsExactlyTheDistinctPairs) {
 
   for (const std::string& name : SchedulerNames()) {
     std::vector<CandidatePair> ordered =
-        Make(name)->Schedule(/*num_records=*/8, blocks);
+        Make(name)->Schedule(/*num_records=*/8, blocks, kAll);
     EXPECT_EQ(ordered.size(), distinct.size()) << name;
     EXPECT_EQ(AsSet(ordered), expected) << name;
     for (const CandidatePair& p : ordered) {
@@ -73,9 +81,9 @@ TEST(SchedulerTest, SchedulesAreDeterministic) {
   BlockCollection blocks = OverlappingBlocks();
   for (const std::string& name : SchedulerNames()) {
     std::vector<CandidatePair> first =
-        Make(name)->Schedule(8, blocks);
+        Make(name)->Schedule(8, blocks, kAll);
     std::vector<CandidatePair> second =
-        Make(name)->Schedule(8, blocks);
+        Make(name)->Schedule(8, blocks, kAll);
     ASSERT_EQ(first.size(), second.size()) << name;
     for (size_t i = 0; i < first.size(); ++i) {
       EXPECT_EQ(first[i], second[i]) << name << " position " << i;
@@ -86,7 +94,7 @@ TEST(SchedulerTest, SchedulesAreDeterministic) {
 
 TEST(SchedulerTest, BlockSizeAscendingPutsSmallBlockPairsFirst) {
   BlockCollection blocks = OverlappingBlocks();
-  std::vector<CandidatePair> ordered = Make("bsa")->Schedule(8, blocks);
+  std::vector<CandidatePair> ordered = Make("bsa")->Schedule(8, blocks, kAll);
   // The two 2-blocks' pairs come before any pair first seen in a larger
   // block; (0,1) is first seen in the {0,1} block.
   ASSERT_GE(ordered.size(), 2u);
@@ -98,7 +106,7 @@ TEST(SchedulerTest, EdgeWeightRanksTheHeavyPairFirst) {
   BlockCollection blocks = OverlappingBlocks();
   for (const char* name : {"ew-arcs", "ew-cbs", "ew-ecbs", "ew-js",
                            "ew-ejs"}) {
-    std::vector<CandidatePair> ordered = Make(name)->Schedule(8, blocks);
+    std::vector<CandidatePair> ordered = Make(name)->Schedule(8, blocks, kAll);
     ASSERT_FALSE(ordered.empty()) << name;
     for (size_t i = 1; i < ordered.size(); ++i) {
       EXPECT_GE(ordered[i - 1].score, ordered[i].score)
@@ -109,7 +117,7 @@ TEST(SchedulerTest, EdgeWeightRanksTheHeavyPairFirst) {
   // co-occurrence weightings. (ECBS/EJS normalize by how many blocks
   // each record appears in, which demotes ubiquitous records like 0/1.)
   for (const char* name : {"ew-arcs", "ew-cbs", "ew-js"}) {
-    std::vector<CandidatePair> ordered = Make(name)->Schedule(8, blocks);
+    std::vector<CandidatePair> ordered = Make(name)->Schedule(8, blocks, kAll);
     ASSERT_FALSE(ordered.empty()) << name;
     EXPECT_EQ(ordered.front().a, 0u) << name;
     EXPECT_EQ(ordered.front().b, 1u) << name;
@@ -118,12 +126,59 @@ TEST(SchedulerTest, EdgeWeightRanksTheHeavyPairFirst) {
 
 TEST(SchedulerTest, RandomIsSeededAndSeedSensitive) {
   BlockCollection blocks = OverlappingBlocks();
-  std::vector<CandidatePair> a = Make("random", 1)->Schedule(8, blocks);
-  std::vector<CandidatePair> b = Make("random", 1)->Schedule(8, blocks);
-  std::vector<CandidatePair> c = Make("random", 2)->Schedule(8, blocks);
+  std::vector<CandidatePair> a = Make("random", 1)->Schedule(8, blocks, kAll);
+  std::vector<CandidatePair> b = Make("random", 1)->Schedule(8, blocks, kAll);
+  std::vector<CandidatePair> c = Make("random", 2)->Schedule(8, blocks, kAll);
   EXPECT_EQ(a, b);
   EXPECT_EQ(AsSet(a), AsSet(c));
   EXPECT_NE(a, c);  // different seed, different order (16 pairs: safe bet)
+}
+
+// Token blocking over a generated Cora corpus: thousands of distinct
+// pairs, skewed block sizes and many tied edge weights.
+BlockCollection CoraBlocks(data::Dataset* dataset) {
+  data::CoraGeneratorConfig config;
+  config.num_entities = 40;
+  config.num_records = 400;
+  config.seed = 42;
+  *dataset = data::GenerateCoraLike(config);
+  std::unique_ptr<pipeline::PipelinedBlocker> base;
+  Status status = pipeline::Build(
+      "token-blocking:attrs=authors+title | purge:max_size=100", &base);
+  EXPECT_TRUE(status.ok()) << status.message();
+  BlockCollection blocks;
+  base->Run(*dataset, blocks);
+  return blocks;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The prefix contract: a limited schedule is byte-for-byte the head of
+// the unlimited one — same pairs, same scores, same order.
+TEST(SchedulerTest, LimitedScheduleIsThePrefixOfTheUnlimitedOne) {
+  data::Dataset dataset;
+  BlockCollection blocks = CoraBlocks(&dataset);
+  for (const std::string& name : SchedulerNames()) {
+    std::unique_ptr<PairScheduler> scheduler = Make(name);
+    const std::vector<CandidatePair> full =
+        scheduler->Schedule(dataset.size(), blocks, kAll);
+    const uint64_t n = full.size();
+    ASSERT_GT(n, 1000u) << name;
+    for (uint64_t limit : {uint64_t{1}, uint64_t{7}, n / 100, n / 2, kAll}) {
+      const std::vector<CandidatePair> head =
+          scheduler->Schedule(dataset.size(), blocks, limit);
+      ASSERT_EQ(head.size(), std::min(limit, n)) << name << " @" << limit;
+      for (size_t i = 0; i < head.size(); ++i) {
+        ASSERT_EQ(head[i], full[i]) << name << " @" << limit << " #" << i;
+        ASSERT_EQ(Bits(head[i].score), Bits(full[i].score))
+            << name << " @" << limit << " #" << i;
+      }
+    }
+  }
 }
 
 TEST(SchedulerTest, UnknownNameListsTheKnownSchedulers) {
@@ -209,6 +264,29 @@ TEST(ProgressiveStageTest, RecallTargetStopsOnceEnoughMatchesEmitted) {
   // 2 of 4 true matches = the 0.5 target.
   EXPECT_EQ(run.progressive->meter()->Matches(), 2u);
   EXPECT_LT(run.out.NumBlocks(), blocks.DistinctPairs().size());
+}
+
+// The seconds= deadline starts at the stage's first Consume, so time
+// spent buffering counts against it: a deadline that passes before the
+// flush leaves at most the crossing pair to emit.
+TEST(ProgressiveStageTest, SecondsDeadlineCoversBufferingBeforeFlush) {
+  data::Dataset d = SmallDataset();
+  BlockCollection blocks = OverlappingBlocks();
+  std::unique_ptr<pipeline::PipelineStage> stage;
+  Status status = pipeline::StageRegistry::Global().Create(
+      "progressive:sched=ew-cbs,seconds=0.05", &stage);
+  ASSERT_TRUE(status.ok()) << status.message();
+  auto* progressive = dynamic_cast<ProgressiveStage*>(stage.get());
+  ASSERT_NE(progressive, nullptr);
+  BlockCollection out;
+  stage->Attach(d, out);
+  for (const Block& b : blocks.blocks()) stage->Consume(b);
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  stage->Flush();
+  ASSERT_NE(progressive->meter(), nullptr);
+  EXPECT_STREQ(progressive->meter()->ExhaustedReason(), "seconds");
+  EXPECT_LE(progressive->pairs_emitted(), 1u);
+  EXPECT_LE(out.NumBlocks(), 1u);
 }
 
 TEST(ProgressiveStageTest, EmittedOrderIgnoresInputArrivalOrder) {
