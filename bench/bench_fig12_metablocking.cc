@@ -10,24 +10,22 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/meta_blocking.h"
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
 #include "eval/harness.h"
+#include "pipeline/meta_graph.h"
 #include "pipeline/pipeline.h"
 #include "scenarios.h"
 
 namespace sablock::bench {
 namespace {
 
-using sablock::baselines::MetaBlocking;
-using sablock::baselines::MetaPruning;
-using sablock::baselines::MetaPruningName;
-using sablock::baselines::MetaWeighting;
-using sablock::baselines::MetaWeightingName;
-using sablock::baselines::TokenBlocking;
+using sablock::pipeline::MetaPruning;
+using sablock::pipeline::MetaPruningName;
+using sablock::pipeline::MetaWeighting;
+using sablock::pipeline::MetaWeightingName;
 using sablock::core::SemanticAwareLshBlocker;
 using sablock::core::SemanticMode;
 using sablock::core::SemanticParams;
@@ -46,8 +44,20 @@ void RecordStarMetrics(report::BenchContext& ctx, const char* dataset_label,
   ctx.Record(std::move(run));
 }
 
-/// Returns false when a pipeline spec fails to build (a scenario bug
-/// that must fail the suite, not silently drop the timing table).
+/// Builds a pipeline spec; a spec that fails to build is a scenario bug
+/// that must fail the suite, not silently drop a table.
+std::unique_ptr<sablock::pipeline::PipelinedBlocker> BuildOrReport(
+    const std::string& spec) {
+  std::unique_ptr<sablock::pipeline::PipelinedBlocker> pipelined;
+  Status status = sablock::pipeline::Build(spec, &pipelined);
+  if (!status.ok()) {
+    std::fprintf(stderr, "bad pipeline spec '%s': %s\n", spec.c_str(),
+                 status.message().c_str());
+  }
+  return pipelined;
+}
+
+/// Returns false when a pipeline spec fails to build.
 bool RunDataset(report::BenchContext& ctx, const char* title,
                 const char* dataset_label, const sablock::data::Dataset& d,
                 const std::vector<std::string>& attributes,
@@ -56,8 +66,16 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
                 size_t purge_size) {
   std::printf("%s (%zu records)\n", title, d.size());
 
-  sablock::core::BlockCollection initial =
-      TokenBlocking(d, attributes, purge_size);
+  // The initial collection is the `token-blocking | purge` prefix of the
+  // pipeline timed below.
+  const std::string token_spec = "token-blocking:attrs=" +
+                                 Join(attributes, "+") +
+                                 " | purge:max_size=" +
+                                 std::to_string(purge_size);
+  std::unique_ptr<sablock::pipeline::PipelinedBlocker> token_blocking =
+      BuildOrReport(token_spec);
+  if (token_blocking == nullptr) return false;
+  sablock::core::BlockCollection initial = RunStreaming(*token_blocking, d);
   sablock::eval::Metrics init_m = sablock::eval::Evaluate(d, initial);
 
   eval::TablePrinter table({"method", "weighting", "PC", "PQ*", "FM*"});
@@ -75,9 +93,9 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
     for (MetaWeighting weighting :
          {MetaWeighting::kArcs, MetaWeighting::kCbs, MetaWeighting::kEcbs,
           MetaWeighting::kJs, MetaWeighting::kEjs}) {
-      MetaBlocking meta(attributes, weighting, pruning, purge_size);
-      sablock::eval::Metrics m =
-          sablock::eval::Evaluate(d, meta.Prune(d, initial));
+      sablock::eval::Metrics m = sablock::eval::Evaluate(
+          d, sablock::pipeline::MetaPrune(d.size(), initial, weighting,
+                                          pruning));
       if (m.fm_star > best.fm_star) {
         best = m;
         best_weight = MetaWeightingName(weighting);
@@ -113,20 +131,13 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
   eval::TablePrinter timing(
       {"pruning", "weighting", "t_token", "t_purge", "t_meta", "t_total",
        "blocks_in", "pairs_out"});
-  const std::string attrs_param = Join(attributes, "+");
   for (const auto& [pruning, weight_name] : best_weights) {
-    const std::string spec =
-        "token-blocking:attrs=" + attrs_param +
-        " | purge:max_size=" + std::to_string(purge_size) +
-        " | meta:weight=" + ToLower(weight_name) +
-        ",prune=" + ToLower(MetaPruningName(pruning));
-    std::unique_ptr<sablock::pipeline::PipelinedBlocker> pipelined;
-    Status status = sablock::pipeline::Build(spec, &pipelined);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bad pipeline spec '%s': %s\n", spec.c_str(),
-                   status.message().c_str());
-      return false;
-    }
+    const std::string spec = token_spec + " | meta:weight=" +
+                             ToLower(weight_name) +
+                             ",prune=" + ToLower(MetaPruningName(pruning));
+    std::unique_ptr<sablock::pipeline::PipelinedBlocker> pipelined =
+        BuildOrReport(spec);
+    if (pipelined == nullptr) return false;
     // Timing-only runs: the quality table above already evaluated every
     // combination, so skip the metrics pass. Per-stage counts are
     // identical across repeats; the recorded seconds keep the last

@@ -23,8 +23,8 @@
 #include "scenarios.h"
 #include "common/check.h"
 #include "common/timer.h"
+#include "core/block_sink.h"
 #include "core/budget.h"
-#include "core/pair_sink.h"
 #include "eval/metrics.h"
 #include "pipeline/pipeline.h"
 #include "progressive/scheduler.h"

@@ -12,7 +12,6 @@
 #include "baselines/adaptive_sorted_neighbourhood.h"
 #include "baselines/blocking_key.h"
 #include "baselines/canopy.h"
-#include "baselines/meta_blocking.h"
 #include "baselines/qgram_indexing.h"
 #include "baselines/sorted_neighbourhood.h"
 #include "baselines/standard_blocking.h"
@@ -22,6 +21,8 @@
 #include "core/iterative_blocker.h"
 #include "core/lsh_blocker.h"
 #include "core/lsh_variants.h"
+#include "pipeline/pipeline.h"
+#include "pipeline/stages.h"
 
 namespace sablock::api {
 namespace {
@@ -398,24 +399,21 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
         {"max-block", "500", "token-block purge size"}}},
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
         std::vector<std::string> attrs = p.GetStringList("attrs", {});
-        auto weighting = p.GetEnum<baselines::MetaWeighting>(
-            "weighting", baselines::MetaWeighting::kCbs,
-            {{"arcs", baselines::MetaWeighting::kArcs},
-             {"cbs", baselines::MetaWeighting::kCbs},
-             {"ecbs", baselines::MetaWeighting::kEcbs},
-             {"js", baselines::MetaWeighting::kJs},
-             {"ejs", baselines::MetaWeighting::kEjs}});
-        auto pruning = p.GetEnum<baselines::MetaPruning>(
-            "pruning", baselines::MetaPruning::kWep,
-            {{"wep", baselines::MetaPruning::kWep},
-             {"cep", baselines::MetaPruning::kCep},
-             {"wnp", baselines::MetaPruning::kWnp},
-             {"cnp", baselines::MetaPruning::kCnp}});
+        pipeline::MetaWeighting weighting =
+            pipeline::GetMetaWeighting(p, "weighting");
+        pipeline::MetaPruning pruning = pipeline::GetMetaPruning(p, "pruning");
         int max_block = p.GetInt("max-block", 500);
         if (max_block < 2) return RangeError("max-block", ">= 2");
-        *out = std::make_unique<baselines::MetaBlocking>(
-            std::move(attrs), weighting, pruning,
-            static_cast<size_t>(max_block));
+        // The classic recipe as one technique: the same stage chain a
+        // `token-blocking | purge | meta` spec builds.
+        pipeline::Pipeline stages;
+        stages.Add(std::make_unique<pipeline::PurgeStage>(
+            static_cast<uint64_t>(max_block)));
+        stages.Add(std::make_unique<pipeline::MetaStage>(weighting, pruning));
+        *out = std::make_unique<pipeline::PipelinedBlocker>(
+            std::make_unique<baselines::TokenBlockingTechnique>(
+                std::move(attrs)),
+            std::move(stages));
         return Status::Ok();
       });
 }

@@ -19,20 +19,8 @@ void SortedNeighbourhoodArray::Run(const data::Dataset& dataset,
                    [&keys](data::RecordId a, data::RecordId b) {
                      return keys[a] < keys[b];
                    });
-
-  const size_t n = order.size();
-  const size_t w = static_cast<size_t>(window_size_);
-  if (n < 2) return;
-  if (w >= n) {
-    sink.Consume(std::move(order));
-    return;
-  }
-  for (size_t start = 0; start + w <= n; ++start) {
-    if (sink.Done()) return;
-    sink.Consume(
-        core::Block(order.begin() + static_cast<ptrdiff_t>(start),
-                    order.begin() + static_cast<ptrdiff_t>(start + w)));
-  }
+  core::EmitWindows(std::move(order), static_cast<size_t>(window_size_),
+                    sink);
 }
 
 void SortedNeighbourhoodInvertedIndex::Run(const data::Dataset& dataset,

@@ -19,7 +19,6 @@ class SortedNeighbourhoodArray : public core::BlockingTechnique {
   std::string name() const override {
     return "SorA(w=" + std::to_string(window_size_) + ")";
   }
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -40,7 +39,6 @@ class SortedNeighbourhoodInvertedIndex : public core::BlockingTechnique {
   std::string name() const override {
     return "SorII(w=" + std::to_string(window_size_) + ")";
   }
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -60,7 +58,6 @@ class MultiPassSortedNeighbourhood : public core::BlockingTechnique {
                                int window_size);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

@@ -1,6 +1,10 @@
 #include "baselines/standard_blocking.h"
 
 #include <unordered_map>
+#include <utility>
+
+#include "common/flat_map.h"
+#include "features/feature_store.h"
 
 namespace sablock::baselines {
 
@@ -17,6 +21,37 @@ void StandardBlocking::Run(const data::Dataset& dataset,
     if (sink.Done()) return;
     if (block.size() >= 2) sink.Consume(std::move(block));
   }
+}
+
+TokenBlockingTechnique::TokenBlockingTechnique(
+    std::vector<std::string> attributes)
+    : attributes_(std::move(attributes)) {}
+
+std::string TokenBlockingTechnique::name() const { return "TokenBlocking"; }
+
+void TokenBlockingTechnique::Run(const data::Dataset& dataset,
+                                 core::BlockSink& sink) const {
+  // Postings over the interned token ids of the shared token column — no
+  // string hashing or tokenization here, just id-indexed appends.
+  features::FeatureView::TokenHandle tokens =
+      dataset.features().TokensFor(attributes_);
+  // Postings keyed by token id in a hash map: its footprint follows the
+  // tokens this run actually touches, not token_limit — which covers the
+  // whole column even when this run is one small shard slice of it.
+  FlatMap<features::TokenId, core::Block> postings;
+  for (data::RecordId id = 0; id < dataset.size(); ++id) {
+    for (features::TokenId token : tokens.Tokens(id)) {
+      postings[token].push_back(id);
+    }
+  }
+  // Emit in canonical content order: downstream pruning should see blocks
+  // ordered by what they contain, not by how the vocabulary happened to
+  // be discovered. Singleton blocks carry no comparisons and are skipped.
+  std::vector<core::Block> kept;
+  postings.ForEach([&](features::TokenId, core::Block& block) {
+    if (block.size() >= 2) kept.push_back(std::move(block));
+  });
+  core::EmitSorted(std::move(kept), sink);
 }
 
 }  // namespace sablock::baselines

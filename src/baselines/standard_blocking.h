@@ -1,6 +1,9 @@
 #ifndef SABLOCK_BASELINES_STANDARD_BLOCKING_H_
 #define SABLOCK_BASELINES_STANDARD_BLOCKING_H_
 
+#include <string>
+#include <vector>
+
 #include "baselines/blocking_key.h"
 #include "core/blocking.h"
 
@@ -14,12 +17,28 @@ class StandardBlocking : public core::BlockingTechnique {
   explicit StandardBlocking(BlockingKeyDef key) : key_(std::move(key)) {}
 
   std::string name() const override { return "TBlo"; }
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
   BlockingKeyDef key_;
+};
+
+/// Token blocking: the canonical schema-agnostic input of meta-blocking.
+/// Every distinct token of the key attributes becomes a block; blocks
+/// are emitted in canonical content order (registered as
+/// "token-blocking"). Purging oversized blocks is not this technique's
+/// job — compose with the `purge` pipeline stage.
+class TokenBlockingTechnique : public core::BlockingTechnique {
+ public:
+  explicit TokenBlockingTechnique(std::vector<std::string> attributes);
+
+  std::string name() const override;
+  void Run(const data::Dataset& dataset,
+           core::BlockSink& sink) const override;
+
+ private:
+  std::vector<std::string> attributes_;
 };
 
 }  // namespace sablock::baselines

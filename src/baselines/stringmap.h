@@ -47,7 +47,6 @@ class StringMapThreshold : public core::BlockingTechnique {
                      int dimensions, uint64_t seed = 73);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -70,7 +69,6 @@ class StringMapNearestNeighbour : public core::BlockingTechnique {
                             uint64_t seed = 73);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

@@ -2,6 +2,7 @@
 #define SABLOCK_CORE_BLOCK_SINK_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -14,6 +15,19 @@ namespace sablock::core {
 
 /// A block: the ids of the records placed together by a blocking technique.
 using Block = std::vector<data::RecordId>;
+
+/// One scored candidate comparison: a record pair and the scheduler's
+/// priority for it (higher = compare sooner). Pairs are normalized a < b.
+/// Progressive producers rank these and emit each as a 2-record block.
+struct CandidatePair {
+  data::RecordId a = 0;
+  data::RecordId b = 0;
+  double score = 0.0;
+
+  friend bool operator==(const CandidatePair& x, const CandidatePair& y) {
+    return x.a == y.a && x.b == y.b;
+  }
+};
 
 /// Streaming consumer of blocks. Techniques emit every block through a sink
 /// instead of materializing a full collection, so downstream stages
@@ -141,20 +155,35 @@ class BudgetedSink : public BlockSink {
   uint64_t dropped_blocks_ = 0;
 };
 
-/// Back-compat shim over BudgetedSink (one release): the pre-Budget
-/// comparison cap. `CappedSink(inner, n)` ≡ BudgetedSink over a private
-/// meter with `pairs=n`. New code should construct a core::Budget and a
-/// BudgetedSink directly (sharing the meter across producers for global
-/// budgets); this alias keeps the old constructor and accessors compiling.
-class CappedSink : public BudgetedSink {
- public:
-  CappedSink(BlockSink& inner, uint64_t comparison_budget)
-      : BudgetedSink(inner, std::make_shared<BudgetMeter>(Budget{
-                                .pairs = comparison_budget})) {}
+/// Emits the sliding windows of sorted neighbourhood over `order`: every
+/// run of `window` consecutive records, front to back, polling Done()
+/// before each. A sequence no longer than the window is one block. The
+/// batch technique and its incremental index both emit through this.
+inline void EmitWindows(std::vector<data::RecordId> order, size_t window,
+                        BlockSink& sink) {
+  const size_t n = order.size();
+  if (n < 2) return;
+  if (window >= n) {
+    sink.Consume(std::move(order));
+    return;
+  }
+  for (size_t start = 0; start + window <= n; ++start) {
+    if (sink.Done()) return;
+    sink.Consume(Block(order.begin() + static_cast<ptrdiff_t>(start),
+                       order.begin() + static_cast<ptrdiff_t>(start + window)));
+  }
+}
 
-  /// Comparisons forwarded so far.
-  uint64_t comparisons() const { return meter()->Spent(); }
-};
+/// Sorts `blocks` into canonical content order and emits them until the
+/// sink reports Done. Token blocking and its incremental index both emit
+/// through this, so their block sequences cannot drift apart.
+inline void EmitSorted(std::vector<Block> blocks, BlockSink& sink) {
+  std::sort(blocks.begin(), blocks.end());
+  for (Block& block : blocks) {
+    if (sink.Done()) break;
+    sink.Consume(std::move(block));
+  }
+}
 
 }  // namespace sablock::core
 

@@ -1,92 +1,12 @@
 #include "core/block_utils.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
-#include "common/pair_set.h"
 
 namespace sablock::core {
-
-BlockCollection PurgeLargeBlocks(const BlockCollection& blocks,
-                                 size_t max_block_size) {
-  SABLOCK_CHECK(max_block_size >= 2);
-  BlockCollection out;
-  for (const Block& b : blocks.blocks()) {
-    if (b.size() <= max_block_size) out.Add(b);
-  }
-  return out;
-}
-
-BlockCollection FilterBlocksPerRecord(const BlockCollection& blocks,
-                                      double ratio) {
-  SABLOCK_CHECK(ratio > 0.0 && ratio <= 1.0);
-  // Rank each record's blocks by size (ascending) and mark the retained
-  // (record, block) incidences.
-  std::unordered_map<data::RecordId, std::vector<size_t>> memberships;
-  for (size_t bi = 0; bi < blocks.blocks().size(); ++bi) {
-    for (data::RecordId id : blocks.blocks()[bi]) {
-      memberships[id].push_back(bi);
-    }
-  }
-  // retained[bi] lists the records that kept block bi.
-  std::unordered_map<size_t, Block> retained;
-  for (auto& [id, bis] : memberships) {
-    std::sort(bis.begin(), bis.end(), [&blocks](size_t a, size_t b) {
-      return blocks.blocks()[a].size() < blocks.blocks()[b].size();
-    });
-    size_t keep = static_cast<size_t>(
-        std::ceil(ratio * static_cast<double>(bis.size())));
-    if (keep == 0) keep = 1;
-    for (size_t i = 0; i < keep && i < bis.size(); ++i) {
-      retained[bis[i]].push_back(id);
-    }
-  }
-  BlockCollection out;
-  for (auto& [bi, block] : retained) {
-    if (block.size() >= 2) {
-      std::sort(block.begin(), block.end());
-      out.Add(std::move(block));
-    }
-  }
-  return out;
-}
-
-BlockCollection DropRedundantBlocks(const BlockCollection& blocks) {
-  // Sort block indices by size ascending so that smaller blocks claim
-  // pairs first; a block is redundant iff it introduces no new pair.
-  std::vector<size_t> order(blocks.blocks().size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&blocks](size_t a, size_t b) {
-    return blocks.blocks()[a].size() < blocks.blocks()[b].size();
-  });
-
-  PairSet seen(std::min<uint64_t>(blocks.TotalComparisons() + 1, 1ULL << 22));
-  BlockCollection out;
-  for (size_t bi : order) {
-    const Block& b = blocks.blocks()[bi];
-    bool adds_new = false;
-    for (size_t i = 0; i < b.size(); ++i) {
-      for (size_t j = i + 1; j < b.size(); ++j) {
-        if (b[i] != b[j] && !seen.Contains(b[i], b[j])) {
-          adds_new = true;
-          break;
-        }
-      }
-      if (adds_new) break;
-    }
-    if (!adds_new) continue;
-    for (size_t i = 0; i < b.size(); ++i) {
-      for (size_t j = i + 1; j < b.size(); ++j) {
-        if (b[i] != b[j]) seen.Insert(b[i], b[j]);
-      }
-    }
-    out.Add(b);
-  }
-  return out;
-}
 
 namespace {
 

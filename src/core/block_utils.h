@@ -7,34 +7,10 @@
 
 namespace sablock::core {
 
-/// Standard block post-processing utilities (the pre-steps of the
-/// meta-blocking pipeline; Papadakis et al.). They operate on any
-/// BlockCollection regardless of the technique that produced it.
-
-/// Block purging: removes blocks with more than `max_block_size` records.
-/// Oversized blocks stem from high-frequency keys (stop-word tokens,
-/// common suffixes) and contribute mostly non-matching comparisons.
-BlockCollection PurgeLargeBlocks(const BlockCollection& blocks,
-                                 size_t max_block_size);
-
-/// Block filtering: each record keeps only its `ratio` fraction of
-/// smallest blocks (smaller blocks are more discriminative). A record in
-/// n blocks keeps max(1, ceil(ratio · n)) of them; blocks keep the
-/// records that retained them, and blocks left with < 2 records are
-/// dropped. `ratio` in (0, 1].
-BlockCollection FilterBlocksPerRecord(const BlockCollection& blocks,
-                                      double ratio);
-
-/// Removes blocks whose candidate pairs are all contained in other,
-/// smaller blocks of the collection (exact redundant-block pruning for
-/// small collections; O(Σ|b|²) — intended for post-processing moderate
-/// outputs, not raw token blocking on millions of records).
-BlockCollection DropRedundantBlocks(const BlockCollection& blocks);
-
 /// Transitive closure: merges blocks that share records and returns the
 /// connected components (over `num_records` record ids) as disjoint
-/// blocks. Components of size 1 are dropped. Used by iterative blocking
-/// (HARRA-style) and by downstream clustering stages.
+/// blocks. Components of size 1 are dropped. Multi-pass sorted
+/// neighbourhood (`sor-mp`) merges its passes' windows with it.
 BlockCollection ConnectedComponents(const BlockCollection& blocks,
                                     size_t num_records);
 

@@ -47,12 +47,6 @@ PairSet BlockCollection::DistinctPairs() const {
   return pairs;
 }
 
-BlockCollection BlockingTechnique::Run(const data::Dataset& dataset) const {
-  BlockCollection blocks;
-  Run(dataset, blocks);
-  return blocks;
-}
-
 bool BlockCollection::InSameBlock(data::RecordId a, data::RecordId b) const {
   for (const Block& block : blocks_) {
     bool has_a = false;

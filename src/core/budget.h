@@ -55,12 +55,10 @@ struct Budget {
 /// Shared, thread-safe countdown for one Budget: the atomic heart that
 /// lets any number of producers (sharded engine shards, concurrent
 /// streams) account against one global budget without an external mutex.
-/// This replaces the old pattern of wrapping CappedSink in a
-/// ConcurrentSink just to make its plain counters safe.
 ///
-/// Semantics match CappedSink: the spend that crosses the limit is still
-/// accepted (the caller forwards its block/pair), so the total spent may
-/// overshoot by less than one spend unit per concurrent producer.
+/// The spend that crosses the limit is still accepted (the caller forwards
+/// its block/pair), so the total spent may overshoot by less than one
+/// spend unit per concurrent producer.
 class BudgetMeter {
  public:
   explicit BudgetMeter(Budget budget)

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/hashing.h"
-#include "core/block_utils.h"
 #include "core/minhash.h"
 #include "features/feature_store.h"
 

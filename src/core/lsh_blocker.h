@@ -44,7 +44,6 @@ class LshBlocker : public BlockingTechnique {
   explicit LshBlocker(LshParams params);
 
   std::string name() const override;
-  using BlockingTechnique::Run;
   void Run(const data::Dataset& dataset, BlockSink& sink) const override;
 
   const LshParams& params() const { return params_; }
@@ -73,7 +72,6 @@ class SemanticAwareLshBlocker : public BlockingTechnique {
                           std::shared_ptr<const SemanticFunction> semantics);
 
   std::string name() const override;
-  using BlockingTechnique::Run;
   void Run(const data::Dataset& dataset, BlockSink& sink) const override;
 
   const LshParams& lsh_params() const { return lsh_params_; }

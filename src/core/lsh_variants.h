@@ -25,7 +25,6 @@ class MultiProbeLshBlocker : public BlockingTechnique {
   MultiProbeLshBlocker(LshParams params, int num_probes);
 
   std::string name() const override;
-  using BlockingTechnique::Run;
   void Run(const data::Dataset& dataset, BlockSink& sink) const override;
 
  private:
@@ -45,7 +44,6 @@ class LshForestBlocker : public BlockingTechnique {
   LshForestBlocker(LshParams params, int max_depth, size_t max_block_size);
 
   std::string name() const override;
-  using BlockingTechnique::Run;
   void Run(const data::Dataset& dataset, BlockSink& sink) const override;
 
  private:

@@ -43,7 +43,7 @@ std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
 /// output for any thread count; stream forwards each block through a
 /// shared ConcurrentSink as soon as it is produced (order then depends on
 /// scheduling, but the multiset of blocks does not). In stream mode the
-/// caller's sink may be a CappedSink chain: its Done() signal propagates
+/// caller's sink may be a BudgetedSink chain: its Done() signal propagates
 /// to every shard task through the ConcurrentSink. In collect mode
 /// backpressure is only honoured during the final merge (shard tasks
 /// materialize first), like BlockCollection::Drain.

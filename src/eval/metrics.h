@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/blocking.h"
-#include "core/pair_sink.h"
 #include "data/record.h"
 
 namespace sablock::eval {

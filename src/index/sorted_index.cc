@@ -113,21 +113,9 @@ std::vector<data::RecordId> SortedWindowIndex::Query(
 
 void SortedWindowIndex::EmitBlocks(core::BlockSink& sink) const {
   // Byte-identical to SortedNeighbourhoodArray::Run on the equivalent
-  // dataset: same order, same window sequence.
-  std::vector<data::RecordId> order = FlattenedOrder();
-  const size_t n = order.size();
-  const size_t w = static_cast<size_t>(window_size_);
-  if (n < 2) return;
-  if (w >= n) {
-    sink.Consume(std::move(order));
-    return;
-  }
-  for (size_t start = 0; start + w <= n; ++start) {
-    if (sink.Done()) return;
-    sink.Consume(
-        core::Block(order.begin() + static_cast<ptrdiff_t>(start),
-                    order.begin() + static_cast<ptrdiff_t>(start + w)));
-  }
+  // dataset: same order, same window emitter.
+  core::EmitWindows(FlattenedOrder(), static_cast<size_t>(window_size_),
+                    sink);
 }
 
 }  // namespace sablock::index

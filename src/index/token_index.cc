@@ -94,11 +94,7 @@ void TokenPostingsIndex::EmitBlocks(core::BlockSink& sink) const {
   for (const auto& [token, ids] : postings_) {
     if (ids.size() >= 2) kept.push_back(ids);
   }
-  std::sort(kept.begin(), kept.end());
-  for (core::Block& block : kept) {
-    if (sink.Done()) break;
-    sink.Consume(std::move(block));
-  }
+  core::EmitSorted(std::move(kept), sink);
 }
 
 }  // namespace sablock::index

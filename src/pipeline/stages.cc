@@ -35,6 +35,23 @@ std::string MetaStage::name() const {
          MetaWeightingName(weighting_) + ")";
 }
 
+MetaWeighting GetMetaWeighting(api::ParamMap& p, const std::string& key) {
+  return p.GetEnum<MetaWeighting>(key, MetaWeighting::kCbs,
+                                  {{"arcs", MetaWeighting::kArcs},
+                                   {"cbs", MetaWeighting::kCbs},
+                                   {"ecbs", MetaWeighting::kEcbs},
+                                   {"js", MetaWeighting::kJs},
+                                   {"ejs", MetaWeighting::kEjs}});
+}
+
+MetaPruning GetMetaPruning(api::ParamMap& p, const std::string& key) {
+  return p.GetEnum<MetaPruning>(key, MetaPruning::kWep,
+                                {{"wep", MetaPruning::kWep},
+                                 {"cep", MetaPruning::kCep},
+                                 {"wnp", MetaPruning::kWnp},
+                                 {"cnp", MetaPruning::kCnp}});
+}
+
 void FilterStage::Consume(core::Block block) {
   if (block.size() < min_size_) return;
   if (top_frac_ < 1.0) {
@@ -156,19 +173,8 @@ void RegisterBuiltinStages(StageRegistry& r) {
        {{"weight", "cbs", "edge weights (arcs|cbs|ecbs|js|ejs)"},
         {"prune", "wep", "pruning algorithm (wep|cep|wnp|cnp)"}}},
       [](api::ParamMap& p, std::unique_ptr<PipelineStage>* out) {
-        auto weighting = p.GetEnum<MetaWeighting>(
-            "weight", MetaWeighting::kCbs,
-            {{"arcs", MetaWeighting::kArcs},
-             {"cbs", MetaWeighting::kCbs},
-             {"ecbs", MetaWeighting::kEcbs},
-             {"js", MetaWeighting::kJs},
-             {"ejs", MetaWeighting::kEjs}});
-        auto pruning = p.GetEnum<MetaPruning>(
-            "prune", MetaPruning::kWep,
-            {{"wep", MetaPruning::kWep},
-             {"cep", MetaPruning::kCep},
-             {"wnp", MetaPruning::kWnp},
-             {"cnp", MetaPruning::kCnp}});
+        MetaWeighting weighting = GetMetaWeighting(p, "weight");
+        MetaPruning pruning = GetMetaPruning(p, "prune");
         *out = std::make_unique<MetaStage>(weighting, pruning);
         return Status::Ok();
       });
@@ -180,29 +186,27 @@ void RegisterBuiltinStages(StageRegistry& r) {
        {},
        {{"sched", "ew-cbs",
          "scheduler (bsa|ew-arcs|ew-cbs|ew-ecbs|ew-js|ew-ejs|rr|random)"},
-        {"pairs", "unlimited", "pair budget (>= 1; omit for unlimited)"},
+        {"pairs", "unlimited", "pair budget (>= 1, or inf/unlimited)"},
         {"seconds", "unlimited", "wall-clock budget in seconds (> 0)"},
         {"recall-target", "off",
          "stop at this recall in (0, 1]; needs ground truth"},
         {"seed", "42", "shuffle seed for sched=random"}}},
       [](api::ParamMap& p, std::unique_ptr<PipelineStage>* out) {
         std::string sched = p.GetString("sched", "ew-cbs");
-        core::Budget budget;
-        budget.pairs = p.GetUint64("pairs", core::Budget::kUnlimitedPairs);
-        budget.seconds = p.GetDouble("seconds", 0.0);
-        budget.recall_target = p.GetDouble("recall-target", 0.0);
         uint64_t seed = p.GetUint64("seed", 42);
-        if (budget.pairs < 1) {
-          return Status::Error("param 'pairs': must be >= 1");
+        // The budget terms go through the one budget grammar, so the stage
+        // accepts and rejects exactly what --budget does.
+        std::string terms;
+        for (const char* key : {"pairs", "seconds", "recall-target"}) {
+          if (!p.Has(key)) continue;
+          if (!terms.empty()) terms += ',';
+          terms += std::string(key) + "=" + p.GetString(key, "");
         }
-        if (budget.seconds < 0.0) {
-          return Status::Error("param 'seconds': must be > 0");
-        }
-        if (budget.recall_target < 0.0 || budget.recall_target > 1.0) {
-          return Status::Error("param 'recall-target': must be in (0, 1]");
-        }
+        core::Budget budget;
+        Status status = core::Budget::Parse(terms, &budget);
+        if (!status.ok()) return status;
         std::unique_ptr<progressive::PairScheduler> scheduler;
-        Status status = progressive::MakeScheduler(sched, seed, &scheduler);
+        status = progressive::MakeScheduler(sched, seed, &scheduler);
         if (!status.ok()) return status;
         *out = std::make_unique<progressive::ProgressiveStage>(
             std::shared_ptr<const progressive::PairScheduler>(

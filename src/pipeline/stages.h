@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "api/param_map.h"
 #include "core/blocking.h"
 #include "pipeline/meta_graph.h"
 #include "pipeline/stage.h"
@@ -73,13 +74,13 @@ class FilterStage : public PipelineStage {
   std::vector<core::Block> buffered_;  // barrier mode only
 };
 
-/// `cap:budget=` — comparison budget (streaming): core::CappedSink as a
-/// pipeline stage. Forwards blocks until `budget` redundancy-counting
-/// comparisons Σ|b|(|b|-1)/2 have passed, then reports Done so the
-/// producing technique stops early; the block crossing the budget is
-/// still forwarded. The budget accounting itself is delegated to a
-/// CappedSink over the downstream sink (created on first use, since the
-/// downstream sink is only known after Attach).
+/// `cap:budget=` — comparison budget (streaming): a core::BudgetedSink
+/// over a `pairs=budget` meter as a pipeline stage. Forwards blocks until
+/// `budget` redundancy-counting comparisons Σ|b|(|b|-1)/2 have passed,
+/// then reports Done so the producing technique stops early; the block
+/// crossing the budget is still forwarded. The BudgetedSink over the
+/// downstream sink is created on first use, since the downstream sink is
+/// only known after Attach.
 class CapStage : public PipelineStage {
  public:
   explicit CapStage(uint64_t budget) : budget_(budget) {}
@@ -92,7 +93,10 @@ class CapStage : public PipelineStage {
   }
 
   void Consume(core::Block block) override {
-    if (!capped_) capped_.emplace(*next_, budget_);
+    if (!capped_) {
+      capped_.emplace(*next_, std::make_shared<core::BudgetMeter>(
+                                  core::Budget{.pairs = budget_}));
+    }
     capped_->Consume(std::move(block));
   }
 
@@ -102,7 +106,7 @@ class CapStage : public PipelineStage {
 
   /// Comparisons forwarded so far.
   uint64_t comparisons() const {
-    return capped_ ? capped_->comparisons() : 0;
+    return capped_ ? capped_->meter()->Spent() : 0;
   }
   /// Blocks received after the budget was exhausted.
   uint64_t dropped_blocks() const {
@@ -111,8 +115,15 @@ class CapStage : public PipelineStage {
 
  private:
   uint64_t budget_;
-  std::optional<core::CappedSink> capped_;
+  std::optional<core::BudgetedSink> capped_;
 };
+
+/// Reads a meta-blocking weighting (arcs|cbs|ecbs|js|ejs, default cbs)
+/// or pruning (wep|cep|wnp|cnp, default wep) spec parameter. The `meta`
+/// stage reads them as weight=/prune=, the `meta` technique as
+/// weighting=/pruning=.
+MetaWeighting GetMetaWeighting(api::ParamMap& p, const std::string& key);
+MetaPruning GetMetaPruning(api::ParamMap& p, const std::string& key);
 
 /// `meta:weight=,prune=` — meta-blocking's graph phase as a barrier
 /// stage: buffers the whole input block collection, and on Flush() builds

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "core/block_sink.h"
 #include "core/budget.h"
-#include "core/pair_sink.h"
 #include "pipeline/stage.h"
 #include "progressive/scheduler.h"
 

@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "core/blocking.h"
-#include "core/pair_sink.h"
 
 namespace sablock::progressive {
 

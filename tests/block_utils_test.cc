@@ -1,4 +1,4 @@
-// Tests for block purging / filtering / redundancy-dropping utilities.
+// Tests for the connected-components closure over a block collection.
 
 #include <gtest/gtest.h>
 
@@ -7,106 +7,29 @@
 namespace sablock::core {
 namespace {
 
-TEST(PurgeLargeBlocksTest, RemovesOnlyOversized) {
+TEST(ConnectedComponentsTest, MergesOverlappingBlocks) {
   BlockCollection c;
   c.Add({0, 1});
-  c.Add({2, 3, 4});
-  c.Add({5, 6, 7, 8, 9});
-  BlockCollection purged = PurgeLargeBlocks(c, 3);
-  EXPECT_EQ(purged.NumBlocks(), 2u);
-  EXPECT_TRUE(purged.InSameBlock(0, 1));
-  EXPECT_TRUE(purged.InSameBlock(2, 4));
-  EXPECT_FALSE(purged.InSameBlock(5, 6));
-}
-
-TEST(PurgeLargeBlocksTest, EmptyCollection) {
-  EXPECT_EQ(PurgeLargeBlocks(BlockCollection{}, 5).NumBlocks(), 0u);
-}
-
-TEST(PurgeLargeBlocksDeathTest, RejectsDegenerateCap) {
-  BlockCollection c;
-  EXPECT_DEATH(PurgeLargeBlocks(c, 1), "CHECK");
-}
-
-TEST(FilterBlocksPerRecordTest, RatioOneKeepsEverything) {
-  BlockCollection c;
-  c.Add({0, 1});
-  c.Add({0, 1, 2});
-  BlockCollection filtered = FilterBlocksPerRecord(c, 1.0);
-  EXPECT_EQ(filtered.DistinctPairs().size(), c.DistinctPairs().size());
-}
-
-TEST(FilterBlocksPerRecordTest, PrefersSmallBlocks) {
-  BlockCollection c;
-  c.Add({0, 1});           // small: kept by 0 and 1
-  c.Add({0, 1, 2, 3, 4});  // large: dropped by 0 and 1 at ratio 0.5
-  BlockCollection filtered = FilterBlocksPerRecord(c, 0.5);
-  EXPECT_TRUE(filtered.InSameBlock(0, 1));
-  // Records 2,3,4 are only in the big block; they keep it (their only
-  // block), but 0 and 1 no longer vouch for it.
-  bool zero_in_big = false;
-  for (const auto& b : filtered.blocks()) {
-    if (b.size() > 2) {
-      for (auto id : b) zero_in_big |= (id == 0);
-    }
-  }
-  EXPECT_FALSE(zero_in_big);
-}
-
-TEST(FilterBlocksPerRecordTest, SingletonRemnantsAreDropped) {
-  BlockCollection c;
-  c.Add({0, 1});
-  c.Add({1, 2, 3});
-  BlockCollection filtered = FilterBlocksPerRecord(c, 0.4);
-  for (const auto& b : filtered.blocks()) {
-    EXPECT_GE(b.size(), 2u);
-  }
-}
-
-TEST(FilterBlocksPerRecordTest, NeverAddsPairs) {
-  BlockCollection c;
-  c.Add({0, 1, 2});
-  c.Add({2, 3});
-  c.Add({0, 3, 4});
-  PairSet before = c.DistinctPairs();
-  PairSet after = FilterBlocksPerRecord(c, 0.6).DistinctPairs();
-  EXPECT_LE(after.size(), before.size());
-  after.ForEach([&before](uint32_t a, uint32_t b) {
-    EXPECT_TRUE(before.Contains(a, b));
-  });
-}
-
-TEST(DropRedundantBlocksTest, RemovesContainedBlocks) {
-  BlockCollection c;
-  c.Add({0, 1});
-  c.Add({0, 1});        // exact duplicate
-  c.Add({0, 1, 2});     // adds (0,2), (1,2): kept
-  BlockCollection slim = DropRedundantBlocks(c);
-  EXPECT_EQ(slim.NumBlocks(), 2u);
-  EXPECT_EQ(slim.DistinctPairs().size(), c.DistinctPairs().size());
-}
-
-TEST(DropRedundantBlocksTest, PreservesPairCoverageExactly) {
-  BlockCollection c;
-  c.Add({0, 1, 2, 3});
   c.Add({1, 2});
   c.Add({4, 5});
-  c.Add({4, 5});
-  BlockCollection slim = DropRedundantBlocks(c);
-  PairSet before = c.DistinctPairs();
-  PairSet after = slim.DistinctPairs();
-  EXPECT_EQ(before.size(), after.size());
-  before.ForEach([&after](uint32_t a, uint32_t b) {
-    EXPECT_TRUE(after.Contains(a, b));
-  });
-  EXPECT_LT(slim.TotalComparisons(), c.TotalComparisons());
+  BlockCollection components = ConnectedComponents(c, 6);
+  EXPECT_EQ(components.NumBlocks(), 2u);
+  EXPECT_TRUE(components.InSameBlock(0, 2));  // transitive closure
+  EXPECT_TRUE(components.InSameBlock(4, 5));
+  EXPECT_FALSE(components.InSameBlock(0, 4));
 }
 
-TEST(DropRedundantBlocksTest, EmptyAndSingletonBlocks) {
+TEST(ConnectedComponentsTest, DropsSingletonsAndUnblockedRecords) {
   BlockCollection c;
-  c.Add({7});
-  BlockCollection slim = DropRedundantBlocks(c);
-  EXPECT_EQ(slim.NumBlocks(), 0u);  // no pairs, nothing to keep
+  c.Add({3});
+  c.Add({0, 1});
+  BlockCollection components = ConnectedComponents(c, 10);
+  EXPECT_EQ(components.NumBlocks(), 1u);
+  EXPECT_EQ(components.blocks()[0], (Block{0, 1}));
+}
+
+TEST(ConnectedComponentsTest, EmptyInput) {
+  EXPECT_EQ(ConnectedComponents(BlockCollection{}, 5).NumBlocks(), 0u);
 }
 
 }  // namespace

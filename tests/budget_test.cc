@@ -13,7 +13,6 @@
 #include "core/block_sink.h"
 #include "core/blocking.h"
 #include "core/budget.h"
-#include "core/pair_sink.h"
 
 namespace sablock::core {
 namespace {
@@ -100,7 +99,7 @@ TEST(BudgetMeterTest, CrossingSpendIsAcceptedThenExhausted) {
 }
 
 TEST(BudgetMeterTest, OversizedSpendIsAcceptedOnce) {
-  // CappedSink semantics: the block that crosses the budget is still
+  // BudgetedSink semantics: the block that crosses the budget is still
   // forwarded, however large.
   BudgetMeter meter(MustParse("pairs=5"));
   EXPECT_TRUE(meter.Spend(100));
@@ -149,9 +148,9 @@ TEST(BudgetMeterTest, UnconfiguredRecallNeverTrips) {
   EXPECT_FALSE(meter.Exhausted());
 }
 
-// The concurrency contract that replaces ConcurrentSink-wrapped
-// CappedSinks: many threads share one meter with no external lock, and
-// the accepted total overshoots by at most one crossing spend per thread.
+// The concurrency contract of a shared meter: many threads spend against
+// it with no external lock, and the accepted total overshoots by at most
+// one crossing spend per thread.
 TEST(BudgetMeterTest, SharedMeterAcrossThreadsBoundsOvershoot) {
   constexpr int kThreads = 8;
   constexpr uint64_t kBudget = 1000;
@@ -212,31 +211,6 @@ TEST(BudgetedSinkTest, SharesOneMeterAcrossSinks) {
   EXPECT_EQ(out_b.NumBlocks(), 1u);
   EXPECT_EQ(b.dropped_blocks(), 1u);
   EXPECT_EQ(meter->Spent(), 6u);
-}
-
-TEST(BudgetedPairSinkTest, GatesThePairStream) {
-  auto meter = std::make_shared<BudgetMeter>(MustParse("pairs=3"));
-  PairCollector collected;
-  BudgetedPairSink gated(collected, meter);
-  for (uint32_t i = 0; i < 5; ++i) {
-    gated.Emit({i, i + 1, 1.0 / (i + 1)});
-  }
-  EXPECT_EQ(collected.pairs().size(), 3u);
-  EXPECT_EQ(gated.dropped_pairs(), 2u);
-  EXPECT_TRUE(gated.Done());
-}
-
-TEST(CappedSinkShimTest, MatchesTheOldComparisonCapBehaviour) {
-  BlockCollection out;
-  CappedSink capped(out, /*comparison_budget=*/3);
-  capped.Consume(Block{0, 1});      // 1 comparison
-  capped.Consume(Block{2, 3, 4});   // 3 more: crossing, forwarded
-  EXPECT_TRUE(capped.Done());
-  capped.Consume(Block{5, 6});      // refused
-  EXPECT_EQ(out.NumBlocks(), 2u);
-  EXPECT_EQ(capped.comparisons(), 4u);
-  EXPECT_EQ(capped.comparisons(), capped.meter()->Spent());
-  EXPECT_EQ(capped.dropped_blocks(), 1u);
 }
 
 }  // namespace

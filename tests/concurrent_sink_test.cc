@@ -1,6 +1,7 @@
 #include "engine/concurrent_sink.h"
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -14,8 +15,13 @@ namespace {
 
 using core::Block;
 using core::BlockCollection;
-using core::CappedSink;
+using core::BudgetedSink;
+using core::BudgetMeter;
 using core::PairCountingSink;
+
+std::shared_ptr<BudgetMeter> PairsMeter(uint64_t pairs) {
+  return std::make_shared<BudgetMeter>(core::Budget{.pairs = pairs});
+}
 
 TEST(ConcurrentSinkTest, ForwardsBlocksAndDone) {
   PairCountingSink counting;
@@ -54,24 +60,24 @@ TEST(ConcurrentSinkTest, CountsAreExactUnderConcurrentProducers) {
 
 TEST(ConcurrentSinkTest, DonePropagatesFromInnerSink) {
   BlockCollection collection;
-  CappedSink capped(collection, /*comparison_budget=*/1);
+  BudgetedSink capped(collection, PairsMeter(1));
   ConcurrentSink sink(capped);
   EXPECT_FALSE(sink.Done());
   sink.Consume({1, 2});
   EXPECT_TRUE(sink.Done());
 }
 
-// The CappedSink contract under concurrency (see block_sink.h): wrapped
-// in a ConcurrentSink, budget accounting stays exact — the forwarded
+// A BudgetedSink shared by concurrent producers through a ConcurrentSink
+// (see concurrent_sink.h): budget accounting stays exact — the forwarded
 // comparison total equals the budget (when blocks carry one comparison
 // each), the inner sink receives exactly those blocks, and every block
-// consumed after the done_ transition is counted as dropped.
-TEST(ConcurrentSinkTest, CappedSinkBudgetIsExactUnderConcurrentProducers) {
+// consumed after the budget ran out is counted as dropped.
+TEST(ConcurrentSinkTest, BudgetedSinkIsExactUnderConcurrentProducers) {
   constexpr uint64_t kBudget = 500;
   constexpr int kThreads = 8;
   constexpr int kBlocksPerThread = 1000;  // 8000 offered >> 500 budget
   BlockCollection collection;
-  CappedSink capped(collection, kBudget);
+  BudgetedSink capped(collection, PairsMeter(kBudget));
   ConcurrentSink sink(capped);
   std::atomic<uint64_t> offered{0};
   {
@@ -90,7 +96,7 @@ TEST(ConcurrentSinkTest, CappedSinkBudgetIsExactUnderConcurrentProducers) {
     }
     pool.Wait();
   }
-  EXPECT_EQ(capped.comparisons(), kBudget);
+  EXPECT_EQ(capped.meter()->Spent(), kBudget);
   EXPECT_EQ(collection.NumBlocks(), kBudget);
   EXPECT_EQ(collection.TotalComparisons(), kBudget);
   // Everything offered either made it into the collection or was dropped
@@ -108,7 +114,7 @@ TEST(OffsetSinkTest, TranslatesShardLocalIds) {
 
 TEST(OffsetSinkTest, PropagatesDone) {
   BlockCollection collection;
-  CappedSink capped(collection, 1);
+  BudgetedSink capped(collection, PairsMeter(1));
   OffsetSink sink(capped, 10);
   EXPECT_FALSE(sink.Done());
   sink.Consume({0, 1});

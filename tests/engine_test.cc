@@ -177,21 +177,23 @@ TEST(ShardedExecutorTest, StreamModeEmitsSameBlockMultisetAsCollect) {
   EXPECT_EQ(SortedBlocks(streamed), SortedBlocks(collected));
 }
 
-TEST(ShardedExecutorTest, StreamModeHonoursCappedSinkBackpressure) {
+TEST(ShardedExecutorTest, StreamModeHonoursBudgetedSinkBackpressure) {
   data::Dataset dataset = SmallVoter(800);
   std::unique_ptr<BlockingTechnique> technique =
       FromSpec("tblo:attrs=last_name");
 
   BlockCollection collection;
-  core::CappedSink capped(collection, /*comparison_budget=*/10);
+  core::BudgetedSink capped(
+      collection,
+      std::make_shared<core::BudgetMeter>(core::Budget{.pairs = 10}));
   ExecutionSpec spec;
   spec.threads = 4;
   spec.shards = 8;
   spec.merge = ExecutionSpec::Merge::kStream;
   ShardedExecutor(spec).Execute(*technique, dataset, capped);
   EXPECT_TRUE(capped.Done());
-  EXPECT_GE(capped.comparisons(), 10u);
-  EXPECT_EQ(collection.TotalComparisons(), capped.comparisons());
+  EXPECT_GE(capped.meter()->Spent(), 10u);
+  EXPECT_EQ(collection.TotalComparisons(), capped.meter()->Spent());
 }
 
 TEST(ShardedExecutorTest, EmptyDatasetProducesNoBlocks) {

@@ -6,9 +6,10 @@
 #include <algorithm>
 #include <memory>
 
+#include "run_streaming.h"
+
 #include "baselines/adaptive_sorted_neighbourhood.h"
 #include "baselines/canopy.h"
-#include "baselines/meta_blocking.h"
 #include "baselines/qgram_indexing.h"
 #include "baselines/sorted_neighbourhood.h"
 #include "baselines/standard_blocking.h"
@@ -20,6 +21,8 @@
 #include "data/cora_generator.h"
 #include "data/voter_generator.h"
 #include "eval/harness.h"
+#include "pipeline/meta_graph.h"
+#include "pipeline/pipeline.h"
 
 namespace sablock {
 namespace {
@@ -167,9 +170,9 @@ TEST(IntegrationTest, AllBaselinesRunOnCora) {
       std::make_unique<SuffixArrayAllSubstrings>(key, 7, 20));
   techniques.push_back(std::make_unique<RobustSuffixArrayBlocking>(
       key, 5, 20, "edit", 0.85));
-  techniques.push_back(std::make_unique<MetaBlocking>(
-      std::vector<std::string>{"authors", "title"}, MetaWeighting::kJs,
-      MetaPruning::kWep));
+  techniques.push_back(*pipeline::Build(
+      "token-blocking:attrs=authors+title | purge:max_size=500 | "
+      "meta:weight=js,prune=wep"));
 
   std::vector<eval::TechniqueResult> results = eval::RunAll(techniques, d);
   ASSERT_EQ(results.size(), techniques.size());
@@ -189,17 +192,21 @@ TEST(IntegrationTest, AllBaselinesRunOnCora) {
 
 TEST(IntegrationTest, MetaBlockingSweepOnCora) {
   Dataset d = MakeCora();
-  core::BlockCollection input = TokenBlocking(d, {"authors", "title"}, 200);
+  core::BlockCollection input =
+      RunSpec("token-blocking:attrs=authors+title | purge:max_size=200", d);
   eval::Metrics initial = eval::Evaluate(d, input);
   EXPECT_GT(initial.pc, 0.8);  // token blocking is high-recall
 
+  using pipeline::MetaPruning;
   for (MetaPruning pruning : {MetaPruning::kWep, MetaPruning::kCep,
                               MetaPruning::kWnp, MetaPruning::kCnp}) {
-    MetaBlocking meta({"authors", "title"}, MetaWeighting::kArcs, pruning);
-    eval::Metrics pruned = eval::Evaluate(d, meta.Prune(d, input));
+    eval::Metrics pruned = eval::Evaluate(
+        d, pipeline::MetaPrune(d.size(), input,
+                               pipeline::MetaWeighting::kArcs, pruning));
     EXPECT_GE(pruned.pq_star, initial.pq_star)
-        << MetaPruningName(pruning);
-    EXPECT_LE(pruned.pc, initial.pc + 1e-12) << MetaPruningName(pruning);
+        << pipeline::MetaPruningName(pruning);
+    EXPECT_LE(pruned.pc, initial.pc + 1e-12)
+        << pipeline::MetaPruningName(pruning);
   }
 }
 

@@ -1,11 +1,10 @@
-// Tests for connected components and the HARRA-style iterative LSH
-// blocker (related-work extension).
+// Tests for the HARRA-style iterative LSH blocker (related-work
+// extension).
 
 #include <gtest/gtest.h>
 
 #include "run_streaming.h"
 
-#include "core/block_utils.h"
 #include "core/iterative_blocker.h"
 #include "data/cora_generator.h"
 #include "eval/metrics.h"
@@ -15,31 +14,6 @@ namespace {
 
 using data::Dataset;
 using data::Schema;
-
-TEST(ConnectedComponentsTest, MergesOverlappingBlocks) {
-  BlockCollection c;
-  c.Add({0, 1});
-  c.Add({1, 2});
-  c.Add({4, 5});
-  BlockCollection components = ConnectedComponents(c, 6);
-  EXPECT_EQ(components.NumBlocks(), 2u);
-  EXPECT_TRUE(components.InSameBlock(0, 2));  // transitive closure
-  EXPECT_TRUE(components.InSameBlock(4, 5));
-  EXPECT_FALSE(components.InSameBlock(0, 4));
-}
-
-TEST(ConnectedComponentsTest, DropsSingletonsAndUnblockedRecords) {
-  BlockCollection c;
-  c.Add({3});
-  c.Add({0, 1});
-  BlockCollection components = ConnectedComponents(c, 10);
-  EXPECT_EQ(components.NumBlocks(), 1u);
-  EXPECT_EQ(components.blocks()[0], (Block{0, 1}));
-}
-
-TEST(ConnectedComponentsTest, EmptyInput) {
-  EXPECT_EQ(ConnectedComponents(BlockCollection{}, 5).NumBlocks(), 0u);
-}
 
 Dataset ClusteredDataset() {
   Dataset d{Schema({"text"})};

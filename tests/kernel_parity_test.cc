@@ -135,7 +135,9 @@ TEST(IsaResolutionTest, OverrideParsingAndClamping) {
     Isa resolved = ResolveIsa(name);
     EXPECT_TRUE(IsaAvailable(resolved));
     EXPECT_LE(static_cast<int>(resolved), static_cast<int>(requested));
-    if (IsaAvailable(requested)) EXPECT_EQ(resolved, requested);
+    if (IsaAvailable(requested)) {
+      EXPECT_EQ(resolved, requested);
+    }
   }
 }
 

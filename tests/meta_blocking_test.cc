@@ -1,14 +1,21 @@
 // Tests for token blocking and the meta-blocking graph (weighting schemes
-// and pruning algorithms of the Fig. 12 comparison).
+// and pruning algorithms of the Fig. 12 comparison), run as the
+// `token-blocking | purge | meta` pipeline and through the registered
+// `meta` technique.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "run_streaming.h"
 
-#include "baselines/meta_blocking.h"
+#include "api/registry.h"
+#include "common/string_util.h"
 #include "eval/metrics.h"
+#include "pipeline/meta_graph.h"
 
-namespace sablock::baselines {
+namespace sablock::pipeline {
 namespace {
 
 using core::BlockCollection;
@@ -25,9 +32,23 @@ Dataset TokenDataset() {
   return d;
 }
 
+BlockCollection TokenBlocks(const Dataset& d, size_t max_block_size) {
+  return RunSpec("token-blocking:attrs=name | purge:max_size=" +
+                     std::to_string(max_block_size),
+                 d);
+}
+
+BlockCollection RunMeta(const Dataset& d, MetaWeighting w, MetaPruning p) {
+  return RunSpec("token-blocking:attrs=name | purge:max_size=500 | "
+                 "meta:weight=" +
+                     ToLower(MetaWeightingName(w)) +
+                     ",prune=" + ToLower(MetaPruningName(p)),
+                 d);
+}
+
 TEST(TokenBlockingTest, OneBlockPerSharedToken) {
   Dataset d = TokenDataset();
-  BlockCollection blocks = TokenBlocking(d, {"name"}, 100);
+  BlockCollection blocks = TokenBlocks(d, 100);
   // Shared tokens: alpha{0,1,2}, beta{0,1}, omega{3,4}, psi{3,4}.
   EXPECT_EQ(blocks.NumBlocks(), 4u);
   EXPECT_TRUE(blocks.InSameBlock(0, 1));
@@ -37,7 +58,7 @@ TEST(TokenBlockingTest, OneBlockPerSharedToken) {
 
 TEST(TokenBlockingTest, PurgesOversizedBlocks) {
   Dataset d = TokenDataset();
-  BlockCollection blocks = TokenBlocking(d, {"name"}, /*max_block_size=*/2);
+  BlockCollection blocks = TokenBlocks(d, /*max_block_size=*/2);
   // "alpha" block has 3 members and is purged.
   EXPECT_EQ(blocks.NumBlocks(), 3u);
   EXPECT_FALSE(blocks.InSameBlock(0, 2));
@@ -45,12 +66,13 @@ TEST(TokenBlockingTest, PurgesOversizedBlocks) {
 
 TEST(MetaBlockingTest, OutputIsSubsetOfInputPairs) {
   Dataset d = TokenDataset();
-  BlockCollection input = TokenBlocking(d, {"name"}, 100);
+  BlockCollection input = TokenBlocks(d, 100);
   PairSet input_pairs = input.DistinctPairs();
   for (MetaPruning pruning : {MetaPruning::kWep, MetaPruning::kCep,
                               MetaPruning::kWnp, MetaPruning::kCnp}) {
-    MetaBlocking meta({"name"}, MetaWeighting::kCbs, pruning);
-    PairSet pruned = meta.Prune(d, input).DistinctPairs();
+    PairSet pruned =
+        MetaPrune(d.size(), input, MetaWeighting::kCbs, pruning)
+            .DistinctPairs();
     EXPECT_LE(pruned.size(), input_pairs.size());
     pruned.ForEach([&input_pairs](uint32_t a, uint32_t b) {
       EXPECT_TRUE(input_pairs.Contains(a, b));
@@ -63,8 +85,7 @@ TEST(MetaBlockingTest, WepKeepsStrongEdges) {
   // Records 0-1 share two blocks (alpha, beta); 0-2 share one (alpha);
   // 3-4 share two (omega, psi). Mean CBS weight = (2+1+1+2)/4 = 1.5:
   // WEP keeps only the weight-2 edges.
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kWep);
-  BlockCollection pruned = RunStreaming(meta, d);
+  BlockCollection pruned = RunMeta(d, MetaWeighting::kCbs, MetaPruning::kWep);
   EXPECT_TRUE(pruned.InSameBlock(0, 1));
   EXPECT_TRUE(pruned.InSameBlock(3, 4));
   EXPECT_FALSE(pruned.InSameBlock(0, 2));
@@ -73,10 +94,10 @@ TEST(MetaBlockingTest, WepKeepsStrongEdges) {
 
 TEST(MetaBlockingTest, CepRespectsBudget) {
   Dataset d = TokenDataset();
-  BlockCollection input = TokenBlocking(d, {"name"}, 100);
+  BlockCollection input = TokenBlocks(d, 100);
   size_t budget = static_cast<size_t>(input.TotalBlockSizes() / 2);
-  MetaBlocking meta({"name"}, MetaWeighting::kArcs, MetaPruning::kCep);
-  BlockCollection pruned = meta.Prune(d, input);
+  BlockCollection pruned =
+      MetaPrune(d.size(), input, MetaWeighting::kArcs, MetaPruning::kCep);
   EXPECT_LE(pruned.NumBlocks(), budget);
 }
 
@@ -85,8 +106,7 @@ TEST(MetaBlockingTest, AllWeightingSchemesProducePositiveWeights) {
   for (MetaWeighting w :
        {MetaWeighting::kArcs, MetaWeighting::kCbs, MetaWeighting::kEcbs,
         MetaWeighting::kJs, MetaWeighting::kEjs}) {
-    MetaBlocking meta({"name"}, w, MetaPruning::kWep);
-    BlockCollection pruned = RunStreaming(meta, d);
+    BlockCollection pruned = RunMeta(d, w, MetaPruning::kWep);
     // WEP with any scheme keeps at least the strongest edge.
     EXPECT_GE(pruned.NumBlocks(), 1u) << MetaWeightingName(w);
   }
@@ -94,8 +114,7 @@ TEST(MetaBlockingTest, AllWeightingSchemesProducePositiveWeights) {
 
 TEST(MetaBlockingTest, PrunedBlocksArePairs) {
   Dataset d = TokenDataset();
-  MetaBlocking meta({"name"}, MetaWeighting::kJs, MetaPruning::kWnp);
-  BlockCollection pruned = RunStreaming(meta, d);
+  BlockCollection pruned = RunMeta(d, MetaWeighting::kJs, MetaPruning::kWnp);
   for (const auto& b : pruned.blocks()) {
     EXPECT_EQ(b.size(), 2u);
   }
@@ -103,8 +122,7 @@ TEST(MetaBlockingTest, PrunedBlocksArePairs) {
 
 TEST(MetaBlockingTest, CnpKeepsTopEdgesPerNode) {
   Dataset d = TokenDataset();
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kCnp);
-  BlockCollection pruned = RunStreaming(meta, d);
+  BlockCollection pruned = RunMeta(d, MetaWeighting::kCbs, MetaPruning::kCnp);
   // The strong within-entity edges must survive node-local top-k.
   EXPECT_TRUE(pruned.InSameBlock(0, 1));
   EXPECT_TRUE(pruned.InSameBlock(3, 4));
@@ -112,23 +130,27 @@ TEST(MetaBlockingTest, CnpKeepsTopEdgesPerNode) {
 
 TEST(MetaBlockingTest, ImprovesPqStarOverInput) {
   Dataset d = TokenDataset();
-  BlockCollection input = TokenBlocking(d, {"name"}, 100);
+  BlockCollection input = TokenBlocks(d, 100);
   eval::Metrics before = eval::Evaluate(d, input);
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kWep);
-  eval::Metrics after = eval::Evaluate(d, meta.Prune(d, input));
+  eval::Metrics after = eval::Evaluate(
+      d, MetaPrune(d.size(), input, MetaWeighting::kCbs, MetaPruning::kWep));
   EXPECT_GE(after.pq_star, before.pq_star);
 }
 
-TEST(MetaBlockingTest, NameEncodesSchemeAndPruning) {
-  MetaBlocking meta({"a"}, MetaWeighting::kEjs, MetaPruning::kCnp);
-  EXPECT_EQ(meta.name(), "Meta(CNP+EJS)");
+TEST(MetaBlockingTest, RegisteredTechniqueIsNamedByItsPipeline) {
+  std::unique_ptr<core::BlockingTechnique> meta;
+  ASSERT_TRUE(api::BlockerRegistry::Global()
+                  .Create("meta:weighting=ejs,pruning=cnp,attrs=a", &meta)
+                  .ok());
+  EXPECT_EQ(meta->name(),
+            "TokenBlocking | purge(max_size=500) | meta(CNP+EJS)");
 }
 
 TEST(MetaBlockingTest, EmptyDatasetYieldsNoBlocks) {
   Dataset d{Schema({"name"})};
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kWep);
-  EXPECT_EQ(RunStreaming(meta, d).NumBlocks(), 0u);
+  EXPECT_EQ(RunMeta(d, MetaWeighting::kCbs, MetaPruning::kWep).NumBlocks(),
+            0u);
 }
 
 }  // namespace
-}  // namespace sablock::baselines
+}  // namespace sablock::pipeline

@@ -13,7 +13,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/meta_blocking.h"
+#include "run_streaming.h"
+
 #include "common/flat_map.h"
 #include "common/random.h"
 #include "core/blocking.h"
@@ -167,7 +168,8 @@ CoraInput GoldenCoraBlocks() {
   config.num_records = 400;
   config.seed = 42;
   CoraInput in{data::GenerateCoraLike(config), {}};
-  in.blocks = baselines::TokenBlocking(in.dataset, {"authors", "title"}, 500);
+  in.blocks = RunSpec(
+      "token-blocking:attrs=authors+title | purge:max_size=500", in.dataset);
   return in;
 }
 

@@ -335,5 +335,29 @@ TEST(ProgressiveStageTest, SpecParameterDiagnostics) {
             std::string::npos);
 }
 
+// The stage's budget terms speak the one Budget grammar: it accepts what
+// --budget accepts (inf/unlimited pairs) and rejects what --budget
+// rejects, with Budget::Parse's own diagnostic.
+TEST(ProgressiveStageTest, BudgetTermsFollowBudgetParse) {
+  for (const char* term : {"pairs=unlimited", "pairs=inf"}) {
+    std::unique_ptr<pipeline::PipelineStage> stage;
+    Status status = pipeline::StageRegistry::Global().Create(
+        std::string("progressive:") + term, &stage);
+    ASSERT_TRUE(status.ok()) << term << ": " << status.message();
+    auto* progressive = dynamic_cast<ProgressiveStage*>(stage.get());
+    ASSERT_NE(progressive, nullptr);
+    EXPECT_TRUE(progressive->budget().unlimited()) << term;
+  }
+  for (const char* term : {"seconds=0", "recall-target=0"}) {
+    std::unique_ptr<pipeline::PipelineStage> stage;
+    Status status = pipeline::StageRegistry::Global().Create(
+        std::string("progressive:") + term, &stage);
+    ASSERT_FALSE(status.ok()) << term;
+    const std::string expected = core::Budget::Parse(term).status().message();
+    EXPECT_NE(status.message().find(expected), std::string::npos)
+        << status.message();
+  }
+}
+
 }  // namespace
 }  // namespace sablock::progressive

@@ -1,20 +1,35 @@
 #ifndef SABLOCK_TESTS_RUN_STREAMING_H_
 #define SABLOCK_TESTS_RUN_STREAMING_H_
 
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+
 #include "core/blocking.h"
 #include "data/record.h"
+#include "pipeline/pipeline.h"
 
 namespace sablock {
 
-/// Runs a technique through the primary streaming Run(dataset, sink) API
-/// and materializes the emitted blocks. Test-side replacement for the
-/// legacy collecting Run(dataset) wrapper (which block_sink_test still
-/// covers directly as API surface).
+/// Runs a technique through its streaming Run(dataset, sink) and
+/// materializes the emitted blocks.
 inline core::BlockCollection RunStreaming(
     const core::BlockingTechnique& technique, const data::Dataset& dataset) {
   core::BlockCollection blocks;
   technique.Run(dataset, blocks);
   return blocks;
+}
+
+/// Builds a pipeline spec ("blocker | stage | ...") and collects its
+/// blocks. A spec that fails to build is a test failure and yields none.
+inline core::BlockCollection RunSpec(const std::string& spec,
+                                     const data::Dataset& dataset) {
+  StatusOr<std::unique_ptr<pipeline::PipelinedBlocker>> built =
+      pipeline::Build(spec);
+  EXPECT_TRUE(built.ok()) << spec << ": " << built.status().message();
+  if (!built.ok()) return {};
+  return RunStreaming(**built, dataset);
 }
 
 }  // namespace sablock

@@ -13,9 +13,9 @@
 //   sablock_serve --socket=/tmp/sab.sock --schema=authors,title
 //                 --index "token-blocking:attrs=authors+title"
 //   sablock_serve --client --socket=/tmp/sab.sock --stats
-//   sablock_serve --client --socket=/tmp/sab.sock \
+//   sablock_serve --client --socket=/tmp/sab.sock
 //                 --insert "jane doe|entity resolution at scale"
-//   sablock_serve --client --socket=/tmp/sab.sock \
+//   sablock_serve --client --socket=/tmp/sab.sock
 //                 --query "j doe|entity resolution"
 //   sablock_serve --client --socket=/tmp/sab.sock --remove=7
 // (each invocation is a single command line; shown wrapped for width)
