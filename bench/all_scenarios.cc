@@ -3,7 +3,7 @@
 namespace sablock::bench {
 
 void RegisterAllScenarios(report::BenchRegistry& registry) {
-  // Explicit registration (mirroring api::RegisterBuiltinBlockers) so the
+  // Explicit registration (like BlockerRegistry::Global()'s) so the
   // scenario objects survive static-library linking — self-registering
   // globals in an archive member with no referenced symbol get dropped.
   RegisterFig5Collision(registry);

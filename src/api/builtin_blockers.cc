@@ -1,8 +1,10 @@
 // Registers every blocking technique in the library with the global
-// BlockerRegistry. This is the only translation unit outside tests that
-// includes concrete technique headers; everything else (CLI, benches,
-// examples, future services) builds techniques from spec strings.
+// BlockerRegistry, and every incremental index with the global
+// IndexRegistry. This is the only translation unit outside tests that
+// includes concrete technique and index headers; everything else (CLI,
+// benches, examples, the server) builds them from spec strings.
 
+#include <climits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,6 +23,10 @@
 #include "core/iterative_blocker.h"
 #include "core/lsh_blocker.h"
 #include "core/lsh_variants.h"
+#include "index/index_registry.h"
+#include "index/lsh_index.h"
+#include "index/sorted_index.h"
+#include "index/token_index.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stages.h"
 
@@ -43,21 +49,25 @@ ParamDoc AttrsDoc() {
   return {"attrs", "", "'+'-separated blocking attributes"};
 }
 
-core::LshParams LshFromParams(ParamMap& p) {
-  core::LshParams lsh;
-  lsh.k = p.GetInt("k", lsh.k);
-  lsh.l = p.GetInt("l", lsh.l);
-  lsh.q = p.GetInt("q", lsh.q);
-  lsh.attributes = p.GetStringList("attrs", {});
-  lsh.seed = p.GetUint64("seed", lsh.seed);
-  return lsh;
-}
-
 Status CheckLshRanges(const core::LshParams& lsh) {
   if (lsh.k < 1) return RangeError("k", ">= 1");
   if (lsh.l < 1) return RangeError("l", ">= 1");
   if (lsh.q < 1) return RangeError("q", ">= 1");
+  // k·l is the int count of minhash rows every LSH variant allocates.
+  if (static_cast<long long>(lsh.k) * lsh.l > INT_MAX) {
+    return RangeError("k*l", "<= " + std::to_string(INT_MAX));
+  }
   return Status::Ok();
+}
+
+/// Reads the parameters every LSH-family technique and index shares.
+Status LshFromParams(ParamMap& p, core::LshParams* lsh) {
+  lsh->k = p.GetInt("k", lsh->k);
+  lsh->l = p.GetInt("l", lsh->l);
+  lsh->q = p.GetInt("q", lsh->q);
+  lsh->attributes = p.GetStringList("attrs", {});
+  lsh->seed = p.GetUint64("seed", lsh->seed);
+  return CheckLshRanges(*lsh);
 }
 
 std::vector<ParamDoc> LshDocs() {
@@ -66,6 +76,108 @@ std::vector<ParamDoc> LshDocs() {
           {"q", "3", "q-gram size for shingling"},
           AttrsDoc(),
           {"seed", "7", "hash-family seed"}};
+}
+
+/// SA-LSH's parameters: the LSH family's plus the semantic layer's.
+struct SaLshConfig {
+  core::LshParams lsh;
+  core::SemanticParams sem;
+  std::shared_ptr<const core::SemanticFunction> semantics;
+};
+
+Status SaLshFromParams(ParamMap& p, SaLshConfig* out) {
+  enum class DomainKind { kBib, kVoter };
+  DomainKind kind = p.GetEnum<DomainKind>(
+      "domain", DomainKind::kBib,
+      {{"bib", DomainKind::kBib}, {"voter", DomainKind::kVoter}});
+  core::Domain domain = kind == DomainKind::kVoter
+                            ? core::MakeVoterDomain()
+                            : core::MakeBibliographicDomain();
+  Status s = LshFromParams(p, &out->lsh);
+  if (!s.ok()) return s;
+  // The paper's blocking attributes for the domain are the default; an
+  // explicit attrs= overrides them.
+  if (out->lsh.attributes.empty()) {
+    out->lsh.attributes = domain.blocking_attributes;
+  }
+  out->sem.w = p.GetInt("w", 5);
+  out->sem.mode = p.GetEnum<core::SemanticMode>(
+      "mode", core::SemanticMode::kOr,
+      {{"or", core::SemanticMode::kOr}, {"and", core::SemanticMode::kAnd}});
+  out->sem.seed = p.GetUint64("sem-seed", 11);
+  if (out->sem.w < 1) return RangeError("w", ">= 1");
+  out->semantics = std::move(domain.semantics);
+  return Status::Ok();
+}
+
+Status AttrsFromParams(ParamMap& p, std::vector<std::string>* attrs) {
+  *attrs = p.GetStringList("attrs", {});
+  return Status::Ok();
+}
+
+/// Array-based sorted neighbourhood's parameters.
+struct WindowConfig {
+  baselines::BlockingKeyDef key;
+  int window = 3;
+};
+
+Status SorAFromParams(ParamMap& p, WindowConfig* out) {
+  out->key = KeyFromParams(p);
+  out->window = p.GetInt("window", 3);
+  if (out->window < 2) return RangeError("window", ">= 2");
+  return Status::Ok();
+}
+
+/// One spec grammar shared by a batch technique and its incremental
+/// index: the same name, aliases, parameter docs and reader on both
+/// registries, so one spec string describes both sides. Only the
+/// one-line summaries differ.
+template <typename Config>
+struct Twin {
+  std::string name;
+  std::vector<std::string> aliases;
+  std::vector<ParamDoc> params;
+  Status (*read)(ParamMap&, Config*);
+
+  /// Registers the entry on `r`; `make` builds the product from the
+  /// Config that `read` filled.
+  template <typename Product, typename Make>
+  void RegisterOn(Registry<Product>& r, std::string summary,
+                  Make make) const {
+    r.Register({name, std::move(summary), aliases, params},
+               [read = read, make](ParamMap& p,
+                                   std::unique_ptr<Product>* out) {
+                 Config config;
+                 Status s = read(p, &config);
+                 if (!s.ok()) return s;
+                 *out = make(std::move(config));
+                 return Status::Ok();
+               });
+  }
+};
+
+Twin<core::LshParams> LshTwin() {
+  return {"lsh", {"plain-lsh"}, LshDocs(), LshFromParams};
+}
+
+Twin<SaLshConfig> SaLshTwin() {
+  std::vector<ParamDoc> docs = LshDocs();
+  docs.push_back({"w", "5", "semantic hash width (semhash draws/table)"});
+  docs.push_back({"mode", "or", "semantic combination (or|and)"});
+  docs.push_back({"domain", "bib", "semantic domain (bib|voter)"});
+  docs.push_back({"sem-seed", "11", "semantic-function draw seed"});
+  return {"sa-lsh", {"salsh"}, std::move(docs), SaLshFromParams};
+}
+
+Twin<std::vector<std::string>> TokenTwin() {
+  return {"token-blocking", {"token"}, {AttrsDoc()}, AttrsFromParams};
+}
+
+Twin<WindowConfig> SorATwin() {
+  return {"sor-a",
+          {"sorted", "sorn"},
+          {AttrsDoc(), {"window", "3", "sliding-window size (>= 2)"}},
+          SorAFromParams};
 }
 
 /// Validates the `key` parameter against the SimilarityByName comparators
@@ -95,18 +207,11 @@ void RegisterKeyBased(BlockerRegistry& r) {
         return Status::Ok();
       });
 
-  r.Register(
-      {"sor-a",
-       "array-based sorted neighbourhood: fixed window over sorted keys",
-       {"sorted", "sorn"},
-       {AttrsDoc(), {"window", "3", "sliding-window size (>= 2)"}}},
-      [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
-        int window = p.GetInt("window", 3);
-        if (window < 2) return RangeError("window", ">= 2");
-        *out = std::make_unique<baselines::SortedNeighbourhoodArray>(
-            std::move(key), window);
-        return Status::Ok();
+  SorATwin().RegisterOn(
+      r, "array-based sorted neighbourhood: fixed window over sorted keys",
+      [](WindowConfig c) {
+        return std::make_unique<baselines::SortedNeighbourhoodArray>(
+            std::move(c.key), c.window);
       });
 
   r.Register(
@@ -325,16 +430,13 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
 }
 
 void RegisterCanopyAndMeta(BlockerRegistry& r) {
-  r.Register(
-      {"token-blocking",
-       "token blocking: every distinct token of the key attributes forms "
-       "a block (the canonical generator for purge/meta pipeline stages)",
-       {"token"},
-       {AttrsDoc()}},
-      [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        *out = std::make_unique<baselines::TokenBlockingTechnique>(
-            p.GetStringList("attrs", {}));
-        return Status::Ok();
+  TokenTwin().RegisterOn(
+      r,
+      "token blocking: every distinct token of the key attributes forms "
+      "a block (the canonical generator for purge/meta pipeline stages)",
+      [](std::vector<std::string> attrs) {
+        return std::make_unique<baselines::TokenBlockingTechnique>(
+            std::move(attrs));
       });
 
   auto canopy_similarity = [](ParamMap& p) {
@@ -419,57 +521,20 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
 }
 
 void RegisterLshFamily(BlockerRegistry& r) {
-  r.Register(
-      {"lsh", "minhash LSH blocking over q-gram shingles (textual only)",
-       {"plain-lsh"}, LshDocs()},
-      [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        core::LshParams lsh = LshFromParams(p);
-        Status s = CheckLshRanges(lsh);
-        if (!s.ok()) return s;
-        *out = std::make_unique<core::LshBlocker>(std::move(lsh));
-        return Status::Ok();
+  LshTwin().RegisterOn(
+      r, "minhash LSH blocking over q-gram shingles (textual only)",
+      [](core::LshParams lsh) {
+        return std::make_unique<core::LshBlocker>(std::move(lsh));
       });
 
-  {
-    std::vector<ParamDoc> docs = LshDocs();
-    docs.push_back({"w", "5", "semantic hash width (semhash draws/table)"});
-    docs.push_back({"mode", "or", "semantic combination (or|and)"});
-    docs.push_back({"domain", "bib", "semantic domain (bib|voter)"});
-    docs.push_back({"sem-seed", "11", "semantic-function draw seed"});
-    r.Register(
-        {"sa-lsh",
-         "semantic-aware LSH (the paper): minhash tables gated by a w-way "
-         "semantic hash",
-         {"salsh"}, std::move(docs)},
-        [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          enum class DomainKind { kBib, kVoter };
-          DomainKind kind = p.GetEnum<DomainKind>(
-              "domain", DomainKind::kBib,
-              {{"bib", DomainKind::kBib}, {"voter", DomainKind::kVoter}});
-          core::Domain domain = kind == DomainKind::kVoter
-                                    ? core::MakeVoterDomain()
-                                    : core::MakeBibliographicDomain();
-          // The paper's blocking attributes for the domain are the default;
-          // an explicit attrs= overrides them.
-          core::LshParams lsh = LshFromParams(p);
-          if (lsh.attributes.empty()) {
-            lsh.attributes = domain.blocking_attributes;
-          }
-          Status s = CheckLshRanges(lsh);
-          if (!s.ok()) return s;
-          core::SemanticParams sem;
-          sem.w = p.GetInt("w", 5);
-          sem.mode = p.GetEnum<core::SemanticMode>(
-              "mode", core::SemanticMode::kOr,
-              {{"or", core::SemanticMode::kOr},
-               {"and", core::SemanticMode::kAnd}});
-          sem.seed = p.GetUint64("sem-seed", 11);
-          if (sem.w < 1) return RangeError("w", ">= 1");
-          *out = std::make_unique<core::SemanticAwareLshBlocker>(
-              std::move(lsh), sem, domain.semantics);
-          return Status::Ok();
-        });
-  }
+  SaLshTwin().RegisterOn(
+      r,
+      "semantic-aware LSH (the paper): minhash tables gated by a w-way "
+      "semantic hash",
+      [](SaLshConfig c) {
+        return std::make_unique<core::SemanticAwareLshBlocker>(
+            std::move(c.lsh), c.sem, std::move(c.semantics));
+      });
 
   {
     std::vector<ParamDoc> docs = LshDocs();
@@ -479,8 +544,8 @@ void RegisterLshFamily(BlockerRegistry& r) {
          "adding tables",
          {"mplsh"}, std::move(docs)},
         [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          core::LshParams lsh = LshFromParams(p);
-          Status s = CheckLshRanges(lsh);
+          core::LshParams lsh;
+          Status s = LshFromParams(p, &lsh);
           if (!s.ok()) return s;
           int probes = p.GetInt("probes", 2);
           if (probes < 0) return RangeError("probes", ">= 0");
@@ -499,8 +564,8 @@ void RegisterLshFamily(BlockerRegistry& r) {
          "LSH forest: self-tuning variable-length minhash prefixes",
          {"lsh-forest"}, std::move(docs)},
         [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          core::LshParams lsh = LshFromParams(p);
-          Status s = CheckLshRanges(lsh);
+          core::LshParams lsh;
+          Status s = LshFromParams(p, &lsh);
           if (!s.ok()) return s;
           int depth = p.GetInt("depth", 10);
           int max_block = p.GetInt("max-block", 25);
@@ -522,8 +587,8 @@ void RegisterLshFamily(BlockerRegistry& r) {
          "HARRA-style iterative LSH: merge co-bucketed records and re-hash",
          {"iter-lsh"}, std::move(docs)},
         [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          core::LshParams lsh = LshFromParams(p);
-          Status s = CheckLshRanges(lsh);
+          core::LshParams lsh;
+          Status s = LshFromParams(p, &lsh);
           if (!s.ok()) return s;
           double merge = p.GetDouble("merge-threshold", 0.5);
           int iterations = p.GetInt("iterations", 3);
@@ -538,17 +603,63 @@ void RegisterLshFamily(BlockerRegistry& r) {
   }
 }
 
-}  // namespace
+/// The serving-side twins: each index reads its spec through its batch
+/// technique's grammar.
+void RegisterIndexes(index::IndexRegistry& r) {
+  LshTwin().RegisterOn(r, "incremental minhash-LSH banding tables",
+                       [](core::LshParams lsh) {
+                         return std::make_unique<index::LshIndex>(
+                             std::move(lsh));
+                       });
 
-namespace internal {
+  SaLshTwin().RegisterOn(
+      r,
+      "incremental semantic-aware LSH: banding tables gated by a w-way "
+      "semantic hash",
+      [](SaLshConfig c) {
+        return std::make_unique<index::SaLshIndex>(
+            std::move(c.lsh), c.sem, std::move(c.semantics));
+      });
 
-void RegisterBuiltinBlockers(BlockerRegistry& registry) {
-  RegisterKeyBased(registry);
-  RegisterSuffixAndEmbedding(registry);
-  RegisterCanopyAndMeta(registry);
-  RegisterLshFamily(registry);
+  TokenTwin().RegisterOn(r, "incremental token-blocking postings",
+                         [](std::vector<std::string> attrs) {
+                           return std::make_unique<index::TokenPostingsIndex>(
+                               std::move(attrs));
+                         });
+
+  SorATwin().RegisterOn(
+      r,
+      "incremental array-based sorted neighbourhood: fixed window over "
+      "key-sorted records",
+      [](WindowConfig c) {
+        return std::make_unique<index::SortedWindowIndex>(std::move(c.key),
+                                                          c.window);
+      });
 }
 
-}  // namespace internal
+}  // namespace
+
+template <>
+BlockerRegistry& BlockerRegistry::Global() {
+  static BlockerRegistry* registry = [] {
+    auto* r = new BlockerRegistry("technique");
+    RegisterKeyBased(*r);
+    RegisterSuffixAndEmbedding(*r);
+    RegisterCanopyAndMeta(*r);
+    RegisterLshFamily(*r);
+    return r;
+  }();
+  return *registry;
+}
+
+template <>
+index::IndexRegistry& index::IndexRegistry::Global() {
+  static index::IndexRegistry* registry = [] {
+    auto* r = new index::IndexRegistry("index");
+    RegisterIndexes(*r);
+    return r;
+  }();
+  return *registry;
+}
 
 }  // namespace sablock::api

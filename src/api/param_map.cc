@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -75,7 +76,8 @@ double ParamMap::GetDouble(const std::string& key, double fallback) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
+  if (it->second.empty() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v)) {
     RecordError("param '" + key + "': expected number, got '" + it->second +
                 "'");
     return fallback;

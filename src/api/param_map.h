@@ -37,6 +37,8 @@ class ParamMap {
 
   int GetInt(const std::string& key, int fallback);
   uint64_t GetUint64(const std::string& key, uint64_t fallback);
+  /// Finite values only: nan and inf are type errors, so no range check
+  /// of the form `x <= 0 || x > 1` can be slipped past.
   double GetDouble(const std::string& key, double fallback);
   std::string GetString(const std::string& key, std::string fallback);
 

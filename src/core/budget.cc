@@ -1,6 +1,7 @@
 #include "core/budget.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -9,10 +10,15 @@ namespace sablock::core {
 
 namespace {
 
+bool IsUnlimited(std::string_view value) {
+  std::string_view text = Trim(value);
+  return text == "inf" || text == "unlimited";
+}
+
 Status ParseUint64(const std::string& term, std::string_view value,
                    uint64_t* out) {
   std::string text(Trim(value));
-  if (text == "inf" || text == "unlimited") {
+  if (IsUnlimited(text)) {
     *out = Budget::kUnlimitedPairs;
     return Status::Ok();
   }
@@ -39,7 +45,8 @@ Status ParseDouble(const std::string& term, std::string_view value,
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || errno != 0 || end == text.c_str() || *end != '\0') {
+  if (text.empty() || errno != 0 || end == text.c_str() || *end != '\0' ||
+      !std::isfinite(v)) {
     return Status::Error("budget term '" + term +
                          "': expected a number, got '" + text + "'");
   }
@@ -78,6 +85,10 @@ Status Budget::Parse(const std::string& text, Budget* out) {
           return Status::Error("budget term 'pairs': must be >= 1");
         }
       } else if (key == "seconds") {
+        if (IsUnlimited(value)) {
+          budget.seconds = 0.0;  // no time limit
+          continue;
+        }
         Status s = ParseDouble(key, value, &budget.seconds);
         if (!s.ok()) return s;
         if (budget.seconds <= 0.0) {

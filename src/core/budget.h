@@ -19,7 +19,8 @@ namespace sablock::core {
 ///   pairs=N           stop after N candidate pairs (redundancy-counting
 ///                     comparisons for block streams) have been emitted
 ///   seconds=S         stop once S wall-clock seconds have elapsed
-///                     (fractional values allowed)
+///                     (fractional values allowed; a deadline past the
+///                     clock's range is no deadline)
 ///   recall-target=R   stop once recall R in [0,1] is reached; requires a
 ///                     consumer with ground truth (eval paths only)
 ///
@@ -40,8 +41,9 @@ struct Budget {
   }
 
   /// Parses "pairs=50000,seconds=1.5,recall-target=0.9" (any subset, any
-  /// order; "inf"/"unlimited" accepted for pairs). Returns a diagnostic
-  /// naming the offending term on malformed input.
+  /// order; "inf"/"unlimited" accepted for pairs and seconds; nan is
+  /// rejected). Returns a diagnostic naming the offending term on
+  /// malformed input.
   static StatusOr<Budget> Parse(const std::string& text);
 
   /// Out-parameter form for call sites on the Status convention.
@@ -62,13 +64,7 @@ struct Budget {
 class BudgetMeter {
  public:
   explicit BudgetMeter(Budget budget)
-      : budget_(budget),
-        deadline_(budget.seconds > 0.0
-                      ? std::chrono::steady_clock::now() +
-                            std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(budget.seconds))
-                      : std::chrono::steady_clock::time_point::max()) {}
+      : budget_(budget), deadline_(Deadline(budget.seconds)) {}
 
   const Budget& budget() const { return budget_; }
 
@@ -137,6 +133,19 @@ class BudgetMeter {
 
  private:
   enum Reason : int { kNone = 0, kPairs, kSeconds, kRecall };
+
+  /// `seconds` from now; time_point::max() (never) for no limit or for a
+  /// deadline the clock cannot represent, instead of overflowing.
+  static std::chrono::steady_clock::time_point Deadline(double seconds) {
+    using Clock = std::chrono::steady_clock;
+    if (!(seconds > 0.0)) return Clock::time_point::max();
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> limit(seconds);
+    if (limit >= Clock::time_point::max() - now) {
+      return Clock::time_point::max();
+    }
+    return now + std::chrono::duration_cast<Clock::duration>(limit);
+  }
 
   void MarkExhausted() const {
     int expected = kNone;

@@ -152,57 +152,6 @@ void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
   }
 }
 
-void ShardedExecutor::Execute(
-    const core::BlockingTechnique& technique, const data::Dataset& dataset,
-    core::BlockSink& sink,
-    const std::shared_ptr<core::BudgetMeter>& meter) const {
-  SABLOCK_CHECK(meter != nullptr);
-  const std::vector<ShardRange> ranges =
-      MakeShardRanges(dataset.size(), spec_.ResolvedShards());
-  if (ranges.empty()) return;
-
-  if (ranges.size() == 1) {
-    core::BudgetedSink budgeted(sink, meter);
-    technique.Run(dataset, budgeted);
-    return;
-  }
-
-  dataset.features();
-  const int threads =
-      std::min(spec_.threads, static_cast<int>(ranges.size()));
-
-  if (spec_.merge == ExecutionSpec::Merge::kStream) {
-    // The shared ConcurrentSink serializes the inner chain; the budget
-    // countdown itself is the meter's atomic, so each shard task owns a
-    // private BudgetedSink over the shared sink and the global budget
-    // needs no additional lock.
-    ConcurrentSink shared(sink);
-    if (threads == 1) {
-      for (const ShardRange& range : ranges) {
-        core::BudgetedSink budgeted(shared, meter);
-        if (budgeted.Done()) break;
-        RunShard(technique, dataset, range, budgeted);
-      }
-    } else {
-      ThreadPool pool(threads);
-      for (const ShardRange& range : ranges) {
-        pool.Submit([&technique, &dataset, range, &shared, &meter] {
-          core::BudgetedSink budgeted(shared, meter);
-          if (budgeted.Done()) return;
-          RunShard(technique, dataset, range, budgeted);
-        });
-      }
-      pool.Wait();
-    }
-    return;
-  }
-
-  // merge=collect: shards materialize in full (deterministic for any
-  // thread count), and the budget gates the shard-order merge.
-  core::BudgetedSink budgeted(sink, meter);
-  Execute(technique, dataset, budgeted);
-}
-
 void ShardedExecutor::ExecutePipeline(
     const core::BlockingTechnique& technique,
     const pipeline::Pipeline& stages, const data::Dataset& dataset,
@@ -215,16 +164,6 @@ void ShardedExecutor::ExecutePipeline(
   // end-of-stream point — the barrier stages run here, at merge.
   Execute(technique, dataset, chain.head());
   chain.Flush();
-}
-
-void ShardedExecutor::ExecutePipeline(
-    const core::BlockingTechnique& technique,
-    const pipeline::Pipeline& stages, const data::Dataset& dataset,
-    core::BlockSink& sink,
-    const std::shared_ptr<core::BudgetMeter>& meter) const {
-  SABLOCK_CHECK(meter != nullptr);
-  core::BudgetedSink budgeted(sink, meter);
-  ExecutePipeline(technique, stages, dataset, budgeted);
 }
 
 core::BlockCollection ShardedExecutor::ExecuteCollect(

@@ -1,11 +1,9 @@
 #ifndef SABLOCK_ENGINE_SHARDED_EXECUTOR_H_
 #define SABLOCK_ENGINE_SHARDED_EXECUTOR_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/blocking.h"
-#include "core/budget.h"
 #include "data/record.h"
 #include "engine/execution_spec.h"
 #include "pipeline/pipeline.h"
@@ -42,11 +40,15 @@ std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
 /// ids translated back to the global dataset, giving a deterministic
 /// output for any thread count; stream forwards each block through a
 /// shared ConcurrentSink as soon as it is produced (order then depends on
-/// scheduling, but the multiset of blocks does not). In stream mode the
-/// caller's sink may be a BudgetedSink chain: its Done() signal propagates
-/// to every shard task through the ConcurrentSink. In collect mode
-/// backpressure is only honoured during the final merge (shard tasks
-/// materialize first), like BlockCollection::Drain.
+/// scheduling, but the multiset of blocks does not).
+///
+/// A core::BudgetedSink in front of the caller's sink bounds the whole
+/// run by one budget. In stream mode its Done() signal propagates to
+/// every shard task through the ConcurrentSink, whose lock also makes the
+/// spend exact; the emitted prefix then depends on scheduling. In collect
+/// mode backpressure is only honoured during the final merge (shard tasks
+/// materialize first), like BlockCollection::Drain, so the budgeted
+/// output stays independent of the thread count.
 class ShardedExecutor {
  public:
   explicit ShardedExecutor(ExecutionSpec spec);
@@ -56,20 +58,6 @@ class ShardedExecutor {
   /// thread-safe: the executor serializes all access to it.
   void Execute(const core::BlockingTechnique& technique,
                const data::Dataset& dataset, core::BlockSink& sink) const;
-
-  /// Budget-aware execution: every shard accounts against `meter`'s
-  /// atomic countdown, so one global core::Budget bounds the whole
-  /// sharded run without any extra locking. In stream mode each shard
-  /// task gets its own BudgetedSink over the shared serialized sink and
-  /// stops as soon as the meter trips — the emitted prefix then depends
-  /// on scheduling, like all stream-mode ordering. In collect mode
-  /// shards still materialize deterministically and the budget is
-  /// enforced at the shard-order merge, preserving the thread-count
-  /// independence invariant. Inspect the meter afterwards for
-  /// spent/exhausted-reason.
-  void Execute(const core::BlockingTechnique& technique,
-               const data::Dataset& dataset, core::BlockSink& sink,
-               const std::shared_ptr<core::BudgetMeter>& meter) const;
 
   /// Collecting wrapper: runs under merge=collect semantics (regardless
   /// of the spec's merge mode) and returns the deterministic merged
@@ -94,16 +82,6 @@ class ShardedExecutor {
                        const pipeline::Pipeline& stages,
                        const data::Dataset& dataset,
                        core::BlockSink& sink) const;
-
-  /// Budget-aware pipeline execution: the budget gates the *output* of
-  /// the stage chain (a BudgetedSink between the last stage and `sink`),
-  /// so barrier stages still see the full stream and the budget bounds
-  /// what reaches the consumer; Done() backpressure propagates up the
-  /// chain to the shard producers.
-  void ExecutePipeline(const core::BlockingTechnique& technique,
-                       const pipeline::Pipeline& stages,
-                       const data::Dataset& dataset, core::BlockSink& sink,
-                       const std::shared_ptr<core::BudgetMeter>& meter) const;
 
   const ExecutionSpec& spec() const { return spec_; }
 

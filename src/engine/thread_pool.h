@@ -14,7 +14,7 @@ namespace sablock::engine {
 
 /// Fixed-size worker pool executing submitted tasks FIFO. The building
 /// block of the sharded execution engine: ShardedExecutor submits one task
-/// per shard, eval::RunAllParallel one task per technique.
+/// per shard.
 ///
 /// Tasks must not throw (the library is exception-free; invariant
 /// violations abort via SABLOCK_CHECK). Submitting from inside a running

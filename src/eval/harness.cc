@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "engine/sharded_executor.h"
-#include "engine/thread_pool.h"
 
 namespace sablock::eval {
 
@@ -159,22 +158,6 @@ std::vector<TechniqueResult> RunAll(
   for (const auto& technique : settings) {
     results.push_back(RunTechnique(*technique, dataset));
   }
-  return results;
-}
-
-std::vector<TechniqueResult> RunAllParallel(
-    const std::vector<std::unique_ptr<core::BlockingTechnique>>& settings,
-    const data::Dataset& dataset, int threads) {
-  std::vector<TechniqueResult> results(settings.size());
-  engine::ThreadPool pool(threads);
-  for (size_t i = 0; i < settings.size(); ++i) {
-    const core::BlockingTechnique* technique = settings[i].get();
-    TechniqueResult* out = &results[i];
-    pool.Submit([technique, &dataset, out] {
-      *out = RunTechnique(*technique, dataset);
-    });
-  }
-  pool.Wait();
   return results;
 }
 

@@ -84,15 +84,6 @@ std::vector<TechniqueResult> RunAll(
     const std::vector<std::unique_ptr<core::BlockingTechnique>>& settings,
     const data::Dataset& dataset);
 
-/// RunAll sweeping the settings across a thread pool: each technique runs
-/// single-threaded (unsharded, identical blocks to RunAll) but up to
-/// `threads` techniques run concurrently. Results keep the input order.
-/// Per-technique wall times include scheduling contention, so prefer
-/// RunAll when individual timings are the measurement.
-std::vector<TechniqueResult> RunAllParallel(
-    const std::vector<std::unique_ptr<core::BlockingTechnique>>& settings,
-    const data::Dataset& dataset, int threads);
-
 /// Index of the result with the highest FM (the paper reports each
 /// technique at its best-performing setting). Returns 0 for empty input.
 size_t BestByFm(const std::vector<TechniqueResult>& results);

@@ -46,19 +46,18 @@ std::vector<uint64_t> RowSignature(std::span<const std::string_view> values,
   return hasher.Signature(shingles);
 }
 
-/// Streams one table's buckets with >= 2 records in canonical content
-/// order (bucket ids are already ascending).
-void EmitTableBlocks(
-    const std::unordered_map<uint64_t, std::vector<data::RecordId>>& table,
-    core::BlockSink& sink) {
-  std::vector<core::Block> kept;
-  for (const auto& [key, ids] : table) {
-    if (ids.size() >= 2) kept.push_back(ids);
-  }
-  std::sort(kept.begin(), kept.end());
-  for (core::Block& block : kept) {
+using Table = std::unordered_map<uint64_t, std::vector<data::RecordId>>;
+
+/// Streams each table's buckets with >= 2 records, table by table, in
+/// canonical content order (bucket ids are already ascending).
+void EmitTables(const std::vector<Table>& tables, core::BlockSink& sink) {
+  for (const auto& table : tables) {
     if (sink.Done()) return;
-    sink.Consume(std::move(block));
+    std::vector<core::Block> kept;
+    for (const auto& [key, ids] : table) {
+      if (ids.size() >= 2) kept.push_back(ids);
+    }
+    core::EmitSorted(std::move(kept), sink);
   }
 }
 
@@ -140,10 +139,7 @@ std::vector<data::RecordId> LshIndex::Query(
 }
 
 void LshIndex::EmitBlocks(core::BlockSink& sink) const {
-  for (const auto& table : tables_) {
-    if (sink.Done()) return;
-    EmitTableBlocks(table, sink);
-  }
+  EmitTables(tables_, sink);
 }
 
 // -------------------------------------------------------------- SaLshIndex
@@ -332,10 +328,7 @@ std::vector<data::RecordId> SaLshIndex::Query(
 }
 
 void SaLshIndex::EmitBlocks(core::BlockSink& sink) const {
-  for (const auto& table : tables_) {
-    if (sink.Done()) return;
-    EmitTableBlocks(table, sink);
-  }
+  EmitTables(tables_, sink);
 }
 
 }  // namespace sablock::index

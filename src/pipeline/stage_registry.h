@@ -1,87 +1,23 @@
 #ifndef SABLOCK_PIPELINE_STAGE_REGISTRY_H_
 #define SABLOCK_PIPELINE_STAGE_REGISTRY_H_
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "api/blocker_spec.h"
 #include "api/registry.h"
-#include "common/status.h"
-#include "common/statusor.h"
 #include "pipeline/stage.h"
 
 namespace sablock::pipeline {
 
-/// Registry entry metadata for one pipeline stage, mirroring
-/// api::BlockerInfo (and reusing api::ParamDoc so `sablock_cli --list`
-/// renders stages and blockers uniformly).
-struct StageInfo {
-  std::string name;     ///< canonical spec name, e.g. "purge"
-  std::string summary;  ///< one-line description
-  std::vector<std::string> aliases;
-  std::vector<api::ParamDoc> params;
-};
-
-/// Maps stage spec names to factories, the stage-side mirror of
-/// api::BlockerRegistry: pipeline specs name their stages
-/// ("purge:max_size=500") and this registry constructs them, so callers
-/// compose post-processing chains from strings without including any
-/// concrete stage header.
-class StageRegistry {
- public:
-  /// A factory reads its parameters from the ParamMap (consuming the keys
-  /// it understands) and produces the stage; the registry turns accessor
-  /// errors and unconsumed keys into the returned Status.
-  using Factory = std::function<Status(api::ParamMap& params,
-                                       std::unique_ptr<PipelineStage>* out)>;
-
-  /// The process-wide registry with all built-in stages registered.
-  static StageRegistry& Global();
-
-  /// Registers a stage. Name and alias collisions abort (programming
-  /// error).
-  void Register(StageInfo info, Factory factory);
-
-  /// Parses `spec_string` ("name[:key=val,...]") and builds the stage.
-  Status Create(const std::string& spec_string,
-                std::unique_ptr<PipelineStage>* out) const;
-
-  /// Builds the stage described by a parsed spec (stage specs share the
-  /// blocker spec grammar). Taken by value: the factory consumes the
-  /// parameter map.
-  Status Create(api::BlockerSpec spec,
-                std::unique_ptr<PipelineStage>* out) const;
-
-  /// Value-returning form: malformed stage specs come back as diagnostic
-  /// Statuses, never CHECK failures.
-  StatusOr<std::unique_ptr<PipelineStage>> Create(
-      const std::string& spec_string) const {
-    std::unique_ptr<PipelineStage> stage;
-    Status status = Create(spec_string, &stage);
-    if (!status.ok()) return status;
-    return stage;
-  }
-
-  /// True if `name` (canonical or alias, any case) is registered.
-  bool Contains(const std::string& name) const;
-
-  /// Canonical entries, sorted by name.
-  std::vector<StageInfo> List() const;
-
- private:
-  std::vector<std::pair<StageInfo, Factory>> entries_;
-  std::map<std::string, size_t> index_;  // name or alias -> entries_ index
-};
-
-namespace internal {
-/// Defined in stages.cc; called once by Global().
-void RegisterBuiltinStages(StageRegistry& registry);
-}  // namespace internal
+/// Pipeline specs name their stages ("purge:max_size=500") and this
+/// registry constructs them, so callers compose post-processing chains
+/// from strings without including any concrete stage header. Stage specs
+/// share the blocker spec grammar; the built-in stages register in
+/// stages.cc.
+using StageRegistry = api::Registry<PipelineStage>;
 
 }  // namespace sablock::pipeline
+
+namespace sablock::api {
+template <>
+pipeline::StageRegistry& pipeline::StageRegistry::Global();
+}  // namespace sablock::api
 
 #endif  // SABLOCK_PIPELINE_STAGE_REGISTRY_H_

@@ -115,7 +115,7 @@ void MetaStage::Flush() {
   next_->Flush();
 }
 
-namespace internal {
+namespace {
 
 void RegisterBuiltinStages(StageRegistry& r) {
   r.Register(
@@ -216,6 +216,20 @@ void RegisterBuiltinStages(StageRegistry& r) {
       });
 }
 
-}  // namespace internal
+}  // namespace
 
 }  // namespace sablock::pipeline
+
+namespace sablock::api {
+
+template <>
+pipeline::StageRegistry& pipeline::StageRegistry::Global() {
+  static pipeline::StageRegistry* registry = [] {
+    auto* r = new pipeline::StageRegistry("stage");
+    pipeline::RegisterBuiltinStages(*r);
+    return r;
+  }();
+  return *registry;
+}
+
+}  // namespace sablock::api

@@ -84,6 +84,40 @@ TEST(BudgetTest, DiagnosticsNameTheOffendingTerm) {
             std::string::npos);
 }
 
+TEST(BudgetTest, SecondsInfOrUnlimitedMeansNoTimeLimit) {
+  // As for pairs=: the documented spelling of "no limit", not a deadline
+  // that overflows into the past.
+  EXPECT_TRUE(MustParse("seconds=inf").unlimited());
+  EXPECT_TRUE(MustParse("seconds=unlimited").unlimited());
+  EXPECT_EQ(MustParse("seconds=inf,pairs=5").ToString(), "pairs=5");
+  BudgetMeter meter(MustParse("seconds=inf"));
+  EXPECT_TRUE(meter.Spend(1));
+  EXPECT_FALSE(meter.Exhausted());
+}
+
+TEST(BudgetTest, NanIsRejectedForBothDoubleTerms) {
+  for (const char* spec : {"seconds=nan", "recall-target=nan",
+                           "seconds=-nan", "recall-target=NAN"}) {
+    const std::string term(spec, std::string(spec).find('='));
+    std::string message = ParseError(spec);
+    EXPECT_NE(message.find("'" + term + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find("expected a number"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(BudgetMeterTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  // 1e12 s and 9.3e9 s both overflow steady_clock's int64 nanoseconds;
+  // they must mean "never", not a deadline already in the past.
+  for (const char* spec : {"seconds=1e12", "seconds=9.3e9", "seconds=1e300"}) {
+    BudgetMeter meter(MustParse(spec));
+    EXPECT_TRUE(meter.Spend(1)) << spec;
+    EXPECT_TRUE(meter.Spend(1)) << spec;
+    EXPECT_FALSE(meter.Exhausted()) << spec;
+    EXPECT_STREQ(meter.ExhaustedReason(), "") << spec;
+  }
+}
+
 TEST(BudgetMeterTest, CrossingSpendIsAcceptedThenExhausted) {
   BudgetMeter meter(MustParse("pairs=10"));
   EXPECT_FALSE(meter.Exhausted());

@@ -252,30 +252,5 @@ TEST(EngineDeterminismTest,
       "tblo:attrs=first_name+last_name");
 }
 
-// --- eval integration -----------------------------------------------------
-
-TEST(RunAllParallelTest, MatchesSequentialRunAll) {
-  data::Dataset dataset = SmallVoter(600);
-  std::vector<std::unique_ptr<BlockingTechnique>> settings;
-  settings.push_back(FromSpec("tblo:attrs=last_name"));
-  settings.push_back(FromSpec("tblo:attrs=first_name"));
-  settings.push_back(FromSpec("sor-a:window=3,attrs=last_name"));
-  settings.push_back(FromSpec("lsh:k=4,l=8,q=2,attrs=first_name+last_name"));
-
-  std::vector<eval::TechniqueResult> sequential =
-      eval::RunAll(settings, dataset);
-  std::vector<eval::TechniqueResult> parallel =
-      eval::RunAllParallel(settings, dataset, 4);
-
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(parallel[i].name, sequential[i].name);
-    EXPECT_EQ(parallel[i].metrics.distinct_pairs,
-              sequential[i].metrics.distinct_pairs);
-    EXPECT_EQ(parallel[i].metrics.pc, sequential[i].metrics.pc);
-    EXPECT_EQ(parallel[i].metrics.pq, sequential[i].metrics.pq);
-  }
-}
-
 }  // namespace
 }  // namespace sablock::engine

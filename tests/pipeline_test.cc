@@ -73,9 +73,9 @@ data::Dataset SmallCora() {
 // ---------------------------------------------------------------- registry
 
 TEST(StageRegistryTest, ListsBuiltinStagesWithParamDocs) {
-  std::vector<StageInfo> infos = StageRegistry::Global().List();
+  std::vector<api::BlockerInfo> infos = StageRegistry::Global().List();
   std::vector<std::string> names;
-  for (const StageInfo& info : infos) {
+  for (const api::BlockerInfo& info : infos) {
     names.push_back(info.name);
     EXPECT_FALSE(info.summary.empty()) << info.name;
     EXPECT_FALSE(info.params.empty()) << info.name;

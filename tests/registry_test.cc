@@ -6,9 +6,13 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/blocker_spec.h"
 #include "api/registry.h"
+#include "index/index_registry.h"
+#include "pipeline/stage_registry.h"
 
 namespace sablock::api {
 namespace {
@@ -178,6 +182,74 @@ TEST(RegistryTest, RangeErrorsAreDescriptive) {
             std::string::npos);
   EXPECT_NE(CreateErr("harra:iterations=0").message().find("iterations"),
             std::string::npos);
+}
+
+TEST(RegistryTest, NonFiniteNumbersAreTypeErrors) {
+  // NaN slips past every range check of the form `x <= 0 || x > 1`; each
+  // of these specs used to reach a constructor CHECK or run degenerate.
+  const std::pair<const char*, const char*> cases[] = {
+      {"qgram:threshold=nan", "threshold"},
+      {"stmt:threshold=nan", "threshold"},
+      {"harra:merge-threshold=nan", "merge-threshold"},
+      {"cath:loose=nan", "loose"},
+      {"cath:tight=nan", "tight"},
+      {"asor:threshold=nan", "threshold"}};
+  for (const auto& [spec, key] : cases) {
+    Status status = CreateErr(spec);
+    EXPECT_NE(status.message().find(std::string("'") + key + "'"),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("expected number"), std::string::npos)
+        << status.message();
+  }
+  std::unique_ptr<pipeline::PipelineStage> stage;
+  Status status =
+      pipeline::StageRegistry::Global().Create("filter:top_frac=nan", &stage);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(stage, nullptr);
+  EXPECT_NE(status.message().find("'top_frac'"), std::string::npos)
+      << status.message();
+}
+
+TEST(RegistryTest, LshRowCountOverflowIsARangeError) {
+  // k·l is the int count of minhash rows; every LSH-family entry on both
+  // registries reads it through one checked reader.
+  for (const char* spec :
+       {"lsh:l=2000000000", "sa-lsh:k=2147483647", "mp-lsh:k=2147483647",
+        "forest:k=65536,l=65536", "harra:l=2147483647"}) {
+    EXPECT_NE(CreateErr(spec).message().find("'k*l'"), std::string::npos)
+        << spec;
+  }
+  for (const char* spec : {"lsh:l=2000000000", "sa-lsh:k=2147483647"}) {
+    std::unique_ptr<index::IncrementalIndex> index;
+    Status status = index::IndexRegistry::Global().Create(spec, &index);
+    EXPECT_FALSE(status.ok()) << spec;
+    EXPECT_EQ(index, nullptr);
+    EXPECT_NE(status.message().find("'k*l'"), std::string::npos)
+        << status.message();
+  }
+  // The product itself may reach INT_MAX.
+  EXPECT_EQ(CreateOk("lsh:k=1,l=2147483647")->name(),
+            "LSH(k=1,l=2147483647)");
+}
+
+TEST(RegistryTest, EveryIndexSharesItsTechniqueGrammar) {
+  // One spec string describes a batch technique and its incremental
+  // index: same name, aliases and documented parameters on both sides.
+  const BlockerRegistry& techniques = BlockerRegistry::Global();
+  std::vector<BlockerInfo> indexes = index::IndexRegistry::Global().List();
+  ASSERT_EQ(indexes.size(), 4u);
+  for (const BlockerInfo& index_info : indexes) {
+    bool found = false;
+    for (const BlockerInfo& info : techniques.List()) {
+      if (info.name != index_info.name) continue;
+      found = true;
+      EXPECT_EQ(info.aliases, index_info.aliases) << info.name;
+      EXPECT_EQ(info.params, index_info.params) << info.name;
+      EXPECT_NE(info.summary, index_info.summary) << info.name;
+    }
+    EXPECT_TRUE(found) << index_info.name << " has no batch technique";
+  }
 }
 
 TEST(RegistryTest, SpecParamsDriveTheTechnique) {

@@ -5,8 +5,8 @@
 # Modes:
 #   tools/check.sh           full: configure, build, whole test suite
 #   tools/check.sh --quick   fast local iteration: build + the unit-,
-#       snapshot- and progressive-labelled tests only (skips the slow golden
-#       reproductions and the multi-threaded concurrency tests — run
+#       snapshot-, progressive- and fuzz-labelled tests only (skips the slow
+#       golden reproductions and the multi-threaded concurrency tests — run
 #       the full suite or the sanitizer modes before shipping)
 #   tools/check.sh --tsan    builds with -DSABLOCK_SANITIZE=thread (into
 #       build-tsan/) and runs the concurrency- and service-labelled
@@ -52,7 +52,7 @@ case "$mode" in
   --quick)
     cmake -B build -S .
     cmake --build build -j
-    run_ctest build -L 'unit|snapshot|progressive' -j
+    run_ctest build -L 'unit|snapshot|progressive|fuzz' -j
     ;;
   "")
     cmake -B build -S .

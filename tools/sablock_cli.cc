@@ -24,6 +24,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,18 +138,16 @@ void PrintUsage() {
       " --seed) are folded into the spec as defaults.\n");
 }
 
-void PrintEntry(const std::string& name, const std::string& summary,
-                const std::vector<std::string>& alias_list,
-                const std::vector<sablock::api::ParamDoc>& params) {
+void PrintEntry(const sablock::api::BlockerInfo& info) {
   std::string aliases;
-  for (const std::string& alias : alias_list) {
+  for (const std::string& alias : info.aliases) {
     aliases += aliases.empty() ? " (alias: " : ", ";
     aliases += alias;
   }
   if (!aliases.empty()) aliases += ")";
-  std::printf("  %-8s%s\n", name.c_str(), aliases.c_str());
-  std::printf("    %s\n", summary.c_str());
-  for (const sablock::api::ParamDoc& param : params) {
+  std::printf("  %-8s%s\n", info.name.c_str(), aliases.c_str());
+  std::printf("    %s\n", info.summary.c_str());
+  for (const sablock::api::ParamDoc& param : info.params) {
     std::printf("      %-16s default=%-6s %s\n", param.name.c_str(),
                 param.default_value.empty() ? "-"
                                             : param.default_value.c_str(),
@@ -158,9 +157,9 @@ void PrintEntry(const std::string& name, const std::string& summary,
 
 void PrintStages() {
   std::printf("registered pipeline stages:\n\n");
-  for (const sablock::pipeline::StageInfo& info :
+  for (const sablock::api::BlockerInfo& info :
        sablock::pipeline::StageRegistry::Global().List()) {
-    PrintEntry(info.name, info.summary, info.aliases, info.params);
+    PrintEntry(info);
   }
   std::printf(
       "\npipeline grammar: \"blocker | stage:key=val,... | stage\", e.g.\n"
@@ -172,7 +171,7 @@ void PrintIndexes() {
   std::printf("registered incremental indexes (sablock_serve):\n\n");
   for (const sablock::api::BlockerInfo& info :
        sablock::index::IndexRegistry::Global().List()) {
-    PrintEntry(info.name, info.summary, info.aliases, info.params);
+    PrintEntry(info);
   }
   std::printf(
       "\nindexes share the technique spec grammar; a fully loaded index\n"
@@ -180,11 +179,10 @@ void PrintIndexes() {
 }
 
 void PrintRegistry() {
-  const sablock::api::BlockerRegistry& registry =
-      sablock::api::BlockerRegistry::Global();
   std::printf("registered blocking techniques:\n\n");
-  for (const sablock::api::BlockerInfo& info : registry.List()) {
-    PrintEntry(info.name, info.summary, info.aliases, info.params);
+  for (const sablock::api::BlockerInfo& info :
+       sablock::api::BlockerRegistry::Global().List()) {
+    PrintEntry(info);
   }
   std::printf(
       "\nspec grammar: name[:key=val,key=val,...]; list values join\n"
@@ -448,11 +446,11 @@ int main(int argc, char** argv) {
       cold = dataset.ColdCopy();
       sablock::WallTimer timer;
       blocks = sablock::core::BlockCollection();
+      sablock::core::BudgetedSink budgeted(blocks, meter);
       if (use_engine) {
         executor.ExecutePipeline(pipelined->blocker(), pipelined->stages(),
-                                 cold, blocks, meter);
+                                 cold, budgeted);
       } else {
-        sablock::core::BudgetedSink budgeted(blocks, meter);
         pipelined->Run(cold, budgeted);
       }
       seconds = timer.Seconds();
@@ -482,24 +480,17 @@ int main(int argc, char** argv) {
       // extraction.
       cold = dataset.ColdCopy();
       sablock::WallTimer timer;
+      blocks = sablock::core::BlockCollection();
+      std::optional<sablock::core::BudgetedSink> budgeted;
+      sablock::core::BlockSink* sink = &blocks;
+      if (use_budget) sink = &budgeted.emplace(blocks, meter);
       if (use_engine) {
         // Execute honours the spec's merge mode (collect is
         // deterministic; stream collects in arrival order through a
-        // ConcurrentSink).
-        blocks = sablock::core::BlockCollection();
-        if (use_budget) {
-          executor.Execute(*technique, cold, blocks, meter);
-        } else {
-          executor.Execute(*technique, cold, blocks);
-        }
+        // ConcurrentSink, which also serializes the budget accounting).
+        executor.Execute(*technique, cold, *sink);
       } else {
-        blocks = sablock::core::BlockCollection();
-        if (use_budget) {
-          sablock::core::BudgetedSink budgeted(blocks, meter);
-          technique->Run(cold, budgeted);
-        } else {
-          technique->Run(cold, blocks);
-        }
+        technique->Run(cold, *sink);
       }
       seconds = timer.Seconds();
     }
