@@ -4,13 +4,15 @@
 //
 // Because the shard count (not the thread count) defines the computation,
 // every row produces the identical merged BlockCollection — the scenario
-// verifies PC/PQ/RR equality exactly and FAILS (nonzero exit) otherwise —
-// and the time column isolates pure threading speedup over a pre-warmed
-// FeatureStore (cold feature builds are serialized behind the store's
-// once_flag, so they are warmed once, untimed). Reports speedup vs. the
-// 1-thread row; expect ~min(threads, cores, shards)x on idle multi-core
-// hardware (a single-core machine cannot show >1x and the scenario
-// prints the hardware parallelism so that is visible).
+// verifies PC/PQ/RR equality exactly and FAILS (nonzero exit) otherwise.
+// Two row groups: `threads=N` runs over a pre-warmed FeatureStore, so its
+// time isolates the engine's parallel bucketing and merge; `cold
+// threads=N` runs each repetition on a fresh ColdCopy, so the feature
+// build is timed too — the shards racing a cold column build it
+// cooperatively, chunk by chunk. Each group reports speedup vs. its own
+// 1-thread row; expect up to ~min(threads, cores, shards)x on idle
+// multi-core hardware (a single-core machine cannot show >1x and the
+// scenario prints the hardware parallelism so that is visible).
 //
 // Flags: --records=N (default 50000), --shards=M (default 8), plus the
 // runner's --repeat (min wall time over R runs per row).
@@ -49,11 +51,9 @@ int RunEngineScaling(report::BenchContext& ctx) {
   std::unique_ptr<sablock::core::BlockingTechnique> technique =
       FromSpec(spec_string);
 
-  // Warm the shared feature cache once, untimed: cold feature-column
-  // builds run single-threaded inside the store's once_flag (every shard
-  // waits on the first), so timing them would Amdahl-cap the speedup
-  // column. With a warm store the rows isolate the engine's parallel
-  // bucketing + merge — the thing this scenario exists to measure.
+  // Warm the shared feature cache once, untimed, for the warm rows: they
+  // isolate the engine's parallel bucketing + merge. The cold rows time
+  // the cooperative feature build on top of it.
   {
     sablock::core::BlockCollection warmup;
     technique->Run(dataset, warmup);
@@ -61,61 +61,67 @@ int RunEngineScaling(report::BenchContext& ctx) {
 
   eval::TablePrinter table({"threads", "shards", "PC", "PQ", "RR",
                             "blocks", "time(s)", "speedup"});
-  double base_seconds = 0.0;
   sablock::eval::Metrics base_metrics;
   bool metrics_identical = true;
 
-  for (int threads : {1, 2, 4, 8}) {
-    sablock::engine::ExecutionSpec spec;
-    spec.threads = threads;
-    spec.shards = shards;
-    sablock::engine::ShardedExecutor executor(spec);
+  for (bool cold : {false, true}) {
+    const std::string prefix = cold ? "cold " : "";
+    double base_seconds = 0.0;
+    for (int threads : {1, 2, 4, 8}) {
+      sablock::engine::ExecutionSpec spec;
+      spec.threads = threads;
+      spec.shards = shards;
+      sablock::engine::ShardedExecutor executor(spec);
 
-    std::vector<double> seconds;
-    sablock::core::BlockCollection blocks;
-    for (int run = 0; run < repeat; ++run) {
-      sablock::WallTimer timer;
-      blocks = executor.ExecuteCollect(*technique, dataset);
-      seconds.push_back(timer.Seconds());
+      std::vector<double> seconds;
+      sablock::core::BlockCollection blocks;
+      for (int run = 0; run < repeat; ++run) {
+        // A plain copy shares the warm store; a ColdCopy has none.
+        const sablock::data::Dataset input =
+            cold ? dataset.ColdCopy() : dataset;
+        sablock::WallTimer timer;
+        blocks = executor.ExecuteCollect(*technique, input);
+        seconds.push_back(timer.Seconds());
+      }
+      report::RepeatStats stats =
+          report::SummarizeSeconds(std::move(seconds));
+      double best = stats.min_s;
+      sablock::eval::Metrics m = sablock::eval::Evaluate(dataset, blocks);
+
+      if (threads == 1) base_seconds = best;
+      if (!cold && threads == 1) {
+        base_metrics = m;
+      } else if (m.distinct_pairs != base_metrics.distinct_pairs ||
+                 m.true_pairs != base_metrics.true_pairs ||
+                 m.total_comparisons != base_metrics.total_comparisons ||
+                 m.num_blocks != base_metrics.num_blocks) {
+        metrics_identical = false;
+      }
+      table.AddRow({prefix + std::to_string(threads), std::to_string(shards),
+                    FormatDouble(m.pc, 4), FormatDouble(m.pq, 4),
+                    FormatDouble(m.rr, 4),
+                    std::to_string(static_cast<unsigned long long>(
+                        m.num_blocks)),
+                    FormatDouble(best, 3),
+                    FormatDouble(base_seconds / best, 2) + "x"});
+
+      report::RunResult run;
+      run.name = prefix + "threads=" + std::to_string(threads);
+      run.spec = spec_string;
+      run.dataset = "voter-like";
+      run.dataset_records = dataset.size();
+      run.AddParam("threads", std::to_string(threads));
+      run.AddParam("shards", std::to_string(shards));
+      run.time = stats;
+      run.has_metrics = true;
+      run.metrics = m;
+      ctx.Record(std::move(run));
     }
-    report::RepeatStats stats =
-        report::SummarizeSeconds(std::move(seconds));
-    double best = stats.min_s;
-    sablock::eval::Metrics m = sablock::eval::Evaluate(dataset, blocks);
-
-    if (threads == 1) {
-      base_seconds = best;
-      base_metrics = m;
-    } else if (m.distinct_pairs != base_metrics.distinct_pairs ||
-               m.true_pairs != base_metrics.true_pairs ||
-               m.total_comparisons != base_metrics.total_comparisons ||
-               m.num_blocks != base_metrics.num_blocks) {
-      metrics_identical = false;
-    }
-    table.AddRow({std::to_string(threads), std::to_string(shards),
-                  FormatDouble(m.pc, 4), FormatDouble(m.pq, 4),
-                  FormatDouble(m.rr, 4),
-                  std::to_string(static_cast<unsigned long long>(
-                      m.num_blocks)),
-                  FormatDouble(best, 3),
-                  FormatDouble(base_seconds / best, 2) + "x"});
-
-    report::RunResult run;
-    run.name = "threads=" + std::to_string(threads);
-    run.spec = spec_string;
-    run.dataset = "voter-like";
-    run.dataset_records = dataset.size();
-    run.AddParam("threads", std::to_string(threads));
-    run.AddParam("shards", std::to_string(shards));
-    run.time = stats;
-    run.has_metrics = true;
-    run.metrics = m;
-    ctx.Record(std::move(run));
   }
   table.Print();
 
   std::printf("\ndeterminism check (identical PC/PQ/RR and block counts "
-              "across thread counts): %s\n",
+              "across thread counts, warm and cold): %s\n",
               metrics_identical ? "PASS" : "FAIL");
   return metrics_identical ? 0 : 1;
 }

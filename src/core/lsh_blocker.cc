@@ -1,9 +1,9 @@
 #include "core/lsh_blocker.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "common/flat_map.h"
 #include "common/hashing.h"
 #include "common/random.h"
 #include "features/feature_store.h"
@@ -50,17 +50,48 @@ void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
   }
 }
 
-namespace {
+void LshBuckets::EmitTable(BlockSink& sink) {
+  bucket_of_.clear();
+  bucket_of_.reserve(entries_.size());
+  sizes_.clear();
+  for (Entry& entry : entries_) {
+    auto [bucket, fresh] = bucket_of_.TryEmplace(
+        entry.key, static_cast<uint32_t>(sizes_.size()));
+    if (fresh) sizes_.push_back(0);
+    ++sizes_[*bucket];
+    entry.key = *bucket;
+  }
+  // Counting scatter of the kept buckets' ids; entries are in id order,
+  // so every bucket's ids come out ascending.
+  kept_.clear();
+  ends_.assign(sizes_.size(), 0);
+  uint32_t total = 0;
+  for (uint32_t bucket = 0; bucket < sizes_.size(); ++bucket) {
+    if (sizes_[bucket] < 2) continue;
+    kept_.push_back(bucket);
+    ends_[bucket] = total;
+    total += sizes_[bucket];
+  }
+  ids_.resize(total);
+  for (const Entry& entry : entries_) {
+    const uint32_t bucket = static_cast<uint32_t>(entry.key);
+    if (sizes_[bucket] >= 2) ids_[ends_[bucket]++] = entry.id;
+  }
+  entries_.clear();
 
-void EmitBlocks(std::unordered_map<uint64_t, Block>&& buckets,
-                BlockSink& sink) {
-  for (auto& [key, block] : buckets) {
+  auto members = [&](uint32_t bucket) {
+    return std::span<const data::RecordId>(ids_).subspan(
+        ends_[bucket] - sizes_[bucket], sizes_[bucket]);
+  };
+  std::sort(kept_.begin(), kept_.end(), [&](uint32_t a, uint32_t b) {
+    return std::ranges::lexicographical_compare(members(a), members(b));
+  });
+  for (uint32_t bucket : kept_) {
     if (sink.Done()) return;
-    if (block.size() >= 2) sink.Consume(std::move(block));
+    std::span<const data::RecordId> block = members(bucket);
+    sink.Consume(Block(block.begin(), block.end()));
   }
 }
-
-}  // namespace
 
 features::FeatureView::SignatureHandle MinhashSignatures(
     const data::Dataset& dataset, const LshParams& params) {
@@ -82,6 +113,27 @@ std::vector<std::vector<uint64_t>> ComputeMinhashSignatures(
   return sigs;
 }
 
+LshBands ComputeLshBands(const data::Dataset& dataset,
+                         const LshParams& params) {
+  features::FeatureView::SignatureHandle sigs =
+      MinhashSignatures(dataset, params);
+  LshBands bands;
+  bands.ids.reserve(dataset.size());
+  for (data::RecordId id = 0; id < dataset.size(); ++id) {
+    if (!IsEmptyMinhashSignature(sigs.Signature(id))) bands.ids.push_back(id);
+  }
+  const size_t n = bands.ids.size();
+  bands.keys.resize(n * static_cast<size_t>(params.l));
+  for (size_t i = 0; i < n; ++i) {
+    const std::span<const uint64_t> sig = sigs.Signature(bands.ids[i]);
+    for (int t = 0; t < params.l; ++t) {
+      bands.keys[static_cast<size_t>(t) * n + i] =
+          LshBandKey(sig, t, params.k);
+    }
+  }
+  return bands;
+}
+
 LshBlocker::LshBlocker(LshParams params) : params_(std::move(params)) {}
 
 std::string LshBlocker::name() const {
@@ -90,17 +142,15 @@ std::string LshBlocker::name() const {
 }
 
 void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
-  features::FeatureView::SignatureHandle sigs =
-      MinhashSignatures(dataset, params_);
+  const LshBands bands = ComputeLshBands(dataset, params_);
+  LshBuckets buckets;
   for (int t = 0; t < params_.l; ++t) {
     if (sink.Done()) return;
-    std::unordered_map<uint64_t, Block> buckets;
-    buckets.reserve(dataset.size());
-    for (data::RecordId id = 0; id < dataset.size(); ++id) {
-      if (IsEmptyMinhashSignature(sigs.Signature(id))) continue;
-      buckets[LshBandKey(sigs.Signature(id), t, params_.k)].push_back(id);
+    const std::span<const uint64_t> keys = bands.Table(t);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      buckets.Add(keys[i], bands.ids[i]);
     }
-    EmitBlocks(std::move(buckets), sink);
+    buckets.EmitTable(sink);
   }
 }
 
@@ -123,8 +173,7 @@ std::string SemanticAwareLshBlocker::name() const {
 
 void SemanticAwareLshBlocker::Run(const data::Dataset& dataset,
                                   BlockSink& sink) const {
-  features::FeatureView::SignatureHandle sigs =
-      MinhashSignatures(dataset, lsh_params_);
+  const LshBands bands = ComputeLshBands(dataset, lsh_params_);
 
   const Taxonomy& taxonomy = semantics_->taxonomy();
   std::vector<std::vector<ConceptId>> zetas =
@@ -139,22 +188,21 @@ void SemanticAwareLshBlocker::Run(const data::Dataset& dataset,
     LshBlocker(lsh_params_).Run(dataset, sink);
     return;
   }
+  LshBuckets buckets;
   std::vector<uint64_t> keys;
   for (int t = 0; t < lsh_params_.l; ++t) {
     if (sink.Done()) return;
-    std::vector<size_t> chosen = SemanticTableChoices(sem_params_, dim, t);
-
-    std::unordered_map<uint64_t, Block> buckets;
-    buckets.reserve(dataset.size());
-    for (data::RecordId id = 0; id < dataset.size(); ++id) {
-      if (IsEmptyMinhashSignature(sigs.Signature(id))) continue;
-      uint64_t band = LshBandKey(sigs.Signature(id), t, lsh_params_.k);
+    const std::vector<size_t> chosen =
+        SemanticTableChoices(sem_params_, dim, t);
+    const std::span<const uint64_t> bands_t = bands.Table(t);
+    for (size_t i = 0; i < bands_t.size(); ++i) {
+      const data::RecordId id = bands.ids[i];
       keys.clear();
-      AppendSemanticBucketKeys(band, sem_sigs[id], sem_params_.mode, chosen,
-                               &keys);
-      for (uint64_t key : keys) buckets[key].push_back(id);
+      AppendSemanticBucketKeys(bands_t[i], sem_sigs[id], sem_params_.mode,
+                               chosen, &keys);
+      for (uint64_t key : keys) buckets.Add(key, id);
     }
-    EmitBlocks(std::move(buckets), sink);
+    buckets.EmitTable(sink);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/blocking.h"
 #include "core/minhash.h"
 #include "core/semantic.h"
@@ -119,6 +120,52 @@ void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
                               SemanticMode mode,
                               const std::vector<size_t>& chosen,
                               std::vector<uint64_t>* keys);
+
+// ----------------------------------------------------------------------
+// Batch bucketing of the LSH-family blockers (lsh, sa-lsh, mp-lsh).
+
+/// The band keys of every record with a non-empty signature, computed in
+/// one pass over each record's signature row: `ids` ascending, and table
+/// t's keys, in `ids` order, in Table(t).
+struct LshBands {
+  std::vector<data::RecordId> ids;
+  std::vector<uint64_t> keys;  // table-major: l runs of ids.size() keys
+
+  std::span<const uint64_t> Table(int table) const {
+    return std::span<const uint64_t>(keys).subspan(
+        static_cast<size_t>(table) * ids.size(), ids.size());
+  }
+};
+LshBands ComputeLshBands(const data::Dataset& dataset,
+                         const LshParams& params);
+
+/// One hash table's bucketing, shared by lsh, sa-lsh and mp-lsh: the
+/// caller adds the table's (key, id) entries to one flat array, ids in
+/// non-decreasing order, and EmitTable groups them through a FlatMap with
+/// a counting scatter — no per-bucket allocation, ids ascending within a
+/// bucket — and emits the buckets of two or more records in canonical
+/// content order (the order of EmitSorted and of the incremental LSH
+/// indexes). Tables are bucketed one at a time, reusing the scratch.
+class LshBuckets {
+ public:
+  void Add(uint64_t key, data::RecordId id) { entries_.push_back({key, id}); }
+
+  /// Emits the buckets of >= 2 records added since the last call until
+  /// the sink reports Done, then starts the next table empty.
+  void EmitTable(BlockSink& sink);
+
+ private:
+  struct Entry {
+    uint64_t key;  // bucket key; EmitTable reuses it for the bucket index
+    data::RecordId id;
+  };
+  std::vector<Entry> entries_;
+  FlatMap<uint64_t, uint32_t> bucket_of_;
+  std::vector<uint32_t> sizes_;  // per bucket, in first-encounter order
+  std::vector<uint32_t> ends_;   // per kept bucket: one past its last id
+  std::vector<uint32_t> kept_;   // buckets of >= 2 records
+  std::vector<data::RecordId> ids_;
+};
 
 /// Materializing wrapper around MinhashSignatures (copies the cached
 /// signatures out); kept for tests and ablation benches.

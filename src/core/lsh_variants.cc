@@ -83,10 +83,9 @@ void MultiProbeLshBlocker::Run(const data::Dataset& dataset,
   ComputeTop2MinhashSignatures(dataset, params_, &min1, &min2);
   const int probes = std::min(num_probes_, params_.k);
 
+  LshBuckets buckets;
   for (int t = 0; t < params_.l; ++t) {
     if (sink.Done()) return;
-    std::unordered_map<uint64_t, Block> buckets;
-    buckets.reserve(dataset.size());
     for (data::RecordId id = 0; id < dataset.size(); ++id) {
       if (min1[id].empty() || min1[id][0] == MinHasher::kEmptySlot) {
         continue;
@@ -94,19 +93,14 @@ void MultiProbeLshBlocker::Run(const data::Dataset& dataset,
       // Base bucket plus one probe per perturbed row. Two records whose
       // probe sets intersect land in a shared bucket; single-member
       // buckets are dropped on emission.
-      buckets[BandKeyFromRows(min1[id], t, params_.k, -1, min2[id])]
-          .push_back(id);
+      buckets.Add(BandKeyFromRows(min1[id], t, params_.k, -1, min2[id]), id);
       for (int p = 0; p < probes; ++p) {
         size_t idx = static_cast<size_t>(t) * params_.k + p;
         if (min2[id][idx] == MinHasher::kEmptySlot) continue;
-        buckets[BandKeyFromRows(min1[id], t, params_.k, p, min2[id])]
-            .push_back(id);
+        buckets.Add(BandKeyFromRows(min1[id], t, params_.k, p, min2[id]), id);
       }
     }
-    for (auto& [key, block] : buckets) {
-      if (sink.Done()) return;
-      if (block.size() >= 2) sink.Consume(std::move(block));
-    }
+    buckets.EmitTable(sink);
   }
 }
 

@@ -95,12 +95,10 @@ void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
 
   // Materialize the dataset's feature store *before* slicing so every
   // shard inherits the same cache instead of lazily creating its own.
-  // Note the cold-start tradeoff: the first shard to request a feature
-  // column builds it for the whole dataset single-threaded (the others
-  // wait on the column's once_flag), in exchange for computing each
-  // column once instead of once per shard. Warm-cache executions — the
-  // steady state for repeated or multi-technique runs — parallelize the
-  // full per-shard work.
+  // Each feature column is then computed once for the whole dataset: the
+  // first shard to request a cold column starts its build, and every
+  // shard that requests it meanwhile helps, claiming record chunks, so a
+  // cold start runs on all the engine's threads (FeatureStore).
   dataset.features();
 
   const int threads =

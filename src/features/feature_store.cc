@@ -13,14 +13,12 @@
 
 namespace sablock::features {
 
-namespace {
-
 /// Cache telemetry for one column kind: a getter call either finds the
-/// column published (hit) or pays the build (miss, with its wall time in
-/// the build histogram). Pointers resolve once per kind per process;
-/// the getters then update lock-free. Hit rate is the `featurestore`
-/// family bench_compare.py gates for drift.
-struct ColumnMetrics {
+/// column published or joins its build (hit), or starts the build (miss,
+/// with its wall time in the build histogram). Pointers resolve once per
+/// kind per process; the getters then update lock-free. Hit rate is the
+/// `featurestore` family bench_compare.py gates for drift.
+struct FeatureStore::ColumnMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
   obs::Histogram* build_seconds;
@@ -38,6 +36,18 @@ struct ColumnMetrics {
         obs::Histogram::LatencyBuckets(), "column", column);
   }
 };
+
+namespace {
+
+/// Records per chunk of a cooperative build: a 200k-record column is ~400
+/// chunks, so the threads building it finish within a chunk of each
+/// other, and each claim covers far more work than the atomic increment
+/// that makes it.
+constexpr size_t kChunkRecords = 512;
+
+/// The token build interns serially (local ids follow first-encounter
+/// order), so it is one chunk spanning the whole column.
+constexpr size_t kWholeColumn = SIZE_MAX;
 
 // Column keys: attribute names joined with a separator that cannot occur
 // in attribute names coming from CSV headers or generators, plus the
@@ -85,157 +95,214 @@ FeatureStore::Entry<Column>& FeatureStore::FindOrCreate(
   return *it->second;
 }
 
+template <typename Column, typename Parent, typename Prepare,
+          typename Fill, typename Finish>
+const Column& FeatureStore::Obtain(Entry<Column>& entry, Caller caller,
+                                   ColumnMetrics& metrics,
+                                   size_t chunk_records, Parent&& parent,
+                                   Prepare&& prepare, Fill&& fill,
+                                   Finish&& finish) const {
+  if (entry.phase.load(std::memory_order_acquire) == Phase::kReady) {
+    if (caller == Caller::kGetter) metrics.hits->Add(1);
+    return entry.column;
+  }
+  WallTimer timer;
+  bool started = false;
+  {
+    std::unique_lock<std::mutex> lock(entry.mutex);
+    // Helpers join only builds a getter has started, so exactly one
+    // getter starts each build and counts its miss.
+    entry.changed.wait(lock, [&] {
+      return caller == Caller::kGetter ||
+             entry.phase.load(std::memory_order_relaxed) != Phase::kEmpty;
+    });
+    const Phase phase = entry.phase.load(std::memory_order_relaxed);
+    if (phase == Phase::kReady) {
+      if (caller == Caller::kGetter) metrics.hits->Add(1);
+      return entry.column;
+    }
+    started = phase == Phase::kEmpty;
+    if (started) {
+      entry.phase.store(Phase::kClaimed, std::memory_order_relaxed);
+      entry.changed.notify_all();
+    }
+  }
+
+  parent(started ? Caller::kGetter : Caller::kHelper);
+  const size_t n = size();
+  if (started) {
+    prepare(entry.column);
+    std::lock_guard<std::mutex> lock(entry.mutex);
+    entry.num_chunks = n == 0 ? 1 : 1 + (n - 1) / chunk_records;
+    entry.chunks_left.store(entry.num_chunks, std::memory_order_relaxed);
+    entry.phase.store(Phase::kBuilding, std::memory_order_relaxed);
+    entry.changed.notify_all();
+  } else {
+    std::unique_lock<std::mutex> lock(entry.mutex);
+    entry.changed.wait(lock, [&] {
+      return entry.phase.load(std::memory_order_relaxed) >= Phase::kBuilding;
+    });
+  }
+
+  for (size_t chunk = entry.next_chunk.fetch_add(1, std::memory_order_relaxed);
+       chunk < entry.num_chunks;
+       chunk = entry.next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+    const size_t begin = chunk * chunk_records;
+    fill(entry.column, begin, begin + std::min(chunk_records, n - begin));
+    // acq_rel: the thread finishing the last chunk sees every chunk.
+    if (entry.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish(entry.column);
+      std::lock_guard<std::mutex> lock(entry.mutex);
+      entry.phase.store(Phase::kReady, std::memory_order_release);
+      entry.changed.notify_all();
+    }
+  }
+  {
+    std::unique_lock<std::mutex> lock(entry.mutex);
+    entry.changed.wait(lock, [&] {
+      return entry.phase.load(std::memory_order_relaxed) == Phase::kReady;
+    });
+  }
+  if (started) {
+    metrics.misses->Add(1);
+    metrics.build_seconds->Observe(timer.Seconds());
+  } else if (caller == Caller::kGetter) {
+    metrics.hits->Add(1);
+  }
+  return entry.column;
+}
+
 const TextColumn& FeatureStore::Texts(
     const std::vector<std::string>& attributes) const {
+  return Texts(attributes, Caller::kGetter);
+}
+
+const TextColumn& FeatureStore::Texts(
+    const std::vector<std::string>& attributes, Caller caller) const {
   static ColumnMetrics& metrics = *new ColumnMetrics("text");
-  Entry<TextColumn>& entry = FindOrCreate(texts_, TextKey(attributes));
-  bool built_here = false;
-  std::call_once(entry.once, [&] {
-    WallTimer timer;
-    BuildTexts(attributes, &entry.column);
-    metrics.build_seconds->Observe(timer.Seconds());
-    text_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::texts, attributes, 0, 0, 0);
-    built_here = true;
-  });
-  (built_here ? metrics.misses : metrics.hits)->Add(1);
-  return entry.column;
+  return Obtain(
+      FindOrCreate(texts_, TextKey(attributes)), caller, metrics,
+      kChunkRecords, [](Caller) {},
+      [&](TextColumn& out) { out.texts.resize(size()); },
+      [&](TextColumn& out, size_t begin, size_t end) {
+        for (size_t id = begin; id < end; ++id) {
+          out.texts[id] = snapshot_.ConcatenatedValues(
+              static_cast<data::RecordId>(id), attributes);
+        }
+      },
+      [&](TextColumn&) {
+        text_builds_.fetch_add(1, std::memory_order_relaxed);
+        RecordInCatalog(&Catalog::texts, attributes, 0, 0, 0);
+      });
 }
 
 const TokenColumn& FeatureStore::Tokens(
     const std::vector<std::string>& attributes) const {
   static ColumnMetrics& metrics = *new ColumnMetrics("token");
-  Entry<TokenColumn>& entry =
-      FindOrCreate(tokens_columns_, TextKey(attributes));
-  bool built_here = false;
-  std::call_once(entry.once, [&] {
-    WallTimer timer;
-    BuildTokens(attributes, &entry.column);
-    metrics.build_seconds->Observe(timer.Seconds());
-    token_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
-    built_here = true;
-  });
-  (built_here ? metrics.misses : metrics.hits)->Add(1);
-  return entry.column;
+  const TextColumn* texts = nullptr;
+  return Obtain(
+      FindOrCreate(tokens_columns_, TextKey(attributes)), Caller::kGetter,
+      metrics, kWholeColumn,
+      [&](Caller caller) { texts = &Texts(attributes, caller); },
+      [&](TokenColumn& out) {
+        // Natural-text vocabularies grow O(records), so pre-size the id
+        // maps and the dictionary from the row count — the build then
+        // runs without rehash churn (visible in bench_micro's feature
+        // section).
+        const size_t n = size();
+        out.tokens.resize(n);
+        out.global_ids.reserve(n);
+        std::lock_guard<std::mutex> lock(token_mutex_);
+        token_ids_.reserve(token_ids_.size() + n);
+        tokens_.reserve(tokens_.size() + n);
+      },
+      [&](TokenColumn& out, size_t begin, size_t end) {
+        // Column-local dense ids keep postings/bitmap consumers sized by
+        // this column's vocabulary, independent of how large the shared
+        // dictionary grew from other columns. The build is one chunk, so
+        // `local_of` sees every record, in id order.
+        FlatMap<TokenId, TokenId> local_of;
+        local_of.reserve(end - begin);
+        for (size_t id = begin; id < end; ++id) {
+          std::vector<std::string> words = SplitWords(texts->texts[id]);
+          std::sort(words.begin(), words.end());
+          words.erase(std::unique(words.begin(), words.end()), words.end());
+          std::vector<TokenId>& ids = out.tokens[id];
+          ids.reserve(words.size());
+          {
+            std::lock_guard<std::mutex> lock(token_mutex_);
+            for (std::string& w : words) {
+              auto [it, inserted] = token_ids_.try_emplace(
+                  w, static_cast<TokenId>(tokens_.size()));
+              if (inserted) tokens_.push_back(std::move(w));
+              auto [local_slot, fresh] = local_of.TryEmplace(
+                  it->second, static_cast<TokenId>(out.global_ids.size()));
+              if (fresh) out.global_ids.push_back(it->second);
+              ids.push_back(*local_slot);
+            }
+          }
+          std::sort(ids.begin(), ids.end());
+        }
+      },
+      [&](TokenColumn& out) {
+        out.token_limit = static_cast<uint32_t>(out.global_ids.size());
+        token_builds_.fetch_add(1, std::memory_order_relaxed);
+        RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
+      });
 }
 
 const ShingleColumn& FeatureStore::Shingles(
     const std::vector<std::string>& attributes, int q) const {
+  return Shingles(attributes, q, Caller::kGetter);
+}
+
+const ShingleColumn& FeatureStore::Shingles(
+    const std::vector<std::string>& attributes, int q, Caller caller) const {
   static ColumnMetrics& metrics = *new ColumnMetrics("shingle");
-  Entry<ShingleColumn>& entry =
-      FindOrCreate(shingles_, ShingleKey(attributes, q));
-  bool built_here = false;
-  std::call_once(entry.once, [&] {
-    WallTimer timer;
-    BuildShingles(attributes, q, &entry.column);
-    metrics.build_seconds->Observe(timer.Seconds());
-    shingle_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::shingles, attributes, q, 0, 0);
-    built_here = true;
-  });
-  (built_here ? metrics.misses : metrics.hits)->Add(1);
-  return entry.column;
+  const TextColumn* texts = nullptr;
+  return Obtain(
+      FindOrCreate(shingles_, ShingleKey(attributes, q)), caller, metrics,
+      kChunkRecords,
+      [&](Caller role) { texts = &Texts(attributes, role); },
+      [&](ShingleColumn& out) { out.sets.resize(size()); },
+      [&](ShingleColumn& out, size_t begin, size_t end) {
+        for (size_t id = begin; id < end; ++id) {
+          out.sets[id] = text::QGramHashes(texts->texts[id], q);
+        }
+      },
+      [&](ShingleColumn&) {
+        shingle_builds_.fetch_add(1, std::memory_order_relaxed);
+        RecordInCatalog(&Catalog::shingles, attributes, q, 0, 0);
+      });
 }
 
 const SignatureColumn& FeatureStore::Signatures(
     const std::vector<std::string>& attributes, int q, int num_hashes,
     uint64_t seed) const {
   static ColumnMetrics& metrics = *new ColumnMetrics("signature");
-  Entry<SignatureColumn>& entry = FindOrCreate(
-      signatures_, SignatureKey(attributes, q, num_hashes, seed));
-  bool built_here = false;
-  std::call_once(entry.once, [&] {
-    WallTimer timer;
-    BuildSignatures(attributes, q, num_hashes, seed, &entry.column);
-    metrics.build_seconds->Observe(timer.Seconds());
-    signature_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes, seed);
-    built_here = true;
-  });
-  (built_here ? metrics.misses : metrics.hits)->Add(1);
-  return entry.column;
-}
-
-void FeatureStore::BuildTexts(const std::vector<std::string>& attributes,
-                              TextColumn* out) const {
-  const size_t n = snapshot_.size();
-  out->texts.resize(n);
-  for (data::RecordId id = 0; id < n; ++id) {
-    out->texts[id] = snapshot_.ConcatenatedValues(id, attributes);
-  }
-}
-
-void FeatureStore::BuildTokens(const std::vector<std::string>& attributes,
-                               TokenColumn* out) const {
-  const TextColumn& texts = Texts(attributes);
-  const size_t n = snapshot_.size();
-  out->tokens.resize(n);
-  // Natural-text vocabularies grow O(records), so pre-size the id maps
-  // and the dictionary from the row count — the builds below then run
-  // without rehash churn (visible in bench_micro's feature section).
-  out->global_ids.reserve(n);
-  {
-    std::lock_guard<std::mutex> lock(token_mutex_);
-    token_ids_.reserve(token_ids_.size() + n);
-    tokens_.reserve(tokens_.size() + n);
-  }
-  // Column-local dense ids keep postings/bitmap consumers sized by this
-  // column's vocabulary, independent of how large the shared dictionary
-  // grew from other columns.
-  FlatMap<TokenId, TokenId> local_of;
-  local_of.reserve(n);
-  for (data::RecordId id = 0; id < n; ++id) {
-    std::vector<std::string> words = SplitWords(texts.texts[id]);
-    std::sort(words.begin(), words.end());
-    words.erase(std::unique(words.begin(), words.end()), words.end());
-    std::vector<TokenId>& ids = out->tokens[id];
-    ids.reserve(words.size());
-    {
-      std::lock_guard<std::mutex> lock(token_mutex_);
-      for (std::string& w : words) {
-        auto [it, inserted] = token_ids_.try_emplace(
-            w, static_cast<TokenId>(tokens_.size()));
-        if (inserted) tokens_.push_back(std::move(w));
-        auto [local_slot, fresh] = local_of.TryEmplace(
-            it->second, static_cast<TokenId>(out->global_ids.size()));
-        if (fresh) out->global_ids.push_back(it->second);
-        ids.push_back(*local_slot);
-      }
-    }
-    std::sort(ids.begin(), ids.end());
-  }
-  out->token_limit = static_cast<uint32_t>(out->global_ids.size());
-}
-
-void FeatureStore::BuildShingles(const std::vector<std::string>& attributes,
-                                 int q, ShingleColumn* out) const {
-  const TextColumn& texts = Texts(attributes);
-  const size_t n = snapshot_.size();
-  out->sets.resize(n);
-  for (data::RecordId id = 0; id < n; ++id) {
-    out->sets[id] = text::QGramHashes(texts.texts[id], q);
-  }
-}
-
-void FeatureStore::BuildSignatures(
-    const std::vector<std::string>& attributes, int q, int num_hashes,
-    uint64_t seed, SignatureColumn* out) const {
-  const ShingleColumn& shingles = Shingles(attributes, q);
-  core::MinHasher hasher(num_hashes, seed);
-  const size_t n = snapshot_.size();
-  out->num_hashes = static_cast<uint32_t>(num_hashes);
-  // One flat allocation for the whole column; each record's row is
-  // written in place by the batched kernel — no per-record vectors.
-  out->data.resize(n * static_cast<size_t>(num_hashes));
-  std::span<uint64_t> all(out->data);
-  for (data::RecordId id = 0; id < n; ++id) {
-    hasher.SignatureInto(
-        shingles.sets[id],
-        all.subspan(id * static_cast<size_t>(num_hashes),
-                    static_cast<size_t>(num_hashes)));
-  }
-  out->rows = out->data;  // data never reallocates after this point
+  const ShingleColumn* shingles = nullptr;
+  const size_t width = static_cast<size_t>(num_hashes);
+  return Obtain(
+      FindOrCreate(signatures_, SignatureKey(attributes, q, num_hashes, seed)),
+      Caller::kGetter, metrics, kChunkRecords,
+      [&](Caller caller) { shingles = &Shingles(attributes, q, caller); },
+      [&](SignatureColumn& out) {
+        out.num_hashes = static_cast<uint32_t>(num_hashes);
+        out.data = std::make_unique_for_overwrite<uint64_t[]>(size() * width);
+        out.rows = {out.data.get(), size() * width};
+      },
+      [&](SignatureColumn& out, size_t begin, size_t end) {
+        const core::MinHasher hasher(num_hashes, seed);
+        for (size_t id = begin; id < end; ++id) {
+          hasher.SignatureInto(shingles->sets[id],
+                               {out.data.get() + id * width, width});
+        }
+      },
+      [&](SignatureColumn&) {
+        signature_builds_.fetch_add(1, std::memory_order_relaxed);
+        RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes,
+                        seed);
+      });
 }
 
 void FeatureStore::RecordInCatalog(std::vector<ColumnParams> Catalog::* list,
@@ -256,19 +323,27 @@ FeatureStore::Catalog FeatureStore::catalog() const {
   return catalog_;
 }
 
+template <typename Column>
+bool FeatureStore::Publish(Entry<Column>& entry, Column column) {
+  std::lock_guard<std::mutex> lock(entry.mutex);
+  if (entry.phase.load(std::memory_order_relaxed) != Phase::kEmpty) {
+    return false;
+  }
+  entry.column = std::move(column);
+  entry.phase.store(Phase::kReady, std::memory_order_release);
+  entry.changed.notify_all();
+  return true;
+}
+
 void FeatureStore::AdoptTexts(const std::vector<std::string>& attributes,
                               TextColumn column) {
   SABLOCK_CHECK_MSG(column.texts.size() == size(),
                     "adopted text column has wrong record count");
-  Entry<TextColumn>& entry = FindOrCreate(texts_, TextKey(attributes));
-  bool adopted = false;
-  std::call_once(entry.once, [&] {
-    entry.column = std::move(column);
-    text_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::texts, attributes, 0, 0, 0);
-    adopted = true;
-  });
-  SABLOCK_CHECK_MSG(adopted, "text column already built; adopt first");
+  SABLOCK_CHECK_MSG(
+      Publish(FindOrCreate(texts_, TextKey(attributes)), std::move(column)),
+      "text column already built; adopt first");
+  text_builds_.fetch_add(1, std::memory_order_relaxed);
+  RecordInCatalog(&Catalog::texts, attributes, 0, 0, 0);
 }
 
 void FeatureStore::AdoptTokens(const std::vector<std::string>& attributes,
@@ -295,32 +370,22 @@ void FeatureStore::AdoptTokens(const std::vector<std::string>& attributes,
       column.global_ids.push_back(it->second);
     }
   }
-  Entry<TokenColumn>& entry =
-      FindOrCreate(tokens_columns_, TextKey(attributes));
-  bool adopted = false;
-  std::call_once(entry.once, [&] {
-    entry.column = std::move(column);
-    token_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
-    adopted = true;
-  });
-  SABLOCK_CHECK_MSG(adopted, "token column already built; adopt first");
+  SABLOCK_CHECK_MSG(Publish(FindOrCreate(tokens_columns_, TextKey(attributes)),
+                            std::move(column)),
+                    "token column already built; adopt first");
+  token_builds_.fetch_add(1, std::memory_order_relaxed);
+  RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
 }
 
 void FeatureStore::AdoptShingles(const std::vector<std::string>& attributes,
                                  int q, ShingleColumn column) {
   SABLOCK_CHECK_MSG(column.sets.size() == size(),
                     "adopted shingle column has wrong record count");
-  Entry<ShingleColumn>& entry =
-      FindOrCreate(shingles_, ShingleKey(attributes, q));
-  bool adopted = false;
-  std::call_once(entry.once, [&] {
-    entry.column = std::move(column);
-    shingle_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::shingles, attributes, q, 0, 0);
-    adopted = true;
-  });
-  SABLOCK_CHECK_MSG(adopted, "shingle column already built; adopt first");
+  SABLOCK_CHECK_MSG(Publish(FindOrCreate(shingles_, ShingleKey(attributes, q)),
+                            std::move(column)),
+                    "shingle column already built; adopt first");
+  shingle_builds_.fetch_add(1, std::memory_order_relaxed);
+  RecordInCatalog(&Catalog::shingles, attributes, q, 0, 0);
 }
 
 void FeatureStore::AdoptSignatures(const std::vector<std::string>& attributes,
@@ -330,16 +395,13 @@ void FeatureStore::AdoptSignatures(const std::vector<std::string>& attributes,
       column.num_hashes == static_cast<uint32_t>(num_hashes) &&
           column.rows.size() == size() * static_cast<size_t>(num_hashes),
       "adopted signature column has wrong shape");
-  Entry<SignatureColumn>& entry = FindOrCreate(
-      signatures_, SignatureKey(attributes, q, num_hashes, seed));
-  bool adopted = false;
-  std::call_once(entry.once, [&] {
-    entry.column = std::move(column);
-    signature_builds_.fetch_add(1, std::memory_order_relaxed);
-    RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes, seed);
-    adopted = true;
-  });
-  SABLOCK_CHECK_MSG(adopted, "signature column already built; adopt first");
+  SABLOCK_CHECK_MSG(
+      Publish(FindOrCreate(signatures_,
+                           SignatureKey(attributes, q, num_hashes, seed)),
+              std::move(column)),
+      "signature column already built; adopt first");
+  signature_builds_.fetch_add(1, std::memory_order_relaxed);
+  RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes, seed);
 }
 
 std::string FeatureStore::Token(TokenId id) const {

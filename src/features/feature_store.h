@@ -2,6 +2,8 @@
 #define SABLOCK_FEATURES_FEATURE_STORE_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -52,16 +54,19 @@ struct ShingleColumn {
 /// seed) selection — core::MinHasher over the shingle column. Stored as
 /// one flat row-major array (record-major, num_hashes slots per record):
 /// a single allocation for the whole column, written in place by
-/// MinHasher::SignatureInto with no per-record vector churn.
+/// MinHasher::SignatureInto with no per-record vector churn. The array is
+/// left uninitialized until its build chunks write it, so a cold build
+/// pays no serial zero-fill and its pages fault in on the building
+/// threads.
 ///
 /// Readers go through `rows`, which either aliases the owning `data`
-/// vector (built columns) or an external immutable region such as a
+/// array (built columns) or an external immutable region such as a
 /// read-only snapshot mapping kept alive by `retain` (adopted columns —
 /// the matrix is served zero-copy straight out of the file).
 struct SignatureColumn {
   uint32_t num_hashes = 0;
-  std::vector<uint64_t> data;       // owning storage; empty when adopted
-  std::span<const uint64_t> rows;   // records × num_hashes values
+  std::unique_ptr<uint64_t[]> data;  // owning storage; null when adopted
+  std::span<const uint64_t> rows;    // records × num_hashes values
   std::shared_ptr<const void> retain;  // keep-alive for non-owned rows
 
   std::span<const uint64_t> Row(size_t record) const {
@@ -73,16 +78,26 @@ struct SignatureColumn {
 /// layer between data and the blocking techniques). Columns are built
 /// lazily, exactly once, and are immutable after publication:
 ///
-///  - every getter double-checks through a per-column std::once_flag, so
-///    concurrent engine shards racing the same column share one build and
-///    block only until it is published;
+///  - builds are cooperative: the first getter of a column sizes it, and
+///    every getter that arrives before it is published claims fixed-size
+///    record chunks from the build's atomic cursor instead of idling, so
+///    the engine shards racing a cold column all build it; the last chunk
+///    publishes the column and wakes every waiter;
+///  - a getter resolves the column's parent before its own build (texts
+///    -> shingles -> signatures, texts -> tokens), so waiting threads help
+///    at every level. Token interning is the one serial build (local ids
+///    follow first-encounter order): its helpers help the text column and
+///    then wait;
 ///  - distinct columns build independently (the registry map mutex is
 ///    held only to find/insert the entry, never while building);
-///  - derived columns stack: token and shingle columns build on top of
-///    text columns, signature columns on top of shingle columns — so the
-///    string work of the legacy O(techniques × records) recomputation
-///    collapses to O(records) per distinct attribute selection, and each
-///    consumer pays only for the representation it actually reads.
+///  - derived columns stack on their parents, so the string work of the
+///    legacy O(techniques × records) recomputation collapses to
+///    O(records) per distinct attribute selection, and each consumer pays
+///    only for the representation it actually reads.
+///
+/// Cache telemetry counts one hit or miss per getter call: the getter
+/// that starts a build counts the miss, every other getter a hit, and a
+/// thread's help with a parent column is not a getter call.
 ///
 /// The store snapshots the dataset it is attached to (sharing its string
 /// arena, copying only value spans), so it stays valid independent of the
@@ -169,9 +184,26 @@ class FeatureStore {
   Stats stats() const;
 
  private:
+  struct ColumnMetrics;  // per-kind cache telemetry (feature_store.cc)
+
+  // A column's build moves forward only: a getter claims it, resolves its
+  // parent and sizes it (kBuilding opens the chunk cursor), and the thread
+  // that finishes the last chunk publishes it.
+  enum class Phase : uint8_t { kEmpty, kClaimed, kBuilding, kReady };
+
+  // Who asks for a column: a public getter (counted in the telemetry, may
+  // start the build) or a thread helping a derived column's build, which
+  // only joins builds a getter has started.
+  enum class Caller : uint8_t { kGetter, kHelper };
+
   template <typename Column>
   struct Entry {
-    std::once_flag once;
+    std::atomic<Phase> phase{Phase::kEmpty};  // kReady is read lock-free
+    std::mutex mutex;                         // orders phase changes
+    std::condition_variable changed;          // signalled on each change
+    size_t num_chunks = 0;                    // fixed before kBuilding
+    std::atomic<size_t> next_chunk{0};
+    std::atomic<size_t> chunks_left{0};
     Column column;
   };
   template <typename Column>
@@ -182,19 +214,31 @@ class FeatureStore {
   Entry<Column>& FindOrCreate(EntryMap<Column>& map,
                               const std::string& key) const;
 
+  /// The calling thread's part in `entry`'s build, returning the
+  /// published column. `chunk_records` records make one chunk; `parent`
+  /// resolves the parent column (as a getter for the thread that starts
+  /// the build, as a helper otherwise), `prepare` sizes the column once
+  /// before any chunk, `fill(column, begin, end)` builds one record range
+  /// and `finish` runs once, after the last chunk, before publication.
+  template <typename Column, typename Parent, typename Prepare,
+            typename Fill, typename Finish>
+  const Column& Obtain(Entry<Column>& entry, Caller caller,
+                       ColumnMetrics& metrics, size_t chunk_records,
+                       Parent&& parent, Prepare&& prepare, Fill&& fill,
+                       Finish&& finish) const;
+
+  /// Publishes an adopted column; false if the entry was already claimed.
+  template <typename Column>
+  static bool Publish(Entry<Column>& entry, Column column);
+
+  const TextColumn& Texts(const std::vector<std::string>& attributes,
+                          Caller caller) const;
+  const ShingleColumn& Shingles(const std::vector<std::string>& attributes,
+                                int q, Caller caller) const;
+
   void RecordInCatalog(std::vector<ColumnParams> Catalog::* list,
                        const std::vector<std::string>& attributes, int q,
                        int num_hashes, uint64_t seed) const;
-
-  void BuildTexts(const std::vector<std::string>& attributes,
-                  TextColumn* out) const;
-  void BuildTokens(const std::vector<std::string>& attributes,
-                   TokenColumn* out) const;
-  void BuildShingles(const std::vector<std::string>& attributes, int q,
-                     ShingleColumn* out) const;
-  void BuildSignatures(const std::vector<std::string>& attributes, int q,
-                       int num_hashes, uint64_t seed,
-                       SignatureColumn* out) const;
 
   data::Dataset snapshot_;
   uint64_t dataset_version_ = 0;

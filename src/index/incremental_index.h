@@ -32,11 +32,10 @@ namespace sablock::index {
 ///    The probe itself is NOT inserted.
 ///  - EmitBlocks(sink) streams the current blocks. Parity guarantee:
 ///    after Bind + Insert of every record of a dataset in id order, the
-///    emitted blocks equal (as a multiset of record-id sets) the blocks
-///    of the batch technique built from the same spec string — the
+///    emitted blocks equal the blocks of the batch technique built from
+///    the same spec string byte-identically, sequence included — the
 ///    golden index/batch parity test enforces this for every registered
-///    index. Key-ordered indexes (token postings, sorted neighbourhood)
-///    reproduce the batch emission byte-identically, sequence included.
+///    index.
 ///
 /// Thread-safety: none. All methods, including Query and EmitBlocks,
 /// must be externally serialized; service::CandidateService wraps an

@@ -13,6 +13,7 @@
 #include "engine/execution_spec.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
+#include "features/feature_store.h"
 #include "gtest/gtest.h"
 #include "run_streaming.h"
 
@@ -138,7 +139,10 @@ TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
 }
 
 TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
-  data::Dataset dataset = SmallVoter(1000);
+  // Each run starts from a cold feature store, so the shards also race
+  // the cooperative, multi-chunk feature build: the block sequence must
+  // depend on the shard count alone, and match a run over built features.
+  data::Dataset dataset = SmallVoter(5000);
   std::unique_ptr<BlockingTechnique> technique =
       FromSpec("sa-lsh:domain=voter,k=4,l=8,q=2,w=5,mode=or");
 
@@ -146,17 +150,23 @@ TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
   base.threads = 1;
   base.shards = 8;
   BlockCollection reference =
-      ShardedExecutor(base).ExecuteCollect(*technique, dataset);
+      ShardedExecutor(base).ExecuteCollect(*technique, dataset.ColdCopy());
   EXPECT_GT(reference.NumBlocks(), 0u);
 
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 4, 8}) {
     ExecutionSpec spec = base;
     spec.threads = threads;
+    const data::Dataset cold = dataset.ColdCopy();
     BlockCollection merged =
-        ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+        ShardedExecutor(spec).ExecuteCollect(*technique, cold);
     // Bit-identical, including block order (stable shard/block ordering).
     EXPECT_EQ(merged.blocks(), reference.blocks())
         << "threads=" << threads;
+    EXPECT_EQ(cold.features().store().stats().signature_builds, 1u);
+    BlockCollection warm =
+        ShardedExecutor(spec).ExecuteCollect(*technique, cold);
+    EXPECT_EQ(warm.blocks(), reference.blocks())
+        << "warm, threads=" << threads;
   }
 }
 

@@ -1,11 +1,14 @@
 // Tests for the shared feature-extraction layer: column correctness
-// against direct recomputation, build-exactly-once semantics under
-// concurrent getters (a tools/check.sh --tsan target), zero-copy slices
-// sharing the parent's arena and store, and cache invalidation on Add.
+// against direct recomputation, build-exactly-once semantics and the
+// cooperative multi-chunk build under concurrent getters (a
+// tools/check.sh --tsan target), zero-copy slices sharing the parent's
+// arena and store, and cache invalidation on Add.
 
 #include "features/feature_store.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <latch>
 #include <span>
 #include <string>
 #include <thread>
@@ -16,6 +19,7 @@
 #include "data/cora_generator.h"
 #include "data/record.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "text/qgram.h"
 
 namespace sablock::features {
@@ -134,47 +138,157 @@ TEST(FeatureStoreTest, DistinctKeysAreDistinctColumns) {
   EXPECT_EQ(stats.signature_builds, 2u);
 }
 
-TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
+/// A Cora-like dataset spanning many chunks of a cooperative build.
+data::Dataset ManyChunkDataset() {
   data::CoraGeneratorConfig config;
-  config.num_entities = 10;
-  config.num_records = 100;
+  config.num_entities = 400;
+  config.num_records = 8000;
   config.seed = 7;
-  data::Dataset d = data::GenerateCoraLike(config);
-  const std::vector<std::string> attrs = {"authors", "title"};
+  return data::GenerateCoraLike(config);
+}
 
-  constexpr int kThreads = 8;
-  std::vector<const TextColumn*> text_cols(kThreads);
-  std::vector<const TokenColumn*> token_cols(kThreads);
-  std::vector<const ShingleColumn*> shingle_cols(kThreads);
-  std::vector<const SignatureColumn*> sig_cols(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        const FeatureStore& store = d.features().store();
-        text_cols[t] = &store.Texts(attrs);
-        token_cols[t] = &store.Tokens(attrs);
-        shingle_cols[t] = &store.Shingles(attrs, 4);
-        sig_cols[t] = &store.Signatures(attrs, 4, 64, 7);
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
+/// Process-wide cache telemetry of one column kind (see ColumnMetrics).
+struct CacheCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+
+  static CacheCounts Of(const char* column) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    return {registry
+                .GetCounter("featurestore_hits",
+                            "column requests served from the cache",
+                            "column", column)
+                ->value(),
+            registry
+                .GetCounter("featurestore_misses",
+                            "column requests that paid a build", "column",
+                            column)
+                ->value()};
   }
+  CacheCounts Since(const CacheCounts& before) const {
+    return {hits - before.hits, misses - before.misses};
+  }
+};
 
-  // One build per cache, and every thread observed the same column.
-  FeatureStore::Stats stats = d.features().store().stats();
+/// Runs `body(thread_index)` on `threads` threads released together.
+template <typename Body>
+void RaceThreads(int threads, Body body) {
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      body(t);
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+}
+
+TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
+  const data::Dataset d = ManyChunkDataset();
+  const std::vector<std::string> attrs = {"authors", "title"};
+  const FeatureStore& store = d.features().store();
+  const CacheCounts texts_before = CacheCounts::Of("text");
+  const CacheCounts tokens_before = CacheCounts::Of("token");
+  const CacheCounts shingles_before = CacheCounts::Of("shingle");
+  const CacheCounts sigs_before = CacheCounts::Of("signature");
+
+  // Half the threads ask for signatures first and half for tokens first,
+  // so both derived builds race over their shared text column.
+  constexpr int kThreads = 8;
+  std::vector<const TokenColumn*> token_cols(kThreads);
+  std::vector<const SignatureColumn*> sig_cols(kThreads);
+  RaceThreads(kThreads, [&](int t) {
+    if (t % 2 == 0) {
+      sig_cols[t] = &store.Signatures(attrs, 4, 64, 7);
+      token_cols[t] = &store.Tokens(attrs);
+    } else {
+      token_cols[t] = &store.Tokens(attrs);
+      sig_cols[t] = &store.Signatures(attrs, 4, 64, 7);
+    }
+  });
+
+  FeatureStore::Stats stats = store.stats();
   EXPECT_EQ(stats.text_builds, 1u);
   EXPECT_EQ(stats.token_builds, 1u);
   EXPECT_EQ(stats.shingle_builds, 1u);
   EXPECT_EQ(stats.signature_builds, 1u);
   for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(text_cols[t], text_cols[0]);
     EXPECT_EQ(token_cols[t], token_cols[0]);
-    EXPECT_EQ(shingle_cols[t], shingle_cols[0]);
     EXPECT_EQ(sig_cols[t], sig_cols[0]);
   }
-  EXPECT_EQ(sig_cols[0]->data.size(), d.size() * 64);
+
+  // Telemetry as with a serial build: each getter call is one hit or
+  // miss, and helping with a parent column is not a getter call. The
+  // text column is asked for by the shingle and token builds' starters.
+  const CacheCounts texts = CacheCounts::Of("text").Since(texts_before);
+  const CacheCounts tokens = CacheCounts::Of("token").Since(tokens_before);
+  const CacheCounts shingles =
+      CacheCounts::Of("shingle").Since(shingles_before);
+  const CacheCounts sigs = CacheCounts::Of("signature").Since(sigs_before);
+  EXPECT_EQ(texts.misses, 1u);
+  EXPECT_EQ(texts.hits, 1u);
+  EXPECT_EQ(shingles.misses, 1u);
+  EXPECT_EQ(shingles.hits, 0u);
+  EXPECT_EQ(tokens.misses, 1u);
+  EXPECT_EQ(tokens.hits, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(sigs.misses, 1u);
+  EXPECT_EQ(sigs.hits, static_cast<uint64_t>(kThreads - 1));
+
+  // The raced columns hold the bytes of a single-threaded build.
+  const data::Dataset serial = d.ColdCopy();
+  const FeatureStore& reference = serial.features().store();
+  const TokenColumn& tokens_ref = reference.Tokens(attrs);
+  EXPECT_EQ(token_cols[0]->tokens, tokens_ref.tokens);
+  EXPECT_EQ(token_cols[0]->global_ids, tokens_ref.global_ids);
+  EXPECT_EQ(token_cols[0]->token_limit, tokens_ref.token_limit);
+  EXPECT_EQ(store.Texts(attrs).texts, reference.Texts(attrs).texts);
+  EXPECT_EQ(store.Shingles(attrs, 4).sets, reference.Shingles(attrs, 4).sets);
+  EXPECT_TRUE(std::ranges::equal(sig_cols[0]->rows,
+                                 reference.Signatures(attrs, 4, 64, 7).rows));
+  EXPECT_EQ(sig_cols[0]->rows.data(), sig_cols[0]->data.get());
+  // ...and every chunk covered its records: direct recomputation.
+  const core::MinHasher hasher(64, 7);
+  for (data::RecordId id = 0; id < d.size(); ++id) {
+    const std::vector<uint64_t> direct = hasher.Signature(
+        text::QGramHashes(d.ConcatenatedValues(id, attrs), 4));
+    ASSERT_TRUE(std::ranges::equal(sig_cols[0]->Row(id), direct)) << id;
+  }
+}
+
+TEST(FeatureStoreTest, RacingGettersNeverRebuildAnAdoptedColumn) {
+  const data::Dataset d = ManyChunkDataset();
+  const std::vector<std::string> attrs = {"authors", "title"};
+  const SignatureColumn& built =
+      d.features().store().Signatures(attrs, 4, 64, 7);
+
+  // Adopted like a snapshot's matrix: aliased, not owned (`d` keeps the
+  // built column alive for the whole test).
+  FeatureStore adopted(d);
+  SignatureColumn column;
+  column.num_hashes = 64;
+  column.rows = built.rows;
+  adopted.AdoptSignatures(attrs, 4, 64, 7, std::move(column));
+  const CacheCounts before = CacheCounts::Of("signature");
+
+  constexpr int kThreads = 8;
+  std::vector<const SignatureColumn*> sig_cols(kThreads);
+  RaceThreads(kThreads, [&](int t) {
+    sig_cols[t] = &adopted.Signatures(attrs, 4, 64, 7);
+  });
+
+  // The adoption is the only build, and no getter reached for the
+  // adopted column's parents.
+  FeatureStore::Stats stats = adopted.stats();
+  EXPECT_EQ(stats.signature_builds, 1u);
+  EXPECT_EQ(stats.shingle_builds, 0u);
+  EXPECT_EQ(stats.text_builds, 0u);
+  const CacheCounts counts = CacheCounts::Of("signature").Since(before);
+  EXPECT_EQ(counts.hits, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(counts.misses, 0u);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(sig_cols[t], sig_cols[0]);
+  EXPECT_EQ(sig_cols[0]->rows.data(), built.rows.data());
 }
 
 TEST(FeatureStoreTest, SlicesShareTheParentStoreWithOffset) {

@@ -4,12 +4,15 @@
 
 #include "run_streaming.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
+#include "core/lsh_variants.h"
+#include "data/cora_generator.h"
 
 namespace sablock::core {
 namespace {
@@ -204,6 +207,41 @@ TEST(SaLshBlockerTest, DeterministicAcrossRuns) {
   SemanticAwareLshBlocker blocker(SmallParams(), FullOr(), BibSemantics());
   EXPECT_EQ(RunStreaming(blocker, d).TotalComparisons(),
             RunStreaming(blocker, d).TotalComparisons());
+}
+
+// Every table emits its buckets in canonical content order (ids ascending
+// within a block, blocks sorted lexicographically) — the order of
+// EmitSorted and of the incremental LSH indexes. Tables are emitted one
+// after another, so the whole sequence is at most l sorted runs.
+TEST(LshFamilyTest, EveryTableEmitsInCanonicalContentOrder) {
+  data::CoraGeneratorConfig config;
+  config.num_entities = 30;
+  config.num_records = 300;
+  config.seed = 42;
+  const Dataset d = data::GenerateCoraLike(config);
+  LshParams p = SmallParams();
+  SemanticParams and_params = FullOr(3);
+  and_params.mode = SemanticMode::kAnd;
+
+  const SemanticAwareLshBlocker sa_or(p, FullOr(), BibSemantics());
+  const SemanticAwareLshBlocker sa_and(p, and_params, BibSemantics());
+  const LshBlocker lsh(p);
+  const MultiProbeLshBlocker mp(p, 2);
+  const std::vector<const BlockingTechnique*> techniques = {&lsh, &sa_or,
+                                                           &sa_and, &mp};
+  for (const BlockingTechnique* technique : techniques) {
+    SCOPED_TRACE(technique->name());
+    const BlockCollection output = RunStreaming(*technique, d);
+    const std::vector<Block>& blocks = output.blocks();
+    ASSERT_GT(blocks.size(), static_cast<size_t>(4 * p.l));
+    size_t runs = 1;
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      EXPECT_GE(blocks[i].size(), 2u);
+      EXPECT_TRUE(std::is_sorted(blocks[i].begin(), blocks[i].end()));
+      if (i > 0 && blocks[i] < blocks[i - 1]) ++runs;
+    }
+    EXPECT_LE(runs, static_cast<size_t>(p.l));
+  }
 }
 
 TEST(ComputeMinhashSignaturesTest, OnePerRecord) {
