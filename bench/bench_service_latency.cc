@@ -5,26 +5,31 @@
 //
 // Every registered incremental index runs in-process over the same
 // Cora-like dataset: all records inserted one by one (the "insert" row),
-// then a fixed probe set queried (the "query" row). The token index
-// additionally runs through the socket so the framing + dispatch
-// overhead is visible as the delta to its in-process rows. Candidate
-// totals are deterministic (generator + spec seeded) and recorded in
-// `values`; the scenario fails if the socket path returns different
-// candidates than the in-process path.
+// then a fixed probe set queried (the "query" row) and queried again
+// through QueryProgressive with pairs=50 (the "progressive" row). The
+// token index additionally runs through the socket so the framing +
+// dispatch overhead is visible as the delta to its in-process rows.
+// Candidate totals and a digest of the progressive (id, score) lists are
+// deterministic (generator + spec seeded) and recorded in `values`, so
+// bench_compare.py gates the scores exactly; the scenario fails if the
+// socket path returns different candidates than the in-process path.
 //
 // Flags: --records=N (default 2000 / quick 300) inserted records,
 // --queries=N (default 500 / quick 150) probes.
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/hashing.h"
 #include "common/timer.h"
 #include "core/block_sink.h"
+#include "core/budget.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
@@ -36,15 +41,23 @@
 namespace sablock::bench {
 namespace {
 
+/// Progressive queries keep at most this many scored candidates.
+constexpr uint64_t kProgressivePairs = 50;
+
+enum class Phase { kInsert, kQuery, kProgressive };
+
 struct PhaseResult {
   report::LatencyStats latency;
   double total_candidates = 0.0;  // deterministic; 0 for insert phases
+  // Progressive phases: digest of every returned (id, score) list, cut to
+  // 53 bits so the JSON double holds it exactly.
+  double scores_digest = 0.0;
 };
 
 /// Records one latency row.
 void RecordLatency(report::BenchContext& ctx, const std::string& name,
                    const std::string& spec, const data::Dataset& dataset,
-                   const PhaseResult& phase, bool is_query) {
+                   const PhaseResult& phase, Phase kind) {
   report::RunResult run;
   run.name = name;
   run.spec = spec;
@@ -52,7 +65,12 @@ void RecordLatency(report::BenchContext& ctx, const std::string& name,
   run.dataset_records = dataset.size();
   run.has_latency = true;
   run.latency = phase.latency;
-  if (is_query) run.AddValue("total_candidates", phase.total_candidates);
+  if (kind != Phase::kInsert) {
+    run.AddValue("total_candidates", phase.total_candidates);
+  }
+  if (kind == Phase::kProgressive) {
+    run.AddValue("scores_digest", phase.scores_digest);
+  }
   ctx.Record(std::move(run));
 }
 
@@ -93,6 +111,37 @@ PhaseResult QueryProbes(service::CandidateService& service,
   return out;
 }
 
+/// Progressive queries over the same probes as QueryProbes (pairs=50),
+/// timing each and folding the returned lists into one digest.
+PhaseResult ProgressiveProbes(service::CandidateService& service,
+                              const data::Dataset& dataset, size_t probes) {
+  PhaseResult out;
+  core::Budget budget;
+  budget.pairs = kProgressivePairs;
+  std::vector<double> op_seconds;
+  op_seconds.reserve(probes);
+  std::vector<service::CandidateService::ScoredCandidate> best;
+  uint64_t digest = 0;
+  WallTimer wall;
+  for (size_t i = 0; i < probes; ++i) {
+    data::RecordId id = static_cast<data::RecordId>(i % dataset.size());
+    WallTimer op;
+    Status s = service.QueryProgressive(dataset.Values(id), budget, &best);
+    op_seconds.push_back(op.Seconds());
+    SABLOCK_CHECK_MSG(s.ok(), s.message().c_str());
+    digest = HashCombine(digest, best.size());
+    for (const auto& candidate : best) {
+      digest = HashCombine(digest, candidate.id);
+      digest = HashCombine(digest, std::bit_cast<uint64_t>(candidate.score));
+    }
+    out.total_candidates += static_cast<double>(best.size());
+  }
+  out.latency =
+      report::SummarizeLatency(std::move(op_seconds), wall.Seconds());
+  out.scores_digest = static_cast<double>(digest >> 11);
+  return out;
+}
+
 int RunServiceLatency(report::BenchContext& ctx) {
   const size_t records = ctx.SizeOr("records", 2000, 300);
   const size_t probes = ctx.SizeOr("queries", 500, 150);
@@ -108,9 +157,11 @@ int RunServiceLatency(report::BenchContext& ctx) {
       {"sa-lsh", "sa-lsh:k=4,l=12,q=4,w=5,mode=or,domain=bib"},
   };
 
-  std::printf("Service latency: %zu inserts + %zu queries per index "
-              "(Cora-like records)\n\n",
-              records, probes);
+  std::printf("Service latency: %zu inserts + %zu queries + %zu "
+              "progressive queries (pairs=%llu) per index (Cora-like "
+              "records)\n\n",
+              records, probes, probes,
+              static_cast<unsigned long long>(kProgressivePairs));
   eval::TablePrinter table({"index", "path", "op", "ops", "p50(us)",
                             "p99(us)", "qps"});
   auto add_row = [&table](const std::string& index, const char* path,
@@ -131,15 +182,19 @@ int RunServiceLatency(report::BenchContext& ctx) {
 
     PhaseResult insert = InsertAll(*svc, dataset);
     PhaseResult query = QueryProbes(*svc, dataset, probes);
+    PhaseResult progressive = ProgressiveProbes(*svc, dataset, probes);
     if (label == "token") {
       token_inproc_candidates = query.total_candidates;
     }
     add_row(label, "inproc", "insert", insert.latency);
     add_row(label, "inproc", "query", query.latency);
+    add_row(label, "inproc", "progressive", progressive.latency);
     RecordLatency(ctx, "inproc/" + label + "/insert", spec, dataset,
-                  insert, false);
+                  insert, Phase::kInsert);
     RecordLatency(ctx, "inproc/" + label + "/query", spec, dataset, query,
-                  true);
+                  Phase::kQuery);
+    RecordLatency(ctx, "inproc/" + label + "/progressive", spec, dataset,
+                  progressive, Phase::kProgressive);
   }
 
   // Socket path: the token index again, but through the full server
@@ -201,9 +256,9 @@ int RunServiceLatency(report::BenchContext& ctx) {
   add_row("token", "socket", "insert", sock_insert.latency);
   add_row("token", "socket", "query", sock_query.latency);
   RecordLatency(ctx, "socket/token/insert", socket_spec, dataset,
-                sock_insert, false);
+                sock_insert, Phase::kInsert);
   RecordLatency(ctx, "socket/token/query", socket_spec, dataset,
-                sock_query, true);
+                sock_query, Phase::kQuery);
   table.Print();
 
   // Cold/warm batch pass over the same dataset through a staged
@@ -281,8 +336,8 @@ int RunServiceLatency(report::BenchContext& ctx) {
 void RegisterServiceLatency(report::BenchRegistry& registry) {
   registry.Register(
       {"service_latency",
-       "candidate-server insert/query latency (p50/p99/QPS), in-process "
-       "and over the Unix socket",
+       "candidate-server insert/query/progressive latency (p50/p99/QPS), "
+       "in-process and over the Unix socket",
        {"records", "queries"}},
       RunServiceLatency);
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 namespace sablock {
@@ -22,6 +23,16 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) +
                  (seed >> 4));
 }
+
+/// Transparent string hash: with std::equal_to<>, it lets an unordered
+/// container keyed by std::string be probed with a std::string_view
+/// without building a string.
+struct TransparentStringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// FNV-1a over bytes; stable across platforms, used for shingle and bucket
 /// keys where determinism matters more than speed.

@@ -73,12 +73,8 @@ std::string NormalizeForMatching(std::string_view s) {
   std::string mapped;
   mapped.reserve(s.size());
   for (char c : s) {
-    unsigned char u = static_cast<unsigned char>(c);
-    if (std::isalnum(u)) {
-      mapped.push_back(static_cast<char>(std::tolower(u)));
-    } else {
-      mapped.push_back(' ');
-    }
+    char m = MatchingChar(c);
+    mapped.push_back(m != 0 ? m : ' ');
   }
   return NormalizeWhitespace(mapped);
 }

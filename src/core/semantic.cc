@@ -50,12 +50,18 @@ ConceptId RuleSemanticFunction::ResolveName(
 }
 
 std::vector<ConceptId> RuleSemanticFunction::Interpret(
-    const data::Dataset& dataset, data::RecordId id) const {
+    const data::Schema& schema,
+    std::span<const std::string_view> values) const {
+  SABLOCK_CHECK_MSG(values.size() == schema.size(),
+                    "record arity does not match schema");
   std::vector<ConceptId> zeta;
   for (const ResolvedRule& rule : rules_) {
     bool matches = true;
     for (const AttributePredicate& pred : rule.conditions) {
-      std::string_view v = dataset.Value(id, pred.attribute);
+      // An attribute the schema lacks reads as empty, as Dataset::Value.
+      int idx = schema.IndexOf(pred.attribute);
+      std::string_view v =
+          idx < 0 ? std::string_view() : values[static_cast<size_t>(idx)];
       switch (pred.kind) {
         case AttributePredicate::Kind::kPresent:
           matches = !v.empty();

@@ -3,10 +3,13 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "core/taxonomy.h"
 #include "data/record.h"
 
@@ -22,10 +25,22 @@ class SemanticFunction {
  public:
   virtual ~SemanticFunction() = default;
 
-  /// The semantic interpretation ζ(r) of record `id`. May be empty for
-  /// records with no recognizable semantics.
-  virtual std::vector<ConceptId> Interpret(const data::Dataset& dataset,
-                                           data::RecordId id) const = 0;
+  /// The semantic interpretation ζ(r) of the record whose attribute
+  /// values are `values`, aligned with `schema`. Isolation (b) is what
+  /// makes this the one entry point: a record is interpreted from its own
+  /// values, whether it sits in a dataset or is an index probe. May be
+  /// empty for records with no recognizable semantics. `values` holds
+  /// one entry per schema attribute; the built-in functions abort
+  /// otherwise.
+  virtual std::vector<ConceptId> Interpret(
+      const data::Schema& schema,
+      std::span<const std::string_view> values) const = 0;
+
+  /// ζ(r) of record `id` of `dataset`.
+  std::vector<ConceptId> Interpret(const data::Dataset& dataset,
+                                   data::RecordId id) const {
+    return Interpret(dataset.schema(), dataset.Values(id));
+  }
 
   /// The taxonomy this function interprets into.
   virtual const Taxonomy& taxonomy() const = 0;
@@ -82,8 +97,10 @@ class RuleSemanticFunction : public SemanticFunction {
                            {},
                        bool accumulate_matches = false);
 
-  std::vector<ConceptId> Interpret(const data::Dataset& dataset,
-                                   data::RecordId id) const override;
+  using SemanticFunction::Interpret;
+  std::vector<ConceptId> Interpret(
+      const data::Schema& schema,
+      std::span<const std::string_view> values) const override;
 
   const Taxonomy& taxonomy() const override { return taxonomy_; }
 
@@ -103,19 +120,23 @@ class RuleSemanticFunction : public SemanticFunction {
 };
 
 /// Adapter wrapping an arbitrary callable as a semantic function. The
-/// callable receives (dataset, record id) and returns concept ids; results
-/// are pruned to the most specific set automatically.
+/// callable receives (schema, record values) and returns concept ids;
+/// results are pruned to the most specific set automatically.
 class LambdaSemanticFunction : public SemanticFunction {
  public:
-  using Fn = std::function<std::vector<ConceptId>(const data::Dataset&,
-                                                  data::RecordId)>;
+  using Fn = std::function<std::vector<ConceptId>(
+      const data::Schema&, std::span<const std::string_view>)>;
 
   LambdaSemanticFunction(Taxonomy taxonomy, Fn fn)
       : taxonomy_(std::move(taxonomy)), fn_(std::move(fn)) {}
 
-  std::vector<ConceptId> Interpret(const data::Dataset& dataset,
-                                   data::RecordId id) const override {
-    std::vector<ConceptId> zeta = fn_(dataset, id);
+  using SemanticFunction::Interpret;
+  std::vector<ConceptId> Interpret(
+      const data::Schema& schema,
+      std::span<const std::string_view> values) const override {
+    SABLOCK_CHECK_MSG(values.size() == schema.size(),
+                      "record arity does not match schema");
+    std::vector<ConceptId> zeta = fn_(schema, values);
     taxonomy_.PruneToMostSpecific(&zeta);
     return zeta;
   }

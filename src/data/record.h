@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hashing.h"
 #include "data/arena.h"
 
 namespace sablock::features {
@@ -46,15 +47,9 @@ class Schema {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   std::vector<std::string> names_;
-  std::unordered_map<std::string, size_t, TransparentHash, std::equal_to<>>
+  std::unordered_map<std::string, size_t, TransparentStringHash,
+                     std::equal_to<>>
       index_;
 };
 

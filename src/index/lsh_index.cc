@@ -28,12 +28,14 @@ Status ResolveAttributes(const data::Schema& schema,
   return Status::Ok();
 }
 
-/// The record's minhash signature, computed exactly as the batch pipeline
+/// The record's l band keys, computed exactly as the batch pipeline
 /// does: blocking text (non-empty attribute values joined by spaces,
-/// normalized) -> distinct q-gram hashes -> minhash rows.
-std::vector<uint64_t> RowSignature(std::span<const std::string_view> values,
-                                   const std::vector<int>& attr_index, int q,
-                                   const core::MinHasher& hasher) {
+/// normalized) -> distinct q-gram hashes -> minhash rows -> one key per
+/// table. Empty for an empty shingle set, which enters no table.
+std::vector<uint64_t> RowBands(std::span<const std::string_view> values,
+                               const std::vector<int>& attr_index,
+                               const core::LshParams& params,
+                               const core::MinHasher& hasher) {
   std::string joined;
   for (int idx : attr_index) {
     std::string_view v = values[static_cast<size_t>(idx)];
@@ -41,9 +43,16 @@ std::vector<uint64_t> RowSignature(std::span<const std::string_view> values,
     if (!joined.empty()) joined.push_back(' ');
     joined.append(v);
   }
-  std::vector<uint64_t> shingles =
-      text::QGramHashes(NormalizeForMatching(joined), q);
-  return hasher.Signature(shingles);
+  std::vector<uint64_t> sig =
+      hasher.Signature(text::QGramHashes(NormalizeForMatching(joined),
+                                         params.q));
+  std::vector<uint64_t> bands;
+  if (core::IsEmptyMinhashSignature(sig)) return bands;
+  bands.reserve(static_cast<size_t>(params.l));
+  for (int t = 0; t < params.l; ++t) {
+    bands.push_back(core::LshBandKey(sig, t, params.k));
+  }
+  return bands;
 }
 
 using Table = std::unordered_map<uint64_t, std::vector<data::RecordId>>;
@@ -85,24 +94,14 @@ Status LshIndex::Bind(const data::Schema& schema) {
   return Status::Ok();
 }
 
-std::vector<uint64_t> LshIndex::SignatureOf(
-    std::span<const std::string_view> values) const {
-  return RowSignature(values, attr_index_, params_.q, hasher_);
-}
-
 void LshIndex::Insert(data::RecordId id,
                       std::span<const std::string_view> values) {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
   SABLOCK_CHECK_MSG(record_bands_.count(id) == 0, "record id already live");
-  std::vector<uint64_t> sig = SignatureOf(values);
-  std::vector<uint64_t> bands;
-  if (!core::IsEmptyMinhashSignature(sig)) {
-    bands.reserve(static_cast<size_t>(params_.l));
-    for (int t = 0; t < params_.l; ++t) {
-      uint64_t band = core::LshBandKey(sig, t, params_.k);
-      InsertSortedId(&tables_[static_cast<size_t>(t)][band], id);
-      bands.push_back(band);
-    }
+  std::vector<uint64_t> bands =
+      RowBands(values, attr_index_, params_, hasher_);
+  for (size_t t = 0; t < bands.size(); ++t) {
+    InsertSortedId(&tables_[t][bands[t]], id);
   }
   record_bands_.emplace(id, std::move(bands));
 }
@@ -124,13 +123,12 @@ bool LshIndex::Remove(data::RecordId id) {
 std::vector<data::RecordId> LshIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
-  std::vector<uint64_t> sig = SignatureOf(values);
+  std::vector<uint64_t> bands =
+      RowBands(values, attr_index_, params_, hasher_);
   std::vector<data::RecordId> out;
-  if (core::IsEmptyMinhashSignature(sig)) return out;
-  for (int t = 0; t < params_.l; ++t) {
-    auto it = tables_[static_cast<size_t>(t)].find(
-        core::LshBandKey(sig, t, params_.k));
-    if (it == tables_[static_cast<size_t>(t)].end()) continue;
+  for (size_t t = 0; t < bands.size(); ++t) {
+    auto it = tables_[t].find(bands[t]);
+    if (it == tables_[t].end()) continue;
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
   std::sort(out.begin(), out.end());
@@ -175,25 +173,10 @@ Status SaLshIndex::Bind(const data::Schema& schema) {
   return Status::Ok();
 }
 
-std::vector<uint64_t> SaLshIndex::SignatureOf(
-    std::span<const std::string_view> values) const {
-  return RowSignature(values, attr_index_, lsh_params_.q, hasher_);
-}
-
-std::vector<core::ConceptId> SaLshIndex::InterpretRow(
-    std::span<const std::string_view> values) const {
-  // Semantic functions are record-isolated (Definition 4.2b), so a
-  // one-row scratch dataset interprets identically to the full dataset.
-  data::Dataset row(schema_);
-  row.AddRow(values);
-  return semantics_->Interpret(row, 0);
-}
-
-void SaLshIndex::TableKeys(int t, const std::vector<uint64_t>& sig,
+void SaLshIndex::TableKeys(int t, uint64_t band,
                            const core::SemSignature& sem,
                            std::vector<uint64_t>* keys) const {
   keys->clear();
-  uint64_t band = core::LshBandKey(sig, t, lsh_params_.k);
   if (encoder_.dimension() == 0) {
     // No record has any semantic feature: the batch blocker degenerates
     // to plain textual LSH, and so does the index.
@@ -215,12 +198,12 @@ void SaLshIndex::RefreshChoices() {
 
 void SaLshIndex::InsertIntoTables(data::RecordId id,
                                   const RecordState& state) {
-  if (core::IsEmptyMinhashSignature(state.sig)) return;
+  if (state.bands.empty()) return;
   core::SemSignature sem =
       encoder_.Encode(semantics_->taxonomy(), state.zeta);
   std::vector<uint64_t> keys;
   for (int t = 0; t < lsh_params_.l; ++t) {
-    TableKeys(t, state.sig, sem, &keys);
+    TableKeys(t, state.bands[static_cast<size_t>(t)], sem, &keys);
     for (uint64_t key : keys) {
       InsertSortedId(&tables_[static_cast<size_t>(t)][key], id);
     }
@@ -229,12 +212,12 @@ void SaLshIndex::InsertIntoTables(data::RecordId id,
 
 void SaLshIndex::RemoveFromTables(data::RecordId id,
                                   const RecordState& state) {
-  if (core::IsEmptyMinhashSignature(state.sig)) return;
+  if (state.bands.empty()) return;
   core::SemSignature sem =
       encoder_.Encode(semantics_->taxonomy(), state.zeta);
   std::vector<uint64_t> keys;
   for (int t = 0; t < lsh_params_.l; ++t) {
-    TableKeys(t, state.sig, sem, &keys);
+    TableKeys(t, state.bands[static_cast<size_t>(t)], sem, &keys);
     auto& table = tables_[static_cast<size_t>(t)];
     for (uint64_t key : keys) {
       auto bucket = table.find(key);
@@ -257,8 +240,8 @@ void SaLshIndex::Insert(data::RecordId id,
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
   SABLOCK_CHECK_MSG(records_.count(id) == 0, "record id already live");
   RecordState state;
-  state.sig = SignatureOf(values);
-  state.zeta = InterpretRow(values);
+  state.bands = RowBands(values, attr_index_, lsh_params_, hasher_);
+  state.zeta = semantics_->Interpret(schema_, values);
 
   bool fresh_concepts = false;
   for (core::ConceptId c : state.zeta) {
@@ -268,21 +251,17 @@ void SaLshIndex::Insert(data::RecordId id,
   SABLOCK_CHECK(inserted);
 
   if (fresh_concepts) {
-    // A previously unseen concept can add semhash features. Rebuild the
-    // encoder from the live interpretations (Algorithm 1 is a set union,
-    // so the result is order-independent and equals the batch encoder);
-    // only a grown feature set forces the tables to be rebuilt.
-    std::vector<std::vector<core::ConceptId>> zetas;
-    zetas.reserve(records_.size());
-    for (const auto& [rid, rstate] : records_) zetas.push_back(rstate.zeta);
-    core::SemhashEncoder rebuilt =
-        core::SemhashEncoder::Build(semantics_->taxonomy(), zetas);
-    bool same = rebuilt.dimension() == encoder_.dimension();
-    for (uint32_t i = 0; same && i < rebuilt.dimension(); ++i) {
-      same = rebuilt.FeatureConcept(i) == encoder_.FeatureConcept(i);
-    }
-    if (!same) {
-      encoder_ = std::move(rebuilt);
+    // A previously unseen concept can add semhash features. Algorithm 1
+    // is a set union over the interpreted concepts' leaves, so the
+    // encoder of every concept seen so far equals the batch encoder of
+    // the records inserted so far, and it only ever grows: a changed
+    // dimension means new features, which force the tables to be rebuilt.
+    const std::vector<core::ConceptId> seen(seen_concepts_.begin(),
+                                            seen_concepts_.end());
+    core::SemhashEncoder grown =
+        core::SemhashEncoder::Build(semantics_->taxonomy(), {seen});
+    if (grown.dimension() != encoder_.dimension()) {
+      encoder_ = std::move(grown);
       RefreshChoices();
       RebuildTables();
       return;
@@ -305,16 +284,17 @@ std::vector<data::RecordId> SaLshIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
   std::vector<data::RecordId> out;
-  std::vector<uint64_t> sig = SignatureOf(values);
-  if (core::IsEmptyMinhashSignature(sig)) return out;
+  std::vector<uint64_t> bands =
+      RowBands(values, attr_index_, lsh_params_, hasher_);
+  if (bands.empty()) return out;
   // The probe is evaluated under the current feature set; concepts no
-  // live record has yet contribute no semhash bit (matching how a batch
-  // run without the probe would gate the existing records).
-  core::SemSignature sem =
-      encoder_.Encode(semantics_->taxonomy(), InterpretRow(values));
+  // indexed record has had yet contribute no semhash bit (matching how a
+  // batch run without the probe would gate the existing records).
+  core::SemSignature sem = encoder_.Encode(
+      semantics_->taxonomy(), semantics_->Interpret(schema_, values));
   std::vector<uint64_t> keys;
   for (int t = 0; t < lsh_params_.l; ++t) {
-    TableKeys(t, sig, sem, &keys);
+    TableKeys(t, bands[static_cast<size_t>(t)], sem, &keys);
     const auto& table = tables_[static_cast<size_t>(t)];
     for (uint64_t key : keys) {
       auto it = table.find(key);

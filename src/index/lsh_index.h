@@ -33,9 +33,6 @@ class LshIndex : public IncrementalIndex {
   size_t size() const override { return record_bands_.size(); }
 
  private:
-  std::vector<uint64_t> SignatureOf(
-      std::span<const std::string_view> values) const;
-
   core::LshParams params_;
   core::MinHasher hasher_;       // k*l rows, params_.seed
   std::vector<int> attr_index_;  // schema positions, set by Bind
@@ -57,9 +54,10 @@ class LshIndex : public IncrementalIndex {
 /// with previously unseen concepts can grow the semantic dimension; the
 /// index then rebuilds its tables from the stored per-record state so that
 /// EmitBlocks always matches the batch blocker over the same records.
-/// Removals shrink the record set but deliberately not the feature set
-/// (features are never un-selected), so batch parity is guaranteed after
-/// inserts, not after removals.
+/// The feature set is built from every concept ever inserted: removals
+/// shrink the record set but deliberately not the feature set (features
+/// are never un-selected), so batch parity is guaranteed after inserts,
+/// not after removals.
 class SaLshIndex : public IncrementalIndex {
  public:
   SaLshIndex(core::LshParams lsh_params, core::SemanticParams sem_params,
@@ -77,17 +75,12 @@ class SaLshIndex : public IncrementalIndex {
 
  private:
   struct RecordState {
-    std::vector<uint64_t> sig;          // full k*l minhash signature
+    std::vector<uint64_t> bands;        // l band keys; empty: no shingles
     std::vector<core::ConceptId> zeta;  // semantic interpretation
   };
 
-  std::vector<uint64_t> SignatureOf(
-      std::span<const std::string_view> values) const;
-  std::vector<core::ConceptId> InterpretRow(
-      std::span<const std::string_view> values) const;
   /// Bucket keys of one record in table `t` under the current encoder.
-  void TableKeys(int t, const std::vector<uint64_t>& sig,
-                 const core::SemSignature& sem,
+  void TableKeys(int t, uint64_t band, const core::SemSignature& sem,
                  std::vector<uint64_t>* keys) const;
   /// Re-derives the per-table semhash draws for the current dimension.
   void RefreshChoices();
@@ -101,11 +94,11 @@ class SaLshIndex : public IncrementalIndex {
   std::shared_ptr<const core::SemanticFunction> semantics_;
   core::MinHasher hasher_;
   std::vector<int> attr_index_;
-  data::Schema schema_;  // scratch one-row datasets for Interpret
+  data::Schema schema_;  // the bound schema, for SemanticFunction
   bool bound_ = false;
 
-  core::SemhashEncoder encoder_;            // grows with seen concepts
-  std::set<core::ConceptId> seen_concepts_;
+  core::SemhashEncoder encoder_;  // built from seen_concepts_
+  std::set<core::ConceptId> seen_concepts_;  // ever inserted, never shrinks
   std::vector<std::vector<size_t>> chosen_;  // per-table semhash draws
   std::vector<std::unordered_map<uint64_t, std::vector<data::RecordId>>>
       tables_;

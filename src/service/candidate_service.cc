@@ -1,8 +1,8 @@
 #include "service/candidate_service.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <mutex>
-#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -11,6 +11,69 @@
 #include "index/index_registry.h"
 
 namespace sablock::service {
+
+void TokenIdColumn::Append(std::span<const std::string_view> values) {
+  const size_t begin = ids_.size();
+  for (std::string_view value : values) {
+    ForEachMatchingToken(value, &buffer_, [&](std::string_view token) {
+      auto it = dictionary_.find(token);
+      if (it == dictionary_.end()) {
+        it = dictionary_
+                 .emplace(token, static_cast<uint32_t>(dictionary_.size()))
+                 .first;
+      }
+      ids_.push_back(it->second);
+    });
+  }
+  auto row = ids_.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(row, ids_.end());
+  ids_.erase(std::unique(row, ids_.end()), ids_.end());
+  offsets_.push_back(ids_.size());
+}
+
+size_t TokenIdColumn::Lookup(std::span<const std::string_view> values,
+                             std::vector<uint32_t>* ids) const {
+  ids->clear();
+  std::vector<std::string> unknown;  // stays empty for known tokens
+  std::string buffer;
+  for (std::string_view value : values) {
+    ForEachMatchingToken(value, &buffer, [&](std::string_view token) {
+      auto it = dictionary_.find(token);
+      if (it != dictionary_.end()) {
+        ids->push_back(it->second);
+      } else {
+        unknown.emplace_back(token);
+      }
+    });
+  }
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  std::sort(unknown.begin(), unknown.end());
+  unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
+  return ids->size() + unknown.size();
+}
+
+double TokenIdColumn::Jaccard(std::span<const uint32_t> probe,
+                              size_t probe_size,
+                              std::span<const uint32_t> row) {
+  if (probe_size == 0 || row.empty()) return 0.0;
+  size_t common = 0;
+  size_t p = 0;
+  size_t r = 0;
+  while (p < probe.size() && r < row.size()) {
+    if (probe[p] < row[r]) {
+      ++p;
+    } else if (row[r] < probe[p]) {
+      ++r;
+    } else {
+      ++common;
+      ++p;
+      ++r;
+    }
+  }
+  return static_cast<double>(common) /
+         static_cast<double>(probe_size + row.size() - common);
+}
 
 Status CandidateService::Make(data::Schema schema,
                               const std::string& index_spec,
@@ -47,6 +110,7 @@ data::RecordId CandidateService::Insert(
   // Index the arena-backed copy, not the caller's views: index-internal
   // state must not outlive the caller's buffers.
   index_->Insert(id, dataset_.Values(id));
+  tokens_.Append(values);
   insert_seconds_->Observe(timer.Seconds());
   inserts_.fetch_add(1, std::memory_order_relaxed);
   return id;
@@ -60,6 +124,7 @@ size_t CandidateService::Preload(const data::Dataset& dataset) {
     data::RecordId assigned =
         dataset_.AddRow(dataset.Values(id), dataset.entity(id));
     index_->Insert(assigned, dataset_.Values(assigned));
+    tokens_.Append(dataset.Values(id));
   }
   inserts_.fetch_add(dataset.size(), std::memory_order_relaxed);
   return dataset.size();
@@ -77,32 +142,6 @@ std::vector<data::RecordId> CandidateService::Query(
   return ids;
 }
 
-namespace {
-
-/// Normalized token set of a row, the scoring unit of QueryProgressive.
-std::set<std::string> TokenSet(std::span<const std::string_view> values) {
-  std::set<std::string> tokens;
-  for (std::string_view value : values) {
-    for (std::string& token : SplitWords(NormalizeForMatching(value))) {
-      tokens.insert(std::move(token));
-    }
-  }
-  return tokens;
-}
-
-double TokenJaccard(const std::set<std::string>& probe,
-                    const std::set<std::string>& row) {
-  if (probe.empty() || row.empty()) return 0.0;
-  size_t common = 0;
-  for (const std::string& token : probe) common += row.count(token);
-  size_t unioned = probe.size() + row.size() - common;
-  return unioned > 0
-             ? static_cast<double>(common) / static_cast<double>(unioned)
-             : 0.0;
-}
-
-}  // namespace
-
 Status CandidateService::QueryProgressive(
     std::span<const std::string_view> values, const core::Budget& budget,
     std::vector<ScoredCandidate>* out) const {
@@ -119,11 +158,13 @@ Status CandidateService::QueryProgressive(
   WallTimer timer;
   core::BudgetMeter meter(budget);  // arms the seconds deadline
   std::vector<data::RecordId> ids = index_->Query(values);
-  const std::set<std::string> probe = TokenSet(values);
+  std::vector<uint32_t> probe;
+  const size_t probe_size = tokens_.Lookup(values, &probe);
   out->reserve(ids.size());
   for (data::RecordId id : ids) {
     if (meter.budget().seconds > 0.0 && meter.Exhausted()) break;
-    out->push_back({id, TokenJaccard(probe, TokenSet(dataset_.Values(id)))});
+    out->push_back(
+        {id, TokenIdColumn::Jaccard(probe, probe_size, tokens_.Row(id))});
   }
   // Best first, deterministically: the budget keeps the highest-value
   // prefix of the comparison order, which is the whole point.

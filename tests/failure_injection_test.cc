@@ -7,6 +7,9 @@
 #include "run_streaming.h"
 
 #include <memory>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "baselines/canopy.h"
 #include "baselines/suffix_array.h"
@@ -31,6 +34,18 @@ TEST(PreconditionDeathTest, DatasetRejectsWrongArity) {
   Record r;
   r.values = {"only one"};
   EXPECT_DEATH(d.Add(std::move(r)), "arity");
+}
+
+TEST(PreconditionDeathTest, SemanticFunctionRejectsWrongArity) {
+  const core::Domain bib = core::MakeBibliographicDomain();
+  const Schema schema({"journal", "booktitle", "institution"});
+  const std::vector<std::string_view> values = {"J. ML", ""};
+  EXPECT_DEATH(bib.semantics->Interpret(schema, values), "arity");
+  const core::LambdaSemanticFunction lambda(
+      bib.taxonomy(), [](const Schema&, std::span<const std::string_view>) {
+        return std::vector<core::ConceptId>{};
+      });
+  EXPECT_DEATH(lambda.Interpret(schema, values), "arity");
 }
 
 TEST(PreconditionDeathTest, SchemaRequireMissingAttribute) {

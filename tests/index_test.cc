@@ -150,6 +150,49 @@ TEST(LshIndexTest, EmptyTextIsExcluded) {
   EXPECT_TRUE(index.Remove(0));
 }
 
+TEST(SaLshIndexTest, RemoveKeepsTheFeaturesOfSeenConcepts) {
+  // A fresh concept arriving after a Remove must not rebuild the semhash
+  // encoder from the live records alone: that dropped the features of the
+  // removed record's concept, so later records with that concept got no
+  // semantic bit and, in OR mode, entered no table at all.
+  const std::string spec = "sa-lsh:k=1,l=4,q=2,w=5,mode=or,domain=bib";
+  const data::Schema schema(
+      {"authors", "title", "journal", "booktitle", "institution"});
+  std::vector<std::string> journal = {"ann lee", "neural nets", "jair", "",
+                                      ""};
+  std::vector<std::string> booktitle = {"bo wu", "graph cuts", "", "nips",
+                                        ""};
+  std::vector<std::string> institution = {"cy ng", "tech report", "", "",
+                                          "mit"};
+  auto make = [&]() {
+    std::unique_ptr<IncrementalIndex> index;
+    EXPECT_TRUE(IndexRegistry::Global().Create(spec, &index).ok());
+    EXPECT_TRUE(index->Bind(schema).ok());
+    return index;
+  };
+
+  std::unique_ptr<IncrementalIndex> index = make();
+  index->Insert(0, Row(journal));
+  index->Insert(1, Row(booktitle));
+  ASSERT_TRUE(index->Remove(0));
+  index->Insert(2, Row(institution));  // a fresh concept after the Remove
+  index->Insert(3, Row(journal));
+  index->Insert(4, Row(journal));
+
+  // The same live rows, indexed afresh.
+  std::unique_ptr<IncrementalIndex> fresh = make();
+  fresh->Insert(1, Row(booktitle));
+  fresh->Insert(2, Row(institution));
+  fresh->Insert(3, Row(journal));
+  fresh->Insert(4, Row(journal));
+
+  EXPECT_EQ(fresh->Query(Row(journal)), (Ids{3, 4}));
+  EXPECT_EQ(CollectBlocks(*fresh).NumBlocks(), 4u);  // {3, 4} per table
+  EXPECT_EQ(index->Query(Row(journal)), (Ids{3, 4}));
+  EXPECT_EQ(CanonicalBlockBytes(CollectBlocks(*index)),
+            CanonicalBlockBytes(CollectBlocks(*fresh)));
+}
+
 TEST(IndexRegistryTest, ListContainsAndAliases) {
   IndexRegistry& registry = IndexRegistry::Global();
   EXPECT_TRUE(registry.Contains("lsh"));

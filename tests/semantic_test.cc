@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/domains.h"
 #include "core/semantic.h"
+#include "data/cora_generator.h"
+#include "data/voter_generator.h"
 
 namespace sablock::core {
 namespace {
@@ -222,7 +226,7 @@ TEST(LambdaSemanticFunctionTest, WrapsCallableAndPrunes) {
   ConceptId c0 = t.Require("C0");
   ConceptId c3 = t.Require("C3");
   LambdaSemanticFunction fn(
-      t, [c0, c3](const Dataset&, data::RecordId) {
+      t, [c0, c3](const Schema&, std::span<const std::string_view>) {
         return std::vector<ConceptId>{c0, c3};
       });
   Dataset d{Schema({"x"})};
@@ -230,6 +234,45 @@ TEST(LambdaSemanticFunctionTest, WrapsCallableAndPrunes) {
   std::vector<ConceptId> zeta = fn.Interpret(d, 0);
   ASSERT_EQ(zeta.size(), 1u);
   EXPECT_EQ(zeta[0], c3);
+}
+
+/// Checks, for every record of `d`, that interpreting a copy of its values
+/// (as an index interprets a probe) gives the dataset form's ζ, also under
+/// a schema listing the attributes in reverse order. Returns how many
+/// records had a non-empty interpretation.
+size_t ExpectValuesFormAgrees(const SemanticFunction& fn, const Dataset& d) {
+  const std::vector<std::vector<ConceptId>> all = fn.InterpretAll(d);
+  EXPECT_EQ(all.size(), d.size());
+  std::vector<std::string> reversed_names = d.schema().names();
+  std::reverse(reversed_names.begin(), reversed_names.end());
+  const Schema reversed(reversed_names);
+  size_t interpreted = 0;
+  for (data::RecordId id = 0; id < d.size(); ++id) {
+    const Record copy = d.record(id);
+    std::vector<std::string_view> values(copy.values.begin(),
+                                         copy.values.end());
+    EXPECT_EQ(fn.Interpret(d, id), all[id]) << id;
+    EXPECT_EQ(fn.Interpret(d.schema(), values), all[id]) << id;
+    std::reverse(values.begin(), values.end());
+    EXPECT_EQ(fn.Interpret(reversed, values), all[id]) << id;
+    if (!all[id].empty()) ++interpreted;
+  }
+  return interpreted;
+}
+
+TEST(SemanticFunctionTest, ValuesFormAgreesWithDatasetForm) {
+  data::CoraGeneratorConfig cora;
+  cora.num_records = 400;
+  cora.seed = 11;
+  EXPECT_GT(ExpectValuesFormAgrees(*MakeBibliographicDomain().semantics,
+                                   data::GenerateCoraLike(cora)),
+            0u);
+  data::VoterGeneratorConfig voter;
+  voter.num_records = 400;
+  voter.seed = 11;
+  EXPECT_GT(ExpectValuesFormAgrees(*MakeVoterDomain().semantics,
+                                   data::GenerateVoterLike(voter)),
+            0u);
 }
 
 TEST(SemanticFunctionTest, InterpretAllCoversDataset) {

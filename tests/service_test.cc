@@ -1,5 +1,6 @@
 // Tests for the serving layer: wire-protocol round trips, the in-process
-// CandidateService, the socket server/client end to end, and concurrent
+// CandidateService (including progressive scoring against a string-set
+// reference), the socket server/client end to end, and concurrent
 // insert/query traffic (the case the TSan gate exercises; this test
 // carries the `service` and `concurrency` ctest labels).
 
@@ -10,10 +11,14 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
+#include "core/budget.h"
 #include "data/cora_generator.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
@@ -40,6 +45,44 @@ std::unique_ptr<CandidateService> MakeTokenService() {
       TwoAttrSchema(), "token-blocking:attrs=name+city", &service);
   EXPECT_TRUE(s.ok()) << s.message();
   return service;
+}
+
+/// Reference scoring: the normalized token set of a row, and the Jaccard
+/// of two such sets, computed over strings. QueryProgressive scores over
+/// interned token ids and must reproduce these doubles bit for bit.
+std::set<std::string> TokenSet(std::span<const std::string_view> values) {
+  std::set<std::string> tokens;
+  for (std::string_view value : values) {
+    for (std::string& token : SplitWords(NormalizeForMatching(value))) {
+      tokens.insert(std::move(token));
+    }
+  }
+  return tokens;
+}
+
+double TokenJaccard(const std::set<std::string>& probe,
+                    const std::set<std::string>& row) {
+  if (probe.empty() || row.empty()) return 0.0;
+  size_t common = 0;
+  for (const std::string& token : probe) common += row.count(token);
+  size_t unioned = probe.size() + row.size() - common;
+  return unioned > 0
+             ? static_cast<double>(common) / static_cast<double>(unioned)
+             : 0.0;
+}
+
+using Scored = std::vector<CandidateService::ScoredCandidate>;
+
+/// True if `got` is ordered best first, ties by ascending id.
+bool BestFirst(const Scored& got) {
+  for (size_t i = 1; i < got.size(); ++i) {
+    const auto& a = got[i - 1];
+    const auto& b = got[i];
+    if (a.score < b.score || (a.score == b.score && a.id >= b.id)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// A per-test socket path under /tmp (sun_path is length-limited, so no
@@ -354,6 +397,214 @@ TEST(CandidateServiceTest, WarmServiceReproducesBatchBlocksViaEmit) {
   index::LoadDataset(*direct, dataset);
   EXPECT_EQ(index::CanonicalBlockBytes(via_service),
             index::CanonicalBlockBytes(index::CollectBlocks(*direct)));
+}
+
+TEST(CandidateServiceTest, ProgressiveScoresEqualTheStringSetJaccard) {
+  // Preloaded Cora-like rows plus inserted rows. The sor-a window is wider
+  // than the store, so every live record is a candidate of every probe
+  // and every probe is scored against every row.
+  data::CoraGeneratorConfig config;
+  config.num_records = 150;
+  config.num_entities = 20;
+  config.seed = 5;
+  const data::Dataset cora = GenerateCoraLike(config);
+  std::unique_ptr<CandidateService> service;
+  ASSERT_TRUE(CandidateService::Make(cora.schema(),
+                                     "sor-a:window=1000,attrs=authors+title",
+                                     &service)
+                  .ok());
+  ASSERT_EQ(service->Preload(cora), cora.size());
+
+  // A row of the Cora schema (title, authors, journal, booktitle,
+  // institution, publisher, year) from its leading values.
+  auto wide = [&](std::vector<std::string> leading) {
+    leading.resize(cora.schema().size());
+    return leading;
+  };
+  std::vector<std::vector<std::string>> rows;  // every record, by id
+  for (data::RecordId id = 0; id < cora.size(); ++id) {
+    rows.push_back(cora.record(id).values);
+  }
+  const std::vector<std::vector<std::string>> inserted = {
+      wide({"Learning, Fast & Slow: A.I. (2nd ed.)", "SMITH, J.; Jones-Wu",
+            "J. Mach. Learn.", "", "", "", "1999"}),
+      wide({"learning fast learning SLOW", "smith j", "", "NIPS'98"}),
+      wide({"Caf\xc3\xa9 na\xc3\xafve r\xc3\xa9sum\xc3\xa9", "",
+            "\xff\xfe", "", "", "", ""}),
+      wide({"", "", "", "", "", "", ""}),
+      wide({"R2-D2 and C-3PO", "Lucas, G.", "", "", "", "", "1977"}),
+  };
+  for (const auto& row : inserted) {
+    EXPECT_EQ(service->Insert(Row(row)), rows.size());
+    rows.push_back(row);
+  }
+
+  std::vector<std::vector<std::string>> probes = {rows[0], rows[17],
+                                                  rows[149]};
+  probes.insert(probes.end(), inserted.begin(), inserted.end());
+  probes.push_back(
+      wide({"SMITH!! learning? zork", "Zork", "", "", "", "", "99"}));
+  probes.push_back(wide({"qqzx vvkw qqzx", "xqj", "", "", "", "", "31337"}));
+  probes.push_back(wide({"\xe2\x80\x94 ..."}));
+
+  size_t zeros = 0;
+  size_t ones = 0;
+  size_t between = 0;
+  for (const auto& probe : probes) {
+    const std::set<std::string> probe_tokens = TokenSet(Row(probe));
+    Scored got;
+    ASSERT_TRUE(service->QueryProgressive(Row(probe), {}, &got).ok());
+    ASSERT_EQ(got.size(), rows.size());
+    EXPECT_TRUE(BestFirst(got));
+    for (const auto& candidate : got) {
+      const double want =
+          TokenJaccard(probe_tokens, TokenSet(Row(rows[candidate.id])));
+      EXPECT_EQ(candidate.score, want)
+          << "probe '" << probe[0] << "' vs record " << candidate.id;
+      if (want == 0.0) {
+        ++zeros;
+      } else if (want == 1.0) {
+        ++ones;
+      } else {
+        ++between;
+      }
+    }
+  }
+  // The probes exercise every kind of score.
+  EXPECT_GT(zeros, 0u);
+  EXPECT_GT(ones, 0u);
+  EXPECT_GT(between, 0u);
+}
+
+TEST(CandidateServiceTest, ProgressiveOrderCapAndRejectedBudget) {
+  std::unique_ptr<CandidateService> service;
+  ASSERT_TRUE(CandidateService::Make(TwoAttrSchema(),
+                                     "sor-a:window=100,attrs=name", &service)
+                  .ok());
+  const std::vector<std::vector<std::string>> rows = {
+      {"a b", ""}, {"a c", ""}, {"a b", "x"}, {"A-B", ""}, {"z", ""}};
+  for (const auto& row : rows) service->Insert(Row(row));
+
+  // Scores 1, 1/3, 2/3, 1, 0: the two 1s tie and come out by id.
+  const std::vector<std::string> probe = {"b a", ""};
+  Scored got;
+  ASSERT_TRUE(service->QueryProgressive(Row(probe), {}, &got).ok());
+  ASSERT_EQ(got.size(), 5u);
+  const std::vector<data::RecordId> order = {0, 3, 2, 1, 4};
+  const std::vector<double> scores = {1.0, 1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0};
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, order[i]) << i;
+    EXPECT_EQ(got[i].score, scores[i]) << i;
+  }
+
+  // The pairs cap keeps the best-first prefix.
+  core::Budget budget;
+  budget.pairs = 3;
+  ASSERT_TRUE(service->QueryProgressive(Row(probe), budget, &got).ok());
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].id, 0u);
+  EXPECT_EQ(got[1].id, 3u);
+  EXPECT_EQ(got[2].id, 2u);
+
+  // recall-target needs ground truth: rejected, with nothing returned.
+  core::Budget recall;
+  recall.recall_target = 0.9;
+  Status s = service->QueryProgressive(Row(probe), recall, &got);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("recall-target"), std::string::npos);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(CandidateServiceTest, PreloadThenEmitMatchesLoadDataset) {
+  data::CoraGeneratorConfig config;
+  config.num_records = 200;
+  config.num_entities = 25;
+  config.seed = 9;
+  const data::Dataset dataset = GenerateCoraLike(config);
+  for (const std::string spec :
+       {"token-blocking:attrs=authors+title",
+        "sor-a:window=3,attrs=authors+title",
+        "lsh:k=4,l=12,q=4,attrs=authors+title",
+        "sa-lsh:k=4,l=12,q=4,w=5,mode=or,domain=bib"}) {
+    std::unique_ptr<CandidateService> service;
+    ASSERT_TRUE(
+        CandidateService::Make(dataset.schema(), spec, &service).ok());
+    ASSERT_EQ(service->Preload(dataset), dataset.size());
+    core::BlockCollection via_service;
+    service->EmitBlocks(via_service);
+
+    std::unique_ptr<index::IncrementalIndex> direct;
+    ASSERT_TRUE(index::IndexRegistry::Global().Create(spec, &direct).ok());
+    index::LoadDataset(*direct, dataset);
+    const core::BlockCollection want = index::CollectBlocks(*direct);
+    EXPECT_GT(want.NumBlocks(), 0u) << spec;
+    EXPECT_EQ(index::CanonicalBlockBytes(via_service),
+              index::CanonicalBlockBytes(want))
+        << spec;
+  }
+}
+
+TEST(CandidateServiceConcurrencyTest, RacingInsertsAndProgressiveQueries) {
+  // Four threads interleave inserts and progressive queries on one
+  // service. Which candidates a query sees depends on the interleaving,
+  // but each score depends only on the probe and the (immutable) row, so
+  // every answer is checked against the reference once all threads end.
+  std::unique_ptr<CandidateService> service;
+  ASSERT_TRUE(CandidateService::Make(TwoAttrSchema(),
+                                     "token-blocking:attrs=name+city",
+                                     &service)
+                  .ok());
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 60;
+  auto row_of = [](int t, int i) {
+    return std::vector<std::string>{
+        "Name" + std::to_string(t) + " x" + std::to_string(i % 7) + " Common",
+        "City-" + std::to_string(i % 3)};
+  };
+  struct Answer {
+    std::vector<std::string> probe;
+    Scored got;
+  };
+  std::vector<std::vector<Answer>> answers(kThreads);
+  std::vector<std::vector<std::pair<data::RecordId, int>>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      core::Budget budget;
+      budget.pairs = 20;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        ids[t].push_back({service->Insert(Row(row_of(t, i))), i});
+        Answer answer;
+        answer.probe = row_of((t + 1) % kThreads, i + 1);
+        EXPECT_TRUE(service
+                        ->QueryProgressive(Row(answer.probe), budget,
+                                           &answer.got)
+                        .ok());
+        answers[t].push_back(std::move(answer));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::vector<std::string>> rows(
+      static_cast<size_t>(kThreads) * kOpsPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& [id, i] : ids[t]) rows.at(id) = row_of(t, i);
+  }
+  size_t scored = 0;
+  for (const auto& per_thread : answers) {
+    for (const Answer& answer : per_thread) {
+      EXPECT_LE(answer.got.size(), 20u);
+      EXPECT_TRUE(BestFirst(answer.got));
+      const std::set<std::string> probe = TokenSet(Row(answer.probe));
+      for (const auto& candidate : answer.got) {
+        EXPECT_EQ(candidate.score,
+                  TokenJaccard(probe, TokenSet(Row(rows.at(candidate.id)))));
+        ++scored;
+      }
+    }
+  }
+  EXPECT_GT(scored, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "common/string_util.h"
 
 namespace sablock {
@@ -72,6 +77,61 @@ TEST(NormalizeForMatchingTest, LowercasesAndStripsPunctuation) {
 
 TEST(NormalizeForMatchingTest, KeepsDigits) {
   EXPECT_EQ(NormalizeForMatching("TR-95 v2"), "tr 95 v2");
+}
+
+std::vector<std::string> MatchingTokens(std::string_view s,
+                                        std::string* buffer) {
+  std::vector<std::string> out;
+  ForEachMatchingToken(s, buffer, [&out](std::string_view token) {
+    out.emplace_back(token);
+  });
+  return out;
+}
+
+TEST(ForEachMatchingTokenTest, YieldsTheNormalizedWords) {
+  std::string buffer;
+  EXPECT_EQ(MatchingTokens("Fahlman, S., & Lebiere, C.", &buffer),
+            (std::vector<std::string>{"fahlman", "s", "lebiere", "c"}));
+  EXPECT_EQ(MatchingTokens("TR-95 v2", &buffer),
+            (std::vector<std::string>{"tr", "95", "v2"}));
+  EXPECT_TRUE(MatchingTokens("", &buffer).empty());
+  EXPECT_TRUE(MatchingTokens(" !! \t", &buffer).empty());
+}
+
+/// Matching normalization spelled out with the C library's character
+/// classes (the program runs in the "C" locale): alphanumerics lowercased,
+/// every other byte a separator, separator runs collapsed.
+std::string ReferenceNormalize(std::string_view s) {
+  std::string mapped;
+  for (char c : s) {
+    unsigned char u = static_cast<unsigned char>(c);
+    mapped.push_back(std::isalnum(u) ? static_cast<char>(std::tolower(u))
+                                     : ' ');
+  }
+  return Join(SplitWords(mapped), " ");
+}
+
+TEST(ForEachMatchingTokenTest, EqualsSplitWordsOfNormalizeOnRandomBytes) {
+  // Any byte may appear, weighted towards the classes the tokenizer
+  // separates: letters of both cases, digits, whitespace, punctuation,
+  // NUL and non-ASCII bytes. One buffer serves every string, as it does
+  // for a service's rows.
+  const std::string alphabet =
+      std::string("aZq09 \t\n.,-_!") + '\0' + "\x80\xc3\xa9\xff";
+  Rng rng(20261017);
+  std::string buffer;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string s(rng.UniformIndex(40), '\0');
+    for (char& c : s) {
+      c = rng.UniformIndex(4) == 0
+              ? static_cast<char>(rng.UniformIndex(256))
+              : alphabet[rng.UniformIndex(alphabet.size())];
+    }
+    const std::string normalized = NormalizeForMatching(s);
+    EXPECT_EQ(normalized, ReferenceNormalize(s)) << "trial " << trial;
+    EXPECT_EQ(MatchingTokens(s, &buffer), SplitWords(normalized))
+        << "trial " << trial;
+  }
 }
 
 TEST(StartsWithTest, Basic) {
