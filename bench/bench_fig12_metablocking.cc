@@ -12,6 +12,7 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
 #include "eval/harness.h"
@@ -163,12 +164,23 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
     result.dataset = dataset_label;
     result.dataset_records = d.size();
     result.AddParam("weighting", weight_name);
+
+    // The same spec through PipelinedBlocker::Run on its own cold copy,
+    // with no harness around it: the instrument's cost is the harness
+    // row's time against this one.
+    report::RunResult plain = result;
+    plain.name += " plain";
+    plain.time = ctx.TimeRepeats([&](int) {
+      sablock::data::Dataset cold = d.ColdCopy();
+      sablock::core::BlockCollection blocks;
+      WallTimer timer;
+      pipelined->Run(cold, blocks);
+      return timer.Seconds();
+    });
     result.time = stats;
-    for (const sablock::eval::StageCounts& stage : run.stages) {
-      result.stages.push_back({stage.name, stage.blocks, stage.comparisons,
-                               stage.max_block_size, stage.seconds});
-    }
+    result.stages = run.stages;
     ctx.Record(std::move(result));
+    ctx.Record(std::move(plain));
   }
   timing.Print();
   std::printf("\n");

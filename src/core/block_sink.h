@@ -72,8 +72,8 @@ class BlockSink {
 /// block. O(1) memory regardless of output size.
 ///
 /// Terminal by default; constructed with a `next` sink it counts and
-/// forwards, so it can be interposed between pipeline stages to measure
-/// the block/pair stream at any point of a chain (eval::RunPipeline).
+/// forwards, so it can measure the block/pair stream in front of any sink
+/// (the engine counts each shard's output this way).
 class PairCountingSink : public BlockSink {
  public:
   PairCountingSink() = default;

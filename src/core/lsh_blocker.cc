@@ -100,19 +100,6 @@ features::FeatureView::SignatureHandle MinhashSignatures(
                                           params.k * params.l, params.seed);
 }
 
-std::vector<std::vector<uint64_t>> ComputeMinhashSignatures(
-    const data::Dataset& dataset, const LshParams& params) {
-  features::FeatureView::SignatureHandle cached =
-      MinhashSignatures(dataset, params);
-  std::vector<std::vector<uint64_t>> sigs;
-  sigs.reserve(dataset.size());
-  for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    std::span<const uint64_t> s = cached.Signature(id);
-    sigs.emplace_back(s.begin(), s.end());
-  }
-  return sigs;
-}
-
 LshBands ComputeLshBands(const data::Dataset& dataset,
                          const LshParams& params) {
   features::FeatureView::SignatureHandle sigs =

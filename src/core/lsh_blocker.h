@@ -167,11 +167,6 @@ class LshBuckets {
   std::vector<data::RecordId> ids_;
 };
 
-/// Materializing wrapper around MinhashSignatures (copies the cached
-/// signatures out); kept for tests and ablation benches.
-std::vector<std::vector<uint64_t>> ComputeMinhashSignatures(
-    const data::Dataset& dataset, const LshParams& params);
-
 }  // namespace sablock::core
 
 #endif  // SABLOCK_CORE_LSH_BLOCKER_H_

@@ -11,6 +11,11 @@
 
 namespace sablock::core {
 
+namespace {
+
+/// Computes, for every record, the per-row (minimum, second-minimum)
+/// minhash values. Rows of empty shingle sets hold (kEmptySlot,
+/// kEmptySlot).
 void ComputeTop2MinhashSignatures(
     const data::Dataset& dataset, const LshParams& params,
     std::vector<std::vector<uint64_t>>* min1,
@@ -48,8 +53,6 @@ void ComputeTop2MinhashSignatures(
     }
   }
 }
-
-namespace {
 
 uint64_t BandKeyFromRows(const std::vector<uint64_t>& rows, int table,
                          int k, int flipped_row,

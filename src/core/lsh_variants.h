@@ -52,14 +52,6 @@ class LshForestBlocker : public BlockingTechnique {
   size_t max_block_size_;
 };
 
-/// Computes, for every record, the per-row (minimum, second-minimum)
-/// minhash values; used by the multi-probe blocker and exposed for tests.
-/// Rows of empty shingle sets hold (kEmptySlot, kEmptySlot).
-void ComputeTop2MinhashSignatures(
-    const data::Dataset& dataset, const LshParams& params,
-    std::vector<std::vector<uint64_t>>* min1,
-    std::vector<std::vector<uint64_t>>* min2);
-
 }  // namespace sablock::core
 
 #endif  // SABLOCK_CORE_LSH_VARIANTS_H_

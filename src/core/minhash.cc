@@ -2,8 +2,6 @@
 
 #include "arch/kernels.h"
 #include "common/check.h"
-#include "features/feature_store.h"
-#include "text/qgram.h"
 
 namespace sablock::core {
 
@@ -41,26 +39,6 @@ double MinHasher::EstimateJaccard(std::span<const uint64_t> a,
     if (a[i] == b[i]) ++agree;
   }
   return static_cast<double>(agree) / static_cast<double>(a.size());
-}
-
-std::vector<uint64_t> Shingler::Shingles(const data::Dataset& dataset,
-                                         data::RecordId id) const {
-  // One-shot path: shingle this record directly — building (and caching)
-  // the full-dataset column for a single probe would be O(records); bulk
-  // consumers go through ShingleAll or a FeatureView::ShingleHandle.
-  return text::QGramHashes(dataset.ConcatenatedValues(id, attributes_), q_);
-}
-
-std::vector<std::vector<uint64_t>> Shingler::ShingleAll(
-    const data::Dataset& dataset) const {
-  features::FeatureView::ShingleHandle shingles =
-      dataset.features().ShinglesFor(attributes_, q_);
-  std::vector<std::vector<uint64_t>> out;
-  out.reserve(dataset.size());
-  for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    out.push_back(shingles.Shingles(id));
-  }
-  return out;
 }
 
 }  // namespace sablock::core

@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/hashing.h"
-#include "data/record.h"
 
 namespace sablock::core {
 
@@ -49,38 +47,6 @@ class MinHasher {
   // kernels can load 2/4 (a, b) pairs per vector register.
   std::vector<uint64_t> a_;
   std::vector<uint64_t> b_;
-};
-
-/// Converts records to textual shingle sets (Section 5.1, step 1):
-/// the values of the selected attributes are concatenated, normalized
-/// (lower-case, alphanumeric) and cut into distinct hashed q-grams.
-///
-/// Backed by the dataset's shared FeatureStore: the shingle sets for an
-/// (attributes, q) selection are computed once per dataset and reused by
-/// every technique (and every engine shard) that asks again. Returned
-/// references stay valid as long as some dataset sharing the store lives.
-class Shingler {
- public:
-  Shingler(std::vector<std::string> attributes, int q)
-      : attributes_(std::move(attributes)), q_(q) {}
-
-  /// Sorted distinct 64-bit shingle hashes of one record, computed
-  /// directly (one-shot probe — does not build or touch the dataset's
-  /// feature cache; bulk consumers use ShingleAll or a
-  /// FeatureView::ShingleHandle).
-  std::vector<uint64_t> Shingles(const data::Dataset& dataset,
-                                 data::RecordId id) const;
-
-  /// Shingles every record (copies out of the cache).
-  std::vector<std::vector<uint64_t>> ShingleAll(
-      const data::Dataset& dataset) const;
-
-  int q() const { return q_; }
-  const std::vector<std::string>& attributes() const { return attributes_; }
-
- private:
-  std::vector<std::string> attributes_;
-  int q_;
 };
 
 }  // namespace sablock::core

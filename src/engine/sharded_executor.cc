@@ -150,7 +150,7 @@ void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
   }
 }
 
-void ShardedExecutor::ExecutePipeline(
+std::vector<pipeline::StepCounts> ShardedExecutor::ExecutePipeline(
     const core::BlockingTechnique& technique,
     const pipeline::Pipeline& stages, const data::Dataset& dataset,
     core::BlockSink& sink) const {
@@ -161,7 +161,9 @@ void ShardedExecutor::ExecutePipeline(
   // producers are finished when Execute returns, so this is the single
   // end-of-stream point — the barrier stages run here, at merge.
   Execute(technique, dataset, chain.head());
-  chain.Flush();
+  std::vector<pipeline::StepCounts> steps = chain.Flush();
+  steps[0].name = technique.name();
+  return steps;
 }
 
 core::BlockCollection ShardedExecutor::ExecuteCollect(

@@ -73,15 +73,18 @@ class ShardedExecutor {
   /// every shard has finished, so barrier stages (meta-blocking) run
   /// their graph phase at merge over the full cross-shard stream.
   ///
+  /// Returns the run's steps like Pipeline::Run: the generator's
+  /// seconds span the whole sharded phase, merge included.
+  ///
   /// Contrast with Execute(PipelinedBlocker(...)), which instantiates
   /// the whole pipeline independently inside every shard (per-shard
   /// graphs over per-shard blocks). `technique` here should be a plain
   /// generator: a technique that flushes a shared sink per shard would
   /// fire the global barrier early.
-  void ExecutePipeline(const core::BlockingTechnique& technique,
-                       const pipeline::Pipeline& stages,
-                       const data::Dataset& dataset,
-                       core::BlockSink& sink) const;
+  std::vector<pipeline::StepCounts> ExecutePipeline(
+      const core::BlockingTechnique& technique,
+      const pipeline::Pipeline& stages, const data::Dataset& dataset,
+      core::BlockSink& sink) const;
 
   const ExecutionSpec& spec() const { return spec_; }
 

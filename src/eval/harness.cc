@@ -11,35 +11,6 @@ namespace sablock::eval {
 
 namespace {
 
-/// Accumulates the wall time spent in everything downstream of itself
-/// (Consume and Flush both count). Interposed after every pipeline step,
-/// the difference between consecutive timers is that step's exclusive
-/// cost.
-class TimedSink : public core::BlockSink {
- public:
-  explicit TimedSink(core::BlockSink& next) : next_(&next) {}
-
-  void Consume(core::Block block) override {
-    WallTimer timer;
-    next_->Consume(std::move(block));
-    seconds_ += timer.Seconds();
-  }
-
-  bool Done() const override { return next_->Done(); }
-
-  void Flush() override {
-    WallTimer timer;
-    next_->Flush();
-    seconds_ += timer.Seconds();
-  }
-
-  double seconds() const { return seconds_; }
-
- private:
-  core::BlockSink* next_;
-  double seconds_ = 0.0;
-};
-
 PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
                                const pipeline::Pipeline& stages,
                                const data::Dataset& dataset,
@@ -50,52 +21,16 @@ PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
   if (!stages.empty()) result.name += " | " + stages.name();
 
   // Cold-path timing, like RunTechnique: the run pays the full feature
-  // build so pipelines are comparable with plain techniques.
+  // build so pipelines are comparable with plain techniques. The chain's
+  // own observers count and time every step.
   data::Dataset cold = dataset.ColdCopy();
-
-  // Instrumented chain, wired back-to-front:
-  //   blocker -> [count0 timed0] -> stage1 -> [count1 timed1] -> ... ->
-  //   stageN -> [countN timedN] -> final
-  // count_k observes the stream emitted by step k; timed_k measures
-  // everything downstream of step k, so step k's exclusive time is
-  // timed_{k-1} - timed_k (and the generator's is total - timed_0).
-  const size_t num_stages = stages.size();
-  std::vector<std::unique_ptr<pipeline::PipelineStage>> chain(num_stages);
-  std::vector<std::unique_ptr<TimedSink>> timers(num_stages + 1);
-  std::vector<std::unique_ptr<core::PairCountingSink>> counters(
-      num_stages + 1);
-  core::BlockSink* next = &result.blocks;
-  for (size_t k = num_stages + 1; k-- > 0;) {
-    timers[k] = std::make_unique<TimedSink>(*next);
-    counters[k] = std::make_unique<core::PairCountingSink>(*timers[k]);
-    if (k == 0) break;
-    chain[k - 1] = stages.stages()[k - 1]->Clone();
-    chain[k - 1]->Attach(cold, *counters[k]);
-    next = chain[k - 1].get();
-  }
-  core::BlockSink& head = *counters[0];
-
   WallTimer timer;
-  if (spec != nullptr) {
-    engine::ShardedExecutor(*spec).Execute(blocker, cold, head);
-  } else {
-    blocker.Run(cold, head);
-  }
-  head.Flush();
+  result.stages =
+      spec == nullptr
+          ? stages.Run(blocker, cold, result.blocks)
+          : engine::ShardedExecutor(*spec).ExecutePipeline(
+                blocker, stages, cold, result.blocks);
   result.seconds = timer.Seconds();
-
-  result.stages.reserve(num_stages + 1);
-  double downstream = result.seconds;
-  for (size_t k = 0; k <= num_stages; ++k) {
-    StageCounts counts;
-    counts.name = k == 0 ? blocker.name() : chain[k - 1]->name();
-    counts.blocks = counters[k]->num_blocks();
-    counts.comparisons = counters[k]->comparisons();
-    counts.max_block_size = counters[k]->max_block_size();
-    counts.seconds = std::max(0.0, downstream - timers[k]->seconds());
-    downstream = timers[k]->seconds();
-    result.stages.push_back(std::move(counts));
-  }
 
   if (evaluate) result.metrics = Evaluate(dataset, result.blocks);
   return result;

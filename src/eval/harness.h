@@ -36,35 +36,24 @@ TechniqueResult RunTechniqueSharded(const core::BlockingTechnique& technique,
                                     const data::Dataset& dataset,
                                     const engine::ExecutionSpec& spec);
 
-/// Observed block stream at one point of a pipeline — what one step
-/// (the generator, or one stage) emitted, plus the wall time spent
-/// inside that step alone.
-struct StageCounts {
-  std::string name;             ///< generator/stage name
-  uint64_t blocks = 0;          ///< blocks emitted by this step
-  uint64_t comparisons = 0;     ///< Σ|b|(|b|-1)/2 emitted
-  uint64_t max_block_size = 0;  ///< largest emitted block
-  double seconds = 0.0;         ///< exclusive time spent in this step
-};
-
 /// The outcome of one pipeline run: per-step counts (element [0] is the
-/// generator, then one entry per stage in chain order), the final block
-/// collection, its quality metrics and the end-to-end build time.
+/// generator, then one entry per stage in chain order; see
+/// pipeline::Chain), the final block collection, its quality metrics and
+/// the end-to-end build time.
 struct PipelineResult {
   std::string name;
-  std::vector<StageCounts> stages;
+  std::vector<pipeline::StepCounts> stages;
   core::BlockCollection blocks;
   Metrics metrics;
   double seconds = 0.0;
 };
 
-/// Runs a block generator through a pipeline's stage chain with a
-/// PairCountingSink interposed after every step, so the result reports
-/// how each stage reshaped the block/pair stream and where the time
-/// went. Cold-path timing, like RunTechnique. `evaluate=false` skips the
-/// quality-metrics pass (a distinct-pair scan over the final blocks,
-/// wasted work on all but the last of a timing loop's repetitions) and
-/// leaves `metrics` default.
+/// Runs a block generator through a pipeline's stage chain, reporting
+/// how each step reshaped the block/pair stream and where the time went
+/// (the chain's own per-step observers). Cold-path timing, like
+/// RunTechnique. `evaluate=false` skips the quality-metrics pass (a
+/// distinct-pair scan over the final blocks, wasted work on all but the
+/// last of a timing loop's repetitions) and leaves `metrics` default.
 PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
                            const pipeline::Pipeline& stages,
                            const data::Dataset& dataset,

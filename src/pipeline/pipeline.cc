@@ -1,5 +1,6 @@
 #include "pipeline/pipeline.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "api/registry.h"
@@ -10,58 +11,76 @@ namespace sablock::pipeline {
 
 namespace {
 
-/// The interposed per-stage counting layer: sits downstream of one
-/// cloned stage and feeds the process-wide stage families. Counters are
-/// resolved once per chain instantiation (one registry lock per run, not
-/// per block); the per-block cost is three relaxed atomic adds. Labeled
-/// by the stage's registry spec name so all instances of a stage kind
-/// aggregate into one low-cardinality series.
-class StageObserver : public core::BlockSink {
- public:
-  StageObserver(core::BlockSink& next, const std::string& stage_name)
-      : next_(&next) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    blocks_ = registry.GetCounter(
-        "blocks_emitted", "blocks emitted per pipeline stage", "stage",
-        stage_name);
-    comparisons_ = registry.GetCounter(
-        "comparisons_emitted",
-        "pairwise comparisons (sum |b|(|b|-1)/2) emitted per pipeline stage",
-        "stage", stage_name);
-    block_size_ = registry.GetHistogram(
-        "block_size", "emitted block-size distribution per pipeline stage",
-        SizeBuckets(), "stage", stage_name);
+/// Block-size edges: powers of 4 from 2 to 2^17 — resolution where
+/// purge/meta decisions happen, one overflow bucket for the monsters.
+std::vector<double> SizeBuckets() {
+  std::vector<double> bounds;
+  for (double edge = 2.0; edge <= 131072.0; edge *= 4.0) {
+    bounds.push_back(edge);
   }
-
-  void Consume(core::Block block) override {
-    const uint64_t n = block.size();
-    blocks_->Add(1);
-    comparisons_->Add(n * (n - 1) / 2);
-    block_size_->Observe(static_cast<double>(n));
-    next_->Consume(std::move(block));
-  }
-
-  bool Done() const override { return next_->Done(); }
-  void Flush() override { next_->Flush(); }
-
- private:
-  /// Block-size edges: powers of 4 from 2 to 2^17 — resolution where
-  /// purge/meta decisions happen, one overflow bucket for the monsters.
-  static std::vector<double> SizeBuckets() {
-    std::vector<double> bounds;
-    for (double edge = 2.0; edge <= 131072.0; edge *= 4.0) {
-      bounds.push_back(edge);
-    }
-    return bounds;
-  }
-
-  core::BlockSink* next_;
-  obs::Counter* blocks_;
-  obs::Counter* comparisons_;
-  obs::Histogram* block_size_;
-};
+  return bounds;
+}
 
 }  // namespace
+
+// Counters are resolved once per chain instantiation (one registry lock
+// per step and run, not per block); the per-block cost is three relaxed
+// atomic adds plus the plain fields. Labeled by the stage's registry spec
+// name so all instances of a stage kind aggregate into one
+// low-cardinality series.
+Chain::Observer::Observer(core::BlockSink& next,
+                          const std::string& stage_label, bool boundary)
+    : next_(&next), boundary_(boundary) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  blocks_ = registry.GetCounter("blocks_emitted",
+                                "blocks emitted per pipeline stage", "stage",
+                                stage_label);
+  comparisons_ = registry.GetCounter(
+      "comparisons_emitted",
+      "pairwise comparisons (sum |b|(|b|-1)/2) emitted per pipeline stage",
+      "stage", stage_label);
+  block_size_ = registry.GetHistogram(
+      "block_size", "emitted block-size distribution per pipeline stage",
+      SizeBuckets(), "stage", stage_label);
+}
+
+void Chain::Observer::Consume(core::Block block) {
+  const uint64_t n = block.size();
+  ++counts_.blocks;
+  counts_.comparisons += n * (n - 1) / 2;
+  counts_.max_block_size = std::max(counts_.max_block_size, n);
+  blocks_->Add(1);
+  comparisons_->Add(n * (n - 1) / 2);
+  block_size_->Observe(static_cast<double>(n));
+  next_->Consume(std::move(block));
+}
+
+void Chain::Observer::Flush() {
+  if (boundary_) return;
+  WallTimer timer;
+  next_->Flush();
+  flush_seconds_ = timer.Seconds();
+}
+
+std::vector<StepCounts> Chain::Flush() {
+  head().Flush();
+  const double total = timer_.Seconds();
+  span_.reset();
+  // Observer k's flush encloses every later one, so each step's share is
+  // the difference of consecutive flush times and the shares telescope
+  // to the total.
+  std::vector<StepCounts> steps;
+  steps.reserve(observers_.size());
+  double upstream = total;
+  for (size_t k = 0; k < observers_.size(); ++k) {
+    StepCounts step = observers_[k]->counts();
+    step.name = k == 0 ? "generator" : stages_[k - 1]->name();
+    step.seconds = upstream - observers_[k]->flush_seconds();
+    upstream = observers_[k]->flush_seconds();
+    steps.push_back(std::move(step));
+  }
+  return steps;
+}
 
 std::string Pipeline::name() const {
   std::string out;
@@ -78,30 +97,34 @@ Chain Pipeline::Instantiate(const data::Dataset& dataset,
   Chain chain;
   chain.trace_ = trace == 0 ? obs::NextTraceId() : trace;
   chain.span_ = std::make_unique<obs::ObsSpan>("pipeline.run", chain.trace_);
-  chain.boundary_ = std::make_unique<Chain::Boundary>(sink);
-  chain.stages_.reserve(stages_.size());
-  for (const auto& stage : stages_) chain.stages_.push_back(stage->Clone());
-  // Wire back-to-front: the last stage forwards into the flush-absorbing
-  // boundary in front of the caller's sink, every earlier stage into its
-  // successor — with a counting observer interposed downstream of every
-  // stage so each stage's output stream is measured.
-  core::BlockSink* next = chain.boundary_.get();
-  for (auto it = chain.stages_.rbegin(); it != chain.stages_.rend(); ++it) {
-    auto observer = std::make_unique<StageObserver>(*next, (*it)->spec_name());
-    (*it)->Attach(dataset, *observer);
-    chain.observers_.push_back(std::move(observer));
-    next = it->get();
+  const size_t n = stages_.size();
+  chain.stages_.resize(n);
+  chain.observers_.resize(n + 1);
+  // Wire back-to-front: the last observer is the boundary in front of
+  // the caller's sink, and every stage forwards into its own observer,
+  // which forwards into the next stage.
+  core::BlockSink* next = &sink;
+  for (size_t k = n + 1; k-- > 0;) {
+    chain.observers_[k] = std::make_unique<Chain::Observer>(
+        *next, k == 0 ? "generator" : stages_[k - 1]->spec_name(),
+        /*boundary=*/k == n);
+    if (k == 0) break;
+    chain.stages_[k - 1] = stages_[k - 1]->Clone();
+    chain.stages_[k - 1]->Attach(dataset, *chain.observers_[k]);
+    next = chain.stages_[k - 1].get();
   }
-  chain.head_ = next;
   return chain;
 }
 
-void Pipeline::Run(const core::BlockingTechnique& technique,
-                   const data::Dataset& dataset, core::BlockSink& sink,
-                   obs::TraceId trace) const {
+std::vector<StepCounts> Pipeline::Run(const core::BlockingTechnique& technique,
+                                      const data::Dataset& dataset,
+                                      core::BlockSink& sink,
+                                      obs::TraceId trace) const {
   Chain chain = Instantiate(dataset, sink, trace);
   technique.Run(dataset, chain.head());
-  chain.Flush();
+  std::vector<StepCounts> steps = chain.Flush();
+  steps[0].name = technique.name();
+  return steps;
 }
 
 std::string PipelinedBlocker::name() const {

@@ -8,17 +8,22 @@
 #include "api/pipeline_spec.h"
 #include "common/status.h"
 #include "common/statusor.h"
+#include "common/timer.h"
 #include "core/blocking.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "pipeline/stage.h"
 
 namespace sablock::pipeline {
 
-/// A wired, single-use instance of a pipeline's stage chain: the stages
-/// are attached back-to-front onto a final sink, head() is where the
-/// producer emits, and Flush() ends the stream (cascading through every
-/// stage, which is when barrier stages run). Created by
-/// Pipeline::Instantiate; movable so it can be returned by value.
+/// A wired, single-use instance of a pipeline's stage chain, and the one
+/// instrument of a pipeline run: the stages are attached back-to-front
+/// onto a final sink with an Observer after the producer and after every
+/// stage, head() is where the producer emits, and Flush() ends the stream
+/// (cascading through every stage, which is when barrier stages run) and
+/// returns what every step emitted and the wall time it accounts for.
+/// Created by Pipeline::Instantiate; movable so it can be returned by
+/// value.
 ///
 /// The flush stops at the chain boundary: blocks and Done() flow through
 /// to the caller's sink, but the caller's sink's own Flush() is never
@@ -26,24 +31,28 @@ namespace sablock::pipeline {
 /// PipelinedBlocker running one chain per record shard cannot fire an
 /// outer shared barrier stage once per shard.
 ///
-/// Every stage is instrumented through an interposed counting sink: what
-/// a stage emits feeds the process-wide `blocks_emitted{stage=...}` /
-/// `comparisons_emitted{stage=...}` counters and the per-stage
-/// block-size histogram, labeled by the stage's registry spec name. The
-/// chain's trace id (minted by the runner, or threaded in from a serving
-/// request) tags the chain-lifetime `pipeline.run` span.
+/// Each observer counts what its step emits into plain fields (a chain
+/// has one producer at a time, the sink contract) and into the
+/// process-wide `blocks_emitted{stage=...}` /
+/// `comparisons_emitted{stage=...}` counters and per-stage block-size
+/// histogram, labeled by the stage's registry spec name ("generator" for
+/// the producer). It times only the Flush it forwards, so a run costs
+/// O(steps) clock reads: the generator's seconds are the phase before
+/// Flush (including the per-block work of the streaming stages it
+/// drives), a stage's are its own flush minus the next stage's, and the
+/// steps sum to the run. The chain's trace id (minted by the runner, or
+/// threaded in from a serving request) tags the chain-lifetime
+/// `pipeline.run` span.
 class Chain {
  public:
-  /// The sink the block producer writes into (the first stage, or the
-  /// boundary pass-through for an empty pipeline).
-  core::BlockSink& head() { return *head_; }
+  /// The sink the block producer writes into (the generator's observer).
+  core::BlockSink& head() { return *observers_.front(); }
 
   /// Ends the stream: call exactly once, after the producer returns.
-  /// Closes the chain's trace span.
-  void Flush() {
-    head_->Flush();
-    span_.reset();
-  }
+  /// Closes the chain's trace span and returns the run's steps: [0] is
+  /// the producer (named "generator"; Pipeline::Run and the engine name
+  /// it after the technique), then one per stage in chain order.
+  std::vector<StepCounts> Flush();
 
   /// The trace id every span and stage observation of this chain run
   /// carries (0 when instantiated untraced).
@@ -52,28 +61,37 @@ class Chain {
  private:
   friend class Pipeline;
 
-  /// Forwards blocks and backpressure to the chain's final sink but
-  /// absorbs the flush (see class comment).
-  class Boundary : public core::BlockSink {
+  /// Counts and forwards one step's output (see class comment). The last
+  /// observer is the chain boundary: it absorbs the flush.
+  class Observer : public core::BlockSink {
    public:
-    explicit Boundary(core::BlockSink& inner) : inner_(&inner) {}
-    void Consume(core::Block block) override {
-      inner_->Consume(std::move(block));
-    }
-    bool Done() const override { return inner_->Done(); }
-    void Flush() override {}
+    Observer(core::BlockSink& next, const std::string& stage_label,
+             bool boundary);
+    void Consume(core::Block block) override;
+    bool Done() const override { return next_->Done(); }
+    void Flush() override;
+
+    /// What the step emitted so far (name and seconds unset).
+    const StepCounts& counts() const { return counts_; }
+    /// Wall time the forwarded Flush spent downstream (0 at the boundary).
+    double flush_seconds() const { return flush_seconds_; }
+
    private:
-    core::BlockSink* inner_;
+    core::BlockSink* next_;
+    bool boundary_;
+    StepCounts counts_;
+    double flush_seconds_ = 0.0;
+    obs::Counter* blocks_;
+    obs::Counter* comparisons_;
+    obs::Histogram* block_size_;
   };
 
   std::vector<std::unique_ptr<PipelineStage>> stages_;
-  /// One counting interposer downstream of each stage (wiring order, so
-  /// observers_[i] measures what stages_[i] emits).
-  std::vector<std::unique_ptr<core::BlockSink>> observers_;
-  std::unique_ptr<Boundary> boundary_;
-  core::BlockSink* head_ = nullptr;
+  /// observers_[0] follows the producer, observers_[k] stage k.
+  std::vector<std::unique_ptr<Observer>> observers_;
   obs::TraceId trace_ = 0;
   std::unique_ptr<obs::ObsSpan> span_;  // chain lifetime (until Flush)
+  WallTimer timer_;  // from wiring to the end of Flush: the whole run
 };
 
 /// An ordered sequence of prototype stages. The pipeline itself holds no
@@ -106,10 +124,13 @@ class Pipeline {
   Chain Instantiate(const data::Dataset& dataset, core::BlockSink& sink,
                     obs::TraceId trace = 0) const;
 
-  /// Runs `technique` through a fresh chain into `sink` and flushes.
-  void Run(const core::BlockingTechnique& technique,
-           const data::Dataset& dataset, core::BlockSink& sink,
-           obs::TraceId trace = 0) const;
+  /// Runs `technique` through a fresh chain into `sink`, flushes, and
+  /// returns the steps (Chain::Flush) with the generator named after
+  /// `technique`.
+  std::vector<StepCounts> Run(const core::BlockingTechnique& technique,
+                              const data::Dataset& dataset,
+                              core::BlockSink& sink,
+                              obs::TraceId trace = 0) const;
 
  private:
   std::vector<std::unique_ptr<PipelineStage>> stages_;

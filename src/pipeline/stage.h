@@ -1,6 +1,7 @@
 #ifndef SABLOCK_PIPELINE_STAGE_H_
 #define SABLOCK_PIPELINE_STAGE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -8,6 +9,19 @@
 #include "data/record.h"
 
 namespace sablock::pipeline {
+
+/// One step of a pipeline run — the generator, or one stage: what it
+/// emitted and the wall time it accounts for (see Chain for how a run's
+/// time splits into steps). Chain::Flush returns one per step; the eval
+/// harness, the CLI's per-step table and the suite JSON's `stages` carry
+/// the same values.
+struct StepCounts {
+  std::string name;             ///< generator/stage name
+  uint64_t blocks = 0;          ///< blocks emitted by this step
+  uint64_t comparisons = 0;     ///< Σ|b|(|b|-1)/2 emitted
+  uint64_t max_block_size = 0;  ///< largest emitted block
+  double seconds = 0.0;         ///< wall time attributed to this step
+};
 
 /// One stage of a block pipeline: a BlockSink that transforms the block
 /// stream and forwards it to the next sink in the chain. Any block

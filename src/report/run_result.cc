@@ -54,7 +54,7 @@ Json ToJson(const RepeatStats& stats) {
   return j;
 }
 
-Json ToJson(const StageTiming& stage) {
+Json ToJson(const pipeline::StepCounts& stage) {
   Json j = Json::Object();
   j.Set("name", stage.name);
   j.Set("blocks", stage.blocks);
@@ -193,7 +193,7 @@ Status IoStatsFromJson(const Json& json, IoStats* out) {
   return Status::Ok();
 }
 
-Status StageTimingFromJson(const Json& json, StageTiming* out) {
+Status StepCountsFromJson(const Json& json, pipeline::StepCounts* out) {
   if (json.type() != Json::Type::kObject) return Missing("stages[]");
   SABLOCK_RETURN_IF_ERROR(ReadString(json, "name", true, &out->name));
   SABLOCK_RETURN_IF_ERROR(ReadUint(json, "blocks", true, &out->blocks));
@@ -267,7 +267,7 @@ Json ToJson(const RunResult& run) {
   if (run.time.repeats > 0) j.Set("time", ToJson(run.time));
   if (!run.stages.empty()) {
     Json stages = Json::Array();
-    for (const StageTiming& stage : run.stages) {
+    for (const pipeline::StepCounts& stage : run.stages) {
       stages.Append(ToJson(stage));
     }
     j.Set("stages", std::move(stages));
@@ -333,9 +333,9 @@ Status RunResultFromJson(const Json& json, RunResult* out) {
   if (const Json* stages = json.Find("stages")) {
     if (stages->type() != Json::Type::kArray) return Missing("stages");
     for (const Json& stage : stages->items()) {
-      StageTiming timing;
-      SABLOCK_RETURN_IF_ERROR(StageTimingFromJson(stage, &timing));
-      out->stages.push_back(std::move(timing));
+      pipeline::StepCounts step;
+      SABLOCK_RETURN_IF_ERROR(StepCountsFromJson(stage, &step));
+      out->stages.push_back(std::move(step));
     }
   }
   if (const Json* metrics = json.Find("metrics")) {

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
+#include "pipeline/stage.h"
 #include "report/json.h"
 
 namespace sablock::report {
@@ -67,16 +68,6 @@ struct IoStats {
   double first_query_s = 0.0;
 };
 
-/// One step of a pipeline run: what the generator or one stage emitted
-/// and the exclusive wall time it spent (eval::StageCounts, serialized).
-struct StageTiming {
-  std::string name;
-  uint64_t blocks = 0;
-  uint64_t comparisons = 0;
-  uint64_t max_block_size = 0;
-  double seconds = 0.0;
-};
-
 /// One measured run within a scenario — typically one (technique or
 /// pipeline, parameter setting, dataset) combination; roughly one row of
 /// the scenario's printed table.
@@ -93,7 +84,7 @@ struct RunResult {
   uint64_t dataset_records = 0;
   std::vector<std::pair<std::string, std::string>> params;
   RepeatStats time;
-  std::vector<StageTiming> stages;
+  std::vector<pipeline::StepCounts> stages;  ///< a pipeline run's steps
   bool has_metrics = false;
   eval::Metrics metrics;
   bool has_latency = false;

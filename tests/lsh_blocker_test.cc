@@ -244,12 +244,11 @@ TEST(LshFamilyTest, EveryTableEmitsInCanonicalContentOrder) {
   }
 }
 
-TEST(ComputeMinhashSignaturesTest, OnePerRecord) {
+TEST(MinhashSignaturesTest, OnePerRecord) {
   Dataset d = TinyBibDataset();
-  auto sigs = ComputeMinhashSignatures(d, SmallParams());
-  ASSERT_EQ(sigs.size(), d.size());
-  for (const auto& s : sigs) {
-    EXPECT_EQ(s.size(), 16u);  // k*l
+  auto sigs = MinhashSignatures(d, SmallParams());
+  for (data::RecordId id = 0; id < d.size(); ++id) {
+    EXPECT_EQ(sigs.Signature(id).size(), 16u);  // k*l
   }
 }
 

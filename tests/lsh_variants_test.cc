@@ -6,7 +6,6 @@
 #include "run_streaming.h"
 
 #include "core/lsh_variants.h"
-#include "core/minhash.h"
 #include "data/cora_generator.h"
 #include "eval/metrics.h"
 
@@ -35,35 +34,6 @@ LshParams SmallParams() {
   p.attributes = {"text"};
   p.seed = 5;
   return p;
-}
-
-TEST(Top2SignaturesTest, SecondMinIsDistinctAndLarger) {
-  Dataset d = SmallTextDataset();
-  std::vector<std::vector<uint64_t>> min1;
-  std::vector<std::vector<uint64_t>> min2;
-  ComputeTop2MinhashSignatures(d, SmallParams(), &min1, &min2);
-  ASSERT_EQ(min1.size(), d.size());
-  for (data::RecordId id = 0; id < d.size(); ++id) {
-    for (size_t i = 0; i < min1[id].size(); ++i) {
-      EXPECT_LT(min1[id][i], MinHasher::kEmptySlot);
-      if (min2[id][i] != MinHasher::kEmptySlot) {
-        EXPECT_LT(min1[id][i], min2[id][i]);
-      }
-    }
-  }
-}
-
-TEST(Top2SignaturesTest, Min1MatchesPlainSignature) {
-  Dataset d = SmallTextDataset();
-  LshParams p = SmallParams();
-  std::vector<std::vector<uint64_t>> min1;
-  std::vector<std::vector<uint64_t>> min2;
-  ComputeTop2MinhashSignatures(d, p, &min1, &min2);
-  std::vector<std::vector<uint64_t>> plain =
-      ComputeMinhashSignatures(d, p);
-  for (data::RecordId id = 0; id < d.size(); ++id) {
-    EXPECT_EQ(min1[id], plain[id]) << id;
-  }
 }
 
 TEST(MultiProbeLshTest, ZeroProbesEqualsPlainLsh) {

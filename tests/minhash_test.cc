@@ -1,4 +1,5 @@
-// Tests for the minhash family and shingler (Section 5.1 steps 1-2).
+// Tests for the minhash family and the shingle column (Section 5.1 steps
+// 1-2).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,8 @@
 #include <vector>
 
 #include "core/minhash.h"
+#include "data/record.h"
+#include "features/feature_store.h"
 #include "text/qgram.h"
 
 namespace sablock::core {
@@ -85,40 +88,33 @@ TEST(MinHasherTest, DifferentSeedsGiveDifferentFamilies) {
   EXPECT_NE(h1.Signature(shingles), h2.Signature(shingles));
 }
 
-TEST(ShinglerTest, UsesSelectedAttributesOnly) {
+// Section 5.1 step 1 (records to shingle sets) as production reads it:
+// the dataset's FeatureStore shingle column.
+std::vector<uint64_t> ShinglesOf(const data::Dataset& d,
+                                 const std::vector<std::string>& attributes,
+                                 data::RecordId id) {
+  return d.features().ShinglesFor(attributes, 3).Shingles(id);
+}
+
+TEST(ShingleColumnTest, UsesSelectedAttributesOnly) {
   data::Dataset d{data::Schema({"a", "b"})};
   d.Add({{"hello", "ignored"}});
   d.Add({{"hello", "different"}});
-  Shingler s({"a"}, 3);
-  EXPECT_EQ(s.Shingles(d, 0), s.Shingles(d, 1));
-  Shingler s2({"a", "b"}, 3);
-  EXPECT_NE(s2.Shingles(d, 0), s2.Shingles(d, 1));
+  EXPECT_EQ(ShinglesOf(d, {"a"}, 0), ShinglesOf(d, {"a"}, 1));
+  EXPECT_NE(ShinglesOf(d, {"a", "b"}, 0), ShinglesOf(d, {"a", "b"}, 1));
 }
 
-TEST(ShinglerTest, NormalizesBeforeShingling) {
+TEST(ShingleColumnTest, NormalizesBeforeShingling) {
   data::Dataset d{data::Schema({"a"})};
   d.Add({{"Cascade-Correlation"}});
   d.Add({{"cascade correlation"}});
-  Shingler s({"a"}, 3);
-  EXPECT_EQ(s.Shingles(d, 0), s.Shingles(d, 1));
+  EXPECT_EQ(ShinglesOf(d, {"a"}, 0), ShinglesOf(d, {"a"}, 1));
 }
 
-TEST(ShinglerTest, EmptyRecordHasNoShingles) {
+TEST(ShingleColumnTest, EmptyRecordHasNoShingles) {
   data::Dataset d{data::Schema({"a"})};
   d.Add({{""}});
-  Shingler s({"a"}, 3);
-  EXPECT_TRUE(s.Shingles(d, 0).empty());
-}
-
-TEST(ShinglerTest, ShingleAllMatchesIndividual) {
-  data::Dataset d{data::Schema({"a"})};
-  d.Add({{"one record"}});
-  d.Add({{"two records"}});
-  Shingler s({"a"}, 2);
-  auto all = s.ShingleAll(d);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0], s.Shingles(d, 0));
-  EXPECT_EQ(all[1], s.Shingles(d, 1));
+  EXPECT_TRUE(ShinglesOf(d, {"a"}, 0).empty());
 }
 
 TEST(MinHasherTest, AgreementTracksJaccardAcrossSimilarities) {

@@ -20,9 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,6 +39,7 @@
 #include "data/voter_generator.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
+#include "flags.h"
 #include "index/index_registry.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stage_registry.h"
@@ -49,40 +48,7 @@
 
 namespace {
 
-using sablock::core::BlockingTechnique;
-
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values.find(name);
-    return it == values.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& name, int fallback) const {
-    auto it = values.find(name);
-    return it == values.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  bool Has(const std::string& name) const { return values.count(name) > 0; }
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) continue;
-    const char* eq = std::strchr(arg, '=');
-    if (eq != nullptr) {
-      flags.values[std::string(arg + 2, eq)] = eq + 1;
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      // "--flag value" form (spec strings often carry '=' themselves).
-      flags.values[arg + 2] = argv[++i];
-    } else {
-      flags.values[arg + 2] = "true";
-    }
-  }
-  return flags;
-}
+using sablock::tools::Flags;
 
 void PrintUsage() {
   std::printf(
@@ -123,9 +89,13 @@ void PrintUsage() {
       "\n"
       "--pipeline composes any blocker with post-processing stages, e.g.\n"
       "  \"token-blocking | purge:max_size=500 | meta:weight=cbs,prune=wep\"\n"
-      "and reports per-stage block/pair counts and timings. Under\n"
-      "--threads/--shards the generator runs sharded while the stages run\n"
-      "once, globally (barrier stages fire at merge).\n"
+      "(a --technique is a pipeline with no stages). Every run prints a\n"
+      "per-step table: the blocks, comparisons and largest block each step\n"
+      "emitted, and its seconds, which sum to the build time. The\n"
+      "generator's seconds include the streaming stages' per-block work; a\n"
+      "barrier stage's are its flush. Under --threads/--shards the\n"
+      "generator runs sharded while the stages run once, globally\n"
+      "(barrier stages fire at merge).\n"
       "\n"
       "--budget takes the unified core::Budget grammar (pairs=N,\n"
       "seconds=S; \"inf\" = unlimited) and bounds what reaches the\n"
@@ -236,7 +206,7 @@ bool LoadDatasetFromFlags(const Flags& flags, sablock::data::Dataset* out) {
   }
   if (flags.Get("generate") == "cora") {
     sablock::data::CoraGeneratorConfig config;
-    config.num_records = static_cast<size_t>(flags.GetInt("records", 1879));
+    config.num_records = static_cast<size_t>(flags.GetInt("records", 1879, 1));
     config.num_entities = std::max<size_t>(config.num_records / 10, 1);
     *out = GenerateCoraLike(config);
     return true;
@@ -244,7 +214,7 @@ bool LoadDatasetFromFlags(const Flags& flags, sablock::data::Dataset* out) {
   if (flags.Get("generate") == "voter") {
     sablock::data::VoterGeneratorConfig config;
     config.num_records =
-        static_cast<size_t>(flags.GetInt("records", 30000));
+        static_cast<size_t>(flags.GetInt("records", 30000, 1));
     *out = GenerateVoterLike(config);
     return true;
   }
@@ -277,7 +247,7 @@ int SaveSnapshotFromFlags(const Flags& flags,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = ParseFlags(argc, argv);
+  const Flags flags = sablock::tools::ParseFlags(argc, argv);
   if (flags.Has("help") || argc == 1) {
     PrintUsage();
     return 0;
@@ -351,14 +321,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::unique_ptr<BlockingTechnique> technique;
+  // Every run is a pipeline: a bare --technique is a zero-stage one.
   std::unique_ptr<sablock::pipeline::PipelinedBlocker> pipelined;
-  if (use_pipeline) {
-    status = sablock::pipeline::Build(std::move(pipeline_spec), &pipelined);
-  } else {
-    status = sablock::api::BlockerRegistry::Global().Create(
-        std::move(blocker_spec), &technique);
-  }
+  status = sablock::pipeline::Build(std::move(pipeline_spec), &pipelined);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.message().c_str());
     std::fprintf(stderr,
@@ -417,113 +382,66 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int repeat = std::max(flags.GetInt("repeat", 1), 1);
+  const int repeat = flags.GetInt("repeat", 1, 1);
   // Any engine flag routes through the executor (its one-shard fast path
   // is identical to a plain run), so no flag is ever silently ignored.
   const bool use_engine =
       flags.Has("threads") || flags.Has("shards") || flags.Has("merge");
-  sablock::engine::ShardedExecutor executor(exec);
+  const sablock::engine::ShardedExecutor executor(exec);
 
   // --- run (the last repeat's collection serves metrics and outputs) ----
   sablock::core::BlockCollection blocks;
-  std::vector<sablock::eval::StageCounts> stage_counts;
-  sablock::eval::Metrics metrics;
+  std::vector<sablock::pipeline::StepCounts> steps;
   double min_seconds = 0.0;
   double total_seconds = 0.0;
-  // The last repetition's cold copy outlives the loop: its feature cache
-  // is exactly what the technique warmed, so --save-snapshot captures
-  // the columns a future load of the same spec will need.
+  // Each repetition runs on a fresh cold copy, so every one pays the full
+  // feature build. The last copy outlives the loop: its feature cache is
+  // exactly what the run warmed, so --save-snapshot captures the columns
+  // a future load of the same spec will need.
   sablock::data::Dataset cold;
   // The last repetition's meter survives the loop for the budget report.
   std::shared_ptr<sablock::core::BudgetMeter> meter;
   for (int run = 0; run < repeat; ++run) {
-    double seconds = 0.0;
-    if (use_budget) meter = std::make_shared<sablock::core::BudgetMeter>(budget);
-    if (use_budget && pipelined != nullptr) {
-      // Budgeted pipeline: the stage chain runs in full (barrier stages
-      // need the whole stream); the budget gates what reaches the
-      // collection. Bypasses the eval harness, so no per-stage table.
-      cold = dataset.ColdCopy();
-      sablock::WallTimer timer;
-      blocks = sablock::core::BlockCollection();
-      sablock::core::BudgetedSink budgeted(blocks, meter);
-      if (use_engine) {
-        executor.ExecutePipeline(pipelined->blocker(), pipelined->stages(),
-                                 cold, budgeted);
-      } else {
-        pipelined->Run(cold, budgeted);
-      }
-      seconds = timer.Seconds();
-      stage_counts.clear();
-    } else if (pipelined != nullptr) {
-      // RunPipeline detaches the feature cache itself (cold-path timing)
-      // and interposes counting sinks after the generator and every
-      // stage. With engine flags the generator runs sharded and the
-      // stages run once, globally (barrier stages fire at merge). Only
-      // the final repetition pays the quality-metrics pass.
-      const bool evaluate = run + 1 == repeat;
-      sablock::eval::PipelineResult result =
-          use_engine ? sablock::eval::RunPipelineSharded(
-                           pipelined->blocker(), pipelined->stages(),
-                           dataset, exec, evaluate)
-                     : sablock::eval::RunPipeline(pipelined->blocker(),
-                                                  pipelined->stages(),
-                                                  dataset, evaluate);
-      seconds = result.seconds;
-      blocks = std::move(result.blocks);
-      stage_counts = std::move(result.stages);
-      metrics = result.metrics;
-    } else {
-      // Detach the feature cache per run so every repetition pays the
-      // full end-to-end build; without this, runs 2..N would hit the
-      // warm FeatureStore and the reported min/mean would exclude
-      // extraction.
-      cold = dataset.ColdCopy();
-      sablock::WallTimer timer;
-      blocks = sablock::core::BlockCollection();
-      std::optional<sablock::core::BudgetedSink> budgeted;
-      sablock::core::BlockSink* sink = &blocks;
-      if (use_budget) sink = &budgeted.emplace(blocks, meter);
-      if (use_engine) {
-        // Execute honours the spec's merge mode (collect is
-        // deterministic; stream collects in arrival order through a
-        // ConcurrentSink, which also serializes the budget accounting).
-        executor.Execute(*technique, cold, *sink);
-      } else {
-        technique->Run(cold, *sink);
-      }
-      seconds = timer.Seconds();
+    cold = dataset.ColdCopy();
+    blocks = sablock::core::BlockCollection();
+    // The budget gates what reaches the collection at the chain's output
+    // (barrier stages still see the whole stream); its Done() reaches the
+    // generator through the streaming stages.
+    std::optional<sablock::core::BudgetedSink> budgeted;
+    sablock::core::BlockSink* sink = &blocks;
+    if (use_budget) {
+      meter = std::make_shared<sablock::core::BudgetMeter>(budget);
+      sink = &budgeted.emplace(blocks, meter);
     }
+    // With engine flags the generator runs sharded and the stages run
+    // once, globally (barrier stages fire at merge).
+    sablock::WallTimer timer;
+    steps = use_engine
+                ? executor.ExecutePipeline(pipelined->blocker(),
+                                           pipelined->stages(), cold, *sink)
+                : pipelined->stages().Run(pipelined->blocker(), cold, *sink);
+    const double seconds = timer.Seconds();
     min_seconds = run == 0 ? seconds : std::min(min_seconds, seconds);
     total_seconds += seconds;
   }
-  // The pipeline path's metrics come with the RunPipeline result;
-  // re-evaluating the same collection here would repeat the
-  // distinct-pair scan. The budgeted pipeline path bypasses that
-  // harness, so it evaluates here like the technique path.
-  if (pipelined == nullptr || use_budget) {
-    metrics = sablock::eval::Evaluate(dataset, blocks);
-  }
-  if (pipelined != nullptr) {
-    std::printf("pipeline: %s\n", pipelined->name().c_str());
-  } else {
-    std::printf("technique: %s\n", technique->name().c_str());
-  }
+  const sablock::eval::Metrics metrics =
+      sablock::eval::Evaluate(dataset, blocks);
+  std::printf("%s: %s\n",
+              pipelined->stages().empty() ? "technique" : "pipeline",
+              pipelined->name().c_str());
   if (use_engine) {
     std::printf("engine: %s\n", exec.ToString().c_str());
   }
-  if (!stage_counts.empty()) {
-    sablock::eval::TablePrinter table(
-        {"stage", "blocks", "comparisons", "max", "seconds"});
-    for (const sablock::eval::StageCounts& s : stage_counts) {
-      char seconds_buf[32];
-      std::snprintf(seconds_buf, sizeof(seconds_buf), "%.3f", s.seconds);
-      table.AddRow({s.name, std::to_string(s.blocks),
-                    std::to_string(s.comparisons),
-                    std::to_string(s.max_block_size), seconds_buf});
-    }
-    table.Print();
+  sablock::eval::TablePrinter table(
+      {"step", "blocks", "comparisons", "max", "seconds"});
+  for (const sablock::pipeline::StepCounts& step : steps) {
+    char seconds_buf[32];
+    std::snprintf(seconds_buf, sizeof(seconds_buf), "%.3f", step.seconds);
+    table.AddRow({step.name, std::to_string(step.blocks),
+                  std::to_string(step.comparisons),
+                  std::to_string(step.max_block_size), seconds_buf});
   }
+  table.Print();
   std::printf("blocks: %llu (max size %llu), candidate pairs: %llu, "
               "build time: %.3fs\n",
               static_cast<unsigned long long>(metrics.num_blocks),
@@ -534,7 +452,7 @@ int main(int argc, char** argv) {
     std::printf("build time over %d runs: min=%.3fs mean=%.3fs\n", repeat,
                 min_seconds, total_seconds / repeat);
   }
-  if (use_budget && meter != nullptr) {
+  if (meter != nullptr) {
     const std::string reason = meter->ExhaustedReason();
     std::printf("budget: %s — comparisons spent: %llu (%s)\n",
                 budget.ToString().c_str(),
@@ -581,11 +499,8 @@ int main(int argc, char** argv) {
     }
   }
   if (flags.Has("save-snapshot")) {
-    // The technique path snapshots the run-warmed cold copy (same data,
-    // features built); the pipeline path detaches its cache internally,
-    // so the snapshot carries the dataset core only.
-    return SaveSnapshotFromFlags(flags,
-                                 pipelined == nullptr ? cold : dataset);
+    // The run-warmed cold copy: same data, with the features it built.
+    return SaveSnapshotFromFlags(flags, cold);
   }
   return 0;
 }

@@ -23,8 +23,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,6 +33,7 @@
 #include "common/timer.h"
 #include "data/cora_generator.h"
 #include "data/voter_generator.h"
+#include "flags.h"
 #include "index/index_registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -45,38 +44,7 @@
 
 namespace {
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values.find(name);
-    return it == values.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& name, int fallback) const {
-    auto it = values.find(name);
-    return it == values.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  bool Has(const std::string& name) const { return values.count(name) > 0; }
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) continue;
-    const char* eq = std::strchr(arg, '=');
-    if (eq != nullptr) {
-      flags.values[std::string(arg + 2, eq)] = eq + 1;
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      // "--flag value" form (spec strings often carry '=' themselves).
-      flags.values[arg + 2] = argv[++i];
-    } else {
-      flags.values[arg + 2] = "true";
-    }
-  }
-  return flags;
-}
+using sablock::tools::Flags;
 
 void PrintUsage() {
   std::printf(
@@ -147,6 +115,8 @@ std::vector<std::string_view> AsViews(const std::vector<std::string>& v) {
 }
 
 int RunClient(const Flags& flags) {
+  // Checked before connecting: a malformed id never reaches the server.
+  const int remove_id = flags.GetInt("remove", 0);
   const std::string socket_path = flags.Get("socket");
   if (socket_path.empty()) {
     std::fprintf(stderr, "error: --client needs --socket=PATH\n");
@@ -206,9 +176,8 @@ int RunClient(const Flags& flags) {
   if (flags.Has("remove")) {
     did_something = true;
     bool removed = false;
-    s = client.Remove(
-        static_cast<sablock::data::RecordId>(flags.GetInt("remove", 0)),
-        &removed);
+    s = client.Remove(static_cast<sablock::data::RecordId>(remove_id),
+                      &removed);
     if (!s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.message().c_str());
       return 1;
@@ -248,6 +217,7 @@ int RunServer(const Flags& flags) {
     std::fprintf(stderr, "error: --socket=PATH is required\n");
     return 1;
   }
+  const int threads = flags.GetInt("threads", 4, 1);
 
   // Block the shutdown signals before any thread exists so every server
   // thread inherits the mask and the sigwait below is the only receiver.
@@ -289,13 +259,13 @@ int RunServer(const Flags& flags) {
     if (generate == "cora") {
       sablock::data::CoraGeneratorConfig config;
       config.num_records =
-          static_cast<size_t>(flags.GetInt("records", 1879));
+          static_cast<size_t>(flags.GetInt("records", 1879, 1));
       config.num_entities = std::max<size_t>(config.num_records / 10, 1);
       preload = GenerateCoraLike(config);
     } else if (generate == "voter") {
       sablock::data::VoterGeneratorConfig config;
       config.num_records =
-          static_cast<size_t>(flags.GetInt("records", 30000));
+          static_cast<size_t>(flags.GetInt("records", 30000, 1));
       preload = GenerateVoterLike(config);
     } else {
       std::fprintf(stderr, "error: --preload must be cora or voter\n");
@@ -347,7 +317,6 @@ int RunServer(const Flags& flags) {
     }
   }
 
-  const int threads = std::max(flags.GetInt("threads", 4), 1);
   sablock::service::CandidateServer server(service.get(), socket_path,
                                            threads);
   s = server.Start();
@@ -374,7 +343,7 @@ int RunServer(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = ParseFlags(argc, argv);
+  const Flags flags = sablock::tools::ParseFlags(argc, argv);
   if (flags.Has("help") || argc == 1) {
     PrintUsage();
     return 0;
