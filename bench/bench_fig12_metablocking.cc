@@ -94,9 +94,10 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
     for (MetaWeighting weighting :
          {MetaWeighting::kArcs, MetaWeighting::kCbs, MetaWeighting::kEcbs,
           MetaWeighting::kJs, MetaWeighting::kEjs}) {
-      sablock::eval::Metrics m = sablock::eval::Evaluate(
-          d, sablock::pipeline::MetaPrune(d.size(), initial, weighting,
-                                          pruning));
+      sablock::core::BlockCollection kept;
+      sablock::pipeline::MetaPrune(d.size(), initial, weighting, pruning,
+                                   kept);
+      sablock::eval::Metrics m = sablock::eval::Evaluate(d, kept);
       if (m.fm_star > best.fm_star) {
         best = m;
         best_weight = MetaWeightingName(weighting);

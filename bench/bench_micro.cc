@@ -1,7 +1,8 @@
 // Experiment E11 — micro-benchmarks of the substrate hot paths: string
 // comparators, q-gram shingling, minhash signatures, semhash encoding,
-// concept similarity, pair-set inserts, end-to-end block construction
-// per record, and the FeatureStore cached-vs-uncached reuse win.
+// concept similarity, pair-set inserts, pair dedup at DRAM scale,
+// end-to-end block construction per record, and the FeatureStore
+// cached-vs-uncached reuse win.
 //
 // Self-contained timing harness (no Google Benchmark dependency): each
 // case auto-scales its iteration count until a measurement pass is long
@@ -24,6 +25,7 @@
 #include "common/pair_set.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/blocking.h"
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
 #include "core/minhash.h"
@@ -185,6 +187,23 @@ int RunMicro(report::BenchContext& ctx) {
     }
     DoNotOptimize(set.size());
   });
+
+  // --- pair dedup past the caches (one op = DistinctPairs over 2^20
+  // distinct 2-record blocks) -----------------------------------------------
+  // The shape of a pruned meta-blocking output, grouped by smaller
+  // endpoint as MetaPrune emits it. Deduping it fills a 32 MiB PairSet, so
+  // every probe is a likely cache miss — the layer pair_set_insert_10k,
+  // which stays in L2, cannot show.
+  {
+    core::BlockCollection pair_blocks;
+    for (uint32_t i = 0; i < (1u << 20); ++i) {
+      const uint32_t a = i / 8;
+      pair_blocks.Add({a, a + 1 + i % 8});
+    }
+    suite.Case("distinct_pairs_1m", [&] {
+      DoNotOptimize(pair_blocks.DistinctPairs().size());
+    });
+  }
 
   // --- meta-blocking edge accumulation (one op = 10k edge updates) -------
   // Hash-keyed accumulation of (common_blocks, arcs) per pair key, the

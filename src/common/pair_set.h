@@ -25,16 +25,29 @@ class PairSet {
     slots_.assign(cap, kEmpty);
   }
 
-  /// Inserts the unordered pair {a, b}; returns true if it was new.
-  bool Insert(uint32_t a, uint32_t b) {
+  /// The packed key of the unordered pair {a, b}: (min << 32) | max.
+  static uint64_t Key(uint32_t a, uint32_t b) {
     SABLOCK_DCHECK(a != b);
     if (a > b) std::swap(a, b);
-    uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    if (InsertKey(key)) {
-      if (size_ * 10 >= slots_.size() * 7) Grow();
-      return true;
+    return (static_cast<uint64_t>(a) << 32) | b;
+  }
+
+  /// Inserts the unordered pair {a, b}; returns true if it was new.
+  bool Insert(uint32_t a, uint32_t b) { return InsertAndGrow(Key(a, b)); }
+
+  /// Inserts `n` packed keys (see Key) in order, leaving exactly the slots
+  /// that Insert called once per key in the same order leaves. While it
+  /// probes key i it prefetches the home slot of key i + kPrefetchDistance,
+  /// so a batch over a table larger than the caches overlaps its misses
+  /// instead of taking them one at a time.
+  void InsertKeys(const uint64_t* keys, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchDistance < n) {
+        __builtin_prefetch(
+            &slots_[Mix64(keys[i + kPrefetchDistance]) & (slots_.size() - 1)]);
+      }
+      InsertAndGrow(keys[i]);
     }
-    return false;
   }
 
   /// True if the unordered pair {a, b} is present.
@@ -68,6 +81,15 @@ class PairSet {
   // (0xffffffff, 0xffffffff) is unrepresentable as a canonical pair because
   // a < b always holds after canonicalization, so ~0 is a safe empty marker.
   static constexpr uint64_t kEmpty = ~0ULL;
+  // Keys probed ahead of the one being inserted: enough in-flight misses
+  // to cover DRAM latency at a few ns of probe work per key.
+  static constexpr size_t kPrefetchDistance = 16;
+
+  bool InsertAndGrow(uint64_t key) {
+    if (!InsertKey(key)) return false;
+    if (size_ * 10 >= slots_.size() * 7) Grow();
+    return true;
+  }
 
   bool InsertKey(uint64_t key) {
     size_t mask = slots_.size() - 1;

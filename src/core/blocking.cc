@@ -37,13 +37,25 @@ PairSet BlockCollection::DistinctPairs() const {
   // Cap the initial reservation; heavily overlapping collections can report
   // far more comparisons than distinct pairs, and the set grows on demand.
   PairSet pairs(std::min<uint64_t>(TotalComparisons() + 1, 1ULL << 22));
+  // Every block's pairs are packed into one running batch of keys, so the
+  // batch insert's prefetches reach across the 2-record blocks that make
+  // up a pruned collection.
+  constexpr size_t kBatch = 512;
+  uint64_t batch[kBatch];
+  size_t filled = 0;
   for (const Block& b : blocks_) {
     for (size_t i = 0; i < b.size(); ++i) {
       for (size_t j = i + 1; j < b.size(); ++j) {
-        if (b[i] != b[j]) pairs.Insert(b[i], b[j]);
+        if (b[i] == b[j]) continue;
+        batch[filled++] = PairSet::Key(b[i], b[j]);
+        if (filled == kBatch) {
+          pairs.InsertKeys(batch, filled);
+          filled = 0;
+        }
       }
     }
   }
+  pairs.InsertKeys(batch, filled);
   return pairs;
 }
 

@@ -28,8 +28,9 @@ class BlockCollection : public BlockSink {
 
   /// Moves every stored block into `sink` (stopping early if the sink
   /// reports Done) and leaves this collection empty. Lets techniques that
-  /// must materialize intermediate results (transitive closure,
-  /// meta-blocking graphs) still emit through the streaming interface.
+  /// must materialize intermediate results (transitive closure, the
+  /// engine's per-shard collections) still emit through the streaming
+  /// interface.
   void Drain(BlockSink& sink);
 
   size_t NumBlocks() const { return blocks_.size(); }

@@ -20,7 +20,11 @@ std::string EscapeCsvField(std::string_view field);
 /// Reads a dataset from a CSV file. The first row is the header (schema).
 /// If `entity_column` is non-empty, that column is consumed as the
 /// ground-truth entity label (values with equal strings map to equal
-/// entity ids) and removed from the record attributes.
+/// entity ids) and removed from the record attributes. A quoted field may
+/// span lines (its line breaks, LF or CRLF, are part of the value), so
+/// everything WriteCsv writes reads back; a file that ends inside a
+/// quoted field fails with a Status naming the row's first line. Blank
+/// lines between rows are skipped.
 Status ReadCsv(const std::string& path, const std::string& entity_column,
                Dataset* out);
 

@@ -15,18 +15,31 @@ Histogram::Histogram(std::vector<double> bounds)
   for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
 }
 
-void Histogram::Observe(double value) {
-  // First bucket whose (inclusive) upper edge holds the value; everything
-  // above the last edge lands in the implicit +Inf bucket.
-  size_t idx = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-               bounds_.begin();
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+inline void Histogram::AddToSum(double value) {
   // atomic<double> has no fetch_add pre-C++20 on all toolchains; CAS loop.
   double sum = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(sum, sum + value,
                                      std::memory_order_relaxed)) {
   }
+}
+
+void Histogram::Observe(double value) {
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  AddToSum(value);
+}
+
+void Histogram::Add(const std::vector<uint64_t>& counts, double sum) {
+  SABLOCK_CHECK_MSG(counts.size() == bounds_.size() + 1,
+                    "histogram bulk add needs one count per bucket");
+  uint64_t total = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    total += counts[i];
+  }
+  count_.fetch_add(total, std::memory_order_relaxed);
+  AddToSum(sum);
 }
 
 std::vector<uint64_t> Histogram::bucket_counts() const {

@@ -1,6 +1,7 @@
 #ifndef SABLOCK_OBS_METRICS_H_
 #define SABLOCK_OBS_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -60,6 +61,19 @@ class Histogram {
 
   void Observe(double value);
 
+  /// Index of the bucket Observe(value) lands in: the first whose
+  /// (inclusive) upper edge holds the value, bounds().size() for +Inf.
+  size_t BucketIndex(double value) const {
+    return static_cast<size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+        bounds_.begin());
+  }
+
+  /// Bulk form of Observe, for callers that bucket locally and publish
+  /// once: adds counts[i] to bucket i, their total to count() and `sum`
+  /// to sum(). `counts` has bounds().size() + 1 entries.
+  void Add(const std::vector<uint64_t>& counts, double sum);
+
   /// Upper bounds (without the implicit +Inf).
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; size() == bounds().size() + 1,
@@ -74,6 +88,8 @@ class Histogram {
   static std::vector<double> LatencyBuckets();
 
  private:
+  void AddToSum(double value);
+
   std::vector<double> bounds_;  // sorted ascending, immutable
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
   std::atomic<uint64_t> count_{0};

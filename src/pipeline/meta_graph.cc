@@ -113,7 +113,7 @@ class NodeIndex {
   /// The dense sweep: for each record x in ascending order, accumulates
   /// CBS (and ARCS when kArcs) for every co-member y > x in per-record
   /// arrays, then calls visit(x, y, cbs, arcs) once per distinct edge, in
-  /// first-co-occurrence order of y.
+  /// first-co-occurrence order of y. Stops as soon as visit returns false.
   template <bool kArcs, typename Visit>
   void Sweep(Visit&& visit) const {
     const size_t n = num_records();
@@ -131,13 +131,15 @@ class NodeIndex {
         }
       }
       for (uint32_t y : touched) {
+        bool more;
         if constexpr (kArcs) {
-          visit(x, y, cbs[y], arcs[y]);
+          more = visit(x, y, cbs[y], arcs[y]);
           arcs[y] = 0.0;
         } else {
-          visit(x, y, cbs[y], 0.0);
+          more = visit(x, y, cbs[y], 0.0);
         }
         cbs[y] = 0;
+        if (!more) return;
       }
       touched.clear();
     }
@@ -158,62 +160,83 @@ class NodeIndex {
   std::vector<double> inv_comparisons_;
 };
 
-/// Runs the sweep under `weighting` and calls emit(key, weight) once per
-/// distinct edge. The weight expressions (and their evaluation order) are
-/// the meta-blocking paper's; per-record log factors are hoisted out of
-/// the edge loop, which leaves every weight bit-for-bit unchanged.
-template <typename Emit>
-void ForEachWeightedEdge(const NodeIndex& graph, MetaWeighting weighting,
-                         Emit&& emit) {
-  const std::vector<uint32_t>& record_blocks = graph.record_blocks();
-  const size_t n = graph.num_records();
-  const double num_blocks =
-      std::max<double>(static_cast<double>(graph.num_blocks()), 1.0);
-  auto jaccard = [&](uint32_t x, uint32_t y, uint32_t common) {
-    const double cbs = common;
-    return cbs / (record_blocks[x] + record_blocks[y] - cbs);
-  };
-  switch (weighting) {
-    case MetaWeighting::kArcs:
-      graph.Sweep<true>([&](uint32_t x, uint32_t y, uint32_t, double arcs) {
-        emit(PairKey(x, y), arcs);
-      });
-      return;
-    case MetaWeighting::kCbs:
-      graph.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
-        emit(PairKey(x, y), static_cast<double>(cbs));
-      });
-      return;
-    case MetaWeighting::kEcbs: {
-      std::vector<double> idf(n);
+/// A weighting bound to one graph. The per-record factors — ECBS's
+/// log(|B|/|B_i|), EJS's log(|E|/|v_i|) after one CountEdges pass — are
+/// computed once here, so every sweep over the same EdgeWeights evaluates
+/// each weight with the same expression on the same operands: the two
+/// sweeps of WEP and WNP see bit-identical weights.
+class EdgeWeights {
+ public:
+  EdgeWeights(const NodeIndex& graph, MetaWeighting weighting)
+      : graph_(graph), weighting_(weighting) {
+    const std::vector<uint32_t>& record_blocks = graph.record_blocks();
+    const size_t n = graph.num_records();
+    if (weighting == MetaWeighting::kEcbs) {
+      const double num_blocks =
+          std::max<double>(static_cast<double>(graph.num_blocks()), 1.0);
+      idf_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        idf[i] = std::log(num_blocks / record_blocks[i]);
+        idf_[i] = std::log(num_blocks / record_blocks[i]);
       }
-      graph.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
-        emit(PairKey(x, y), static_cast<double>(cbs) * idf[x] * idf[y]);
-      });
-      return;
-    }
-    case MetaWeighting::kJs:
-      graph.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
-        emit(PairKey(x, y), jaccard(x, y, cbs));
-      });
-      return;
-    case MetaWeighting::kEjs: {
+    } else if (weighting == MetaWeighting::kEjs) {
       std::vector<uint32_t> degree;
       const double num_edges = std::max<double>(
           static_cast<double>(graph.CountEdges(&degree)), 1.0);
-      std::vector<double> idf(n);
+      idf_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        idf[i] = std::log(num_edges / std::max<double>(degree[i], 1.0));
+        idf_[i] = std::log(num_edges / std::max<double>(degree[i], 1.0));
       }
-      graph.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
-        emit(PairKey(x, y), jaccard(x, y, cbs) * idf[x] * idf[y]);
-      });
-      return;
     }
   }
-}
+
+  /// Runs one sweep and calls emit(x, y, weight) once per distinct edge
+  /// (x < y): grouped by x ascending, then in first co-occurrence order.
+  /// The weight expressions (and their evaluation order) are the
+  /// meta-blocking paper's; hoisting the log factors out of the edge loop
+  /// leaves every weight bit-for-bit unchanged. Stops as soon as emit
+  /// returns false.
+  template <typename Emit>
+  void ForEachEdge(Emit&& emit) const {
+    const std::vector<uint32_t>& record_blocks = graph_.record_blocks();
+    const std::vector<double>& idf = idf_;
+    auto jaccard = [&](uint32_t x, uint32_t y, uint32_t common) {
+      const double cbs = common;
+      return cbs / (record_blocks[x] + record_blocks[y] - cbs);
+    };
+    switch (weighting_) {
+      case MetaWeighting::kArcs:
+        graph_.Sweep<true>([&](uint32_t x, uint32_t y, uint32_t, double arcs) {
+          return emit(x, y, arcs);
+        });
+        return;
+      case MetaWeighting::kCbs:
+        graph_.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
+          return emit(x, y, static_cast<double>(cbs));
+        });
+        return;
+      case MetaWeighting::kEcbs:
+        graph_.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
+          return emit(x, y, static_cast<double>(cbs) * idf[x] * idf[y]);
+        });
+        return;
+      case MetaWeighting::kJs:
+        graph_.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
+          return emit(x, y, jaccard(x, y, cbs));
+        });
+        return;
+      case MetaWeighting::kEjs:
+        graph_.Sweep<false>([&](uint32_t x, uint32_t y, uint32_t cbs, double) {
+          return emit(x, y, jaccard(x, y, cbs) * idf[x] * idf[y]);
+        });
+        return;
+    }
+  }
+
+ private:
+  const NodeIndex& graph_;
+  MetaWeighting weighting_;
+  std::vector<double> idf_;  // ECBS and EJS only
+};
 
 /// Bounded top-K selection under RanksBefore: buffers candidates, and
 /// whenever the buffer reaches 2K compacts it to the best K with
@@ -252,6 +275,60 @@ class TopK {
   bool compacted_ = false;
 };
 
+/// CNP's per-node selection: for every node, the best k of its incident
+/// edges under std::greater<> on (weight, key) — the order a per-node
+/// partial_sort of (weight, key) pairs would use — kept as a k-slot
+/// min-heap while one sweep offers each edge to both endpoints. Memory is
+/// n·k entries, at most max(n, Σ|b|) for CNP's k = max(1, ⌊Σ|b|/n⌋).
+class NodeTopK {
+ public:
+  NodeTopK(size_t num_records, size_t k)
+      : k_(k), count_(num_records, 0), slots_(num_records * k) {}
+
+  void Offer(uint32_t node, double weight, uint64_t key) {
+    const Entry e{weight, key};
+    Entry* heap = slots_.data() + static_cast<size_t>(node) * k_;
+    uint32_t& count = count_[node];
+    if (count < k_) {
+      heap[count++] = e;
+      std::push_heap(heap, heap + count, std::greater<>());
+    } else if (heap[0] < e) {
+      std::pop_heap(heap, heap + k_, std::greater<>());
+      heap[k_ - 1] = e;
+      std::push_heap(heap, heap + k_, std::greater<>());
+    }
+  }
+
+  /// The union of every node's kept edges, ascending by key.
+  std::vector<uint64_t> SortedUnion() const {
+    std::vector<uint64_t> keys;
+    for (size_t node = 0; node < count_.size(); ++node) {
+      const Entry* heap = slots_.data() + node * k_;
+      for (uint32_t i = 0; i < count_[node]; ++i) {
+        keys.push_back(heap[i].second);
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+  }
+
+ private:
+  using Entry = std::pair<double, uint64_t>;  // (weight, key)
+
+  size_t k_;
+  std::vector<uint32_t> count_;
+  std::vector<Entry> slots_;  // node i's heap at [i·k, i·k + count_[i])
+};
+
+/// Emits one retained comparison as a 2-record block, polling Done()
+/// first as BlockCollection::Drain does. False once the sink is done.
+bool EmitPair(uint32_t a, uint32_t b, core::BlockSink& sink) {
+  if (sink.Done()) return false;
+  sink.Consume({a, b});
+  return true;
+}
+
 }  // namespace
 
 std::vector<WeightedPair> WeightPairs(size_t num_records,
@@ -260,8 +337,10 @@ std::vector<WeightedPair> WeightPairs(size_t num_records,
   const NodeIndex graph(num_records, input);
   std::vector<WeightedPair> weighted;
   weighted.reserve(graph.CountEdges());  // exact: no growth copies
-  ForEachWeightedEdge(graph, weighting, [&](uint64_t key, double weight) {
-    weighted.push_back({key, weight});
+  const EdgeWeights weights(graph, weighting);
+  weights.ForEachEdge([&](uint32_t x, uint32_t y, double weight) {
+    weighted.push_back({PairKey(x, y), weight});
+    return true;
   });
   return weighted;
 }
@@ -280,99 +359,93 @@ std::vector<WeightedPair> TopWeightedPairs(size_t num_records,
   if (k == 0) return {};
   const NodeIndex graph(num_records, input);
   TopK top(static_cast<size_t>(k));
-  ForEachWeightedEdge(graph, weighting, [&](uint64_t key, double weight) {
-    top.Offer({key, weight});
+  const EdgeWeights weights(graph, weighting);
+  weights.ForEachEdge([&](uint32_t x, uint32_t y, double weight) {
+    top.Offer({PairKey(x, y), weight});
+    return true;
   });
   return std::move(top).Take();
 }
 
-core::BlockCollection MetaPrune(size_t num_records,
-                                const core::BlockCollection& input,
-                                MetaWeighting weighting,
-                                MetaPruning pruning) {
-  core::BlockCollection out;
+void MetaPrune(size_t num_records, const core::BlockCollection& input,
+               MetaWeighting weighting, MetaPruning pruning,
+               core::BlockSink& sink) {
   if (pruning == MetaPruning::kCep) {
     for (const WeightedPair& e :
          TopWeightedPairs(num_records, input, weighting,
                           input.TotalBlockSizes() / 2)) {
-      out.Add({e.a(), e.b()});
+      if (!EmitPair(e.a(), e.b(), sink)) return;
     }
-    return out;
+    return;
   }
 
-  std::vector<WeightedPair> weighted =
-      WeightPairs(num_records, input, weighting);
-  const double num_edges =
-      std::max<double>(static_cast<double>(weighted.size()), 1.0);
-  double total_weight = 0.0;
-  for (const WeightedPair& e : weighted) total_weight += e.weight;
-
-  // Node degrees |v_i| (distinct co-occurring records), used by the
-  // node-centric prunings' thresholds.
-  std::vector<uint32_t> degree(num_records, 0);
-  for (const WeightedPair& e : weighted) {
-    ++degree[e.a()];
-    ++degree[e.b()];
-  }
-
-  std::vector<uint64_t> kept;
+  const NodeIndex graph(num_records, input);
+  const EdgeWeights weights(graph, weighting);
   switch (pruning) {
     case MetaPruning::kWep: {
-      double mean = weighted.empty() ? 0.0 : total_weight / num_edges;
-      for (const WeightedPair& e : weighted) {
-        if (e.weight >= mean) kept.push_back(e.key);
-      }
-      break;
+      // Sweep 1 folds the global mean left to right in sweep order; sweep
+      // 2 keeps every edge at or above it.
+      double total_weight = 0.0;
+      uint64_t num_edges = 0;
+      weights.ForEachEdge([&](uint32_t, uint32_t, double weight) {
+        total_weight += weight;
+        ++num_edges;
+        return true;
+      });
+      const double mean =
+          num_edges == 0 ? 0.0 : total_weight / static_cast<double>(num_edges);
+      weights.ForEachEdge([&](uint32_t x, uint32_t y, double weight) {
+        return weight >= mean ? EmitPair(x, y, sink) : true;
+      });
+      return;
     }
     case MetaPruning::kCep:
-      break;  // handled above
+      return;  // handled above
     case MetaPruning::kWnp: {
-      // Node-local mean thresholds; keep an edge if it clears the threshold
-      // of either endpoint (the union of the node-centric retained sets).
-      std::vector<double> sum(num_records, 0.0);
-      for (const WeightedPair& e : weighted) {
-        sum[e.a()] += e.weight;
-        sum[e.b()] += e.weight;
+      // Node-local mean thresholds: sweep 1 folds each node's weight sum
+      // in sweep order and counts its degree |v_i|; sweep 2 keeps an edge
+      // that clears the threshold of either endpoint (the union of the
+      // node-centric retained sets).
+      std::vector<double> threshold(num_records, 0.0);
+      std::vector<uint32_t> degree(num_records, 0);
+      weights.ForEachEdge([&](uint32_t x, uint32_t y, double weight) {
+        threshold[x] += weight;
+        threshold[y] += weight;
+        ++degree[x];
+        ++degree[y];
+        return true;
+      });
+      for (size_t i = 0; i < num_records; ++i) {
+        if (degree[i] > 0) threshold[i] /= degree[i];
       }
-      for (const WeightedPair& e : weighted) {
-        double thr_a = degree[e.a()] > 0 ? sum[e.a()] / degree[e.a()] : 0.0;
-        double thr_b = degree[e.b()] > 0 ? sum[e.b()] / degree[e.b()] : 0.0;
-        if (e.weight >= thr_a || e.weight >= thr_b) kept.push_back(e.key);
-      }
-      break;
+      weights.ForEachEdge([&](uint32_t x, uint32_t y, double weight) {
+        const bool kept = weight >= threshold[x] || weight >= threshold[y];
+        return kept ? EmitPair(x, y, sink) : true;
+      });
+      return;
     }
     case MetaPruning::kCnp: {
-      size_t k = static_cast<size_t>(
+      // Each node keeps its top-k incident edges; the union is emitted in
+      // a canonical (sorted) order rather than sweep order, so the output
+      // is platform-independent.
+      const size_t k = static_cast<size_t>(
           std::max<uint64_t>(1, input.TotalBlockSizes() /
                                     std::max<size_t>(num_records, 1)));
-      // Gather each node's incident edges, keep its top-k, union them.
-      std::vector<std::vector<std::pair<double, uint64_t>>> incident(
-          num_records);
-      for (const WeightedPair& e : weighted) {
-        incident[e.a()].emplace_back(e.weight, e.key);
-        incident[e.b()].emplace_back(e.weight, e.key);
+      NodeTopK top(num_records, k);
+      weights.ForEachEdge([&](uint32_t x, uint32_t y, double weight) {
+        top.Offer(x, weight, PairKey(x, y));
+        top.Offer(y, weight, PairKey(x, y));
+        return true;
+      });
+      for (uint64_t key : top.SortedUnion()) {
+        if (!EmitPair(static_cast<uint32_t>(key >> 32),
+                      static_cast<uint32_t>(key & 0xffffffffULL), sink)) {
+          return;
+        }
       }
-      for (auto& inc : incident) {
-        size_t keep = std::min(k, inc.size());
-        if (keep == 0) continue;
-        std::partial_sort(inc.begin(),
-                          inc.begin() + static_cast<ptrdiff_t>(keep),
-                          inc.end(), std::greater<>());
-        for (size_t i = 0; i < keep; ++i) kept.push_back(inc[i].second);
-      }
-      // Union of the per-node top-k sets, in a canonical (sorted) order
-      // rather than sweep order — the output is platform-independent.
-      std::sort(kept.begin(), kept.end());
-      kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
-      break;
+      return;
     }
   }
-
-  for (uint64_t key : kept) {
-    out.Add({static_cast<uint32_t>(key >> 32),
-             static_cast<uint32_t>(key & 0xffffffffULL)});
-  }
-  return out;
 }
 
 }  // namespace sablock::pipeline

@@ -54,9 +54,10 @@ inline bool RanksBefore(const WeightedPair& x, const WeightedPair& y) {
 /// The weighting phase of meta-blocking as a first-class API: builds the
 /// blocking graph of `input` (record ids in [0, num_records)) and returns
 /// every distinct edge with its weight under `weighting`, one entry per
-/// pair. This is what MetaPrune prunes — exposed separately so
-/// progressive schedulers (and any future learned pruning) can rank the
-/// same per-pair weights without committing to a pruning algorithm.
+/// pair: the graph MetaPrune prunes, materialized, so progressive
+/// schedulers (and any future learned pruning) can rank the same
+/// per-pair weights without committing to a pruning algorithm. MetaPrune
+/// itself never materializes it.
 ///
 /// Cost contract: one node-centric dense sweep. A record→block index is
 /// built once; then, for each record x in ascending order, CBS and ARCS
@@ -87,14 +88,23 @@ std::vector<WeightedPair> TopWeightedPairs(size_t num_records,
 
 /// The graph phase of meta-blocking, reusable by any pipeline: builds the
 /// blocking graph of `input` (whose record ids must lie in
-/// [0, num_records)), weights its edges, prunes, and returns the retained
-/// comparisons as 2-record blocks. Deterministic for a given input block
-/// order. CEP keeps TopWeightedPairs(⌊Σ|b|/2⌋) in rank order, so its
-/// kept set is fixed even when weights tie.
-core::BlockCollection MetaPrune(size_t num_records,
-                                const core::BlockCollection& input,
-                                MetaWeighting weighting,
-                                MetaPruning pruning);
+/// [0, num_records)), weights its edges, prunes, and streams the retained
+/// comparisons into `sink` as 2-record blocks, polling sink.Done() before
+/// each and stopping once it is set. Deterministic for a given input
+/// block order.
+///
+/// Cost contract: no pruning keeps an edge list. WEP and WNP run two
+/// sweeps of the node index, sharing the weighting's per-record factors:
+/// the first folds the global weight sum (WEP) or each node's weight sum
+/// and degree (WNP) in sweep order, the second recomputes every weight
+/// with the same expression and emits the survivors in sweep order. CNP
+/// keeps a per-node top-k during one sweep, then emits the union sorted
+/// by key. Memory is O(records + Σ|b|) for these three; CEP keeps
+/// TopWeightedPairs(K = ⌊Σ|b|/2⌋) and emits it in rank order, so it adds
+/// O(K) and its kept set is fixed even when weights tie.
+void MetaPrune(size_t num_records, const core::BlockCollection& input,
+               MetaWeighting weighting, MetaPruning pruning,
+               core::BlockSink& sink);
 
 }  // namespace sablock::pipeline
 

@@ -23,9 +23,9 @@ std::vector<double> SizeBuckets() {
 
 }  // namespace
 
-// Counters are resolved once per chain instantiation (one registry lock
-// per step and run, not per block); the per-block cost is three relaxed
-// atomic adds plus the plain fields. Labeled by the stage's registry spec
+// Instruments are resolved once per chain instantiation (one registry
+// lock per step and run, not per block) and updated once per flush; a
+// block costs only the plain fields. Labeled by the stage's registry spec
 // name so all instances of a stage kind aggregate into one
 // low-cardinality series.
 Chain::Observer::Observer(core::BlockSink& next,
@@ -42,6 +42,7 @@ Chain::Observer::Observer(core::BlockSink& next,
   block_size_ = registry.GetHistogram(
       "block_size", "emitted block-size distribution per pipeline stage",
       SizeBuckets(), "stage", stage_label);
+  size_buckets_.assign(block_size_->bounds().size() + 1, 0);
 }
 
 void Chain::Observer::Consume(core::Block block) {
@@ -49,13 +50,15 @@ void Chain::Observer::Consume(core::Block block) {
   ++counts_.blocks;
   counts_.comparisons += n * (n - 1) / 2;
   counts_.max_block_size = std::max(counts_.max_block_size, n);
-  blocks_->Add(1);
-  comparisons_->Add(n * (n - 1) / 2);
-  block_size_->Observe(static_cast<double>(n));
+  ++size_buckets_[block_size_->BucketIndex(static_cast<double>(n))];
+  size_sum_ += n;
   next_->Consume(std::move(block));
 }
 
 void Chain::Observer::Flush() {
+  blocks_->Add(counts_.blocks);
+  comparisons_->Add(counts_.comparisons);
+  block_size_->Add(size_buckets_, static_cast<double>(size_sum_));
   if (boundary_) return;
   WallTimer timer;
   next_->Flush();

@@ -31,14 +31,17 @@ namespace sablock::pipeline {
 /// PipelinedBlocker running one chain per record shard cannot fire an
 /// outer shared barrier stage once per shard.
 ///
-/// Each observer counts what its step emits into plain fields (a chain
-/// has one producer at a time, the sink contract) and into the
-/// process-wide `blocks_emitted{stage=...}` /
-/// `comparisons_emitted{stage=...}` counters and per-stage block-size
+/// Each observer counts what its step emits in plain fields (a chain has
+/// one producer at a time, the sink contract): blocks, comparisons, the
+/// largest block, and the block-size histogram's bucket counts and sum.
+/// It publishes them once, from its own Flush (the boundary observer
+/// too), to the process-wide `blocks_emitted{stage=...}` /
+/// `comparisons_emitted{stage=...}` counters and per-stage `block_size`
 /// histogram, labeled by the stage's registry spec name ("generator" for
-/// the producer). It times only the Flush it forwards, so a run costs
-/// O(steps) clock reads: the generator's seconds are the phase before
-/// Flush (including the per-block work of the streaming stages it
+/// the producer) — so a block costs no atomic operation, and the series
+/// move when the chain flushes. It times only the Flush it forwards, so a
+/// run costs O(steps) clock reads: the generator's seconds are the phase
+/// before Flush (including the per-block work of the streaming stages it
 /// drives), a stage's are its own flush minus the next stage's, and the
 /// steps sum to the run. The chain's trace id (minted by the runner, or
 /// threaded in from a serving request) tags the chain-lifetime
@@ -61,8 +64,9 @@ class Chain {
  private:
   friend class Pipeline;
 
-  /// Counts and forwards one step's output (see class comment). The last
-  /// observer is the chain boundary: it absorbs the flush.
+  /// Counts and forwards one step's output, and publishes the counts on
+  /// Flush (see class comment). The last observer is the chain boundary:
+  /// it publishes, then absorbs the flush.
   class Observer : public core::BlockSink {
    public:
     Observer(core::BlockSink& next, const std::string& stage_label,
@@ -80,6 +84,8 @@ class Chain {
     core::BlockSink* next_;
     bool boundary_;
     StepCounts counts_;
+    std::vector<uint64_t> size_buckets_;  // block_size_'s buckets, unpublished
+    uint64_t size_sum_ = 0;               // Σ|b| of the counted blocks
     double flush_seconds_ = 0.0;
     obs::Counter* blocks_;
     obs::Counter* comparisons_;

@@ -111,7 +111,7 @@ void MetaStage::Flush() {
   core::BlockCollection input;
   for (core::Block& block : buffered_) input.Add(std::move(block));
   buffered_.clear();
-  MetaPrune(dataset_->size(), input, weighting_, pruning_).Drain(*next_);
+  MetaPrune(dataset_->size(), input, weighting_, pruning_, *next_);
   next_->Flush();
 }
 

@@ -127,10 +127,10 @@ MetaPruning GetMetaPruning(api::ParamMap& p, const std::string& key);
 
 /// `meta:weight=,prune=` — meta-blocking's graph phase as a barrier
 /// stage: buffers the whole input block collection, and on Flush() builds
-/// the blocking graph, weights its edges, prunes, and emits the retained
-/// comparisons as 2-record blocks. Composable with any generator — the
-/// classic recipe is `token-blocking | purge | meta`, but every
-/// registered technique slots in.
+/// the blocking graph, weights its edges, prunes, and streams the
+/// retained comparisons downstream as 2-record blocks. Composable with
+/// any generator — the classic recipe is `token-blocking | purge | meta`,
+/// but every registered technique slots in.
 ///
 /// The flush sorts the buffered blocks into canonical content order
 /// before pruning, so the output depends only on the *set* of input
@@ -155,7 +155,7 @@ class MetaStage : public PipelineStage {
   }
 
   /// Never signals Done upstream: the graph needs the full input even
-  /// when downstream has already stopped accepting (the flush's Drain
+  /// when downstream has already stopped accepting (the flush's MetaPrune
   /// honours downstream backpressure instead).
   bool Done() const override { return false; }
 

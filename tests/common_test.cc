@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hashing.h"
@@ -231,6 +233,39 @@ TEST(PairSetTest, MatchesReferenceImplementation) {
     EXPECT_EQ(set.Insert(a, b), was_new);
   }
   EXPECT_EQ(set.size(), reference.size());
+}
+
+// The batch insert must leave the exact slot layout of one-at-a-time
+// inserts, duplicates and mid-batch growth included; ForEach walks the
+// slots in order, so equal visit sequences mean equal tables.
+TEST(PairSetTest, InsertKeysLeavesTheSlotsInsertLeaves) {
+  Rng rng(21);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 20000; ++i) {
+    const uint32_t a = static_cast<uint32_t>(rng.UniformIndex(3000));
+    const uint32_t b = static_cast<uint32_t>(rng.UniformIndex(3000));
+    if (a != b) keys.push_back(PairSet::Key(a, b));
+  }
+  for (size_t batch : {size_t{1}, size_t{5}, size_t{16}, size_t{17},
+                       size_t{512}, keys.size()}) {
+    PairSet one(4);
+    PairSet batched(4);
+    for (uint64_t key : keys) {
+      one.Insert(static_cast<uint32_t>(key >> 32),
+                 static_cast<uint32_t>(key & 0xffffffffULL));
+    }
+    for (size_t begin = 0; begin < keys.size(); begin += batch) {
+      batched.InsertKeys(keys.data() + begin,
+                         std::min(batch, keys.size() - begin));
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> one_slots;
+    std::vector<std::pair<uint32_t, uint32_t>> batched_slots;
+    one.ForEach([&](uint32_t a, uint32_t b) { one_slots.emplace_back(a, b); });
+    batched.ForEach(
+        [&](uint32_t a, uint32_t b) { batched_slots.emplace_back(a, b); });
+    EXPECT_EQ(batched.size(), one.size()) << "batch " << batch;
+    EXPECT_EQ(batched_slots, one_slots) << "batch " << batch;
+  }
 }
 
 TEST(StatusTest, OkAndError) {

@@ -200,9 +200,10 @@ TEST(IntegrationTest, MetaBlockingSweepOnCora) {
   using pipeline::MetaPruning;
   for (MetaPruning pruning : {MetaPruning::kWep, MetaPruning::kCep,
                               MetaPruning::kWnp, MetaPruning::kCnp}) {
-    eval::Metrics pruned = eval::Evaluate(
-        d, pipeline::MetaPrune(d.size(), input,
-                               pipeline::MetaWeighting::kArcs, pruning));
+    core::BlockCollection kept;
+    pipeline::MetaPrune(d.size(), input, pipeline::MetaWeighting::kArcs,
+                        pruning, kept);
+    eval::Metrics pruned = eval::Evaluate(d, kept);
     EXPECT_GE(pruned.pq_star, initial.pq_star)
         << pipeline::MetaPruningName(pruning);
     EXPECT_LE(pruned.pc, initial.pc + 1e-12)

@@ -38,6 +38,13 @@ BlockCollection TokenBlocks(const Dataset& d, size_t max_block_size) {
                  d);
 }
 
+BlockCollection Prune(const Dataset& d, const BlockCollection& input,
+                      MetaWeighting w, MetaPruning p) {
+  BlockCollection pruned;
+  MetaPrune(d.size(), input, w, p, pruned);
+  return pruned;
+}
+
 BlockCollection RunMeta(const Dataset& d, MetaWeighting w, MetaPruning p) {
   return RunSpec("token-blocking:attrs=name | purge:max_size=500 | "
                  "meta:weight=" +
@@ -71,8 +78,7 @@ TEST(MetaBlockingTest, OutputIsSubsetOfInputPairs) {
   for (MetaPruning pruning : {MetaPruning::kWep, MetaPruning::kCep,
                               MetaPruning::kWnp, MetaPruning::kCnp}) {
     PairSet pruned =
-        MetaPrune(d.size(), input, MetaWeighting::kCbs, pruning)
-            .DistinctPairs();
+        Prune(d, input, MetaWeighting::kCbs, pruning).DistinctPairs();
     EXPECT_LE(pruned.size(), input_pairs.size());
     pruned.ForEach([&input_pairs](uint32_t a, uint32_t b) {
       EXPECT_TRUE(input_pairs.Contains(a, b));
@@ -97,7 +103,7 @@ TEST(MetaBlockingTest, CepRespectsBudget) {
   BlockCollection input = TokenBlocks(d, 100);
   size_t budget = static_cast<size_t>(input.TotalBlockSizes() / 2);
   BlockCollection pruned =
-      MetaPrune(d.size(), input, MetaWeighting::kArcs, MetaPruning::kCep);
+      Prune(d, input, MetaWeighting::kArcs, MetaPruning::kCep);
   EXPECT_LE(pruned.NumBlocks(), budget);
 }
 
@@ -133,7 +139,7 @@ TEST(MetaBlockingTest, ImprovesPqStarOverInput) {
   BlockCollection input = TokenBlocks(d, 100);
   eval::Metrics before = eval::Evaluate(d, input);
   eval::Metrics after = eval::Evaluate(
-      d, MetaPrune(d.size(), input, MetaWeighting::kCbs, MetaPruning::kWep));
+      d, Prune(d, input, MetaWeighting::kCbs, MetaPruning::kWep));
   EXPECT_GE(after.pq_star, before.pq_star);
 }
 

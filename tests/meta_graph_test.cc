@@ -1,7 +1,9 @@
 // Tests for the blocking-graph layer (pipeline/meta_graph.h): the dense
 // node-centric sweep behind WeightPairs against a hash-map accumulation
 // oracle (every edge, bit-identical weights, all five weightings), the
-// bounded top-K selection against a full sort, and CEP's tie-break.
+// bounded top-K selection against a full sort, CEP's tie-break, and the
+// streaming MetaPrune against an edge-list pruning oracle (every
+// weighting x pruning, edge-case inputs, sinks that stop early).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,6 +102,93 @@ std::vector<WeightedPair> OracleWeightPairs(size_t num_records,
     weighted.push_back({key, weight});
   }
   return weighted;
+}
+
+// The pruning MetaPrune's sweeps replaced: materialize every weighted
+// edge with WeightPairs, then filter the list — one fold for WEP's mean,
+// per-node sums and degrees for WNP, per-node incident lists partially
+// sorted for CNP. CEP is TopWeightedPairs in rank order. Kept as the
+// reference the streaming MetaPrune must reproduce block for block.
+BlockCollection OracleMetaPrune(size_t num_records,
+                                const BlockCollection& input,
+                                MetaWeighting weighting,
+                                MetaPruning pruning) {
+  BlockCollection out;
+  if (pruning == MetaPruning::kCep) {
+    for (const WeightedPair& e :
+         TopWeightedPairs(num_records, input, weighting,
+                          input.TotalBlockSizes() / 2)) {
+      out.Add({e.a(), e.b()});
+    }
+    return out;
+  }
+
+  std::vector<WeightedPair> weighted =
+      WeightPairs(num_records, input, weighting);
+  const double num_edges =
+      std::max<double>(static_cast<double>(weighted.size()), 1.0);
+  double total_weight = 0.0;
+  for (const WeightedPair& e : weighted) total_weight += e.weight;
+
+  std::vector<uint32_t> degree(num_records, 0);
+  for (const WeightedPair& e : weighted) {
+    ++degree[e.a()];
+    ++degree[e.b()];
+  }
+
+  std::vector<uint64_t> kept;
+  switch (pruning) {
+    case MetaPruning::kWep: {
+      double mean = weighted.empty() ? 0.0 : total_weight / num_edges;
+      for (const WeightedPair& e : weighted) {
+        if (e.weight >= mean) kept.push_back(e.key);
+      }
+      break;
+    }
+    case MetaPruning::kCep:
+      break;  // handled above
+    case MetaPruning::kWnp: {
+      std::vector<double> sum(num_records, 0.0);
+      for (const WeightedPair& e : weighted) {
+        sum[e.a()] += e.weight;
+        sum[e.b()] += e.weight;
+      }
+      for (const WeightedPair& e : weighted) {
+        double thr_a = degree[e.a()] > 0 ? sum[e.a()] / degree[e.a()] : 0.0;
+        double thr_b = degree[e.b()] > 0 ? sum[e.b()] / degree[e.b()] : 0.0;
+        if (e.weight >= thr_a || e.weight >= thr_b) kept.push_back(e.key);
+      }
+      break;
+    }
+    case MetaPruning::kCnp: {
+      size_t k = static_cast<size_t>(
+          std::max<uint64_t>(1, input.TotalBlockSizes() /
+                                    std::max<size_t>(num_records, 1)));
+      std::vector<std::vector<std::pair<double, uint64_t>>> incident(
+          num_records);
+      for (const WeightedPair& e : weighted) {
+        incident[e.a()].emplace_back(e.weight, e.key);
+        incident[e.b()].emplace_back(e.weight, e.key);
+      }
+      for (auto& inc : incident) {
+        size_t keep = std::min(k, inc.size());
+        if (keep == 0) continue;
+        std::partial_sort(inc.begin(),
+                          inc.begin() + static_cast<ptrdiff_t>(keep),
+                          inc.end(), std::greater<>());
+        for (size_t i = 0; i < keep; ++i) kept.push_back(inc[i].second);
+      }
+      std::sort(kept.begin(), kept.end());
+      kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+      break;
+    }
+  }
+
+  for (uint64_t key : kept) {
+    out.Add({static_cast<uint32_t>(key >> 32),
+             static_cast<uint32_t>(key & 0xffffffffULL)});
+  }
+  return out;
 }
 
 std::vector<WeightedPair> SortedByKey(std::vector<WeightedPair> edges) {
@@ -256,11 +346,119 @@ TEST(MetaPruneTest, CepBreaksWeightTiesByPairKey) {
   // The cut falls inside a run of equal weights: the tie-break decides.
   ASSERT_EQ(brute[k - 1].weight, brute[k].weight);
 
-  BlockCollection kept =
-      MetaPrune(records, cora.blocks, MetaWeighting::kCbs, MetaPruning::kCep);
+  BlockCollection kept;
+  MetaPrune(records, cora.blocks, MetaWeighting::kCbs, MetaPruning::kCep,
+            kept);
   ASSERT_EQ(kept.NumBlocks(), k);
   for (size_t i = 0; i < k; ++i) {
     EXPECT_EQ(kept.blocks()[i], (Block{brute[i].a(), brute[i].b()})) << i;
+  }
+}
+
+constexpr MetaPruning kPrunings[] = {MetaPruning::kWep, MetaPruning::kCep,
+                                     MetaPruning::kWnp, MetaPruning::kCnp};
+
+BlockCollection StreamedPrune(size_t num_records, const BlockCollection& input,
+                              MetaWeighting weighting, MetaPruning pruning) {
+  BlockCollection out;
+  MetaPrune(num_records, input, weighting, pruning, out);
+  return out;
+}
+
+// Every weighting x pruning emits exactly the oracle's block sequence.
+void ExpectOracleSequence(size_t num_records, const BlockCollection& input,
+                          const std::string& label) {
+  for (MetaWeighting w : kWeightings) {
+    for (MetaPruning p : kPrunings) {
+      EXPECT_EQ(StreamedPrune(num_records, input, w, p).blocks(),
+                OracleMetaPrune(num_records, input, w, p).blocks())
+          << label << " " << MetaPruningName(p) << "+"
+          << MetaWeightingName(w);
+    }
+  }
+}
+
+TEST(MetaPruneTest, StreamsTheEdgeListOraclesBlocks) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const size_t records = 60 + 20 * seed;
+    ExpectOracleSequence(records, RandomBlocks(seed, records, 40 * seed),
+                         "seed " + std::to_string(seed));
+  }
+  CoraInput cora = GoldenCoraBlocks();
+  const BlockCollection kept =
+      StreamedPrune(cora.dataset.size(), cora.blocks, MetaWeighting::kCbs,
+                    MetaPruning::kWnp);
+  ASSERT_GT(kept.NumBlocks(), 100u);  // a real pruning, not a corner case
+  ExpectOracleSequence(cora.dataset.size(), cora.blocks, "cora");
+}
+
+TEST(MetaPruneTest, EdgeCaseInputsMatchTheOracle) {
+  // Repeated ids inside blocks, a 0-record and a 1-record block, records
+  // 3, 5 and 7..11 in no block, and num_records above the largest id.
+  BlockCollection shapes;
+  shapes.Add(Block{0, 1, 2});
+  shapes.Add(Block{1, 2, 2, 4});
+  shapes.Add(Block{});
+  shapes.Add(Block{6});
+  shapes.Add(Block{2, 4, 6});
+  shapes.Add(Block{0, 0});
+  shapes.Add(Block{1, 4});
+  ExpectOracleSequence(12, shapes, "shapes");
+  EXPECT_GT(StreamedPrune(12, shapes, MetaWeighting::kJs, MetaPruning::kWnp)
+                .NumBlocks(),
+            0u);
+
+  // Only pair blocks: K = Σ|b|/2 reaches the comparison count, which is
+  // TopWeightedPairs' all-edges case.
+  BlockCollection pairs;
+  pairs.Add(Block{0, 3});
+  pairs.Add(Block{3, 0});
+  pairs.Add(Block{2, 5});
+  pairs.Add(Block{5, 9});
+  ExpectOracleSequence(20, pairs, "pairs");
+
+  BlockCollection pairless;
+  pairless.Add(Block{});
+  pairless.Add(Block{2});
+  pairless.Add(Block{5, 5});
+  ExpectOracleSequence(10, pairless, "pairless");
+  ExpectOracleSequence(10, BlockCollection(), "no blocks");
+  ExpectOracleSequence(0, BlockCollection(), "no records");
+}
+
+// A collecting sink that reports Done once it holds `limit` blocks.
+class StopAfter : public core::BlockSink {
+ public:
+  explicit StopAfter(size_t limit) : limit_(limit) {}
+  void Consume(Block block) override { got_.Add(std::move(block)); }
+  bool Done() const override { return got_.NumBlocks() >= limit_; }
+  const BlockCollection& got() const { return got_; }
+
+ private:
+  size_t limit_;
+  BlockCollection got_;
+};
+
+TEST(MetaPruneTest, StopsWhenTheSinkIsDone) {
+  CoraInput cora = GoldenCoraBlocks();
+  const size_t records = cora.dataset.size();
+  for (MetaWeighting w : kWeightings) {
+    for (MetaPruning p : kPrunings) {
+      const std::vector<Block> expected =
+          OracleMetaPrune(records, cora.blocks, w, p).blocks();
+      const size_t total = expected.size();
+      ASSERT_GT(total, 10u);
+      for (size_t n : {size_t{0}, size_t{1}, size_t{7}, total / 2, total - 1,
+                       total, total + 3}) {
+        StopAfter sink(n);
+        MetaPrune(records, cora.blocks, w, p, sink);
+        const std::vector<Block> prefix(
+            expected.begin(),
+            expected.begin() + static_cast<ptrdiff_t>(std::min(n, total)));
+        EXPECT_EQ(sink.got().blocks(), prefix)
+            << MetaPruningName(p) << "+" << MetaWeightingName(w) << " n=" << n;
+      }
+    }
   }
 }
 

@@ -54,6 +54,27 @@ TEST(HistogramTest, BucketEdgesAreInclusiveUpperBounds) {
   EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.01 + 10.0 + 99.9 + 1000.0);
 }
 
+TEST(HistogramTest, BulkAddEqualsObservingEachValue) {
+  // What a pipeline chain observer does: bucket locally, publish once.
+  const std::vector<double> values = {0.5, 1.0, 1.01, 10.0, 99.9, 1000.0,
+                                      3.0, 2.0};
+  Histogram each({1.0, 10.0, 100.0});
+  Histogram bulk({1.0, 10.0, 100.0});
+  std::vector<uint64_t> counts(4, 0);
+  double sum = 0.0;
+  for (double v : values) {
+    each.Observe(v);
+    ++counts[bulk.BucketIndex(v)];
+    sum += v;
+  }
+  bulk.Add(counts, sum);
+  EXPECT_EQ(bulk.bucket_counts(), each.bucket_counts());
+  EXPECT_EQ(bulk.count(), each.count());
+  EXPECT_DOUBLE_EQ(bulk.sum(), each.sum());
+  bulk.Add(std::vector<uint64_t>(4, 0), 0.0);  // an empty flush
+  EXPECT_EQ(bulk.count(), values.size());
+}
+
 TEST(HistogramTest, LatencyBucketsAreSortedAndCoverSeconds) {
   std::vector<double> bounds = Histogram::LatencyBuckets();
   ASSERT_FALSE(bounds.empty());

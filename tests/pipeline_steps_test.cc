@@ -36,7 +36,7 @@ data::Dataset Corpus() {
 
 /// Every registered stage, alone or behind a purge: the streaming ones
 /// (purge, filter:min_size, cap), the barriers (filter:top_frac, meta,
-/// progressive), and all of them in one chain.
+/// progressive), meta under a binding cap, and all of them in one chain.
 const char* const kStages[] = {
     "",
     "purge:max_size=30",
@@ -44,6 +44,7 @@ const char* const kStages[] = {
     "filter:top_frac=0.5",
     "cap:budget=300",
     "purge:max_size=50 | meta:weight=cbs,prune=wnp",
+    "purge:max_size=50 | meta:weight=cbs,prune=wnp | cap:budget=700",
     "purge:max_size=50 | progressive:sched=ew-cbs,pairs=400",
     "purge:max_size=50 | filter:min_size=3 | filter:top_frac=0.8 | "
     "cap:budget=5000 | meta:weight=js,prune=wep | progressive:sched=ew-cbs",
@@ -190,8 +191,9 @@ TEST(PipelineStepsTest, StreamingFilter) { CheckSteps(kStages[2]); }
 TEST(PipelineStepsTest, BarrierFilter) { CheckSteps(kStages[3]); }
 TEST(PipelineStepsTest, Cap) { CheckSteps(kStages[4]); }
 TEST(PipelineStepsTest, Meta) { CheckSteps(kStages[5]); }
-TEST(PipelineStepsTest, Progressive) { CheckSteps(kStages[6]); }
-TEST(PipelineStepsTest, EveryStageInOneChain) { CheckSteps(kStages[7]); }
+TEST(PipelineStepsTest, MetaUnderCap) { CheckSteps(kStages[6]); }
+TEST(PipelineStepsTest, Progressive) { CheckSteps(kStages[7]); }
+TEST(PipelineStepsTest, EveryStageInOneChain) { CheckSteps(kStages[8]); }
 
 TEST(PipelineStepsTest, CapBindsInTheCheckedModes) {
   // The Cap case above is only meaningful if the budget cuts the stream.
@@ -205,6 +207,43 @@ TEST(PipelineStepsTest, CapBindsInTheCheckedModes) {
   (*built)->blocker().Run(Corpus(), uncapped);
   EXPECT_LT(result.stages[1].comparisons, uncapped.TotalComparisons());
   EXPECT_LT(result.stages[0].blocks, uncapped.NumBlocks());
+}
+
+TEST(PipelineStepsTest, MetaStopsAtABindingCap) {
+  // The MetaUnderCap case above is only meaningful if the cap cuts the
+  // meta stage's output. Each meta block is one comparison, so both the
+  // meta step and the cap step emit exactly the budget when the meta
+  // stage honours the cap's Done(), in every engine mode.
+  const uint64_t budget = 700;
+  const data::Dataset dataset = Corpus();
+  StatusOr<std::unique_ptr<PipelinedBlocker>> uncapped = Build(
+      "token-blocking:attrs=authors+title | purge:max_size=50 | "
+      "meta:weight=cbs,prune=wnp");
+  ASSERT_TRUE(uncapped.ok());
+  const eval::PipelineResult full = eval::RunPipeline(
+      (*uncapped)->blocker(), (*uncapped)->stages(), dataset);
+  ASSERT_LT(budget, full.stages[2].blocks);
+
+  StatusOr<std::unique_ptr<PipelinedBlocker>> built =
+      Build(std::string("token-blocking:attrs=authors+title | ") +
+            kStages[6]);
+  ASSERT_TRUE(built.ok());
+  for (const char* engine : {"", "threads=4,shards=8,merge=collect",
+                             "threads=4,shards=8,merge=stream"}) {
+    SCOPED_TRACE(engine);
+    engine::ExecutionSpec execution;
+    ASSERT_TRUE(engine::ExecutionSpec::Parse(engine, &execution).ok());
+    const eval::PipelineResult result =
+        *engine != '\0'
+            ? eval::RunPipelineSharded((*built)->blocker(),
+                                       (*built)->stages(), dataset, execution)
+            : eval::RunPipeline((*built)->blocker(), (*built)->stages(),
+                                dataset);
+    ASSERT_EQ(result.stages.size(), 4u);
+    EXPECT_EQ(result.stages[2].blocks, budget);
+    EXPECT_EQ(result.stages[3].blocks, budget);
+    EXPECT_EQ(result.blocks.NumBlocks(), budget);
+  }
 }
 
 TEST(PipelineStepsTest, ChainFlushNamesTheProducerGenerator) {
