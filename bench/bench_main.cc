@@ -138,7 +138,7 @@ bool Selected(const std::string& name,
 
 }  // namespace
 
-int BenchMain(int argc, char** argv) {
+int BenchMain(int argc, char** argv, report::SuiteResult* suite_out) {
   Options options;
   if (!ParseArgs(argc, argv, &options)) return 2;
   if (options.help) {
@@ -221,6 +221,7 @@ int BenchMain(int argc, char** argv) {
       obs::MetricsRegistry::Global().Snapshot();
   suite.metrics_snapshot = snapshot;
   suite.has_metrics_snapshot = true;
+  if (suite_out != nullptr) *suite_out = suite;
 
   if (!options.json_path.empty()) {
     Status status =

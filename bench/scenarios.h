@@ -26,8 +26,10 @@ void EnsureScenariosRegistered();
 /// Numeric --NAME=NUMBER flags become BenchContext size overrides (e.g.
 /// --cora=500 --voter=2000 --shards=4). Returns 0 when every selected
 /// scenario passed, 1 when any failed or the JSON could not be written,
-/// 2 on a usage error.
-int BenchMain(int argc, char** argv);
+/// 2 on a usage error. When the scenarios ran and `suite_out` is
+/// non-null, it receives the SuiteResult that --json serializes.
+int BenchMain(int argc, char** argv,
+              report::SuiteResult* suite_out = nullptr);
 
 // One registration function per scenario (defined in the bench_*.cc
 // files, called by RegisterAllScenarios).

@@ -617,7 +617,7 @@ void RegisterIndexes(index::IndexRegistry& r) {
       "incremental semantic-aware LSH: banding tables gated by a w-way "
       "semantic hash",
       [](SaLshConfig c) {
-        return std::make_unique<index::SaLshIndex>(
+        return std::make_unique<index::LshIndex>(
             std::move(c.lsh), c.sem, std::move(c.semantics));
       });
 

@@ -11,23 +11,6 @@ namespace sablock::index {
 
 namespace {
 
-/// Resolves the blocking attributes to schema positions; error on any
-/// attribute the schema does not have.
-Status ResolveAttributes(const data::Schema& schema,
-                         const std::vector<std::string>& attributes,
-                         std::vector<int>* out) {
-  out->clear();
-  for (const std::string& attr : attributes) {
-    int idx = schema.IndexOf(attr);
-    if (idx < 0) {
-      return Status::Error("index attribute '" + attr +
-                           "' is not in the schema");
-    }
-    out->push_back(idx);
-  }
-  return Status::Ok();
-}
-
 /// The record's l band keys, computed exactly as the batch pipeline
 /// does: blocking text (non-empty attribute values joined by spaces,
 /// normalized) -> distinct q-gram hashes -> minhash rows -> one key per
@@ -55,24 +38,7 @@ std::vector<uint64_t> RowBands(std::span<const std::string_view> values,
   return bands;
 }
 
-using Table = std::unordered_map<uint64_t, std::vector<data::RecordId>>;
-
-/// Streams each table's buckets with >= 2 records, table by table, in
-/// canonical content order (bucket ids are already ascending).
-void EmitTables(const std::vector<Table>& tables, core::BlockSink& sink) {
-  for (const auto& table : tables) {
-    if (sink.Done()) return;
-    std::vector<core::Block> kept;
-    for (const auto& [key, ids] : table) {
-      if (ids.size() >= 2) kept.push_back(ids);
-    }
-    core::EmitSorted(std::move(kept), sink);
-  }
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------- LshIndex
 
 LshIndex::LshIndex(core::LshParams params)
     : params_(std::move(params)),
@@ -81,174 +47,84 @@ LshIndex::LshIndex(core::LshParams params)
   tables_.resize(static_cast<size_t>(params_.l));
 }
 
+LshIndex::LshIndex(core::LshParams params, core::SemanticParams sem_params,
+                   std::shared_ptr<const core::SemanticFunction> semantics)
+    : LshIndex(std::move(params)) {
+  SABLOCK_CHECK(semantics != nullptr);
+  SABLOCK_CHECK(sem_params.w >= 1);
+  sem_params_ = sem_params;
+  semantics_ = std::move(semantics);
+}
+
 std::string LshIndex::name() const {
-  return "LshIndex(k=" + std::to_string(params_.k) +
-         ",l=" + std::to_string(params_.l) + ")";
+  const std::string kl =
+      "(k=" + std::to_string(params_.k) + ",l=" + std::to_string(params_.l);
+  if (semantics_ == nullptr) return "LshIndex" + kl + ")";
+  return "SaLshIndex" + kl + ",w=" + std::to_string(sem_params_.w) +
+         (sem_params_.mode == core::SemanticMode::kAnd ? ",AND)" : ",OR)");
 }
 
 Status LshIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  Status s = ResolveAttributes(schema, params_.attributes, &attr_index_);
-  if (!s.ok()) return s;
+  attr_index_.clear();
+  for (const std::string& attr : params_.attributes) {
+    const int idx = schema.IndexOf(attr);
+    if (idx < 0) {
+      return Status::Error("index attribute '" + attr +
+                           "' is not in the schema");
+    }
+    attr_index_.push_back(idx);
+  }
+  schema_ = schema;
   bound_ = true;
   return Status::Ok();
+}
+
+core::SemSignature LshIndex::Encode(
+    const std::vector<core::ConceptId>& zeta) const {
+  if (encoder_.dimension() == 0) return {};
+  return encoder_.Encode(semantics_->taxonomy(), zeta);
+}
+
+template <typename Fn>
+void LshIndex::ForEachBucketKey(const std::vector<uint64_t>& bands,
+                                const core::SemSignature& sem,
+                                Fn fn) const {
+  std::vector<uint64_t> keys;
+  for (size_t t = 0; t < bands.size(); ++t) {
+    if (encoder_.dimension() == 0) {
+      fn(t, bands[t]);
+      continue;
+    }
+    keys.clear();
+    core::AppendSemanticBucketKeys(bands[t], sem, sem_params_.mode,
+                                   chosen_[t], &keys);
+    for (uint64_t key : keys) fn(t, key);
+  }
+}
+
+void LshIndex::InsertIntoTables(data::RecordId id, const RecordState& state) {
+  if (state.bands.empty()) return;
+  ForEachBucketKey(state.bands, Encode(state.zeta),
+                   [&](size_t t, uint64_t key) {
+                     InsertSortedId(&tables_[t][key], id);
+                   });
 }
 
 void LshIndex::Insert(data::RecordId id,
                       std::span<const std::string_view> values) {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
-  SABLOCK_CHECK_MSG(record_bands_.count(id) == 0, "record id already live");
-  std::vector<uint64_t> bands =
-      RowBands(values, attr_index_, params_, hasher_);
-  for (size_t t = 0; t < bands.size(); ++t) {
-    InsertSortedId(&tables_[t][bands[t]], id);
-  }
-  record_bands_.emplace(id, std::move(bands));
-}
-
-bool LshIndex::Remove(data::RecordId id) {
-  auto it = record_bands_.find(id);
-  if (it == record_bands_.end()) return false;
-  for (int t = 0; t < static_cast<int>(it->second.size()); ++t) {
-    auto& table = tables_[static_cast<size_t>(t)];
-    auto bucket = table.find(it->second[static_cast<size_t>(t)]);
-    SABLOCK_CHECK(bucket != table.end());
-    EraseSortedId(&bucket->second, id);
-    if (bucket->second.empty()) table.erase(bucket);
-  }
-  record_bands_.erase(it);
-  return true;
-}
-
-std::vector<data::RecordId> LshIndex::Query(
-    std::span<const std::string_view> values) const {
-  SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
-  std::vector<uint64_t> bands =
-      RowBands(values, attr_index_, params_, hasher_);
-  std::vector<data::RecordId> out;
-  for (size_t t = 0; t < bands.size(); ++t) {
-    auto it = tables_[t].find(bands[t]);
-    if (it == tables_[t].end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-void LshIndex::EmitBlocks(core::BlockSink& sink) const {
-  EmitTables(tables_, sink);
-}
-
-// -------------------------------------------------------------- SaLshIndex
-
-SaLshIndex::SaLshIndex(
-    core::LshParams lsh_params, core::SemanticParams sem_params,
-    std::shared_ptr<const core::SemanticFunction> semantics)
-    : lsh_params_(std::move(lsh_params)),
-      sem_params_(sem_params),
-      semantics_(std::move(semantics)),
-      hasher_(lsh_params_.k * lsh_params_.l, lsh_params_.seed) {
-  SABLOCK_CHECK(lsh_params_.k >= 1 && lsh_params_.l >= 1 &&
-                lsh_params_.q >= 1);
-  SABLOCK_CHECK(semantics_ != nullptr);
-  SABLOCK_CHECK(sem_params_.w >= 1);
-  tables_.resize(static_cast<size_t>(lsh_params_.l));
-}
-
-std::string SaLshIndex::name() const {
-  return "SaLshIndex(k=" + std::to_string(lsh_params_.k) +
-         ",l=" + std::to_string(lsh_params_.l) +
-         ",w=" + std::to_string(sem_params_.w) +
-         (sem_params_.mode == core::SemanticMode::kAnd ? ",AND)" : ",OR)");
-}
-
-Status SaLshIndex::Bind(const data::Schema& schema) {
-  SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  Status s = ResolveAttributes(schema, lsh_params_.attributes, &attr_index_);
-  if (!s.ok()) return s;
-  schema_ = schema;
-  encoder_ = core::SemhashEncoder::Build(semantics_->taxonomy(), {});
-  bound_ = true;
-  return Status::Ok();
-}
-
-void SaLshIndex::TableKeys(int t, uint64_t band,
-                           const core::SemSignature& sem,
-                           std::vector<uint64_t>* keys) const {
-  keys->clear();
-  if (encoder_.dimension() == 0) {
-    // No record has any semantic feature: the batch blocker degenerates
-    // to plain textual LSH, and so does the index.
-    keys->push_back(band);
-    return;
-  }
-  core::AppendSemanticBucketKeys(band, sem, sem_params_.mode,
-                                 chosen_[static_cast<size_t>(t)], keys);
-}
-
-void SaLshIndex::RefreshChoices() {
-  chosen_.assign(static_cast<size_t>(lsh_params_.l), {});
-  if (encoder_.dimension() == 0) return;
-  for (int t = 0; t < lsh_params_.l; ++t) {
-    chosen_[static_cast<size_t>(t)] =
-        core::SemanticTableChoices(sem_params_, encoder_.dimension(), t);
-  }
-}
-
-void SaLshIndex::InsertIntoTables(data::RecordId id,
-                                  const RecordState& state) {
-  if (state.bands.empty()) return;
-  core::SemSignature sem =
-      encoder_.Encode(semantics_->taxonomy(), state.zeta);
-  std::vector<uint64_t> keys;
-  for (int t = 0; t < lsh_params_.l; ++t) {
-    TableKeys(t, state.bands[static_cast<size_t>(t)], sem, &keys);
-    for (uint64_t key : keys) {
-      InsertSortedId(&tables_[static_cast<size_t>(t)][key], id);
-    }
-  }
-}
-
-void SaLshIndex::RemoveFromTables(data::RecordId id,
-                                  const RecordState& state) {
-  if (state.bands.empty()) return;
-  core::SemSignature sem =
-      encoder_.Encode(semantics_->taxonomy(), state.zeta);
-  std::vector<uint64_t> keys;
-  for (int t = 0; t < lsh_params_.l; ++t) {
-    TableKeys(t, state.bands[static_cast<size_t>(t)], sem, &keys);
-    auto& table = tables_[static_cast<size_t>(t)];
-    for (uint64_t key : keys) {
-      auto bucket = table.find(key);
-      SABLOCK_CHECK(bucket != table.end());
-      EraseSortedId(&bucket->second, id);
-      if (bucket->second.empty()) table.erase(bucket);
-    }
-  }
-}
-
-void SaLshIndex::RebuildTables() {
-  for (auto& table : tables_) table.clear();
-  for (const auto& [id, state] : records_) {
-    InsertIntoTables(id, state);
-  }
-}
-
-void SaLshIndex::Insert(data::RecordId id,
-                        std::span<const std::string_view> values) {
-  SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
   SABLOCK_CHECK_MSG(records_.count(id) == 0, "record id already live");
   RecordState state;
-  state.bands = RowBands(values, attr_index_, lsh_params_, hasher_);
-  state.zeta = semantics_->Interpret(schema_, values);
-
+  state.bands = RowBands(values, attr_index_, params_, hasher_);
   bool fresh_concepts = false;
-  for (core::ConceptId c : state.zeta) {
-    if (seen_concepts_.insert(c).second) fresh_concepts = true;
+  if (semantics_ != nullptr) {
+    state.zeta = semantics_->Interpret(schema_, values);
+    for (core::ConceptId c : state.zeta) {
+      if (seen_concepts_.insert(c).second) fresh_concepts = true;
+    }
   }
-  auto [it, inserted] = records_.emplace(id, std::move(state));
-  SABLOCK_CHECK(inserted);
+  const auto it = records_.emplace(id, std::move(state)).first;
 
   if (fresh_concepts) {
     // A previously unseen concept can add semhash features. Algorithm 1
@@ -262,53 +138,72 @@ void SaLshIndex::Insert(data::RecordId id,
         core::SemhashEncoder::Build(semantics_->taxonomy(), {seen});
     if (grown.dimension() != encoder_.dimension()) {
       encoder_ = std::move(grown);
-      RefreshChoices();
-      RebuildTables();
+      chosen_.clear();
+      for (int t = 0; t < params_.l; ++t) {
+        chosen_.push_back(core::SemanticTableChoices(
+            sem_params_, encoder_.dimension(), t));
+      }
+      for (auto& table : tables_) table.clear();
+      for (const auto& [rid, rstate] : records_) InsertIntoTables(rid, rstate);
       return;
     }
   }
   InsertIntoTables(id, it->second);
 }
 
-bool SaLshIndex::Remove(data::RecordId id) {
+bool LshIndex::Remove(data::RecordId id) {
   auto it = records_.find(id);
   if (it == records_.end()) return false;
   // Features are never un-selected on removal (see the class comment), so
   // the current encoder is exactly the one the record was bucketed under.
-  RemoveFromTables(id, it->second);
+  const RecordState& state = it->second;
+  ForEachBucketKey(state.bands, Encode(state.zeta),
+                   [&](size_t t, uint64_t key) {
+                     auto& table = tables_[t];
+                     auto bucket = table.find(key);
+                     SABLOCK_CHECK(bucket != table.end());
+                     EraseSortedId(&bucket->second, id);
+                     if (bucket->second.empty()) table.erase(bucket);
+                   });
   records_.erase(it);
   return true;
 }
 
-std::vector<data::RecordId> SaLshIndex::Query(
+std::vector<data::RecordId> LshIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
-  std::vector<data::RecordId> out;
-  std::vector<uint64_t> bands =
-      RowBands(values, attr_index_, lsh_params_, hasher_);
-  if (bands.empty()) return out;
+  const std::vector<uint64_t> bands =
+      RowBands(values, attr_index_, params_, hasher_);
   // The probe is evaluated under the current feature set; concepts no
   // indexed record has had yet contribute no semhash bit (matching how a
   // batch run without the probe would gate the existing records).
-  core::SemSignature sem = encoder_.Encode(
-      semantics_->taxonomy(), semantics_->Interpret(schema_, values));
-  std::vector<uint64_t> keys;
-  for (int t = 0; t < lsh_params_.l; ++t) {
-    TableKeys(t, bands[static_cast<size_t>(t)], sem, &keys);
-    const auto& table = tables_[static_cast<size_t>(t)];
-    for (uint64_t key : keys) {
-      auto it = table.find(key);
-      if (it == table.end()) continue;
+  core::SemSignature sem;
+  if (!bands.empty() && encoder_.dimension() > 0) {
+    sem = Encode(semantics_->Interpret(schema_, values));
+  }
+  std::vector<data::RecordId> out;
+  ForEachBucketKey(bands, sem, [&](size_t t, uint64_t key) {
+    auto it = tables_[t].find(key);
+    if (it != tables_[t].end()) {
       out.insert(out.end(), it->second.begin(), it->second.end());
     }
-  }
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
-void SaLshIndex::EmitBlocks(core::BlockSink& sink) const {
-  EmitTables(tables_, sink);
+void LshIndex::EmitBlocks(core::BlockSink& sink) const {
+  // Each table's buckets with >= 2 records, table by table, in canonical
+  // content order (bucket ids are already ascending).
+  for (const auto& table : tables_) {
+    if (sink.Done()) return;
+    std::vector<core::Block> kept;
+    for (const auto& [key, ids] : table) {
+      if (ids.size() >= 2) kept.push_back(ids);
+    }
+    core::EmitSorted(std::move(kept), sink);
+  }
 }
 
 }  // namespace sablock::index

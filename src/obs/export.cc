@@ -23,19 +23,6 @@ const char* TypeName(MetricType type) {
   return "counter";
 }
 
-bool ParseType(const std::string& name, MetricType* out) {
-  if (name == "counter") {
-    *out = MetricType::kCounter;
-  } else if (name == "gauge") {
-    *out = MetricType::kGauge;
-  } else if (name == "histogram") {
-    *out = MetricType::kHistogram;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// Shortest round-trippable rendering of a bucket edge for label values.
 std::string FormatEdge(double edge) {
   char buf[64];
@@ -89,110 +76,6 @@ Json SnapshotToJson(const MetricsSnapshot& snapshot) {
   }
   root.Set("families", std::move(families));
   return root;
-}
-
-Status SnapshotFromJson(const Json& json, MetricsSnapshot* out) {
-  *out = MetricsSnapshot();
-  if (json.type() != Json::Type::kObject) {
-    return Status::Error("metrics snapshot is not an object");
-  }
-  const Json* families = json.Find("families");
-  if (families == nullptr || families->type() != Json::Type::kArray) {
-    return Status::Error("metrics snapshot has no 'families' array");
-  }
-  for (const Json& f : families->items()) {
-    if (f.type() != Json::Type::kObject) {
-      return Status::Error("metrics family is not an object");
-    }
-    FamilySnapshot family;
-    const Json* name = f.Find("name");
-    const Json* type = f.Find("type");
-    const Json* help = f.Find("help");
-    if (name == nullptr || name->type() != Json::Type::kString ||
-        type == nullptr || type->type() != Json::Type::kString ||
-        help == nullptr || help->type() != Json::Type::kString) {
-      return Status::Error("metrics family missing name/type/help");
-    }
-    family.name = name->string_value();
-    family.help = help->string_value();
-    if (!ParseType(type->string_value(), &family.type)) {
-      return Status::Error("unknown metric type '" + type->string_value() +
-                           "'");
-    }
-    if (const Json* label_key = f.Find("label_key")) {
-      if (label_key->type() != Json::Type::kString) {
-        return Status::Error("metrics family label_key is not a string");
-      }
-      family.label_key = label_key->string_value();
-    }
-    const Json* samples = f.Find("samples");
-    if (samples == nullptr || samples->type() != Json::Type::kArray) {
-      return Status::Error("metrics family '" + family.name +
-                           "' has no samples array");
-    }
-    for (const Json& s : samples->items()) {
-      if (s.type() != Json::Type::kObject) {
-        return Status::Error("metrics sample is not an object");
-      }
-      SampleSnapshot sample;
-      if (const Json* label = s.Find("label")) {
-        if (label->type() != Json::Type::kString) {
-          return Status::Error("metrics sample label is not a string");
-        }
-        sample.label_value = label->string_value();
-      }
-      switch (family.type) {
-        case MetricType::kCounter: {
-          const Json* value = s.Find("value");
-          if (value == nullptr || !value->is_number()) {
-            return Status::Error("counter sample has no numeric value");
-          }
-          sample.counter = value->uint_value();
-          break;
-        }
-        case MetricType::kGauge: {
-          const Json* value = s.Find("value");
-          if (value == nullptr || !value->is_number()) {
-            return Status::Error("gauge sample has no numeric value");
-          }
-          sample.gauge = value->int_value();
-          break;
-        }
-        case MetricType::kHistogram: {
-          const Json* count = s.Find("count");
-          const Json* sum = s.Find("sum");
-          const Json* bounds = s.Find("bounds");
-          const Json* buckets = s.Find("buckets");
-          if (count == nullptr || !count->is_number() || sum == nullptr ||
-              !sum->is_number() || bounds == nullptr ||
-              bounds->type() != Json::Type::kArray || buckets == nullptr ||
-              buckets->type() != Json::Type::kArray ||
-              buckets->size() != bounds->size() + 1) {
-            return Status::Error("malformed histogram sample in '" +
-                                 family.name + "'");
-          }
-          sample.count = count->uint_value();
-          sample.sum = sum->double_value();
-          for (const Json& edge : bounds->items()) {
-            if (!edge.is_number()) {
-              return Status::Error("histogram bound is not a number");
-            }
-            sample.bounds.push_back(edge.double_value());
-          }
-          for (const Json& c : buckets->items()) {
-            if (!c.is_number()) {
-              return Status::Error("histogram bucket is not a number");
-            }
-            sample.buckets.push_back(c.uint_value());
-          }
-          break;
-        }
-      }
-      family.samples.push_back(std::move(sample));
-    }
-    out->families.push_back(std::move(family));
-  }
-  return Status::Ok();
 }
 
 std::string ToPrometheusText(const MetricsSnapshot& snapshot) {

@@ -3,13 +3,13 @@
 
 #include <string>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "report/json.h"
 
 namespace sablock::obs {
 
-/// The two export sinks of a MetricsSnapshot.
+/// The two export sinks of a MetricsSnapshot. Both only write: no C++
+/// code reads a snapshot back.
 ///
 /// JSON — embedded as the suite-level `metrics` object of the
 /// sablock_bench SuiteResult (schema v2) and diffed by
@@ -27,10 +27,6 @@ namespace sablock::obs {
 /// server's kMetrics verb, `sablock_serve --stats` and the bench
 /// runner's --prom=FILE dump.
 report::Json SnapshotToJson(const MetricsSnapshot& snapshot);
-
-/// Inverse of SnapshotToJson; validates shape and reports the first
-/// offending key.
-Status SnapshotFromJson(const report::Json& json, MetricsSnapshot* out);
 
 /// Prometheus text exposition format (# HELP / # TYPE lines, cumulative
 /// `le` histogram buckets with a +Inf edge, _sum and _count series).

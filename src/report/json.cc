@@ -1,10 +1,8 @@
 #include "report/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
 
@@ -220,294 +218,6 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       break;
     }
   }
-}
-
-// ------------------------------------------------------------------ parser
-
-namespace {
-
-/// Recursive-descent parser over the full JSON grammar (RFC 8259). Kept
-/// deliberately small: the library only needs to read back what it wrote
-/// (round-trip tests, bench_compare-style consumers in C++).
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Status ParseDocument(Json* out) {
-    Status status = ParseValue(out);
-    if (!status.ok()) return status;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after JSON value");
-    }
-    return Status::Ok();
-  }
-
- private:
-  Status Fail(const std::string& what) {
-    return Status::Error("json parse error at offset " +
-                         std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(Json* out) {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"': {
-        std::string s;
-        Status status = ParseString(&s);
-        if (!status.ok()) return status;
-        *out = Json(std::move(s));
-        return Status::Ok();
-      }
-      case 't':
-        return ParseLiteral("true", Json(true), out);
-      case 'f':
-        return ParseLiteral("false", Json(false), out);
-      case 'n':
-        return ParseLiteral("null", Json(), out);
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  Status ParseLiteral(std::string_view word, Json value, Json* out) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return Fail("invalid literal");
-    }
-    pos_ += word.size();
-    *out = std::move(value);
-    return Status::Ok();
-  }
-
-  Status ParseObject(Json* out) {
-    ++pos_;  // '{'
-    *out = Json::Object();
-    SkipWhitespace();
-    if (Consume('}')) return Status::Ok();
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      Status status = ParseString(&key);
-      if (!status.ok()) return status;
-      SkipWhitespace();
-      if (!Consume(':')) return Fail("expected ':' in object");
-      Json value;
-      status = ParseValue(&value);
-      if (!status.ok()) return status;
-      out->Set(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume('}')) return Status::Ok();
-      if (!Consume(',')) return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  Status ParseArray(Json* out) {
-    ++pos_;  // '['
-    *out = Json::Array();
-    SkipWhitespace();
-    if (Consume(']')) return Status::Ok();
-    while (true) {
-      Json value;
-      Status status = ParseValue(&value);
-      if (!status.ok()) return status;
-      out->Append(std::move(value));
-      SkipWhitespace();
-      if (Consume(']')) return Status::Ok();
-      if (!Consume(',')) return Fail("expected ',' or ']' in array");
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (true) {
-      if (pos_ >= text_.size()) return Fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("unterminated escape");
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          *out += esc;
-          break;
-        case 'b':
-          *out += '\b';
-          break;
-        case 'f':
-          *out += '\f';
-          break;
-        case 'n':
-          *out += '\n';
-          break;
-        case 'r':
-          *out += '\r';
-          break;
-        case 't':
-          *out += '\t';
-          break;
-        case 'u': {
-          uint32_t code;
-          Status status = ParseHex4(&code);
-          if (!status.ok()) return status;
-          // Combine a surrogate pair when one follows.
-          if (code >= 0xD800 && code <= 0xDBFF &&
-              text_.substr(pos_, 2) == "\\u") {
-            size_t saved = pos_;
-            pos_ += 2;
-            uint32_t low;
-            status = ParseHex4(&low);
-            if (!status.ok()) return status;
-            if (low >= 0xDC00 && low <= 0xDFFF) {
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            } else {
-              pos_ = saved;  // lone high surrogate; encode as-is
-            }
-          }
-          AppendUtf8(*out, code);
-          break;
-        }
-        default:
-          return Fail("invalid escape character");
-      }
-    }
-  }
-
-  Status ParseHex4(uint32_t* out) {
-    if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return Fail("invalid hex digit in \\u escape");
-      }
-    }
-    *out = value;
-    return Status::Ok();
-  }
-
-  static void AppendUtf8(std::string& out, uint32_t code) {
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  Status ParseNumber(Json* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() && std::isdigit(
-               static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    bool integral = true;
-    if (Consume('.')) {
-      integral = false;
-      while (pos_ < text_.size() && std::isdigit(
-                 static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() &&
-          (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() && std::isdigit(
-                 static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return Fail("invalid number");
-
-    const char* first = token.data();
-    const char* last = token.data() + token.size();
-    if (integral) {
-      if (token[0] == '-') {
-        int64_t value;
-        auto [ptr, ec] = std::from_chars(first, last, value);
-        if (ec == std::errc() && ptr == last) {
-          *out = Json(value);
-          return Status::Ok();
-        }
-      } else {
-        uint64_t value;
-        auto [ptr, ec] = std::from_chars(first, last, value);
-        if (ec == std::errc() && ptr == last) {
-          *out = value <= static_cast<uint64_t>(INT64_MAX)
-                     ? Json(static_cast<int64_t>(value))
-                     : Json(value);
-          return Status::Ok();
-        }
-      }
-      // Fall through to double on overflow.
-    }
-    double value;
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last) return Fail("invalid number");
-    *out = Json(value);
-    return Status::Ok();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-Status Json::Parse(std::string_view text, Json* out) {
-  return Parser(text).ParseDocument(out);
 }
 
 Status WriteJsonFile(const Json& value, const std::string& path,

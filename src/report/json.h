@@ -11,14 +11,18 @@
 
 namespace sablock::report {
 
-/// A JSON document value with no third-party dependencies — the carrier
-/// for the benchmark suite's machine-readable results (BENCH_*.json).
+/// A JSON document tree and its writer, with no third-party dependencies:
+/// the carrier for the benchmark suite's machine-readable results
+/// (BENCH_*.json), the e2e records and the trace files. The library only
+/// writes JSON; the files are read by Python (tools/bench_compare.py,
+/// e2ebench/), and report_test pins the writer's bytes.
 ///
 /// Objects preserve insertion order, so a serialized report has stable,
 /// diff-friendly key order (the golden test relies on this). Numbers keep
 /// their integer-ness: counters serialize as exact integers, never in
-/// scientific notation, while doubles use the shortest round-trippable
-/// form. Non-finite doubles serialize as null (JSON has no NaN/Inf).
+/// scientific notation, while doubles use the shortest form that reads
+/// back exactly. Non-finite doubles serialize as null (JSON has no
+/// NaN/Inf).
 class Json {
  public:
   enum class Type { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
@@ -70,9 +74,6 @@ class Json {
   /// Serializes the value. indent == 0 renders compact single-line JSON;
   /// indent > 0 pretty-prints with that many spaces per nesting level.
   std::string Dump(int indent = 0) const;
-
-  /// Parses a complete JSON document (trailing garbage is an error).
-  static Status Parse(std::string_view text, Json* out);
 
  private:
   void DumpTo(std::string& out, int indent, int depth) const;

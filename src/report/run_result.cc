@@ -114,140 +114,6 @@ Json ToJson(const eval::Metrics& m) {
   return j;
 }
 
-// --- FromJson helpers: typed field readers with path-named errors. ------
-
-Status Missing(const std::string& key) {
-  return Status::Error("missing or mistyped key '" + key + "'");
-}
-
-Status ReadString(const Json& obj, const std::string& key, bool required,
-                  std::string* out) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return required ? Missing(key) : Status::Ok();
-  }
-  if (v->type() != Json::Type::kString) return Missing(key);
-  *out = v->string_value();
-  return Status::Ok();
-}
-
-Status ReadUint(const Json& obj, const std::string& key, bool required,
-                uint64_t* out) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return required ? Missing(key) : Status::Ok();
-  }
-  if (!v->is_number() || v->type() == Json::Type::kDouble ||
-      (v->type() == Json::Type::kInt && v->int_value() < 0)) {
-    return Missing(key);
-  }
-  *out = v->uint_value();
-  return Status::Ok();
-}
-
-Status ReadDouble(const Json& obj, const std::string& key, bool required,
-                  double* out) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return required ? Missing(key) : Status::Ok();
-  }
-  if (!v->is_number()) return Missing(key);
-  *out = v->double_value();
-  return Status::Ok();
-}
-
-#define SABLOCK_RETURN_IF_ERROR(expr)        \
-  do {                                       \
-    Status _status = (expr);                 \
-    if (!_status.ok()) return _status;       \
-  } while (0)
-
-Status RepeatStatsFromJson(const Json& json, RepeatStats* out) {
-  if (json.type() != Json::Type::kObject) return Missing("time");
-  uint64_t repeats = 0;
-  SABLOCK_RETURN_IF_ERROR(ReadUint(json, "repeats", true, &repeats));
-  out->repeats = static_cast<int>(repeats);
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "min_s", true, &out->min_s));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "mean_s", true, &out->mean_s));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "p50_s", true, &out->p50_s));
-  return Status::Ok();
-}
-
-Status LatencyStatsFromJson(const Json& json, LatencyStats* out) {
-  if (json.type() != Json::Type::kObject) return Missing("latency");
-  SABLOCK_RETURN_IF_ERROR(ReadUint(json, "ops", true, &out->ops));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "p50_us", true, &out->p50_us));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "p99_us", true, &out->p99_us));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "qps", true, &out->qps));
-  return Status::Ok();
-}
-
-Status IoStatsFromJson(const Json& json, IoStats* out) {
-  if (json.type() != Json::Type::kObject) return Missing("io");
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "file_bytes", true, &out->file_bytes));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadDouble(json, "cold_load_s", true, &out->cold_load_s));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadDouble(json, "first_query_s", true, &out->first_query_s));
-  return Status::Ok();
-}
-
-Status StepCountsFromJson(const Json& json, pipeline::StepCounts* out) {
-  if (json.type() != Json::Type::kObject) return Missing("stages[]");
-  SABLOCK_RETURN_IF_ERROR(ReadString(json, "name", true, &out->name));
-  SABLOCK_RETURN_IF_ERROR(ReadUint(json, "blocks", true, &out->blocks));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "comparisons", true, &out->comparisons));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "max_block_size", true, &out->max_block_size));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "seconds", true, &out->seconds));
-  return Status::Ok();
-}
-
-Status MetricsFromJson(const Json& json, eval::Metrics* out) {
-  if (json.type() != Json::Type::kObject) return Missing("metrics");
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "pc", true, &out->pc));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "pq", true, &out->pq));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "rr", true, &out->rr));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "fm", true, &out->fm));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "pq_star", true, &out->pq_star));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "fm_star", true, &out->fm_star));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "distinct_pairs", true, &out->distinct_pairs));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "true_pairs", true, &out->true_pairs));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "total_comparisons", true, &out->total_comparisons));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "ground_truth_pairs", true, &out->ground_truth_pairs));
-  SABLOCK_RETURN_IF_ERROR(ReadUint(json, "all_pairs", true, &out->all_pairs));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "num_blocks", true, &out->num_blocks));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "max_block_size", true, &out->max_block_size));
-  return Status::Ok();
-}
-
-Status RecallCurveFromJson(const Json& json, eval::RecallCurve* out) {
-  if (json.type() != Json::Type::kObject) return Missing("recall");
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "budget_pairs", true, &out->budget_pairs));
-  SABLOCK_RETURN_IF_ERROR(ReadDouble(json, "auc", true, &out->auc));
-  const Json* points = json.Find("points");
-  if (points == nullptr || points->type() != Json::Type::kArray) {
-    return Missing("recall.points");
-  }
-  for (const Json& entry : points->items()) {
-    eval::RecallPoint point;
-    SABLOCK_RETURN_IF_ERROR(
-        ReadDouble(entry, "fraction", true, &point.fraction));
-    SABLOCK_RETURN_IF_ERROR(ReadDouble(entry, "recall", true, &point.recall));
-    out->points.push_back(point);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Json ToJson(const RunResult& run) {
@@ -307,116 +173,5 @@ Json ToJson(const SuiteResult& suite) {
   }
   return j;
 }
-
-Status RunResultFromJson(const Json& json, RunResult* out) {
-  *out = RunResult();
-  if (json.type() != Json::Type::kObject) {
-    return Status::Error("run is not an object");
-  }
-  SABLOCK_RETURN_IF_ERROR(
-      ReadString(json, "scenario", true, &out->scenario));
-  SABLOCK_RETURN_IF_ERROR(ReadString(json, "name", true, &out->name));
-  SABLOCK_RETURN_IF_ERROR(ReadString(json, "spec", false, &out->spec));
-  SABLOCK_RETURN_IF_ERROR(ReadString(json, "dataset", false, &out->dataset));
-  SABLOCK_RETURN_IF_ERROR(
-      ReadUint(json, "dataset_records", false, &out->dataset_records));
-  if (const Json* params = json.Find("params")) {
-    if (params->type() != Json::Type::kObject) return Missing("params");
-    for (const auto& [key, value] : params->members()) {
-      if (value.type() != Json::Type::kString) return Missing("params");
-      out->AddParam(key, value.string_value());
-    }
-  }
-  if (const Json* time = json.Find("time")) {
-    SABLOCK_RETURN_IF_ERROR(RepeatStatsFromJson(*time, &out->time));
-  }
-  if (const Json* stages = json.Find("stages")) {
-    if (stages->type() != Json::Type::kArray) return Missing("stages");
-    for (const Json& stage : stages->items()) {
-      pipeline::StepCounts step;
-      SABLOCK_RETURN_IF_ERROR(StepCountsFromJson(stage, &step));
-      out->stages.push_back(std::move(step));
-    }
-  }
-  if (const Json* metrics = json.Find("metrics")) {
-    SABLOCK_RETURN_IF_ERROR(MetricsFromJson(*metrics, &out->metrics));
-    out->has_metrics = true;
-  }
-  if (const Json* latency = json.Find("latency")) {
-    SABLOCK_RETURN_IF_ERROR(LatencyStatsFromJson(*latency, &out->latency));
-    out->has_latency = true;
-  }
-  if (const Json* io = json.Find("io")) {
-    SABLOCK_RETURN_IF_ERROR(IoStatsFromJson(*io, &out->io));
-    out->has_io = true;
-  }
-  if (const Json* recall = json.Find("recall")) {
-    SABLOCK_RETURN_IF_ERROR(RecallCurveFromJson(*recall, &out->recall));
-    out->has_recall = true;
-  }
-  if (const Json* values = json.Find("values")) {
-    if (values->type() != Json::Type::kObject) return Missing("values");
-    for (const auto& [key, value] : values->members()) {
-      if (!value.is_number()) return Missing("values");
-      out->AddValue(key, value.double_value());
-    }
-  }
-  return Status::Ok();
-}
-
-Status SuiteResultFromJson(const Json& json, SuiteResult* out) {
-  *out = SuiteResult();
-  if (json.type() != Json::Type::kObject) {
-    return Status::Error("suite is not an object");
-  }
-  SABLOCK_RETURN_IF_ERROR(ReadString(json, "tool", true, &out->tool));
-  uint64_t version = 0;
-  SABLOCK_RETURN_IF_ERROR(ReadUint(json, "schema_version", true, &version));
-  if (version != static_cast<uint64_t>(kSchemaVersion)) {
-    return Status::Error("unsupported schema_version " +
-                         std::to_string(version));
-  }
-  out->schema_version = static_cast<int>(version);
-  const Json* quick = json.Find("quick");
-  if (quick == nullptr || quick->type() != Json::Type::kBool) {
-    return Missing("quick");
-  }
-  out->quick = quick->bool_value();
-  uint64_t repeat = 0;
-  SABLOCK_RETURN_IF_ERROR(ReadUint(json, "repeat", true, &repeat));
-  out->repeat = static_cast<int>(repeat);
-  if (const Json* scenarios = json.Find("scenarios")) {
-    if (scenarios->type() != Json::Type::kArray) return Missing("scenarios");
-    for (const Json& entry : scenarios->items()) {
-      ScenarioOutcome outcome;
-      SABLOCK_RETURN_IF_ERROR(
-          ReadString(entry, "name", true, &outcome.name));
-      uint64_t exit_code = 0;
-      SABLOCK_RETURN_IF_ERROR(
-          ReadUint(entry, "exit_code", true, &exit_code));
-      outcome.exit_code = static_cast<int>(exit_code);
-      SABLOCK_RETURN_IF_ERROR(
-          ReadDouble(entry, "seconds", true, &outcome.seconds));
-      out->scenarios.push_back(std::move(outcome));
-    }
-  }
-  const Json* runs = json.Find("runs");
-  if (runs == nullptr || runs->type() != Json::Type::kArray) {
-    return Missing("runs");
-  }
-  for (const Json& entry : runs->items()) {
-    RunResult run;
-    SABLOCK_RETURN_IF_ERROR(RunResultFromJson(entry, &run));
-    out->runs.push_back(std::move(run));
-  }
-  if (const Json* metrics = json.Find("metrics")) {
-    SABLOCK_RETURN_IF_ERROR(
-        obs::SnapshotFromJson(*metrics, &out->metrics_snapshot));
-    out->has_metrics_snapshot = true;
-  }
-  return Status::Ok();
-}
-
-#undef SABLOCK_RETURN_IF_ERROR
 
 }  // namespace sablock::report

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
 #include "pipeline/stage.h"
@@ -129,12 +128,10 @@ struct SuiteResult {
   obs::MetricsSnapshot metrics_snapshot;
 };
 
-/// JSON (de)serialization. FromJson validates shape and schema_version
-/// and reports the first offending key in the Status message.
+/// JSON serialization: the suite JSON that sablock_bench --json writes.
+/// Optional sections are omitted, never written empty.
 Json ToJson(const RunResult& run);
 Json ToJson(const SuiteResult& suite);
-Status RunResultFromJson(const Json& json, RunResult* out);
-Status SuiteResultFromJson(const Json& json, SuiteResult* out);
 
 }  // namespace sablock::report
 

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/blocking_key.h"
@@ -214,6 +215,17 @@ TEST(IndexRegistryTest, CreateFromSpecString) {
       "token:attrs=name+city", &index);
   ASSERT_TRUE(s.ok()) << s.message();
   EXPECT_TRUE(index->Bind(TwoAttrSchema()).ok());
+  // lsh and sa-lsh build one class; its name labels the index_* metrics.
+  const std::vector<std::pair<std::string, std::string>> names = {
+      {"lsh:k=4,l=12", "LshIndex(k=4,l=12)"},
+      {"sa-lsh:k=4,l=12,w=5,mode=or,domain=bib",
+       "SaLshIndex(k=4,l=12,w=5,OR)"},
+      {"sa-lsh:k=2,l=3,w=1,mode=and,domain=bib",
+       "SaLshIndex(k=2,l=3,w=1,AND)"}};
+  for (const auto& [spec, name] : names) {
+    ASSERT_TRUE(IndexRegistry::Global().Create(spec, &index).ok()) << spec;
+    EXPECT_EQ(index->name(), name);
+  }
 }
 
 TEST(IndexRegistryTest, RejectsUnknownNameAndBadParams) {

@@ -1,10 +1,10 @@
 // Golden test for the benchmark suite's JSON reporting: drives the real
 // sablock_bench entry point (BenchMain) over the table3 scenario in
-// --quick mode and validates that the emitted file is schema-valid JSON
-// with stable keys — the contract tools/bench_compare.py and the CI
+// --quick mode and checks that the file it writes is exactly the
+// serialization of the SuiteResult it hands back, with stable keys and
+// every baseline family — the contract tools/bench_compare.py and the CI
 // bench-smoke job rely on.
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -49,51 +49,49 @@ void ExpectKeyOrder(const Json& object,
   }
 }
 
+struct BenchRun {
+  std::string text;   ///< the --json file, byte for byte
+  SuiteResult suite;  ///< what BenchMain handed back
+};
+
 class ReportGoldenTest : public ::testing::Test {
  protected:
-  static std::string json_path() {
-    return ::testing::TempDir() + "/sablock_bench_table3.json";
-  }
-
   /// Runs the table3 scenario once per test binary (it is the expensive
-  /// part) and caches the raw file text.
-  static const std::string& SuiteText() {
-    static const std::string* text = [] {
-      std::string path = json_path();
+  /// part) and caches the file text and the suite.
+  static const BenchRun& Run() {
+    static const BenchRun* run = [] {
+      std::string path = ::testing::TempDir() + "/sablock_bench_table3.json";
       std::string json_flag = "--json=" + path;
       // Tiny sizes keep the golden test snappy; the scenario still
       // sweeps every baseline family grid.
       const char* argv[] = {"sablock_bench",   "--quick",
                             "--filter=table3", "--cora=150",
                             "--voter=400",     json_flag.c_str()};
-      int rc = sablock::bench::BenchMain(
-          static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+      auto* out = new BenchRun;
+      int rc = sablock::bench::BenchMain(static_cast<int>(std::size(argv)),
+                                         const_cast<char**>(argv),
+                                         &out->suite);
       EXPECT_EQ(rc, 0);
-      return new std::string(ReadFileOrDie(path));
+      out->text = ReadFileOrDie(path);
+      return out;
     }();
-    return *text;
+    return *run;
   }
 };
 
-TEST_F(ReportGoldenTest, EmitsParseableSuiteJson) {
-  Json suite;
-  Status status = Json::Parse(SuiteText(), &suite);
-  ASSERT_TRUE(status.ok()) << status.message();
-
-  SuiteResult result;
-  status = SuiteResultFromJson(suite, &result);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(result.tool, "sablock_bench");
-  EXPECT_EQ(result.schema_version, kSchemaVersion);
-  EXPECT_TRUE(result.quick);
-  ASSERT_EQ(result.scenarios.size(), 1u);
-  EXPECT_EQ(result.scenarios[0].name, "table3_fig11_baselines");
-  EXPECT_EQ(result.scenarios[0].exit_code, 0);
+TEST_F(ReportGoldenTest, FileIsTheSuiteItHandsBack) {
+  const SuiteResult& suite = Run().suite;
+  EXPECT_EQ(Run().text, ToJson(suite).Dump(2) + "\n");
+  EXPECT_EQ(suite.tool, "sablock_bench");
+  EXPECT_EQ(suite.schema_version, kSchemaVersion);
+  EXPECT_TRUE(suite.quick);
+  ASSERT_EQ(suite.scenarios.size(), 1u);
+  EXPECT_EQ(suite.scenarios[0].name, "table3_fig11_baselines");
+  EXPECT_EQ(suite.scenarios[0].exit_code, 0);
 }
 
 TEST_F(ReportGoldenTest, KeysAreStable) {
-  Json suite;
-  ASSERT_TRUE(Json::Parse(SuiteText(), &suite).ok());
+  const Json suite = ToJson(Run().suite);
 
   ExpectKeyOrder(suite,
                  {"tool", "schema_version", "quick", "repeat", "scenarios",
@@ -142,17 +140,12 @@ TEST_F(ReportGoldenTest, KeysAreStable) {
 }
 
 TEST_F(ReportGoldenTest, CoversEveryBaselineFamilyOnBothDatasets) {
-  Json suite;
-  ASSERT_TRUE(Json::Parse(SuiteText(), &suite).ok());
-  SuiteResult result;
-  ASSERT_TRUE(SuiteResultFromJson(suite, &result).ok());
-
   const std::set<std::string> expected = {
       "TBlo", "SorA", "SorII", "ASor", "QGr",  "CaTh",   "CaNN",
       "StMT", "StMNN", "SuA",  "SuAS", "RSuA", "LSH",    "SA-LSH"};
   for (const char* dataset : {"cora-like", "voter-like"}) {
     std::set<std::string> seen;
-    for (const RunResult& run : result.runs) {
+    for (const RunResult& run : Run().suite.runs) {
       EXPECT_EQ(run.scenario, "table3_fig11_baselines");
       if (run.dataset == dataset) {
         EXPECT_TRUE(seen.insert(run.name).second)
@@ -163,19 +156,6 @@ TEST_F(ReportGoldenTest, CoversEveryBaselineFamilyOnBothDatasets) {
     }
     EXPECT_EQ(seen, expected) << dataset;
   }
-}
-
-TEST_F(ReportGoldenTest, SerializationIsByteStableThroughRoundTrip) {
-  Json suite;
-  ASSERT_TRUE(Json::Parse(SuiteText(), &suite).ok());
-  SuiteResult result;
-  ASSERT_TRUE(SuiteResultFromJson(suite, &result).ok());
-  // parse → structs → re-serialize reproduces the file byte-for-byte
-  // (modulo the trailing newline WriteJsonFile appends): stable keys,
-  // stable number formatting.
-  std::string expected = SuiteText();
-  if (!expected.empty() && expected.back() == '\n') expected.pop_back();
-  EXPECT_EQ(ToJson(result).Dump(2), expected);
 }
 
 }  // namespace

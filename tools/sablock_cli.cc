@@ -244,6 +244,25 @@ int SaveSnapshotFromFlags(const Flags& flags,
   return 0;
 }
 
+/// Writes `header` and then the rows `write_rows` streams to `path`.
+/// Prints an error and returns false when the file cannot be opened or
+/// any write fails, the flush at close included.
+template <typename WriteRows>
+bool WriteCsvOutput(const std::string& path, const char* header,
+                    WriteRows write_rows) {
+  std::ofstream out(path);
+  if (out.is_open()) {
+    out << header;
+    write_rows(out);
+    out.close();
+  }
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -455,7 +474,7 @@ int main(int argc, char** argv) {
   if (meter != nullptr) {
     const std::string reason = meter->ExhaustedReason();
     std::printf("budget: %s — comparisons spent: %llu (%s)\n",
-                budget.ToString().c_str(),
+                budget.unlimited() ? "unlimited" : budget.ToString().c_str(),
                 static_cast<unsigned long long>(meter->Spent()),
                 reason.empty() ? "not exhausted"
                                : ("exhausted: " + reason).c_str());
@@ -467,36 +486,29 @@ int main(int argc, char** argv) {
   }
 
   // --- optional outputs ---------------------------------------------------
-  if (flags.Has("pairs-out") || flags.Has("blocks-out")) {
-    if (flags.Has("pairs-out")) {
-      std::ofstream out(flags.Get("pairs-out"));
-      if (!out.is_open()) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     flags.Get("pairs-out").c_str());
-        return 1;
-      }
-      out << "record_a,record_b\n";
-      blocks.DistinctPairs().ForEach([&out](uint32_t a, uint32_t b) {
-        out << a << ',' << b << '\n';
-      });
-      std::printf("wrote candidate pairs to %s\n",
-                  flags.Get("pairs-out").c_str());
+  if (flags.Has("pairs-out")) {
+    const std::string path = flags.Get("pairs-out");
+    if (!WriteCsvOutput(path, "record_a,record_b\n", [&](std::ofstream& out) {
+          blocks.DistinctPairs().ForEach([&out](uint32_t a, uint32_t b) {
+            out << a << ',' << b << '\n';
+          });
+        })) {
+      return 1;
     }
-    if (flags.Has("blocks-out")) {
-      std::ofstream out(flags.Get("blocks-out"));
-      if (!out.is_open()) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     flags.Get("blocks-out").c_str());
-        return 1;
-      }
-      out << "block_id,record_id\n";
-      for (size_t bi = 0; bi < blocks.blocks().size(); ++bi) {
-        for (sablock::data::RecordId id : blocks.blocks()[bi]) {
-          out << bi << ',' << id << '\n';
-        }
-      }
-      std::printf("wrote blocks to %s\n", flags.Get("blocks-out").c_str());
+    std::printf("wrote candidate pairs to %s\n", path.c_str());
+  }
+  if (flags.Has("blocks-out")) {
+    const std::string path = flags.Get("blocks-out");
+    if (!WriteCsvOutput(path, "block_id,record_id\n", [&](std::ofstream& out) {
+          for (size_t bi = 0; bi < blocks.blocks().size(); ++bi) {
+            for (sablock::data::RecordId id : blocks.blocks()[bi]) {
+              out << bi << ',' << id << '\n';
+            }
+          }
+        })) {
+      return 1;
     }
+    std::printf("wrote blocks to %s\n", path.c_str());
   }
   if (flags.Has("save-snapshot")) {
     // The run-warmed cold copy: same data, with the features it built.
