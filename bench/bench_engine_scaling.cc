@@ -80,7 +80,8 @@ int RunEngineScaling(report::BenchContext& ctx) {
         const sablock::data::Dataset input =
             cold ? dataset.ColdCopy() : dataset;
         sablock::WallTimer timer;
-        blocks = executor.ExecuteCollect(*technique, input);
+        blocks = sablock::core::BlockCollection();
+        executor.Execute(*technique, input, blocks);
         seconds.push_back(timer.Seconds());
       }
       report::RepeatStats stats =

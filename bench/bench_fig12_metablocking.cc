@@ -147,7 +147,7 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
     sablock::eval::PipelineResult run;
     report::RepeatStats stats = ctx.TimeRepeats([&](int) {
       run = sablock::eval::RunPipeline(pipelined->blocker(),
-                                       pipelined->stages(), d,
+                                       pipelined->stages(), d, {},
                                        /*evaluate=*/false);
       return run.seconds;
     });

@@ -105,13 +105,13 @@ int RunFig13Scalability(report::BenchContext& ctx) {
     spec.shards = shards;
     spec.threads = 1;
     eval::TechniqueResult par1 =
-        sablock::eval::RunTechniqueSharded(sa_lsh, d, spec);
+        sablock::eval::RunTechnique(sa_lsh, d, spec);
     add_row(n, "SA-LSH/par", 1, par1,
             report::SummarizeSeconds({par1.seconds}), d);
     if (threads > 1) {
       spec.threads = threads;
       eval::TechniqueResult parn =
-          sablock::eval::RunTechniqueSharded(sa_lsh, d, spec);
+          sablock::eval::RunTechnique(sa_lsh, d, spec);
       add_row(n, "SA-LSH/par", threads, parn,
               report::SummarizeSeconds({parn.seconds}), d);
     }

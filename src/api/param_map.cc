@@ -33,10 +33,6 @@ Status ParamMap::Parse(const std::string& text, ParamMap* out) {
   return Status::Ok();
 }
 
-void ParamMap::SetIfAbsent(const std::string& key, const std::string& value) {
-  if (values_.emplace(key, value).second) soft_.insert(key);
-}
-
 int ParamMap::GetInt(const std::string& key, int fallback) {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -109,7 +105,7 @@ Status ParamMap::Finish() const {
   if (!error_.ok()) return error_;
   std::string unknown;
   for (const auto& [key, value] : values_) {
-    if (consumed_.count(key) > 0 || soft_.count(key) > 0) continue;
+    if (consumed_.count(key) > 0) continue;
     if (!unknown.empty()) unknown += ", ";
     unknown += "'" + key + "'";
   }

@@ -27,13 +27,12 @@ class ParamMap {
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
-  /// Inserts a default; no-op when the key is already present. Lets
-  /// callers (the CLI's legacy flags, domain-derived attribute defaults)
-  /// layer defaults under an explicit spec. Keys added this way are
-  /// "soft": Finish() does not report them when the factory leaves them
-  /// unconsumed (a tblo run should ignore a layered --k default, while a
-  /// literal "tblo:k=4" spec still fails).
-  void SetIfAbsent(const std::string& key, const std::string& value);
+  /// Inserts a default; no-op when the key is already present. Lets a
+  /// caller (the CLI's --attrs) layer a default under an explicit spec.
+  /// Finish() checks such a key like any other.
+  void SetIfAbsent(const std::string& key, const std::string& value) {
+    values_.emplace(key, value);
+  }
 
   int GetInt(const std::string& key, int fallback);
   uint64_t GetUint64(const std::string& key, uint64_t fallback);
@@ -75,7 +74,6 @@ class ParamMap {
 
   std::map<std::string, std::string> values_;
   std::set<std::string> consumed_;
-  std::set<std::string> soft_;  // layered defaults, exempt from Finish()
   Status error_;
 };
 

@@ -35,15 +35,11 @@ struct CandidatePair {
 /// as they are produced.
 ///
 /// Thread-safety contract: sinks are NOT internally synchronized — a
-/// sink's Consume()/Done() must be called by one producer at a time.
-/// Concurrent producers (the sharded execution engine's stream mode)
-/// share one engine::ConcurrentSink wrapping the sink chain; it serializes
-/// every Consume() and Done() under a single mutex. Budget accounting is
-/// the exception: BudgetedSink instances share one atomic BudgetMeter, so
-/// each concurrent producer gets its own BudgetedSink over a thread-safe
-/// downstream and no ConcurrentSink wrap is needed for the countdown
-/// itself. Running concurrent producers into any other bare stateful sink
-/// is a data race (caught by the tools/check.sh --tsan build).
+/// sink's Consume()/Done() must be called by one producer at a time (the
+/// sharded engine's shard tasks fill private collections and merge on the
+/// calling thread). Only BudgetedSinks over one atomic BudgetMeter may
+/// spend from different threads; any other shared stateful sink is a
+/// data race (caught by the tools/check.sh --tsan build).
 class BlockSink {
  public:
   virtual ~BlockSink() = default;
@@ -72,8 +68,8 @@ class BlockSink {
 /// block. O(1) memory regardless of output size.
 ///
 /// Terminal by default; constructed with a `next` sink it counts and
-/// forwards, so it can measure the block/pair stream in front of any sink
-/// (the engine counts each shard's output this way).
+/// forwards, so it can measure the block/pair stream in front of any
+/// sink.
 class PairCountingSink : public BlockSink {
  public:
   PairCountingSink() = default;
@@ -117,10 +113,9 @@ class PairCountingSink : public BlockSink {
 ///
 /// The meter's countdown is atomic, so concurrent producers account
 /// against one global budget by giving each its own BudgetedSink over the
-/// same meter — no ConcurrentSink wrap is required for the budget itself
-/// (the inner sink still needs its own thread-safety if shared). The
-/// dropped-block counter is per-instance plain state, exact under the
-/// one-producer-per-sink contract.
+/// same meter (the inner sink still needs its own thread-safety if
+/// shared). The dropped-block counter is per-instance plain state, exact
+/// under the one-producer-per-sink contract.
 class BudgetedSink : public BlockSink {
  public:
   BudgetedSink(BlockSink& inner, std::shared_ptr<BudgetMeter> meter)

@@ -55,8 +55,8 @@ struct Budget {
 };
 
 /// Shared, thread-safe countdown for one Budget: the atomic heart that
-/// lets any number of producers (sharded engine shards, concurrent
-/// streams) account against one global budget without an external mutex.
+/// lets any number of concurrent producers account against one global
+/// budget without an external mutex.
 ///
 /// The spend that crosses the limit is still accepted (the caller forwards
 /// its block/pair), so the total spent may overshoot by less than one

@@ -49,7 +49,6 @@ void IterativeLshBlocker::Run(const data::Dataset& dataset,
     group_of[id] = id;
   }
 
-  BlockCollection merge_log;
   for (int iter = 0; iter < iterations_; ++iter) {
     // Active groups are the current representatives.
     std::vector<uint32_t> active;
@@ -87,9 +86,7 @@ void IterativeLshBlocker::Run(const data::Dataset& dataset,
           if (members[g].empty() || members[head].empty()) continue;
           double sim = MinHasher::EstimateJaccard(sigs[head], sigs[g]);
           if (sim < merge_threshold_) continue;
-          // Merge g into head: union shingles and members; record pairs.
-          Block pair_block = {members[head].front(), members[g].front()};
-          merge_log.Add(std::move(pair_block));
+          // Merge g into head: union shingles and members.
           std::vector<uint64_t> merged;
           std::set_union(shingles[head].begin(), shingles[head].end(),
                          shingles[g].begin(), shingles[g].end(),

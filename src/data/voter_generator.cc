@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "data/corruptor.h"
 #include "data/name_pools.h"
 
 namespace sablock::data {

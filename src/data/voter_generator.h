@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "data/corruptor.h"
 #include "data/record.h"
 
 namespace sablock::data {
@@ -43,14 +42,6 @@ struct VoterGeneratorConfig {
   double surname_change_prob = 0.04;
   /// P(a character edit is an OCR confusion rather than a keyboard slip).
   double ocr_prob = 0.1;
-
-  /// Retained for binary compatibility with older callers; the name-error
-  /// model above supersedes it for first/last names.
-  CorruptorConfig corruption = {/*char_edit_prob=*/0.0,
-                                /*max_char_edits=*/0,
-                                /*word_swap_prob=*/0.0,
-                                /*word_delete_prob=*/0.0,
-                                /*ocr_prob=*/0.1};
 };
 
 /// Generates an NC-Voter-like dataset with ground-truth entity ids.

@@ -5,10 +5,8 @@
 namespace sablock::engine {
 
 std::string ExecutionSpec::ToString() const {
-  std::string text = "threads=" + std::to_string(threads) +
-                     ",shards=" + std::to_string(shards) + ",merge=";
-  text += merge == Merge::kCollect ? "collect" : "stream";
-  return text;
+  return "threads=" + std::to_string(threads) +
+         ",shards=" + std::to_string(shards);
 }
 
 Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
@@ -19,9 +17,8 @@ Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
   ExecutionSpec spec;
   spec.threads = params.GetInt("threads", spec.threads);
   spec.shards = params.GetInt("shards", spec.shards);
-  spec.merge = params.GetEnum<Merge>(
-      "merge", spec.merge,
-      {{"collect", Merge::kCollect}, {"stream", Merge::kStream}});
+  // The shard-order merge is the only one; "merge=collect" names it.
+  params.GetEnum("merge", 0, {{"collect", 0}});
   status = params.Finish();
   if (!status.ok()) return status;
   if (spec.threads < 1) {

@@ -11,7 +11,7 @@ namespace sablock::engine {
 /// form reuses the blocker-spec parameter grammar
 /// ("key=val,key=val", see api::ParamMap):
 ///
-///   "threads=4,shards=8,merge=collect"
+///   "threads=4,shards=8"
 ///
 /// Semantics:
 ///  - threads: worker count (>= 1). Purely an execution property — it
@@ -20,27 +20,20 @@ namespace sablock::engine {
 ///    follow `threads`. A computation property: the merged result depends
 ///    on the shard count (blocks never span shards), so pin shards
 ///    explicitly when comparing runs across thread counts.
-///  - merge:   collect (default) materializes per-shard results and merges
-///    them in shard order — the output BlockCollection is byte-identical
-///    for any thread count; stream forwards blocks to the sink as they are
-///    produced through a ConcurrentSink — same multiset of blocks, but
-///    arrival order depends on scheduling.
 struct ExecutionSpec {
-  enum class Merge { kCollect, kStream };
-
   int threads = 1;
   int shards = 0;  // 0 = follow threads
-  Merge merge = Merge::kCollect;
 
   /// The effective shard count: `shards`, or `threads` when shards == 0.
   int ResolvedShards() const { return shards > 0 ? shards : threads; }
 
-  /// Round-trips through Parse: "threads=4,shards=8,merge=collect".
+  /// Round-trips through Parse: "threads=4,shards=8".
   std::string ToString() const;
 
-  /// Parses "threads=N,shards=M,merge=collect|stream" (every key
-  /// optional; empty text is the default spec). Unknown keys, malformed
-  /// values, threads < 1 and shards < 0 are errors.
+  /// Parses "threads=N,shards=M" (every key optional; empty text is the
+  /// default spec). "merge=collect", the name of the one shard-order
+  /// merge, is accepted; unknown keys, malformed values, any other merge,
+  /// threads < 1 and shards < 0 are errors.
   static Status Parse(const std::string& text, ExecutionSpec* out);
 };
 

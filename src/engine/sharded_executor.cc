@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "engine/concurrent_sink.h"
 #include "engine/thread_pool.h"
 #include "features/feature_store.h"
 #include "obs/metrics.h"
@@ -14,21 +13,19 @@ namespace sablock::engine {
 
 namespace {
 
-/// Runs the technique on one shard, translating the shard-local ids the
-/// technique emits back to global ids via `range.begin`. Slice() is a
-/// zero-copy view: the shard shares the parent dataset's string arena and
-/// FeatureStore, so per-record features (normalized text, shingle sets,
-/// minhash signatures) are computed once for the whole dataset and reused
-/// by every concurrent shard.
+/// Runs the technique on one shard into the shard's own collection,
+/// translating the shard-local ids the technique emits back to global ids
+/// via `range.begin`. Slice() is a zero-copy view: the shard shares the
+/// parent dataset's string arena and FeatureStore, so per-record features
+/// (normalized text, shingle sets, minhash signatures) are computed once
+/// for the whole dataset and reused by every concurrent shard.
 ///
 /// Per-shard telemetry: record/block throughput counters plus a
 /// per-shard wall-time histogram, so a starved or skewed shard shows up
-/// on a live process instead of only in post-hoc bench output. The
-/// interposed PairCountingSink adds one branch per block — noise next to
-/// the technique's own work.
+/// on a live process instead of only in post-hoc bench output.
 void RunShard(const core::BlockingTechnique& technique,
               const data::Dataset& dataset, ShardRange range,
-              core::BlockSink& shard_sink) {
+              core::BlockCollection& out) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter* const shards =
       registry.GetCounter("engine_shards", "shard tasks executed");
@@ -42,13 +39,12 @@ void RunShard(const core::BlockingTechnique& technique,
 
   WallTimer timer;
   data::Dataset shard = dataset.Slice(range.begin, range.end);
-  core::PairCountingSink counted(shard_sink);
-  OffsetSink offset(counted, range.begin);
+  OffsetSink offset(out, range.begin);
   technique.Run(shard, offset);
   seconds->Observe(timer.Seconds());
   shards->Add(1);
   records->Add(range.size());
-  blocks->Add(counted.num_blocks());
+  blocks->Add(out.NumBlocks());
 }
 
 }  // namespace
@@ -104,30 +100,10 @@ void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
   const int threads =
       std::min(spec_.threads, static_cast<int>(ranges.size()));
 
-  if (spec_.merge == ExecutionSpec::Merge::kStream) {
-    ConcurrentSink shared(sink);
-    if (threads == 1) {
-      for (const ShardRange& range : ranges) {
-        if (shared.Done()) break;
-        RunShard(technique, dataset, range, shared);
-      }
-    } else {
-      ThreadPool pool(threads);
-      for (const ShardRange& range : ranges) {
-        pool.Submit([&technique, &dataset, range, &shared] {
-          if (shared.Done()) return;
-          RunShard(technique, dataset, range, shared);
-        });
-      }
-      pool.Wait();
-    }
-    return;
-  }
-
-  // merge=collect: materialize per shard, then merge in shard order so
-  // the output is independent of scheduling. Each task writes only its
-  // own vector element; the pool's Wait() orders those writes before the
-  // merge reads them.
+  // Materialize per shard, then merge in shard order so the output is
+  // independent of scheduling. Each task writes only its own vector
+  // element; the pool's Wait() orders those writes before the merge
+  // reads them.
   std::vector<core::BlockCollection> per_shard(ranges.size());
   if (threads == 1) {
     for (size_t s = 0; s < ranges.size(); ++s) {
@@ -155,25 +131,13 @@ std::vector<pipeline::StepCounts> ShardedExecutor::ExecutePipeline(
     const pipeline::Pipeline& stages, const data::Dataset& dataset,
     core::BlockSink& sink) const {
   pipeline::Chain chain = stages.Instantiate(dataset, sink);
-  // In stream mode Execute serializes all shard producers into
-  // chain.head() through its ConcurrentSink; in collect mode the merged
-  // shard collections drain into it in shard order. Either way the
-  // producers are finished when Execute returns, so this is the single
+  // Execute's producers have all finished when it returns (the merge
+  // drains into chain.head() on this thread), so this is the single
   // end-of-stream point — the barrier stages run here, at merge.
   Execute(technique, dataset, chain.head());
   std::vector<pipeline::StepCounts> steps = chain.Flush();
   steps[0].name = technique.name();
   return steps;
-}
-
-core::BlockCollection ShardedExecutor::ExecuteCollect(
-    const core::BlockingTechnique& technique,
-    const data::Dataset& dataset) const {
-  ExecutionSpec collect_spec = spec_;
-  collect_spec.merge = ExecutionSpec::Merge::kCollect;
-  core::BlockCollection merged;
-  ShardedExecutor(collect_spec).Execute(technique, dataset, merged);
-  return merged;
 }
 
 }  // namespace sablock::engine

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/block_sink.h"
 #include "core/blocking.h"
 #include "data/record.h"
 #include "engine/execution_spec.h"
@@ -26,52 +27,56 @@ struct ShardRange {
 /// dataset yields no ranges.
 std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
 
+/// Sink adapter translating shard-local record ids back to global dataset
+/// ids: a technique running on Dataset::Slice(begin, end) emits ids in
+/// [0, end-begin); adding `offset` = begin recovers the original ids.
+class OffsetSink : public core::BlockSink {
+ public:
+  OffsetSink(core::BlockSink& inner, data::RecordId offset)
+      : inner_(&inner), offset_(offset) {}
+
+  void Consume(core::Block block) override {
+    for (data::RecordId& id : block) id += offset_;
+    inner_->Consume(std::move(block));
+  }
+
+  bool Done() const override { return inner_->Done(); }
+
+  void Flush() override { inner_->Flush(); }
+
+ private:
+  core::BlockSink* inner_;
+  data::RecordId offset_;
+};
+
 /// Runs any BlockingTechnique over a dataset partitioned into record
 /// shards, one concurrent task per shard on a ThreadPool. Blocks never
 /// span shards (cross-shard record pairs are not candidates), so the
 /// shard count is part of the computation's definition while the thread
 /// count is not:
 ///
-///   results depend on (technique, dataset, shards, merge) — never on
-///   threads.
+///   results depend on (technique, dataset, shards) — never on threads.
 ///
-/// Merge modes (see ExecutionSpec): collect materializes one
-/// BlockCollection per shard and merges them in shard order with record
-/// ids translated back to the global dataset, giving a deterministic
-/// output for any thread count; stream forwards each block through a
-/// shared ConcurrentSink as soon as it is produced (order then depends on
-/// scheduling, but the multiset of blocks does not).
-///
-/// A core::BudgetedSink in front of the caller's sink bounds the whole
-/// run by one budget. In stream mode its Done() signal propagates to
-/// every shard task through the ConcurrentSink, whose lock also makes the
-/// spend exact; the emitted prefix then depends on scheduling. In collect
-/// mode backpressure is only honoured during the final merge (shard tasks
-/// materialize first), like BlockCollection::Drain, so the budgeted
-/// output stays independent of the thread count.
+/// Each shard task fills its own BlockCollection (ids offset back to the
+/// dataset); once all have finished, the collections drain into the
+/// caller's sink in shard order, on the calling thread. So the output is
+/// the shard-order concatenation of the per-slice runs, no sink is called
+/// from two threads, and a core::BudgetedSink in front of the sink (one
+/// budget for the whole run) receives a prefix of that sequence.
 class ShardedExecutor {
  public:
   explicit ShardedExecutor(ExecutionSpec spec);
 
   /// Runs `technique` over `dataset` under the spec, emitting every block
-  /// (with global record ids) into `sink`. The sink itself need not be
-  /// thread-safe: the executor serializes all access to it.
+  /// (with global record ids) into `sink` in shard order. With one shard
+  /// this is technique.Run(dataset, sink) itself.
   void Execute(const core::BlockingTechnique& technique,
                const data::Dataset& dataset, core::BlockSink& sink) const;
 
-  /// Collecting wrapper: runs under merge=collect semantics (regardless
-  /// of the spec's merge mode) and returns the deterministic merged
-  /// collection.
-  core::BlockCollection ExecuteCollect(
-      const core::BlockingTechnique& technique,
-      const data::Dataset& dataset) const;
-
-  /// Runs `technique` sharded and `stages` once, globally: the shard
-  /// producers feed one shared stage chain — through the engine's
-  /// ConcurrentSink in stream mode, or via the deterministic shard-order
-  /// merge in collect mode — and the chain is flushed exactly once after
-  /// every shard has finished, so barrier stages (meta-blocking) run
-  /// their graph phase at merge over the full cross-shard stream.
+  /// Runs `technique` sharded and `stages` once, globally: the merge
+  /// feeds one stage chain, flushed once at its end, so barrier stages
+  /// (meta-blocking) run their graph phase over the full cross-shard
+  /// stream.
   ///
   /// Returns the run's steps like Pipeline::Run: the generator's
   /// seconds span the whole sharded phase, merge included.

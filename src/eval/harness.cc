@@ -9,13 +9,10 @@
 
 namespace sablock::eval {
 
-namespace {
-
-PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
-                               const pipeline::Pipeline& stages,
-                               const data::Dataset& dataset,
-                               const engine::ExecutionSpec* spec,
-                               bool evaluate) {
+PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
+                           const pipeline::Pipeline& stages,
+                           const data::Dataset& dataset,
+                           const engine::ExecutionSpec& spec, bool evaluate) {
   PipelineResult result;
   result.name = blocker.name();
   if (!stages.empty()) result.name += " | " + stages.name();
@@ -25,35 +22,17 @@ PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
   // own observers count and time every step.
   data::Dataset cold = dataset.ColdCopy();
   WallTimer timer;
-  result.stages =
-      spec == nullptr
-          ? stages.Run(blocker, cold, result.blocks)
-          : engine::ShardedExecutor(*spec).ExecutePipeline(
-                blocker, stages, cold, result.blocks);
+  result.stages = engine::ShardedExecutor(spec).ExecutePipeline(
+      blocker, stages, cold, result.blocks);
   result.seconds = timer.Seconds();
 
   if (evaluate) result.metrics = Evaluate(dataset, result.blocks);
   return result;
 }
 
-}  // namespace
-
-PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
-                           const pipeline::Pipeline& stages,
-                           const data::Dataset& dataset, bool evaluate) {
-  return RunPipelineImpl(blocker, stages, dataset, nullptr, evaluate);
-}
-
-PipelineResult RunPipelineSharded(const core::BlockingTechnique& blocker,
-                                  const pipeline::Pipeline& stages,
-                                  const data::Dataset& dataset,
-                                  const engine::ExecutionSpec& spec,
-                                  bool evaluate) {
-  return RunPipelineImpl(blocker, stages, dataset, &spec, evaluate);
-}
-
 TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
-                             const data::Dataset& dataset) {
+                             const data::Dataset& dataset,
+                             const engine::ExecutionSpec& spec) {
   TechniqueResult result;
   result.name = technique.name();
   // Time against a detached feature cache: the harness exists to compare
@@ -63,23 +42,7 @@ TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
   data::Dataset cold = dataset.ColdCopy();
   sablock::WallTimer timer;
   core::BlockCollection blocks;
-  technique.Run(cold, blocks);
-  result.seconds = timer.Seconds();
-  result.metrics = Evaluate(dataset, blocks);
-  return result;
-}
-
-TechniqueResult RunTechniqueSharded(const core::BlockingTechnique& technique,
-                                    const data::Dataset& dataset,
-                                    const engine::ExecutionSpec& spec) {
-  TechniqueResult result;
-  result.name = technique.name();
-  engine::ShardedExecutor executor(spec);
-  // Same cold-path timing as RunTechnique; the run's shards still share
-  // one feature build through the cold copy's own store.
-  data::Dataset cold = dataset.ColdCopy();
-  sablock::WallTimer timer;
-  core::BlockCollection blocks = executor.ExecuteCollect(technique, cold);
+  engine::ShardedExecutor(spec).Execute(technique, cold, blocks);
   result.seconds = timer.Seconds();
   result.metrics = Evaluate(dataset, blocks);
   return result;

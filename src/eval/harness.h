@@ -20,21 +20,15 @@ struct TechniqueResult {
   double seconds = 0.0;
 };
 
-/// Runs a technique, timing block construction (the Table 3 "Time" column
-/// measures block building only, as in the paper). Timing is cold-path:
-/// the technique runs against a detached feature cache (Dataset::ColdCopy)
-/// so the reported seconds are end-to-end and independent of which
-/// technique the harness happened to run first.
+/// Runs a technique under `spec` (ShardedExecutor::Execute; the default
+/// is one shard, a plain Run), timing block construction (the Table 3
+/// "Time" column measures block building only, as in the paper). Timing
+/// is cold-path: the technique runs against a detached feature cache
+/// (Dataset::ColdCopy) so the reported seconds are end-to-end and
+/// independent of which technique the harness happened to run first.
 TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
-                             const data::Dataset& dataset);
-
-/// Runs a technique through the sharded execution engine under `spec`,
-/// timing the sharded block construction (slice + per-shard runs + merge).
-/// With spec {threads=1, shards=1} this is RunTechnique through the
-/// engine's fast path.
-TechniqueResult RunTechniqueSharded(const core::BlockingTechnique& technique,
-                                    const data::Dataset& dataset,
-                                    const engine::ExecutionSpec& spec);
+                             const data::Dataset& dataset,
+                             const engine::ExecutionSpec& spec = {});
 
 /// The outcome of one pipeline run: per-step counts (element [0] is the
 /// generator, then one entry per stage in chain order; see
@@ -48,25 +42,18 @@ struct PipelineResult {
   double seconds = 0.0;
 };
 
-/// Runs a block generator through a pipeline's stage chain, reporting
-/// how each step reshaped the block/pair stream and where the time went
-/// (the chain's own per-step observers). Cold-path timing, like
-/// RunTechnique. `evaluate=false` skips the quality-metrics pass (a
-/// distinct-pair scan over the final blocks, wasted work on all but the
-/// last of a timing loop's repetitions) and leaves `metrics` default.
+/// Runs a block generator through a pipeline's stage chain under `spec`
+/// (ShardedExecutor::ExecutePipeline), reporting how each step reshaped
+/// the block/pair stream and where the time went (the chain's own
+/// per-step observers). Cold-path timing, like RunTechnique.
+/// `evaluate=false` skips the quality-metrics pass (a distinct-pair scan
+/// over the final blocks, wasted work on all but the last of a timing
+/// loop's repetitions) and leaves `metrics` default.
 PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
                            const pipeline::Pipeline& stages,
                            const data::Dataset& dataset,
+                           const engine::ExecutionSpec& spec = {},
                            bool evaluate = true);
-
-/// RunPipeline with the generator executed by the sharded engine under
-/// `spec`; the stage chain runs once, globally, with barrier stages
-/// firing at merge (ShardedExecutor::ExecutePipeline semantics).
-PipelineResult RunPipelineSharded(const core::BlockingTechnique& blocker,
-                                  const pipeline::Pipeline& stages,
-                                  const data::Dataset& dataset,
-                                  const engine::ExecutionSpec& spec,
-                                  bool evaluate = true);
 
 /// Runs every setting and returns all results.
 std::vector<TechniqueResult> RunAll(

@@ -23,9 +23,11 @@ namespace sablock::index {
 ///    resolves attribute positions and reports missing required
 ///    attributes.
 ///  - Insert(id, values) indexes one record. `id` is assigned by the
-///    caller (the CandidateService uses the backing Dataset's record id)
-///    and must be fresh — ids are never reused, and inserts normally
-///    arrive in increasing id order (the order the backing store appends).
+///    caller (the CandidateService uses its insert count) and must be
+///    fresh — ids are never reused, and inserts normally arrive in
+///    increasing id order. `values` are borrowed for the call only: an
+///    index copies whatever it keeps (band keys, tokens, sort keys) and
+///    holds no view into the caller's buffers.
 ///  - Remove(id) un-indexes a record; returns false if `id` is not live.
 ///  - Query(values) returns the sorted distinct ids of the live records
 ///    that would share a block with the probe if it were inserted next.

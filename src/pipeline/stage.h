@@ -41,19 +41,12 @@ struct StepCounts {
 /// serves concurrent runs (e.g. one per record shard).
 class PipelineStage : public core::BlockSink {
  public:
-  enum class Kind {
-    kStreaming,  ///< forwards each block as it arrives
-    kBarrier,    ///< buffers; transforms and emits on Flush()
-  };
-
   /// Registry spec name, e.g. "purge".
   virtual std::string spec_name() const = 0;
 
   /// Short identifier including bound parameters, e.g.
   /// "purge(max_size=500)" — mirrors BlockingTechnique::name().
   virtual std::string name() const = 0;
-
-  virtual Kind kind() const = 0;
 
   /// Fresh unattached copy carrying configuration only (never buffered
   /// state); lets a const Pipeline instantiate one chain per run.

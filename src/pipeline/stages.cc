@@ -105,8 +105,8 @@ void FilterStage::Flush() {
 void MetaStage::Flush() {
   // Canonical content order (see class comment). On the classic
   // single-producer path the generator already emits sorted blocks and
-  // this is a no-op pass; under the engine's stream mode it erases the
-  // scheduling-dependent arrival order.
+  // this is a no-op pass; a sharded run's merge is sorted only within
+  // each shard.
   std::sort(buffered_.begin(), buffered_.end());
   core::BlockCollection input;
   for (core::Block& block : buffered_) input.Add(std::move(block));

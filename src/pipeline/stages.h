@@ -23,7 +23,6 @@ class PurgeStage : public PipelineStage {
 
   std::string spec_name() const override { return "purge"; }
   std::string name() const override;
-  Kind kind() const override { return Kind::kStreaming; }
   std::unique_ptr<PipelineStage> Clone() const override {
     return std::make_unique<PurgeStage>(max_size_);
   }
@@ -57,9 +56,6 @@ class FilterStage : public PipelineStage {
 
   std::string spec_name() const override { return "filter"; }
   std::string name() const override;
-  Kind kind() const override {
-    return top_frac_ < 1.0 ? Kind::kBarrier : Kind::kStreaming;
-  }
   std::unique_ptr<PipelineStage> Clone() const override {
     return std::make_unique<FilterStage>(min_size_, top_frac_);
   }
@@ -87,7 +83,6 @@ class CapStage : public PipelineStage {
 
   std::string spec_name() const override { return "cap"; }
   std::string name() const override;
-  Kind kind() const override { return Kind::kStreaming; }
   std::unique_ptr<PipelineStage> Clone() const override {
     return std::make_unique<CapStage>(budget_);
   }
@@ -134,10 +129,10 @@ MetaPruning GetMetaPruning(api::ParamMap& p, const std::string& key);
 ///
 /// The flush sorts the buffered blocks into canonical content order
 /// before pruning, so the output depends only on the *set* of input
-/// blocks — not on arrival order. This is what makes the engine's
-/// stream mode exact: floating-point edge-weight accumulation is order
-/// sensitive, and without the sort a scheduling-dependent arrival order
-/// could flip a threshold-straddling edge by an ULP.
+/// blocks — not on arrival order. Floating-point edge-weight
+/// accumulation is order sensitive, and without the sort a different
+/// arrival order (a sharded run's, say) could flip a threshold-straddling
+/// edge by an ULP.
 class MetaStage : public PipelineStage {
  public:
   MetaStage(MetaWeighting weighting, MetaPruning pruning)
@@ -145,7 +140,6 @@ class MetaStage : public PipelineStage {
 
   std::string spec_name() const override { return "meta"; }
   std::string name() const override;
-  Kind kind() const override { return Kind::kBarrier; }
   std::unique_ptr<PipelineStage> Clone() const override {
     return std::make_unique<MetaStage>(weighting_, pruning_);
   }

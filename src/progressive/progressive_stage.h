@@ -42,7 +42,6 @@ class ProgressiveStage : public pipeline::PipelineStage {
 
   std::string spec_name() const override { return "progressive"; }
   std::string name() const override;
-  Kind kind() const override { return Kind::kBarrier; }
   std::unique_ptr<PipelineStage> Clone() const override {
     return std::make_unique<ProgressiveStage>(scheduler_, budget_, seed_);
   }

@@ -40,29 +40,6 @@ Json Json::Object() {
   return j;
 }
 
-bool Json::bool_value() const {
-  SABLOCK_CHECK(type_ == Type::kBool);
-  return bool_;
-}
-
-int64_t Json::int_value() const {
-  if (type_ == Type::kUint) {
-    SABLOCK_CHECK(uint_ <= static_cast<uint64_t>(INT64_MAX));
-    return static_cast<int64_t>(uint_);
-  }
-  SABLOCK_CHECK(type_ == Type::kInt);
-  return int_;
-}
-
-uint64_t Json::uint_value() const {
-  if (type_ == Type::kInt) {
-    SABLOCK_CHECK(int_ >= 0);
-    return static_cast<uint64_t>(int_);
-  }
-  SABLOCK_CHECK(type_ == Type::kUint);
-  return uint_;
-}
-
 double Json::double_value() const {
   switch (type_) {
     case Type::kInt:
@@ -75,11 +52,6 @@ double Json::double_value() const {
       SABLOCK_CHECK_MSG(false, "Json::double_value on non-number");
       return 0.0;
   }
-}
-
-const std::string& Json::string_value() const {
-  SABLOCK_CHECK(type_ == Type::kString);
-  return string_;
 }
 
 Json& Json::Append(Json value) {

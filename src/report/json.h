@@ -42,18 +42,9 @@ class Json {
   static Json Object();
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const {
-    return type_ == Type::kInt || type_ == Type::kUint ||
-           type_ == Type::kDouble;
-  }
 
-  /// Typed accessors; calling one on the wrong type CHECK-fails.
-  bool bool_value() const;
-  int64_t int_value() const;    ///< kInt or in-range kUint
-  uint64_t uint_value() const;  ///< kUint or non-negative kInt
-  double double_value() const;  ///< any numeric type, widened
-  const std::string& string_value() const;
+  /// Any numeric type, widened; CHECK-fails on a non-number.
+  double double_value() const;
 
   // ------------------------------------------------------------- arrays
   /// Appends an element (CHECK-fails unless array). Returns *this.

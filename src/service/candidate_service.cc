@@ -90,7 +90,7 @@ Status CandidateService::Make(data::Schema schema,
 
 CandidateService::CandidateService(
     data::Schema schema, std::unique_ptr<index::IncrementalIndex> idx)
-    : schema_(schema), dataset_(std::move(schema)), index_(std::move(idx)) {
+    : schema_(std::move(schema)), index_(std::move(idx)) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   insert_seconds_ = registry.GetHistogram(
       "index_insert_seconds", "incremental-index insert latency (lock held)",
@@ -106,10 +106,8 @@ data::RecordId CandidateService::Insert(
                     "value count does not match the schema");
   std::unique_lock lock(mu_);
   WallTimer timer;
-  data::RecordId id = dataset_.AddRow(values);
-  // Index the arena-backed copy, not the caller's views: index-internal
-  // state must not outlive the caller's buffers.
-  index_->Insert(id, dataset_.Values(id));
+  const auto id = static_cast<data::RecordId>(tokens_.size());
+  index_->Insert(id, values);
   tokens_.Append(values);
   insert_seconds_->Observe(timer.Seconds());
   inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -121,9 +119,8 @@ size_t CandidateService::Preload(const data::Dataset& dataset) {
                     "preload dataset schema does not match the service");
   std::unique_lock lock(mu_);
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    data::RecordId assigned =
-        dataset_.AddRow(dataset.Values(id), dataset.entity(id));
-    index_->Insert(assigned, dataset_.Values(assigned));
+    index_->Insert(static_cast<data::RecordId>(tokens_.size()),
+                   dataset.Values(id));
     tokens_.Append(dataset.Values(id));
   }
   inserts_.fetch_add(dataset.size(), std::memory_order_relaxed);

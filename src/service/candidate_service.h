@@ -37,6 +37,9 @@ class TokenIdColumn {
   /// Interns the row's tokens and appends its id run as the next row.
   void Append(std::span<const std::string_view> values);
 
+  /// Number of rows appended so far.
+  size_t size() const { return offsets_.size() - 1; }
+
   /// Row `row`'s sorted distinct token ids.
   std::span<const uint32_t> Row(size_t row) const {
     return std::span<const uint32_t>(ids_).subspan(
@@ -63,9 +66,9 @@ class TokenIdColumn {
   std::string buffer_;  // Append's token scratch
 };
 
-/// Thread-safe candidate store: a mutable Dataset, the incremental index
-/// over it and the dataset's token-id column, behind one reader/writer
-/// lock. Inserts take the exclusive side (they mutate all three
+/// Thread-safe candidate store: an incremental index and the records'
+/// token-id column, behind one reader/writer lock; a record's id is its
+/// insert position. Inserts take the exclusive side (they mutate both
 /// together); queries, stats and block emission share the read side.
 /// This is the in-process core the socket server (and the latency bench)
 /// drive.
@@ -76,8 +79,8 @@ class CandidateService {
   static Status Make(data::Schema schema, const std::string& index_spec,
                      std::unique_ptr<CandidateService>* out);
 
-  /// Appends the record and indexes it; returns the assigned record id.
-  /// `values` must be aligned with schema().
+  /// Indexes the record under the next id and returns that id. `values`
+  /// must be aligned with schema(); they are borrowed for the call.
   data::RecordId Insert(std::span<const std::string_view> values);
 
   /// Bulk-inserts every record of `dataset` (schemas must match) under a
@@ -109,8 +112,8 @@ class CandidateService {
                           const core::Budget& budget,
                           std::vector<ScoredCandidate>* out) const;
 
-  /// Un-indexes a record; false if not live. The dataset row remains (ids
-  /// are append-only positions), it just stops matching probes.
+  /// Un-indexes a record; false if not live. Its id stays taken (ids are
+  /// append-only positions), it just stops matching probes.
   bool Remove(data::RecordId id);
 
   /// Streams the index's current blocks into `sink`.
@@ -126,9 +129,8 @@ class CandidateService {
 
   data::Schema schema_;
   mutable std::shared_mutex mu_;
-  data::Dataset dataset_;                           // guarded by mu_
   std::unique_ptr<index::IncrementalIndex> index_;  // guarded by mu_
-  TokenIdColumn tokens_;  // one row per dataset_ record; guarded by mu_
+  TokenIdColumn tokens_;  // one row per inserted record; guarded by mu_
   std::atomic<uint64_t> inserts_{0};
   mutable std::atomic<uint64_t> queries_{0};  // counted in const Query
   std::atomic<uint64_t> removes_{0};

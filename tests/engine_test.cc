@@ -20,7 +20,6 @@
 namespace sablock::engine {
 namespace {
 
-using core::Block;
 using core::BlockCollection;
 using core::BlockingTechnique;
 
@@ -38,12 +37,6 @@ std::unique_ptr<BlockingTechnique> FromSpec(const std::string& spec) {
   // instead of a null dereference in the calling test.
   SABLOCK_CHECK_MSG(status.ok(), status.message().c_str());
   return technique;
-}
-
-std::vector<Block> SortedBlocks(const BlockCollection& collection) {
-  std::vector<Block> blocks = collection.blocks();
-  std::sort(blocks.begin(), blocks.end());
-  return blocks;
 }
 
 // --- MakeShardRanges ------------------------------------------------------
@@ -81,11 +74,19 @@ TEST(MakeShardRangesTest, EmptyDatasetYieldsNoRanges) {
 TEST(ExecutionSpecTest, ParsesFullSpec) {
   ExecutionSpec spec;
   Status status =
-      ExecutionSpec::Parse("threads=4,shards=8,merge=stream", &spec);
+      ExecutionSpec::Parse("threads=4,shards=8,merge=collect", &spec);
   ASSERT_TRUE(status.ok()) << status.message();
   EXPECT_EQ(spec.threads, 4);
   EXPECT_EQ(spec.shards, 8);
-  EXPECT_EQ(spec.merge, ExecutionSpec::Merge::kStream);
+}
+
+TEST(ExecutionSpecTest, RejectsStreamMerge) {
+  // "merge=collect", the one merge's name, parses; any other is an error.
+  ExecutionSpec spec;
+  Status status = ExecutionSpec::Parse("threads=4,merge=stream", &spec);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("'merge'"), std::string::npos)
+      << status.message();
 }
 
 TEST(ExecutionSpecTest, EmptyTextIsDefaultSpec) {
@@ -94,7 +95,6 @@ TEST(ExecutionSpecTest, EmptyTextIsDefaultSpec) {
   EXPECT_EQ(spec.threads, 1);
   EXPECT_EQ(spec.shards, 0);
   EXPECT_EQ(spec.ResolvedShards(), 1);
-  EXPECT_EQ(spec.merge, ExecutionSpec::Merge::kCollect);
 }
 
 TEST(ExecutionSpecTest, ShardsZeroFollowsThreads) {
@@ -116,12 +116,11 @@ TEST(ExecutionSpecTest, ToStringRoundTrips) {
   ExecutionSpec spec;
   spec.threads = 3;
   spec.shards = 12;
-  spec.merge = ExecutionSpec::Merge::kStream;
+  EXPECT_EQ(spec.ToString(), "threads=3,shards=12");
   ExecutionSpec parsed;
   ASSERT_TRUE(ExecutionSpec::Parse(spec.ToString(), &parsed).ok());
   EXPECT_EQ(parsed.threads, 3);
   EXPECT_EQ(parsed.shards, 12);
-  EXPECT_EQ(parsed.merge, ExecutionSpec::Merge::kStream);
 }
 
 // --- ShardedExecutor ------------------------------------------------------
@@ -133,8 +132,8 @@ TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
   BlockCollection direct = RunStreaming(*technique, dataset);
 
   ExecutionSpec spec;  // threads=1, shards -> 1
-  BlockCollection sharded =
-      ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+  BlockCollection sharded;
+  ShardedExecutor(spec).Execute(*technique, dataset, sharded);
   EXPECT_EQ(sharded.blocks(), direct.blocks());
 }
 
@@ -149,61 +148,55 @@ TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
   ExecutionSpec base;
   base.threads = 1;
   base.shards = 8;
-  BlockCollection reference =
-      ShardedExecutor(base).ExecuteCollect(*technique, dataset.ColdCopy());
+  BlockCollection reference;
+  ShardedExecutor(base).Execute(*technique, dataset.ColdCopy(), reference);
   EXPECT_GT(reference.NumBlocks(), 0u);
 
   for (int threads : {2, 4, 8}) {
     ExecutionSpec spec = base;
     spec.threads = threads;
     const data::Dataset cold = dataset.ColdCopy();
-    BlockCollection merged =
-        ShardedExecutor(spec).ExecuteCollect(*technique, cold);
+    BlockCollection merged;
+    ShardedExecutor(spec).Execute(*technique, cold, merged);
     // Bit-identical, including block order (stable shard/block ordering).
     EXPECT_EQ(merged.blocks(), reference.blocks())
         << "threads=" << threads;
     EXPECT_EQ(cold.features().store().stats().signature_builds, 1u);
-    BlockCollection warm =
-        ShardedExecutor(spec).ExecuteCollect(*technique, cold);
+    BlockCollection warm;
+    ShardedExecutor(spec).Execute(*technique, cold, warm);
     EXPECT_EQ(warm.blocks(), reference.blocks())
         << "warm, threads=" << threads;
   }
 }
 
-TEST(ShardedExecutorTest, StreamModeEmitsSameBlockMultisetAsCollect) {
+TEST(ShardedExecutorTest, HonoursBudgetedSinkBackpressure) {
+  // The merge stops at the block that crosses the budget: the sink gets
+  // a prefix of the unbudgeted sequence, the same at every thread count.
   data::Dataset dataset = SmallVoter(800);
   std::unique_ptr<BlockingTechnique> technique =
       FromSpec("tblo:attrs=last_name");
-
   ExecutionSpec spec;
-  spec.threads = 4;
   spec.shards = 8;
-  BlockCollection collected =
-      ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+  BlockCollection full;
+  ShardedExecutor(spec).Execute(*technique, dataset, full);
 
-  spec.merge = ExecutionSpec::Merge::kStream;
-  BlockCollection streamed;
-  ShardedExecutor(spec).Execute(*technique, dataset, streamed);
-  EXPECT_EQ(SortedBlocks(streamed), SortedBlocks(collected));
-}
-
-TEST(ShardedExecutorTest, StreamModeHonoursBudgetedSinkBackpressure) {
-  data::Dataset dataset = SmallVoter(800);
-  std::unique_ptr<BlockingTechnique> technique =
-      FromSpec("tblo:attrs=last_name");
-
-  BlockCollection collection;
-  core::BudgetedSink capped(
-      collection,
-      std::make_shared<core::BudgetMeter>(core::Budget{.pairs = 10}));
-  ExecutionSpec spec;
-  spec.threads = 4;
-  spec.shards = 8;
-  spec.merge = ExecutionSpec::Merge::kStream;
-  ShardedExecutor(spec).Execute(*technique, dataset, capped);
-  EXPECT_TRUE(capped.Done());
-  EXPECT_GE(capped.meter()->Spent(), 10u);
-  EXPECT_EQ(collection.TotalComparisons(), capped.meter()->Spent());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    spec.threads = threads;
+    BlockCollection collection;
+    core::BudgetedSink capped(
+        collection,
+        std::make_shared<core::BudgetMeter>(core::Budget{.pairs = 10}));
+    ShardedExecutor(spec).Execute(*technique, dataset, capped);
+    EXPECT_TRUE(capped.Done());
+    EXPECT_GE(capped.meter()->Spent(), 10u);
+    EXPECT_EQ(collection.TotalComparisons(), capped.meter()->Spent());
+    EXPECT_EQ(capped.dropped_blocks(), 0u);
+    ASSERT_LT(collection.NumBlocks(), full.NumBlocks());
+    EXPECT_TRUE(std::equal(collection.blocks().begin(),
+                           collection.blocks().end(),
+                           full.blocks().begin()));
+  }
 }
 
 TEST(ShardedExecutorTest, EmptyDatasetProducesNoBlocks) {
@@ -213,8 +206,8 @@ TEST(ShardedExecutorTest, EmptyDatasetProducesNoBlocks) {
   ExecutionSpec spec;
   spec.threads = 4;
   spec.shards = 4;
-  BlockCollection merged =
-      ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+  BlockCollection merged;
+  ShardedExecutor(spec).Execute(*technique, dataset, merged);
   EXPECT_EQ(merged.NumBlocks(), 0u);
 }
 
@@ -229,12 +222,12 @@ void ExpectIdenticalMetricsAcrossThreadCounts(const std::string& spec_text) {
   spec.shards = 8;  // pinned: the computation is defined by the shards
   spec.threads = 1;
   eval::TechniqueResult reference =
-      eval::RunTechniqueSharded(*technique, dataset, spec);
+      eval::RunTechnique(*technique, dataset, spec);
 
   for (int threads : {2, 8}) {
     spec.threads = threads;
     eval::TechniqueResult result =
-        eval::RunTechniqueSharded(*technique, dataset, spec);
+        eval::RunTechnique(*technique, dataset, spec);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(result.metrics.pc, reference.metrics.pc);
     EXPECT_EQ(result.metrics.pq, reference.metrics.pq);

@@ -161,8 +161,9 @@ TEST(PipelineGoldenTest, AllCombosMatchPinnedDigestsThroughShardedCollect) {
   for (const Golden& g : kGoldens) {
     std::unique_ptr<pipeline::PipelinedBlocker> pipelined = BuildPipeline(g);
     ASSERT_NE(pipelined, nullptr);
-    ExpectGolden(executor.ExecuteCollect(*pipelined, d), g.sharded,
-                 g.sharded_blocks, ComboName(g));
+    BlockCollection sharded;
+    executor.Execute(*pipelined, d, sharded);
+    ExpectGolden(sharded, g.sharded, g.sharded_blocks, ComboName(g));
   }
 }
 

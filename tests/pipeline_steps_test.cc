@@ -3,12 +3,11 @@
 // sinks at the same points of a hand-built reference chain, the step
 // seconds against the run's wall time, and the process-wide
 // blocks_emitted / comparisons_emitted series — single-threaded and
-// through the sharded engine in both merge modes (the TSan target for
-// shard producers feeding the chain's observers).
+// through the sharded engine (the TSan target for shard tasks racing the
+// cold feature build ahead of the chain's observers).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -88,15 +87,8 @@ std::map<std::string, std::pair<uint64_t, uint64_t>> StageSeries() {
   return series;
 }
 
-/// Multiset view of a collection (the engine's shards reorder blocks).
-std::vector<core::Block> Canonical(const BlockCollection& c) {
-  std::vector<core::Block> blocks = c.blocks();
-  std::sort(blocks.begin(), blocks.end());
-  return blocks;
-}
-
 /// Runs token blocking and `spec_text`'s stages single-threaded and
-/// through the engine in both merge modes, and checks every step.
+/// through the sharded engine, and checks every step.
 void CheckSteps(const char* spec_text) {
   const data::Dataset dataset = Corpus();
   const std::string stages = spec_text;
@@ -107,20 +99,15 @@ void CheckSteps(const char* spec_text) {
   ASSERT_TRUE(built.ok()) << spec << ": " << built.status().message();
   const PipelinedBlocker& pipelined = **built;
   const Pipeline& pipeline = pipelined.stages();
-  const bool caps = stages.find("cap:") != std::string::npos;
 
-  for (const char* engine : {"", "threads=4,shards=8,merge=collect",
-                             "threads=4,shards=8,merge=stream"}) {
+  for (const char* engine : {"", "threads=4,shards=8,merge=collect"}) {
     SCOPED_TRACE(spec + (*engine ? " @ " + std::string(engine) : ""));
     engine::ExecutionSpec execution;
     ASSERT_TRUE(engine::ExecutionSpec::Parse(engine, &execution).ok());
-    const bool sharded = *engine != '\0';
 
     const auto before = StageSeries();
     const eval::PipelineResult result =
-        sharded ? eval::RunPipelineSharded(pipelined.blocker(), pipeline,
-                                           dataset, execution)
-                : eval::RunPipeline(pipelined.blocker(), pipeline, dataset);
+        eval::RunPipeline(pipelined.blocker(), pipeline, dataset, execution);
     const auto after = StageSeries();
 
     ASSERT_EQ(result.stages.size(), pipeline.size() + 1);
@@ -157,20 +144,11 @@ void CheckSteps(const char* spec_text) {
       EXPECT_EQ(now.second - old.second, growth.second) << label;
     }
 
-    // Stream mode fixes no arrival order: a second run cannot reproduce a
-    // binding cap's cut, nor which of top_frac's equal-size blocks win.
-    const bool stream =
-        execution.merge == engine::ExecutionSpec::Merge::kStream;
-    if (caps && stream) continue;
     data::Dataset cold = dataset.ColdCopy();
     BlockCollection out;
     ReferenceChain reference(pipeline, cold, out);
-    if (sharded) {
-      engine::ShardedExecutor(execution).Execute(pipelined.blocker(), cold,
-                                                 *reference.counters[0]);
-    } else {
-      pipelined.blocker().Run(cold, *reference.counters[0]);
-    }
+    engine::ShardedExecutor(execution).Execute(pipelined.blocker(), cold,
+                                               *reference.counters[0]);
     reference.counters[0]->Flush();
     for (size_t k = 0; k < result.stages.size(); ++k) {
       const PairCountingSink& counted = *reference.counters[k];
@@ -179,9 +157,7 @@ void CheckSteps(const char* spec_text) {
       EXPECT_EQ(result.stages[k].max_block_size, counted.max_block_size())
           << k;
     }
-    if (!stream) {
-      EXPECT_EQ(Canonical(result.blocks), Canonical(out));
-    }
+    EXPECT_EQ(result.blocks.blocks(), out.blocks());
   }
 }
 
@@ -213,7 +189,7 @@ TEST(PipelineStepsTest, MetaStopsAtABindingCap) {
   // The MetaUnderCap case above is only meaningful if the cap cuts the
   // meta stage's output. Each meta block is one comparison, so both the
   // meta step and the cap step emit exactly the budget when the meta
-  // stage honours the cap's Done(), in every engine mode.
+  // stage honours the cap's Done(), single-threaded and sharded.
   const uint64_t budget = 700;
   const data::Dataset dataset = Corpus();
   StatusOr<std::unique_ptr<PipelinedBlocker>> uncapped = Build(
@@ -228,17 +204,12 @@ TEST(PipelineStepsTest, MetaStopsAtABindingCap) {
       Build(std::string("token-blocking:attrs=authors+title | ") +
             kStages[6]);
   ASSERT_TRUE(built.ok());
-  for (const char* engine : {"", "threads=4,shards=8,merge=collect",
-                             "threads=4,shards=8,merge=stream"}) {
+  for (const char* engine : {"", "threads=4,shards=8,merge=collect"}) {
     SCOPED_TRACE(engine);
     engine::ExecutionSpec execution;
     ASSERT_TRUE(engine::ExecutionSpec::Parse(engine, &execution).ok());
-    const eval::PipelineResult result =
-        *engine != '\0'
-            ? eval::RunPipelineSharded((*built)->blocker(),
-                                       (*built)->stages(), dataset, execution)
-            : eval::RunPipeline((*built)->blocker(), (*built)->stages(),
-                                dataset);
+    const eval::PipelineResult result = eval::RunPipeline(
+        (*built)->blocker(), (*built)->stages(), dataset, execution);
     ASSERT_EQ(result.stages.size(), 4u);
     EXPECT_EQ(result.stages[2].blocks, budget);
     EXPECT_EQ(result.stages[3].blocks, budget);

@@ -143,20 +143,6 @@ TEST(RegistryTest, UnknownKeysAreReported) {
       << status.message();
 }
 
-TEST(RegistryTest, LayeredDefaultsAreExemptFromUnknownKeyErrors) {
-  // The CLI folds legacy flags under the spec with SetIfAbsent; a
-  // technique that does not consume such a key must still construct
-  // (tblo has no 'k'), while a literal spec key stays strict.
-  BlockerSpec spec;
-  ASSERT_TRUE(BlockerSpec::Parse("tblo:attrs=name", &spec).ok());
-  spec.params.SetIfAbsent("k", "4");
-  std::unique_ptr<BlockingTechnique> technique;
-  Status status =
-      BlockerRegistry::Global().Create(std::move(spec), &technique);
-  EXPECT_TRUE(status.ok()) << status.message();
-  CreateErr("tblo:attrs=name,k=4");
-}
-
 TEST(RegistryTest, IntParamsRejectOutOfRangeValues) {
   Status status = CreateErr("lsh:l=4294967297");  // 2^32 + 1
   EXPECT_NE(status.message().find("'l'"), std::string::npos)

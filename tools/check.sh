@@ -10,7 +10,7 @@
 #       the full suite or the sanitizer modes before shipping)
 #   tools/check.sh --tsan    builds with -DSABLOCK_SANITIZE=thread (into
 #       build-tsan/) and runs the concurrency- and service-labelled
-#       tests — thread pool, concurrent sinks, sharded execution engine,
+#       tests — thread pool, sharded execution engine and its merge,
 #       feature store, the block pipeline, and the candidate server's
 #       concurrent insert/query traffic — under ThreadSanitizer
 #   tools/check.sh --asan    builds with -DSABLOCK_SANITIZE=address,undefined

@@ -1,16 +1,18 @@
 // Command-line flags of sablock_cli and sablock_serve: "--name=value",
 // "--name value" (spec strings often carry '=' themselves) and a bare
 // "--name", which reads as "true". Arguments without a leading "--" are
-// ignored.
+// ignored; a name the tool does not list is an error.
 
 #ifndef SABLOCK_TOOLS_FLAGS_H_
 #define SABLOCK_TOOLS_FLAGS_H_
 
+#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
 
@@ -49,18 +51,28 @@ struct Flags {
   bool Has(const std::string& name) const { return values.count(name) > 0; }
 };
 
-inline Flags ParseFlags(int argc, char** argv) {
+/// Parses argv against the tool's flag names. A flag not in `known`
+/// prints `error: unknown flag --NAME` and exits 1, so a misspelt or
+/// removed flag fails before any work starts instead of being ignored.
+inline Flags ParseFlags(int argc, char** argv,
+                        std::initializer_list<const char*> known) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) continue;
     const char* eq = std::strchr(arg, '=');
+    std::string name = eq != nullptr ? std::string(arg + 2, eq) : arg + 2;
+    if (std::none_of(known.begin(), known.end(),
+                     [&name](const char* k) { return name == k; })) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      std::exit(1);
+    }
     if (eq != nullptr) {
-      flags.values[std::string(arg + 2, eq)] = eq + 1;
+      flags.values[name] = eq + 1;
     } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      flags.values[arg + 2] = argv[++i];
+      flags.values[name] = argv[++i];
     } else {
-      flags.values[arg + 2] = "true";
+      flags.values[name] = "true";
     }
   }
   return flags;

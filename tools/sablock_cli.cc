@@ -63,7 +63,6 @@ void PrintUsage() {
       "                   [--blocks-out=FILE]   (write blocks)\n"
       "                   [--threads=N]         (parallel engine workers)\n"
       "                   [--shards=M]          (record shards; 0=threads)\n"
-      "                   [--merge=collect|stream]\n"
       "                   [--budget \"pairs=N,seconds=S\"]  (stop once the\n"
       "                                          emitted comparisons or\n"
       "                                          wall clock hit the cap)\n"
@@ -85,7 +84,7 @@ void PrintUsage() {
       "With --threads/--shards the sharded execution engine partitions\n"
       "the records and runs the technique per shard concurrently; blocks\n"
       "never span shards, and results depend on the shard count but\n"
-      "never on the thread count (merge=collect is deterministic).\n"
+      "never on the thread count (shard results merge in shard order).\n"
       "\n"
       "--pipeline composes any blocker with post-processing stages, e.g.\n"
       "  \"token-blocking | purge:max_size=500 | meta:weight=cbs,prune=wep\"\n"
@@ -103,9 +102,8 @@ void PrintUsage() {
       "exhaust the budget. recall-target= budgets are pipeline-only —\n"
       "use the progressive stage (--pipeline \"... | progressive:...\").\n"
       "\n"
-      "The technique spec drives the blocker registry; legacy flags\n"
-      "(--k, --l, --q, --w, --mode, --window, --probes, --domain,\n"
-      " --seed) are folded into the spec as defaults.\n");
+      "Every technique parameter goes in the spec string; a flag not\n"
+      "listed above is an error.\n");
 }
 
 void PrintEntry(const sablock::api::BlockerInfo& info) {
@@ -158,19 +156,6 @@ void PrintRegistry() {
       "\nspec grammar: name[:key=val,key=val,...]; list values join\n"
       "elements with '+', e.g. \"lsh:k=4,l=63,attrs=authors+title\"\n\n");
   PrintStages();
-}
-
-/// Folds the legacy per-parameter flags under the spec as defaults, so old
-/// invocations like "--technique=lsh --k=9 --l=15" keep working.
-void ApplyLegacyFlags(const Flags& flags,
-                      sablock::api::BlockerSpec* spec) {
-  static const char* kPassthrough[] = {
-      "k",      "l",         "q",     "w",          "mode",
-      "domain", "window",    "probes", "depth",     "seed",
-      "nn",     "threshold", "sim",    "min-suffix", "max-block"};
-  for (const char* name : kPassthrough) {
-    if (flags.Has(name)) spec->params.SetIfAbsent(name, flags.Get(name));
-  }
 }
 
 /// Loads the dataset named by --input / --generate / --load-snapshot.
@@ -266,7 +251,13 @@ bool WriteCsvOutput(const std::string& path, const char* header,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = sablock::tools::ParseFlags(argc, argv);
+  const Flags flags = sablock::tools::ParseFlags(
+      argc, argv,
+      {"help", "list", "list-stages", "list-indexes", "input",
+       "entity-column", "generate", "records", "load-snapshot",
+       "save-snapshot", "snapshot-raw", "snapshot-no-features", "technique",
+       "pipeline", "attrs", "pairs-out", "blocks-out", "threads", "shards",
+       "budget", "repeat"});
   if (flags.Has("help") || argc == 1) {
     PrintUsage();
     return 0;
@@ -312,9 +303,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", status.message().c_str());
     return 1;
   }
-  // Legacy flags and --attrs layer defaults under the generator segment.
+  // --attrs layers a default under the generator segment.
   sablock::api::BlockerSpec& blocker_spec = pipeline_spec.blocker;
-  ApplyLegacyFlags(flags, &blocker_spec);
 
   std::vector<std::string> attrs =
       sablock::Split(flags.Get("attrs", ""), ',');
@@ -375,7 +365,6 @@ int main(int argc, char** argv) {
     };
     if (flags.Has("threads")) append("threads=" + flags.Get("threads"));
     if (flags.Has("shards")) append("shards=" + flags.Get("shards"));
-    if (flags.Has("merge")) append("merge=" + flags.Get("merge"));
     status = sablock::engine::ExecutionSpec::Parse(exec_text, &exec);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.message().c_str());
@@ -402,10 +391,8 @@ int main(int argc, char** argv) {
   }
 
   const int repeat = flags.GetInt("repeat", 1, 1);
-  // Any engine flag routes through the executor (its one-shard fast path
-  // is identical to a plain run), so no flag is ever silently ignored.
-  const bool use_engine =
-      flags.Has("threads") || flags.Has("shards") || flags.Has("merge");
+  // Every run goes through the executor: without engine flags it is one
+  // shard on one thread, which is a plain run of the pipeline.
   const sablock::engine::ShardedExecutor executor(exec);
 
   // --- run (the last repeat's collection serves metrics and outputs) ----
@@ -432,13 +419,11 @@ int main(int argc, char** argv) {
       meter = std::make_shared<sablock::core::BudgetMeter>(budget);
       sink = &budgeted.emplace(blocks, meter);
     }
-    // With engine flags the generator runs sharded and the stages run
-    // once, globally (barrier stages fire at merge).
+    // The generator runs sharded and the stages run once, globally
+    // (barrier stages fire at merge).
     sablock::WallTimer timer;
-    steps = use_engine
-                ? executor.ExecutePipeline(pipelined->blocker(),
-                                           pipelined->stages(), cold, *sink)
-                : pipelined->stages().Run(pipelined->blocker(), cold, *sink);
+    steps = executor.ExecutePipeline(pipelined->blocker(),
+                                     pipelined->stages(), cold, *sink);
     const double seconds = timer.Seconds();
     min_seconds = run == 0 ? seconds : std::min(min_seconds, seconds);
     total_seconds += seconds;
@@ -448,7 +433,7 @@ int main(int argc, char** argv) {
   std::printf("%s: %s\n",
               pipelined->stages().empty() ? "technique" : "pipeline",
               pipelined->name().c_str());
-  if (use_engine) {
+  if (flags.Has("threads") || flags.Has("shards")) {
     std::printf("engine: %s\n", exec.ToString().c_str());
   }
   sablock::eval::TablePrinter table(

@@ -343,7 +343,11 @@ int RunServer(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = sablock::tools::ParseFlags(argc, argv);
+  const Flags flags = sablock::tools::ParseFlags(
+      argc, argv,
+      {"help", "list-indexes", "socket", "schema", "preload", "records",
+       "snapshot", "index", "threads", "client", "insert", "query",
+       "query-progressive", "budget", "remove", "stats"});
   if (flags.Has("help") || argc == 1) {
     PrintUsage();
     return 0;
