@@ -6,8 +6,9 @@
 //
 // Self-contained timing harness (no Google Benchmark dependency): each
 // case auto-scales its iteration count until a measurement pass is long
-// enough to trust, and the runner's --repeat takes the best pass. The
-// per-op seconds land in the suite JSON's `time` stats, so
+// enough to trust, except the cases that reach the FeatureStore, which
+// run a fixed operation count per pass; the runner's --repeat takes the
+// best pass. The per-op seconds land in the suite JSON's `time` stats, so
 // tools/bench_compare.py treats them like every other timing (threshold
 // compare, never exact).
 
@@ -67,11 +68,19 @@ double MeasureSecondsPerOp(const std::function<void()>& op,
   }
 }
 
+/// One measurement pass of exactly `ops` operations, in seconds per op.
+double MeasureFixedOps(const std::function<void()>& op, uint64_t ops) {
+  WallTimer timer;
+  for (uint64_t i = 0; i < ops; ++i) op();
+  return timer.Seconds() / static_cast<double>(ops);
+}
+
 class MicroSuite {
  public:
   MicroSuite(report::BenchContext& ctx, double min_seconds)
       : ctx_(ctx),
         min_seconds_(min_seconds),
+        ops_scale_(ctx.quick ? 1 : 10),
         table_({"case", "ns/op", "ops/s"}) {}
 
   /// Measures `op` (ctx.repeat passes, best pass reported) and records
@@ -80,9 +89,18 @@ class MicroSuite {
   /// relative regression threshold without the absolute noise floor
   /// (these stats come from auto-scaled >=min_seconds passes, so a
   /// nanosecond-scale min_s is still a trustworthy measurement).
-  void Case(const std::string& name, const std::function<void()>& op) {
-    report::RepeatStats stats = ctx_.TimeRepeats(
-        [&](int) { return MeasureSecondsPerOp(op, min_seconds_); });
+  ///
+  /// A case that reaches the FeatureStore passes `ops`, a fixed operation
+  /// count per pass (ten times more at full size): auto-scaled passes
+  /// would make a host-speed-dependent number of column requests, and the
+  /// featurestore hit rate bench_compare.py checks would drift between
+  /// two suites of one build.
+  void Case(const std::string& name, const std::function<void()>& op,
+            uint64_t ops = 0) {
+    report::RepeatStats stats = ctx_.TimeRepeats([&](int) {
+      return ops == 0 ? MeasureSecondsPerOp(op, min_seconds_)
+                      : MeasureFixedOps(op, ops * ops_scale_);
+    });
     table_.AddRow({name, FormatDouble(stats.min_s * 1e9, 1),
                    FormatDouble(1.0 / stats.min_s, 0)});
     report::RunResult run;
@@ -97,6 +115,7 @@ class MicroSuite {
  private:
   report::BenchContext& ctx_;
   double min_seconds_;
+  uint64_t ops_scale_;
   eval::TablePrinter table_;
 };
 
@@ -106,7 +125,8 @@ int RunMicro(report::BenchContext& ctx) {
   const size_t voter_records = ctx.SizeOr("voter", 5000, 1000);
 
   std::printf("Micro-benchmarks (E11): substrate hot paths\n"
-              "(>= %.0f ms per measurement pass, best of %d passes)\n"
+              "(>= %.0f ms per auto-scaled measurement pass, best of %d "
+              "passes)\n"
               "kernel dispatch: %s\n\n",
               min_seconds * 1e3, ctx.repeat,
               arch::IsaName(arch::ActiveIsa()));
@@ -243,6 +263,12 @@ int RunMicro(report::BenchContext& ctx) {
     });
   }
 
+  // Fixed operation counts of the cases that reach the FeatureStore: a
+  // pass lasts 20-50 ms at quick size on a 4-vCPU x86-64 VM (AVX2).
+  constexpr uint64_t kColdBuildOps = 4;     // ~10 ms per op
+  constexpr uint64_t kColumnBuildOps = 32;  // ~1.5 ms per op
+  constexpr uint64_t kCachedOps = 1 << 17;  // ~150 ns per op
+
   // --- end-to-end block construction (one op = full cold build) ---------
   {
     data::Dataset d = MakePaperCora(cora_records);
@@ -250,7 +276,7 @@ int RunMicro(report::BenchContext& ctx) {
     suite.Case("lsh_block_cora" + std::to_string(cora_records), [&] {
       data::Dataset cold = d.ColdCopy();
       DoNotOptimize(RunStreaming(lsh, cold).NumBlocks());
-    });
+    }, kColdBuildOps);
     core::Domain domain = core::MakeBibliographicDomain();
     core::SemanticParams sp;
     sp.w = 5;
@@ -260,7 +286,7 @@ int RunMicro(report::BenchContext& ctx) {
     suite.Case("salsh_block_cora" + std::to_string(cora_records), [&] {
       data::Dataset cold = d.ColdCopy();
       DoNotOptimize(RunStreaming(sa_lsh, cold).NumBlocks());
-    });
+    }, kColdBuildOps);
   }
 
   // --- FeatureStore: cached vs uncached columns --------------------------
@@ -274,31 +300,40 @@ int RunMicro(report::BenchContext& ctx) {
     suite.Case("feature_shingling_uncached", [&] {
       data::Dataset cold = d.ColdCopy();
       DoNotOptimize(cold.features().ShinglesFor(attrs, 4).Shingles(0).size());
-    });
+    }, kColumnBuildOps);
     d.features().ShinglesFor(attrs, 4);  // warm
     suite.Case("feature_shingling_cached", [&] {
       DoNotOptimize(d.features().ShinglesFor(attrs, 4).Shingles(0).size());
-    });
+    }, kCachedOps);
+
+    suite.Case("feature_tokens_uncached", [&] {
+      data::Dataset cold = d.ColdCopy();
+      DoNotOptimize(cold.features().TokensFor(attrs).token_limit());
+    }, kColumnBuildOps);
+    d.features().TokensFor(attrs);  // warm
+    suite.Case("feature_tokens_cached", [&] {
+      DoNotOptimize(d.features().TokensFor(attrs).token_limit());
+    }, kCachedOps);
 
     core::LshParams p = CoraLshParams();
     suite.Case("feature_signatures_uncached", [&] {
       data::Dataset cold = d.ColdCopy();
       DoNotOptimize(core::MinhashSignatures(cold, p).Signature(0).size());
-    });
+    }, kColdBuildOps);
     core::MinhashSignatures(d, p);  // warm
     suite.Case("feature_signatures_cached", [&] {
       DoNotOptimize(core::MinhashSignatures(d, p).Signature(0).size());
-    });
+    }, kCachedOps);
 
     core::LshBlocker blocker(p);
     suite.Case("second_technique_recompute", [&] {
       data::Dataset cold = d.ColdCopy();
       DoNotOptimize(RunStreaming(blocker, cold).NumBlocks());
-    });
+    }, kColdBuildOps);
     RunStreaming(blocker, d);  // first technique warms d
     suite.Case("second_technique_reuse", [&] {
       DoNotOptimize(RunStreaming(blocker, d).NumBlocks());
-    });
+    }, kColumnBuildOps);
   }
 
   // --- record interpretation ---------------------------------------------

@@ -532,7 +532,7 @@ void RegisterLshFamily(BlockerRegistry& r) {
       "semantic-aware LSH (the paper): minhash tables gated by a w-way "
       "semantic hash",
       [](SaLshConfig c) {
-        return std::make_unique<core::SemanticAwareLshBlocker>(
+        return std::make_unique<core::LshBlocker>(
             std::move(c.lsh), c.sem, std::move(c.semantics));
       });
 

@@ -89,15 +89,4 @@ BlockingKeyDef ExactKey(const std::vector<std::string>& attributes) {
   return def;
 }
 
-BlockingKeyDef PhoneticPrefixKey(const std::string& name_attribute,
-                                 const std::string& other_attribute,
-                                 int prefix_len) {
-  BlockingKeyDef def;
-  def.components.push_back(
-      {name_attribute, KeyComponent::Encoding::kSoundex, 0});
-  def.components.push_back(
-      {other_attribute, KeyComponent::Encoding::kPrefix, prefix_len});
-  return def;
-}
-
 }  // namespace sablock::baselines

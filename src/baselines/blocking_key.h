@@ -68,12 +68,6 @@ std::vector<std::string> MakeAllKeys(const data::Dataset& dataset,
 /// sorting key).
 BlockingKeyDef ExactKey(const std::vector<std::string>& attributes);
 
-/// Phonetic key: Soundex of the first attribute's first word + prefix of
-/// the second attribute (the classic TBlo key shape).
-BlockingKeyDef PhoneticPrefixKey(const std::string& name_attribute,
-                                 const std::string& other_attribute,
-                                 int prefix_len = 4);
-
 }  // namespace sablock::baselines
 
 #endif  // SABLOCK_BASELINES_BLOCKING_KEY_H_

@@ -121,29 +121,10 @@ LshBands ComputeLshBands(const data::Dataset& dataset,
   return bands;
 }
 
-LshBlocker::LshBlocker(LshParams params) : params_(std::move(params)) {}
+LshBlocker::LshBlocker(LshParams params) : lsh_params_(std::move(params)) {}
 
-std::string LshBlocker::name() const {
-  return "LSH(k=" + std::to_string(params_.k) +
-         ",l=" + std::to_string(params_.l) + ")";
-}
-
-void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
-  const LshBands bands = ComputeLshBands(dataset, params_);
-  LshBuckets buckets;
-  for (int t = 0; t < params_.l; ++t) {
-    if (sink.Done()) return;
-    const std::span<const uint64_t> keys = bands.Table(t);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      buckets.Add(keys[i], bands.ids[i]);
-    }
-    buckets.EmitTable(sink);
-  }
-}
-
-SemanticAwareLshBlocker::SemanticAwareLshBlocker(
-    LshParams lsh_params, SemanticParams sem_params,
-    std::shared_ptr<const SemanticFunction> semantics)
+LshBlocker::LshBlocker(LshParams lsh_params, SemanticParams sem_params,
+                       std::shared_ptr<const SemanticFunction> semantics)
     : lsh_params_(std::move(lsh_params)),
       sem_params_(sem_params),
       semantics_(std::move(semantics)) {
@@ -151,43 +132,47 @@ SemanticAwareLshBlocker::SemanticAwareLshBlocker(
   SABLOCK_CHECK(sem_params_.w >= 1);
 }
 
-std::string SemanticAwareLshBlocker::name() const {
-  return "SA-LSH(k=" + std::to_string(lsh_params_.k) +
-         ",l=" + std::to_string(lsh_params_.l) +
-         ",w=" + std::to_string(sem_params_.w) +
+std::string LshBlocker::name() const {
+  const std::string kl = "(k=" + std::to_string(lsh_params_.k) +
+                         ",l=" + std::to_string(lsh_params_.l);
+  if (semantics_ == nullptr) return "LSH" + kl + ")";
+  return "SA-LSH" + kl + ",w=" + std::to_string(sem_params_.w) +
          (sem_params_.mode == SemanticMode::kAnd ? ",AND)" : ",OR)");
 }
 
-void SemanticAwareLshBlocker::Run(const data::Dataset& dataset,
-                                  BlockSink& sink) const {
+void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
   const LshBands bands = ComputeLshBands(dataset, lsh_params_);
 
-  const Taxonomy& taxonomy = semantics_->taxonomy();
-  std::vector<std::vector<ConceptId>> zetas =
-      semantics_->InterpretAll(dataset);
-  SemhashEncoder encoder = SemhashEncoder::Build(taxonomy, zetas);
-  std::vector<SemSignature> sem_sigs = encoder.EncodeAll(taxonomy, zetas);
-
-  const uint32_t dim = encoder.dimension();
-  // Degenerate case: no record has any semantic feature. The semantic
-  // filter cannot distinguish records; fall back to textual blocking only.
-  if (dim == 0) {
-    LshBlocker(lsh_params_).Run(dataset, sink);
-    return;
+  uint32_t dim = 0;
+  std::vector<SemSignature> sem_sigs;
+  if (semantics_ != nullptr) {
+    const Taxonomy& taxonomy = semantics_->taxonomy();
+    std::vector<std::vector<ConceptId>> zetas =
+        semantics_->InterpretAll(dataset);
+    SemhashEncoder encoder = SemhashEncoder::Build(taxonomy, zetas);
+    sem_sigs = encoder.EncodeAll(taxonomy, zetas);
+    dim = encoder.dimension();
   }
   LshBuckets buckets;
   std::vector<uint64_t> keys;
   for (int t = 0; t < lsh_params_.l; ++t) {
     if (sink.Done()) return;
-    const std::vector<size_t> chosen =
-        SemanticTableChoices(sem_params_, dim, t);
     const std::span<const uint64_t> bands_t = bands.Table(t);
-    for (size_t i = 0; i < bands_t.size(); ++i) {
-      const data::RecordId id = bands.ids[i];
-      keys.clear();
-      AppendSemanticBucketKeys(bands_t[i], sem_sigs[id], sem_params_.mode,
-                               chosen, &keys);
-      for (uint64_t key : keys) buckets.Add(key, id);
+    if (dim == 0) {
+      // No semantic feature to tell records apart: the band alone.
+      for (size_t i = 0; i < bands_t.size(); ++i) {
+        buckets.Add(bands_t[i], bands.ids[i]);
+      }
+    } else {
+      const std::vector<size_t> chosen =
+          SemanticTableChoices(sem_params_, dim, t);
+      for (size_t i = 0; i < bands_t.size(); ++i) {
+        const data::RecordId id = bands.ids[i];
+        keys.clear();
+        AppendSemanticBucketKeys(bands_t[i], sem_sigs[id], sem_params_.mode,
+                                 chosen, &keys);
+        for (uint64_t key : keys) buckets.Add(key, id);
+      }
     }
     buckets.EmitTable(sink);
   }

@@ -36,27 +36,12 @@ struct SemanticParams {
   uint64_t seed = 11;
 };
 
-/// Plain LSH blocking over textual similarity only (the paper's "LSH"
-/// competitor): records whose k minhash values agree in at least one of the
-/// l tables share a block. Records with no shingles (all-empty attributes)
-/// are excluded from all tables.
-class LshBlocker : public BlockingTechnique {
- public:
-  explicit LshBlocker(LshParams params);
-
-  std::string name() const override;
-  void Run(const data::Dataset& dataset, BlockSink& sink) const override;
-
-  const LshParams& params() const { return params_; }
-
- private:
-  LshParams params_;
-};
-
-/// Semantic-aware LSH blocking (the paper's contribution, "SA-LSH"):
-/// each of the l minhash tables is augmented with a w-way semantic hash
-/// function built from w randomly chosen semhash functions (chosen per
-/// table, without replacement).
+/// Minhash-LSH blocking: records whose k minhash values agree in at
+/// least one of the l tables share a block. Built without a semantic
+/// function it is the paper's "LSH" competitor; with one it is "SA-LSH",
+/// the paper's contribution, where each table is augmented with a w-way
+/// semantic hash function built from w randomly chosen semhash functions
+/// (chosen per table, without replacement).
 ///
 ///  - AND mode: a record enters table t only if all w chosen semhash bits
 ///    are set — two records collide iff the pairwise w-way AND is true.
@@ -66,23 +51,31 @@ class LshBlocker : public BlockingTechnique {
 ///
 /// Records that are semantically dissimilar (no shared semantic feature)
 /// can never be placed in the same block regardless of textual similarity
-/// (Proposition 5.3) when w covers the full signature.
-class SemanticAwareLshBlocker : public BlockingTechnique {
+/// (Proposition 5.3) when w covers the full signature. While the semantic
+/// dimension is 0 (always for plain LSH) a table is keyed by the band
+/// alone. Records with no shingles (all-empty attributes) are excluded
+/// from all tables.
+class LshBlocker : public BlockingTechnique {
  public:
-  SemanticAwareLshBlocker(LshParams lsh_params, SemanticParams sem_params,
-                          std::shared_ptr<const SemanticFunction> semantics);
+  /// Plain LSH.
+  explicit LshBlocker(LshParams params);
+  /// Semantic-aware LSH.
+  LshBlocker(LshParams lsh_params, SemanticParams sem_params,
+             std::shared_ptr<const SemanticFunction> semantics);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset, BlockSink& sink) const override;
 
   const LshParams& lsh_params() const { return lsh_params_; }
-  const SemanticParams& semantic_params() const { return sem_params_; }
 
  private:
   LshParams lsh_params_;
   SemanticParams sem_params_;
-  std::shared_ptr<const SemanticFunction> semantics_;
+  std::shared_ptr<const SemanticFunction> semantics_;  // null: plain LSH
 };
+
+/// The paper's SA-LSH: an LshBlocker built with a semantic function.
+using SemanticAwareLshBlocker = LshBlocker;
 
 /// The cached minhash signatures of a dataset under the given params — a
 /// handle into the dataset's FeatureStore, computed on first request and

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/flat_map.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/minhash.h"
 #include "obs/metrics.h"
@@ -45,8 +43,8 @@ namespace {
 /// that makes it.
 constexpr size_t kChunkRecords = 512;
 
-/// The token build interns serially (local ids follow first-encounter
-/// order), so it is one chunk spanning the whole column.
+/// The token build appends serially (a row's new ids depend on the rows
+/// before it), so it is one chunk spanning the whole column.
 constexpr size_t kWholeColumn = SIZE_MAX;
 
 // Column keys: attribute names joined with a separator that cannot occur
@@ -204,48 +202,14 @@ const TokenColumn& FeatureStore::Tokens(
       FindOrCreate(tokens_columns_, TextKey(attributes)), Caller::kGetter,
       metrics, kWholeColumn,
       [&](Caller caller) { texts = &Texts(attributes, caller); },
-      [&](TokenColumn& out) {
-        // Natural-text vocabularies grow O(records), so pre-size the id
-        // maps and the dictionary from the row count — the build then
-        // runs without rehash churn (visible in bench_micro's feature
-        // section).
-        const size_t n = size();
-        out.tokens.resize(n);
-        out.global_ids.reserve(n);
-        std::lock_guard<std::mutex> lock(token_mutex_);
-        token_ids_.reserve(token_ids_.size() + n);
-        tokens_.reserve(tokens_.size() + n);
-      },
+      [](TokenColumn&) {},
       [&](TokenColumn& out, size_t begin, size_t end) {
-        // Column-local dense ids keep postings/bitmap consumers sized by
-        // this column's vocabulary, independent of how large the shared
-        // dictionary grew from other columns. The build is one chunk, so
-        // `local_of` sees every record, in id order.
-        FlatMap<TokenId, TokenId> local_of;
-        local_of.reserve(end - begin);
         for (size_t id = begin; id < end; ++id) {
-          std::vector<std::string> words = SplitWords(texts->texts[id]);
-          std::sort(words.begin(), words.end());
-          words.erase(std::unique(words.begin(), words.end()), words.end());
-          std::vector<TokenId>& ids = out.tokens[id];
-          ids.reserve(words.size());
-          {
-            std::lock_guard<std::mutex> lock(token_mutex_);
-            for (std::string& w : words) {
-              auto [it, inserted] = token_ids_.try_emplace(
-                  w, static_cast<TokenId>(tokens_.size()));
-              if (inserted) tokens_.push_back(std::move(w));
-              auto [local_slot, fresh] = local_of.TryEmplace(
-                  it->second, static_cast<TokenId>(out.global_ids.size()));
-              if (fresh) out.global_ids.push_back(it->second);
-              ids.push_back(*local_slot);
-            }
-          }
-          std::sort(ids.begin(), ids.end());
+          const std::string_view text = texts->texts[id];
+          out.Append({&text, 1});
         }
       },
-      [&](TokenColumn& out) {
-        out.token_limit = static_cast<uint32_t>(out.global_ids.size());
+      [&](TokenColumn&) {
         token_builds_.fetch_add(1, std::memory_order_relaxed);
         RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
       });
@@ -347,29 +311,9 @@ void FeatureStore::AdoptTexts(const std::vector<std::string>& attributes,
 }
 
 void FeatureStore::AdoptTokens(const std::vector<std::string>& attributes,
-                               std::vector<std::string> local_tokens,
-                               std::vector<std::vector<TokenId>> per_record) {
-  SABLOCK_CHECK_MSG(per_record.size() == size(),
+                               TokenColumn column) {
+  SABLOCK_CHECK_MSG(column.size() == size(),
                     "adopted token column has wrong record count");
-  TokenColumn column;
-  column.tokens = std::move(per_record);
-  column.token_limit = static_cast<uint32_t>(local_tokens.size());
-  column.global_ids.reserve(local_tokens.size());
-  {
-    // Re-intern the column vocabulary in local-id order: local ids (the
-    // semantic ones — block content and order depend on them) transfer
-    // exactly; only the global dictionary ids may differ from the
-    // producing process, which is fine because they never leave Token().
-    std::lock_guard<std::mutex> lock(token_mutex_);
-    token_ids_.reserve(token_ids_.size() + local_tokens.size());
-    tokens_.reserve(tokens_.size() + local_tokens.size());
-    for (std::string& w : local_tokens) {
-      auto [it, inserted] =
-          token_ids_.try_emplace(w, static_cast<TokenId>(tokens_.size()));
-      if (inserted) tokens_.push_back(std::move(w));
-      column.global_ids.push_back(it->second);
-    }
-  }
   SABLOCK_CHECK_MSG(Publish(FindOrCreate(tokens_columns_, TextKey(attributes)),
                             std::move(column)),
                     "token column already built; adopt first");
@@ -402,17 +346,6 @@ void FeatureStore::AdoptSignatures(const std::vector<std::string>& attributes,
       "signature column already built; adopt first");
   signature_builds_.fetch_add(1, std::memory_order_relaxed);
   RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes, seed);
-}
-
-std::string FeatureStore::Token(TokenId id) const {
-  std::lock_guard<std::mutex> lock(token_mutex_);
-  SABLOCK_CHECK_MSG(id < tokens_.size(), "token id out of range");
-  return tokens_[id];
-}
-
-size_t FeatureStore::NumInternedTokens() const {
-  std::lock_guard<std::mutex> lock(token_mutex_);
-  return tokens_.size();
 }
 
 FeatureStore::Stats FeatureStore::stats() const {

@@ -14,34 +14,14 @@
 #include <vector>
 
 #include "data/record.h"
+#include "features/token_column.h"
 
 namespace sablock::features {
-
-/// Interned id of one normalized whitespace token. Ids are dense indexes
-/// into the store's token dictionary, assigned in interning order — stable
-/// within one store, not comparable across stores.
-using TokenId = uint32_t;
 
 /// Per-record normalized blocking text for one attribute selection.
 /// `texts[id]` is exactly Dataset::ConcatenatedValues(id, attributes).
 struct TextColumn {
   std::vector<std::string> texts;
-};
-
-/// Per-record interned token sets for one attribute selection:
-/// `tokens[id]` holds the distinct whitespace tokens of the text column
-/// as sorted *column-local* dense ids in [0, token_limit). Local ids are
-/// assigned in first-encounter order within this column, so they are
-/// deterministic regardless of what other columns interned first, and
-/// posting arrays sized by token_limit cover exactly this column's
-/// vocabulary. `global_ids[local]` maps back to the store dictionary
-/// (FeatureStore::Token). Built on top of (and lazily after) the text
-/// column, so text-only consumers (blocking keys) never pay for
-/// tokenization or dictionary growth.
-struct TokenColumn {
-  std::vector<std::vector<TokenId>> tokens;
-  std::vector<TokenId> global_ids;  // local id -> dictionary id
-  uint32_t token_limit = 0;         // == global_ids.size()
 };
 
 /// Per-record sorted distinct q-gram shingle hashes for one
@@ -85,9 +65,9 @@ struct SignatureColumn {
 ///    publishes the column and wakes every waiter;
 ///  - a getter resolves the column's parent before its own build (texts
 ///    -> shingles -> signatures, texts -> tokens), so waiting threads help
-///    at every level. Token interning is the one serial build (local ids
-///    follow first-encounter order): its helpers help the text column and
-///    then wait;
+///    at every level. The token column is the one serial build (its ids
+///    follow TokenColumn's id rule, which depends on the rows before):
+///    its helpers help the text column and then wait;
 ///  - distinct columns build independently (the registry map mutex is
 ///    held only to find/insert the entry, never while building);
 ///  - derived columns stack on their parents, so the string work of the
@@ -121,6 +101,11 @@ class FeatureStore {
   uint64_t dataset_version() const { return dataset_version_; }
 
   const TextColumn& Texts(const std::vector<std::string>& attributes) const;
+  /// The text column's rows appended, in record order, to one
+  /// TokenColumn: row r holds record r's distinct whitespace tokens as
+  /// sorted ids in [0, token_limit()), and the vocabulary is exactly this
+  /// column's. Built on top of (and lazily after) the text column, so
+  /// text-only consumers (blocking keys) never pay for tokenization.
   const TokenColumn& Tokens(const std::vector<std::string>& attributes) const;
   const ShingleColumn& Shingles(const std::vector<std::string>& attributes,
                                 int q) const;
@@ -154,24 +139,12 @@ class FeatureStore {
 
   void AdoptTexts(const std::vector<std::string>& attributes,
                   TextColumn column);
-  /// `local_tokens` is the column vocabulary in local-id order; the
-  /// strings are re-interned into this store's dictionary to rebuild the
-  /// local->global id map. `per_record[r]` holds record r's sorted
-  /// distinct local ids, all < local_tokens.size().
   void AdoptTokens(const std::vector<std::string>& attributes,
-                   std::vector<std::string> local_tokens,
-                   std::vector<std::vector<TokenId>> per_record);
+                   TokenColumn column);
   void AdoptShingles(const std::vector<std::string>& attributes, int q,
                      ShingleColumn column);
   void AdoptSignatures(const std::vector<std::string>& attributes, int q,
                        int num_hashes, uint64_t seed, SignatureColumn column);
-
-  /// The interned string of a token id (copy; dictionary access is
-  /// serialized). Aborts on out-of-range ids.
-  std::string Token(TokenId id) const;
-
-  /// Current token dictionary size.
-  size_t NumInternedTokens() const;
 
   /// Build counters, exposed so tests can assert each cache is built
   /// exactly once under concurrency.
@@ -250,10 +223,6 @@ class FeatureStore {
   mutable EntryMap<ShingleColumn> shingles_;
   mutable EntryMap<SignatureColumn> signatures_;
 
-  mutable std::mutex token_mutex_;  // guards the token dictionary
-  mutable std::unordered_map<std::string, TokenId> token_ids_;
-  mutable std::vector<std::string> tokens_;
-
   mutable std::atomic<uint64_t> text_builds_{0};
   mutable std::atomic<uint64_t> token_builds_{0};
   mutable std::atomic<uint64_t> shingle_builds_{0};
@@ -306,15 +275,11 @@ class FeatureView {
 
   class TokenHandle {
    public:
-    /// Sorted distinct column-local token ids, all < token_limit().
-    const std::vector<TokenId>& Tokens(data::RecordId id) const {
-      return column_->tokens[offset_ + id];
+    /// Sorted distinct token ids, all < token_limit().
+    std::span<const TokenId> Tokens(data::RecordId id) const {
+      return column_->Row(offset_ + id);
     }
-    uint32_t token_limit() const { return column_->token_limit; }
-    /// Store-dictionary id of a column-local id (for FeatureStore::Token).
-    TokenId GlobalId(TokenId local) const {
-      return column_->global_ids[local];
-    }
+    uint32_t token_limit() const { return column_->token_limit(); }
 
    private:
     friend class FeatureView;

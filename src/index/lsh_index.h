@@ -15,9 +15,9 @@
 namespace sablock::index {
 
 /// Incremental minhash-LSH banding tables, the index-side counterpart of
-/// core::LshBlocker (`lsh`) and, given a semantic function, of
-/// core::SemanticAwareLshBlocker (`sa-lsh`): l tables keyed by the band
-/// key of k signature rows, each key gated by the w-way semantic hash.
+/// core::LshBlocker, plain (`lsh`) and, given a semantic function,
+/// semantic-aware (`sa-lsh`): l tables keyed by the band key of k
+/// signature rows, each key gated by the w-way semantic hash.
 /// Records with empty shingle sets are live but enter no table, exactly
 /// like the batch blockers exclude them.
 ///
@@ -27,8 +27,7 @@ namespace sablock::index {
 /// index then rebuilds its tables from the stored per-record state so that
 /// EmitBlocks always matches the batch blocker over the same records.
 /// While the dimension is 0, as it always is without a semantic function,
-/// a table is keyed by the band alone: plain LSH, which is also what the
-/// batch SA-LSH blocker falls back to.
+/// a table is keyed by the band alone, as in the batch blocker.
 /// The feature set is built from every concept ever inserted: removals
 /// shrink the record set but deliberately not the feature set (features
 /// are never un-selected), so batch parity is guaranteed after inserts,

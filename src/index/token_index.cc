@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "index/sorted_ids.h"
 
 namespace sablock::index {
@@ -28,59 +27,50 @@ Status TokenPostingsIndex::Bind(const data::Schema& schema) {
   return Status::Ok();
 }
 
-std::vector<std::string> TokenPostingsIndex::TokensOf(
+std::vector<std::string_view> TokenPostingsIndex::Selected(
     std::span<const std::string_view> values) const {
-  // Exactly Dataset::ConcatenatedValues over the bound attributes (the
-  // text the batch technique's token column is built from), then the
-  // token column's distinct-sorted tokenization.
-  std::string joined;
+  // Token by token the same as Dataset::ConcatenatedValues over them, the
+  // batch technique's text: no token spans the joining separator.
+  std::vector<std::string_view> selected;
+  selected.reserve(attr_index_.size());
   for (int idx : attr_index_) {
-    std::string_view v = values[static_cast<size_t>(idx)];
-    if (v.empty()) continue;
-    if (!joined.empty()) joined.push_back(' ');
-    joined.append(v);
+    selected.push_back(values[static_cast<size_t>(idx)]);
   }
-  std::vector<std::string> tokens =
-      SplitWords(NormalizeForMatching(joined));
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  return tokens;
+  return selected;
 }
 
 void TokenPostingsIndex::Insert(data::RecordId id,
                                 std::span<const std::string_view> values) {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
-  SABLOCK_CHECK_MSG(record_tokens_.count(id) == 0, "record id already live");
-  std::vector<std::string> tokens = TokensOf(values);
-  for (const std::string& token : tokens) {
+  const size_t row = tokens_.size();
+  const bool fresh = row_of_.emplace(id, row).second;
+  SABLOCK_CHECK_MSG(fresh, "record id already live");
+  tokens_.Append(Selected(values));
+  postings_.resize(tokens_.token_limit());
+  for (features::TokenId token : tokens_.Row(row)) {
     InsertSortedId(&postings_[token], id);
   }
-  record_tokens_.emplace(id, std::move(tokens));
-  ++live_;
 }
 
 bool TokenPostingsIndex::Remove(data::RecordId id) {
-  auto it = record_tokens_.find(id);
-  if (it == record_tokens_.end()) return false;
-  for (const std::string& token : it->second) {
-    auto posting = postings_.find(token);
-    SABLOCK_CHECK(posting != postings_.end());
-    EraseSortedId(&posting->second, id);
-    if (posting->second.empty()) postings_.erase(posting);
+  auto it = row_of_.find(id);
+  if (it == row_of_.end()) return false;
+  for (features::TokenId token : tokens_.Row(it->second)) {
+    const bool erased = EraseSortedId(&postings_[token], id);
+    SABLOCK_CHECK(erased);
   }
-  record_tokens_.erase(it);
-  --live_;
+  row_of_.erase(it);
   return true;
 }
 
 std::vector<data::RecordId> TokenPostingsIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
+  std::vector<features::TokenId> known;
+  tokens_.Lookup(Selected(values), &known);
   std::vector<data::RecordId> out;
-  for (const std::string& token : TokensOf(values)) {
-    auto it = postings_.find(token);
-    if (it == postings_.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+  for (features::TokenId token : known) {
+    out.insert(out.end(), postings_[token].begin(), postings_[token].end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -91,7 +81,7 @@ void TokenPostingsIndex::EmitBlocks(core::BlockSink& sink) const {
   // Identical to the batch technique's emission: postings with >= 2
   // records, in canonical content order.
   std::vector<core::Block> kept;
-  for (const auto& [token, ids] : postings_) {
+  for (const std::vector<data::RecordId>& ids : postings_) {
     if (ids.size() >= 2) kept.push_back(ids);
   }
   core::EmitSorted(std::move(kept), sink);

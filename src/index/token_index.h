@@ -1,10 +1,11 @@
 #ifndef SABLOCK_INDEX_TOKEN_INDEX_H_
 #define SABLOCK_INDEX_TOKEN_INDEX_H_
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "features/token_column.h"
 #include "index/incremental_index.h"
 
 namespace sablock::index {
@@ -13,7 +14,9 @@ namespace sablock::index {
 /// normalized whitespace token of the blocking attributes. The index-side
 /// counterpart of baselines::TokenBlockingTechnique — EmitBlocks
 /// reproduces its output byte-identically (postings with >= 2 live
-/// records, emitted in canonical content order).
+/// records, emitted in canonical content order). Tokens are interned by
+/// a features::TokenColumn, one row per Insert (a removed record keeps
+/// its row), and postings are indexed by token id.
 class TokenPostingsIndex : public IncrementalIndex {
  public:
   explicit TokenPostingsIndex(std::vector<std::string> attributes);
@@ -26,22 +29,21 @@ class TokenPostingsIndex : public IncrementalIndex {
   std::vector<data::RecordId> Query(
       std::span<const std::string_view> values) const override;
   void EmitBlocks(core::BlockSink& sink) const override;
-  size_t size() const override { return live_; }
+  size_t size() const override { return row_of_.size(); }
 
  private:
-  /// Distinct normalized tokens of one row (sorted).
-  std::vector<std::string> TokensOf(
+  /// The bound attributes' values of a schema-aligned row.
+  std::vector<std::string_view> Selected(
       std::span<const std::string_view> values) const;
 
   std::vector<std::string> attributes_;
   std::vector<int> attr_index_;  // schema positions, set by Bind
   bool bound_ = false;
 
-  // Postings keyed by token string, ids kept sorted ascending. An
-  // ordered map so EmitBlocks needs no per-call vocabulary sort.
-  std::map<std::string, std::vector<data::RecordId>> postings_;
-  std::map<data::RecordId, std::vector<std::string>> record_tokens_;
-  size_t live_ = 0;
+  features::TokenColumn tokens_;  // one row per Insert
+  // postings_[t]: the live ids holding token t, ascending.
+  std::vector<std::vector<data::RecordId>> postings_;
+  std::unordered_map<data::RecordId, size_t> row_of_;  // live id -> row
 };
 
 }  // namespace sablock::index

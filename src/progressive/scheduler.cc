@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
-#include <utility>
 
 #include "common/pair_set.h"
 #include "core/budget.h"
@@ -12,11 +11,6 @@
 namespace sablock::progressive {
 
 namespace {
-
-uint64_t PackPair(uint32_t a, uint32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 core::CandidatePair Unpack(uint64_t key, double score) {
   return {static_cast<uint32_t>(key >> 32),
@@ -47,7 +41,7 @@ std::vector<core::CandidatePair> EmitFirstSeen(
         if (out.size() >= limit) return out;
         if (b[i] == b[j]) continue;
         if (!seen.Insert(b[i], b[j])) continue;
-        out.push_back(Unpack(PackPair(b[i], b[j]), score_of(b)));
+        out.push_back(Unpack(PairSet::Key(b[i], b[j]), score_of(b)));
       }
     }
   }
@@ -159,7 +153,7 @@ class RoundRobinScheduler : public PairScheduler {
           uint32_t z = b[c.j];
           ++c.j;
           if (a == z || !seen.Insert(a, z)) continue;
-          out.push_back(Unpack(PackPair(a, z), score));
+          out.push_back(Unpack(PairSet::Key(a, z), score));
           emitted = true;
           break;  // one pair per block per round
         }

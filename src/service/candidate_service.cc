@@ -1,79 +1,14 @@
 #include "service/candidate_service.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <mutex>
 #include <utility>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "index/index_registry.h"
 
 namespace sablock::service {
-
-void TokenIdColumn::Append(std::span<const std::string_view> values) {
-  const size_t begin = ids_.size();
-  for (std::string_view value : values) {
-    ForEachMatchingToken(value, &buffer_, [&](std::string_view token) {
-      auto it = dictionary_.find(token);
-      if (it == dictionary_.end()) {
-        it = dictionary_
-                 .emplace(token, static_cast<uint32_t>(dictionary_.size()))
-                 .first;
-      }
-      ids_.push_back(it->second);
-    });
-  }
-  auto row = ids_.begin() + static_cast<std::ptrdiff_t>(begin);
-  std::sort(row, ids_.end());
-  ids_.erase(std::unique(row, ids_.end()), ids_.end());
-  offsets_.push_back(ids_.size());
-}
-
-size_t TokenIdColumn::Lookup(std::span<const std::string_view> values,
-                             std::vector<uint32_t>* ids) const {
-  ids->clear();
-  std::vector<std::string> unknown;  // stays empty for known tokens
-  std::string buffer;
-  for (std::string_view value : values) {
-    ForEachMatchingToken(value, &buffer, [&](std::string_view token) {
-      auto it = dictionary_.find(token);
-      if (it != dictionary_.end()) {
-        ids->push_back(it->second);
-      } else {
-        unknown.emplace_back(token);
-      }
-    });
-  }
-  std::sort(ids->begin(), ids->end());
-  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-  std::sort(unknown.begin(), unknown.end());
-  unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
-  return ids->size() + unknown.size();
-}
-
-double TokenIdColumn::Jaccard(std::span<const uint32_t> probe,
-                              size_t probe_size,
-                              std::span<const uint32_t> row) {
-  if (probe_size == 0 || row.empty()) return 0.0;
-  size_t common = 0;
-  size_t p = 0;
-  size_t r = 0;
-  while (p < probe.size() && r < row.size()) {
-    if (probe[p] < row[r]) {
-      ++p;
-    } else if (row[r] < probe[p]) {
-      ++r;
-    } else {
-      ++common;
-      ++p;
-      ++r;
-    }
-  }
-  return static_cast<double>(common) /
-         static_cast<double>(probe_size + row.size() - common);
-}
 
 Status CandidateService::Make(data::Schema schema,
                               const std::string& index_spec,
@@ -155,13 +90,14 @@ Status CandidateService::QueryProgressive(
   WallTimer timer;
   core::BudgetMeter meter(budget);  // arms the seconds deadline
   std::vector<data::RecordId> ids = index_->Query(values);
-  std::vector<uint32_t> probe;
+  std::vector<features::TokenId> probe;
   const size_t probe_size = tokens_.Lookup(values, &probe);
   out->reserve(ids.size());
   for (data::RecordId id : ids) {
     if (meter.budget().seconds > 0.0 && meter.Exhausted()) break;
     out->push_back(
-        {id, TokenIdColumn::Jaccard(probe, probe_size, tokens_.Row(id))});
+        {id, features::TokenColumn::Jaccard(probe, probe_size,
+                                            tokens_.Row(id))});
   }
   // Best first, deterministically: the budget keeps the highest-value
   // prefix of the comparison order, which is the whole point.

@@ -3,75 +3,31 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hashing.h"
 #include "common/status.h"
 #include "core/block_sink.h"
 #include "core/budget.h"
 #include "data/record.h"
+#include "features/token_column.h"
 #include "index/incremental_index.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
 
 namespace sablock::service {
 
-/// Append-only token-id column of a growing dataset, the scoring input of
-/// CandidateService::QueryProgressive. Row r holds the sorted distinct ids
-/// of the tokens of SplitWords(NormalizeForMatching(v)) over all of r's
-/// values v, stored CSR-style as ids_[offsets_[r], offsets_[r + 1]) —
-/// 4 bytes per distinct token plus 8 per row, no allocation per row.
-/// Ids are dense in first-seen order; the dictionary's transparent hash
-/// looks a token up by view, so a probe is tokenized and resolved without
-/// building a string. Not synchronized: CandidateService appends under
-/// its exclusive lock and reads under its shared one.
-class TokenIdColumn {
- public:
-  /// Interns the row's tokens and appends its id run as the next row.
-  void Append(std::span<const std::string_view> values);
-
-  /// Number of rows appended so far.
-  size_t size() const { return offsets_.size() - 1; }
-
-  /// Row `row`'s sorted distinct token ids.
-  std::span<const uint32_t> Row(size_t row) const {
-    return std::span<const uint32_t>(ids_).subspan(
-        offsets_[row], offsets_[row + 1] - offsets_[row]);
-  }
-
-  /// Leaves the probe's sorted distinct known token ids in `*ids` and
-  /// returns the size of its whole token set: tokens no row has are
-  /// counted there but interned nowhere.
-  size_t Lookup(std::span<const std::string_view> values,
-                std::vector<uint32_t>* ids) const;
-
-  /// Token Jaccard |P ∩ R| / |P ∪ R| of a probe P (its known ids and its
-  /// token-set size, from Lookup) and a row R; 0 if either set is empty.
-  static double Jaccard(std::span<const uint32_t> probe, size_t probe_size,
-                        std::span<const uint32_t> row);
-
- private:
-  std::unordered_map<std::string, uint32_t, TransparentStringHash,
-                     std::equal_to<>>
-      dictionary_;
-  std::vector<size_t> offsets_ = {0};
-  std::vector<uint32_t> ids_;
-  std::string buffer_;  // Append's token scratch
-};
-
 /// Thread-safe candidate store: an incremental index and the records'
-/// token-id column, behind one reader/writer lock; a record's id is its
-/// insert position. Inserts take the exclusive side (they mutate both
-/// together); queries, stats and block emission share the read side.
-/// This is the in-process core the socket server (and the latency bench)
-/// drive.
+/// features::TokenColumn (one row per record over all of its values, the
+/// scoring input of QueryProgressive), behind one reader/writer lock; a
+/// record's id is its insert position. Inserts take the exclusive side
+/// (they mutate both together); queries, stats and block emission share
+/// the read side. This is the in-process core the socket server (and the
+/// latency bench) drive.
 class CandidateService {
  public:
   /// Builds the service: creates the index from `index_spec` via the
@@ -130,7 +86,7 @@ class CandidateService {
   data::Schema schema_;
   mutable std::shared_mutex mu_;
   std::unique_ptr<index::IncrementalIndex> index_;  // guarded by mu_
-  TokenIdColumn tokens_;  // one row per inserted record; guarded by mu_
+  features::TokenColumn tokens_;  // row = record id; guarded by mu_
   std::atomic<uint64_t> inserts_{0};
   mutable std::atomic<uint64_t> queries_{0};  // counted in const Query
   std::atomic<uint64_t> removes_{0};

@@ -58,7 +58,7 @@ enum class SectionId : uint32_t {
   kArena = 3,            // all attribute value bytes, row-major
   kValueOffsets = 4,     // record_count*attr_count+1 offsets into kArena
   kTextColumn = 5,       // normalized blocking text per record
-  kTokenColumn = 6,      // token strings + per-record local-id postings
+  kTokenColumn = 6,      // token vocabulary + per-record token-id rows
   kShingleColumn = 7,    // per-record sorted q-gram hash sets
   kSignatureColumn = 8,  // flat minhash matrix (8-aligned, mmap-aliased)
 };

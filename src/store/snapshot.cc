@@ -127,29 +127,13 @@ Status LoadTokenColumn(ByteReader& r, const SectionEntry& e, uint64_t n,
     return Fail("token column record count mismatch");
   }
   if (r.remaining() != 0) return Fail("token column has trailing bytes");
-  if (vocabulary.size() > UINT32_MAX) return Fail("token vocabulary too large");
-  uint64_t total = 0;
-  for (uint64_t c : counts) {
-    if (c > flat.size()) return Fail("token posting counts corrupt");
-    total += c;
-  }
-  if (total != flat.size()) return Fail("token posting counts corrupt");
-  std::vector<std::vector<features::TokenId>> per_record(n);
-  size_t next = 0;
-  for (size_t id = 0; id < n; ++id) {
-    std::vector<features::TokenId>& ids = per_record[id];
-    ids.reserve(counts[id]);
-    for (uint64_t i = 0; i < counts[id]; ++i) {
-      uint64_t local = flat[next++];
-      if (local >= vocabulary.size()) {
-        return Fail("token posting id out of vocabulary range");
-      }
-      ids.push_back(static_cast<features::TokenId>(local));
-    }
-  }
+  features::TokenColumn column;
+  s = features::TokenColumn::Load(std::move(vocabulary), counts, flat,
+                                  &column);
+  if (!s.ok()) return Fail(s.message());
   s = MarkSeen(seen, AttrsKey(e, attrs));
   if (!s.ok()) return s;
-  store->AdoptTokens(attrs, std::move(vocabulary), std::move(per_record));
+  store->AdoptTokens(attrs, std::move(column));
   return Status::Ok();
 }
 
@@ -304,8 +288,7 @@ Status LoadSnapshot(const std::string& path, const LoadOptions& options,
       return Fail("unknown section encoding");
     }
     if (IsCompressed(e)) any_compressed = true;
-    if (options.verify_checksums &&
-        Checksum64(base + e.offset, e.stored_bytes) != e.checksum) {
+    if (Checksum64(base + e.offset, e.stored_bytes) != e.checksum) {
       return Fail("section payload checksum mismatch (section id " +
                   std::to_string(e.id) + ")");
     }

@@ -10,11 +10,6 @@
 namespace sablock::store {
 
 struct LoadOptions {
-  /// Verify the Checksum64 digest of every section payload before
-  /// decoding it (the header and section table are always validated).
-  /// Costs one sequential pass over the file; turn off only for trusted
-  /// local files where the page cache is already warm.
-  bool verify_checksums = true;
   /// Deserialize precomputed FeatureStore sections and attach them to
   /// the dataset as a pre-warmed cache (signature matrices alias the
   /// mapping zero-copy). Off = dataset core only; features rebuild
@@ -41,7 +36,8 @@ struct SnapshotInfo {
 ///
 /// Corrupt, truncated, foreign-endian or wrong-version files return a
 /// descriptive error Status — never a crash, never a silently wrong
-/// dataset.
+/// dataset. The header and section table are validated and every
+/// section payload's Checksum64 is verified before anything is decoded.
 Status LoadSnapshot(const std::string& path, const LoadOptions& options,
                     data::Dataset* out, SnapshotInfo* info = nullptr);
 

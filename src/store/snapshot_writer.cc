@@ -101,29 +101,25 @@ void AddTokenSection(const features::FeatureStore& store,
                      const features::FeatureStore::ColumnParams& params,
                      bool compress, std::vector<PendingSection>* sections) {
   const features::TokenColumn& column = store.Tokens(params.attributes);
-  // The vocabulary travels in local-id order so the loader re-interns it
-  // and rebuilds the local->global map; the per-record postings travel
-  // as (counts, flat sorted local ids) — both sorted, so deltas bite.
-  std::vector<std::string> vocabulary;
-  vocabulary.reserve(column.global_ids.size());
-  for (features::TokenId global : column.global_ids) {
-    vocabulary.push_back(store.Token(global));
-  }
+  // The vocabulary travels in id order, and the rows as (counts, flat
+  // sorted ids) — both sorted, so deltas bite.
   std::vector<uint64_t> counts;
-  counts.reserve(column.tokens.size());
-  std::vector<uint64_t> flat;
-  for (const std::vector<features::TokenId>& ids : column.tokens) {
-    counts.push_back(ids.size());
-    flat.insert(flat.end(), ids.begin(), ids.end());
+  counts.reserve(column.size());
+  for (size_t row = 0; row < column.size(); ++row) {
+    counts.push_back(column.Row(row).size());
   }
+  const std::vector<uint64_t> flat(column.ids().begin(), column.ids().end());
   PendingSection s{SectionId::kTokenColumn,
                    compress ? SectionEncoding::kCompressed
                             : SectionEncoding::kRaw,
-                   column.tokens.size(),
+                   column.size(),
                    {}};
   ByteWriter w(&s.payload);
   WriteAttrs(w, params.attributes);
-  WriteStringBlock(w, vocabulary, compress);
+  const std::span<const std::string_view> vocabulary = column.vocabulary();
+  WriteStringBlock(
+      w, std::vector<std::string>(vocabulary.begin(), vocabulary.end()),
+      compress);
   WriteU64Block(w, counts, compress);
   WriteU64Block(w, flat, compress);
   sections->push_back(std::move(s));

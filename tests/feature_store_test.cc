@@ -51,8 +51,9 @@ TEST(FeatureStoreTest, TokenColumnInternsSortedDistinctTokens) {
   data::Dataset d = TinyDataset();
   FeatureView features = d.features();
   FeatureView::TokenHandle tokens = features.TokensFor(NameCity());
+  const TokenColumn& column = features.store().Tokens(NameCity());
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    const std::vector<TokenId>& ids = tokens.Tokens(id);
+    const std::span<const TokenId> ids = tokens.Tokens(id);
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
     EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
     // Interned strings round-trip to the distinct words of the text.
@@ -63,7 +64,7 @@ TEST(FeatureStoreTest, TokenColumnInternsSortedDistinctTokens) {
     std::vector<std::string> from_ids;
     for (TokenId t : ids) {
       EXPECT_LT(t, tokens.token_limit());
-      from_ids.push_back(features.store().Token(tokens.GlobalId(t)));
+      from_ids.emplace_back(column.Token(t));
     }
     std::sort(from_ids.begin(), from_ids.end());
     EXPECT_EQ(from_ids, words) << id;
@@ -75,8 +76,8 @@ TEST(FeatureStoreTest, TokenIdsAreColumnLocalAndDense) {
   FeatureView features = d.features();
   FeatureView::TokenHandle wide = features.TokensFor(NameCity());
   FeatureView::TokenHandle narrow = features.TokensFor({"city"});
-  // The narrow column's ids stay dense in its own vocabulary even though
-  // the shared dictionary already holds the wide column's tokens.
+  // Each column interns its own vocabulary: the narrow column's ids stay
+  // dense in it, whatever the wide column interned first.
   EXPECT_LT(narrow.token_limit(), wide.token_limit());
   for (data::RecordId id = 0; id < d.size(); ++id) {
     for (TokenId t : narrow.Tokens(id)) {
@@ -90,11 +91,9 @@ TEST(FeatureStoreTest, TextColumnsDoNotPayForTokenization) {
   FeatureView features = d.features();
   features.TextsFor(NameCity());
   features.TextsFor({"name"});
-  // Text-only consumers (blocking keys) never touch the token dictionary.
-  EXPECT_EQ(features.store().NumInternedTokens(), 0u);
+  // Text-only consumers (blocking keys) never build a token column.
   EXPECT_EQ(features.store().stats().token_builds, 0u);
   features.TokensFor(NameCity());
-  EXPECT_GT(features.store().NumInternedTokens(), 0u);
   EXPECT_EQ(features.store().stats().token_builds, 1u);
 }
 
@@ -240,9 +239,11 @@ TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
   const data::Dataset serial = d.ColdCopy();
   const FeatureStore& reference = serial.features().store();
   const TokenColumn& tokens_ref = reference.Tokens(attrs);
-  EXPECT_EQ(token_cols[0]->tokens, tokens_ref.tokens);
-  EXPECT_EQ(token_cols[0]->global_ids, tokens_ref.global_ids);
-  EXPECT_EQ(token_cols[0]->token_limit, tokens_ref.token_limit);
+  EXPECT_TRUE(std::ranges::equal(token_cols[0]->ids(), tokens_ref.ids()));
+  EXPECT_TRUE(
+      std::ranges::equal(token_cols[0]->offsets(), tokens_ref.offsets()));
+  EXPECT_TRUE(std::ranges::equal(token_cols[0]->vocabulary(),
+                                 tokens_ref.vocabulary()));
   EXPECT_EQ(store.Texts(attrs).texts, reference.Texts(attrs).texts);
   EXPECT_EQ(store.Shingles(attrs, 4).sets, reference.Shingles(attrs, 4).sets);
   EXPECT_TRUE(std::ranges::equal(sig_cols[0]->rows,

@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
 #include "core/lsh_variants.h"
 #include "data/cora_generator.h"
+#include "obs/metrics.h"
 
 namespace sablock::core {
 namespace {
@@ -207,6 +210,39 @@ TEST(SaLshBlockerTest, DeterministicAcrossRuns) {
   SemanticAwareLshBlocker blocker(SmallParams(), FullOr(), BibSemantics());
   EXPECT_EQ(RunStreaming(blocker, d).TotalComparisons(),
             RunStreaming(blocker, d).TotalComparisons());
+}
+
+// With no semantic feature in any record (dimension 0) SA-LSH keys each
+// table by the band alone: plain LSH's block sequence, from one request
+// of the signature column.
+TEST(SaLshBlockerTest, WithoutSemanticFeaturesItIsPlainLsh) {
+  data::CoraGeneratorConfig config;
+  config.num_entities = 30;
+  config.num_records = 300;
+  config.seed = 42;
+  const Dataset d = data::GenerateCoraLike(config);
+  const auto no_concepts = std::make_shared<const LambdaSemanticFunction>(
+      MakeBibliographicTaxonomy(),
+      [](const Schema&, std::span<const std::string_view>) {
+        return std::vector<ConceptId>{};
+      });
+  const BlockCollection plain = RunStreaming(LshBlocker(SmallParams()), d);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter* hits = registry.GetCounter(
+      "featurestore_hits", "column requests served from the cache", "column",
+      "signature");
+  const obs::Counter* misses = registry.GetCounter(
+      "featurestore_misses", "column requests that paid a build", "column",
+      "signature");
+  const uint64_t hits_before = hits->value();
+  const uint64_t misses_before = misses->value();
+  const Dataset cold = d.ColdCopy();
+  const BlockCollection semantic = RunStreaming(
+      SemanticAwareLshBlocker(SmallParams(), FullOr(), no_concepts), cold);
+  EXPECT_EQ(semantic.blocks(), plain.blocks());
+  EXPECT_EQ(misses->value() - misses_before, 1u);
+  EXPECT_EQ(hits->value() - hits_before, 0u);
 }
 
 // Every table emits its buckets in canonical content order (ids ascending

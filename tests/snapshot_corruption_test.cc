@@ -21,12 +21,16 @@
 #include <iterator>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "data/cora_generator.h"
 #include "data/record.h"
 #include "features/feature_store.h"
 #include "gtest/gtest.h"
+#include "store/bytes.h"
+#include "store/codec.h"
 #include "store/format.h"
 #include "store/snapshot.h"
 #include "store/snapshot_writer.h"
@@ -221,14 +225,128 @@ TEST_F(SnapshotCorruptionTest, GarbageFilesAreRefused) {
 }
 
 TEST_F(SnapshotCorruptionTest, ChecksumVerificationIsTheDefaultGate) {
-  // Flip one byte deep inside the arena payload. With checksums on
-  // (default) the load must fail; this is the flag the LoadOptions doc
-  // tells trusted-file users they may turn off, so we pin that it is
-  // actually doing the work.
+  // Flip one byte deep inside the arena payload. Every load verifies
+  // every section checksum, so the load must fail; this pins that the
+  // verification is actually doing the work.
   std::string mutated = golden_;
   mutated[golden_.size() - 9] =
       static_cast<char>(mutated[golden_.size() - 9] ^ 0x40);
   EXPECT_TRUE(ExpectCleanOutcome(mutated, "payload flip"));
+}
+
+// A token section whose checksums are valid but whose content is not a
+// token column: a repeated vocabulary string, or a record's ids out of
+// order. Both must fail at load, naming the token column, instead of
+// loading as a silently different dataset.
+class TokenSectionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data::Dataset d{data::Schema({"name"})};
+    d.Add({{"ada lovelace"}}, 0);
+    d.Add({{"ada byron"}}, 0);
+    d.Add({{"bob"}}, 1);
+    d.features().TokensFor({"name"});
+    path_ = TmpPath("tokens");
+    WriteOptions options;
+    options.compress = false;  // fixed-width ids, patchable in place
+    ASSERT_TRUE(WriteSnapshot(path_, d, options).ok());
+    file_ = ReadFile(path_);
+
+    uint32_t sections = 0;
+    std::memcpy(&sections, &file_[28], sizeof sections);
+    for (size_t i = 0; i < sections; ++i) {
+      uint32_t id = 0;
+      std::memcpy(&id, &file_[Entry(i)], sizeof id);
+      if (id == static_cast<uint32_t>(SectionId::kTokenColumn)) section_ = i;
+    }
+    ASSERT_NE(section_, SIZE_MAX);
+    uint64_t offset = 0;
+    uint64_t stored = 0;
+    std::memcpy(&offset, &file_[Entry(section_) + 8], sizeof offset);
+    std::memcpy(&stored, &file_[Entry(section_) + 16], sizeof stored);
+
+    // Walk the raw payload: attributes, vocabulary, counts, ids.
+    ByteReader r(file_.data() + offset, stored);
+    std::vector<std::string> attrs;
+    ASSERT_TRUE(ReadStringBlock(r, /*compressed=*/false, &attrs).ok());
+    uint64_t count = 0;
+    ASSERT_TRUE(r.ReadVarint(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      std::string_view token;
+      ASSERT_TRUE(r.ReadStringView(&token));
+      vocabulary_.push_back(
+          {static_cast<size_t>(token.data() - file_.data()), token.size()});
+    }
+    std::vector<uint64_t> counts;
+    ASSERT_TRUE(ReadU64Block(r, /*compressed=*/false, &counts).ok());
+    ASSERT_TRUE(r.ReadVarint(&count));
+    ids_at_ = static_cast<size_t>(r.cursor() - file_.data());
+    ASSERT_GE(counts.at(0), 2u);  // record 0 holds two ids to swap
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  static size_t Entry(size_t i) {
+    return kHeaderBytes + i * kSectionEntryBytes;
+  }
+
+  /// Rewrites the token section's payload checksum and the table checksum
+  /// (store/format.h's layout), then loads `file_`.
+  Status Load() {
+    uint64_t offset = 0;
+    uint64_t stored = 0;
+    std::memcpy(&offset, &file_[Entry(section_) + 8], sizeof offset);
+    std::memcpy(&stored, &file_[Entry(section_) + 16], sizeof stored);
+    const uint64_t payload = Checksum64(file_.data() + offset, stored);
+    std::memcpy(&file_[Entry(section_) + 32], &payload, sizeof payload);
+    uint32_t sections = 0;
+    std::memcpy(&sections, &file_[28], sizeof sections);
+    const uint64_t table =
+        Checksum64(file_.data() + kHeaderBytes, sections * kSectionEntryBytes);
+    std::memcpy(&file_[40], &table, sizeof table);
+    WriteFile(path_, file_);
+    data::Dataset loaded;
+    return LoadSnapshot(path_, {}, &loaded);
+  }
+
+  static void ExpectTokenColumnError(const Status& s) {
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.message().rfind("snapshot: token column", 0), 0u)
+        << s.message();
+  }
+
+  std::string path_;
+  std::string file_;
+  size_t section_ = SIZE_MAX;
+  std::vector<std::pair<size_t, size_t>> vocabulary_;  // (file offset, size)
+  size_t ids_at_ = 0;  // file offset of the first u64 id
+};
+
+TEST_F(TokenSectionTest, ResealedSectionLoads) {
+  Status s = Load();
+  EXPECT_TRUE(s.ok()) << s.message();
+}
+
+TEST_F(TokenSectionTest, RepeatedVocabularyStringIsRefused) {
+  // "ada" and "bob" share a length: make the later one a second "ada".
+  const auto& first = vocabulary_.front();
+  const auto& last = vocabulary_.back();
+  ASSERT_EQ(first.second, last.second);
+  file_.replace(last.first, last.second, file_.substr(first.first,
+                                                      first.second));
+  Status s = Load();
+  ExpectTokenColumnError(s);
+  EXPECT_NE(s.message().find("repeats vocabulary string"), std::string::npos)
+      << s.message();
+}
+
+TEST_F(TokenSectionTest, RecordIdsOutOfOrderAreRefused) {
+  std::swap_ranges(file_.begin() + static_cast<std::ptrdiff_t>(ids_at_),
+                   file_.begin() + static_cast<std::ptrdiff_t>(ids_at_ + 8),
+                   file_.begin() + static_cast<std::ptrdiff_t>(ids_at_ + 8));
+  Status s = Load();
+  ExpectTokenColumnError(s);
+  EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
+      << s.message();
 }
 
 }  // namespace

@@ -309,21 +309,22 @@ TEST(SnapshotTest, FeatureSectionsRoundtripAndPreWarmTheCache) {
   ASSERT_EQ(tokens.token_limit(), ref_tokens.token_limit());
   for (data::RecordId id = 0; id < loaded.size(); ++id) {
     EXPECT_EQ(text.Text(id), ref_text.Text(id)) << id;
-    EXPECT_EQ(tokens.Tokens(id), ref_tokens.Tokens(id)) << id;
+    EXPECT_TRUE(std::ranges::equal(tokens.Tokens(id), ref_tokens.Tokens(id)))
+        << id;
     EXPECT_EQ(shingles.Shingles(id), ref_shingles.Shingles(id)) << id;
     std::span<const uint64_t> got = sigs.Signature(id);
     std::span<const uint64_t> want = ref_sigs.Signature(id);
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << id;
   }
-  // The token local->global map must stay usable: every global id
-  // resolves to the same token string as the reference store.
-  for (features::TokenId local = 0; local < tokens.token_limit();
-       ++local) {
-    EXPECT_EQ(view.store().Token(tokens.GlobalId(local)),
-              reference.store().Token(ref_tokens.GlobalId(local)))
-        << local;
-  }
+  // The token column travels whole: the same vocabulary in id order and
+  // the same CSR arrays as the parsed path's column.
+  const features::TokenColumn& column = view.store().Tokens(attrs);
+  const features::TokenColumn& ref_column = reference.store().Tokens(attrs);
+  EXPECT_TRUE(
+      std::ranges::equal(column.vocabulary(), ref_column.vocabulary()));
+  EXPECT_TRUE(std::ranges::equal(column.ids(), ref_column.ids()));
+  EXPECT_TRUE(std::ranges::equal(column.offsets(), ref_column.offsets()));
   // Adoption counts as the build for the stats counters: reads above
   // must not have rebuilt anything.
   features::FeatureStore::Stats stats = view.store().stats();
