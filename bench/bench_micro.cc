@@ -299,30 +299,30 @@ int RunMicro(report::BenchContext& ctx) {
     data::Dataset d = MakePaperCora(cora_records);
     suite.Case("feature_shingling_uncached", [&] {
       data::Dataset cold = d.ColdCopy();
-      DoNotOptimize(cold.features().ShinglesFor(attrs, 4).Shingles(0).size());
+      DoNotOptimize(cold.features().ShinglesFor(attrs, 4).Row(0).size());
     }, kColumnBuildOps);
     d.features().ShinglesFor(attrs, 4);  // warm
     suite.Case("feature_shingling_cached", [&] {
-      DoNotOptimize(d.features().ShinglesFor(attrs, 4).Shingles(0).size());
+      DoNotOptimize(d.features().ShinglesFor(attrs, 4).Row(0).size());
     }, kCachedOps);
 
     suite.Case("feature_tokens_uncached", [&] {
       data::Dataset cold = d.ColdCopy();
-      DoNotOptimize(cold.features().TokensFor(attrs).token_limit());
+      DoNotOptimize(cold.features().TokensFor(attrs).column().token_limit());
     }, kColumnBuildOps);
     d.features().TokensFor(attrs);  // warm
     suite.Case("feature_tokens_cached", [&] {
-      DoNotOptimize(d.features().TokensFor(attrs).token_limit());
+      DoNotOptimize(d.features().TokensFor(attrs).column().token_limit());
     }, kCachedOps);
 
     core::LshParams p = CoraLshParams();
     suite.Case("feature_signatures_uncached", [&] {
       data::Dataset cold = d.ColdCopy();
-      DoNotOptimize(core::MinhashSignatures(cold, p).Signature(0).size());
+      DoNotOptimize(core::MinhashSignatures(cold, p).Row(0).size());
     }, kColdBuildOps);
     core::MinhashSignatures(d, p);  // warm
     suite.Case("feature_signatures_cached", [&] {
-      DoNotOptimize(core::MinhashSignatures(d, p).Signature(0).size());
+      DoNotOptimize(core::MinhashSignatures(d, p).Row(0).size());
     }, kCachedOps);
 
     core::LshBlocker blocker(p);

@@ -4,7 +4,6 @@
 // includes concrete technique and index headers; everything else (CLI,
 // benches, examples, the server) builds them from spec strings.
 
-#include <climits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -49,15 +48,22 @@ ParamDoc AttrsDoc() {
   return {"attrs", "", "'+'-separated blocking attributes"};
 }
 
+/// `rows_per_table` · `tables` minhash rows per record, the product named
+/// `key`, within core::kMaxMinhashRows.
+Status CheckMinhashRows(const std::string& key, int rows_per_table,
+                        int tables) {
+  if (static_cast<long long>(rows_per_table) * tables >
+      core::kMaxMinhashRows) {
+    return RangeError(key, "<= " + std::to_string(core::kMaxMinhashRows));
+  }
+  return Status::Ok();
+}
+
 Status CheckLshRanges(const core::LshParams& lsh) {
   if (lsh.k < 1) return RangeError("k", ">= 1");
   if (lsh.l < 1) return RangeError("l", ">= 1");
   if (lsh.q < 1) return RangeError("q", ">= 1");
-  // k·l is the int count of minhash rows every LSH variant allocates.
-  if (static_cast<long long>(lsh.k) * lsh.l > INT_MAX) {
-    return RangeError("k*l", "<= " + std::to_string(INT_MAX));
-  }
-  return Status::Ok();
+  return CheckMinhashRows("k*l", lsh.k, lsh.l);
 }
 
 /// Reads the parameters every LSH-family technique and index shares.
@@ -571,6 +577,9 @@ void RegisterLshFamily(BlockerRegistry& r) {
           int max_block = p.GetInt("max-block", 25);
           if (depth < 1) return RangeError("depth", ">= 1");
           if (max_block < 2) return RangeError("max-block", ">= 2");
+          // A tree reads `depth` rows: the forest minhashes depth·l.
+          s = CheckMinhashRows("depth*l", depth, lsh.l);
+          if (!s.ok()) return s;
           *out = std::make_unique<core::LshForestBlocker>(
               std::move(lsh), depth, static_cast<size_t>(max_block));
           return Status::Ok();

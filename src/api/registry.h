@@ -12,7 +12,6 @@
 #include "api/blocker_spec.h"
 #include "common/check.h"
 #include "common/status.h"
-#include "common/statusor.h"
 #include "common/string_util.h"
 #include "core/blocking.h"
 
@@ -73,8 +72,12 @@ class Registry {
   }
 
   /// Parses `spec_string` ("name[:key=val,...]") and builds the product.
+  /// Every malformed spec (unknown name, bad parameter type or range,
+  /// unknown or duplicate parameter) comes back as a diagnostic Status
+  /// with no product — construction never CHECK-fails on user input.
   Status Create(const std::string& spec_string,
                 std::unique_ptr<Product>* out) const {
+    out->reset();
     BlockerSpec spec;
     Status status = BlockerSpec::Parse(spec_string, &spec);
     if (!status.ok()) return status;
@@ -104,17 +107,6 @@ class Registry {
     }
     SABLOCK_CHECK(*out != nullptr);
     return Status::Ok();
-  }
-
-  /// Value-returning form: every malformed spec (unknown name, bad
-  /// parameter type, unknown or duplicate parameter) comes back as a
-  /// diagnostic Status — construction never CHECK-fails on user input.
-  StatusOr<std::unique_ptr<Product>> Create(
-      const std::string& spec_string) const {
-    std::unique_ptr<Product> product;
-    Status status = Create(spec_string, &product);
-    if (!status.ok()) return status;
-    return product;
   }
 
   /// True if `name` (canonical or alias, any case) is registered.

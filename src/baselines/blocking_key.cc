@@ -51,7 +51,7 @@ KeyBuilder::KeyBuilder(const data::Dataset& dataset,
 std::string KeyBuilder::Key(data::RecordId id) const {
   std::string key;
   for (size_t c = 0; c < def_.components.size(); ++c) {
-    AppendKeyComponent(def_.components[c], columns_[c].Text(id), &key);
+    AppendKeyComponent(def_.components[c], columns_[c].Row(id), &key);
   }
   return key;
 }

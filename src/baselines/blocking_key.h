@@ -46,7 +46,8 @@ class KeyBuilder {
  private:
   BlockingKeyDef def_;  // owned copy: safe for temporary-def callers
   features::FeatureView features_;  // keeps the store alive
-  std::vector<features::FeatureView::TextHandle> columns_;  // per component
+  // One text column per component.
+  std::vector<features::FeatureView::Handle<features::TextColumn>> columns_;
 };
 
 /// One-shot convenience around KeyBuilder (prefer KeyBuilder in loops).

@@ -33,14 +33,14 @@ void TokenBlockingTechnique::Run(const data::Dataset& dataset,
                                  core::BlockSink& sink) const {
   // Postings over the interned token ids of the shared token column — no
   // string hashing or tokenization here, just id-indexed appends.
-  features::FeatureView::TokenHandle tokens =
+  features::FeatureView::Handle<features::TokenColumn> tokens =
       dataset.features().TokensFor(attributes_);
   // Postings keyed by token id in a hash map: its footprint follows the
   // tokens this run actually touches, not token_limit — which covers the
   // whole column even when this run is one small shard slice of it.
   FlatMap<features::TokenId, core::Block> postings;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    for (features::TokenId token : tokens.Tokens(id)) {
+    for (features::TokenId token : tokens.Row(id)) {
       postings[token].push_back(id);
     }
   }

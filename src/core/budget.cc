@@ -56,13 +56,6 @@ Status ParseDouble(const std::string& term, std::string_view value,
 
 }  // namespace
 
-StatusOr<Budget> Budget::Parse(const std::string& text) {
-  Budget budget;
-  Status status = Parse(text, &budget);
-  if (!status.ok()) return status;
-  return budget;
-}
-
 Status Budget::Parse(const std::string& text, Budget* out) {
   Budget budget;
   if (!Trim(text).empty()) {

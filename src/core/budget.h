@@ -8,7 +8,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/statusor.h"
 
 namespace sablock::core {
 
@@ -42,11 +41,8 @@ struct Budget {
 
   /// Parses "pairs=50000,seconds=1.5,recall-target=0.9" (any subset, any
   /// order; "inf"/"unlimited" accepted for pairs and seconds; nan is
-  /// rejected). Returns a diagnostic naming the offending term on
-  /// malformed input.
-  static StatusOr<Budget> Parse(const std::string& text);
-
-  /// Out-parameter form for call sites on the Status convention.
+  /// rejected) into `*out`. Returns a diagnostic naming the offending
+  /// term on malformed input, and leaves `*out` unchanged then.
   static Status Parse(const std::string& text, Budget* out);
 
   /// Canonical spec string (round-trips through Parse). Empty when

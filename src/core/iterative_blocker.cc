@@ -37,14 +37,15 @@ void IterativeLshBlocker::Run(const data::Dataset& dataset,
   // shingle sets. The seed sets are copied out of the shared feature
   // cache because merging mutates them. `group_of[r]` tracks each
   // record's current group.
-  features::FeatureView::ShingleHandle shingle_cache =
+  const auto shingle_cache =
       dataset.features().ShinglesFor(params_.attributes, params_.q);
   std::vector<std::vector<uint64_t>> shingles;
   std::vector<Block> members;
   std::vector<uint32_t> group_of(dataset.size());
   shingles.reserve(dataset.size());
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    shingles.push_back(shingle_cache.Shingles(id));
+    const std::span<const uint64_t> row = shingle_cache.Row(id);
+    shingles.emplace_back(row.begin(), row.end());
     members.push_back({id});
     group_of[id] = id;
   }

@@ -93,7 +93,7 @@ void LshBuckets::EmitTable(BlockSink& sink) {
   }
 }
 
-features::FeatureView::SignatureHandle MinhashSignatures(
+features::FeatureView::Handle<features::SignatureColumn> MinhashSignatures(
     const data::Dataset& dataset, const LshParams& params) {
   SABLOCK_CHECK(params.k > 0 && params.l > 0);
   return dataset.features().SignaturesFor(params.attributes, params.q,
@@ -102,17 +102,16 @@ features::FeatureView::SignatureHandle MinhashSignatures(
 
 LshBands ComputeLshBands(const data::Dataset& dataset,
                          const LshParams& params) {
-  features::FeatureView::SignatureHandle sigs =
-      MinhashSignatures(dataset, params);
+  const auto sigs = MinhashSignatures(dataset, params);
   LshBands bands;
   bands.ids.reserve(dataset.size());
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    if (!IsEmptyMinhashSignature(sigs.Signature(id))) bands.ids.push_back(id);
+    if (!IsEmptyMinhashSignature(sigs.Row(id))) bands.ids.push_back(id);
   }
   const size_t n = bands.ids.size();
   bands.keys.resize(n * static_cast<size_t>(params.l));
   for (size_t i = 0; i < n; ++i) {
-    const std::span<const uint64_t> sig = sigs.Signature(bands.ids[i]);
+    const std::span<const uint64_t> sig = sigs.Row(bands.ids[i]);
     for (int t = 0; t < params.l; ++t) {
       bands.keys[static_cast<size_t>(t) * n + i] =
           LshBandKey(sig, t, params.k);

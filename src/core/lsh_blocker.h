@@ -17,6 +17,7 @@ namespace sablock::core {
 
 /// Parameters of the textual (minhash) part of the LSH blocking family:
 /// l hash tables of k minhash functions each (Section 5.1, "amplifying").
+/// The spec readers keep k·l within kMaxMinhashRows.
 struct LshParams {
   int k = 4;                            ///< minhash functions per table
   int l = 63;                           ///< number of hash tables
@@ -24,6 +25,13 @@ struct LshParams {
   std::vector<std::string> attributes;  ///< attributes used for shingling
   uint64_t seed = 7;                    ///< hash-family seed
 };
+
+/// The most minhash rows per record an LSH-family spec may ask for: k·l,
+/// or depth·l for forest. 65,536 rows are 512 KiB of signature per
+/// record, 15× the largest setting the experiments run (fig9's Cora k=6
+/// point: 701 tables, 4,206 rows). The spec readers refuse more, so no
+/// spec allocates a minhash matrix out of proportion to its records.
+inline constexpr long long kMaxMinhashRows = 65536;
 
 /// How a w-way semantic hash function combines its w semhash draws
 /// (Section 5.2): AND requires all chosen features shared, OR at least one.
@@ -80,8 +88,9 @@ using SemanticAwareLshBlocker = LshBlocker;
 /// The cached minhash signatures of a dataset under the given params — a
 /// handle into the dataset's FeatureStore, computed on first request and
 /// shared by every LSH-family blocker (and engine shard) using the same
-/// (attributes, q, k·l, seed). This is what the blockers use internally.
-features::FeatureView::SignatureHandle MinhashSignatures(
+/// (attributes, q, k·l, seed); Row(id) is record id's k·l values. This is
+/// what the blockers use internally.
+features::FeatureView::Handle<features::SignatureColumn> MinhashSignatures(
     const data::Dataset& dataset, const LshParams& params);
 
 // ----------------------------------------------------------------------

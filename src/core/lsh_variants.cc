@@ -22,7 +22,7 @@ void ComputeTop2MinhashSignatures(
     std::vector<std::vector<uint64_t>>* min2) {
   SABLOCK_CHECK(params.k > 0 && params.l > 0);
   const int num_hashes = params.k * params.l;
-  features::FeatureView::ShingleHandle shingle_cache =
+  const auto shingle_cache =
       dataset.features().ShinglesFor(params.attributes, params.q);
   std::vector<UniversalHash> hashes;
   hashes.reserve(static_cast<size_t>(num_hashes));
@@ -34,7 +34,7 @@ void ComputeTop2MinhashSignatures(
   min1->assign(dataset.size(), {});
   min2->assign(dataset.size(), {});
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    const std::vector<uint64_t>& shingles = shingle_cache.Shingles(id);
+    const std::span<const uint64_t> shingles = shingle_cache.Row(id);
     std::vector<uint64_t>& m1 = (*min1)[id];
     std::vector<uint64_t>& m2 = (*min2)[id];
     m1.assign(static_cast<size_t>(num_hashes), MinHasher::kEmptySlot);
@@ -127,8 +127,7 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
   // One label sequence of max_depth rows per tree.
   LshParams effective = params_;
   effective.k = max_depth_;
-  features::FeatureView::SignatureHandle sigs =
-      MinhashSignatures(dataset, effective);
+  const auto sigs = MinhashSignatures(dataset, effective);
 
   for (int t = 0; t < params_.l; ++t) {
     if (sink.Done()) return;
@@ -140,7 +139,7 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
     Block all;
     all.reserve(dataset.size());
     for (data::RecordId id = 0; id < dataset.size(); ++id) {
-      const std::span<const uint64_t> sig = sigs.Signature(id);
+      const std::span<const uint64_t> sig = sigs.Row(id);
       if (!sig.empty() && sig[0] != MinHasher::kEmptySlot) {
         all.push_back(id);
       }
@@ -159,7 +158,7 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
       }
       std::unordered_map<uint64_t, Block> children;
       for (data::RecordId id : group) {
-        children[sigs.Signature(id)[base + static_cast<size_t>(depth)]]
+        children[sigs.Row(id)[base + static_cast<size_t>(depth)]]
             .push_back(id);
       }
       for (auto& [label, child] : children) {

@@ -78,9 +78,8 @@ SimilarityDistribution MeasureTrueMatchSimilarity(
   // blocker tuned from this measurement runs over the same attributes
   // and q on all records next: the build is prepaid, not discarded.
   features::FeatureView features = dataset.features();
-  features::FeatureView::TextHandle texts =
-      features.TextsFor(options.attributes);
-  std::optional<features::FeatureView::ShingleHandle> grams;
+  const auto texts = features.TextsFor(options.attributes);
+  std::optional<features::FeatureView::Handle<features::ShingleColumn>> grams;
   if (options.q > 0) {
     grams = features.ShinglesFor(options.attributes, options.q);
   }
@@ -107,10 +106,9 @@ SimilarityDistribution MeasureTrueMatchSimilarity(
   for (const PairRef& p : pairs) {
     double sim;
     if (grams) {
-      sim = text::JaccardSortedHashes(grams->Shingles(p.a),
-                                      grams->Shingles(p.b));
+      sim = text::JaccardSortedHashes(grams->Row(p.a), grams->Row(p.b));
     } else {
-      sim = text::ExactSimilarity(texts.Text(p.a), texts.Text(p.b));
+      sim = text::ExactSimilarity(texts.Row(p.a), texts.Row(p.b));
     }
     dist.Add(sim);
   }

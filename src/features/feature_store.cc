@@ -47,37 +47,26 @@ constexpr size_t kChunkRecords = 512;
 /// before it), so it is one chunk spanning the whole column.
 constexpr size_t kWholeColumn = SIZE_MAX;
 
-// Column keys: attribute names joined with a separator that cannot occur
-// in attribute names coming from CSV headers or generators, plus the
-// numeric parameters for derived columns.
-constexpr char kAttrSep = '\x1f';
-constexpr char kParamSep = '\x1e';
-
-std::string TextKey(const std::vector<std::string>& attributes) {
+// A column's key within its kind: the attribute names, each closed by a
+// separator that cannot occur in names coming from CSV headers or
+// generators, then the kind's numeric parameters.
+template <typename... Params>
+std::string Key(const std::vector<std::string>& attributes,
+                Params... params) {
   std::string key;
   for (const std::string& attr : attributes) {
     key += attr;
-    key += kAttrSep;
+    key += '\x1f';
   }
+  ((key += '\x1e', key += std::to_string(params)), ...);
   return key;
 }
 
-std::string ShingleKey(const std::vector<std::string>& attributes, int q) {
-  std::string key = TextKey(attributes);
-  key += kParamSep;
-  key += std::to_string(q);
-  return key;
-}
-
-std::string SignatureKey(const std::vector<std::string>& attributes, int q,
-                         int num_hashes, uint64_t seed) {
-  std::string key = ShingleKey(attributes, q);
-  key += kParamSep;
-  key += std::to_string(num_hashes);
-  key += kParamSep;
-  key += std::to_string(seed);
-  return key;
-}
+// Rows columns are sized by per-record upper bounds and compacted.
+template <typename Column>
+constexpr bool kIsRows = false;
+template <typename T>
+constexpr bool kIsRows<Rows<T>> = true;
 
 }  // namespace
 
@@ -94,12 +83,12 @@ FeatureStore::Entry<Column>& FeatureStore::FindOrCreate(
 }
 
 template <typename Column, typename Parent, typename Prepare,
-          typename Fill, typename Finish>
+          typename Fill, typename Record>
 const Column& FeatureStore::Obtain(Entry<Column>& entry, Caller caller,
                                    ColumnMetrics& metrics,
                                    size_t chunk_records, Parent&& parent,
                                    Prepare&& prepare, Fill&& fill,
-                                   Finish&& finish) const {
+                                   Record&& record) const {
   if (entry.phase.load(std::memory_order_acquire) == Phase::kReady) {
     if (caller == Caller::kGetter) metrics.hits->Add(1);
     return entry.column;
@@ -129,9 +118,20 @@ const Column& FeatureStore::Obtain(Entry<Column>& entry, Caller caller,
   parent(started ? Caller::kGetter : Caller::kHelper);
   const size_t n = size();
   if (started) {
-    prepare(entry.column);
+    const size_t num_chunks = n == 0 ? 1 : 1 + (n - 1) / chunk_records;
+    if constexpr (kIsRows<Column>) {
+      entry.firsts.resize(num_chunks);
+      size_t slots = 0;
+      for (size_t id = 0; id < n; ++id) {
+        if (id % chunk_records == 0) entry.firsts[id / chunk_records] = slots;
+        slots += prepare(id);
+      }
+      entry.column = Column(n, slots);
+    } else {
+      prepare(entry.column);
+    }
     std::lock_guard<std::mutex> lock(entry.mutex);
-    entry.num_chunks = n == 0 ? 1 : 1 + (n - 1) / chunk_records;
+    entry.num_chunks = num_chunks;
     entry.chunks_left.store(entry.num_chunks, std::memory_order_relaxed);
     entry.phase.store(Phase::kBuilding, std::memory_order_relaxed);
     entry.changed.notify_all();
@@ -146,10 +146,19 @@ const Column& FeatureStore::Obtain(Entry<Column>& entry, Caller caller,
        chunk < entry.num_chunks;
        chunk = entry.next_chunk.fetch_add(1, std::memory_order_relaxed)) {
     const size_t begin = chunk * chunk_records;
-    fill(entry.column, begin, begin + std::min(chunk_records, n - begin));
+    const size_t end = begin + std::min(chunk_records, n - begin);
+    if constexpr (kIsRows<Column>) {
+      fill(entry.column, begin, end, entry.firsts[chunk]);
+    } else {
+      fill(entry.column, begin, end);
+    }
     // acq_rel: the thread finishing the last chunk sees every chunk.
     if (entry.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      finish(entry.column);
+      if constexpr (kIsRows<Column>) {
+        entry.column.Compact(entry.firsts, chunk_records);
+        entry.firsts = {};
+      }
+      record();
       std::lock_guard<std::mutex> lock(entry.mutex);
       entry.phase.store(Phase::kReady, std::memory_order_release);
       entry.changed.notify_all();
@@ -178,20 +187,33 @@ const TextColumn& FeatureStore::Texts(
 const TextColumn& FeatureStore::Texts(
     const std::vector<std::string>& attributes, Caller caller) const {
   static ColumnMetrics& metrics = *new ColumnMetrics("text");
+  std::vector<size_t> columns;  // the attributes' schema positions
+  for (const std::string& attr : attributes) {
+    const int column = snapshot_.schema().IndexOf(attr);
+    if (column >= 0) columns.push_back(static_cast<size_t>(column));
+  }
   return Obtain(
-      FindOrCreate(texts_, TextKey(attributes)), caller, metrics,
+      FindOrCreate(texts_, Key(attributes)), caller, metrics,
       kChunkRecords, [](Caller) {},
-      [&](TextColumn& out) { out.texts.resize(size()); },
-      [&](TextColumn& out, size_t begin, size_t end) {
+      [&](size_t id) {
+        // Normalization never lengthens the values joined by spaces.
+        const std::span<const std::string_view> values =
+            snapshot_.Values(static_cast<data::RecordId>(id));
+        size_t bound = columns.size();
+        for (size_t column : columns) bound += values[column].size();
+        return bound;
+      },
+      [&](TextColumn& out, size_t begin, size_t end, size_t slot) {
         for (size_t id = begin; id < end; ++id) {
-          out.texts[id] = snapshot_.ConcatenatedValues(
+          const std::string text = snapshot_.ConcatenatedValues(
               static_cast<data::RecordId>(id), attributes);
+          slot = out.WriteRow(id, slot, [&](std::span<char> chars) {
+            std::copy(text.begin(), text.end(), chars.begin());
+            return text.size();
+          });
         }
       },
-      [&](TextColumn&) {
-        text_builds_.fetch_add(1, std::memory_order_relaxed);
-        RecordInCatalog(&Catalog::texts, attributes, 0, 0, 0);
-      });
+      [&] { RecordInCatalog(&Catalog::texts, {attributes}); });
 }
 
 const TokenColumn& FeatureStore::Tokens(
@@ -199,20 +221,17 @@ const TokenColumn& FeatureStore::Tokens(
   static ColumnMetrics& metrics = *new ColumnMetrics("token");
   const TextColumn* texts = nullptr;
   return Obtain(
-      FindOrCreate(tokens_columns_, TextKey(attributes)), Caller::kGetter,
+      FindOrCreate(tokens_columns_, Key(attributes)), Caller::kGetter,
       metrics, kWholeColumn,
       [&](Caller caller) { texts = &Texts(attributes, caller); },
       [](TokenColumn&) {},
       [&](TokenColumn& out, size_t begin, size_t end) {
         for (size_t id = begin; id < end; ++id) {
-          const std::string_view text = texts->texts[id];
+          const std::string_view text = texts->Row(id);
           out.Append({&text, 1});
         }
       },
-      [&](TokenColumn&) {
-        token_builds_.fetch_add(1, std::memory_order_relaxed);
-        RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
-      });
+      [&] { RecordInCatalog(&Catalog::tokens, {attributes}); });
 }
 
 const ShingleColumn& FeatureStore::Shingles(
@@ -225,19 +244,18 @@ const ShingleColumn& FeatureStore::Shingles(
   static ColumnMetrics& metrics = *new ColumnMetrics("shingle");
   const TextColumn* texts = nullptr;
   return Obtain(
-      FindOrCreate(shingles_, ShingleKey(attributes, q)), caller, metrics,
+      FindOrCreate(shingles_, Key(attributes, q)), caller, metrics,
       kChunkRecords,
       [&](Caller role) { texts = &Texts(attributes, role); },
-      [&](ShingleColumn& out) { out.sets.resize(size()); },
-      [&](ShingleColumn& out, size_t begin, size_t end) {
+      [&](size_t id) { return texts->Row(id).size(); },  // <= 1 per char
+      [&](ShingleColumn& out, size_t begin, size_t end, size_t slot) {
         for (size_t id = begin; id < end; ++id) {
-          out.sets[id] = text::QGramHashes(texts->texts[id], q);
+          slot = out.WriteRow(id, slot, [&](std::span<uint64_t> hashes) {
+            return text::QGramHashesInto(texts->Row(id), q, hashes);
+          });
         }
       },
-      [&](ShingleColumn&) {
-        shingle_builds_.fetch_add(1, std::memory_order_relaxed);
-        RecordInCatalog(&Catalog::shingles, attributes, q, 0, 0);
-      });
+      [&] { RecordInCatalog(&Catalog::shingles, {attributes, q}); });
 }
 
 const SignatureColumn& FeatureStore::Signatures(
@@ -247,7 +265,7 @@ const SignatureColumn& FeatureStore::Signatures(
   const ShingleColumn* shingles = nullptr;
   const size_t width = static_cast<size_t>(num_hashes);
   return Obtain(
-      FindOrCreate(signatures_, SignatureKey(attributes, q, num_hashes, seed)),
+      FindOrCreate(signatures_, Key(attributes, q, num_hashes, seed)),
       Caller::kGetter, metrics, kChunkRecords,
       [&](Caller caller) { shingles = &Shingles(attributes, q, caller); },
       [&](SignatureColumn& out) {
@@ -258,26 +276,18 @@ const SignatureColumn& FeatureStore::Signatures(
       [&](SignatureColumn& out, size_t begin, size_t end) {
         const core::MinHasher hasher(num_hashes, seed);
         for (size_t id = begin; id < end; ++id) {
-          hasher.SignatureInto(shingles->sets[id],
+          hasher.SignatureInto(shingles->Row(id),
                                {out.data.get() + id * width, width});
         }
       },
-      [&](SignatureColumn&) {
-        signature_builds_.fetch_add(1, std::memory_order_relaxed);
-        RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes,
-                        seed);
+      [&] {
+        RecordInCatalog(&Catalog::signatures,
+                        {attributes, q, num_hashes, seed});
       });
 }
 
 void FeatureStore::RecordInCatalog(std::vector<ColumnParams> Catalog::* list,
-                                   const std::vector<std::string>& attributes,
-                                   int q, int num_hashes,
-                                   uint64_t seed) const {
-  ColumnParams params;
-  params.attributes = attributes;
-  params.q = q;
-  params.num_hashes = num_hashes;
-  params.seed = seed;
+                                   ColumnParams params) const {
   std::lock_guard<std::mutex> lock(map_mutex_);
   (catalog_.*list).push_back(std::move(params));
 }
@@ -288,73 +298,59 @@ FeatureStore::Catalog FeatureStore::catalog() const {
 }
 
 template <typename Column>
-bool FeatureStore::Publish(Entry<Column>& entry, Column column) {
-  std::lock_guard<std::mutex> lock(entry.mutex);
-  if (entry.phase.load(std::memory_order_relaxed) != Phase::kEmpty) {
-    return false;
+bool FeatureStore::Adopt(EntryMap<Column>& map, const std::string& key,
+                         std::vector<ColumnParams> Catalog::* list,
+                         ColumnParams params, Column column) {
+  SABLOCK_CHECK_MSG(column.size() == size(),
+                    "adopted column has wrong record count");
+  Entry<Column>& entry = FindOrCreate(map, key);
+  {
+    std::lock_guard<std::mutex> lock(entry.mutex);
+    if (entry.phase.load(std::memory_order_relaxed) != Phase::kEmpty) {
+      return false;
+    }
+    entry.column = std::move(column);
+    entry.phase.store(Phase::kReady, std::memory_order_release);
+    entry.changed.notify_all();
   }
-  entry.column = std::move(column);
-  entry.phase.store(Phase::kReady, std::memory_order_release);
-  entry.changed.notify_all();
+  RecordInCatalog(list, std::move(params));
   return true;
 }
 
-void FeatureStore::AdoptTexts(const std::vector<std::string>& attributes,
+bool FeatureStore::AdoptTexts(const std::vector<std::string>& attributes,
                               TextColumn column) {
-  SABLOCK_CHECK_MSG(column.texts.size() == size(),
-                    "adopted text column has wrong record count");
-  SABLOCK_CHECK_MSG(
-      Publish(FindOrCreate(texts_, TextKey(attributes)), std::move(column)),
-      "text column already built; adopt first");
-  text_builds_.fetch_add(1, std::memory_order_relaxed);
-  RecordInCatalog(&Catalog::texts, attributes, 0, 0, 0);
+  return Adopt(texts_, Key(attributes), &Catalog::texts, {attributes},
+               std::move(column));
 }
 
-void FeatureStore::AdoptTokens(const std::vector<std::string>& attributes,
+bool FeatureStore::AdoptTokens(const std::vector<std::string>& attributes,
                                TokenColumn column) {
-  SABLOCK_CHECK_MSG(column.size() == size(),
-                    "adopted token column has wrong record count");
-  SABLOCK_CHECK_MSG(Publish(FindOrCreate(tokens_columns_, TextKey(attributes)),
-                            std::move(column)),
-                    "token column already built; adopt first");
-  token_builds_.fetch_add(1, std::memory_order_relaxed);
-  RecordInCatalog(&Catalog::tokens, attributes, 0, 0, 0);
+  return Adopt(tokens_columns_, Key(attributes), &Catalog::tokens,
+               {attributes}, std::move(column));
 }
 
-void FeatureStore::AdoptShingles(const std::vector<std::string>& attributes,
+bool FeatureStore::AdoptShingles(const std::vector<std::string>& attributes,
                                  int q, ShingleColumn column) {
-  SABLOCK_CHECK_MSG(column.sets.size() == size(),
-                    "adopted shingle column has wrong record count");
-  SABLOCK_CHECK_MSG(Publish(FindOrCreate(shingles_, ShingleKey(attributes, q)),
-                            std::move(column)),
-                    "shingle column already built; adopt first");
-  shingle_builds_.fetch_add(1, std::memory_order_relaxed);
-  RecordInCatalog(&Catalog::shingles, attributes, q, 0, 0);
+  return Adopt(shingles_, Key(attributes, q), &Catalog::shingles,
+               {attributes, q}, std::move(column));
 }
 
-void FeatureStore::AdoptSignatures(const std::vector<std::string>& attributes,
+bool FeatureStore::AdoptSignatures(const std::vector<std::string>& attributes,
                                    int q, int num_hashes, uint64_t seed,
                                    SignatureColumn column) {
   SABLOCK_CHECK_MSG(
       column.num_hashes == static_cast<uint32_t>(num_hashes) &&
           column.rows.size() == size() * static_cast<size_t>(num_hashes),
       "adopted signature column has wrong shape");
-  SABLOCK_CHECK_MSG(
-      Publish(FindOrCreate(signatures_,
-                           SignatureKey(attributes, q, num_hashes, seed)),
-              std::move(column)),
-      "signature column already built; adopt first");
-  signature_builds_.fetch_add(1, std::memory_order_relaxed);
-  RecordInCatalog(&Catalog::signatures, attributes, q, num_hashes, seed);
+  return Adopt(signatures_, Key(attributes, q, num_hashes, seed),
+               &Catalog::signatures, {attributes, q, num_hashes, seed},
+               std::move(column));
 }
 
 FeatureStore::Stats FeatureStore::stats() const {
-  Stats s;
-  s.text_builds = text_builds_.load(std::memory_order_relaxed);
-  s.token_builds = token_builds_.load(std::memory_order_relaxed);
-  s.shingle_builds = shingle_builds_.load(std::memory_order_relaxed);
-  s.signature_builds = signature_builds_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(map_mutex_);
+  return {catalog_.texts.size(), catalog_.tokens.size(),
+          catalog_.shingles.size(), catalog_.signatures.size()};
 }
 
 }  // namespace sablock::features

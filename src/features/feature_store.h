@@ -14,21 +14,20 @@
 #include <vector>
 
 #include "data/record.h"
+#include "features/rows.h"
 #include "features/token_column.h"
 
 namespace sablock::features {
 
-/// Per-record normalized blocking text for one attribute selection.
-/// `texts[id]` is exactly Dataset::ConcatenatedValues(id, attributes).
-struct TextColumn {
-  std::vector<std::string> texts;
-};
+/// Per-record normalized blocking text for one attribute selection, in
+/// the one row layout over chars: Row(id) is a std::string_view, exactly
+/// Dataset::ConcatenatedValues(id, attributes).
+using TextColumn = Rows<char>;
 
 /// Per-record sorted distinct q-gram shingle hashes for one
-/// (attributes, q) selection — text::QGramHashes over the text column.
-struct ShingleColumn {
-  std::vector<std::vector<uint64_t>> sets;
-};
+/// (attributes, q) selection, in the one row layout over hashes: Row(id)
+/// is exactly text::QGramHashes over the text row.
+using ShingleColumn = Rows<uint64_t>;
 
 /// Per-record minhash signatures for one (attributes, q, num_hashes,
 /// seed) selection — core::MinHasher over the shingle column. Stored as
@@ -49,6 +48,7 @@ struct SignatureColumn {
   std::span<const uint64_t> rows;    // records × num_hashes values
   std::shared_ptr<const void> retain;  // keep-alive for non-owned rows
 
+  size_t size() const { return num_hashes == 0 ? 0 : rows.size() / num_hashes; }
   std::span<const uint64_t> Row(size_t record) const {
     return rows.subspan(record * num_hashes, num_hashes);
   }
@@ -61,8 +61,11 @@ struct SignatureColumn {
 ///  - builds are cooperative: the first getter of a column sizes it, and
 ///    every getter that arrives before it is published claims fixed-size
 ///    record chunks from the build's atomic cursor instead of idling, so
-///    the engine shards racing a cold column all build it; the last chunk
-///    publishes the column and wakes every waiter;
+///    the engine shards racing a cold column all build it; each chunk
+///    writes its own part of the column's one allocation (the text and
+///    shingle columns are sized by per-record upper bounds and compacted
+///    after the last chunk), and the last chunk publishes the column and
+///    wakes every waiter;
 ///  - a getter resolves the column's parent before its own build (texts
 ///    -> shingles -> signatures, texts -> tokens), so waiting threads help
 ///    at every level. The token column is the one serial build (its ids
@@ -135,19 +138,23 @@ class FeatureStore {
   // Snapshot-loader adoption: pre-publishes a column deserialized from a
   // snapshot so the first getter call is a cache hit instead of a build.
   // Adopt while the loader solely owns the store (before any getter can
-  // race the same key); adopting an already-built column aborts.
+  // race the same key). Returns false, adopting nothing, if the column is
+  // already built or adopted (a snapshot that repeats a column section).
 
-  void AdoptTexts(const std::vector<std::string>& attributes,
-                  TextColumn column);
-  void AdoptTokens(const std::vector<std::string>& attributes,
-                   TokenColumn column);
-  void AdoptShingles(const std::vector<std::string>& attributes, int q,
-                     ShingleColumn column);
-  void AdoptSignatures(const std::vector<std::string>& attributes, int q,
-                       int num_hashes, uint64_t seed, SignatureColumn column);
+  [[nodiscard]] bool AdoptTexts(const std::vector<std::string>& attributes,
+                                TextColumn column);
+  [[nodiscard]] bool AdoptTokens(const std::vector<std::string>& attributes,
+                                 TokenColumn column);
+  [[nodiscard]] bool AdoptShingles(
+      const std::vector<std::string>& attributes, int q,
+      ShingleColumn column);
+  [[nodiscard]] bool AdoptSignatures(
+      const std::vector<std::string>& attributes, int q, int num_hashes,
+      uint64_t seed, SignatureColumn column);
 
   /// Build counters, exposed so tests can assert each cache is built
-  /// exactly once under concurrency.
+  /// exactly once under concurrency: the catalog's list sizes (a build or
+  /// an adoption enters a column there once).
   struct Stats {
     uint64_t text_builds = 0;
     uint64_t token_builds = 0;
@@ -178,6 +185,7 @@ class FeatureStore {
     std::atomic<size_t> next_chunk{0};
     std::atomic<size_t> chunks_left{0};
     Column column;
+    std::vector<size_t> firsts;  // a Rows column's first slot per chunk
   };
   template <typename Column>
   using EntryMap =
@@ -190,19 +198,27 @@ class FeatureStore {
   /// The calling thread's part in `entry`'s build, returning the
   /// published column. `chunk_records` records make one chunk; `parent`
   /// resolves the parent column (as a getter for the thread that starts
-  /// the build, as a helper otherwise), `prepare` sizes the column once
-  /// before any chunk, `fill(column, begin, end)` builds one record range
-  /// and `finish` runs once, after the last chunk, before publication.
+  /// the build, as a helper otherwise), `prepare(column)` sizes the column
+  /// once before any chunk, `fill(column, begin, end)` builds one record
+  /// range and `record()` enters the column in the catalog once, after the
+  /// last chunk, before publication. A Rows column is sized instead by
+  /// `prepare(id)`, an upper bound on record id's values: chunk c gets the
+  /// slots after the bounds of the chunks before it, `fill(column, begin,
+  /// end, first_slot)` writes its rows there, and the thread that finishes
+  /// the last chunk compacts the column.
   template <typename Column, typename Parent, typename Prepare,
-            typename Fill, typename Finish>
+            typename Fill, typename Record>
   const Column& Obtain(Entry<Column>& entry, Caller caller,
                        ColumnMetrics& metrics, size_t chunk_records,
                        Parent&& parent, Prepare&& prepare, Fill&& fill,
-                       Finish&& finish) const;
+                       Record&& record) const;
 
-  /// Publishes an adopted column; false if the entry was already claimed.
+  /// Publishes an adopted column of size() records and enters it in the
+  /// catalog; false if the column was already claimed.
   template <typename Column>
-  static bool Publish(Entry<Column>& entry, Column column);
+  bool Adopt(EntryMap<Column>& map, const std::string& key,
+             std::vector<ColumnParams> Catalog::* list, ColumnParams params,
+             Column column);
 
   const TextColumn& Texts(const std::vector<std::string>& attributes,
                           Caller caller) const;
@@ -210,8 +226,7 @@ class FeatureStore {
                                 int q, Caller caller) const;
 
   void RecordInCatalog(std::vector<ColumnParams> Catalog::* list,
-                       const std::vector<std::string>& attributes, int q,
-                       int num_hashes, uint64_t seed) const;
+                       ColumnParams params) const;
 
   data::Dataset snapshot_;
   uint64_t dataset_version_ = 0;
@@ -222,19 +237,14 @@ class FeatureStore {
   mutable EntryMap<TokenColumn> tokens_columns_;
   mutable EntryMap<ShingleColumn> shingles_;
   mutable EntryMap<SignatureColumn> signatures_;
-
-  mutable std::atomic<uint64_t> text_builds_{0};
-  mutable std::atomic<uint64_t> token_builds_{0};
-  mutable std::atomic<uint64_t> shingle_builds_{0};
-  mutable std::atomic<uint64_t> signature_builds_{0};
 };
 
 /// A dataset's window into a FeatureStore: translates the dataset's local
 /// record ids to the store snapshot's ids (non-zero offset for slices of
 /// a sharded execution) and keeps the store alive. Obtain one per
 /// technique run via Dataset::features(), resolve the needed columns once
-/// with the *For handles, then read per-record features O(1) in the hot
-/// loop.
+/// as handles with the *For getters, then read per-record rows O(1) in
+/// the hot loop.
 class FeatureView {
  public:
   FeatureView() = default;
@@ -252,89 +262,43 @@ class FeatureView {
   const FeatureStore& store() const { return *store_; }
   std::shared_ptr<const FeatureStore> store_ptr() const { return store_; }
 
-  // Every handle co-owns the store: a handle stays valid even if the
-  // originating Dataset mutates (Add resets its cache pointer) or was a
-  // temporary (e.g. a one-statement Slice) — whoever holds the handle
-  // keeps the snapshot alive.
-
-  class TextHandle {
+  /// One column seen through this view: Row(id) is the row of the view's
+  /// record `id`, and column() the whole column (for example a token
+  /// column's token_limit()). A handle co-owns the store, so it stays
+  /// valid even if the originating Dataset mutates (Add resets its cache
+  /// pointer) or was a temporary (e.g. a one-statement Slice) — whoever
+  /// holds the handle keeps the snapshot alive.
+  template <typename Column>
+  class Handle {
    public:
-    std::string_view Text(data::RecordId id) const {
-      return column_->texts[offset_ + id];
-    }
+    auto Row(data::RecordId id) const { return column_->Row(offset_ + id); }
+    const Column& column() const { return *column_; }
 
    private:
     friend class FeatureView;
-    TextHandle(std::shared_ptr<const FeatureStore> owner,
-               const TextColumn* column, size_t offset)
+    Handle(std::shared_ptr<const FeatureStore> owner, const Column* column,
+           size_t offset)
         : owner_(std::move(owner)), column_(column), offset_(offset) {}
     std::shared_ptr<const FeatureStore> owner_;
-    const TextColumn* column_;
+    const Column* column_;
     size_t offset_;
   };
 
-  class TokenHandle {
-   public:
-    /// Sorted distinct token ids, all < token_limit().
-    std::span<const TokenId> Tokens(data::RecordId id) const {
-      return column_->Row(offset_ + id);
-    }
-    uint32_t token_limit() const { return column_->token_limit(); }
-
-   private:
-    friend class FeatureView;
-    TokenHandle(std::shared_ptr<const FeatureStore> owner,
-                const TokenColumn* column, size_t offset)
-        : owner_(std::move(owner)), column_(column), offset_(offset) {}
-    std::shared_ptr<const FeatureStore> owner_;
-    const TokenColumn* column_;
-    size_t offset_;
-  };
-
-  class ShingleHandle {
-   public:
-    const std::vector<uint64_t>& Shingles(data::RecordId id) const {
-      return column_->sets[offset_ + id];
-    }
-
-   private:
-    friend class FeatureView;
-    ShingleHandle(std::shared_ptr<const FeatureStore> owner,
-                  const ShingleColumn* column, size_t offset)
-        : owner_(std::move(owner)), column_(column), offset_(offset) {}
-    std::shared_ptr<const FeatureStore> owner_;
-    const ShingleColumn* column_;
-    size_t offset_;
-  };
-
-  class SignatureHandle {
-   public:
-    std::span<const uint64_t> Signature(data::RecordId id) const {
-      return column_->Row(offset_ + id);
-    }
-
-   private:
-    friend class FeatureView;
-    SignatureHandle(std::shared_ptr<const FeatureStore> owner,
-                    const SignatureColumn* column, size_t offset)
-        : owner_(std::move(owner)), column_(column), offset_(offset) {}
-    std::shared_ptr<const FeatureStore> owner_;
-    const SignatureColumn* column_;
-    size_t offset_;
-  };
-
-  TextHandle TextsFor(const std::vector<std::string>& attributes) const {
+  Handle<TextColumn> TextsFor(
+      const std::vector<std::string>& attributes) const {
     return {store_, &store_->Texts(attributes), offset_};
   }
-  TokenHandle TokensFor(const std::vector<std::string>& attributes) const {
+  Handle<TokenColumn> TokensFor(
+      const std::vector<std::string>& attributes) const {
     return {store_, &store_->Tokens(attributes), offset_};
   }
-  ShingleHandle ShinglesFor(const std::vector<std::string>& attributes,
-                            int q) const {
+  Handle<ShingleColumn> ShinglesFor(const std::vector<std::string>& attributes,
+                                    int q) const {
     return {store_, &store_->Shingles(attributes, q), offset_};
   }
-  SignatureHandle SignaturesFor(const std::vector<std::string>& attributes,
-                                int q, int num_hashes, uint64_t seed) const {
+  Handle<SignatureColumn> SignaturesFor(
+      const std::vector<std::string>& attributes, int q, int num_hashes,
+      uint64_t seed) const {
     return {store_, &store_->Signatures(attributes, q, num_hashes, seed),
             offset_};
   }

@@ -25,58 +25,48 @@ Status TokenColumn::Load(std::vector<std::string> vocabulary,
     }
     column.vocabulary_.push_back(it->first);
   }
-  column.offsets_.reserve(counts.size() + 1);
-  column.ids_.reserve(ids.size());
-  for (size_t row = 0; row < counts.size(); ++row) {
-    const size_t begin = column.ids_.size();
-    if (counts[row] > ids.size() - begin) {
-      return Status::Error("token column counts exceed its ids");
+  std::vector<TokenId> known;
+  known.reserve(ids.size());
+  for (uint64_t id : ids) {
+    if (id >= column.vocabulary_.size()) {
+      return Status::Error("token column id out of vocabulary range");
     }
-    for (size_t i = begin; i < begin + counts[row]; ++i) {
-      if (ids[i] >= column.vocabulary_.size()) {
-        return Status::Error("token column id out of vocabulary range");
-      }
-      if (i > begin && ids[i] <= ids[i - 1]) {
-        return Status::Error("token column row " + std::to_string(row) +
-                             " ids are not strictly ascending");
-      }
-      column.ids_.push_back(static_cast<TokenId>(ids[i]));
-    }
-    column.offsets_.push_back(column.ids_.size());
+    known.push_back(static_cast<TokenId>(id));
   }
-  if (column.ids_.size() != ids.size()) {
-    return Status::Error("token column counts do not cover its ids");
-  }
+  Status s =
+      Rows<TokenId>::FromCounts(counts, std::move(known), "ids", &column.rows_);
+  if (!s.ok()) return Status::Error("token column " + s.message());
   *out = std::move(column);
   return Status::Ok();
 }
 
 void TokenColumn::Append(std::span<const std::string_view> values) {
-  const size_t begin = ids_.size();
-  fresh_.clear();
-  for (std::string_view value : values) {
-    ForEachMatchingToken(value, &buffer_, [&](std::string_view token) {
-      auto it = dictionary_.find(token);
-      if (it != dictionary_.end()) {
-        ids_.push_back(it->second);
-      } else {
-        fresh_.emplace_back(token);
-      }
-    });
-  }
-  // The row's new tokens take the next ids in ascending string order.
-  std::sort(fresh_.begin(), fresh_.end());
-  fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
-  for (std::string& token : fresh_) {
-    const auto id = static_cast<TokenId>(vocabulary_.size());
-    auto it = dictionary_.emplace(std::move(token), id).first;
-    vocabulary_.push_back(it->first);
-    ids_.push_back(id);
-  }
-  auto row = ids_.begin() + static_cast<std::ptrdiff_t>(begin);
-  std::sort(row, ids_.end());
-  ids_.erase(std::unique(row, ids_.end()), ids_.end());
-  offsets_.push_back(ids_.size());
+  rows_.AppendRow([&](std::vector<TokenId>& ids) {
+    const size_t begin = ids.size();
+    fresh_.clear();
+    for (std::string_view value : values) {
+      ForEachMatchingToken(value, &buffer_, [&](std::string_view token) {
+        auto it = dictionary_.find(token);
+        if (it != dictionary_.end()) {
+          ids.push_back(it->second);
+        } else {
+          fresh_.emplace_back(token);
+        }
+      });
+    }
+    // The row's new tokens take the next ids in ascending string order.
+    std::sort(fresh_.begin(), fresh_.end());
+    fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+    for (std::string& token : fresh_) {
+      const auto id = static_cast<TokenId>(vocabulary_.size());
+      auto it = dictionary_.emplace(std::move(token), id).first;
+      vocabulary_.push_back(it->first);
+      ids.push_back(id);
+    }
+    auto row = ids.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(row, ids.end());
+    ids.erase(std::unique(row, ids.end()), ids.end());
+  });
 }
 
 size_t TokenColumn::Lookup(std::span<const std::string_view> values,

@@ -12,6 +12,7 @@
 
 #include "common/hashing.h"
 #include "common/status.h"
+#include "features/rows.h"
 
 namespace sablock::features {
 
@@ -23,8 +24,8 @@ using TokenId = uint32_t;
 /// service's scoring column and the incremental token index. Row r
 /// holds the sorted distinct ids of the tokens of
 /// SplitWords(NormalizeForMatching(v)) over the values v appended as r,
-/// stored CSR-style as ids()[offsets()[r], offsets()[r + 1]) — 4 bytes
-/// per distinct token plus 8 per row, no allocation per row.
+/// kept in the feature columns' one row layout (Rows) — 4 bytes per
+/// distinct token plus 8 per row, no allocation per row.
 ///
 /// Id rule: a row's tokens already in the dictionary keep their ids, and
 /// the row's distinct new tokens take the next ids in ascending string
@@ -45,9 +46,9 @@ class TokenColumn {
 
   /// Builds a column from a snapshot's token section: the vocabulary in
   /// id order, each row's id count, and every row's ids back to back.
-  /// Rejects a repeated vocabulary string, counts that do not add up to
-  /// the ids, an id outside the vocabulary and a row whose ids are not
-  /// strictly ascending.
+  /// Rejects a repeated vocabulary string and an id outside the
+  /// vocabulary, and, through Rows::FromCounts, counts that do not add
+  /// up to the ids and a row whose ids are not strictly ascending.
   static Status Load(std::vector<std::string> vocabulary,
                      std::span<const uint64_t> counts,
                      std::span<const uint64_t> ids, TokenColumn* out);
@@ -56,13 +57,10 @@ class TokenColumn {
   void Append(std::span<const std::string_view> values);
 
   /// Number of rows appended so far.
-  size_t size() const { return offsets_.size() - 1; }
+  size_t size() const { return rows_.size(); }
 
   /// Row `row`'s sorted distinct token ids, all < token_limit().
-  std::span<const TokenId> Row(size_t row) const {
-    return std::span<const TokenId>(ids_).subspan(
-        offsets_[row], offsets_[row + 1] - offsets_[row]);
-  }
+  std::span<const TokenId> Row(size_t row) const { return rows_.Row(row); }
 
   /// Vocabulary size: one past the largest id.
   uint32_t token_limit() const {
@@ -72,10 +70,9 @@ class TokenColumn {
   /// The token string of `id`.
   std::string_view Token(TokenId id) const { return vocabulary_[id]; }
 
-  /// The CSR arrays and the vocabulary in id order, as a snapshot
-  /// persists them.
-  std::span<const TokenId> ids() const { return ids_; }
-  std::span<const size_t> offsets() const { return offsets_; }
+  /// The id rows and the vocabulary in id order, as a snapshot persists
+  /// them.
+  const Rows<TokenId>& rows() const { return rows_; }
   std::span<const std::string_view> vocabulary() const { return vocabulary_; }
 
   /// Leaves the probe's sorted distinct known token ids in `*ids` and
@@ -94,8 +91,7 @@ class TokenColumn {
                      std::equal_to<>>
       dictionary_;
   std::vector<std::string_view> vocabulary_;  // id -> dictionary key
-  std::vector<size_t> offsets_ = {0};
-  std::vector<TokenId> ids_;
+  Rows<TokenId> rows_;
   std::string buffer_;              // Append's token scratch
   std::vector<std::string> fresh_;  // Append's new tokens
 };

@@ -156,6 +156,7 @@ Status Build(api::PipelineSpec spec, std::unique_ptr<PipelinedBlocker>* out) {
 
 Status Build(const std::string& spec_string,
              std::unique_ptr<PipelinedBlocker>* out) {
+  out->reset();
   api::PipelineSpec spec;
   Status status = api::PipelineSpec::Parse(spec_string, &spec);
   if (!status.ok()) return status;

@@ -7,7 +7,6 @@
 
 #include "api/pipeline_spec.h"
 #include "common/status.h"
-#include "common/statusor.h"
 #include "common/timer.h"
 #include "core/blocking.h"
 #include "obs/metrics.h"
@@ -173,20 +172,11 @@ class PipelinedBlocker : public core::BlockingTechnique {
 Status Build(api::PipelineSpec spec, std::unique_ptr<PipelinedBlocker>* out);
 
 /// Parses "blocker | stage | stage" and builds. A bare blocker spec is a
-/// zero-stage pipeline.
+/// zero-stage pipeline. Every malformed pipeline spec (unknown blocker or
+/// stage, bad parameter, empty segment) is a diagnostic Status with no
+/// product, never a CHECK failure.
 Status Build(const std::string& spec_string,
              std::unique_ptr<PipelinedBlocker>* out);
-
-/// Value-returning form: every malformed pipeline spec (unknown blocker
-/// or stage, bad parameter, empty segment) is a diagnostic Status, never
-/// a CHECK failure.
-inline StatusOr<std::unique_ptr<PipelinedBlocker>> Build(
-    const std::string& spec_string) {
-  std::unique_ptr<PipelinedBlocker> built;
-  Status status = Build(spec_string, &built);
-  if (!status.ok()) return status;
-  return built;
-}
 
 }  // namespace sablock::pipeline
 

@@ -1,22 +1,9 @@
 #include "store/codec.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace sablock::store {
-
-void WriteU64Block(ByteWriter& writer, std::span<const uint64_t> values,
-                   bool compressed) {
-  writer.PutVarint(values.size());
-  if (!compressed) {
-    for (uint64_t v : values) writer.PutU64(v);
-    return;
-  }
-  uint64_t prev = 0;
-  for (uint64_t v : values) {
-    writer.PutVarint(ZigzagEncode(static_cast<int64_t>(v - prev)));
-    prev = v;
-  }
-}
 
 Status ReadU64Block(ByteReader& reader, bool compressed,
                     std::vector<uint64_t>* out) {
@@ -55,26 +42,8 @@ Status ReadU64Block(ByteReader& reader, bool compressed,
   return Status::Ok();
 }
 
-void WriteStringBlock(ByteWriter& writer, std::span<const std::string> strings,
-                      bool compressed) {
-  writer.PutVarint(strings.size());
-  if (!compressed) {
-    for (const std::string& s : strings) writer.PutString(s);
-    return;
-  }
-  std::string_view prev;
-  for (const std::string& s : strings) {
-    size_t limit = std::min(prev.size(), s.size());
-    size_t shared = 0;
-    while (shared < limit && prev[shared] == s[shared]) ++shared;
-    writer.PutVarint(shared);
-    writer.PutString(std::string_view(s).substr(shared));
-    prev = s;
-  }
-}
-
 Status ReadStringBlock(ByteReader& reader, bool compressed,
-                       std::vector<std::string>* out) {
+                       features::Rows<char>* out) {
   uint64_t count;
   if (!reader.ReadVarint(&count)) {
     return Status::Error("string block: truncated count");
@@ -85,33 +54,43 @@ Status ReadStringBlock(ByteReader& reader, bool compressed,
   if (count > reader.remaining() / min_bytes_per) {
     return Status::Error("string block: count exceeds available bytes");
   }
-  out->clear();
-  out->reserve(count);
-  if (!compressed) {
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string_view s;
-      if (!reader.ReadStringView(&s)) {
+  features::Rows<char> rows;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t shared = 0;
+    std::string_view suffix;
+    if (!compressed) {
+      if (!reader.ReadStringView(&suffix)) {
         return Status::Error("string block: truncated string");
       }
-      out->emplace_back(s);
-    }
-    return Status::Ok();
-  }
-  std::string prev;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t shared;
-    std::string_view suffix;
-    if (!reader.ReadVarint(&shared) || !reader.ReadStringView(&suffix)) {
+    } else if (!reader.ReadVarint(&shared) ||
+               !reader.ReadStringView(&suffix)) {
       return Status::Error("string block: truncated front-coded entry");
     }
-    if (shared > prev.size()) {
+    // A front-coded entry starts with the previous row's first `shared`
+    // chars, copied by position (appending may move the array).
+    const size_t prev_begin = rows.offsets()[i == 0 ? 0 : i - 1];
+    const size_t prev_end = rows.offsets()[i];
+    if (shared > prev_end - prev_begin) {
       return Status::Error("string block: front-coding prefix out of range");
     }
-    std::string s = prev.substr(0, shared);
-    s.append(suffix);
-    out->push_back(s);
-    prev = std::move(s);
+    rows.AppendRow([&](std::vector<char>& chars) {
+      chars.resize(prev_end + shared);
+      std::copy_n(chars.data() + prev_begin, shared, chars.data() + prev_end);
+      chars.insert(chars.end(), suffix.begin(), suffix.end());
+    });
   }
+  *out = std::move(rows);
+  return Status::Ok();
+}
+
+Status ReadStringBlock(ByteReader& reader, bool compressed,
+                       std::vector<std::string>* out) {
+  features::Rows<char> rows;
+  Status s = ReadStringBlock(reader, compressed, &rows);
+  if (!s.ok()) return s;
+  out->clear();
+  out->reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) out->emplace_back(rows.Row(i));
   return Status::Ok();
 }
 

@@ -7,7 +7,6 @@
 
 #include <cstring>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,119 +70,78 @@ bool IsCompressed(const SectionEntry& e) {
   return e.encoding == static_cast<uint32_t>(SectionEncoding::kCompressed);
 }
 
-/// Preamble attribute lists are always raw (only section bulks carry
-/// the per-section encoding).
-Status ReadAttrs(ByteReader& r, std::vector<std::string>* attrs) {
-  return ReadStringBlock(r, /*compressed=*/false, attrs);
-}
-
-Status MarkSeen(std::set<std::string>* seen, std::string key) {
-  if (!seen->insert(std::move(key)).second) {
-    return Fail("duplicate feature column section");
-  }
-  return Status::Ok();
-}
-
-std::string AttrsKey(const SectionEntry& e,
-                     const std::vector<std::string>& attrs) {
-  std::string key = std::to_string(e.id) + '|';
-  for (const std::string& a : attrs) key += a + '\x1f';
-  return key;
+/// An adoption the store refused: an earlier section held the column.
+Status Adopted(bool fresh) {
+  return fresh ? Status::Ok() : Fail("duplicate feature column section");
 }
 
 Status LoadTextColumn(ByteReader& r, const SectionEntry& e, uint64_t n,
-                      features::FeatureStore* store,
-                      std::set<std::string>* seen) {
-  std::vector<std::string> attrs;
-  Status s = ReadAttrs(r, &attrs);
-  if (!s.ok()) return s;
+                      const std::vector<std::string>& attrs,
+                      features::FeatureStore* store) {
   features::TextColumn column;
-  s = ReadStringBlock(r, IsCompressed(e), &column.texts);
+  Status s = ReadStringBlock(r, IsCompressed(e), &column);
   if (!s.ok()) return s;
-  if (column.texts.size() != n || e.item_count != n) {
+  if (column.size() != n || e.item_count != n) {
     return Fail("text column record count mismatch");
   }
   if (r.remaining() != 0) return Fail("text column has trailing bytes");
-  s = MarkSeen(seen, AttrsKey(e, attrs));
+  return Adopted(store->AdoptTexts(attrs, std::move(column)));
+}
+
+/// The (counts, values) block pair that ends a token or shingle section:
+/// one count per record, then every record's values back to back.
+Status ReadRowBlocks(ByteReader& r, const SectionEntry& e, uint64_t n,
+                     const std::string& column, std::vector<uint64_t>* counts,
+                     std::vector<uint64_t>* values) {
+  Status s = ReadU64Block(r, IsCompressed(e), counts);
+  if (s.ok()) s = ReadU64Block(r, IsCompressed(e), values);
   if (!s.ok()) return s;
-  store->AdoptTexts(attrs, std::move(column));
+  if (counts->size() != n || e.item_count != n) {
+    return Fail(column + " record count mismatch");
+  }
+  if (r.remaining() != 0) return Fail(column + " has trailing bytes");
   return Status::Ok();
 }
 
 Status LoadTokenColumn(ByteReader& r, const SectionEntry& e, uint64_t n,
-                       features::FeatureStore* store,
-                       std::set<std::string>* seen) {
-  std::vector<std::string> attrs;
-  Status s = ReadAttrs(r, &attrs);
-  if (!s.ok()) return s;
+                       const std::vector<std::string>& attrs,
+                       features::FeatureStore* store) {
   std::vector<std::string> vocabulary;
   std::vector<uint64_t> counts;
-  std::vector<uint64_t> flat;
-  s = ReadStringBlock(r, IsCompressed(e), &vocabulary);
-  if (s.ok()) s = ReadU64Block(r, IsCompressed(e), &counts);
-  if (s.ok()) s = ReadU64Block(r, IsCompressed(e), &flat);
+  std::vector<uint64_t> ids;
+  Status s = ReadStringBlock(r, IsCompressed(e), &vocabulary);
+  if (s.ok()) s = ReadRowBlocks(r, e, n, "token column", &counts, &ids);
   if (!s.ok()) return s;
-  if (counts.size() != n || e.item_count != n) {
-    return Fail("token column record count mismatch");
-  }
-  if (r.remaining() != 0) return Fail("token column has trailing bytes");
   features::TokenColumn column;
-  s = features::TokenColumn::Load(std::move(vocabulary), counts, flat,
+  s = features::TokenColumn::Load(std::move(vocabulary), counts, ids,
                                   &column);
   if (!s.ok()) return Fail(s.message());
-  s = MarkSeen(seen, AttrsKey(e, attrs));
-  if (!s.ok()) return s;
-  store->AdoptTokens(attrs, std::move(column));
-  return Status::Ok();
+  return Adopted(store->AdoptTokens(attrs, std::move(column)));
 }
 
 Status LoadShingleColumn(ByteReader& r, const SectionEntry& e, uint64_t n,
-                         features::FeatureStore* store,
-                         std::set<std::string>* seen) {
-  std::vector<std::string> attrs;
-  Status s = ReadAttrs(r, &attrs);
-  if (!s.ok()) return s;
+                         const std::vector<std::string>& attrs,
+                         features::FeatureStore* store) {
   uint64_t q;
   if (!r.ReadVarint(&q) || q == 0 || q > INT32_MAX) {
     return Fail("shingle column has a corrupt q");
   }
   std::vector<uint64_t> counts;
-  std::vector<uint64_t> flat;
-  s = ReadU64Block(r, IsCompressed(e), &counts);
-  if (s.ok()) s = ReadU64Block(r, IsCompressed(e), &flat);
+  std::vector<uint64_t> hashes;
+  Status s = ReadRowBlocks(r, e, n, "shingle column", &counts, &hashes);
   if (!s.ok()) return s;
-  if (counts.size() != n || e.item_count != n) {
-    return Fail("shingle column record count mismatch");
-  }
-  if (r.remaining() != 0) return Fail("shingle column has trailing bytes");
-  uint64_t total = 0;
-  for (uint64_t c : counts) {
-    if (c > flat.size()) return Fail("shingle counts corrupt");
-    total += c;
-  }
-  if (total != flat.size()) return Fail("shingle counts corrupt");
   features::ShingleColumn column;
-  column.sets.resize(n);
-  size_t next = 0;
-  for (size_t id = 0; id < n; ++id) {
-    column.sets[id].assign(flat.begin() + static_cast<ptrdiff_t>(next),
-                           flat.begin() + static_cast<ptrdiff_t>(next) +
-                               static_cast<ptrdiff_t>(counts[id]));
-    next += counts[id];
-  }
-  s = MarkSeen(seen, AttrsKey(e, attrs) + '\x1e' + std::to_string(q));
-  if (!s.ok()) return s;
-  store->AdoptShingles(attrs, static_cast<int>(q), std::move(column));
-  return Status::Ok();
+  s = features::ShingleColumn::FromCounts(counts, std::move(hashes), "hashes",
+                                          &column);
+  if (!s.ok()) return Fail("shingle column " + s.message());
+  return Adopted(
+      store->AdoptShingles(attrs, static_cast<int>(q), std::move(column)));
 }
 
 Status LoadSignatureColumn(const std::shared_ptr<MappedFile>& file,
                            ByteReader& r, const SectionEntry& e, uint64_t n,
-                           features::FeatureStore* store,
-                           std::set<std::string>* seen) {
-  std::vector<std::string> attrs;
-  Status s = ReadAttrs(r, &attrs);
-  if (!s.ok()) return s;
+                           const std::vector<std::string>& attrs,
+                           features::FeatureStore* store) {
   uint64_t q, num_hashes, seed, count;
   uint8_t pad;
   if (!r.ReadVarint(&q) || !r.ReadVarint(&num_hashes) ||
@@ -208,15 +166,9 @@ Status LoadSignatureColumn(const std::shared_ptr<MappedFile>& file,
   column.num_hashes = static_cast<uint32_t>(num_hashes);
   column.rows = {matrix, static_cast<size_t>(count)};
   column.retain = std::shared_ptr<const void>(file, matrix);
-  Status dup = MarkSeen(seen, AttrsKey(e, attrs) + '\x1e' +
-                                  std::to_string(q) + '\x1e' +
-                                  std::to_string(num_hashes) + '\x1e' +
-                                  std::to_string(seed));
-  if (!dup.ok()) return dup;
-  store->AdoptSignatures(attrs, static_cast<int>(q),
-                         static_cast<int>(num_hashes), seed,
-                         std::move(column));
-  return Status::Ok();
+  return Adopted(store->AdoptSignatures(attrs, static_cast<int>(q),
+                                        static_cast<int>(num_hashes), seed,
+                                        std::move(column)));
 }
 
 }  // namespace
@@ -398,28 +350,26 @@ Status LoadSnapshot(const std::string& path, const LoadOptions& options,
   uint32_t loaded_features = 0;
   if (options.load_features && !feature_secs.empty()) {
     auto store = std::make_shared<features::FeatureStore>(*out);
-    std::set<std::string> seen;
     for (const SectionEntry* e : feature_secs) {
       ByteReader r(base + e->offset, e->stored_bytes);
-      // Each loader checks the column key against `seen` *before*
-      // adopting, so a duplicate file section yields a clean error
-      // instead of tripping the Adopt* programming-error CHECK.
-      Status s;
+      // The attribute list is always raw (only section bulks carry the
+      // per-section encoding).
+      std::vector<std::string> attrs;
+      Status s = ReadStringBlock(r, /*compressed=*/false, &attrs);
+      if (!s.ok()) return s;
       switch (static_cast<SectionId>(e->id)) {
         case SectionId::kTextColumn:
-          s = LoadTextColumn(r, *e, record_count, store.get(), &seen);
+          s = LoadTextColumn(r, *e, record_count, attrs, store.get());
           break;
         case SectionId::kTokenColumn:
-          s = LoadTokenColumn(r, *e, record_count, store.get(), &seen);
+          s = LoadTokenColumn(r, *e, record_count, attrs, store.get());
           break;
         case SectionId::kShingleColumn:
-          s = LoadShingleColumn(r, *e, record_count, store.get(), &seen);
+          s = LoadShingleColumn(r, *e, record_count, attrs, store.get());
           break;
-        case SectionId::kSignatureColumn:
-          s = LoadSignatureColumn(file, r, *e, record_count, store.get(),
-                                  &seen);
-          break;
-        default:
+        default:  // kSignatureColumn, the last of the four feature kinds
+          s = LoadSignatureColumn(file, r, *e, record_count, attrs,
+                                  store.get());
           break;
       }
       if (!s.ok()) return s;

@@ -38,6 +38,11 @@ struct SnapshotInfo {
 /// descriptive error Status — never a crash, never a silently wrong
 /// dataset. The header and section table are validated and every
 /// section payload's Checksum64 is verified before anything is decoded.
+/// Feature sections then decode into the columns' row layout with no
+/// allocation per record: a text section straight into its two arrays,
+/// and token and shingle sections through one counts/values reader that
+/// refuses counts not covering the values and a record whose ids or
+/// hashes are not strictly ascending.
 Status LoadSnapshot(const std::string& path, const LoadOptions& options,
                     data::Dataset* out, SnapshotInfo* info = nullptr);
 

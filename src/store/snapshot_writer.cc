@@ -1,7 +1,9 @@
 #include "store/snapshot_writer.h"
 
 #include <cstdio>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,27 +24,28 @@ struct PendingSection {
 
 uint64_t Align8(uint64_t offset) { return (offset + 7) & ~uint64_t{7}; }
 
-void AddSchemaSection(const data::Dataset& dataset,
-                      std::vector<PendingSection>* sections) {
-  PendingSection s{SectionId::kSchema, SectionEncoding::kRaw,
-                   dataset.schema().size(), {}};
-  ByteWriter w(&s.payload);
-  WriteStringBlock(w, dataset.schema().names(), /*compressed=*/false);
-  sections->push_back(std::move(s));
+/// Appends section `id` of `item_count` items and returns a writer for
+/// its payload, valid until the next section is added.
+ByteWriter AddSection(std::vector<PendingSection>* sections, SectionId id,
+                      bool compress, uint64_t item_count) {
+  const SectionEncoding encoding =
+      compress ? SectionEncoding::kCompressed : SectionEncoding::kRaw;
+  sections->push_back({id, encoding, item_count, {}});
+  return ByteWriter(&sections->back().payload);
 }
 
-void AddEntitiesSection(const data::Dataset& dataset, bool compress,
-                        std::vector<PendingSection>* sections) {
-  std::vector<uint64_t> entities(dataset.entities().begin(),
-                                 dataset.entities().end());
-  PendingSection s{SectionId::kEntities,
-                   compress ? SectionEncoding::kCompressed
-                            : SectionEncoding::kRaw,
-                   entities.size(),
-                   {}};
-  ByteWriter w(&s.payload);
-  WriteU64Block(w, entities, compress);
-  sections->push_back(std::move(s));
+/// Writes `rows` as the (counts, values) block pair that ends a token or
+/// shingle section.
+template <typename T>
+void WriteRowBlocks(ByteWriter& w, const features::Rows<T>& rows,
+                    bool compress) {
+  const std::span<const size_t> offsets = rows.offsets();
+  std::vector<uint64_t> counts(rows.size());
+  for (size_t r = 0; r < counts.size(); ++r) {
+    counts[r] = offsets[r + 1] - offsets[r];
+  }
+  WriteU64Block(w, counts, compress);
+  WriteU64Block(w, rows.values(), compress);
 }
 
 void AddValueSections(const data::Dataset& dataset, bool compress,
@@ -63,115 +66,65 @@ void AddValueSections(const data::Dataset& dataset, bool compress,
     }
   }
   offsets.push_back(blob.size());
-
-  PendingSection off{SectionId::kValueOffsets,
-                     compress ? SectionEncoding::kCompressed
-                              : SectionEncoding::kRaw,
-                     offsets.size(),
-                     {}};
-  ByteWriter ow(&off.payload);
-  WriteU64Block(ow, offsets, compress);
-  sections->push_back(std::move(off));
-
-  PendingSection arena{SectionId::kArena, SectionEncoding::kRaw, blob.size(),
-                       std::move(blob)};
-  sections->push_back(std::move(arena));
+  ByteWriter w = AddSection(sections, SectionId::kValueOffsets, compress,
+                            offsets.size());
+  WriteU64Block(w, offsets, compress);
+  const uint64_t bytes = blob.size();
+  sections->push_back(
+      {SectionId::kArena, SectionEncoding::kRaw, bytes, std::move(blob)});
 }
 
-void WriteAttrs(ByteWriter& w, const std::vector<std::string>& attributes) {
-  WriteStringBlock(w, attributes, /*compressed=*/false);
-}
-
-void AddTextSection(const features::FeatureStore& store,
-                    const features::FeatureStore::ColumnParams& params,
-                    bool compress, std::vector<PendingSection>* sections) {
-  const features::TextColumn& column = store.Texts(params.attributes);
-  PendingSection s{SectionId::kTextColumn,
-                   compress ? SectionEncoding::kCompressed
-                            : SectionEncoding::kRaw,
-                   column.texts.size(),
-                   {}};
-  ByteWriter w(&s.payload);
-  WriteAttrs(w, params.attributes);
-  WriteStringBlock(w, column.texts, compress);
-  sections->push_back(std::move(s));
-}
-
-void AddTokenSection(const features::FeatureStore& store,
-                     const features::FeatureStore::ColumnParams& params,
-                     bool compress, std::vector<PendingSection>* sections) {
-  const features::TokenColumn& column = store.Tokens(params.attributes);
-  // The vocabulary travels in id order, and the rows as (counts, flat
-  // sorted ids) — both sorted, so deltas bite.
-  std::vector<uint64_t> counts;
-  counts.reserve(column.size());
-  for (size_t row = 0; row < column.size(); ++row) {
-    counts.push_back(column.Row(row).size());
+/// One section per column in the store's catalog.
+void AddFeatureSections(const features::FeatureStore& store, bool compress,
+                        std::vector<PendingSection>* sections) {
+  const features::FeatureStore::Catalog catalog = store.catalog();
+  for (const auto& params : catalog.texts) {
+    const features::TextColumn& column = store.Texts(params.attributes);
+    std::vector<std::string_view> texts(column.size());
+    for (size_t id = 0; id < texts.size(); ++id) texts[id] = column.Row(id);
+    ByteWriter w = AddSection(sections, SectionId::kTextColumn, compress,
+                              column.size());
+    WriteStringBlock(w, params.attributes, /*compressed=*/false);
+    WriteStringBlock(w, texts, compress);
   }
-  const std::vector<uint64_t> flat(column.ids().begin(), column.ids().end());
-  PendingSection s{SectionId::kTokenColumn,
-                   compress ? SectionEncoding::kCompressed
-                            : SectionEncoding::kRaw,
-                   column.size(),
-                   {}};
-  ByteWriter w(&s.payload);
-  WriteAttrs(w, params.attributes);
-  const std::span<const std::string_view> vocabulary = column.vocabulary();
-  WriteStringBlock(
-      w, std::vector<std::string>(vocabulary.begin(), vocabulary.end()),
-      compress);
-  WriteU64Block(w, counts, compress);
-  WriteU64Block(w, flat, compress);
-  sections->push_back(std::move(s));
-}
-
-void AddShingleSection(const features::FeatureStore& store,
-                       const features::FeatureStore::ColumnParams& params,
-                       bool compress, std::vector<PendingSection>* sections) {
-  const features::ShingleColumn& column =
-      store.Shingles(params.attributes, params.q);
-  std::vector<uint64_t> counts;
-  counts.reserve(column.sets.size());
-  std::vector<uint64_t> flat;
-  for (const std::vector<uint64_t>& set : column.sets) {
-    counts.push_back(set.size());
-    flat.insert(flat.end(), set.begin(), set.end());
+  for (const auto& params : catalog.tokens) {
+    // The vocabulary travels in id order, and the rows as (counts, flat
+    // sorted ids) — both sorted, so deltas bite.
+    const features::TokenColumn& column = store.Tokens(params.attributes);
+    ByteWriter w = AddSection(sections, SectionId::kTokenColumn, compress,
+                              column.size());
+    WriteStringBlock(w, params.attributes, /*compressed=*/false);
+    WriteStringBlock(w, column.vocabulary(), compress);
+    WriteRowBlocks(w, column.rows(), compress);
   }
-  PendingSection s{SectionId::kShingleColumn,
-                   compress ? SectionEncoding::kCompressed
-                            : SectionEncoding::kRaw,
-                   column.sets.size(),
-                   {}};
-  ByteWriter w(&s.payload);
-  WriteAttrs(w, params.attributes);
-  w.PutVarint(static_cast<uint64_t>(params.q));
-  WriteU64Block(w, counts, compress);
-  WriteU64Block(w, flat, compress);
-  sections->push_back(std::move(s));
-}
-
-void AddSignatureSection(const features::FeatureStore& store,
-                         const features::FeatureStore::ColumnParams& params,
-                         std::vector<PendingSection>* sections) {
-  const features::SignatureColumn& column = store.Signatures(
-      params.attributes, params.q, params.num_hashes, params.seed);
-  // Always raw: the loader serves this matrix zero-copy out of the
-  // mapping, so the payload tail is padded to an absolute 8-byte file
-  // offset (section payloads start 8-aligned; pad_len re-aligns after
-  // the variable-length preamble).
-  PendingSection s{SectionId::kSignatureColumn, SectionEncoding::kRaw,
-                   column.rows.size(), {}};
-  ByteWriter w(&s.payload);
-  WriteAttrs(w, params.attributes);
-  w.PutVarint(static_cast<uint64_t>(params.q));
-  w.PutVarint(static_cast<uint64_t>(params.num_hashes));
-  w.PutVarint(params.seed);
-  w.PutVarint(column.rows.size());
-  uint8_t pad = static_cast<uint8_t>((8 - ((w.size() + 1) % 8)) % 8);
-  w.PutU8(pad);
-  for (uint8_t i = 0; i < pad; ++i) w.PutU8(0);
-  w.PutBytes(column.rows.data(), column.rows.size() * sizeof(uint64_t));
-  sections->push_back(std::move(s));
+  for (const auto& params : catalog.shingles) {
+    const features::ShingleColumn& column =
+        store.Shingles(params.attributes, params.q);
+    ByteWriter w = AddSection(sections, SectionId::kShingleColumn, compress,
+                              column.size());
+    WriteStringBlock(w, params.attributes, /*compressed=*/false);
+    w.PutVarint(static_cast<uint64_t>(params.q));
+    WriteRowBlocks(w, column, compress);
+  }
+  for (const auto& params : catalog.signatures) {
+    const features::SignatureColumn& column = store.Signatures(
+        params.attributes, params.q, params.num_hashes, params.seed);
+    // Always raw: the loader serves this matrix zero-copy out of the
+    // mapping, so the payload tail is padded to an absolute 8-byte file
+    // offset (section payloads start 8-aligned; pad_len re-aligns after
+    // the variable-length preamble).
+    ByteWriter w = AddSection(sections, SectionId::kSignatureColumn,
+                              /*compress=*/false, column.rows.size());
+    WriteStringBlock(w, params.attributes, /*compressed=*/false);
+    w.PutVarint(static_cast<uint64_t>(params.q));
+    w.PutVarint(static_cast<uint64_t>(params.num_hashes));
+    w.PutVarint(params.seed);
+    w.PutVarint(column.rows.size());
+    uint8_t pad = static_cast<uint8_t>((8 - ((w.size() + 1) % 8)) % 8);
+    w.PutU8(pad);
+    for (uint8_t i = 0; i < pad; ++i) w.PutU8(0);
+    w.PutBytes(column.rows.data(), column.rows.size() * sizeof(uint64_t));
+  }
 }
 
 }  // namespace
@@ -179,36 +132,27 @@ void AddSignatureSection(const features::FeatureStore& store,
 Status WriteSnapshot(const std::string& path, const data::Dataset& dataset,
                      const WriteOptions& options, WriteInfo* info) {
   std::vector<PendingSection> sections;
-  AddSchemaSection(dataset, &sections);
-  AddEntitiesSection(dataset, options.compress, &sections);
+  // Names (the schema, attribute lists) are always raw.
+  ByteWriter schema = AddSection(&sections, SectionId::kSchema,
+                                 /*compress=*/false, dataset.schema().size());
+  WriteStringBlock(schema, dataset.schema().names(), /*compressed=*/false);
+  ByteWriter ids = AddSection(&sections, SectionId::kEntities,
+                              options.compress, dataset.entities().size());
+  WriteU64Block(ids, dataset.entities(), options.compress);
   AddValueSections(dataset, options.compress, &sections);
 
-  uint32_t feature_sections = 0;
+  const size_t core_sections = sections.size();
   if (options.include_features && !dataset.empty()) {
     features::FeatureView view = dataset.features();
-    const features::FeatureStore& store = view.store();
     // Only whole-dataset stores serialize (a slice's view translates
     // record ids into a larger parent snapshot; its columns would not
     // line up with the records written above).
-    if (view.offset() == 0 && store.size() == dataset.size()) {
-      features::FeatureStore::Catalog catalog = store.catalog();
-      for (const auto& params : catalog.texts) {
-        AddTextSection(store, params, options.compress, &sections);
-      }
-      for (const auto& params : catalog.tokens) {
-        AddTokenSection(store, params, options.compress, &sections);
-      }
-      for (const auto& params : catalog.shingles) {
-        AddShingleSection(store, params, options.compress, &sections);
-      }
-      for (const auto& params : catalog.signatures) {
-        AddSignatureSection(store, params, &sections);
-      }
-      feature_sections = static_cast<uint32_t>(
-          catalog.texts.size() + catalog.tokens.size() +
-          catalog.shingles.size() + catalog.signatures.size());
+    if (view.offset() == 0 && view.store().size() == dataset.size()) {
+      AddFeatureSections(view.store(), options.compress, &sections);
     }
   }
+  const auto feature_sections =
+      static_cast<uint32_t>(sections.size() - core_sections);
 
   // Lay out the file: header, table, 8-aligned payloads.
   const uint64_t table_bytes = sections.size() * kSectionEntryBytes;

@@ -49,23 +49,28 @@ void QGramWindowHashes(std::string_view s, int q, std::span<uint64_t> out) {
 }
 
 std::vector<uint64_t> QGramHashes(std::string_view s, int q) {
-  std::vector<uint64_t> hashes;
-  if (q <= 0 || s.empty()) return hashes;
-  if (s.size() < static_cast<size_t>(q)) {
-    hashes.push_back(HashBytes(s));
-    return hashes;
-  }
-  hashes.resize(s.size() - q + 1);
-  QGramWindowHashes(s, q, hashes);
-  std::sort(hashes.begin(), hashes.end());
-  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  std::vector<uint64_t> hashes(s.size());
+  hashes.resize(QGramHashesInto(s, q, hashes));
   return hashes;
+}
+
+size_t QGramHashesInto(std::string_view s, int q, std::span<uint64_t> out) {
+  if (q <= 0 || s.empty()) return 0;
+  if (s.size() < static_cast<size_t>(q)) {
+    out[0] = HashBytes(s);
+    return 1;
+  }
+  const std::span<uint64_t> set = out.first(s.size() - q + 1);
+  QGramWindowHashes(s, q, set);
+  std::sort(set.begin(), set.end());
+  return static_cast<size_t>(std::unique(set.begin(), set.end()) -
+                             set.begin());
 }
 
 namespace {
 
 template <typename T>
-double JaccardImpl(const std::vector<T>& a, const std::vector<T>& b) {
+double JaccardImpl(std::span<const T> a, std::span<const T> b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   size_t i = 0;
@@ -90,11 +95,11 @@ double JaccardImpl(const std::vector<T>& a, const std::vector<T>& b) {
 
 double JaccardSorted(const std::vector<std::string>& a,
                      const std::vector<std::string>& b) {
-  return JaccardImpl(a, b);
+  return JaccardImpl<std::string>(a, b);
 }
 
-double JaccardSortedHashes(const std::vector<uint64_t>& a,
-                           const std::vector<uint64_t>& b) {
+double JaccardSortedHashes(std::span<const uint64_t> a,
+                           std::span<const uint64_t> b) {
   return JaccardImpl(a, b);
 }
 

@@ -26,6 +26,12 @@ std::vector<std::string> QGramSet(std::string_view s, int q,
 /// comparisons in the inner loop).
 std::vector<uint64_t> QGramHashes(std::string_view s, int q);
 
+/// Writes QGramHashes(s, q) into a prefix of `out` and returns its length:
+/// hashed in place, then sorted and deduplicated there, so a caller
+/// building many sets in one array allocates nothing per set. `out` has
+/// at least s.size() slots.
+size_t QGramHashesInto(std::string_view s, int q, std::span<uint64_t> out);
+
 /// Bulk path under QGramHashes: writes HashBytes(s.substr(i, q)) for every
 /// window i into `out` (no sort/dedup, no allocation). Requires q >= 1,
 /// s.size() >= q and out.size() == s.size() - q + 1. Dispatches to the
@@ -37,8 +43,8 @@ double JaccardSorted(const std::vector<std::string>& a,
                      const std::vector<std::string>& b);
 
 /// Jaccard coefficient of two sorted, deduplicated hash sequences.
-double JaccardSortedHashes(const std::vector<uint64_t>& a,
-                           const std::vector<uint64_t>& b);
+double JaccardSortedHashes(std::span<const uint64_t> a,
+                           std::span<const uint64_t> b);
 
 }  // namespace sablock::text
 

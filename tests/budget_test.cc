@@ -18,15 +18,17 @@ namespace sablock::core {
 namespace {
 
 Budget MustParse(const std::string& text) {
-  StatusOr<Budget> parsed = Budget::Parse(text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status().message();
-  return *parsed;
+  Budget parsed;
+  Status status = Budget::Parse(text, &parsed);
+  EXPECT_TRUE(status.ok()) << status.message();
+  return parsed;
 }
 
 std::string ParseError(const std::string& text) {
-  StatusOr<Budget> parsed = Budget::Parse(text);
-  EXPECT_FALSE(parsed.ok()) << "'" << text << "' should not parse";
-  return parsed.ok() ? "" : parsed.status().message();
+  Budget parsed;
+  Status status = Budget::Parse(text, &parsed);
+  EXPECT_FALSE(status.ok()) << "'" << text << "' should not parse";
+  return status.message();
 }
 
 TEST(BudgetTest, DefaultAndEmptySpecAreUnlimited) {

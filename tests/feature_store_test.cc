@@ -39,21 +39,28 @@ const std::vector<std::string>& NameCity() {
   return attrs;
 }
 
+/// Two columns hold the same values and offsets arrays.
+template <typename T>
+bool SameRows(const Rows<T>& a, const Rows<T>& b) {
+  return std::ranges::equal(a.values(), b.values()) &&
+         std::ranges::equal(a.offsets(), b.offsets());
+}
+
 TEST(FeatureStoreTest, TextColumnMatchesConcatenatedValues) {
   data::Dataset d = TinyDataset();
-  FeatureView::TextHandle texts = d.features().TextsFor(NameCity());
+  const auto texts = d.features().TextsFor(NameCity());
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    EXPECT_EQ(texts.Text(id), d.ConcatenatedValues(id, NameCity())) << id;
+    EXPECT_EQ(texts.Row(id), d.ConcatenatedValues(id, NameCity())) << id;
   }
 }
 
 TEST(FeatureStoreTest, TokenColumnInternsSortedDistinctTokens) {
   data::Dataset d = TinyDataset();
   FeatureView features = d.features();
-  FeatureView::TokenHandle tokens = features.TokensFor(NameCity());
+  const auto tokens = features.TokensFor(NameCity());
   const TokenColumn& column = features.store().Tokens(NameCity());
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    const std::span<const TokenId> ids = tokens.Tokens(id);
+    const std::span<const TokenId> ids = tokens.Row(id);
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
     EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
     // Interned strings round-trip to the distinct words of the text.
@@ -63,7 +70,7 @@ TEST(FeatureStoreTest, TokenColumnInternsSortedDistinctTokens) {
     words.erase(std::unique(words.begin(), words.end()), words.end());
     std::vector<std::string> from_ids;
     for (TokenId t : ids) {
-      EXPECT_LT(t, tokens.token_limit());
+      EXPECT_LT(t, tokens.column().token_limit());
       from_ids.emplace_back(column.Token(t));
     }
     std::sort(from_ids.begin(), from_ids.end());
@@ -74,14 +81,14 @@ TEST(FeatureStoreTest, TokenColumnInternsSortedDistinctTokens) {
 TEST(FeatureStoreTest, TokenIdsAreColumnLocalAndDense) {
   data::Dataset d = TinyDataset();
   FeatureView features = d.features();
-  FeatureView::TokenHandle wide = features.TokensFor(NameCity());
-  FeatureView::TokenHandle narrow = features.TokensFor({"city"});
+  const auto wide = features.TokensFor(NameCity());
+  const auto narrow = features.TokensFor({"city"});
   // Each column interns its own vocabulary: the narrow column's ids stay
   // dense in it, whatever the wide column interned first.
-  EXPECT_LT(narrow.token_limit(), wide.token_limit());
+  EXPECT_LT(narrow.column().token_limit(), wide.column().token_limit());
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    for (TokenId t : narrow.Tokens(id)) {
-      EXPECT_LT(t, narrow.token_limit());
+    for (TokenId t : narrow.Row(id)) {
+      EXPECT_LT(t, narrow.column().token_limit());
     }
   }
 }
@@ -99,10 +106,11 @@ TEST(FeatureStoreTest, TextColumnsDoNotPayForTokenization) {
 
 TEST(FeatureStoreTest, ShingleColumnMatchesQGramHashes) {
   data::Dataset d = TinyDataset();
-  FeatureView::ShingleHandle shingles = d.features().ShinglesFor(NameCity(), 3);
+  const auto shingles = d.features().ShinglesFor(NameCity(), 3);
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    EXPECT_EQ(shingles.Shingles(id),
-              text::QGramHashes(d.ConcatenatedValues(id, NameCity()), 3))
+    EXPECT_TRUE(std::ranges::equal(
+        shingles.Row(id),
+        text::QGramHashes(d.ConcatenatedValues(id, NameCity()), 3)))
         << id;
   }
 }
@@ -110,14 +118,13 @@ TEST(FeatureStoreTest, ShingleColumnMatchesQGramHashes) {
 TEST(FeatureStoreTest, SignatureColumnMatchesDirectMinhash) {
   data::Dataset d = TinyDataset();
   FeatureView features = d.features();
-  FeatureView::SignatureHandle sigs =
-      features.SignaturesFor(NameCity(), 3, 16, 7);
+  const auto sigs = features.SignaturesFor(NameCity(), 3, 16, 7);
   core::MinHasher hasher(16, 7);
-  FeatureView::ShingleHandle shingles = features.ShinglesFor(NameCity(), 3);
+  const auto shingles = features.ShinglesFor(NameCity(), 3);
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    std::span<const uint64_t> row = sigs.Signature(id);
+    std::span<const uint64_t> row = sigs.Row(id);
     EXPECT_EQ(std::vector<uint64_t>(row.begin(), row.end()),
-              hasher.Signature(shingles.Shingles(id)))
+              hasher.Signature(shingles.Row(id)))
         << id;
   }
 }
@@ -239,13 +246,12 @@ TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
   const data::Dataset serial = d.ColdCopy();
   const FeatureStore& reference = serial.features().store();
   const TokenColumn& tokens_ref = reference.Tokens(attrs);
-  EXPECT_TRUE(std::ranges::equal(token_cols[0]->ids(), tokens_ref.ids()));
-  EXPECT_TRUE(
-      std::ranges::equal(token_cols[0]->offsets(), tokens_ref.offsets()));
+  EXPECT_TRUE(SameRows(token_cols[0]->rows(), tokens_ref.rows()));
   EXPECT_TRUE(std::ranges::equal(token_cols[0]->vocabulary(),
                                  tokens_ref.vocabulary()));
-  EXPECT_EQ(store.Texts(attrs).texts, reference.Texts(attrs).texts);
-  EXPECT_EQ(store.Shingles(attrs, 4).sets, reference.Shingles(attrs, 4).sets);
+  EXPECT_TRUE(SameRows(store.Texts(attrs), reference.Texts(attrs)));
+  EXPECT_TRUE(
+      SameRows(store.Shingles(attrs, 4), reference.Shingles(attrs, 4)));
   EXPECT_TRUE(std::ranges::equal(sig_cols[0]->rows,
                                  reference.Signatures(attrs, 4, 64, 7).rows));
   EXPECT_EQ(sig_cols[0]->rows.data(), sig_cols[0]->data.get());
@@ -270,7 +276,7 @@ TEST(FeatureStoreTest, RacingGettersNeverRebuildAnAdoptedColumn) {
   SignatureColumn column;
   column.num_hashes = 64;
   column.rows = built.rows;
-  adopted.AdoptSignatures(attrs, 4, 64, 7, std::move(column));
+  ASSERT_TRUE(adopted.AdoptSignatures(attrs, 4, 64, 7, std::move(column)));
   const CacheCounts before = CacheCounts::Of("signature");
 
   constexpr int kThreads = 8;
@@ -295,26 +301,25 @@ TEST(FeatureStoreTest, RacingGettersNeverRebuildAnAdoptedColumn) {
 TEST(FeatureStoreTest, SlicesShareTheParentStoreWithOffset) {
   data::Dataset d = TinyDataset();
   FeatureView parent = d.features();  // materialize before slicing
-  FeatureView::ShingleHandle parent_shingles =
-      parent.ShinglesFor(NameCity(), 3);
+  const auto parent_shingles = parent.ShinglesFor(NameCity(), 3);
 
   data::Dataset slice = d.Slice(1, 3);
   FeatureView sliced = slice.features();
   EXPECT_EQ(&sliced.store(), &parent.store());
-  FeatureView::ShingleHandle slice_shingles =
-      sliced.ShinglesFor(NameCity(), 3);
+  const auto slice_shingles = sliced.ShinglesFor(NameCity(), 3);
   for (data::RecordId id = 0; id < slice.size(); ++id) {
-    EXPECT_EQ(&slice_shingles.Shingles(id),
-              &parent_shingles.Shingles(id + 1));
+    EXPECT_EQ(slice_shingles.Row(id).data(),
+              parent_shingles.Row(id + 1).data());
+    EXPECT_EQ(slice_shingles.Row(id).size(),
+              parent_shingles.Row(id + 1).size());
   }
   // No rebuild happened for the slice.
   EXPECT_EQ(parent.store().stats().shingle_builds, 1u);
 
   // Nested slices compose offsets.
   data::Dataset nested = slice.Slice(1, 2);
-  FeatureView::ShingleHandle nested_shingles =
-      nested.features().ShinglesFor(NameCity(), 3);
-  EXPECT_EQ(&nested_shingles.Shingles(0), &parent_shingles.Shingles(2));
+  const auto nested_shingles = nested.features().ShinglesFor(NameCity(), 3);
+  EXPECT_EQ(nested_shingles.Row(0).data(), parent_shingles.Row(2).data());
 }
 
 TEST(FeatureStoreTest, SliceOfColdDatasetBuildsItsOwnCorrectStore) {
@@ -322,9 +327,9 @@ TEST(FeatureStoreTest, SliceOfColdDatasetBuildsItsOwnCorrectStore) {
   data::Dataset slice = d.Slice(1, 3);  // parent store never materialized
   FeatureView features = slice.features();
   EXPECT_EQ(features.size(), 2u);
-  FeatureView::TextHandle texts = features.TextsFor(NameCity());
+  const auto texts = features.TextsFor(NameCity());
   for (data::RecordId id = 0; id < slice.size(); ++id) {
-    EXPECT_EQ(texts.Text(id), d.ConcatenatedValues(id + 1, NameCity()));
+    EXPECT_EQ(texts.Row(id), d.ConcatenatedValues(id + 1, NameCity()));
   }
 }
 
@@ -336,7 +341,7 @@ TEST(FeatureStoreTest, AddInvalidatesTheFeatureCache) {
   FeatureView after = d.features();
   EXPECT_EQ(after.size(), 5u);
   EXPECT_NE(&after.store(), &before.store());
-  EXPECT_EQ(after.TextsFor(NameCity()).Text(4), "katherine johnson hampton");
+  EXPECT_EQ(after.TextsFor(NameCity()).Row(4), "katherine johnson hampton");
 }
 
 TEST(FeatureStoreTest, AddRowInvalidatesTheFeatureCache) {
@@ -353,23 +358,22 @@ TEST(FeatureStoreTest, AddRowInvalidatesTheFeatureCache) {
   FeatureView after = d.features();
   EXPECT_EQ(after.size(), 5u);
   EXPECT_NE(&after.store(), &before.store());
-  EXPECT_EQ(after.TextsFor(NameCity()).Text(4), "katherine johnson hampton");
+  EXPECT_EQ(after.TextsFor(NameCity()).Row(4), "katherine johnson hampton");
   EXPECT_EQ(after.store().dataset_version(), d.version());
 }
 
 TEST(FeatureStoreTest, HandlesCoOwnTheStoreAcrossInvalidation) {
   data::Dataset d = TinyDataset();
-  FeatureView::ShingleHandle shingles =
-      d.features().ShinglesFor(NameCity(), 3);
-  std::vector<uint64_t> before = shingles.Shingles(0);
+  const auto shingles = d.features().ShinglesFor(NameCity(), 3);
+  const std::span<const uint64_t> row = shingles.Row(0);
+  const std::vector<uint64_t> before(row.begin(), row.end());
   // Add drops the dataset's pointer to the old store; the handle keeps
   // the snapshot alive and keeps serving pre-Add features.
   d.Add({{"Katherine Johnson", "Hampton"}}, 2);
-  EXPECT_EQ(shingles.Shingles(0), before);
+  EXPECT_TRUE(std::ranges::equal(shingles.Row(0), before));
   // A handle obtained through a temporary slice is equally safe.
-  FeatureView::TextHandle texts =
-      d.Slice(0, 2).features().TextsFor(NameCity());
-  EXPECT_EQ(texts.Text(0), "ada lovelace london");
+  const auto texts = d.Slice(0, 2).features().TextsFor(NameCity());
+  EXPECT_EQ(texts.Row(0), "ada lovelace london");
 }
 
 TEST(FeatureStoreTest, StoreOutlivesTheOriginatingDataset) {
@@ -380,7 +384,7 @@ TEST(FeatureStoreTest, StoreOutlivesTheOriginatingDataset) {
     features.TextsFor(NameCity());
   }
   // The view's shared_ptr keeps the store (and its arena snapshot) alive.
-  EXPECT_EQ(features.TextsFor(NameCity()).Text(2), "grace hopper new york");
+  EXPECT_EQ(features.TextsFor(NameCity()).Row(2), "grace hopper new york");
 }
 
 }  // namespace

@@ -170,9 +170,13 @@ TEST(IntegrationTest, AllBaselinesRunOnCora) {
       std::make_unique<SuffixArrayAllSubstrings>(key, 7, 20));
   techniques.push_back(std::make_unique<RobustSuffixArrayBlocking>(
       key, 5, 20, "edit", 0.85));
-  techniques.push_back(*pipeline::Build(
-      "token-blocking:attrs=authors+title | purge:max_size=500 | "
-      "meta:weight=js,prune=wep"));
+  std::unique_ptr<pipeline::PipelinedBlocker> meta;
+  ASSERT_TRUE(pipeline::Build(
+                  "token-blocking:attrs=authors+title | purge:max_size=500 | "
+                  "meta:weight=js,prune=wep",
+                  &meta)
+                  .ok());
+  techniques.push_back(std::move(meta));
 
   std::vector<eval::TechniqueResult> results = eval::RunAll(techniques, d);
   ASSERT_EQ(results.size(), techniques.size());

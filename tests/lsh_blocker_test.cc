@@ -284,7 +284,7 @@ TEST(MinhashSignaturesTest, OnePerRecord) {
   Dataset d = TinyBibDataset();
   auto sigs = MinhashSignatures(d, SmallParams());
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    EXPECT_EQ(sigs.Signature(id).size(), 16u);  // k*l
+    EXPECT_EQ(sigs.Row(id).size(), 16u);  // k*l
   }
 }
 

@@ -93,7 +93,9 @@ TEST(MinHasherTest, DifferentSeedsGiveDifferentFamilies) {
 std::vector<uint64_t> ShinglesOf(const data::Dataset& d,
                                  const std::vector<std::string>& attributes,
                                  data::RecordId id) {
-  return d.features().ShinglesFor(attributes, 3).Shingles(id);
+  const std::span<const uint64_t> row =
+      d.features().ShinglesFor(attributes, 3).Row(id);
+  return {row.begin(), row.end()};
 }
 
 TEST(ShingleColumnTest, UsesSelectedAttributesOnly) {

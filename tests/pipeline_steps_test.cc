@@ -87,6 +87,14 @@ std::map<std::string, std::pair<uint64_t, uint64_t>> StageSeries() {
   return series;
 }
 
+/// Builds `spec`; null, and a test failure, if it does not build.
+std::unique_ptr<PipelinedBlocker> MustBuild(const std::string& spec) {
+  std::unique_ptr<PipelinedBlocker> built;
+  Status status = Build(spec, &built);
+  EXPECT_TRUE(status.ok()) << spec << ": " << status.message();
+  return built;
+}
+
 /// Runs token blocking and `spec_text`'s stages single-threaded and
 /// through the sharded engine, and checks every step.
 void CheckSteps(const char* spec_text) {
@@ -95,9 +103,9 @@ void CheckSteps(const char* spec_text) {
   const std::string spec =
       "token-blocking:attrs=authors+title" +
       (stages.empty() ? std::string() : " | " + stages);
-  StatusOr<std::unique_ptr<PipelinedBlocker>> built = Build(spec);
-  ASSERT_TRUE(built.ok()) << spec << ": " << built.status().message();
-  const PipelinedBlocker& pipelined = **built;
+  const std::unique_ptr<PipelinedBlocker> built = MustBuild(spec);
+  ASSERT_NE(built, nullptr);
+  const PipelinedBlocker& pipelined = *built;
   const Pipeline& pipeline = pipelined.stages();
 
   for (const char* engine : {"", "threads=4,shards=8,merge=collect"}) {
@@ -173,14 +181,13 @@ TEST(PipelineStepsTest, EveryStageInOneChain) { CheckSteps(kStages[8]); }
 
 TEST(PipelineStepsTest, CapBindsInTheCheckedModes) {
   // The Cap case above is only meaningful if the budget cuts the stream.
-  StatusOr<std::unique_ptr<PipelinedBlocker>> built =
-      Build(std::string("token-blocking:attrs=authors+title | ") +
-            kStages[4]);
-  ASSERT_TRUE(built.ok());
+  const std::unique_ptr<PipelinedBlocker> built = MustBuild(
+      std::string("token-blocking:attrs=authors+title | ") + kStages[4]);
+  ASSERT_NE(built, nullptr);
   const eval::PipelineResult result =
-      eval::RunPipeline((*built)->blocker(), (*built)->stages(), Corpus());
+      eval::RunPipeline(built->blocker(), built->stages(), Corpus());
   BlockCollection uncapped;
-  (*built)->blocker().Run(Corpus(), uncapped);
+  built->blocker().Run(Corpus(), uncapped);
   EXPECT_LT(result.stages[1].comparisons, uncapped.TotalComparisons());
   EXPECT_LT(result.stages[0].blocks, uncapped.NumBlocks());
 }
@@ -192,24 +199,23 @@ TEST(PipelineStepsTest, MetaStopsAtABindingCap) {
   // stage honours the cap's Done(), single-threaded and sharded.
   const uint64_t budget = 700;
   const data::Dataset dataset = Corpus();
-  StatusOr<std::unique_ptr<PipelinedBlocker>> uncapped = Build(
+  const std::unique_ptr<PipelinedBlocker> uncapped = MustBuild(
       "token-blocking:attrs=authors+title | purge:max_size=50 | "
       "meta:weight=cbs,prune=wnp");
-  ASSERT_TRUE(uncapped.ok());
+  ASSERT_NE(uncapped, nullptr);
   const eval::PipelineResult full = eval::RunPipeline(
-      (*uncapped)->blocker(), (*uncapped)->stages(), dataset);
+      uncapped->blocker(), uncapped->stages(), dataset);
   ASSERT_LT(budget, full.stages[2].blocks);
 
-  StatusOr<std::unique_ptr<PipelinedBlocker>> built =
-      Build(std::string("token-blocking:attrs=authors+title | ") +
-            kStages[6]);
-  ASSERT_TRUE(built.ok());
+  const std::unique_ptr<PipelinedBlocker> built = MustBuild(
+      std::string("token-blocking:attrs=authors+title | ") + kStages[6]);
+  ASSERT_NE(built, nullptr);
   for (const char* engine : {"", "threads=4,shards=8,merge=collect"}) {
     SCOPED_TRACE(engine);
     engine::ExecutionSpec execution;
     ASSERT_TRUE(engine::ExecutionSpec::Parse(engine, &execution).ok());
     const eval::PipelineResult result = eval::RunPipeline(
-        (*built)->blocker(), (*built)->stages(), dataset, execution);
+        built->blocker(), built->stages(), dataset, execution);
     ASSERT_EQ(result.stages.size(), 4u);
     EXPECT_EQ(result.stages[2].blocks, budget);
     EXPECT_EQ(result.stages[3].blocks, budget);
@@ -221,14 +227,14 @@ TEST(PipelineStepsTest, ChainFlushNamesTheProducerGenerator) {
   // A chain driven by hand (no technique) reports its producer step
   // under the registry label's name.
   const data::Dataset dataset = Corpus();
-  StatusOr<std::unique_ptr<PipelinedBlocker>> built =
-      Build("token-blocking:attrs=authors+title | purge:max_size=30");
-  ASSERT_TRUE(built.ok());
+  const std::unique_ptr<PipelinedBlocker> built =
+      MustBuild("token-blocking:attrs=authors+title | purge:max_size=30");
+  ASSERT_NE(built, nullptr);
   BlockCollection generated;
-  (*built)->blocker().Run(dataset, generated);
+  built->blocker().Run(dataset, generated);
   const uint64_t generated_blocks = generated.NumBlocks();
   BlockCollection out;
-  Chain chain = (*built)->stages().Instantiate(dataset, out);
+  Chain chain = built->stages().Instantiate(dataset, out);
   generated.Drain(chain.head());
   const std::vector<StepCounts> steps = chain.Flush();
   ASSERT_EQ(steps.size(), 2u);

@@ -353,7 +353,9 @@ TEST(ProgressiveStageTest, BudgetTermsFollowBudgetParse) {
     Status status = pipeline::StageRegistry::Global().Create(
         std::string("progressive:") + term, &stage);
     ASSERT_FALSE(status.ok()) << term;
-    const std::string expected = core::Budget::Parse(term).status().message();
+    core::Budget unused;
+    const std::string expected =
+        core::Budget::Parse(term, &unused).message();
     EXPECT_NE(status.message().find(expected), std::string::npos)
         << status.message();
   }

@@ -198,8 +198,8 @@ TEST(RegistryTest, NonFiniteNumbersAreTypeErrors) {
 }
 
 TEST(RegistryTest, LshRowCountOverflowIsARangeError) {
-  // k·l is the int count of minhash rows; every LSH-family entry on both
-  // registries reads it through one checked reader.
+  // k·l is the count of minhash rows per record; every LSH-family entry
+  // on both registries reads it through one checked reader.
   for (const char* spec :
        {"lsh:l=2000000000", "sa-lsh:k=2147483647", "mp-lsh:k=2147483647",
         "forest:k=65536,l=65536", "harra:l=2147483647"}) {
@@ -214,9 +214,25 @@ TEST(RegistryTest, LshRowCountOverflowIsARangeError) {
     EXPECT_NE(status.message().find("'k*l'"), std::string::npos)
         << status.message();
   }
-  // The product itself may reach INT_MAX.
-  EXPECT_EQ(CreateOk("lsh:k=1,l=2147483647")->name(),
-            "LSH(k=1,l=2147483647)");
+}
+
+TEST(RegistryTest, MinhashRowsPerRecordAreBounded) {
+  // In int range, yet 2^31 minhash rows per record: refused at Create on
+  // both registries, before any product (an index's MinHasher included)
+  // is built. Only Create runs here; no spec below is run.
+  EXPECT_EQ(CreateErr("lsh:k=1,l=2147483647").message(),
+            "lsh: param 'k*l': must be <= 65536");
+  std::unique_ptr<index::IncrementalIndex> index;
+  Status status =
+      index::IndexRegistry::Global().Create("lsh:k=1,l=2147483647", &index);
+  EXPECT_EQ(status.message(), "lsh: param 'k*l': must be <= 65536");
+  EXPECT_EQ(index, nullptr);
+  // The forest minhashes depth·l rows, whatever its k.
+  EXPECT_EQ(CreateErr("forest:depth=1073741824,l=2").message(),
+            "forest: param 'depth*l': must be <= 65536");
+  // The bound itself is accepted.
+  EXPECT_EQ(CreateOk("lsh:k=1,l=65536")->name(), "LSH(k=1,l=65536)");
+  EXPECT_NE(CreateOk("forest:k=1,depth=16,l=4096"), nullptr);
 }
 
 TEST(RegistryTest, EveryIndexSharesItsTechniqueGrammar) {

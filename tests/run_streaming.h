@@ -25,11 +25,11 @@ inline core::BlockCollection RunStreaming(
 /// blocks. A spec that fails to build is a test failure and yields none.
 inline core::BlockCollection RunSpec(const std::string& spec,
                                      const data::Dataset& dataset) {
-  StatusOr<std::unique_ptr<pipeline::PipelinedBlocker>> built =
-      pipeline::Build(spec);
-  EXPECT_TRUE(built.ok()) << spec << ": " << built.status().message();
-  if (!built.ok()) return {};
-  return RunStreaming(**built, dataset);
+  std::unique_ptr<pipeline::PipelinedBlocker> built;
+  Status status = pipeline::Build(spec, &built);
+  EXPECT_TRUE(status.ok()) << spec << ": " << status.message();
+  if (!status.ok()) return {};
+  return RunStreaming(*built, dataset);
 }
 
 }  // namespace sablock

@@ -234,63 +234,102 @@ TEST_F(SnapshotCorruptionTest, ChecksumVerificationIsTheDefaultGate) {
   EXPECT_TRUE(ExpectCleanOutcome(mutated, "payload flip"));
 }
 
-// A token section whose checksums are valid but whose content is not a
-// token column: a repeated vocabulary string, or a record's ids out of
-// order. Both must fail at load, naming the token column, instead of
-// loading as a silently different dataset.
-class TokenSectionTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    data::Dataset d{data::Schema({"name"})};
-    d.Add({{"ada lovelace"}}, 0);
-    d.Add({{"ada byron"}}, 0);
-    d.Add({{"bob"}}, 1);
-    d.features().TokensFor({"name"});
-    path_ = TmpPath("tokens");
-    WriteOptions options;
-    options.compress = false;  // fixed-width ids, patchable in place
-    ASSERT_TRUE(WriteSnapshot(path_, d, options).ok());
-    file_ = ReadFile(path_);
+TEST(DuplicateSectionTest, RepeatedFeatureSectionIsRefused) {
+  data::Dataset d{data::Schema({"name"})};
+  d.Add({{"ada lovelace"}}, 0);
+  d.Add({{"ada byron"}}, 0);
+  d.features().TextsFor({"name"});
+  const std::string path = TmpPath("duplicate");
+  ASSERT_TRUE(WriteSnapshot(path, d).ok());
+  const std::string file = ReadFile(path);
 
+  // One more table entry, a copy of the last (the text column's): every
+  // payload moves one entry further, and the header and table checksum
+  // follow (store/format.h's layout).
+  uint32_t sections = 0;
+  std::memcpy(&sections, &file[28], sizeof sections);
+  std::string table = file.substr(kHeaderBytes, sections * kSectionEntryBytes);
+  table += table.substr(table.size() - kSectionEntryBytes);
+  ++sections;
+  for (size_t i = 0; i < sections; ++i) {
+    uint64_t offset = 0;
+    std::memcpy(&offset, &table[i * kSectionEntryBytes + 8], sizeof offset);
+    offset += kSectionEntryBytes;
+    std::memcpy(&table[i * kSectionEntryBytes + 8], &offset, sizeof offset);
+  }
+  std::string patched = file.substr(0, kHeaderBytes) + table +
+                        file.substr(table.size() - kSectionEntryBytes +
+                                    kHeaderBytes);
+  const uint64_t bytes = patched.size();
+  const uint64_t checksum = Checksum64(table.data(), table.size());
+  std::memcpy(&patched[28], &sections, sizeof sections);
+  std::memcpy(&patched[32], &bytes, sizeof bytes);
+  std::memcpy(&patched[40], &checksum, sizeof checksum);
+  WriteFile(path, patched);
+
+  data::Dataset loaded;
+  EXPECT_EQ(LoadSnapshot(path, {}, &loaded).message(),
+            "snapshot: duplicate feature column section");
+  LoadOptions core_only;
+  core_only.load_features = false;
+  Status s = LoadSnapshot(path, core_only, &loaded);
+  EXPECT_TRUE(s.ok()) << s.message();
+  std::remove(path.c_str());
+}
+
+// A section whose checksums are valid but whose content is not its
+// column: the test patches a raw snapshot in place, reseals the section
+// and table checksums (store/format.h's layout) and loads it. Each such
+// file must fail at load, naming the column, instead of loading as a
+// silently different dataset.
+class ResealedSectionTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Writes `d` raw (fixed-width values, patchable in place) and returns
+  /// a reader over the payload of its section `id`.
+  ByteReader WriteAndFind(const data::Dataset& d, SectionId id,
+                          const char* tag) {
+    path_ = TmpPath(tag);
+    WriteOptions options;
+    options.compress = false;
+    EXPECT_TRUE(WriteSnapshot(path_, d, options).ok());
+    file_ = ReadFile(path_);
     uint32_t sections = 0;
     std::memcpy(&sections, &file_[28], sizeof sections);
     for (size_t i = 0; i < sections; ++i) {
-      uint32_t id = 0;
-      std::memcpy(&id, &file_[Entry(i)], sizeof id);
-      if (id == static_cast<uint32_t>(SectionId::kTokenColumn)) section_ = i;
+      uint32_t section = 0;
+      std::memcpy(&section, &file_[Entry(i)], sizeof section);
+      if (section == static_cast<uint32_t>(id)) section_ = i;
     }
-    ASSERT_NE(section_, SIZE_MAX);
+    EXPECT_NE(section_, SIZE_MAX);
     uint64_t offset = 0;
     uint64_t stored = 0;
-    std::memcpy(&offset, &file_[Entry(section_) + 8], sizeof offset);
-    std::memcpy(&stored, &file_[Entry(section_) + 16], sizeof stored);
-
-    // Walk the raw payload: attributes, vocabulary, counts, ids.
-    ByteReader r(file_.data() + offset, stored);
-    std::vector<std::string> attrs;
-    ASSERT_TRUE(ReadStringBlock(r, /*compressed=*/false, &attrs).ok());
-    uint64_t count = 0;
-    ASSERT_TRUE(r.ReadVarint(&count));
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string_view token;
-      ASSERT_TRUE(r.ReadStringView(&token));
-      vocabulary_.push_back(
-          {static_cast<size_t>(token.data() - file_.data()), token.size()});
+    if (section_ != SIZE_MAX) {
+      std::memcpy(&offset, &file_[Entry(section_) + 8], sizeof offset);
+      std::memcpy(&stored, &file_[Entry(section_) + 16], sizeof stored);
     }
-    std::vector<uint64_t> counts;
-    ASSERT_TRUE(ReadU64Block(r, /*compressed=*/false, &counts).ok());
-    ASSERT_TRUE(r.ReadVarint(&count));
-    ids_at_ = static_cast<size_t>(r.cursor() - file_.data());
-    ASSERT_GE(counts.at(0), 2u);  // record 0 holds two ids to swap
+    return ByteReader(file_.data() + offset, stored);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
 
   static size_t Entry(size_t i) {
     return kHeaderBytes + i * kSectionEntryBytes;
   }
 
-  /// Rewrites the token section's payload checksum and the table checksum
-  /// (store/format.h's layout), then loads `file_`.
+  /// File offset of the u64 at `r`'s cursor.
+  size_t At(const ByteReader& r) const {
+    return static_cast<size_t>(r.cursor() - file_.data());
+  }
+
+  /// Swaps the u64 values at file offsets `a` and `b`.
+  void SwapU64(size_t a, size_t b) {
+    std::swap_ranges(file_.begin() + static_cast<std::ptrdiff_t>(a),
+                     file_.begin() + static_cast<std::ptrdiff_t>(a + 8),
+                     file_.begin() + static_cast<std::ptrdiff_t>(b));
+  }
+
+  /// Rewrites the section's payload checksum and the table checksum,
+  /// then loads `file_`.
   Status Load() {
     uint64_t offset = 0;
     uint64_t stored = 0;
@@ -308,15 +347,46 @@ class TokenSectionTest : public ::testing::Test {
     return LoadSnapshot(path_, {}, &loaded);
   }
 
+  std::string path_;
+  std::string file_;
+  size_t section_ = SIZE_MAX;
+};
+
+// A repeated vocabulary string, or a record's ids out of order.
+class TokenSectionTest : public ResealedSectionTest {
+ protected:
+  void SetUp() override {
+    data::Dataset d{data::Schema({"name"})};
+    d.Add({{"ada lovelace"}}, 0);
+    d.Add({{"ada byron"}}, 0);
+    d.Add({{"bob"}}, 1);
+    d.features().TokensFor({"name"});
+    ByteReader r = WriteAndFind(d, SectionId::kTokenColumn, "tokens");
+
+    // Walk the raw payload: attributes, vocabulary, counts, ids.
+    std::vector<std::string> attrs;
+    ASSERT_TRUE(ReadStringBlock(r, /*compressed=*/false, &attrs).ok());
+    uint64_t count = 0;
+    ASSERT_TRUE(r.ReadVarint(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      std::string_view token;
+      ASSERT_TRUE(r.ReadStringView(&token));
+      vocabulary_.push_back(
+          {static_cast<size_t>(token.data() - file_.data()), token.size()});
+    }
+    std::vector<uint64_t> counts;
+    ASSERT_TRUE(ReadU64Block(r, /*compressed=*/false, &counts).ok());
+    ASSERT_TRUE(r.ReadVarint(&count));
+    ids_at_ = At(r);
+    ASSERT_GE(counts.at(0), 2u);  // record 0 holds two ids to swap
+  }
+
   static void ExpectTokenColumnError(const Status& s) {
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.message().rfind("snapshot: token column", 0), 0u)
         << s.message();
   }
 
-  std::string path_;
-  std::string file_;
-  size_t section_ = SIZE_MAX;
   std::vector<std::pair<size_t, size_t>> vocabulary_;  // (file offset, size)
   size_t ids_at_ = 0;  // file offset of the first u64 id
 };
@@ -340,13 +410,60 @@ TEST_F(TokenSectionTest, RepeatedVocabularyStringIsRefused) {
 }
 
 TEST_F(TokenSectionTest, RecordIdsOutOfOrderAreRefused) {
-  std::swap_ranges(file_.begin() + static_cast<std::ptrdiff_t>(ids_at_),
-                   file_.begin() + static_cast<std::ptrdiff_t>(ids_at_ + 8),
-                   file_.begin() + static_cast<std::ptrdiff_t>(ids_at_ + 8));
+  SwapU64(ids_at_, ids_at_ + 8);
   Status s = Load();
   ExpectTokenColumnError(s);
   EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
       << s.message();
+}
+
+// A record's shingle hashes out of order, or one repeated: harra's set
+// union and the tuning Jaccard read these rows as sorted sets.
+class ShingleSectionTest : public ResealedSectionTest {
+ protected:
+  void SetUp() override {
+    data::Dataset d{data::Schema({"name"})};
+    d.Add({{"ada lovelace"}}, 0);
+    d.Add({{"ada lovelac"}}, 0);
+    d.features().ShinglesFor({"name"}, 2);
+    ByteReader r = WriteAndFind(d, SectionId::kShingleColumn, "shingles");
+
+    // Walk the raw payload: attributes, q, counts, hashes.
+    std::vector<std::string> attrs;
+    ASSERT_TRUE(ReadStringBlock(r, /*compressed=*/false, &attrs).ok());
+    uint64_t q = 0;
+    ASSERT_TRUE(r.ReadVarint(&q));
+    std::vector<uint64_t> counts;
+    ASSERT_TRUE(ReadU64Block(r, /*compressed=*/false, &counts).ok());
+    uint64_t count = 0;
+    ASSERT_TRUE(r.ReadVarint(&count));
+    hashes_at_ = At(r);
+    ASSERT_GE(counts.at(0), 2u);  // record 0 holds two hashes to patch
+  }
+
+  static void ExpectUnsortedRow(const Status& s) {
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.message(),
+              "snapshot: shingle column row 0 hashes are not strictly "
+              "ascending");
+  }
+
+  size_t hashes_at_ = 0;  // file offset of the first u64 hash
+};
+
+TEST_F(ShingleSectionTest, ResealedSectionLoads) {
+  Status s = Load();
+  EXPECT_TRUE(s.ok()) << s.message();
+}
+
+TEST_F(ShingleSectionTest, RecordHashesOutOfOrderAreRefused) {
+  SwapU64(hashes_at_, hashes_at_ + 8);
+  ExpectUnsortedRow(Load());
+}
+
+TEST_F(ShingleSectionTest, RepeatedRecordHashIsRefused) {
+  file_.replace(hashes_at_ + 8, 8, file_.substr(hashes_at_, 8));
+  ExpectUnsortedRow(Load());
 }
 
 }  // namespace

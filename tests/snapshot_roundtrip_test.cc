@@ -76,10 +76,10 @@ std::unique_ptr<core::BlockingTechnique> MustCreate(const std::string& spec) {
 }
 
 /// Canonical form of a block collection: blocks sorted internally and
-/// against each other. Emission order may differ between a built store
-/// (global token ids in interning order of the full workload) and an
-/// adopted store (global ids re-interned per column); the block *sets*
-/// may not.
+/// against each other. The round trip must keep the block *sets*; each
+/// technique's emission order is pinned by its own goldens. Neither store
+/// has global token ids: every token column interns its own vocabulary,
+/// the same way when built and when adopted.
 std::vector<core::Block> Canonical(const core::BlockCollection& blocks) {
   std::vector<core::Block> canon = blocks.blocks();
   for (core::Block& b : canon) std::sort(b.begin(), b.end());

@@ -306,14 +306,15 @@ TEST(SnapshotTest, FeatureSectionsRoundtripAndPreWarmTheCache) {
   auto ref_shingles = reference.ShinglesFor(attrs, 2);
   auto sigs = view.SignaturesFor(attrs, 2, 16, 7);
   auto ref_sigs = reference.SignaturesFor(attrs, 2, 16, 7);
-  ASSERT_EQ(tokens.token_limit(), ref_tokens.token_limit());
+  ASSERT_EQ(tokens.column().token_limit(),
+            ref_tokens.column().token_limit());
   for (data::RecordId id = 0; id < loaded.size(); ++id) {
-    EXPECT_EQ(text.Text(id), ref_text.Text(id)) << id;
-    EXPECT_TRUE(std::ranges::equal(tokens.Tokens(id), ref_tokens.Tokens(id)))
+    EXPECT_EQ(text.Row(id), ref_text.Row(id)) << id;
+    EXPECT_TRUE(std::ranges::equal(tokens.Row(id), ref_tokens.Row(id))) << id;
+    EXPECT_TRUE(std::ranges::equal(shingles.Row(id), ref_shingles.Row(id)))
         << id;
-    EXPECT_EQ(shingles.Shingles(id), ref_shingles.Shingles(id)) << id;
-    std::span<const uint64_t> got = sigs.Signature(id);
-    std::span<const uint64_t> want = ref_sigs.Signature(id);
+    std::span<const uint64_t> got = sigs.Row(id);
+    std::span<const uint64_t> want = ref_sigs.Row(id);
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << id;
   }
@@ -323,8 +324,10 @@ TEST(SnapshotTest, FeatureSectionsRoundtripAndPreWarmTheCache) {
   const features::TokenColumn& ref_column = reference.store().Tokens(attrs);
   EXPECT_TRUE(
       std::ranges::equal(column.vocabulary(), ref_column.vocabulary()));
-  EXPECT_TRUE(std::ranges::equal(column.ids(), ref_column.ids()));
-  EXPECT_TRUE(std::ranges::equal(column.offsets(), ref_column.offsets()));
+  EXPECT_TRUE(std::ranges::equal(column.rows().values(),
+                                 ref_column.rows().values()));
+  EXPECT_TRUE(std::ranges::equal(column.rows().offsets(),
+                                 ref_column.rows().offsets()));
   // Adoption counts as the build for the stats counters: reads above
   // must not have rebuilt anything.
   features::FeatureStore::Stats stats = view.store().stats();
@@ -362,7 +365,7 @@ TEST(SnapshotTest, MutationAfterLoadCopiesOnWrite) {
   // A fresh view rebuilds over the grown dataset.
   features::FeatureView after = loaded.features();
   EXPECT_EQ(after.size(), loaded.size());
-  EXPECT_EQ(after.TextsFor({"name"}).Text(id), "dave");
+  EXPECT_EQ(after.TextsFor({"name"}).Row(id), "dave");
   std::remove(path.c_str());
 }
 

@@ -65,18 +65,20 @@ TEST(SpecSweepTest, BudgetTerms) {
   for (const char* term : {"pairs", "seconds", "recall-target"}) {
     for (const char* value : kValues) {
       const std::string spec = std::string(term) + "=" + value;
-      StatusOr<core::Budget> budget = core::Budget::Parse(spec);
-      if (!budget.ok()) {
-        EXPECT_NE(budget.status().message().find(term), std::string::npos)
-            << spec << " -> " << budget.status().message();
+      core::Budget budget;
+      Status status = core::Budget::Parse(spec, &budget);
+      if (!status.ok()) {
+        EXPECT_NE(status.message().find(term), std::string::npos)
+            << spec << " -> " << status.message();
         continue;
       }
       // An accepted budget round-trips, and a fresh meter over it has not
       // tripped before the first pair (sub-second deadlines aside).
-      StatusOr<core::Budget> again = core::Budget::Parse(budget->ToString());
-      EXPECT_TRUE(again.ok()) << spec << " -> " << budget->ToString();
-      core::BudgetMeter meter(*budget);
-      if (budget->seconds == 0.0 || budget->seconds >= 1.0) {
+      core::Budget again;
+      EXPECT_TRUE(core::Budget::Parse(budget.ToString(), &again).ok())
+          << spec << " -> " << budget.ToString();
+      core::BudgetMeter meter(budget);
+      if (budget.seconds == 0.0 || budget.seconds >= 1.0) {
         EXPECT_FALSE(meter.Exhausted()) << spec;
         EXPECT_TRUE(meter.Spend(1)) << spec;
       }

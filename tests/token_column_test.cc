@@ -141,8 +141,10 @@ TEST(TokenColumnTest, IdRuleMatchesTheReferenceOnTheGoldenCoraCorpus) {
                                                   d.Value(id, "title")};
     raw.Append(values);
   }
-  EXPECT_TRUE(std::ranges::equal(raw.ids(), column.ids()));
-  EXPECT_TRUE(std::ranges::equal(raw.offsets(), column.offsets()));
+  EXPECT_TRUE(
+      std::ranges::equal(raw.rows().values(), column.rows().values()));
+  EXPECT_TRUE(
+      std::ranges::equal(raw.rows().offsets(), column.rows().offsets()));
   EXPECT_TRUE(std::ranges::equal(raw.vocabulary(), column.vocabulary()));
 }
 
@@ -159,12 +161,15 @@ TEST(TokenColumnTest, LoadRebuildsTheColumnAndKeepsItsIdRule) {
   for (size_t r = 0; r < built.size(); ++r) {
     counts.push_back(built.Row(r).size());
   }
-  const std::vector<uint64_t> ids(built.ids().begin(), built.ids().end());
+  const std::vector<uint64_t> ids(built.rows().values().begin(),
+                                  built.rows().values().end());
   TokenColumn loaded;
   Status s = TokenColumn::Load(vocabulary, counts, ids, &loaded);
   ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(std::ranges::equal(loaded.ids(), built.ids()));
-  EXPECT_TRUE(std::ranges::equal(loaded.offsets(), built.offsets()));
+  EXPECT_TRUE(
+      std::ranges::equal(loaded.rows().values(), built.rows().values()));
+  EXPECT_TRUE(
+      std::ranges::equal(loaded.rows().offsets(), built.rows().offsets()));
   EXPECT_TRUE(std::ranges::equal(loaded.vocabulary(), built.vocabulary()));
 
   // Both go on interning the same way.
@@ -172,7 +177,8 @@ TEST(TokenColumnTest, LoadRebuildsTheColumnAndKeepsItsIdRule) {
                                            rows.back().end());
   built.Append(last);
   loaded.Append(last);
-  EXPECT_TRUE(std::ranges::equal(loaded.ids(), built.ids()));
+  EXPECT_TRUE(
+      std::ranges::equal(loaded.rows().values(), built.rows().values()));
   EXPECT_TRUE(std::ranges::equal(loaded.vocabulary(), built.vocabulary()));
 }
 

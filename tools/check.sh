@@ -24,6 +24,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One job per CPU for both the build and ctest: a bare `-j` gives make no
+# limit (a compiler per ready target at once) and gives ctest nothing.
+jobs="$(nproc)"
+
 # Runs ctest in $1 with the remaining args; propagates its exit status.
 run_ctest() {
   local build_dir="$1"
@@ -41,23 +45,23 @@ mode="${1:-}"
 case "$mode" in
   --tsan)
     cmake -B build-tsan -S . -DSABLOCK_SANITIZE=thread
-    cmake --build build-tsan -j
-    run_ctest build-tsan -L 'concurrency|service'
+    cmake --build build-tsan -j "$jobs"
+    run_ctest build-tsan -L 'concurrency|service' -j "$jobs"
     ;;
   --asan)
     cmake -B build-asan -S . -DSABLOCK_SANITIZE=address,undefined
-    cmake --build build-asan -j
-    run_ctest build-asan -j
+    cmake --build build-asan -j "$jobs"
+    run_ctest build-asan -j "$jobs"
     ;;
   --quick)
     cmake -B build -S .
-    cmake --build build -j
-    run_ctest build -L 'unit|snapshot|progressive|fuzz' -j
+    cmake --build build -j "$jobs"
+    run_ctest build -L 'unit|snapshot|progressive|fuzz' -j "$jobs"
     ;;
   "")
     cmake -B build -S .
-    cmake --build build -j
-    run_ctest build -j
+    cmake --build build -j "$jobs"
+    run_ctest build -j "$jobs"
     ;;
   *)
     echo "usage: tools/check.sh [--quick|--tsan|--asan]" >&2
