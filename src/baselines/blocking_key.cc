@@ -7,6 +7,9 @@
 
 namespace sablock::baselines {
 
+namespace {
+
+/// Encodes one normalized component value onto `key`.
 void AppendKeyComponent(const KeyComponent& comp, std::string_view value,
                         std::string* key) {
   if (value.empty()) return;
@@ -37,14 +40,16 @@ void AppendKeyComponent(const KeyComponent& comp, std::string_view value,
   }
 }
 
+}  // namespace
+
 KeyBuilder::KeyBuilder(const data::Dataset& dataset,
                        const BlockingKeyDef& def)
-    : def_(def), features_(dataset.features()) {
+    : def_(def) {
+  const features::FeatureView features = dataset.features();
   columns_.reserve(def.components.size());
   for (const KeyComponent& comp : def.components) {
-    // The single-attribute text column is exactly
-    // NormalizeForMatching(Value(id, attribute)), cached once per dataset.
-    columns_.push_back(features_.TextsFor({comp.attribute}));
+    // The component's one-attribute text column, cached once per dataset.
+    columns_.push_back(features.TextsFor({comp.attribute}));
   }
 }
 
@@ -56,18 +61,30 @@ std::string KeyBuilder::Key(data::RecordId id) const {
   return key;
 }
 
-std::string MakeKey(const data::Dataset& dataset, data::RecordId id,
-                    const BlockingKeyDef& def) {
-  // One-shot path: compute this record's key directly — building (and
-  // permanently caching) full-dataset text columns for a single key
-  // would be O(records); that path belongs to KeyBuilder.
-  std::string key;
+std::vector<std::string> KeyAttributes(const BlockingKeyDef& def) {
+  std::vector<std::string> attributes;
+  attributes.reserve(def.components.size());
   for (const KeyComponent& comp : def.components) {
-    std::string value =
-        sablock::NormalizeForMatching(dataset.Value(id, comp.attribute));
-    AppendKeyComponent(comp, value, &key);
+    attributes.push_back(comp.attribute);
+  }
+  return attributes;
+}
+
+std::string RowKey(const BlockingKeyDef& def, std::span<const int> positions,
+                   std::span<const std::string_view> values) {
+  std::string key;
+  for (size_t c = 0; c < def.components.size(); ++c) {
+    AppendKeyComponent(def.components[c],
+                       data::BlockingText(values, positions.subspan(c, 1)),
+                       &key);
   }
   return key;
+}
+
+std::string MakeKey(const data::Dataset& dataset, data::RecordId id,
+                    const BlockingKeyDef& def) {
+  return RowKey(def, dataset.schema().Positions(KeyAttributes(def)),
+                dataset.Values(id));
 }
 
 std::vector<std::string> MakeAllKeys(const data::Dataset& dataset,

@@ -1,7 +1,9 @@
 #ifndef SABLOCK_BASELINES_BLOCKING_KEY_H_
 #define SABLOCK_BASELINES_BLOCKING_KEY_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/record.h"
@@ -30,11 +32,11 @@ struct BlockingKeyDef {
   std::vector<KeyComponent> components;
 };
 
-/// Per-dataset BKV generator: resolves each component's normalized-value
-/// column from the dataset's FeatureStore once, then builds keys with no
-/// per-record normalization or attribute lookup. Every key-based
-/// technique should construct one of these per Run instead of calling
-/// MakeKey in a loop.
+/// Per-dataset BKV generator: resolves each component's one-attribute
+/// text column (the value RowKey encodes) from the dataset's FeatureStore
+/// once, then builds keys with no per-record normalization or attribute
+/// lookup. Every key-based technique should construct one of these per
+/// Run instead of calling MakeKey in a loop.
 class KeyBuilder {
  public:
   KeyBuilder(const data::Dataset& dataset, const BlockingKeyDef& def);
@@ -45,21 +47,24 @@ class KeyBuilder {
 
  private:
   BlockingKeyDef def_;  // owned copy: safe for temporary-def callers
-  features::FeatureView features_;  // keeps the store alive
-  // One text column per component.
+  // One text column per component; each handle keeps the store alive.
   std::vector<features::FeatureView::Handle<features::TextColumn>> columns_;
 };
 
-/// One-shot convenience around KeyBuilder (prefer KeyBuilder in loops).
+/// The components' attribute names, in order: what RowKey's positions resolve.
+std::vector<std::string> KeyAttributes(const BlockingKeyDef& def);
+
+/// The BKV of one schema-aligned value row, component c read at
+/// `positions[c]` (-1: the schema lacks it, and it adds nothing) as its
+/// one-attribute data::BlockingText. The one per-record key function,
+/// behind MakeKey and the incremental sorted-neighbourhood index.
+std::string RowKey(const BlockingKeyDef& def, std::span<const int> positions,
+                   std::span<const std::string_view> values);
+
+/// One-shot: RowKey over record `id`, resolving the attributes for this
+/// call and caching no column (prefer KeyBuilder in loops).
 std::string MakeKey(const data::Dataset& dataset, data::RecordId id,
                     const BlockingKeyDef& def);
-
-/// Encodes one already normalized component value onto `key` — the
-/// single shared encoding step behind KeyBuilder/MakeKey, exported so
-/// per-record key computation outside a Dataset (the incremental
-/// sorted-neighbourhood index) matches them byte-for-byte.
-void AppendKeyComponent(const KeyComponent& comp, std::string_view value,
-                        std::string* key);
 
 /// Computes all records' BKVs.
 std::vector<std::string> MakeAllKeys(const data::Dataset& dataset,

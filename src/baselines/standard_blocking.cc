@@ -47,11 +47,12 @@ void TokenBlockingTechnique::Run(const data::Dataset& dataset,
   // Emit in canonical content order: downstream pruning should see blocks
   // ordered by what they contain, not by how the vocabulary happened to
   // be discovered. Singleton blocks carry no comparisons and are skipped.
-  std::vector<core::Block> kept;
+  core::BlockCollection kept;
   postings.ForEach([&](features::TokenId, core::Block& block) {
-    if (block.size() >= 2) kept.push_back(std::move(block));
+    if (block.size() >= 2) kept.Add(std::move(block));
   });
-  core::EmitSorted(std::move(kept), sink);
+  kept.SortBlocks();
+  kept.Drain(sink);
 }
 
 }  // namespace sablock::baselines

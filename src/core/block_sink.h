@@ -169,17 +169,6 @@ inline void EmitWindows(std::vector<data::RecordId> order, size_t window,
   }
 }
 
-/// Sorts `blocks` into canonical content order and emits them until the
-/// sink reports Done. Token blocking and its incremental index both emit
-/// through this, so their block sequences cannot drift apart.
-inline void EmitSorted(std::vector<Block> blocks, BlockSink& sink) {
-  std::sort(blocks.begin(), blocks.end());
-  for (Block& block : blocks) {
-    if (sink.Done()) break;
-    sink.Consume(std::move(block));
-  }
-}
-
 }  // namespace sablock::core
 
 #endif  // SABLOCK_CORE_BLOCK_SINK_H_

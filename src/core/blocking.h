@@ -1,6 +1,7 @@
 #ifndef SABLOCK_CORE_BLOCKING_H_
 #define SABLOCK_CORE_BLOCKING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,6 +33,9 @@ class BlockCollection : public BlockSink {
   /// engine's per-shard collections) still emit through the streaming
   /// interface.
   void Drain(BlockSink& sink);
+
+  /// Sorts the blocks into canonical content order (lexicographic by ids).
+  void SortBlocks() { std::sort(blocks_.begin(), blocks_.end()); }
 
   size_t NumBlocks() const { return blocks_.size(); }
   const std::vector<Block>& blocks() const { return blocks_; }

@@ -146,8 +146,8 @@ LshBands ComputeLshBands(const data::Dataset& dataset,
 /// non-decreasing order, and EmitTable groups them through a FlatMap with
 /// a counting scatter — no per-bucket allocation, ids ascending within a
 /// bucket — and emits the buckets of two or more records in canonical
-/// content order (the order of EmitSorted and of the incremental LSH
-/// indexes). Tables are bucketed one at a time, reusing the scratch.
+/// content order (BlockCollection::SortBlocks', as the LSH indexes do).
+/// Tables are bucketed one at a time, reusing the scratch.
 class LshBuckets {
  public:
   void Add(uint64_t key, data::RecordId id) { entries_.push_back({key, id}); }

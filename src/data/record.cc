@@ -42,6 +42,51 @@ size_t Schema::RequireIndex(std::string_view name) const {
   return static_cast<size_t>(idx);
 }
 
+std::vector<int> Schema::Positions(std::span<const std::string> names) const {
+  std::vector<int> positions;
+  positions.reserve(names.size());
+  for (const std::string& name : names) positions.push_back(IndexOf(name));
+  return positions;
+}
+
+size_t WriteBlockingText(std::span<const std::string_view> values,
+                         std::span<const int> positions,
+                         std::span<char> out) {
+  // NormalizeForMatching of the values joined by spaces, in one pass: the
+  // maximal runs of ASCII letters and digits, lowercased, one space apart.
+  // No run spans two values, and an empty value holds none.
+  size_t length = 0;
+  bool gap = false;
+  for (int position : positions) {
+    if (position < 0) continue;
+    for (char c : values[static_cast<size_t>(position)]) {
+      const char m = MatchingChar(c);
+      if (m != 0 && gap && length > 0) out[length++] = ' ';
+      if (m != 0) out[length++] = m;
+      gap = m == 0;
+    }
+    gap = true;
+  }
+  return length;
+}
+
+size_t BlockingTextBound(std::span<const std::string_view> values,
+                         std::span<const int> positions) {
+  size_t bound = 0;  // a char per value byte, a space after each value
+  for (int position : positions) {
+    if (position < 0) continue;
+    bound += values[static_cast<size_t>(position)].size() + 1;
+  }
+  return bound;
+}
+
+std::string BlockingText(std::span<const std::string_view> values,
+                         std::span<const int> positions) {
+  std::string text(BlockingTextBound(values, positions), '\0');
+  text.resize(WriteBlockingText(values, positions, text));
+  return text;
+}
+
 Dataset::Dataset(const Dataset& other)
     : schema_(other.schema_),
       arena_(other.arena_),
@@ -144,18 +189,6 @@ std::string_view Dataset::Value(RecordId id, std::string_view attribute) const {
   if (idx < 0) return {};
   return values_[static_cast<size_t>(id) * schema_.size() +
                  static_cast<size_t>(idx)];
-}
-
-std::string Dataset::ConcatenatedValues(
-    RecordId id, const std::vector<std::string>& attributes) const {
-  std::string joined;
-  for (const std::string& attr : attributes) {
-    std::string_view v = Value(id, attr);
-    if (v.empty()) continue;
-    if (!joined.empty()) joined.push_back(' ');
-    joined.append(v);
-  }
-  return NormalizeForMatching(joined);
 }
 
 uint64_t Dataset::CountTrueMatchPairs() const {

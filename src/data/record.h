@@ -43,6 +43,10 @@ class Schema {
   /// Index of an attribute name; aborts if absent.
   size_t RequireIndex(std::string_view name) const;
 
+  /// The positions of `names`, in list order (-1: absent), resolved once
+  /// so that a per-record path reads value rows by position.
+  std::vector<int> Positions(std::span<const std::string> names) const;
+
   size_t size() const { return names_.size(); }
   const std::vector<std::string>& names() const { return names_; }
 
@@ -52,6 +56,18 @@ class Schema {
                      std::equal_to<>>
       index_;
 };
+
+/// A record's blocking text: the non-empty values at `positions` of a
+/// schema-aligned row (a negative position, a name the schema lacks, is
+/// skipped), in list order, joined by one space, then NormalizeForMatching.
+/// WriteBlockingText writes it into `out` of at least BlockingTextBound
+/// chars and returns its length.
+std::string BlockingText(std::span<const std::string_view> values,
+                         std::span<const int> positions);
+size_t BlockingTextBound(std::span<const std::string_view> values,
+                         std::span<const int> positions);
+size_t WriteBlockingText(std::span<const std::string_view> values,
+                         std::span<const int> positions, std::span<char> out);
 
 /// A record is a flat list of attribute values aligned with a Schema.
 /// Used as the *input* type of Dataset::Add; stored records live in the
@@ -140,12 +156,12 @@ class Dataset {
   /// does not exist in the schema.
   std::string_view Value(RecordId id, std::string_view attribute) const;
 
-  /// Concatenation of the values of `attributes` in record `id`, separated
-  /// by single spaces, normalized for matching (lower-case alnum). This is
-  /// the canonical "blocking text" of a record. Techniques should prefer
-  /// the cached copy in features() over recomputing this per call.
+  /// The blocking text of record `id` over `attributes`, looked up by
+  /// name. Techniques read the cached text column in features() instead.
   std::string ConcatenatedValues(
-      RecordId id, const std::vector<std::string>& attributes) const;
+      RecordId id, const std::vector<std::string>& attributes) const {
+    return BlockingText(Values(id), schema_.Positions(attributes));
+  }
 
   /// Total number of ground-truth matching pairs |Ω_tp|.
   uint64_t CountTrueMatchPairs() const;

@@ -187,29 +187,18 @@ const TextColumn& FeatureStore::Texts(
 const TextColumn& FeatureStore::Texts(
     const std::vector<std::string>& attributes, Caller caller) const {
   static ColumnMetrics& metrics = *new ColumnMetrics("text");
-  std::vector<size_t> columns;  // the attributes' schema positions
-  for (const std::string& attr : attributes) {
-    const int column = snapshot_.schema().IndexOf(attr);
-    if (column >= 0) columns.push_back(static_cast<size_t>(column));
-  }
+  const std::vector<int> positions = snapshot_.schema().Positions(attributes);
+  auto values = [&](size_t id) {
+    return snapshot_.Values(static_cast<data::RecordId>(id));
+  };
   return Obtain(
       FindOrCreate(texts_, Key(attributes)), caller, metrics,
       kChunkRecords, [](Caller) {},
-      [&](size_t id) {
-        // Normalization never lengthens the values joined by spaces.
-        const std::span<const std::string_view> values =
-            snapshot_.Values(static_cast<data::RecordId>(id));
-        size_t bound = columns.size();
-        for (size_t column : columns) bound += values[column].size();
-        return bound;
-      },
+      [&](size_t id) { return data::BlockingTextBound(values(id), positions); },
       [&](TextColumn& out, size_t begin, size_t end, size_t slot) {
         for (size_t id = begin; id < end; ++id) {
-          const std::string text = snapshot_.ConcatenatedValues(
-              static_cast<data::RecordId>(id), attributes);
           slot = out.WriteRow(id, slot, [&](std::span<char> chars) {
-            std::copy(text.begin(), text.end(), chars.begin());
-            return text.size();
+            return data::WriteBlockingText(values(id), positions, chars);
           });
         }
       },

@@ -20,8 +20,8 @@
 namespace sablock::features {
 
 /// Per-record normalized blocking text for one attribute selection, in
-/// the one row layout over chars: Row(id) is a std::string_view, exactly
-/// Dataset::ConcatenatedValues(id, attributes).
+/// the one row layout over chars: Row(id) is a std::string_view, the
+/// record's data::BlockingText (Dataset::ConcatenatedValues).
 using TextColumn = Rows<char>;
 
 /// Per-record sorted distinct q-gram shingle hashes for one

@@ -6,6 +6,19 @@
 
 namespace sablock::index {
 
+Status ResolveAttributes(const data::Schema& schema,
+                         std::span<const std::string> attributes,
+                         std::vector<int>* positions) {
+  *positions = schema.Positions(attributes);
+  for (size_t i = 0; i < attributes.size(); ++i) {
+    if ((*positions)[i] < 0) {
+      return Status::Error("index attribute '" + attributes[i] +
+                           "' is not in the schema");
+    }
+  }
+  return Status::Ok();
+}
+
 void LoadDataset(IncrementalIndex& index, const data::Dataset& dataset) {
   Status status = index.Bind(dataset.schema());
   SABLOCK_CHECK_MSG(status.ok(), status.message().c_str());

@@ -75,6 +75,12 @@ class IncrementalIndex {
   virtual size_t size() const = 0;
 };
 
+/// Bind's attribute resolver: the positions of `attributes`
+/// (data::Schema::Positions), or an error naming the first one missing.
+Status ResolveAttributes(const data::Schema& schema,
+                         std::span<const std::string> attributes,
+                         std::vector<int>* positions);
+
 /// Equivalence bridge, batch side -> index side: binds `index` to the
 /// dataset's schema and inserts every record in id order. Aborts on a
 /// Bind error (caller bug: the spec's attributes must exist in the

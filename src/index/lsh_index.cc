@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "index/sorted_ids.h"
 #include "text/qgram.h"
 
@@ -11,24 +10,15 @@ namespace sablock::index {
 
 namespace {
 
-/// The record's l band keys, computed exactly as the batch pipeline
-/// does: blocking text (non-empty attribute values joined by spaces,
-/// normalized) -> distinct q-gram hashes -> minhash rows -> one key per
-/// table. Empty for an empty shingle set, which enters no table.
+/// The record's l band keys, computed as the batch pipeline does: blocking
+/// text -> distinct q-gram hashes -> minhash rows -> one key per table.
+/// Empty for an empty shingle set, which enters no table.
 std::vector<uint64_t> RowBands(std::span<const std::string_view> values,
-                               const std::vector<int>& attr_index,
+                               const std::vector<int>& positions,
                                const core::LshParams& params,
                                const core::MinHasher& hasher) {
-  std::string joined;
-  for (int idx : attr_index) {
-    std::string_view v = values[static_cast<size_t>(idx)];
-    if (v.empty()) continue;
-    if (!joined.empty()) joined.push_back(' ');
-    joined.append(v);
-  }
-  std::vector<uint64_t> sig =
-      hasher.Signature(text::QGramHashes(NormalizeForMatching(joined),
-                                         params.q));
+  std::vector<uint64_t> sig = hasher.Signature(
+      text::QGramHashes(data::BlockingText(values, positions), params.q));
   std::vector<uint64_t> bands;
   if (core::IsEmptyMinhashSignature(sig)) return bands;
   bands.reserve(static_cast<size_t>(params.l));
@@ -66,18 +56,10 @@ std::string LshIndex::name() const {
 
 Status LshIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  attr_index_.clear();
-  for (const std::string& attr : params_.attributes) {
-    const int idx = schema.IndexOf(attr);
-    if (idx < 0) {
-      return Status::Error("index attribute '" + attr +
-                           "' is not in the schema");
-    }
-    attr_index_.push_back(idx);
-  }
+  Status status = ResolveAttributes(schema, params_.attributes, &positions_);
   schema_ = schema;
-  bound_ = true;
-  return Status::Ok();
+  bound_ = status.ok();
+  return status;
 }
 
 core::SemSignature LshIndex::Encode(
@@ -116,7 +98,7 @@ void LshIndex::Insert(data::RecordId id,
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
   SABLOCK_CHECK_MSG(records_.count(id) == 0, "record id already live");
   RecordState state;
-  state.bands = RowBands(values, attr_index_, params_, hasher_);
+  state.bands = RowBands(values, positions_, params_, hasher_);
   bool fresh_concepts = false;
   if (semantics_ != nullptr) {
     state.zeta = semantics_->Interpret(schema_, values);
@@ -173,7 +155,7 @@ std::vector<data::RecordId> LshIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
   const std::vector<uint64_t> bands =
-      RowBands(values, attr_index_, params_, hasher_);
+      RowBands(values, positions_, params_, hasher_);
   // The probe is evaluated under the current feature set; concepts no
   // indexed record has had yet contribute no semhash bit (matching how a
   // batch run without the probe would gate the existing records).
@@ -198,11 +180,12 @@ void LshIndex::EmitBlocks(core::BlockSink& sink) const {
   // content order (bucket ids are already ascending).
   for (const auto& table : tables_) {
     if (sink.Done()) return;
-    std::vector<core::Block> kept;
+    core::BlockCollection kept;
     for (const auto& [key, ids] : table) {
-      if (ids.size() >= 2) kept.push_back(ids);
+      if (ids.size() >= 2) kept.Add(ids);
     }
-    core::EmitSorted(std::move(kept), sink);
+    kept.SortBlocks();
+    kept.Drain(sink);
   }
 }
 

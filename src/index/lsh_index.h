@@ -17,9 +17,10 @@ namespace sablock::index {
 /// Incremental minhash-LSH banding tables, the index-side counterpart of
 /// core::LshBlocker, plain (`lsh`) and, given a semantic function,
 /// semantic-aware (`sa-lsh`): l tables keyed by the band key of k
-/// signature rows, each key gated by the w-way semantic hash.
-/// Records with empty shingle sets are live but enter no table, exactly
-/// like the batch blockers exclude them.
+/// signature rows, each key gated by the w-way semantic hash. A record's
+/// signature minhashes the q-gram shingles of its data::BlockingText, the
+/// batch text column's row. Records with empty shingle sets are live but
+/// enter no table, exactly like the batch blockers exclude them.
 ///
 /// The semhash feature set is data-dependent (the union of leaf concepts
 /// reachable from the indexed records, Algorithm 1), so inserting a record
@@ -68,9 +69,9 @@ class LshIndex : public IncrementalIndex {
   core::LshParams params_;
   core::SemanticParams sem_params_;
   std::shared_ptr<const core::SemanticFunction> semantics_;  // null: lsh
-  core::MinHasher hasher_;       // k*l rows, params_.seed
-  std::vector<int> attr_index_;  // schema positions, set by Bind
-  data::Schema schema_;          // the bound schema, for SemanticFunction
+  core::MinHasher hasher_;      // k*l rows, params_.seed
+  std::vector<int> positions_;  // the attributes' positions, set by Bind
+  data::Schema schema_;         // the bound schema, for SemanticFunction
   bool bound_ = false;
 
   core::SemhashEncoder encoder_;  // built from seen_concepts_

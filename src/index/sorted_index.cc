@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "index/sorted_ids.h"
 
 namespace sablock::index {
@@ -20,34 +19,15 @@ std::string SortedWindowIndex::name() const {
 
 Status SortedWindowIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  for (const baselines::KeyComponent& comp : key_.components) {
-    if (schema.IndexOf(comp.attribute) < 0) {
-      return Status::Error("index attribute '" + comp.attribute +
-                           "' is not in the schema");
-    }
-  }
-  schema_ = schema;
-  bound_ = true;
-  return Status::Ok();
-}
-
-std::string SortedWindowIndex::KeyOf(
-    std::span<const std::string_view> values) const {
-  std::string key;
-  for (const baselines::KeyComponent& comp : key_.components) {
-    int idx = schema_.IndexOf(comp.attribute);
-    std::string value =
-        NormalizeForMatching(values[static_cast<size_t>(idx)]);
-    baselines::AppendKeyComponent(comp, value, &key);
-  }
-  return key;
+  Status status = ResolveAttributes(schema, baselines::KeyAttributes(key_),
+                                    &positions_);
+  bound_ = status.ok();
+  return status;
 }
 
 std::vector<data::RecordId> SortedWindowIndex::FlattenedOrder() const {
-  // Key-ascending, id-ascending within equal keys: exactly the batch
-  // technique's stable_sort of records in id order.
   std::vector<data::RecordId> order;
-  order.reserve(live_);
+  order.reserve(record_keys_.size());
   for (const auto& [key, ids] : buckets_) {
     order.insert(order.end(), ids.begin(), ids.end());
   }
@@ -58,10 +38,9 @@ void SortedWindowIndex::Insert(data::RecordId id,
                                std::span<const std::string_view> values) {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
   SABLOCK_CHECK_MSG(record_keys_.count(id) == 0, "record id already live");
-  std::string key = KeyOf(values);
+  std::string key = baselines::RowKey(key_, positions_, values);
   InsertSortedId(&buckets_[key], id);
   record_keys_.emplace(id, std::move(key));
-  ++live_;
 }
 
 bool SortedWindowIndex::Remove(data::RecordId id) {
@@ -72,14 +51,13 @@ bool SortedWindowIndex::Remove(data::RecordId id) {
   EraseSortedId(&bucket->second, id);
   if (bucket->second.empty()) buckets_.erase(bucket);
   record_keys_.erase(it);
-  --live_;
   return true;
 }
 
 std::vector<data::RecordId> SortedWindowIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
-  const size_t n = live_;
+  const size_t n = record_keys_.size();
   if (n == 0) return {};
   const size_t w = static_cast<size_t>(window_size_);
 
@@ -87,18 +65,14 @@ std::vector<data::RecordId> SortedWindowIndex::Query(
   // places it after every live record with an equal key. With it
   // inserted the array has n + 1 entries; every window containing the
   // probe covers the live records within w - 1 positions of the
-  // insertion point.
-  if (w >= n + 1) {
-    std::vector<data::RecordId> all = FlattenedOrder();
-    std::sort(all.begin(), all.end());
-    return all;
-  }
-
-  const std::string probe_key = KeyOf(values);
+  // insertion point (all of them when w > n, wherever the probe goes).
   size_t p = 0;  // probe position in the merged order
-  for (auto it = buckets_.begin();
-       it != buckets_.end() && it->first <= probe_key; ++it) {
-    p += it->second.size();
+  if (w <= n) {
+    const std::string probe_key = baselines::RowKey(key_, positions_, values);
+    for (auto it = buckets_.begin();
+         it != buckets_.end() && it->first <= probe_key; ++it) {
+      p += it->second.size();
+    }
   }
 
   std::vector<data::RecordId> order = FlattenedOrder();

@@ -11,11 +11,11 @@
 namespace sablock::index {
 
 /// Incremental sorted-neighbourhood index: records live in a key-ordered
-/// structure (ids ascending within equal keys, matching the batch
-/// stable sort) and a window of `window_size` positions defines the
-/// blocks. EmitBlocks reproduces baselines::SortedNeighbourhoodArray
-/// byte-identically; Query returns the records a probe would share a
-/// window with if it were inserted next.
+/// structure (ids ascending within equal keys, matching the batch stable
+/// sort), keyed by baselines::RowKey as MakeKey keys them, and a window of
+/// `window_size` positions defines the blocks. EmitBlocks reproduces
+/// baselines::SortedNeighbourhoodArray byte-identically; Query returns the
+/// records a probe would share a window with if it were inserted next.
 class SortedWindowIndex : public IncrementalIndex {
  public:
   SortedWindowIndex(baselines::BlockingKeyDef key, int window_size);
@@ -28,25 +28,20 @@ class SortedWindowIndex : public IncrementalIndex {
   std::vector<data::RecordId> Query(
       std::span<const std::string_view> values) const override;
   void EmitBlocks(core::BlockSink& sink) const override;
-  size_t size() const override { return live_; }
+  size_t size() const override { return record_keys_.size(); }
 
  private:
-  /// The probe's blocking-key value, computed exactly as the batch
-  /// KeyBuilder would (one-row scratch dataset through MakeKey).
-  std::string KeyOf(std::span<const std::string_view> values) const;
-
   /// The sorted record order (key-ascending, id-ascending within key) —
   /// the batch technique's stable_sort result.
   std::vector<data::RecordId> FlattenedOrder() const;
 
   baselines::BlockingKeyDef key_;
   int window_size_;
-  data::Schema schema_;
+  std::vector<int> positions_;  // the key attributes' positions, set by Bind
   bool bound_ = false;
 
   std::map<std::string, std::vector<data::RecordId>> buckets_;
   std::map<data::RecordId, std::string> record_keys_;
-  size_t live_ = 0;
 };
 
 }  // namespace sablock::index

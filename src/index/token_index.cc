@@ -14,29 +14,9 @@ std::string TokenPostingsIndex::name() const { return "TokenIndex"; }
 
 Status TokenPostingsIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  attr_index_.clear();
-  for (const std::string& attr : attributes_) {
-    int idx = schema.IndexOf(attr);
-    if (idx < 0) {
-      return Status::Error("index attribute '" + attr +
-                           "' is not in the schema");
-    }
-    attr_index_.push_back(idx);
-  }
-  bound_ = true;
-  return Status::Ok();
-}
-
-std::vector<std::string_view> TokenPostingsIndex::Selected(
-    std::span<const std::string_view> values) const {
-  // Token by token the same as Dataset::ConcatenatedValues over them, the
-  // batch technique's text: no token spans the joining separator.
-  std::vector<std::string_view> selected;
-  selected.reserve(attr_index_.size());
-  for (int idx : attr_index_) {
-    selected.push_back(values[static_cast<size_t>(idx)]);
-  }
-  return selected;
+  Status status = ResolveAttributes(schema, attributes_, &positions_);
+  bound_ = status.ok();
+  return status;
 }
 
 void TokenPostingsIndex::Insert(data::RecordId id,
@@ -45,7 +25,9 @@ void TokenPostingsIndex::Insert(data::RecordId id,
   const size_t row = tokens_.size();
   const bool fresh = row_of_.emplace(id, row).second;
   SABLOCK_CHECK_MSG(fresh, "record id already live");
-  tokens_.Append(Selected(values));
+  const std::string text = data::BlockingText(values, positions_);
+  const std::string_view view = text;
+  tokens_.Append({&view, 1});
   postings_.resize(tokens_.token_limit());
   for (features::TokenId token : tokens_.Row(row)) {
     InsertSortedId(&postings_[token], id);
@@ -66,8 +48,10 @@ bool TokenPostingsIndex::Remove(data::RecordId id) {
 std::vector<data::RecordId> TokenPostingsIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
+  const std::string text = data::BlockingText(values, positions_);
+  const std::string_view view = text;
   std::vector<features::TokenId> known;
-  tokens_.Lookup(Selected(values), &known);
+  tokens_.Lookup({&view, 1}, &known);
   std::vector<data::RecordId> out;
   for (features::TokenId token : known) {
     out.insert(out.end(), postings_[token].begin(), postings_[token].end());
@@ -80,11 +64,12 @@ std::vector<data::RecordId> TokenPostingsIndex::Query(
 void TokenPostingsIndex::EmitBlocks(core::BlockSink& sink) const {
   // Identical to the batch technique's emission: postings with >= 2
   // records, in canonical content order.
-  std::vector<core::Block> kept;
+  core::BlockCollection kept;
   for (const std::vector<data::RecordId>& ids : postings_) {
-    if (ids.size() >= 2) kept.push_back(ids);
+    if (ids.size() >= 2) kept.Add(ids);
   }
-  core::EmitSorted(std::move(kept), sink);
+  kept.SortBlocks();
+  kept.Drain(sink);
 }
 
 }  // namespace sablock::index

@@ -10,13 +10,12 @@
 
 namespace sablock::index {
 
-/// Incremental token-blocking postings: one posting list per distinct
-/// normalized whitespace token of the blocking attributes. The index-side
-/// counterpart of baselines::TokenBlockingTechnique — EmitBlocks
-/// reproduces its output byte-identically (postings with >= 2 live
-/// records, emitted in canonical content order). Tokens are interned by
-/// a features::TokenColumn, one row per Insert (a removed record keeps
-/// its row), and postings are indexed by token id.
+/// Incremental token-blocking postings, the index-side counterpart of
+/// baselines::TokenBlockingTechnique: EmitBlocks reproduces its output
+/// byte-identically (postings with >= 2 live records, in canonical
+/// content order). Insert appends the record's data::BlockingText to a
+/// features::TokenColumn as one value, as FeatureStore::Tokens appends a
+/// text row; a removed record keeps its row. Postings are by token id.
 class TokenPostingsIndex : public IncrementalIndex {
  public:
   explicit TokenPostingsIndex(std::vector<std::string> attributes);
@@ -32,12 +31,8 @@ class TokenPostingsIndex : public IncrementalIndex {
   size_t size() const override { return row_of_.size(); }
 
  private:
-  /// The bound attributes' values of a schema-aligned row.
-  std::vector<std::string_view> Selected(
-      std::span<const std::string_view> values) const;
-
   std::vector<std::string> attributes_;
-  std::vector<int> attr_index_;  // schema positions, set by Bind
+  std::vector<int> positions_;  // the attributes' positions, set by Bind
   bool bound_ = false;
 
   features::TokenColumn tokens_;  // one row per Insert

@@ -107,11 +107,9 @@ void MetaStage::Flush() {
   // single-producer path the generator already emits sorted blocks and
   // this is a no-op pass; a sharded run's merge is sorted only within
   // each shard.
-  std::sort(buffered_.begin(), buffered_.end());
-  core::BlockCollection input;
-  for (core::Block& block : buffered_) input.Add(std::move(block));
-  buffered_.clear();
-  MetaPrune(dataset_->size(), input, weighting_, pruning_, *next_);
+  buffered_.SortBlocks();
+  MetaPrune(dataset_->size(), buffered_, weighting_, pruning_, *next_);
+  buffered_ = {};
   next_->Flush();
 }
 
@@ -188,7 +186,7 @@ void RegisterBuiltinStages(StageRegistry& r) {
          "scheduler (bsa|ew-arcs|ew-cbs|ew-ecbs|ew-js|ew-ejs|rr|random)"},
         {"pairs", "unlimited", "pair budget (>= 1, or inf/unlimited)"},
         {"seconds", "unlimited", "wall-clock budget in seconds (> 0)"},
-        {"recall-target", "off",
+        {"recall-target", "",
          "stop at this recall in (0, 1]; needs ground truth"},
         {"seed", "42", "shuffle seed for sched=random"}}},
       [](api::ParamMap& p, std::unique_ptr<PipelineStage>* out) {

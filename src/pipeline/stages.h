@@ -144,9 +144,7 @@ class MetaStage : public PipelineStage {
     return std::make_unique<MetaStage>(weighting_, pruning_);
   }
 
-  void Consume(core::Block block) override {
-    buffered_.push_back(std::move(block));
-  }
+  void Consume(core::Block block) override { buffered_.Add(std::move(block)); }
 
   /// Never signals Done upstream: the graph needs the full input even
   /// when downstream has already stopped accepting (the flush's MetaPrune
@@ -158,7 +156,7 @@ class MetaStage : public PipelineStage {
  private:
   MetaWeighting weighting_;
   MetaPruning pruning_;
-  std::vector<core::Block> buffered_;
+  core::BlockCollection buffered_;
 };
 
 }  // namespace sablock::pipeline

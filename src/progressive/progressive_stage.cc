@@ -1,6 +1,5 @@
 #include "progressive/progressive_stage.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -19,13 +18,10 @@ void ProgressiveStage::Flush() {
   // Canonical content order, for the same reason as MetaStage: the
   // schedulers' tie-breaks are deterministic given a block order, and
   // sorting erases the engine's scheduling-dependent arrival order.
-  std::sort(buffered_.begin(), buffered_.end());
-  core::BlockCollection input;
-  for (core::Block& block : buffered_) input.Add(std::move(block));
-  buffered_.clear();
-
+  buffered_.SortBlocks();
   std::vector<core::CandidatePair> ranked =
-      scheduler_->Schedule(dataset_->size(), input, budget_.pairs);
+      scheduler_->Schedule(dataset_->size(), buffered_, budget_.pairs);
+  buffered_ = {};
 
   const bool track_recall = meter_->budget().recall_target > 0.0;
   if (track_recall) {

@@ -48,7 +48,7 @@ class ProgressiveStage : public pipeline::PipelineStage {
 
   void Consume(core::Block block) override {
     if (meter_ == nullptr) Arm();
-    buffered_.push_back(std::move(block));
+    buffered_.Add(std::move(block));
   }
 
   /// Never signals Done upstream: ranking needs the full input stream
@@ -74,7 +74,7 @@ class ProgressiveStage : public pipeline::PipelineStage {
   uint64_t seed_;
   std::shared_ptr<core::BudgetMeter> meter_;
   uint64_t pairs_emitted_ = 0;
-  std::vector<core::Block> buffered_;
+  core::BlockCollection buffered_;
 };
 
 }  // namespace sablock::progressive

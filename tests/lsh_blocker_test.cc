@@ -247,8 +247,9 @@ TEST(SaLshBlockerTest, WithoutSemanticFeaturesItIsPlainLsh) {
 
 // Every table emits its buckets in canonical content order (ids ascending
 // within a block, blocks sorted lexicographically) — the order of
-// EmitSorted and of the incremental LSH indexes. Tables are emitted one
-// after another, so the whole sequence is at most l sorted runs.
+// BlockCollection::SortBlocks and of the incremental LSH indexes. Tables
+// are emitted one after another, so the whole sequence is at most l
+// sorted runs.
 TEST(LshFamilyTest, EveryTableEmitsInCanonicalContentOrder) {
   data::CoraGeneratorConfig config;
   config.num_entities = 30;

@@ -28,6 +28,8 @@ TEST(SchemaTest, IndexLookup) {
   EXPECT_EQ(s.IndexOf("c"), 2);
   EXPECT_EQ(s.IndexOf("missing"), -1);
   EXPECT_EQ(s.RequireIndex("b"), 1u);
+  EXPECT_EQ(s.Positions(std::vector<std::string>{"b", "missing", "a"}),
+            (std::vector<int>{1, -1, 0}));
 }
 
 TEST(DatasetTest, AddAndAccess) {

@@ -16,7 +16,9 @@
 #   tools/check.sh --asan    builds with -DSABLOCK_SANITIZE=address,undefined
 #       (into build-asan/) and runs the full test suite under ASan+UBSan —
 #       the memory-safety gate for the arena-backed Dataset, the
-#       FeatureStore caches and the stage chains' buffered blocks
+#       FeatureStore caches and the stage chains' buffered blocks. UBSan
+#       is built non-recoverable, so a report fails its test, and the
+#       standard library's bounds assertions (_GLIBCXX_ASSERTIONS) are on
 #
 # ctest's exit status is captured explicitly and re-raised as the script
 # status in every mode, so a test failure can never be masked by `cd`,
@@ -49,7 +51,8 @@ case "$mode" in
     run_ctest build-tsan -L 'concurrency|service' -j "$jobs"
     ;;
   --asan)
-    cmake -B build-asan -S . -DSABLOCK_SANITIZE=address,undefined
+    cmake -B build-asan -S . -DSABLOCK_SANITIZE=address,undefined \
+      -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
     cmake --build build-asan -j "$jobs"
     run_ctest build-asan -j "$jobs"
     ;;

@@ -1,7 +1,8 @@
 // Command-line flags of sablock_cli and sablock_serve: "--name=value",
 // "--name value" (spec strings often carry '=' themselves) and a bare
 // "--name", which reads as "true". Arguments without a leading "--" are
-// ignored; a name the tool does not list is an error.
+// ignored; a name the tool does not list is an error. Both tools also
+// list registry entries through the one PrintEntry below.
 
 #ifndef SABLOCK_TOOLS_FLAGS_H_
 #define SABLOCK_TOOLS_FLAGS_H_
@@ -15,6 +16,8 @@
 #include <initializer_list>
 #include <map>
 #include <string>
+
+#include "api/registry.h"
 
 namespace sablock::tools {
 
@@ -76,6 +79,26 @@ inline Flags ParseFlags(int argc, char** argv,
     }
   }
   return flags;
+}
+
+/// Prints one registry entry of a --list output: its name, padded to
+/// `name_width`, and aliases, the summary, then one line per parameter
+/// with its documented default ("-" for none).
+inline void PrintEntry(const api::BlockerInfo& info, int name_width) {
+  std::string aliases;
+  for (const std::string& alias : info.aliases) {
+    aliases += aliases.empty() ? " (alias: " : ", ";
+    aliases += alias;
+  }
+  if (!aliases.empty()) aliases += ")";
+  std::printf("  %-*s%s\n", name_width, info.name.c_str(), aliases.c_str());
+  std::printf("    %s\n", info.summary.c_str());
+  for (const api::ParamDoc& param : info.params) {
+    std::printf("      %-16s default=%-6s %s\n", param.name.c_str(),
+                param.default_value.empty() ? "-"
+                                            : param.default_value.c_str(),
+                param.help.c_str());
+  }
 }
 
 }  // namespace sablock::tools

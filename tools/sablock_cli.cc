@@ -49,6 +49,7 @@
 namespace {
 
 using sablock::tools::Flags;
+using sablock::tools::PrintEntry;
 
 void PrintUsage() {
   std::printf(
@@ -106,28 +107,11 @@ void PrintUsage() {
       "listed above is an error.\n");
 }
 
-void PrintEntry(const sablock::api::BlockerInfo& info) {
-  std::string aliases;
-  for (const std::string& alias : info.aliases) {
-    aliases += aliases.empty() ? " (alias: " : ", ";
-    aliases += alias;
-  }
-  if (!aliases.empty()) aliases += ")";
-  std::printf("  %-8s%s\n", info.name.c_str(), aliases.c_str());
-  std::printf("    %s\n", info.summary.c_str());
-  for (const sablock::api::ParamDoc& param : info.params) {
-    std::printf("      %-16s default=%-6s %s\n", param.name.c_str(),
-                param.default_value.empty() ? "-"
-                                            : param.default_value.c_str(),
-                param.help.c_str());
-  }
-}
-
 void PrintStages() {
   std::printf("registered pipeline stages:\n\n");
   for (const sablock::api::BlockerInfo& info :
        sablock::pipeline::StageRegistry::Global().List()) {
-    PrintEntry(info);
+    PrintEntry(info, 8);
   }
   std::printf(
       "\npipeline grammar: \"blocker | stage:key=val,... | stage\", e.g.\n"
@@ -139,7 +123,7 @@ void PrintIndexes() {
   std::printf("registered incremental indexes (sablock_serve):\n\n");
   for (const sablock::api::BlockerInfo& info :
        sablock::index::IndexRegistry::Global().List()) {
-    PrintEntry(info);
+    PrintEntry(info, 8);
   }
   std::printf(
       "\nindexes share the technique spec grammar; a fully loaded index\n"
@@ -150,7 +134,7 @@ void PrintRegistry() {
   std::printf("registered blocking techniques:\n\n");
   for (const sablock::api::BlockerInfo& info :
        sablock::api::BlockerRegistry::Global().List()) {
-    PrintEntry(info);
+    PrintEntry(info, 8);
   }
   std::printf(
       "\nspec grammar: name[:key=val,key=val,...]; list values join\n"

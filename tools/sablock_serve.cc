@@ -84,20 +84,7 @@ void PrintIndexes() {
   std::printf("registered incremental indexes:\n\n");
   for (const sablock::api::BlockerInfo& info :
        sablock::index::IndexRegistry::Global().List()) {
-    std::string aliases;
-    for (const std::string& alias : info.aliases) {
-      aliases += aliases.empty() ? " (alias: " : ", ";
-      aliases += alias;
-    }
-    if (!aliases.empty()) aliases += ")";
-    std::printf("  %-16s%s\n", info.name.c_str(), aliases.c_str());
-    std::printf("    %s\n", info.summary.c_str());
-    for (const sablock::api::ParamDoc& param : info.params) {
-      std::printf("      %-16s default=%-6s %s\n", param.name.c_str(),
-                  param.default_value.empty() ? "-"
-                                              : param.default_value.c_str(),
-                  param.help.c_str());
-    }
+    sablock::tools::PrintEntry(info, 16);
   }
   std::printf(
       "\nspec grammar matches the batch techniques: "
