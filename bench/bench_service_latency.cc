@@ -7,6 +7,9 @@
 // Cora-like dataset: all records inserted one by one (the "insert" row),
 // then a fixed probe set queried (the "query" row) and queried again
 // through QueryProgressive with pairs=50 (the "progressive" row). The
+// "preload" row times a fresh service's warm start, one Preload of the
+// whole dataset, and probes it again: its candidate total must equal the
+// insert-built service's, or the scenario fails. The
 // token index additionally runs through the socket so the framing +
 // dispatch overhead is visible as the delta to its in-process rows.
 // Candidate totals and a digest of the progressive (id, score) lists are
@@ -44,17 +47,18 @@ namespace {
 /// Progressive queries keep at most this many scored candidates.
 constexpr uint64_t kProgressivePairs = 50;
 
-enum class Phase { kInsert, kQuery, kProgressive };
+enum class Phase { kInsert, kQuery, kProgressive, kPreload };
 
 struct PhaseResult {
-  report::LatencyStats latency;
+  report::LatencyStats latency;  // per-operation phases
+  report::RepeatStats time;      // kPreload: one whole Preload per repeat
   double total_candidates = 0.0;  // deterministic; 0 for insert phases
   // Progressive phases: digest of every returned (id, score) list, cut to
   // 53 bits so the JSON double holds it exactly.
   double scores_digest = 0.0;
 };
 
-/// Records one latency row.
+/// Records one phase's row: its latency, or for kPreload its time.
 void RecordLatency(report::BenchContext& ctx, const std::string& name,
                    const std::string& spec, const data::Dataset& dataset,
                    const PhaseResult& phase, Phase kind) {
@@ -63,8 +67,9 @@ void RecordLatency(report::BenchContext& ctx, const std::string& name,
   run.spec = spec;
   run.dataset = "cora-like";
   run.dataset_records = dataset.size();
-  run.has_latency = true;
+  run.has_latency = kind != Phase::kPreload;
   run.latency = phase.latency;
+  run.time = phase.time;
   if (kind != Phase::kInsert) {
     run.AddValue("total_candidates", phase.total_candidates);
   }
@@ -108,6 +113,27 @@ PhaseResult QueryProbes(service::CandidateService& service,
   }
   out.latency =
       report::SummarizeLatency(std::move(op_seconds), wall.Seconds());
+  return out;
+}
+
+/// A fresh service's warm start, one Preload of the whole dataset, timed
+/// once per repetition; the last preloaded service then answers the
+/// QueryProbes probes.
+PhaseResult PreloadProbes(const report::BenchContext& ctx,
+                          const std::string& spec,
+                          const data::Dataset& dataset, size_t probes) {
+  PhaseResult out;
+  std::unique_ptr<service::CandidateService> preloaded;
+  out.time = ctx.TimeRepeats([&](int) {
+    Status s =
+        service::CandidateService::Make(dataset.schema(), spec, &preloaded);
+    SABLOCK_CHECK_MSG(s.ok(), s.message().c_str());
+    WallTimer timer;
+    preloaded->Preload(dataset);
+    return timer.Seconds();
+  });
+  out.total_candidates =
+      QueryProbes(*preloaded, dataset, probes).total_candidates;
   return out;
 }
 
@@ -174,6 +200,7 @@ int RunServiceLatency(report::BenchContext& ctx) {
   };
 
   double token_inproc_candidates = -1.0;
+  bool preload_matches = true;
   for (const auto& [label, spec] : specs) {
     std::unique_ptr<service::CandidateService> svc;
     Status s =
@@ -195,6 +222,17 @@ int RunServiceLatency(report::BenchContext& ctx) {
                   Phase::kQuery);
     RecordLatency(ctx, "inproc/" + label + "/progressive", spec, dataset,
                   progressive, Phase::kProgressive);
+    PhaseResult preload = PreloadProbes(ctx, spec, dataset, probes);
+    preload_matches = preload_matches &&
+                      preload.total_candidates == query.total_candidates;
+    RecordLatency(ctx, "inproc/" + label + "/preload", spec, dataset,
+                  preload, Phase::kPreload);
+    // A preload row's qps column reads records indexed per second.
+    table.AddRow({label, "inproc", "preload", std::to_string(dataset.size()),
+                  "-", "-",
+                  FormatDouble(static_cast<double>(dataset.size()) /
+                                   preload.time.min_s,
+                               0)});
   }
 
   // Socket path: the token index again, but through the full server
@@ -302,6 +340,8 @@ int RunServiceLatency(report::BenchContext& ctx) {
       sock_query.total_candidates == token_inproc_candidates;
   std::printf("\nsocket/in-process candidate agreement: %s\n",
               candidates_match ? "PASS" : "FAIL");
+  std::printf("preload/insert candidate agreement: %s\n",
+              preload_matches ? "PASS" : "FAIL");
 
   // Acceptance self-check: the scenario must leave the process registry
   // with a live feature-cache hit, per-stage block counters and a
@@ -328,7 +368,7 @@ int RunServiceLatency(report::BenchContext& ctx) {
         requests != nullptr && requests->count > 0 &&
             !requests->buckets.empty());
 
-  return candidates_match && obs_ok ? 0 : 1;
+  return candidates_match && preload_matches && obs_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -19,12 +19,17 @@ Status ResolveAttributes(const data::Schema& schema,
   return Status::Ok();
 }
 
+void IncrementalIndex::BulkLoad(data::RecordId first,
+                                const data::Dataset& dataset) {
+  for (data::RecordId i = 0; i < dataset.size(); ++i) {
+    Insert(first + i, dataset.Values(i));
+  }
+}
+
 void LoadDataset(IncrementalIndex& index, const data::Dataset& dataset) {
   Status status = index.Bind(dataset.schema());
   SABLOCK_CHECK_MSG(status.ok(), status.message().c_str());
-  for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    index.Insert(id, dataset.Values(id));
-  }
+  index.BulkLoad(0, dataset);
 }
 
 std::string CanonicalBlockBytes(const core::BlockCollection& blocks) {

@@ -28,6 +28,10 @@ namespace sablock::index {
 ///    increasing id order. `values` are borrowed for the call only: an
 ///    index copies whatever it keeps (band keys, tokens, sort keys) and
 ///    holds no view into the caller's buffers.
+///  - BulkLoad(first, dataset) indexes record i of `dataset` under id
+///    `first + i`, every id fresh. The state it leaves equals Insert of
+///    the same records in id order, answers and blocks included; an index
+///    may override the base Insert loop with a batch pass.
 ///  - Remove(id) un-indexes a record; returns false if `id` is not live.
 ///  - Query(values) returns the sorted distinct ids of the live records
 ///    that would share a block with the probe if it were inserted next.
@@ -59,6 +63,10 @@ class IncrementalIndex {
   virtual void Insert(data::RecordId id,
                       std::span<const std::string_view> values) = 0;
 
+  /// Indexes every record of `dataset` (aligned with the bound schema),
+  /// record i under id `first + i`; equal to Insert in id order.
+  virtual void BulkLoad(data::RecordId first, const data::Dataset& dataset);
+
   /// Un-indexes record `id`; false if it was not live.
   virtual bool Remove(data::RecordId id) = 0;
 
@@ -82,9 +90,10 @@ Status ResolveAttributes(const data::Schema& schema,
                          std::vector<int>* positions);
 
 /// Equivalence bridge, batch side -> index side: binds `index` to the
-/// dataset's schema and inserts every record in id order. Aborts on a
-/// Bind error (caller bug: the spec's attributes must exist in the
-/// schema). After this, EmitBlocks reproduces the batch technique.
+/// dataset's schema and bulk-loads every record under its own id (Bind
+/// plus BulkLoad(0, dataset)). Aborts on a Bind error (caller bug: the
+/// spec's attributes must exist in the schema). After this, EmitBlocks
+/// reproduces the batch technique.
 void LoadDataset(IncrementalIndex& index, const data::Dataset& dataset);
 
 /// Canonical serialization of a block multiset: every block's ids sorted,

@@ -3,32 +3,17 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/hashing.h"
 #include "index/sorted_ids.h"
 #include "text/qgram.h"
 
 namespace sablock::index {
 
-namespace {
-
-/// The record's l band keys, computed as the batch pipeline does: blocking
-/// text -> distinct q-gram hashes -> minhash rows -> one key per table.
-/// Empty for an empty shingle set, which enters no table.
-std::vector<uint64_t> RowBands(std::span<const std::string_view> values,
-                               const std::vector<int>& positions,
-                               const core::LshParams& params,
-                               const core::MinHasher& hasher) {
-  std::vector<uint64_t> sig = hasher.Signature(
-      text::QGramHashes(data::BlockingText(values, positions), params.q));
-  std::vector<uint64_t> bands;
-  if (core::IsEmptyMinhashSignature(sig)) return bands;
-  bands.reserve(static_cast<size_t>(params.l));
-  for (int t = 0; t < params.l; ++t) {
-    bands.push_back(core::LshBandKey(sig, t, params.k));
-  }
-  return bands;
-}
-
-}  // namespace
+struct LshIndex::BandScratch {
+  std::string text;
+  std::vector<uint64_t> shingles;
+  std::vector<uint64_t> signature;
+};
 
 LshIndex::LshIndex(core::LshParams params)
     : params_(std::move(params)),
@@ -62,6 +47,74 @@ Status LshIndex::Bind(const data::Schema& schema) {
   return status;
 }
 
+void LshIndex::Bands(std::span<const std::string_view> values,
+                     BandScratch* scratch,
+                     std::vector<uint64_t>* bands) const {
+  // As the batch pipeline computes them: blocking text -> q-gram shingles
+  // -> minhash rows -> one key per table. A minhash row is a minimum over
+  // the shingles, so hashing every window, repeats included, gives the
+  // signature of the distinct set text::QGramHashes holds.
+  bands->clear();
+  std::string& text = scratch->text;
+  text.resize(data::BlockingTextBound(values, positions_));
+  text.resize(data::WriteBlockingText(values, positions_, text));
+  if (text.empty()) return;  // no shingles: the record enters no table
+  std::vector<uint64_t>& shingles = scratch->shingles;
+  const size_t q = static_cast<size_t>(params_.q);
+  if (text.size() < q) {
+    shingles.assign(1, HashBytes(text));
+  } else {
+    shingles.resize(text.size() - q + 1);
+    text::QGramWindowHashes(text, params_.q, shingles);
+  }
+  scratch->signature.resize(static_cast<size_t>(hasher_.num_hashes()));
+  hasher_.SignatureInto(shingles, scratch->signature);
+  bands->resize(static_cast<size_t>(params_.l));
+  for (int t = 0; t < params_.l; ++t) {
+    (*bands)[static_cast<size_t>(t)] =
+        core::LshBandKey(scratch->signature, t, params_.k);
+  }
+}
+
+const LshIndex::Entry* LshIndex::Add(data::RecordId id,
+                                     std::span<const std::string_view> values,
+                                     BandScratch* scratch) {
+  SABLOCK_CHECK_MSG(records_.count(id) == 0, "record id already live");
+  RecordState state;
+  Bands(values, scratch, &state.bands);
+  if (semantics_ != nullptr) {
+    state.zeta = semantics_->Interpret(schema_, values);
+    seen_concepts_.insert(state.zeta.begin(), state.zeta.end());
+  }
+  return &*records_.emplace_hint(records_.end(), id, std::move(state));
+}
+
+bool LshIndex::GrowEncoder(size_t seen) {
+  if (seen_concepts_.size() == seen) return false;
+  // A previously unseen concept can add semhash features. Algorithm 1 is a
+  // set union over the interpreted concepts' leaves, so the encoder of
+  // every concept seen so far equals the batch encoder of the records
+  // indexed so far, and it only ever grows: a changed dimension means new
+  // features, which force the tables to be rebuilt.
+  const std::vector<core::ConceptId> concepts(seen_concepts_.begin(),
+                                              seen_concepts_.end());
+  core::SemhashEncoder grown =
+      core::SemhashEncoder::Build(semantics_->taxonomy(), {concepts});
+  if (grown.dimension() == encoder_.dimension()) return false;
+  encoder_ = std::move(grown);
+  chosen_.clear();
+  for (int t = 0; t < params_.l; ++t) {
+    chosen_.push_back(
+        core::SemanticTableChoices(sem_params_, encoder_.dimension(), t));
+  }
+  std::vector<const Entry*> all;
+  all.reserve(records_.size());
+  for (const Entry& entry : records_) all.push_back(&entry);
+  for (auto& table : tables_) table.clear();
+  FillTables(all);
+  return true;
+}
+
 core::SemSignature LshIndex::Encode(
     const std::vector<core::ConceptId>& zeta) const {
   if (encoder_.dimension() == 0) return {};
@@ -69,68 +122,56 @@ core::SemSignature LshIndex::Encode(
 }
 
 template <typename Fn>
-void LshIndex::ForEachBucketKey(const std::vector<uint64_t>& bands,
-                                const core::SemSignature& sem,
-                                Fn fn) const {
-  std::vector<uint64_t> keys;
-  for (size_t t = 0; t < bands.size(); ++t) {
-    if (encoder_.dimension() == 0) {
-      fn(t, bands[t]);
-      continue;
-    }
-    keys.clear();
-    core::AppendSemanticBucketKeys(bands[t], sem, sem_params_.mode,
-                                   chosen_[t], &keys);
-    for (uint64_t key : keys) fn(t, key);
+void LshIndex::ForEachTableKey(size_t t, uint64_t band,
+                               const core::SemSignature& sem,
+                               std::vector<uint64_t>* keys, Fn fn) const {
+  if (encoder_.dimension() == 0) {
+    fn(band);
+    return;
   }
+  keys->clear();
+  core::AppendSemanticBucketKeys(band, sem, sem_params_.mode, chosen_[t],
+                                 keys);
+  for (uint64_t key : *keys) fn(key);
 }
 
-void LshIndex::InsertIntoTables(data::RecordId id, const RecordState& state) {
-  if (state.bands.empty()) return;
-  ForEachBucketKey(state.bands, Encode(state.zeta),
-                   [&](size_t t, uint64_t key) {
-                     InsertSortedId(&tables_[t][key], id);
-                   });
+void LshIndex::FillTables(std::span<const Entry* const> entries) {
+  std::vector<core::SemSignature> sems;
+  sems.reserve(entries.size());
+  for (const Entry* entry : entries) sems.push_back(Encode(entry->second.zeta));
+  std::vector<uint64_t> keys;
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    auto& table = tables_[t];
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const auto& [id, state] = *entries[i];
+      if (state.bands.empty()) continue;
+      ForEachTableKey(t, state.bands[t], sems[i], &keys, [&](uint64_t key) {
+        InsertSortedId(&table[key], id);
+      });
+    }
+  }
 }
 
 void LshIndex::Insert(data::RecordId id,
                       std::span<const std::string_view> values) {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
-  SABLOCK_CHECK_MSG(records_.count(id) == 0, "record id already live");
-  RecordState state;
-  state.bands = RowBands(values, positions_, params_, hasher_);
-  bool fresh_concepts = false;
-  if (semantics_ != nullptr) {
-    state.zeta = semantics_->Interpret(schema_, values);
-    for (core::ConceptId c : state.zeta) {
-      if (seen_concepts_.insert(c).second) fresh_concepts = true;
-    }
-  }
-  const auto it = records_.emplace(id, std::move(state)).first;
+  const size_t seen = seen_concepts_.size();
+  BandScratch scratch;
+  const Entry* entry = Add(id, values, &scratch);
+  if (!GrowEncoder(seen)) FillTables({&entry, 1});
+}
 
-  if (fresh_concepts) {
-    // A previously unseen concept can add semhash features. Algorithm 1
-    // is a set union over the interpreted concepts' leaves, so the
-    // encoder of every concept seen so far equals the batch encoder of
-    // the records inserted so far, and it only ever grows: a changed
-    // dimension means new features, which force the tables to be rebuilt.
-    const std::vector<core::ConceptId> seen(seen_concepts_.begin(),
-                                            seen_concepts_.end());
-    core::SemhashEncoder grown =
-        core::SemhashEncoder::Build(semantics_->taxonomy(), {seen});
-    if (grown.dimension() != encoder_.dimension()) {
-      encoder_ = std::move(grown);
-      chosen_.clear();
-      for (int t = 0; t < params_.l; ++t) {
-        chosen_.push_back(core::SemanticTableChoices(
-            sem_params_, encoder_.dimension(), t));
-      }
-      for (auto& table : tables_) table.clear();
-      for (const auto& [rid, rstate] : records_) InsertIntoTables(rid, rstate);
-      return;
-    }
+void LshIndex::BulkLoad(data::RecordId first, const data::Dataset& dataset) {
+  SABLOCK_CHECK_MSG(bound_, "Bind must precede BulkLoad");
+  const size_t seen = seen_concepts_.size();
+  BandScratch scratch;
+  std::vector<const Entry*> added(dataset.size());
+  for (data::RecordId i = 0; i < dataset.size(); ++i) {
+    added[i] = Add(first + i, dataset.Values(i), &scratch);
   }
-  InsertIntoTables(id, it->second);
+  // One encoder check for the whole batch: the union of its concepts is
+  // what a per-record Insert loop would have grown the encoder to.
+  if (!GrowEncoder(seen)) FillTables(added);
 }
 
 bool LshIndex::Remove(data::RecordId id) {
@@ -139,14 +180,17 @@ bool LshIndex::Remove(data::RecordId id) {
   // Features are never un-selected on removal (see the class comment), so
   // the current encoder is exactly the one the record was bucketed under.
   const RecordState& state = it->second;
-  ForEachBucketKey(state.bands, Encode(state.zeta),
-                   [&](size_t t, uint64_t key) {
-                     auto& table = tables_[t];
-                     auto bucket = table.find(key);
-                     SABLOCK_CHECK(bucket != table.end());
-                     EraseSortedId(&bucket->second, id);
-                     if (bucket->second.empty()) table.erase(bucket);
-                   });
+  const core::SemSignature sem = Encode(state.zeta);
+  std::vector<uint64_t> keys;
+  for (size_t t = 0; t < state.bands.size(); ++t) {
+    auto& table = tables_[t];
+    ForEachTableKey(t, state.bands[t], sem, &keys, [&](uint64_t key) {
+      auto bucket = table.find(key);
+      SABLOCK_CHECK(bucket != table.end());
+      EraseSortedId(&bucket->second, id);
+      if (bucket->second.empty()) table.erase(bucket);
+    });
+  }
   records_.erase(it);
   return true;
 }
@@ -154,8 +198,9 @@ bool LshIndex::Remove(data::RecordId id) {
 std::vector<data::RecordId> LshIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
-  const std::vector<uint64_t> bands =
-      RowBands(values, positions_, params_, hasher_);
+  BandScratch scratch;  // local: Query runs under the shared lock
+  std::vector<uint64_t> bands;
+  Bands(values, &scratch, &bands);
   // The probe is evaluated under the current feature set; concepts no
   // indexed record has had yet contribute no semhash bit (matching how a
   // batch run without the probe would gate the existing records).
@@ -164,12 +209,15 @@ std::vector<data::RecordId> LshIndex::Query(
     sem = Encode(semantics_->Interpret(schema_, values));
   }
   std::vector<data::RecordId> out;
-  ForEachBucketKey(bands, sem, [&](size_t t, uint64_t key) {
-    auto it = tables_[t].find(key);
-    if (it != tables_[t].end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  });
+  std::vector<uint64_t> keys;
+  for (size_t t = 0; t < bands.size(); ++t) {
+    ForEachTableKey(t, bands[t], sem, &keys, [&](uint64_t key) {
+      auto it = tables_[t].find(key);
+      if (it != tables_[t].end()) {
+        out.insert(out.end(), it->second.begin(), it->second.end());
+      }
+    });
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

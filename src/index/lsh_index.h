@@ -4,8 +4,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/lsh_blocker.h"
@@ -28,7 +30,11 @@ namespace sablock::index {
 /// index then rebuilds its tables from the stored per-record state so that
 /// EmitBlocks always matches the batch blocker over the same records.
 /// While the dimension is 0, as it always is without a semantic function,
-/// a table is keyed by the band alone, as in the batch blocker.
+/// a table is keyed by the band alone, as in the batch blocker. BulkLoad
+/// computes every record's band keys and interpretation first, checks the
+/// encoder once for the whole batch (the union of the batch's concepts
+/// gives the encoder the per-record inserts end at) and then fills the
+/// tables one table at a time, so it leaves the state of an Insert loop.
 /// The feature set is built from every concept ever inserted: removals
 /// shrink the record set but deliberately not the feature set (features
 /// are never un-selected), so batch parity is guaranteed after inserts,
@@ -45,6 +51,7 @@ class LshIndex : public IncrementalIndex {
   Status Bind(const data::Schema& schema) override;
   void Insert(data::RecordId id,
               std::span<const std::string_view> values) override;
+  void BulkLoad(data::RecordId first, const data::Dataset& dataset) override;
   bool Remove(data::RecordId id) override;
   std::vector<data::RecordId> Query(
       std::span<const std::string_view> values) const override;
@@ -56,15 +63,32 @@ class LshIndex : public IncrementalIndex {
     std::vector<uint64_t> bands;        // l band keys; empty: no shingles
     std::vector<core::ConceptId> zeta;  // semantic interpretation
   };
+  using Entry = std::pair<const data::RecordId, RecordState>;
+  struct BandScratch;  // the band computation's reusable buffers
 
+  /// Writes the record's l band keys into `bands` (none for an empty
+  /// shingle set); the text, shingle and signature buffers are `scratch`'s,
+  /// reused from call to call.
+  void Bands(std::span<const std::string_view> values, BandScratch* scratch,
+             std::vector<uint64_t>* bands) const;
+  /// Adds record `id`'s state to records_ and its concepts to
+  /// seen_concepts_, without bucketing it.
+  const Entry* Add(data::RecordId id, std::span<const std::string_view> values,
+                   BandScratch* scratch);
+  /// Rebuilds the encoder if concepts were added since seen_concepts_ held
+  /// `seen` of them; if the dimension grew, redraws the tables' semhash
+  /// functions and refills every table from records_. True if it refilled.
+  bool GrowEncoder(size_t seen);
   /// The semantic signature of `zeta`; empty while the dimension is 0.
   core::SemSignature Encode(const std::vector<core::ConceptId>& zeta) const;
-  /// Calls fn(t, key) for every key of table t that a record with these
-  /// band keys and semantic signature is bucketed under.
+  /// Calls fn(key) for every key of table t that a record with band key
+  /// `band` and semantic signature `sem` is bucketed under; `keys` is
+  /// scratch.
   template <typename Fn>
-  void ForEachBucketKey(const std::vector<uint64_t>& bands,
-                        const core::SemSignature& sem, Fn fn) const;
-  void InsertIntoTables(data::RecordId id, const RecordState& state);
+  void ForEachTableKey(size_t t, uint64_t band, const core::SemSignature& sem,
+                       std::vector<uint64_t>* keys, Fn fn) const;
+  /// Buckets `entries` (ascending ids) one table at a time.
+  void FillTables(std::span<const Entry* const> entries);
 
   core::LshParams params_;
   core::SemanticParams sem_params_;

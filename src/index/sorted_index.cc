@@ -1,6 +1,8 @@
 #include "index/sorted_index.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "common/check.h"
 #include "index/sorted_ids.h"
@@ -23,15 +25,6 @@ Status SortedWindowIndex::Bind(const data::Schema& schema) {
                                     &positions_);
   bound_ = status.ok();
   return status;
-}
-
-std::vector<data::RecordId> SortedWindowIndex::FlattenedOrder() const {
-  std::vector<data::RecordId> order;
-  order.reserve(record_keys_.size());
-  for (const auto& [key, ids] : buckets_) {
-    order.insert(order.end(), ids.begin(), ids.end());
-  }
-  return order;
 }
 
 void SortedWindowIndex::Insert(data::RecordId id,
@@ -57,38 +50,49 @@ bool SortedWindowIndex::Remove(data::RecordId id) {
 std::vector<data::RecordId> SortedWindowIndex::Query(
     std::span<const std::string_view> values) const {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Query");
-  const size_t n = record_keys_.size();
-  if (n == 0) return {};
   const size_t w = static_cast<size_t>(window_size_);
-
-  // The probe would be appended as the highest id, so the stable sort
-  // places it after every live record with an equal key. With it
-  // inserted the array has n + 1 entries; every window containing the
-  // probe covers the live records within w - 1 positions of the
-  // insertion point (all of them when w > n, wherever the probe goes).
-  size_t p = 0;  // probe position in the merged order
-  if (w <= n) {
-    const std::string probe_key = baselines::RowKey(key_, positions_, values);
-    for (auto it = buckets_.begin();
-         it != buckets_.end() && it->first <= probe_key; ++it) {
-      p += it->second.size();
-    }
+  std::vector<data::RecordId> out;
+  if (w > record_keys_.size()) {
+    // With the probe the order has at most w entries: one window holds
+    // them all, so every live record is a candidate (ids ascending).
+    for (const auto& entry : record_keys_) out.push_back(entry.first);
+    return out;
   }
-
-  std::vector<data::RecordId> order = FlattenedOrder();
-  const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
-  const size_t hi = std::min(p + w - 2, n - 1);
-  std::vector<data::RecordId> out(order.begin() + static_cast<ptrdiff_t>(lo),
-                                  order.begin() + static_cast<ptrdiff_t>(hi) +
-                                      1);
+  // The probe would be appended as the highest id, so the stable sort
+  // places it after every live record with an equal key, where `next`
+  // starts. Every window holding it covers the w - 1 live records on each
+  // side of that point, across bucket boundaries.
+  const auto next =
+      buckets_.upper_bound(baselines::RowKey(key_, positions_, values));
+  size_t want = w - 1;
+  for (auto it = std::make_reverse_iterator(next);
+       it != buckets_.rend() && want > 0; ++it) {
+    const size_t take = std::min(want, it->second.size());
+    out.insert(out.end(), it->second.end() - static_cast<ptrdiff_t>(take),
+               it->second.end());
+    want -= take;
+  }
+  want = w - 1;
+  for (auto it = next; it != buckets_.end() && want > 0; ++it) {
+    const size_t take = std::min(want, it->second.size());
+    out.insert(out.end(), it->second.begin(),
+               it->second.begin() + static_cast<ptrdiff_t>(take));
+    want -= take;
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
 void SortedWindowIndex::EmitBlocks(core::BlockSink& sink) const {
   // Byte-identical to SortedNeighbourhoodArray::Run on the equivalent
-  // dataset: same order, same window emitter.
-  core::EmitWindows(FlattenedOrder(), static_cast<size_t>(window_size_),
+  // dataset: the same order (key-ascending, ids ascending within a key,
+  // the batch stable_sort result) through the same window emitter.
+  std::vector<data::RecordId> order;
+  order.reserve(record_keys_.size());
+  for (const auto& [key, ids] : buckets_) {
+    order.insert(order.end(), ids.begin(), ids.end());
+  }
+  core::EmitWindows(std::move(order), static_cast<size_t>(window_size_),
                     sink);
 }
 

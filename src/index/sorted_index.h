@@ -31,10 +31,6 @@ class SortedWindowIndex : public IncrementalIndex {
   size_t size() const override { return record_keys_.size(); }
 
  private:
-  /// The sorted record order (key-ascending, id-ascending within key) —
-  /// the batch technique's stable_sort result.
-  std::vector<data::RecordId> FlattenedOrder() const;
-
   baselines::BlockingKeyDef key_;
   int window_size_;
   std::vector<int> positions_;  // the key attributes' positions, set by Bind

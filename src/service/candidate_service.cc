@@ -53,9 +53,8 @@ size_t CandidateService::Preload(const data::Dataset& dataset) {
   SABLOCK_CHECK_MSG(dataset.schema().size() == schema_.size(),
                     "preload dataset schema does not match the service");
   std::unique_lock lock(mu_);
+  index_->BulkLoad(static_cast<data::RecordId>(tokens_.size()), dataset);
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    index_->Insert(static_cast<data::RecordId>(tokens_.size()),
-                   dataset.Values(id));
     tokens_.Append(dataset.Values(id));
   }
   inserts_.fetch_add(dataset.size(), std::memory_order_relaxed);

@@ -39,11 +39,12 @@ class CandidateService {
   /// must be aligned with schema(); they are borrowed for the call.
   data::RecordId Insert(std::span<const std::string_view> values);
 
-  /// Bulk-inserts every record of `dataset` (schemas must match) under a
-  /// single exclusive lock — the warm-start path for sablock_serve
-  /// --snapshot, where per-record locking and per-insert histogram
-  /// samples would only slow the startup down. Returns the number of
-  /// records inserted.
+  /// Indexes every record of `dataset` (schemas must match) under the
+  /// next ids, as an Insert loop would, through one
+  /// IncrementalIndex::BulkLoad under a single exclusive lock: the warm
+  /// start of sablock_serve (--snapshot and --preload), with no
+  /// per-record locking or per-insert histogram sample. Returns the
+  /// number of records inserted.
   size_t Preload(const data::Dataset& dataset);
 
   /// Candidate ids for a probe (see IncrementalIndex::Query).

@@ -20,6 +20,7 @@
 #include "data/record.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "reference_text.h"
 #include "text/qgram.h"
 
 namespace sablock::features {
@@ -50,7 +51,7 @@ TEST(FeatureStoreTest, TextColumnMatchesConcatenatedValues) {
   data::Dataset d = TinyDataset();
   const auto texts = d.features().TextsFor(NameCity());
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    EXPECT_EQ(texts.Row(id), d.ConcatenatedValues(id, NameCity())) << id;
+    EXPECT_EQ(texts.Row(id), DefinedText(d, id, NameCity())) << id;
   }
 }
 
@@ -65,7 +66,7 @@ TEST(FeatureStoreTest, TokenColumnInternsSortedDistinctTokens) {
     EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
     // Interned strings round-trip to the distinct words of the text.
     std::vector<std::string> words =
-        SplitWords(d.ConcatenatedValues(id, NameCity()));
+        SplitWords(DefinedText(d, id, NameCity()));
     std::sort(words.begin(), words.end());
     words.erase(std::unique(words.begin(), words.end()), words.end());
     std::vector<std::string> from_ids;
@@ -110,7 +111,7 @@ TEST(FeatureStoreTest, ShingleColumnMatchesQGramHashes) {
   for (data::RecordId id = 0; id < d.size(); ++id) {
     EXPECT_TRUE(std::ranges::equal(
         shingles.Row(id),
-        text::QGramHashes(d.ConcatenatedValues(id, NameCity()), 3)))
+        text::QGramHashes(DefinedText(d, id, NameCity()), 3)))
         << id;
   }
 }
@@ -259,7 +260,7 @@ TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
   const core::MinHasher hasher(64, 7);
   for (data::RecordId id = 0; id < d.size(); ++id) {
     const std::vector<uint64_t> direct = hasher.Signature(
-        text::QGramHashes(d.ConcatenatedValues(id, attrs), 4));
+        text::QGramHashes(DefinedText(d, id, attrs), 4));
     ASSERT_TRUE(std::ranges::equal(sig_cols[0]->Row(id), direct)) << id;
   }
 }
@@ -329,7 +330,7 @@ TEST(FeatureStoreTest, SliceOfColdDatasetBuildsItsOwnCorrectStore) {
   EXPECT_EQ(features.size(), 2u);
   const auto texts = features.TextsFor(NameCity());
   for (data::RecordId id = 0; id < slice.size(); ++id) {
-    EXPECT_EQ(texts.Row(id), d.ConcatenatedValues(id + 1, NameCity()));
+    EXPECT_EQ(texts.Row(id), DefinedText(d, id + 1, NameCity()));
   }
 }
 

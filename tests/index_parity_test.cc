@@ -1,11 +1,12 @@
 // Index/batch parity goldens: every registered incremental index, after
-// one-by-one insertion of a dataset, must reproduce the blocks of the
-// batch technique built from the *same spec string* byte-identically,
-// sequence included: the key-ordered indexes walk their keys in the batch
-// order, and the hash-table ones (lsh, sa-lsh) emit each table in
-// canonical content order, as the batch blockers do. This is the
-// equivalence bridge the serving layer rests on: a warm index answers
-// exactly the batch technique's blocking.
+// loading a dataset (one bulk load, one-by-one insertion, or one-by-one
+// for the first third and a bulk load of the rest), must reproduce the
+// blocks of the batch technique built from the *same spec string*
+// byte-identically, sequence included: the key-ordered indexes walk their
+// keys in the batch order, and the hash-table ones (lsh, sa-lsh) emit
+// each table in canonical content order, as the batch blockers do. This
+// is the equivalence bridge the serving layer rests on: a warm index
+// answers exactly the batch technique's blocking.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "data/voter_generator.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
+#include "split_load.h"
 
 namespace sablock::index {
 namespace {
@@ -107,6 +109,14 @@ TEST(IndexParityGolden, IncrementalLoadMatchesBatchBlocks) {
     // The full emission sequence, not just the multiset: block order and
     // intra-block id order must match.
     EXPECT_EQ(incremental.blocks(), batch.blocks());
+    // LoadDataset bulk-loads; the per-record path, and a load that inserts
+    // the first third one by one and bulk-loads the rest, match too.
+    for (size_t bulk_from : {c.dataset->size(), c.dataset->size() / 3}) {
+      EXPECT_EQ(CollectBlocks(*SplitLoad(c.spec, *c.dataset, bulk_from))
+                    .blocks(),
+                batch.blocks())
+          << "records before the bulk load: " << bulk_from;
+    }
   }
 }
 

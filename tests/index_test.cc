@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/blocking_key.h"
+#include "common/random.h"
 #include "core/blocking.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
@@ -114,6 +119,73 @@ TEST(SortedIndexTest, EqualKeysOrderByIdLikeStableSort) {
   ASSERT_EQ(blocks.NumBlocks(), 2u);
   EXPECT_EQ(blocks.blocks()[0], (Ids{0, 1}));
   EXPECT_EQ(blocks.blocks()[1], (Ids{1, 2}));
+}
+
+/// The live records that share a window with a probe, by definition: the
+/// probe joins the live (key, id) list as the highest id, the list is
+/// stably sorted by key, and every window of w consecutive entries (one
+/// window of all of them when there are fewer than w) that holds the
+/// probe contributes its other ids.
+Ids WindowsWithProbe(const std::map<data::RecordId, std::string>& live,
+                     const std::string& probe_key, size_t w) {
+  std::vector<std::pair<std::string, data::RecordId>> order;
+  for (const auto& [id, key] : live) order.emplace_back(key, id);
+  const data::RecordId probe = live.empty() ? 0 : live.rbegin()->first + 1;
+  order.emplace_back(probe_key, probe);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  const size_t starts = order.size() <= w ? 1 : order.size() - w + 1;
+  std::set<data::RecordId> shared;
+  for (size_t start = 0; start < starts; ++start) {
+    const size_t end = std::min(start + w, order.size());
+    bool holds = false;
+    for (size_t i = start; i < end; ++i) holds |= order[i].second == probe;
+    for (size_t i = start; holds && i < end; ++i) {
+      if (order[i].second != probe) shared.insert(order[i].second);
+    }
+  }
+  return {shared.begin(), shared.end()};
+}
+
+TEST(SortedIndexTest, QueryMatchesTheWindowsOfTheProbeInsertedIntoACopy) {
+  // The values are already normalized, so a record's exact key is its
+  // value. The pool repeats keys (ties) and holds the empty key; the
+  // probes fall before the first key ("" and "0" when no empty key is
+  // live), on ties, between keys and after the last ("zz").
+  const std::vector<std::string> pool = {"", "b", "b", "c d", "e",
+                                         "e", "f", "g h", "k"};
+  const std::vector<std::string> probes = {"", "0", "a", "b",
+                                           "ba", "e", "f", "zz"};
+  Rng rng(0x50a);
+  for (size_t w : {2, 3, 4, 7, 60}) {
+    for (bool empty_keys : {true, false}) {
+      SortedWindowIndex index(baselines::ExactKey({"name"}),
+                              static_cast<int>(w));
+      ASSERT_TRUE(index.Bind(TwoAttrSchema()).ok());
+      std::map<data::RecordId, std::string> live;
+      for (data::RecordId id = 0; id < 40; ++id) {
+        std::string key = pool[rng.UniformIndex(pool.size())];
+        if (key.empty() && !empty_keys) key = "m";
+        const std::vector<std::string> row = {key, "x"};
+        index.Insert(id, Row(row));
+        live[id] = key;
+        if (rng.UniformIndex(4) == 0) {  // remove a random live record
+          auto victim = live.begin();
+          std::advance(victim, rng.UniformIndex(live.size()));
+          ASSERT_TRUE(index.Remove(victim->first));
+          live.erase(victim);
+        }
+        // From one live record (w > n) up to ~30.
+        for (const std::string& probe : probes) {
+          const std::vector<std::string> probe_row = {probe, ""};
+          ASSERT_EQ(index.Query(Row(probe_row)),
+                    WindowsWithProbe(live, probe, w))
+              << "w=" << w << " probe '" << probe << "', " << live.size()
+              << " live";
+        }
+      }
+    }
+  }
 }
 
 TEST(LshIndexTest, IdenticalRecordsCollide) {

@@ -25,8 +25,10 @@
 // Exact block sequences are compared against the registry's `lsh` and
 // `sa-lsh` (OR and AND) on a parsed dataset and on snapshot-loaded ones
 // (raw and compressed, features adopted), and against the incremental
-// index's EmitBlocks after LoadDataset. Each corpus carries records whose
-// blocking attributes are empty, which no table may hold.
+// index's EmitBlocks after LoadDataset (a bulk load), after one-by-one
+// inserts, and after one-by-one inserts of the first third and a bulk
+// load of the rest. Each corpus carries records whose blocking attributes
+// are empty, which no table may hold.
 
 #include <unistd.h>
 
@@ -55,6 +57,7 @@
 #include "gtest/gtest.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
+#include "split_load.h"
 #include "store/snapshot.h"
 #include "store/snapshot_writer.h"
 
@@ -358,6 +361,16 @@ TEST_P(LshOracleTest, IndexesAfterLoadDataset) {
     index::LoadDataset(*idx, corpus.records);
     EXPECT_EQ(index::CollectBlocks(*idx).blocks(), Oracle(corpus, setting))
         << spec;
+    // LoadDataset bulk-loads. Insert every record one by one, or the first
+    // third one by one and bulk-load the rest: the same oracle holds.
+    const size_t n = corpus.records.size();
+    for (size_t bulk_from : {n, n / 3}) {
+      EXPECT_EQ(
+          index::CollectBlocks(*SplitLoad(spec, corpus.records, bulk_from))
+              .blocks(),
+          Oracle(corpus, setting))
+          << spec << ", records before the bulk load: " << bulk_from;
+    }
   }
 }
 

@@ -21,31 +21,16 @@
 
 #include "api/registry.h"
 #include "baselines/blocking_key.h"
-#include "common/string_util.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
 #include "data/record.h"
 #include "features/feature_store.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
+#include "reference_text.h"
 
 namespace sablock {
 namespace {
-
-/// The blocking text by its definition, with names looked up one by one.
-std::string DefinedText(const data::Dataset& d, data::RecordId id,
-                        const std::vector<std::string>& attributes) {
-  std::string joined;
-  for (const std::string& attribute : attributes) {
-    const int position = d.schema().IndexOf(attribute);
-    if (position < 0) continue;
-    const std::string_view value = d.Values(id)[static_cast<size_t>(position)];
-    if (value.empty()) continue;
-    if (!joined.empty()) joined += ' ';
-    joined += value;
-  }
-  return NormalizeForMatching(joined);
-}
 
 /// Rewrites `value` of record `id` into one of several hostile spellings
 /// that keep its tokens: empty, upper case, punctuation and whitespace

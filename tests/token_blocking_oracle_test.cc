@@ -1,7 +1,7 @@
 // A from-definition oracle for token blocking and its incremental index.
 // The reference works from the technique's definition with strings and a
 // std::map, and no FeatureStore: for each distinct token of
-// SplitWords(ConcatenatedValues(id, attrs)), the ascending ids of the
+// SplitWords(DefinedText(d, id, attrs)), the ascending ids of the
 // records that hold it, kept when at least 2 records share it, sorted by
 // content. Whole block sequences are compared against `token-blocking` on
 // a parsed and on a snapshot-loaded dataset, and against the `token`
@@ -29,6 +29,7 @@
 #include "gtest/gtest.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
+#include "reference_text.h"
 #include "store/snapshot.h"
 #include "store/snapshot_writer.h"
 
@@ -55,7 +56,7 @@ data::Dataset Records() {
 /// The distinct tokens of one record of `d`.
 std::set<std::string> RecordTokens(const data::Dataset& d, data::RecordId id) {
   const std::vector<std::string> words =
-      SplitWords(d.ConcatenatedValues(id, kAttrs));
+      SplitWords(DefinedText(d, id, kAttrs));
   return {words.begin(), words.end()};
 }
 

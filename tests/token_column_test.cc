@@ -23,6 +23,7 @@
 #include "data/record.h"
 #include "features/feature_store.h"
 #include "gtest/gtest.h"
+#include "reference_text.h"
 
 namespace sablock::features {
 namespace {
@@ -128,7 +129,7 @@ TEST(TokenColumnTest, IdRuleMatchesTheReferenceOnTheGoldenCoraCorpus) {
   const std::vector<std::string> attrs = {"authors", "title"};
   ReferenceColumn reference;
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    reference.Append(SplitWords(d.ConcatenatedValues(id, attrs)));
+    reference.Append(SplitWords(DefinedText(d, id, attrs)));
   }
   const TokenColumn& column = d.features().store().Tokens(attrs);
   ExpectEqualsReference(column, reference);

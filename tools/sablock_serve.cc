@@ -284,8 +284,9 @@ int RunServer(const Flags& flags) {
                  "and its parameters\n");
     return 1;
   }
+  // One warm start for the snapshot and the generated records alike.
+  if (!preload.empty()) service->Preload(preload);
   if (from_snapshot) {
-    service->Preload(preload);
     const int64_t micros =
         static_cast<int64_t>(startup_timer.Seconds() * 1e6);
     sablock::obs::MetricsRegistry::Global()
@@ -294,14 +295,9 @@ int RunServer(const Flags& flags) {
         ->Set(micros);
     std::printf("warm start: %zu records indexed in %.3fs\n",
                 preload.size(), static_cast<double>(micros) / 1e6);
-  } else {
-    for (sablock::data::RecordId id = 0; id < preload.size(); ++id) {
-      service->Insert(preload.Values(id));
-    }
-    if (!preload.empty()) {
-      std::printf("preloaded %zu %s-like records\n", preload.size(),
-                  generate.c_str());
-    }
+  } else if (!preload.empty()) {
+    std::printf("preloaded %zu %s-like records\n", preload.size(),
+                generate.c_str());
   }
 
   sablock::service::CandidateServer server(service.get(), socket_path,
