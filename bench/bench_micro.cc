@@ -325,6 +325,20 @@ int RunMicro(report::BenchContext& ctx) {
       DoNotOptimize(core::MinhashSignatures(d, p).Row(0).size());
     }, kCachedOps);
 
+    // The column lsh and sa-lsh read: l band keys per record.
+    auto bands = [&](const data::Dataset& dataset) {
+      return dataset.features().BandsFor(p.attributes, p.q, p.k, p.l,
+                                         p.seed);
+    };
+    suite.Case("feature_bands_uncached", [&] {
+      data::Dataset cold = d.ColdCopy();
+      DoNotOptimize(bands(cold).Row(0).size());
+    }, kColdBuildOps);
+    bands(d);  // warm
+    suite.Case("feature_bands_cached", [&] {
+      DoNotOptimize(bands(d).Row(0).size());
+    }, kCachedOps);
+
     core::LshBlocker blocker(p);
     suite.Case("second_technique_recompute", [&] {
       data::Dataset cold = d.ColdCopy();

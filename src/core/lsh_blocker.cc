@@ -10,18 +10,6 @@
 
 namespace sablock::core {
 
-uint64_t LshBandKey(std::span<const uint64_t> sig, int table, int k) {
-  uint64_t key = Mix64(0x5ab10c0 + static_cast<uint64_t>(table));
-  for (int r = 0; r < k; ++r) {
-    key = HashCombine(key, sig[static_cast<size_t>(table) * k + r]);
-  }
-  return key;
-}
-
-bool IsEmptyMinhashSignature(std::span<const uint64_t> sig) {
-  return sig.empty() || sig[0] == MinHasher::kEmptySlot;
-}
-
 std::vector<size_t> SemanticTableChoices(const SemanticParams& params,
                                          uint32_t dim, int table) {
   // Draw this table's w-way semantic hash function: w distinct semhash
@@ -100,26 +88,6 @@ features::FeatureView::Handle<features::SignatureColumn> MinhashSignatures(
                                           params.k * params.l, params.seed);
 }
 
-LshBands ComputeLshBands(const data::Dataset& dataset,
-                         const LshParams& params) {
-  const auto sigs = MinhashSignatures(dataset, params);
-  LshBands bands;
-  bands.ids.reserve(dataset.size());
-  for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    if (!IsEmptyMinhashSignature(sigs.Row(id))) bands.ids.push_back(id);
-  }
-  const size_t n = bands.ids.size();
-  bands.keys.resize(n * static_cast<size_t>(params.l));
-  for (size_t i = 0; i < n; ++i) {
-    const std::span<const uint64_t> sig = sigs.Row(bands.ids[i]);
-    for (int t = 0; t < params.l; ++t) {
-      bands.keys[static_cast<size_t>(t) * n + i] =
-          LshBandKey(sig, t, params.k);
-    }
-  }
-  return bands;
-}
-
 LshBlocker::LshBlocker(LshParams params) : lsh_params_(std::move(params)) {}
 
 LshBlocker::LshBlocker(LshParams lsh_params, SemanticParams sem_params,
@@ -140,7 +108,15 @@ std::string LshBlocker::name() const {
 }
 
 void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
-  const LshBands bands = ComputeLshBands(dataset, lsh_params_);
+  const auto bands = dataset.features().BandsFor(
+      lsh_params_.attributes, lsh_params_.q, lsh_params_.k, lsh_params_.l,
+      lsh_params_.seed);
+  // The records that enter the tables, in id order.
+  std::vector<data::RecordId> ids;
+  ids.reserve(dataset.size());
+  for (data::RecordId id = 0; id < dataset.size(); ++id) {
+    if (!bands.Row(id).empty()) ids.push_back(id);
+  }
 
   uint32_t dim = 0;
   std::vector<SemSignature> sem_sigs;
@@ -156,20 +132,17 @@ void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
   std::vector<uint64_t> keys;
   for (int t = 0; t < lsh_params_.l; ++t) {
     if (sink.Done()) return;
-    const std::span<const uint64_t> bands_t = bands.Table(t);
+    const size_t table = static_cast<size_t>(t);
     if (dim == 0) {
       // No semantic feature to tell records apart: the band alone.
-      for (size_t i = 0; i < bands_t.size(); ++i) {
-        buckets.Add(bands_t[i], bands.ids[i]);
-      }
+      for (data::RecordId id : ids) buckets.Add(bands.Row(id)[table], id);
     } else {
       const std::vector<size_t> chosen =
           SemanticTableChoices(sem_params_, dim, t);
-      for (size_t i = 0; i < bands_t.size(); ++i) {
-        const data::RecordId id = bands.ids[i];
+      for (data::RecordId id : ids) {
         keys.clear();
-        AppendSemanticBucketKeys(bands_t[i], sem_sigs[id], sem_params_.mode,
-                                 chosen, &keys);
+        AppendSemanticBucketKeys(bands.Row(id)[table], sem_sigs[id],
+                                 sem_params_.mode, chosen, &keys);
         for (uint64_t key : keys) buckets.Add(key, id);
       }
     }

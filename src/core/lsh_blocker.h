@@ -26,13 +26,6 @@ struct LshParams {
   uint64_t seed = 7;                    ///< hash-family seed
 };
 
-/// The most minhash rows per record an LSH-family spec may ask for: k·l,
-/// or depth·l for forest. 65,536 rows are 512 KiB of signature per
-/// record, 15× the largest setting the experiments run (fig9's Cora k=6
-/// point: 701 tables, 4,206 rows). The spec readers refuse more, so no
-/// spec allocates a minhash matrix out of proportion to its records.
-inline constexpr long long kMaxMinhashRows = 65536;
-
 /// How a w-way semantic hash function combines its w semhash draws
 /// (Section 5.2): AND requires all chosen features shared, OR at least one.
 enum class SemanticMode { kAnd, kOr };
@@ -63,6 +56,10 @@ struct SemanticParams {
 /// dimension is 0 (always for plain LSH) a table is keyed by the band
 /// alone. Records with no shingles (all-empty attributes) are excluded
 /// from all tables.
+///
+/// Run reads the dataset's band-key column (FeatureStore::Bands: l keys
+/// per record, computed by core::LshBander), so it builds neither the
+/// k·l signature matrix nor the shingle column.
 class LshBlocker : public BlockingTechnique {
  public:
   /// Plain LSH.
@@ -87,9 +84,10 @@ using SemanticAwareLshBlocker = LshBlocker;
 
 /// The cached minhash signatures of a dataset under the given params — a
 /// handle into the dataset's FeatureStore, computed on first request and
-/// shared by every LSH-family blocker (and engine shard) using the same
-/// (attributes, q, k·l, seed); Row(id) is record id's k·l values. This is
-/// what the blockers use internally.
+/// shared by the blockers (and engine shards) that read whole signature
+/// rows under the same (attributes, q, k·l, seed): `forest` in src/.
+/// Row(id) is record id's k·l values. lsh and sa-lsh read band keys
+/// instead (FeatureStore::Bands).
 features::FeatureView::Handle<features::SignatureColumn> MinhashSignatures(
     const data::Dataset& dataset, const LshParams& params);
 
@@ -97,15 +95,8 @@ features::FeatureView::Handle<features::SignatureColumn> MinhashSignatures(
 // Bucketing primitives shared between the batch blockers above and the
 // incremental LSH/SA-LSH indexes (src/index/). Both sides MUST place a
 // record in exactly the same buckets for the index/batch parity guarantee
-// to hold, so the bucket-key computation lives here, once.
-
-/// Bucket key of table `table` for signature rows
-/// [table*k, table*k + k) of `sig`.
-uint64_t LshBandKey(std::span<const uint64_t> sig, int table, int k);
-
-/// True for the sentinel signature of an empty shingle set; such records
-/// are excluded from every LSH table.
-bool IsEmptyMinhashSignature(std::span<const uint64_t> sig);
+// to hold, so the bucket-key computation lives here and in
+// core::LshBander (core/minhash.h), once.
 
 /// The w semhash functions (feature indices) table `table` draws under
 /// `params`, for a semantic dimension of `dim` features. w is clamped to
@@ -125,21 +116,6 @@ void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
 
 // ----------------------------------------------------------------------
 // Batch bucketing of the LSH-family blockers (lsh, sa-lsh, mp-lsh).
-
-/// The band keys of every record with a non-empty signature, computed in
-/// one pass over each record's signature row: `ids` ascending, and table
-/// t's keys, in `ids` order, in Table(t).
-struct LshBands {
-  std::vector<data::RecordId> ids;
-  std::vector<uint64_t> keys;  // table-major: l runs of ids.size() keys
-
-  std::span<const uint64_t> Table(int table) const {
-    return std::span<const uint64_t>(keys).subspan(
-        static_cast<size_t>(table) * ids.size(), ids.size());
-  }
-};
-LshBands ComputeLshBands(const data::Dataset& dataset,
-                         const LshParams& params);
 
 /// One hash table's bucketing, shared by lsh, sa-lsh and mp-lsh: the
 /// caller adds the table's (key, id) entries to one flat array, ids in

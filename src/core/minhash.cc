@@ -2,6 +2,7 @@
 
 #include "arch/kernels.h"
 #include "common/check.h"
+#include "text/qgram.h"
 
 namespace sablock::core {
 
@@ -39,6 +40,38 @@ double MinHasher::EstimateJaccard(std::span<const uint64_t> a,
     if (a[i] == b[i]) ++agree;
   }
   return static_cast<double>(agree) / static_cast<double>(a.size());
+}
+
+uint64_t LshBandKey(std::span<const uint64_t> sig, int table, int k) {
+  uint64_t key = Mix64(0x5ab10c0 + static_cast<uint64_t>(table));
+  for (int r = 0; r < k; ++r) {
+    key = HashCombine(key, sig[static_cast<size_t>(table) * k + r]);
+  }
+  return key;
+}
+
+LshBander::LshBander(int q, int k, int l, uint64_t seed)
+    : q_(q), k_(k), l_(l), hasher_(k * l, seed) {
+  SABLOCK_CHECK(q >= 1 && k >= 1 && l >= 1);
+}
+
+bool LshBander::Keys(std::string_view text, Scratch* scratch,
+                     std::span<uint64_t> keys) const {
+  SABLOCK_CHECK(keys.size() == static_cast<size_t>(l_));
+  if (text.empty()) return false;
+  std::vector<uint64_t>& windows = scratch->windows;
+  if (text.size() < static_cast<size_t>(q_)) {
+    windows.assign(1, HashBytes(text));
+  } else {
+    windows.resize(text.size() - static_cast<size_t>(q_) + 1);
+    text::QGramWindowHashes(text, q_, windows);
+  }
+  scratch->signature.resize(static_cast<size_t>(hasher_.num_hashes()));
+  hasher_.SignatureInto(windows, scratch->signature);
+  for (int t = 0; t < l_; ++t) {
+    keys[static_cast<size_t>(t)] = LshBandKey(scratch->signature, t, k_);
+  }
+  return true;
 }
 
 }  // namespace sablock::core

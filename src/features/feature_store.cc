@@ -43,6 +43,9 @@ namespace {
 /// that makes it.
 constexpr size_t kChunkRecords = 512;
 
+// A band column chunk owns whole words of the column's empty marks.
+static_assert(kChunkRecords % 64 == 0);
+
 /// The token build appends serially (a row's new ids depend on the rows
 /// before it), so it is one chunk spanning the whole column.
 constexpr size_t kWholeColumn = SIZE_MAX;
@@ -275,6 +278,48 @@ const SignatureColumn& FeatureStore::Signatures(
       });
 }
 
+const BandColumn& FeatureStore::Bands(
+    const std::vector<std::string>& attributes, int q, int k, int l,
+    uint64_t seed) const {
+  static ColumnMetrics& metrics = *new ColumnMetrics("band");
+  SABLOCK_CHECK(q >= 1 && k >= 1 && l >= 1);
+  const TextColumn* texts = nullptr;
+  const size_t width = static_cast<size_t>(l);
+  return Obtain(
+      FindOrCreate(bands_, Key(attributes, q, k, l, seed)), Caller::kGetter,
+      metrics, kChunkRecords,
+      [&](Caller caller) { texts = &Texts(attributes, caller); },
+      [&](BandColumn& out) {
+        const size_t keys = size() * width;
+        out.tables = static_cast<uint32_t>(l);
+        out.data = std::make_unique_for_overwrite<uint64_t[]>(
+            keys + BandColumn::MarkWords(size()));
+        out.keys = {out.data.get(), keys};
+        out.empty = {out.data.get() + keys, BandColumn::MarkWords(size())};
+      },
+      [&](BandColumn& out, size_t begin, size_t end) {
+        uint64_t* marks = out.data.get() + out.keys.size();
+        std::fill(marks + begin / 64, marks + BandColumn::MarkWords(end),
+                  uint64_t{0});
+        const core::LshBander bander(q, k, l, seed);
+        core::LshBander::Scratch scratch;
+        for (size_t id = begin; id < end; ++id) {
+          const std::span<uint64_t> row(out.data.get() + id * width, width);
+          if (!bander.Keys(texts->Row(id), &scratch, row)) {
+            std::fill(row.begin(), row.end(), uint64_t{0});
+            marks[id / 64] |= uint64_t{1} << (id % 64);
+          }
+        }
+      },
+      [&] {
+        RecordInCatalog(&Catalog::bands, {.attributes = attributes,
+                                          .q = q,
+                                          .seed = seed,
+                                          .k = k,
+                                          .l = l});
+      });
+}
+
 void FeatureStore::RecordInCatalog(std::vector<ColumnParams> Catalog::* list,
                                    ColumnParams params) const {
   std::lock_guard<std::mutex> lock(map_mutex_);
@@ -336,10 +381,25 @@ bool FeatureStore::AdoptSignatures(const std::vector<std::string>& attributes,
                std::move(column));
 }
 
+bool FeatureStore::AdoptBands(const std::vector<std::string>& attributes,
+                              int q, int k, int l, uint64_t seed,
+                              BandColumn column) {
+  SABLOCK_CHECK_MSG(
+      column.tables == static_cast<uint32_t>(l) &&
+          column.keys.size() == size() * static_cast<size_t>(l) &&
+          column.empty.size() == BandColumn::MarkWords(size()),
+      "adopted band column has wrong shape");
+  return Adopt(bands_, Key(attributes, q, k, l, seed), &Catalog::bands,
+               {.attributes = attributes, .q = q, .seed = seed, .k = k,
+                .l = l},
+               std::move(column));
+}
+
 FeatureStore::Stats FeatureStore::stats() const {
   std::lock_guard<std::mutex> lock(map_mutex_);
   return {catalog_.texts.size(), catalog_.tokens.size(),
-          catalog_.shingles.size(), catalog_.signatures.size()};
+          catalog_.shingles.size(), catalog_.signatures.size(),
+          catalog_.bands.size()};
 }
 
 }  // namespace sablock::features

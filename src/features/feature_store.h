@@ -54,6 +54,37 @@ struct SignatureColumn {
   }
 };
 
+/// Per-record LSH band keys for one (attributes, q, k, l, seed) selection:
+/// record r's l keys are core::LshBander's over its text row, so the k·l
+/// signature they come from is never stored. One flat array holds
+/// `keys`, records × l record-major, and then `empty`, one bit per record
+/// (64 to a word, bit r % 64 of word r / 64) set for a record whose text
+/// is empty: such a record enters no table, and its keys are zero. The
+/// mark is exact: no key value stands for "empty". Owned and left
+/// uninitialized until its build chunks write it, like the signature
+/// matrix, or adopted from a snapshot mapping kept alive by `retain`.
+struct BandColumn {
+  uint32_t tables = 0;                 // l
+  std::unique_ptr<uint64_t[]> data;    // owning storage; null when adopted
+  std::span<const uint64_t> keys;      // records × tables keys
+  std::span<const uint64_t> empty;     // MarkWords(records) mark words
+  std::shared_ptr<const void> retain;  // keep-alive for non-owned words
+
+  /// Mark words for `records` records.
+  static size_t MarkWords(size_t records) { return (records + 63) / 64; }
+
+  size_t size() const { return tables == 0 ? 0 : keys.size() / tables; }
+  /// True if record `record` has an empty text and enters no table.
+  bool Empty(size_t record) const {
+    return (empty[record / 64] >> (record % 64)) & 1;
+  }
+  /// Record `record`'s l band keys; none if it enters no table.
+  std::span<const uint64_t> Row(size_t record) const {
+    if (Empty(record)) return {};
+    return keys.subspan(record * tables, tables);
+  }
+};
+
 /// Shared feature-extraction cache attached to a Dataset (the "features"
 /// layer between data and the blocking techniques). Columns are built
 /// lazily, exactly once, and are immutable after publication:
@@ -67,10 +98,13 @@ struct SignatureColumn {
 ///    after the last chunk), and the last chunk publishes the column and
 ///    wakes every waiter;
 ///  - a getter resolves the column's parent before its own build (texts
-///    -> shingles -> signatures, texts -> tokens), so waiting threads help
-///    at every level. The token column is the one serial build (its ids
-///    follow TokenColumn's id rule, which depends on the rows before):
-///    its helpers help the text column and then wait;
+///    -> shingles -> signatures, texts -> bands, texts -> tokens), so
+///    waiting threads help at every level. The token column is the one
+///    serial build (its ids follow TokenColumn's id rule, which depends on
+///    the rows before): its helpers help the text column and then wait;
+///  - lsh and sa-lsh read the band column, `forest` is the signature
+///    column's one reader, and mp-lsh, harra and the tuning code read the
+///    shingle column;
 ///  - distinct columns build independently (the registry map mutex is
 ///    held only to find/insert the entry, never while building);
 ///  - derived columns stack on their parents, so the string work of the
@@ -115,14 +149,20 @@ class FeatureStore {
   const SignatureColumn& Signatures(
       const std::vector<std::string>& attributes, int q, int num_hashes,
       uint64_t seed) const;
+  /// The band keys of l tables of k minhash rows over q-grams, hash family
+  /// `seed`, built straight from the text column.
+  const BandColumn& Bands(const std::vector<std::string>& attributes, int q,
+                          int k, int l, uint64_t seed) const;
 
   /// Parameters of one built column, recorded at build/adopt time so the
   /// snapshot writer can enumerate exactly what was cached and persist it.
   struct ColumnParams {
     std::vector<std::string> attributes;
-    int q = 0;           // shingle & signature columns
+    int q = 0;           // shingle, signature & band columns
     int num_hashes = 0;  // signature columns only
-    uint64_t seed = 0;   // signature columns only
+    uint64_t seed = 0;   // signature & band columns
+    int k = 0;           // band columns only: rows per table
+    int l = 0;           // band columns only: tables
   };
 
   /// The built-column catalog, one list per column kind, in publication
@@ -132,6 +172,7 @@ class FeatureStore {
     std::vector<ColumnParams> tokens;
     std::vector<ColumnParams> shingles;
     std::vector<ColumnParams> signatures;
+    std::vector<ColumnParams> bands;
   };
   Catalog catalog() const;
 
@@ -151,6 +192,9 @@ class FeatureStore {
   [[nodiscard]] bool AdoptSignatures(
       const std::vector<std::string>& attributes, int q, int num_hashes,
       uint64_t seed, SignatureColumn column);
+  [[nodiscard]] bool AdoptBands(const std::vector<std::string>& attributes,
+                                int q, int k, int l, uint64_t seed,
+                                BandColumn column);
 
   /// Build counters, exposed so tests can assert each cache is built
   /// exactly once under concurrency: the catalog's list sizes (a build or
@@ -160,6 +204,7 @@ class FeatureStore {
     uint64_t token_builds = 0;
     uint64_t shingle_builds = 0;
     uint64_t signature_builds = 0;
+    uint64_t band_builds = 0;
   };
   Stats stats() const;
 
@@ -237,6 +282,7 @@ class FeatureStore {
   mutable EntryMap<TokenColumn> tokens_columns_;
   mutable EntryMap<ShingleColumn> shingles_;
   mutable EntryMap<SignatureColumn> signatures_;
+  mutable EntryMap<BandColumn> bands_;
 };
 
 /// A dataset's window into a FeatureStore: translates the dataset's local
@@ -301,6 +347,10 @@ class FeatureView {
       uint64_t seed) const {
     return {store_, &store_->Signatures(attributes, q, num_hashes, seed),
             offset_};
+  }
+  Handle<BandColumn> BandsFor(const std::vector<std::string>& attributes,
+                              int q, int k, int l, uint64_t seed) const {
+    return {store_, &store_->Bands(attributes, q, k, l, seed), offset_};
   }
 
  private:

@@ -3,21 +3,18 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/hashing.h"
 #include "index/sorted_ids.h"
-#include "text/qgram.h"
 
 namespace sablock::index {
 
 struct LshIndex::BandScratch {
   std::string text;
-  std::vector<uint64_t> shingles;
-  std::vector<uint64_t> signature;
+  core::LshBander::Scratch bander;
 };
 
 LshIndex::LshIndex(core::LshParams params)
     : params_(std::move(params)),
-      hasher_(params_.k * params_.l, params_.seed) {
+      bander_(params_.q, params_.k, params_.l, params_.seed) {
   SABLOCK_CHECK(params_.k >= 1 && params_.l >= 1 && params_.q >= 1);
   tables_.resize(static_cast<size_t>(params_.l));
 }
@@ -50,30 +47,11 @@ Status LshIndex::Bind(const data::Schema& schema) {
 void LshIndex::Bands(std::span<const std::string_view> values,
                      BandScratch* scratch,
                      std::vector<uint64_t>* bands) const {
-  // As the batch pipeline computes them: blocking text -> q-gram shingles
-  // -> minhash rows -> one key per table. A minhash row is a minimum over
-  // the shingles, so hashing every window, repeats included, gives the
-  // signature of the distinct set text::QGramHashes holds.
-  bands->clear();
   std::string& text = scratch->text;
   text.resize(data::BlockingTextBound(values, positions_));
   text.resize(data::WriteBlockingText(values, positions_, text));
-  if (text.empty()) return;  // no shingles: the record enters no table
-  std::vector<uint64_t>& shingles = scratch->shingles;
-  const size_t q = static_cast<size_t>(params_.q);
-  if (text.size() < q) {
-    shingles.assign(1, HashBytes(text));
-  } else {
-    shingles.resize(text.size() - q + 1);
-    text::QGramWindowHashes(text, params_.q, shingles);
-  }
-  scratch->signature.resize(static_cast<size_t>(hasher_.num_hashes()));
-  hasher_.SignatureInto(shingles, scratch->signature);
   bands->resize(static_cast<size_t>(params_.l));
-  for (int t = 0; t < params_.l; ++t) {
-    (*bands)[static_cast<size_t>(t)] =
-        core::LshBandKey(scratch->signature, t, params_.k);
-  }
+  if (!bander_.Keys(text, &scratch->bander, *bands)) bands->clear();
 }
 
 const LshIndex::Entry* LshIndex::Add(data::RecordId id,

@@ -20,9 +20,10 @@ namespace sablock::index {
 /// core::LshBlocker, plain (`lsh`) and, given a semantic function,
 /// semantic-aware (`sa-lsh`): l tables keyed by the band key of k
 /// signature rows, each key gated by the w-way semantic hash. A record's
-/// signature minhashes the q-gram shingles of its data::BlockingText, the
-/// batch text column's row. Records with empty shingle sets are live but
-/// enter no table, exactly like the batch blockers exclude them.
+/// band keys are core::LshBander's over its data::BlockingText, the one
+/// per-record band computation the batch band column uses too. Records
+/// with an empty text are live but enter no table, exactly like the batch
+/// blockers exclude them.
 ///
 /// The semhash feature set is data-dependent (the union of leaf concepts
 /// reachable from the indexed records, Algorithm 1), so inserting a record
@@ -67,8 +68,8 @@ class LshIndex : public IncrementalIndex {
   struct BandScratch;  // the band computation's reusable buffers
 
   /// Writes the record's l band keys into `bands` (none for an empty
-  /// shingle set); the text, shingle and signature buffers are `scratch`'s,
-  /// reused from call to call.
+  /// text); the text and band buffers are `scratch`'s, reused from call
+  /// to call.
   void Bands(std::span<const std::string_view> values, BandScratch* scratch,
              std::vector<uint64_t>* bands) const;
   /// Adds record `id`'s state to records_ and its concepts to
@@ -93,7 +94,7 @@ class LshIndex : public IncrementalIndex {
   core::LshParams params_;
   core::SemanticParams sem_params_;
   std::shared_ptr<const core::SemanticFunction> semantics_;  // null: lsh
-  core::MinHasher hasher_;      // k*l rows, params_.seed
+  core::LshBander bander_;      // params_' q, k, l and seed
   std::vector<int> positions_;  // the attributes' positions, set by Bind
   data::Schema schema_;         // the bound schema, for SemanticFunction
   bool bound_ = false;

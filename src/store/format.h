@@ -51,7 +51,9 @@ inline constexpr size_t kSectionEntryBytes = 40;
 
 /// Section payload kinds. kSchema..kValueOffsets are the dataset core
 /// (each required exactly once); the column sections are optional and
-/// repeatable (one per cached FeatureStore column).
+/// repeatable (one per cached FeatureStore column). kBandColumn is
+/// additive: files without it load as before, and their lsh and sa-lsh
+/// runs build the band column from the text once.
 enum class SectionId : uint32_t {
   kSchema = 1,           // attribute names
   kEntities = 2,         // ground-truth entity ids, one per record
@@ -61,13 +63,16 @@ enum class SectionId : uint32_t {
   kTokenColumn = 6,      // token vocabulary + per-record token-id rows
   kShingleColumn = 7,    // per-record sorted q-gram hash sets
   kSignatureColumn = 8,  // flat minhash matrix (8-aligned, mmap-aliased)
+  kBandColumn = 9,       // l band keys per record, then the empty-record
+                         // marks (8-aligned, mmap-aliased)
 };
 
 /// Per-section encoding. What "compressed" means is kind-specific:
 /// varint zigzag-delta for u64 arrays (entities, value offsets, token
 /// postings, shingle hashes) and dictionary front-coding for string
-/// tables (normalized text, token strings). Signature matrices are
-/// always raw so the loader can alias them straight out of the mapping.
+/// tables (normalized text, token strings). Signature and band columns
+/// are always raw so the loader can alias them straight out of the
+/// mapping.
 enum class SectionEncoding : uint32_t {
   kRaw = 0,
   kCompressed = 1,

@@ -5,12 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/minhash.h"
 #include "features/feature_store.h"
 #include "store/codec.h"
 #include "store/format.h"
@@ -24,8 +26,9 @@ Status Fail(const std::string& what) {
 }
 
 /// RAII read-only file mapping. The loaded dataset's arena (and any
-/// adopted signature column) co-owns it via aliasing shared_ptrs, so
-/// the mapping outlives every view handed out of the snapshot.
+/// adopted signature or band column) co-owns it via aliasing
+/// shared_ptrs, so the mapping outlives every view handed out of the
+/// snapshot.
 class MappedFile {
  public:
   static Status Map(const std::string& path,
@@ -138,15 +141,32 @@ Status LoadShingleColumn(ByteReader& r, const SectionEntry& e, uint64_t n,
       store->AdoptShingles(attrs, static_cast<int>(q), std::move(column)));
 }
 
+/// The raw matrix that ends a signature or band section, after the
+/// preamble's pad-length byte and padding: exactly `count` u64 words on an
+/// 8-aligned file offset, served zero-copy out of the mapping.
+Status AliasMatrix(ByteReader& r, uint64_t count, const std::string& column,
+                   const uint64_t** matrix) {
+  uint8_t pad;
+  if (!r.ReadU8(&pad) || !r.Skip(pad)) {
+    return Fail(column + " column has a truncated preamble");
+  }
+  if (r.position() % 8 != 0) return Fail(column + " matrix misaligned");
+  if (r.remaining() != count * sizeof(uint64_t)) {
+    return Fail(column + " matrix size mismatch");
+  }
+  // The payload starts on an 8-aligned file offset inside a page-aligned
+  // mapping and position % 8 == 0, so this cast is aligned.
+  *matrix = reinterpret_cast<const uint64_t*>(r.cursor());
+  return Status::Ok();
+}
+
 Status LoadSignatureColumn(const std::shared_ptr<MappedFile>& file,
                            ByteReader& r, const SectionEntry& e, uint64_t n,
                            const std::vector<std::string>& attrs,
                            features::FeatureStore* store) {
   uint64_t q, num_hashes, seed, count;
-  uint8_t pad;
   if (!r.ReadVarint(&q) || !r.ReadVarint(&num_hashes) ||
-      !r.ReadVarint(&seed) || !r.ReadVarint(&count) || !r.ReadU8(&pad) ||
-      !r.Skip(pad)) {
+      !r.ReadVarint(&seed) || !r.ReadVarint(&count)) {
     return Fail("signature column has a truncated preamble");
   }
   if (q == 0 || q > INT32_MAX || num_hashes == 0 || num_hashes > INT32_MAX) {
@@ -155,13 +175,9 @@ Status LoadSignatureColumn(const std::shared_ptr<MappedFile>& file,
   if (count != n * num_hashes || e.item_count != count) {
     return Fail("signature matrix shape mismatch");
   }
-  if (r.position() % 8 != 0) return Fail("signature matrix misaligned");
-  if (r.remaining() != count * sizeof(uint64_t)) {
-    return Fail("signature matrix size mismatch");
-  }
-  // The payload starts on an 8-aligned file offset inside a page-aligned
-  // mapping and position % 8 == 0, so this cast is aligned.
-  const auto* matrix = reinterpret_cast<const uint64_t*>(r.cursor());
+  const uint64_t* matrix = nullptr;
+  Status s = AliasMatrix(r, count, "signature", &matrix);
+  if (!s.ok()) return s;
   features::SignatureColumn column;
   column.num_hashes = static_cast<uint32_t>(num_hashes);
   column.rows = {matrix, static_cast<size_t>(count)};
@@ -169,6 +185,54 @@ Status LoadSignatureColumn(const std::shared_ptr<MappedFile>& file,
   return Adopted(store->AdoptSignatures(attrs, static_cast<int>(q),
                                         static_cast<int>(num_hashes), seed,
                                         std::move(column)));
+}
+
+Status LoadBandColumn(const std::shared_ptr<MappedFile>& file, ByteReader& r,
+                      const SectionEntry& e, uint64_t n,
+                      const std::vector<std::string>& attrs,
+                      features::FeatureStore* store) {
+  uint64_t q, k, l, seed, count;
+  if (!r.ReadVarint(&q) || !r.ReadVarint(&k) || !r.ReadVarint(&l) ||
+      !r.ReadVarint(&seed) || !r.ReadVarint(&count)) {
+    return Fail("band column has a truncated preamble");
+  }
+  constexpr uint64_t kMaxRows = core::kMaxMinhashRows;
+  if (q == 0 || q > INT32_MAX || k == 0 || l == 0 || k > kMaxRows ||
+      l > kMaxRows || k * l > kMaxRows) {
+    return Fail("band column has corrupt parameters");
+  }
+  const uint64_t keys = n * l;
+  const uint64_t marks = features::BandColumn::MarkWords(n);
+  if (count != keys + marks || e.item_count != count) {
+    return Fail("band matrix shape mismatch");
+  }
+  const uint64_t* matrix = nullptr;
+  Status s = AliasMatrix(r, count, "band", &matrix);
+  if (!s.ok()) return s;
+  features::BandColumn column;
+  column.tables = static_cast<uint32_t>(l);
+  column.keys = {matrix, static_cast<size_t>(keys)};
+  column.empty = {matrix + keys, static_cast<size_t>(marks)};
+  // The marks name records of this dataset only, and a record is marked
+  // iff its keys are all zero: the build zeroes a marked record's keys,
+  // and l band keys of a text are never all zero (a 2^-64l chance), so
+  // an unmarked record's check stops at its first key.
+  if (n % 64 != 0 && (column.empty.back() >> (n % 64)) != 0) {
+    return Fail("band column marks a record past the last");
+  }
+  for (size_t record = 0; record < n; ++record) {
+    const bool zero = std::ranges::all_of(column.keys.subspan(record * l, l),
+                                          [](uint64_t key) { return key == 0; });
+    if (zero != column.Empty(record)) {
+      return Fail("band column record " + std::to_string(record) +
+                  (zero ? " has no keys but is not marked empty"
+                        : " is marked empty but has keys"));
+    }
+  }
+  column.retain = std::shared_ptr<const void>(file, matrix);
+  return Adopted(store->AdoptBands(attrs, static_cast<int>(q),
+                                   static_cast<int>(k), static_cast<int>(l),
+                                   seed, std::move(column)));
 }
 
 }  // namespace
@@ -273,6 +337,7 @@ Status LoadSnapshot(const std::string& path, const LoadOptions& options,
       case SectionId::kTokenColumn:
       case SectionId::kShingleColumn:
       case SectionId::kSignatureColumn:
+      case SectionId::kBandColumn:
         feature_secs.push_back(&e);
         break;
       default:
@@ -367,7 +432,10 @@ Status LoadSnapshot(const std::string& path, const LoadOptions& options,
         case SectionId::kShingleColumn:
           s = LoadShingleColumn(r, *e, record_count, attrs, store.get());
           break;
-        default:  // kSignatureColumn, the last of the four feature kinds
+        case SectionId::kBandColumn:
+          s = LoadBandColumn(file, r, *e, record_count, attrs, store.get());
+          break;
+        default:  // kSignatureColumn, the last of the five feature kinds
           s = LoadSignatureColumn(file, r, *e, record_count, attrs,
                                   store.get());
           break;

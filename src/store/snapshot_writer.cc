@@ -24,6 +24,16 @@ struct PendingSection {
 
 uint64_t Align8(uint64_t offset) { return (offset + 7) & ~uint64_t{7}; }
 
+/// Ends a raw matrix section's preamble with a pad-length byte and that
+/// many zeros, so the matrix after it starts on an absolute 8-byte file
+/// offset (section payloads start 8-aligned) and the loader can serve it
+/// zero-copy out of the mapping.
+void PutAlignmentPad(ByteWriter& w) {
+  const uint8_t pad = static_cast<uint8_t>((8 - ((w.size() + 1) % 8)) % 8);
+  w.PutU8(pad);
+  for (uint8_t i = 0; i < pad; ++i) w.PutU8(0);
+}
+
 /// Appends section `id` of `item_count` items and returns a writer for
 /// its payload, valid until the next section is added.
 ByteWriter AddSection(std::vector<PendingSection>* sections, SectionId id,
@@ -106,13 +116,10 @@ void AddFeatureSections(const features::FeatureStore& store, bool compress,
     w.PutVarint(static_cast<uint64_t>(params.q));
     WriteRowBlocks(w, column, compress);
   }
+  // Signature and band columns are always raw: the loader aliases them.
   for (const auto& params : catalog.signatures) {
     const features::SignatureColumn& column = store.Signatures(
         params.attributes, params.q, params.num_hashes, params.seed);
-    // Always raw: the loader serves this matrix zero-copy out of the
-    // mapping, so the payload tail is padded to an absolute 8-byte file
-    // offset (section payloads start 8-aligned; pad_len re-aligns after
-    // the variable-length preamble).
     ByteWriter w = AddSection(sections, SectionId::kSignatureColumn,
                               /*compress=*/false, column.rows.size());
     WriteStringBlock(w, params.attributes, /*compressed=*/false);
@@ -120,10 +127,25 @@ void AddFeatureSections(const features::FeatureStore& store, bool compress,
     w.PutVarint(static_cast<uint64_t>(params.num_hashes));
     w.PutVarint(params.seed);
     w.PutVarint(column.rows.size());
-    uint8_t pad = static_cast<uint8_t>((8 - ((w.size() + 1) % 8)) % 8);
-    w.PutU8(pad);
-    for (uint8_t i = 0; i < pad; ++i) w.PutU8(0);
+    PutAlignmentPad(w);
     w.PutBytes(column.rows.data(), column.rows.size() * sizeof(uint64_t));
+  }
+  for (const auto& params : catalog.bands) {
+    // The keys, then the empty-record marks: one array of `words` u64s.
+    const features::BandColumn& column = store.Bands(
+        params.attributes, params.q, params.k, params.l, params.seed);
+    const uint64_t words = column.keys.size() + column.empty.size();
+    ByteWriter w = AddSection(sections, SectionId::kBandColumn,
+                              /*compress=*/false, words);
+    WriteStringBlock(w, params.attributes, /*compressed=*/false);
+    w.PutVarint(static_cast<uint64_t>(params.q));
+    w.PutVarint(static_cast<uint64_t>(params.k));
+    w.PutVarint(static_cast<uint64_t>(params.l));
+    w.PutVarint(params.seed);
+    w.PutVarint(words);
+    PutAlignmentPad(w);
+    w.PutBytes(column.keys.data(), column.keys.size() * sizeof(uint64_t));
+    w.PutBytes(column.empty.data(), column.empty.size() * sizeof(uint64_t));
   }
 }
 

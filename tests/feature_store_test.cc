@@ -18,6 +18,7 @@
 #include "core/minhash.h"
 #include "data/cora_generator.h"
 #include "data/record.h"
+#include "data/voter_generator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "reference_text.h"
@@ -134,15 +135,20 @@ TEST(FeatureStoreTest, DistinctKeysAreDistinctColumns) {
   data::Dataset d = TinyDataset();
   FeatureView features = d.features();
   // Different q, attribute subsets, hash counts and seeds are all
-  // separate cache entries.
+  // separate cache entries; so are band columns that split the same k·l
+  // rows into other tables.
   features.ShinglesFor(NameCity(), 2);
   features.ShinglesFor(NameCity(), 3);
   features.ShinglesFor({"name"}, 2);
   features.SignaturesFor(NameCity(), 2, 8, 7);
   features.SignaturesFor(NameCity(), 2, 8, 11);
+  features.BandsFor(NameCity(), 2, 2, 4, 7);
+  features.BandsFor(NameCity(), 2, 4, 2, 7);
+  features.BandsFor(NameCity(), 2, 4, 2, 11);
   FeatureStore::Stats stats = features.store().stats();
   EXPECT_EQ(stats.shingle_builds, 3u);
   EXPECT_EQ(stats.signature_builds, 2u);
+  EXPECT_EQ(stats.band_builds, 3u);
 }
 
 /// A Cora-like dataset spanning many chunks of a cooperative build.
@@ -297,6 +303,137 @@ TEST(FeatureStoreTest, RacingGettersNeverRebuildAnAdoptedColumn) {
   EXPECT_EQ(counts.misses, 0u);
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(sig_cols[t], sig_cols[0]);
   EXPECT_EQ(sig_cols[0]->rows.data(), built.rows.data());
+}
+
+/// Record `id`'s band keys by the definition (Section 5.1), with none of
+/// core::LshBander's code: DefinedText -> its distinct q-gram hashes ->
+/// k·l minhash rows -> LshBandKey over rows [t·k, t·k + k) for table t.
+/// None for an empty text, whose record enters no table.
+std::vector<uint64_t> DefinedBands(const data::Dataset& d, data::RecordId id,
+                                   const std::vector<std::string>& attributes,
+                                   int q, int k, int l, uint64_t seed) {
+  const std::string text = DefinedText(d, id, attributes);
+  if (text.empty()) return {};
+  const std::vector<uint64_t> signature =
+      core::MinHasher(k * l, seed).Signature(text::QGramHashes(text, q));
+  std::vector<uint64_t> keys;
+  for (int t = 0; t < l; ++t) keys.push_back(core::LshBandKey(signature, t, k));
+  return keys;
+}
+
+/// `source` with the blocking `attributes` of every 37th record cleared
+/// (an empty text), of every 41st set to "x" (a text shorter than q) and
+/// of every 43rd set to punctuation (a non-empty value whose text is
+/// empty), so band columns over it have marks in several chunks.
+data::Dataset WithEmptyAndShortTexts(
+    const data::Dataset& source, const std::vector<std::string>& attributes) {
+  data::Dataset d{source.schema()};
+  for (data::RecordId id = 0; id < source.size(); ++id) {
+    std::vector<std::string> values(source.Values(id).begin(),
+                                    source.Values(id).end());
+    for (const std::string& attribute : attributes) {
+      std::string& value =
+          values[static_cast<size_t>(source.schema().IndexOf(attribute))];
+      if (id % 37 == 0) value.clear();
+      if (id % 41 == 0) value = attribute == attributes.front() ? "x" : "";
+      if (id % 43 == 0) value = "?!";
+    }
+    const std::vector<std::string_view> views(values.begin(), values.end());
+    d.AddRow(views, source.entity(id));
+  }
+  return d;
+}
+
+/// Seeded Voter and Cora corpora of three chunks each, with empty and
+/// short texts, and the blocking attributes and a (q, k, l) of each.
+struct BandCorpus {
+  data::Dataset records;
+  std::vector<std::string> attributes;
+  int q, k, l;
+};
+std::vector<BandCorpus> BandCorpora() {
+  data::VoterGeneratorConfig voter;
+  voter.num_records = 1300;
+  voter.seed = 5;
+  data::CoraGeneratorConfig cora;
+  cora.num_entities = 60;
+  cora.num_records = 1300;
+  cora.seed = 6;
+  const std::vector<std::string> names = {"first_name", "last_name"};
+  const std::vector<std::string> citation = {"authors", "title"};
+  return {
+      {WithEmptyAndShortTexts(data::GenerateVoterLike(voter), names), names,
+       2, 9, 15},
+      {WithEmptyAndShortTexts(data::GenerateCoraLike(cora), citation),
+       citation, 4, 3, 10}};
+}
+
+TEST(FeatureStoreTest, BandColumnMatchesTheDefinition) {
+  for (const BandCorpus& corpus : BandCorpora()) {
+    const data::Dataset& d = corpus.records;
+    const auto bands = d.features().BandsFor(corpus.attributes, corpus.q,
+                                             corpus.k, corpus.l, 7);
+    const BandColumn& column = bands.column();
+    ASSERT_EQ(column.size(), d.size());
+    EXPECT_EQ(column.tables, static_cast<uint32_t>(corpus.l));
+    size_t empty = 0;
+    size_t short_texts = 0;
+    for (data::RecordId id = 0; id < d.size(); ++id) {
+      const std::string text = DefinedText(d, id, corpus.attributes);
+      if (text.empty()) ++empty;
+      if (!text.empty() && text.size() < static_cast<size_t>(corpus.q)) {
+        ++short_texts;
+      }
+      const std::vector<uint64_t> defined =
+          DefinedBands(d, id, corpus.attributes, corpus.q, corpus.k,
+                       corpus.l, 7);
+      ASSERT_TRUE(std::ranges::equal(bands.Row(id), defined)) << id;
+      // Empty texts are marked exactly: a mark, not a key value.
+      EXPECT_EQ(column.Empty(id), text.empty()) << id;
+    }
+    EXPECT_GT(empty, 40u);
+    EXPECT_GT(short_texts, 20u);
+  }
+}
+
+TEST(FeatureStoreTest, FourThreadsRacingABandColumnBuildItOnce) {
+  for (const BandCorpus& corpus : BandCorpora()) {
+    const data::Dataset& d = corpus.records;
+    const FeatureStore& store = d.features().store();
+    const CacheCounts texts_before = CacheCounts::Of("text");
+    const CacheCounts bands_before = CacheCounts::Of("band");
+
+    constexpr int kThreads = 4;
+    std::vector<const BandColumn*> columns(kThreads);
+    RaceThreads(kThreads, [&](int t) {
+      columns[t] = &store.Bands(corpus.attributes, corpus.q, corpus.k,
+                                corpus.l, 7);
+    });
+
+    // One build, counted once: one band miss and a hit per other getter.
+    // The text column is asked for once, by the band build's starter;
+    // the helpers' share of it is not a getter call.
+    const FeatureStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.band_builds, 1u);
+    EXPECT_EQ(stats.text_builds, 1u);
+    EXPECT_EQ(stats.shingle_builds, 0u);
+    EXPECT_EQ(stats.signature_builds, 0u);
+    const CacheCounts bands = CacheCounts::Of("band").Since(bands_before);
+    const CacheCounts texts = CacheCounts::Of("text").Since(texts_before);
+    EXPECT_EQ(bands.misses, 1u);
+    EXPECT_EQ(bands.hits, static_cast<uint64_t>(kThreads - 1));
+    EXPECT_EQ(texts.misses, 1u);
+    EXPECT_EQ(texts.hits, 0u);
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(columns[t], columns[0]);
+
+    // The raced column holds the words of a one-thread build.
+    const data::Dataset serial = d.ColdCopy();
+    const BandColumn& reference = serial.features().store().Bands(
+        corpus.attributes, corpus.q, corpus.k, corpus.l, 7);
+    EXPECT_TRUE(std::ranges::equal(columns[0]->keys, reference.keys));
+    EXPECT_TRUE(std::ranges::equal(columns[0]->empty, reference.empty));
+    EXPECT_EQ(columns[0]->keys.data(), columns[0]->data.get());
+  }
 }
 
 TEST(FeatureStoreTest, SlicesShareTheParentStoreWithOffset) {

@@ -214,7 +214,7 @@ TEST(SaLshBlockerTest, DeterministicAcrossRuns) {
 
 // With no semantic feature in any record (dimension 0) SA-LSH keys each
 // table by the band alone: plain LSH's block sequence, from one request
-// of the signature column.
+// of the band column.
 TEST(SaLshBlockerTest, WithoutSemanticFeaturesItIsPlainLsh) {
   data::CoraGeneratorConfig config;
   config.num_entities = 30;
@@ -231,10 +231,10 @@ TEST(SaLshBlockerTest, WithoutSemanticFeaturesItIsPlainLsh) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Counter* hits = registry.GetCounter(
       "featurestore_hits", "column requests served from the cache", "column",
-      "signature");
+      "band");
   const obs::Counter* misses = registry.GetCounter(
       "featurestore_misses", "column requests that paid a build", "column",
-      "signature");
+      "band");
   const uint64_t hits_before = hits->value();
   const uint64_t misses_before = misses->value();
   const Dataset cold = d.ColdCopy();

@@ -24,10 +24,11 @@
 //
 // Exact block sequences are compared against the registry's `lsh` and
 // `sa-lsh` (OR and AND) on a parsed dataset and on snapshot-loaded ones
-// (raw and compressed, features adopted), and against the incremental
-// index's EmitBlocks after LoadDataset (a bulk load), after one-by-one
-// inserts, and after one-by-one inserts of the first third and a bulk
-// load of the rest. Each corpus carries records whose blocking attributes
+// (raw and compressed, features adopted, and a file with no band
+// section, as written before band columns existed), and against the
+// incremental index's EmitBlocks after LoadDataset (a bulk load), after
+// one-by-one inserts, and after one-by-one inserts of the first third and
+// a bulk load of the rest. Each corpus carries records whose blocking attributes
 // are empty, which no table may hold.
 
 #include <unistd.h>
@@ -338,6 +339,9 @@ TEST_P(LshOracleTest, TechniquesOnSnapshotLoadedDatasets) {
     EXPECT_EQ(info.feature_sections, written.feature_sections);
     const features::FeatureStore& store = loaded.records.features().store();
     const features::FeatureStore::Stats adopted = store.stats();
+    // lsh and sa-lsh read band columns only: the file carried one per
+    // (q, k, l) the settings use.
+    EXPECT_GT(adopted.band_builds, 0u);
     for (const Setting& setting : settings) {
       const std::string spec = setting.Spec(loaded);
       EXPECT_EQ(RunTechnique(spec, loaded.records), Oracle(loaded, setting))
@@ -348,7 +352,47 @@ TEST_P(LshOracleTest, TechniquesOnSnapshotLoadedDatasets) {
     EXPECT_EQ(after.text_builds, adopted.text_builds);
     EXPECT_EQ(after.shingle_builds, adopted.shingle_builds);
     EXPECT_EQ(after.signature_builds, adopted.signature_builds);
+    EXPECT_EQ(after.band_builds, adopted.band_builds);
   }
+}
+
+TEST_P(LshOracleTest, TechniquesOnSnapshotsWithoutBandSections) {
+  // A file written before band columns existed: an lsh run then warmed
+  // the text, shingle and signature columns, whose sections are unchanged.
+  const Corpus original = GetParam()();
+  const std::vector<Setting> settings = Settings(original);
+  const data::Dataset warm = original.records.ColdCopy();
+  std::set<std::vector<int>> band_columns;  // distinct (q, k, l)
+  for (const Setting& setting : settings) {
+    warm.features().SignaturesFor(original.attributes, setting.q,
+                                  setting.k * setting.l, setting.seed);
+    band_columns.insert({setting.q, setting.k, setting.l});
+  }
+  const std::string path = TmpPath("no-bands.sab");
+  ASSERT_TRUE(store::WriteSnapshot(path, warm).ok());
+  Corpus loaded{original.name, {}, original.attributes, original.domain,
+                original.domain_spec};
+  Status s = store::LoadSnapshot(path, {}, &loaded.records);
+  std::remove(path.c_str());
+  ASSERT_TRUE(s.ok()) << s.message();
+  const features::FeatureStore& store = loaded.records.features().store();
+  const features::FeatureStore::Stats adopted = store.stats();
+  ASSERT_EQ(adopted.band_builds, 0u);
+  ASSERT_GT(adopted.signature_builds, 0u);
+  // Run every setting twice: the first run builds its band column from
+  // the adopted text, the second reuses it.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Setting& setting : settings) {
+      const std::string spec = setting.Spec(loaded);
+      EXPECT_EQ(RunTechnique(spec, loaded.records), Oracle(loaded, setting))
+          << spec << " pass " << pass;
+    }
+  }
+  const features::FeatureStore::Stats after = store.stats();
+  EXPECT_EQ(after.band_builds, band_columns.size());
+  EXPECT_EQ(after.text_builds, adopted.text_builds);
+  EXPECT_EQ(after.shingle_builds, adopted.shingle_builds);
+  EXPECT_EQ(after.signature_builds, adopted.signature_builds);
 }
 
 TEST_P(LshOracleTest, IndexesAfterLoadDataset) {

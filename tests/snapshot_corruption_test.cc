@@ -57,7 +57,8 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 }
 
 /// The golden corpus: small Cora-like dataset with one column of every
-/// feature kind warmed, so the file exercises every section decoder.
+/// feature kind warmed, so the file exercises every section decoder. Two
+/// records have empty blocking attributes, so the band column marks some.
 data::Dataset GoldenDataset() {
   data::CoraGeneratorConfig config;
   config.num_entities = 12;
@@ -65,11 +66,21 @@ data::Dataset GoldenDataset() {
   config.seed = 42;
   data::Dataset d = data::GenerateCoraLike(config);
   const std::vector<std::string> attrs = {"authors", "title"};
+  for (data::RecordId source : {3u, 70u}) {
+    std::vector<std::string> values(d.Values(source).begin(),
+                                    d.Values(source).end());
+    for (const std::string& attr : attrs) {
+      values[static_cast<size_t>(d.schema().IndexOf(attr))].clear();
+    }
+    const std::vector<std::string_view> views(values.begin(), values.end());
+    d.AddRow(views);
+  }
   features::FeatureView warm = d.features();
   warm.TextsFor(attrs);
   warm.TokensFor(attrs);
   warm.ShinglesFor(attrs, 3);
   warm.SignaturesFor(attrs, 3, 16, 7);
+  warm.BandsFor(attrs, 3, 2, 8, 7);
   return d;
 }
 
@@ -234,18 +245,16 @@ TEST_F(SnapshotCorruptionTest, ChecksumVerificationIsTheDefaultGate) {
   EXPECT_TRUE(ExpectCleanOutcome(mutated, "payload flip"));
 }
 
-TEST(DuplicateSectionTest, RepeatedFeatureSectionIsRefused) {
-  data::Dataset d{data::Schema({"name"})};
-  d.Add({{"ada lovelace"}}, 0);
-  d.Add({{"ada byron"}}, 0);
-  d.features().TextsFor({"name"});
+/// Writes `d` with one more section table entry, a copy of the last
+/// (its last feature column's), and expects the load to refuse the
+/// repeated column while a core-only load still succeeds.
+void ExpectRepeatedLastSectionRefused(const data::Dataset& d) {
   const std::string path = TmpPath("duplicate");
   ASSERT_TRUE(WriteSnapshot(path, d).ok());
   const std::string file = ReadFile(path);
 
-  // One more table entry, a copy of the last (the text column's): every
-  // payload moves one entry further, and the header and table checksum
-  // follow (store/format.h's layout).
+  // Every payload moves one entry further, and the header and table
+  // checksum follow (store/format.h's layout).
   uint32_t sections = 0;
   std::memcpy(&sections, &file[28], sizeof sections);
   std::string table = file.substr(kHeaderBytes, sections * kSectionEntryBytes);
@@ -275,6 +284,25 @@ TEST(DuplicateSectionTest, RepeatedFeatureSectionIsRefused) {
   Status s = LoadSnapshot(path, core_only, &loaded);
   EXPECT_TRUE(s.ok()) << s.message();
   std::remove(path.c_str());
+}
+
+data::Dataset TwoNames() {
+  data::Dataset d{data::Schema({"name"})};
+  d.Add({{"ada lovelace"}}, 0);
+  d.Add({{"ada byron"}}, 0);
+  return d;
+}
+
+TEST(DuplicateSectionTest, RepeatedFeatureSectionIsRefused) {
+  data::Dataset d = TwoNames();
+  d.features().TextsFor({"name"});
+  ExpectRepeatedLastSectionRefused(d);
+}
+
+TEST(DuplicateSectionTest, RepeatedBandSectionIsRefused) {
+  data::Dataset d = TwoNames();
+  d.features().BandsFor({"name"}, 2, 2, 4, 7);  // written after the text
+  ExpectRepeatedLastSectionRefused(d);
 }
 
 // A section whose checksums are valid but whose content is not its
@@ -464,6 +492,87 @@ TEST_F(ShingleSectionTest, RecordHashesOutOfOrderAreRefused) {
 TEST_F(ShingleSectionTest, RepeatedRecordHashIsRefused) {
   file_.replace(hashes_at_ + 8, 8, file_.substr(hashes_at_, 8));
   ExpectUnsortedRow(Load());
+}
+
+// A band section whose parameters or empty-record marks disagree with
+// its keys: the loader checks them against each other, because the
+// marks, not a key value, say which records enter no table.
+class BandSectionTest : public ResealedSectionTest {
+ protected:
+  void SetUp() override {
+    data::Dataset d{data::Schema({"name"})};
+    d.Add({{"ada lovelace"}}, 0);
+    d.Add({{""}}, 1);  // an empty text: marked
+    d.Add({{"ada lovelac"}}, 0);
+    // k·l = 60,000 rows, near the 65,536 bound, in two-byte varints.
+    d.features().BandsFor({"name"}, 2, 200, 300, 7);
+    ByteReader r = WriteAndFind(d, SectionId::kBandColumn, "bands");
+
+    // Walk the raw payload: attributes, q, k, l, seed, count, pad, keys,
+    // marks.
+    std::vector<std::string> attrs;
+    ASSERT_TRUE(ReadStringBlock(r, /*compressed=*/false, &attrs).ok());
+    uint64_t value = 0;
+    ASSERT_TRUE(r.ReadVarint(&value));  // q
+    ASSERT_TRUE(r.ReadVarint(&value));  // k
+    l_at_ = At(r);
+    ASSERT_TRUE(r.ReadVarint(&value));
+    ASSERT_EQ(value, 300u);
+    ASSERT_EQ(At(r), l_at_ + 2);
+    ASSERT_TRUE(r.ReadVarint(&value));  // seed
+    ASSERT_TRUE(r.ReadVarint(&value));  // count
+    ASSERT_EQ(value, 3u * 300u + 1u);
+    uint8_t pad = 0;
+    ASSERT_TRUE(r.ReadU8(&pad));
+    ASSERT_TRUE(r.Skip(pad));
+    marks_at_ = At(r) + 3 * 300 * sizeof(uint64_t);
+    uint64_t marks = 0;
+    std::memcpy(&marks, &file_[marks_at_], sizeof marks);
+    ASSERT_EQ(marks, uint64_t{1} << 1);
+  }
+
+  void SetMarks(uint64_t marks) {
+    std::memcpy(&file_[marks_at_], &marks, sizeof marks);
+  }
+
+  size_t l_at_ = 0;      // file offset of l's two-byte varint
+  size_t marks_at_ = 0;  // file offset of the one mark word
+};
+
+TEST_F(BandSectionTest, ResealedSectionLoads) {
+  Status s = Load();
+  EXPECT_TRUE(s.ok()) << s.message();
+}
+
+TEST_F(BandSectionTest, TooManyRowsAreRefused) {
+  file_[l_at_] = static_cast<char>(0xff);  // l = 16,383: k·l > 65,536
+  file_[l_at_ + 1] = 0x7f;
+  EXPECT_EQ(Load().message(), "snapshot: band column has corrupt parameters");
+}
+
+TEST_F(BandSectionTest, ZeroTablesAreRefused) {
+  file_[l_at_] = static_cast<char>(0x80);  // l = 0, still two bytes
+  file_[l_at_ + 1] = 0;
+  EXPECT_EQ(Load().message(), "snapshot: band column has corrupt parameters");
+}
+
+TEST_F(BandSectionTest, AMarkPastTheLastRecordIsRefused) {
+  SetMarks((uint64_t{1} << 1) | (uint64_t{1} << 3));
+  EXPECT_EQ(Load().message(),
+            "snapshot: band column marks a record past the last");
+}
+
+TEST_F(BandSectionTest, AMarkedRecordWithKeysIsRefused) {
+  SetMarks((uint64_t{1} << 0) | (uint64_t{1} << 1));
+  EXPECT_EQ(Load().message(),
+            "snapshot: band column record 0 is marked empty but has keys");
+}
+
+TEST_F(BandSectionTest, AnUnmarkedRecordWithoutKeysIsRefused) {
+  SetMarks(0);
+  EXPECT_EQ(Load().message(),
+            "snapshot: band column record 1 has no keys but is not marked "
+            "empty");
 }
 
 }  // namespace
