@@ -20,21 +20,24 @@ std::vector<size_t> SemanticTableChoices(const SemanticParams& params,
   return rng.SampleIndices(dim, w);
 }
 
-void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
-                              SemanticMode mode,
-                              const std::vector<size_t>& chosen,
-                              std::vector<uint64_t>* keys) {
-  if (mode == SemanticMode::kAnd) {
-    for (size_t f : chosen) {
-      if (!sem.Get(static_cast<uint32_t>(f))) return;
-    }
-    keys->push_back(band);
-  } else {
-    for (size_t f : chosen) {
-      if (sem.Get(static_cast<uint32_t>(f))) {
-        keys->push_back(HashCombine(band, 0xfeed0000 + f));
-      }
-    }
+LshTableKeys::LshTableKeys(const SemanticParams& params, uint32_t dim, int l)
+    : params_(params), dim_(dim), chosen_(static_cast<size_t>(l)) {
+  for (int t = 0; t < l && dim_ > 0; ++t) {
+    chosen_[static_cast<size_t>(t)] = SemanticTableChoices(params_, dim_, t);
+  }
+}
+
+void LshTableKeys::Keys(size_t t, uint64_t band, const SemSignature* sem,
+                        std::vector<uint64_t>* keys) const {
+  keys->clear();
+  auto bit = [&](size_t f) { return sem->Get(static_cast<uint32_t>(f)); };
+  if (dim_ == 0 || params_.mode == SemanticMode::kAnd) {
+    // The band alone; AND keeps it only if every drawn bit is set.
+    if (std::ranges::all_of(chosen_[t], bit)) keys->push_back(band);
+    return;
+  }
+  for (size_t f : chosen_[t]) {
+    if (bit(f)) keys->push_back(HashCombine(band, 0xfeed0000 + f));
   }
 }
 
@@ -78,6 +81,23 @@ void LshBuckets::EmitTable(BlockSink& sink) {
     if (sink.Done()) return;
     std::span<const data::RecordId> block = members(bucket);
     sink.Consume(Block(block.begin(), block.end()));
+  }
+}
+
+void EmitLshTables(const LshTableKeys& keys, std::span<const uint64_t> bands,
+                   std::span<const SemSignature> sems,
+                   std::span<const uint32_t> rows,
+                   std::span<const data::RecordId> ids, BlockSink& sink) {
+  LshBuckets buckets;
+  std::vector<uint64_t> table_keys;
+  for (size_t t = 0; t < keys.tables(); ++t) {
+    if (sink.Done()) return;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      keys.Keys(t, bands[rows[i] * keys.tables() + t],
+                sems.empty() ? nullptr : &sems[rows[i]], &table_keys);
+      for (uint64_t key : table_keys) buckets.Add(key, ids[i]);
+    }
+    buckets.EmitTable(sink);
   }
 }
 
@@ -128,26 +148,10 @@ void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
     sem_sigs = encoder.EncodeAll(taxonomy, zetas);
     dim = encoder.dimension();
   }
-  LshBuckets buckets;
-  std::vector<uint64_t> keys;
-  for (int t = 0; t < lsh_params_.l; ++t) {
-    if (sink.Done()) return;
-    const size_t table = static_cast<size_t>(t);
-    if (dim == 0) {
-      // No semantic feature to tell records apart: the band alone.
-      for (data::RecordId id : ids) buckets.Add(bands.Row(id)[table], id);
-    } else {
-      const std::vector<size_t> chosen =
-          SemanticTableChoices(sem_params_, dim, t);
-      for (data::RecordId id : ids) {
-        keys.clear();
-        AppendSemanticBucketKeys(bands.Row(id)[table], sem_sigs[id],
-                                 sem_params_.mode, chosen, &keys);
-        for (uint64_t key : keys) buckets.Add(key, id);
-      }
-    }
-    buckets.EmitTable(sink);
-  }
+  // The view's rows of the band column, l keys each.
+  const size_t first = dataset.features().offset() * bands.column().tables;
+  EmitLshTables(LshTableKeys(sem_params_, dim, lsh_params_.l),
+                bands.column().keys.subspan(first), sem_sigs, ids, ids, sink);
 }
 
 }  // namespace sablock::core

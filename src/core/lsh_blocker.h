@@ -105,14 +105,24 @@ features::FeatureView::Handle<features::SignatureColumn> MinhashSignatures(
 std::vector<size_t> SemanticTableChoices(const SemanticParams& params,
                                          uint32_t dim, int table);
 
-/// Appends the bucket keys record `sem` lands in for one table, given its
-/// textual band key and the table's chosen semhash functions: AND mode
-/// yields `band` itself iff all chosen bits are set; OR mode yields one
-/// derived key per set chosen bit.
-void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
-                              SemanticMode mode,
-                              const std::vector<size_t>& chosen,
-                              std::vector<uint64_t>* keys);
+/// The bucket keys of l tables under a semantic dimension `dim`: the band
+/// key alone while it is 0, else table t's SemanticTableChoices draw gates
+/// it (AND: all drawn bits set) or splits it (OR: one key per set bit).
+class LshTableKeys {
+ public:
+  LshTableKeys(const SemanticParams& params, uint32_t dim, int l);
+
+  size_t tables() const { return chosen_.size(); }
+  /// Sets `keys` to table t's keys for band key `band` and signature
+  /// `sem` (null while the dimension is 0).
+  void Keys(size_t t, uint64_t band, const SemSignature* sem,
+            std::vector<uint64_t>* keys) const;
+
+ private:
+  SemanticParams params_;
+  uint32_t dim_;
+  std::vector<std::vector<size_t>> chosen_;  // per table; none while dim_ 0
+};
 
 // ----------------------------------------------------------------------
 // Batch bucketing of the LSH-family blockers (lsh, sa-lsh, mp-lsh).
@@ -144,6 +154,18 @@ class LshBuckets {
   std::vector<uint32_t> kept_;   // buckets of >= 2 records
   std::vector<data::RecordId> ids_;
 };
+
+/// The table loop of lsh and sa-lsh, with two callers so that they emit
+/// the same blocks by construction: LshBlocker::Run over the band column
+/// and index::LshIndex::EmitBlocks over its live records. Records ids[i]
+/// (ascending) have band keys at row rows[i] of `bands`, l keys per row,
+/// and signature sems[rows[i]] (none while the dimension is 0). Each
+/// table in turn buckets them by LshTableKeys and LshBuckets emits it,
+/// until the sink reports Done.
+void EmitLshTables(const LshTableKeys& keys, std::span<const uint64_t> bands,
+                   std::span<const SemSignature> sems,
+                   std::span<const uint32_t> rows,
+                   std::span<const data::RecordId> ids, BlockSink& sink);
 
 }  // namespace sablock::core
 

@@ -42,6 +42,10 @@ namespace sablock::index {
 ///    the same spec string byte-identically, sequence included — the
 ///    golden index/batch parity test enforces this for every registered
 ///    index.
+///  - An index may reorganize its storage inside Insert, BulkLoad and
+///    Remove (LshIndex compacts its tables). That is invisible to the
+///    contract: answers, blocks and size() depend only on the records
+///    inserted and removed, never on when a reorganization ran.
 ///
 /// Thread-safety: none. All methods, including Query and EmitBlocks,
 /// must be externally serialized; service::CandidateService wraps an

@@ -1,15 +1,14 @@
 #ifndef SABLOCK_INDEX_LSH_INDEX_H_
 #define SABLOCK_INDEX_LSH_INDEX_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/lsh_blocker.h"
 #include "core/minhash.h"
 #include "index/incremental_index.h"
@@ -18,30 +17,40 @@ namespace sablock::index {
 
 /// Incremental minhash-LSH banding tables, the index-side counterpart of
 /// core::LshBlocker, plain (`lsh`) and, given a semantic function,
-/// semantic-aware (`sa-lsh`): l tables keyed by the band key of k
-/// signature rows, each key gated by the w-way semantic hash. A record's
-/// band keys are core::LshBander's over its data::BlockingText, the one
-/// per-record band computation the batch band column uses too. Records
-/// with an empty text are live but enter no table, exactly like the batch
-/// blockers exclude them.
+/// semantic-aware (`sa-lsh`). A record's band keys are core::LshBander's
+/// over its data::BlockingText, as in the batch band column, and
+/// core::LshTableKeys turns them into each table's bucket keys.
 ///
-/// The semhash feature set is data-dependent (the union of leaf concepts
-/// reachable from the indexed records, Algorithm 1), so inserting a record
-/// with previously unseen concepts can grow the semantic dimension; the
-/// index then rebuilds its tables from the stored per-record state so that
-/// EmitBlocks always matches the batch blocker over the same records.
-/// While the dimension is 0, as it always is without a semantic function,
-/// a table is keyed by the band alone, as in the batch blocker. BulkLoad
-/// computes every record's band keys and interpretation first, checks the
-/// encoder once for the whole batch (the union of the batch's concepts
-/// gives the encoder the per-record inserts end at) and then fills the
-/// tables one table at a time, so it leaves the state of an Insert loop.
-/// The feature set is built from every concept ever inserted: removals
-/// shrink the record set but deliberately not the feature set (features
-/// are never un-selected), so batch parity is guaranteed after inserts,
-/// not after removals.
+/// Layout, all flat. A record with an empty text enters no table, as in
+/// the batch blockers: its id maps to kNoSlot. Every other record holds a
+/// dense slot: its id, l band keys, a live bit and its interpretation
+/// (CSR). Each table is an immutable Base over slots plus a Delta of the
+/// slots inserted since. Query probes both and skips dead slots;
+/// EmitBlocks runs core::EmitLshTables, the batch blocker's table loop,
+/// over the live slots in id order. Remove only clears the live bit; the
+/// slot's state and table entries stay until the next compaction, which
+/// renumbers the live slots in id order, rebuilds the bases and empties
+/// the deltas. It runs when the dimension grows, or when the slots
+/// inserted or removed since the last one exceed max(kCompactionFloor,
+/// base slots / kCompactionDivisor): an insert-only load rebuilds each
+/// record O(log n) times, and a large BulkLoad into an empty index builds
+/// the bases directly.
+///
+/// The semhash features are the leaves under every concept ever inserted
+/// (Algorithm 1), so a record with an unseen concept can grow the
+/// dimension, which changes every key. While the dimension is 0, as it
+/// always is without a semantic function, a table is keyed by the band
+/// alone. BulkLoad checks the encoder once per batch, which reaches the
+/// encoder an Insert loop ends at. Removals never un-select a feature, so
+/// batch parity is guaranteed after inserts, not after removals.
 class LshIndex : public IncrementalIndex {
  public:
+  // A larger divisor keeps the delta, which costs more memory per record
+  // than the base, smaller, at the price of more frequent rebuilds; the
+  // floor keeps a small index from rebuilding every few inserts.
+  static constexpr size_t kCompactionFloor = 256;
+  static constexpr size_t kCompactionDivisor = 4;
+
   /// Plain LSH.
   explicit LshIndex(core::LshParams params);
   /// Semantic-aware LSH.
@@ -57,39 +66,55 @@ class LshIndex : public IncrementalIndex {
   std::vector<data::RecordId> Query(
       std::span<const std::string_view> values) const override;
   void EmitBlocks(core::BlockSink& sink) const override;
-  size_t size() const override { return records_.size(); }
+  size_t size() const override { return slot_of_.size(); }
+
+  /// Compactions so far, bulk loads and dimension growth included.
+  size_t compactions() const { return compactions_; }
 
  private:
-  struct RecordState {
-    std::vector<uint64_t> bands;        // l band keys; empty: no shingles
-    std::vector<core::ConceptId> zeta;  // semantic interpretation
-  };
-  using Entry = std::pair<const data::RecordId, RecordState>;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;  // also: no delta entry
   struct BandScratch;  // the band computation's reusable buffers
+  using Entries = std::vector<std::pair<uint64_t, uint32_t>>;  // key, slot
+  /// Slots [0, base_slots_) of one table: distinct keys ascending, and
+  /// key i's slots, ascending, at slots[offsets[i], offsets[i + 1]). The
+  /// keys whose top bits read p are keys[dir[p], dir[p + 1]).
+  struct Base {
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> slots;
+    int shift = 63;  // the top bits are key >> shift
+    std::vector<uint32_t> dir = {0, 0, 0};
 
-  /// Writes the record's l band keys into `bands` (none for an empty
-  /// text); the text and band buffers are `scratch`'s, reused from call
-  /// to call.
-  void Bands(std::span<const std::string_view> values, BandScratch* scratch,
-             std::vector<uint64_t>* bands) const;
-  /// Adds record `id`'s state to records_ and its concepts to
+    /// The base of `entries`, which it sorts.
+    static Base Build(Entries* entries);
+    /// The slots bucketed under `key`.
+    std::span<const uint32_t> Find(uint64_t key) const;
+  };
+  /// The later slots of one table: each entry is a (slot, the key's next
+  /// older entry or kNoSlot) pair.
+  struct Delta {
+    FlatMap<uint64_t, uint32_t> newest;  // key -> its newest entry
+    std::vector<std::pair<uint32_t, uint32_t>> entries;
+  };
+
+  /// Writes the l band keys to scratch->bands; false for an empty text.
+  bool Bands(std::span<const std::string_view> values,
+             BandScratch* scratch) const;
+  /// Gives record `id` the next slot (or kNoSlot) and its concepts to
   /// seen_concepts_, without bucketing it.
-  const Entry* Add(data::RecordId id, std::span<const std::string_view> values,
-                   BandScratch* scratch);
-  /// Rebuilds the encoder if concepts were added since seen_concepts_ held
-  /// `seen` of them; if the dimension grew, redraws the tables' semhash
-  /// functions and refills every table from records_. True if it refilled.
+  void Add(data::RecordId id, std::span<const std::string_view> values,
+           BandScratch* scratch);
+  /// Buckets the slots from `from` on, added after seen_concepts_ held
+  /// `seen` concepts: to the deltas, or by compacting.
+  void Commit(size_t seen, uint32_t from);
+  /// Rebuilds the encoder from seen_concepts_; true if its dimension grew.
   bool GrowEncoder(size_t seen);
-  /// The semantic signature of `zeta`; empty while the dimension is 0.
-  core::SemSignature Encode(const std::vector<core::ConceptId>& zeta) const;
-  /// Calls fn(key) for every key of table t that a record with band key
-  /// `band` and semantic signature `sem` is bucketed under; `keys` is
-  /// scratch.
-  template <typename Fn>
-  void ForEachTableKey(size_t t, uint64_t band, const core::SemSignature& sem,
-                       std::vector<uint64_t>* keys, Fn fn) const;
-  /// Buckets `entries` (ascending ids) one table at a time.
-  void FillTables(std::span<const Entry* const> entries);
+  bool NeedsCompaction() const;
+  void Compact();
+  /// The live slots in record id order.
+  std::vector<uint32_t> LiveSlots() const;
+  /// The signatures of the slots from `from` on; none while dim is 0.
+  std::vector<core::SemSignature> Signatures(uint32_t from) const;
 
   core::LshParams params_;
   core::SemanticParams sem_params_;
@@ -101,11 +126,20 @@ class LshIndex : public IncrementalIndex {
 
   core::SemhashEncoder encoder_;  // built from seen_concepts_
   std::set<core::ConceptId> seen_concepts_;  // ever inserted, never shrinks
-  std::vector<std::vector<size_t>> chosen_;  // per-table semhash draws
-  // tables_[t] maps a bucket key to the bucket's live ids (ascending).
-  std::vector<std::unordered_map<uint64_t, std::vector<data::RecordId>>>
-      tables_;
-  std::map<data::RecordId, RecordState> records_;
+  core::LshTableKeys keys_;  // the tables' keys under encoder_'s dimension
+
+  FlatMap<data::RecordId, uint32_t> slot_of_;  // live id -> slot or kNoSlot
+  std::vector<data::RecordId> ids_;            // per slot
+  std::vector<uint64_t> bands_;                // l keys per slot
+  std::vector<bool> live_;                     // per slot; Remove clears
+  std::vector<uint32_t> zeta_offsets_{0};  // slot s: zetas_[o[s], o[s + 1])
+  std::vector<core::ConceptId> zetas_;
+
+  std::vector<Base> bases_;    // per table
+  std::vector<Delta> deltas_;  // per table; the slots from base_slots_ on
+  uint32_t base_slots_ = 0;
+  size_t dead_ = 0;  // slots removed since the last compaction
+  size_t compactions_ = 0;
 };
 
 }  // namespace sablock::index

@@ -30,14 +30,22 @@
 // one-by-one inserts, and after one-by-one inserts of the first third and
 // a bulk load of the rest. Each corpus carries records whose blocking attributes
 // are empty, which no table may hold.
+//
+// Under Insert/Remove/Query traffic, every index Query is compared with the
+// live records that share a key with the probe in some table, the keys
+// taken from the same definitions over the features of every concept ever
+// inserted, and the final EmitBlocks with those records' groups.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <string_view>
@@ -46,6 +54,7 @@
 
 #include "api/registry.h"
 #include "common/hashing.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "core/blocking.h"
 #include "core/domains.h"
@@ -58,11 +67,17 @@
 #include "gtest/gtest.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
+#include "index/lsh_index.h"
 #include "split_load.h"
 #include "store/snapshot.h"
 #include "store/snapshot_writer.h"
 
 namespace sablock {
+
+/// Global operator new calls so far: a call that allocates nothing leaves
+/// it unchanged.
+std::atomic<size_t> g_allocations{0};
+
 namespace {
 
 /// One corpus: its records, blocking attributes and semantic domain.
@@ -182,29 +197,34 @@ std::set<uint64_t> Shingles(const data::Dataset& d, data::RecordId id,
   return shingles;
 }
 
-/// The semantic feature bits of every record (empty when the dimension
-/// is 0), from the interpretations and the taxonomy's subsumption.
-std::vector<std::vector<bool>> SemanticBits(const Corpus& corpus) {
+/// The leaf ordinals under record `id`'s interpreted concepts.
+std::set<uint32_t> Leaves(const Corpus& corpus, data::RecordId id) {
+  const core::Taxonomy& taxonomy = corpus.domain.semantics->taxonomy();
+  std::set<uint32_t> leaves;
+  for (core::ConceptId c : corpus.domain.semantics->Interpret(corpus.records,
+                                                              id)) {
+    for (uint32_t o = 0; o < taxonomy.TotalLeaves(); ++o) {
+      if (taxonomy.Subsumes(c, taxonomy.LeafAt(o))) leaves.insert(o);
+    }
+  }
+  return leaves;
+}
+
+/// The semantic feature bits of every record over the features `used`
+/// (leaf ordinals, ascending; empty when the dimension is 0): bit f of a
+/// record is set iff a concept of its interpretation subsumes leaf f.
+std::vector<std::vector<bool>> SemanticBits(const Corpus& corpus,
+                                            const std::set<uint32_t>& used) {
   const data::Dataset& d = corpus.records;
   const core::SemanticFunction& semantics = *corpus.domain.semantics;
   const core::Taxonomy& taxonomy = semantics.taxonomy();
-  std::vector<std::vector<core::ConceptId>> zetas;
-  std::set<uint32_t> used;  // leaf ordinals under an interpreted concept
-  for (data::RecordId id = 0; id < d.size(); ++id) {
-    zetas.push_back(semantics.Interpret(d, id));
-    for (core::ConceptId c : zetas.back()) {
-      for (uint32_t o = 0; o < taxonomy.TotalLeaves(); ++o) {
-        if (taxonomy.Subsumes(c, taxonomy.LeafAt(o))) used.insert(o);
-      }
-    }
-  }
   const std::vector<uint32_t> features(used.begin(), used.end());
   std::vector<std::vector<bool>> bits(d.size());
   if (features.empty()) return bits;
   for (data::RecordId id = 0; id < d.size(); ++id) {
     bits[id].assign(features.size(), false);
     for (size_t f = 0; f < features.size(); ++f) {
-      for (core::ConceptId c : zetas[id]) {
+      for (core::ConceptId c : semantics.Interpret(d, id)) {
         if (taxonomy.Subsumes(c, taxonomy.LeafAt(features[f]))) {
           bits[id][f] = true;
         }
@@ -214,55 +234,77 @@ std::vector<std::vector<bool>> SemanticBits(const Corpus& corpus) {
   return bits;
 }
 
-std::vector<core::Block> Oracle(const Corpus& corpus, const Setting& s) {
+/// A record's keys in every table: the band's k-tuple, and the tags it is
+/// keyed under there, -1 for the band alone and f for drawn bit f in OR
+/// mode. A table with no tag holds no bucket of the record.
+struct TableKeys {
+  std::vector<std::vector<uint64_t>> bands;  // per table; none: no shingles
+  std::vector<std::vector<int64_t>> tags;    // per table
+};
+
+/// Every record's TableKeys under `s`, over the semantic features `used`.
+std::vector<TableKeys> Keys(const Corpus& corpus, const Setting& s,
+                            const std::set<uint32_t>& used) {
   const data::Dataset& d = corpus.records;
   const size_t rows = static_cast<size_t>(s.k) * static_cast<size_t>(s.l);
-  std::vector<std::vector<uint64_t>> minhash(d.size());
+  std::vector<std::vector<bool>> bits;
+  if (s.w > 0) bits = SemanticBits(corpus, used);
+  const uint32_t dim =
+      bits.empty() ? 0 : static_cast<uint32_t>(bits.front().size());
+  std::vector<std::vector<size_t>> chosen(static_cast<size_t>(s.l));
+  for (int t = 0; t < s.l && dim > 0; ++t) {
+    core::SemanticParams params;
+    params.w = s.w;
+    params.mode = s.mode;
+    params.seed = s.sem_seed;
+    chosen[static_cast<size_t>(t)] = core::SemanticTableChoices(params, dim, t);
+  }
+  std::vector<TableKeys> keys(d.size());
   for (data::RecordId id = 0; id < d.size(); ++id) {
     const std::set<uint64_t> shingles =
         Shingles(d, id, corpus.attributes, s.q);
     if (shingles.empty()) continue;  // enters no table
+    std::vector<uint64_t> minhash;
     for (size_t i = 0; i < rows; ++i) {
       const UniversalHash h = UniversalHash::FromSeed(s.seed, i);
       uint64_t min = UINT64_MAX;
       for (uint64_t x : shingles) min = std::min(min, h(x));
-      minhash[id].push_back(min);
+      minhash.push_back(min);
+    }
+    for (size_t t = 0; t < static_cast<size_t>(s.l); ++t) {
+      const auto band = minhash.begin() + static_cast<std::ptrdiff_t>(t * s.k);
+      keys[id].bands.emplace_back(band, band + s.k);
+      std::vector<int64_t>& tags = keys[id].tags.emplace_back();
+      if (dim == 0) {
+        tags.push_back(-1);
+      } else if (s.mode == core::SemanticMode::kAnd) {
+        const bool all = std::all_of(chosen[t].begin(), chosen[t].end(),
+                                     [&](size_t f) { return bits[id][f]; });
+        if (all) tags.push_back(-1);
+      } else {
+        for (size_t f : chosen[t]) {
+          if (bits[id][f]) tags.push_back(static_cast<int64_t>(f));
+        }
+      }
     }
   }
-  std::vector<std::vector<bool>> bits;
-  if (s.w > 0) bits = SemanticBits(corpus);
-  const uint32_t dim =
-      bits.empty() ? 0 : static_cast<uint32_t>(bits.front().size());
+  return keys;
+}
 
+/// Record id -> the corpus record whose values it was inserted with.
+using Rows = std::map<data::RecordId, data::RecordId>;
+
+/// Each table's groups of at least 2 of `records` in canonical content
+/// order, tables in order.
+std::vector<core::Block> Groups(const std::vector<TableKeys>& keys,
+                                const Rows& records, int l) {
   std::vector<core::Block> out;
-  for (int t = 0; t < s.l; ++t) {
-    // Key: the band's k-tuple and the drawn bit (-1: the band alone).
+  for (size_t t = 0; t < static_cast<size_t>(l); ++t) {
     std::map<std::pair<std::vector<uint64_t>, int64_t>, core::Block> groups;
-    std::vector<size_t> chosen;
-    if (dim > 0) {
-      core::SemanticParams params;
-      params.w = s.w;
-      params.mode = s.mode;
-      params.seed = s.sem_seed;
-      chosen = core::SemanticTableChoices(params, dim, t);
-    }
-    for (data::RecordId id = 0; id < d.size(); ++id) {
-      if (minhash[id].empty()) continue;
-      const std::vector<uint64_t> band(
-          minhash[id].begin() + static_cast<std::ptrdiff_t>(t * s.k),
-          minhash[id].begin() + static_cast<std::ptrdiff_t>(t * s.k + s.k));
-      if (dim == 0) {
-        groups[{band, -1}].push_back(id);
-      } else if (s.mode == core::SemanticMode::kAnd) {
-        const bool all = std::all_of(chosen.begin(), chosen.end(),
-                                     [&](size_t f) { return bits[id][f]; });
-        if (all) groups[{band, -1}].push_back(id);
-      } else {
-        for (size_t f : chosen) {
-          if (bits[id][f]) {
-            groups[{band, static_cast<int64_t>(f)}].push_back(id);
-          }
-        }
+    for (const auto& [id, row] : records) {
+      if (keys[row].bands.empty()) continue;
+      for (int64_t tag : keys[row].tags[t]) {
+        groups[{keys[row].bands[t], tag}].push_back(id);
       }
     }
     std::vector<core::Block> table;
@@ -271,6 +313,40 @@ std::vector<core::Block> Oracle(const Corpus& corpus, const Setting& s) {
     }
     std::sort(table.begin(), table.end());
     out.insert(out.end(), table.begin(), table.end());
+  }
+  return out;
+}
+
+std::vector<core::Block> Oracle(const Corpus& corpus, const Setting& s) {
+  std::set<uint32_t> used;
+  Rows records;
+  for (data::RecordId id = 0; id < corpus.records.size(); ++id) {
+    const std::set<uint32_t> leaves = Leaves(corpus, id);
+    used.insert(leaves.begin(), leaves.end());
+    records[id] = id;
+  }
+  return Groups(Keys(corpus, s, used), records, s.l);
+}
+
+/// The records of `live` that share a key with corpus record `probe` in
+/// some table, ascending.
+std::vector<data::RecordId> SharingAKey(const std::vector<TableKeys>& keys,
+                                        data::RecordId probe,
+                                        const Rows& live) {
+  const TableKeys& p = keys[probe];
+  std::vector<data::RecordId> out;
+  for (const auto& [id, row] : live) {
+    const TableKeys& r = keys[row];
+    for (size_t t = 0; t < p.bands.size() && !r.bands.empty(); ++t) {
+      const bool shared = std::any_of(
+          p.tags[t].begin(), p.tags[t].end(), [&](int64_t tag) {
+            return std::count(r.tags[t].begin(), r.tags[t].end(), tag) > 0;
+          });
+      if (shared && p.bands[t] == r.bands[t]) {
+        out.push_back(id);
+        break;
+      }
+    }
   }
   return out;
 }
@@ -418,8 +494,141 @@ TEST_P(LshOracleTest, IndexesAfterLoadDataset) {
   }
 }
 
+/// The corpus records that add no semantic feature to the record with the
+/// fewest: inserting only these leaves the dimension where it started.
+std::vector<data::RecordId> NarrowRecords(const Corpus& corpus) {
+  std::vector<std::set<uint32_t>> leaves;
+  size_t narrowest = 0;
+  for (data::RecordId id = 0; id < corpus.records.size(); ++id) {
+    leaves.push_back(Leaves(corpus, id));
+    if (leaves[id].size() < leaves[narrowest].size()) narrowest = id;
+  }
+  std::vector<data::RecordId> narrow;
+  for (data::RecordId id = 0; id < corpus.records.size(); ++id) {
+    if (std::includes(leaves[narrowest].begin(), leaves[narrowest].end(),
+                      leaves[id].begin(), leaves[id].end())) {
+      narrow.push_back(id);
+    }
+  }
+  return narrow;
+}
+
+size_t Compactions(const index::IncrementalIndex& idx) {
+  return dynamic_cast<const index::LshIndex&>(idx).compactions();
+}
+
+TEST_P(LshOracleTest, IndexQueriesUnderTrafficMatchTheDefinitions) {
+  const Corpus corpus = GetParam()();
+  const data::Dataset& d = corpus.records;
+  const std::vector<data::RecordId> narrow = NarrowRecords(corpus);
+  std::vector<std::set<uint32_t>> leaves;
+  for (data::RecordId id = 0; id < d.size(); ++id) {
+    leaves.push_back(Leaves(corpus, id));
+  }
+  for (const Setting& setting : Settings(corpus)) {
+    const std::string spec = setting.Spec(corpus);
+    SCOPED_TRACE(spec);
+    std::unique_ptr<index::IncrementalIndex> idx;
+    ASSERT_TRUE(index::IndexRegistry::Global().Create(spec, &idx).ok());
+    ASSERT_TRUE(idx->Bind(d.schema()).ok());
+
+    std::set<uint32_t> used;  // the leaves of every concept ever inserted
+    std::vector<TableKeys> keys = Keys(corpus, setting, used);
+    Rows live;
+    std::vector<data::RecordId> dead;
+    std::map<data::RecordId, size_t> compactions_before;  // per live id
+    data::RecordId next = 0;
+    size_t threshold_compactions = 0;
+    size_t growths_after_a_compaction = 0;
+    size_t base_removes = 0;
+    size_t delta_removes = 0;
+    size_t not_live_removes = 0;
+
+    auto insert = [&](data::RecordId row) {
+      const size_t compactions = Compactions(*idx);
+      const size_t features = used.size();
+      idx->Insert(next, d.Values(row));
+      compactions_before[next] = compactions;
+      live[next++] = row;
+      used.insert(leaves[row].begin(), leaves[row].end());
+      const bool grew = setting.w > 0 && used.size() > features;
+      if (grew) keys = Keys(corpus, setting, used);
+      if (grew && compactions > 0) ++growths_after_a_compaction;
+      if (!grew) threshold_compactions += Compactions(*idx) - compactions;
+    };
+    auto remove = [&](data::RecordId id) {
+      const size_t compactions = Compactions(*idx);
+      ++(compactions > compactions_before.at(id) ? base_removes
+                                                 : delta_removes);
+      ASSERT_TRUE(idx->Remove(id)) << id;
+      threshold_compactions += Compactions(*idx) - compactions;
+      live.erase(id);
+      compactions_before.erase(id);
+      dead.push_back(id);
+    };
+    auto remove_not_live = [&](data::RecordId id) {
+      const size_t allocations = g_allocations.load();
+      const bool removed = idx->Remove(id);
+      EXPECT_EQ(g_allocations.load(), allocations) << id;
+      EXPECT_FALSE(removed) << id;
+      ++not_live_removes;
+    };
+
+    // The narrow records first, until the index has compacted, so that the
+    // traffic's first new concept grows the dimension after a compaction.
+    const size_t warm = index::LshIndex::kCompactionFloor + 50;
+    for (size_t i = 0; i < warm; ++i) insert(narrow[i % narrow.size()]);
+    Rng rng(0x0c1e + static_cast<uint64_t>(setting.k * 31 + setting.l));
+    for (int op = 0; op < 1800; ++op) {
+      const auto row = static_cast<data::RecordId>(rng.UniformIndex(d.size()));
+      const int64_t kind = rng.UniformInt(0, 9);
+      if (kind < 5) {
+        insert(row);
+      } else if (kind < 7 && !live.empty()) {
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.UniformIndex(live.size())));
+        remove(it->first);
+      } else if (kind == 7) {
+        // Never inserted (the largest id among them), or removed already.
+        const data::RecordId not_live[] = {
+            0xFFFFFFFFu, next + static_cast<data::RecordId>(row),
+            dead.empty() ? next : dead[rng.UniformIndex(dead.size())]};
+        remove_not_live(not_live[op % 3]);
+      } else {
+        ASSERT_EQ(idx->Query(d.Values(row)), SharingAKey(keys, row, live))
+            << "op " << op << ", probe " << row;
+      }
+    }
+    EXPECT_EQ(idx->size(), live.size());
+    EXPECT_EQ(index::CollectBlocks(*idx).blocks(),
+              Groups(keys, live, setting.l));
+    // The traffic covered what it is meant to.
+    EXPECT_GE(threshold_compactions, 3u);
+    if (setting.w > 0) {
+      EXPECT_GE(growths_after_a_compaction, 1u);
+    }
+    EXPECT_GT(base_removes, 0u);
+    EXPECT_GT(delta_removes, 0u);
+    EXPECT_GT(not_live_removes, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Corpora, LshOracleTest,
                          ::testing::Values(&CoraCorpus, &VoterCorpus));
 
 }  // namespace
 }  // namespace sablock
+
+// A replacement pair over malloc and free, counting the calls. GCC cannot
+// see that the pair matches once it inlines the delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  sablock::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <span>
@@ -19,9 +20,12 @@
 
 #include "common/string_util.h"
 #include "core/budget.h"
+#include "core/domains.h"
+#include "core/semhash.h"
 #include "data/cora_generator.h"
 #include "index/incremental_index.h"
 #include "index/index_registry.h"
+#include "index/lsh_index.h"
 #include "obs/span.h"
 #include "service/candidate_server.h"
 #include "service/candidate_service.h"
@@ -605,6 +609,116 @@ TEST(CandidateServiceConcurrencyTest, RacingInsertsAndProgressiveQueries) {
     }
   }
   EXPECT_GT(scored, 0u);
+}
+
+TEST(CandidateServiceConcurrencyTest, QueriesRaceCompactionsAndGrowth) {
+  // Two writers insert Cora rows into an sa-lsh service while two readers
+  // query it, plainly and progressively. The rows outnumber the index's
+  // compaction floor several times, and only the second half carries the
+  // booktitle and institution concepts, so the semantic dimension grows
+  // after the index has compacted: both rebuilds run while readers wait
+  // on the shared lock. Under --tsan this is their data-race gate.
+  data::CoraGeneratorConfig config;
+  config.num_records = 1200;
+  config.num_entities = 150;
+  config.seed = 23;
+  const data::Dataset generated = GenerateCoraLike(config);
+  data::Dataset rows(generated.schema());
+  const int journal = rows.schema().IndexOf("journal");
+  for (data::RecordId id = 0; id < generated.size(); ++id) {
+    std::vector<std::string> values(generated.Values(id).begin(),
+                                    generated.Values(id).end());
+    if (id < generated.size() / 2) {
+      // Table 1's pattern 4: a journal only, one concept.
+      values[static_cast<size_t>(rows.schema().IndexOf("booktitle"))].clear();
+      values[static_cast<size_t>(rows.schema().IndexOf("institution"))]
+          .clear();
+      if (values[static_cast<size_t>(journal)].empty()) {
+        values[static_cast<size_t>(journal)] = "jair";
+      }
+    }
+    rows.AddRow(Row(values));
+  }
+  ASSERT_GT(rows.size(), 4 * index::LshIndex::kCompactionFloor);
+  const core::Domain bib = core::MakeBibliographicDomain();
+  const core::Taxonomy& taxonomy = bib.semantics->taxonomy();
+  const std::vector<std::vector<core::ConceptId>> zetas =
+      bib.semantics->InterpretAll(rows);
+  const std::vector<std::vector<core::ConceptId>> first_half(
+      zetas.begin(), zetas.begin() + static_cast<std::ptrdiff_t>(
+                                         rows.size() / 2));
+  ASSERT_LT(core::SemhashEncoder::Build(taxonomy, first_half).dimension(),
+            core::SemhashEncoder::Build(taxonomy, zetas).dimension());
+  const std::string spec = "sa-lsh:k=3,l=6,q=3,w=3,mode=or,domain=bib";
+  std::unique_ptr<CandidateService> service;
+  ASSERT_TRUE(CandidateService::Make(rows.schema(), spec, &service).ok());
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kMinReads = 150;
+  std::vector<data::RecordId> row_of(rows.size());  // id -> inserted row
+  std::atomic<int> writers_done{0};
+  std::atomic<int> bad_answers{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (auto row = static_cast<data::RecordId>(w); row < rows.size();
+           row += kWriters) {
+        row_of.at(service->Insert(rows.Values(row))) = row;
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      core::Budget budget;
+      budget.pairs = 20;
+      Scored scored;
+      for (int i = 0; writers_done.load() < kWriters || i < kMinReads; ++i) {
+        const auto probe =
+            static_cast<data::RecordId>((i * 37 + r * 11) % rows.size());
+        const Ids ids = service->Query(rows.Values(probe));
+        EXPECT_TRUE(service->QueryProgressive(rows.Values(probe), budget,
+                                              &scored)
+                        .ok());
+        // Read after the answers: every id they name was inserted by then.
+        const uint64_t inserted = service->stats().inserts;
+        Ids progressive;
+        for (const auto& candidate : scored) {
+          progressive.push_back(candidate.id);
+        }
+        std::sort(progressive.begin(), progressive.end());
+        const bool sorted_distinct =
+            std::adjacent_find(ids.begin(), ids.end(),
+                               std::greater_equal<>()) == ids.end() &&
+            std::adjacent_find(progressive.begin(), progressive.end()) ==
+                progressive.end();
+        const bool inserted_ids =
+            (ids.empty() || ids.back() < inserted) &&
+            (progressive.empty() || progressive.back() < inserted);
+        if (!sorted_distinct || !inserted_ids) bad_answers.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad_answers.load(), 0);
+
+  // One thread inserting the same rows in id order reaches the same state.
+  std::unique_ptr<index::IncrementalIndex> serial;
+  ASSERT_TRUE(index::IndexRegistry::Global().Create(spec, &serial).ok());
+  ASSERT_TRUE(serial->Bind(rows.schema()).ok());
+  for (data::RecordId id = 0; id < rows.size(); ++id) {
+    serial->Insert(id, rows.Values(row_of[id]));
+  }
+  core::BlockCollection emitted;
+  service->EmitBlocks(emitted);
+  EXPECT_GT(emitted.NumBlocks(), 0u);
+  EXPECT_EQ(emitted.blocks(), index::CollectBlocks(*serial).blocks());
+  for (data::RecordId row = 0; row < rows.size(); ++row) {
+    ASSERT_EQ(service->Query(rows.Values(row)),
+              serial->Query(rows.Values(row)))
+        << "row " << row;
+  }
 }
 
 }  // namespace

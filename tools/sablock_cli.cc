@@ -418,7 +418,9 @@ int main(int argc, char** argv) {
               pipelined->stages().empty() ? "technique" : "pipeline",
               pipelined->name().c_str());
   if (flags.Has("threads") || flags.Has("shards")) {
-    std::printf("engine: %s\n", exec.ToString().c_str());
+    // The shard count in effect: shards=0 follows the thread count.
+    std::printf("engine: threads=%d,shards=%d\n", exec.threads,
+                exec.ResolvedShards());
   }
   sablock::eval::TablePrinter table(
       {"step", "blocks", "comparisons", "max", "seconds"});
