@@ -54,10 +54,7 @@ constexpr uint64_t kProgressivePairs = 50;
 /// Back-to-back Preloads per timed repetition of a preload row: enough
 /// that each repetition indexes about 9,000 records (30 Preloads at the
 /// quick 300 records, 5 at the default 2,000).
-size_t PreloadsFor(size_t records) {
-  constexpr size_t kRecordsPerRepetition = 9000;
-  return std::max<size_t>(1, (kRecordsPerRepetition + records - 1) / records);
-}
+size_t PreloadsFor(size_t records) { return CallsPerRepetition(records, 9000); }
 
 enum class Phase { kInsert, kQuery, kProgressive, kPreload };
 

@@ -6,6 +6,10 @@
 // dataset it was written from.
 //
 // Rows (the RunResult `io` extension of the JSON schema):
+//   csv_parse            — ReadCsv alone, back to back enough times per
+//                          repetition to clear the 10 ms TIME floor
+//                          (values: parses, csv_bytes; the table prints
+//                          MB/s)
 //   parse_build          — ReadCsv + first technique run (cold features)
 //   snapshot/compressed  — cold LoadSnapshot, file size, first query
 //   snapshot/raw         — the same without section compression
@@ -23,6 +27,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -186,6 +191,23 @@ int RunSnapshotIo(report::BenchContext& ctx) {
   const size_t total_specs =
       sizeof(kRegistrySpecs) / sizeof(kRegistrySpecs[0]);
 
+  // ---- the parse alone, after the gated rows -----------------------
+  // 50 parses at the quick 2,000 records, 5 at the default 20,000.
+  const size_t parses = CallsPerRepetition(records, 100000);
+  const auto csv_bytes =
+      static_cast<double>(std::filesystem::file_size(csv_path));
+  report::RepeatStats csv_stats = ctx.TimeRepeats([&](int) {
+    WallTimer timer;
+    for (size_t i = 0; i < parses; ++i) {
+      data::Dataset d;
+      Status st = data::ReadCsv(csv_path, "entity", &d);
+      SABLOCK_CHECK_MSG(st.ok(), st.message().c_str());
+    }
+    return timer.Seconds();
+  });
+  const double csv_mb_per_s =
+      csv_stats.min_s > 0.0 ? parses * csv_bytes / csv_stats.min_s / 1e6 : 0.0;
+
   // ---- report -------------------------------------------------------
   const double speedup =
       rows[0].load_stats.min_s > 0.0
@@ -195,6 +217,8 @@ int RunSnapshotIo(report::BenchContext& ctx) {
               records, ctx.repeat);
   eval::TablePrinter table(
       {"path", "bytes", "startup(s)", "first-query(s)"});
+  table.AddRow({"csv parse", FormatDouble(csv_bytes, 0),
+                FormatDouble(csv_stats.min_s / parses, 4), "-"});
   table.AddRow({"csv parse+build", "-", FormatDouble(parse_stats.min_s, 3),
                 "(included)"});
   for (const SnapRow& row : rows) {
@@ -204,7 +228,9 @@ int RunSnapshotIo(report::BenchContext& ctx) {
                   FormatDouble(row.first_query_s, 3)});
   }
   table.Print();
-  std::printf("\ncold compressed load speedup over parse+build: %.1fx "
+  std::printf("\ncsv parse: %.1f MB/s (%zu parse(s) per repetition)\n",
+              csv_mb_per_s, parses);
+  std::printf("cold compressed load speedup over parse+build: %.1fx "
               "(gate: >=10x) %s\n",
               speedup, speedup >= 10.0 ? "PASS" : "FAIL");
   std::printf("registry identity across roundtrip: %zu/%zu %s\n",
@@ -212,6 +238,17 @@ int RunSnapshotIo(report::BenchContext& ctx) {
               identical_specs == total_specs ? "PASS" : "FAIL");
 
   // ---- record -------------------------------------------------------
+  {
+    // values are compared exactly, so MB/s (a timing) is printed only.
+    report::RunResult run;
+    run.name = "csv_parse";
+    run.dataset = "voter-like";
+    run.dataset_records = base.size();
+    run.time = csv_stats;
+    run.AddValue("parses", static_cast<double>(parses));
+    run.AddValue("csv_bytes", csv_bytes);
+    ctx.Record(std::move(run));
+  }
   {
     report::RunResult run;
     run.name = "parse_build";

@@ -26,6 +26,17 @@
 
 namespace sablock::bench {
 
+/// Back-to-back calls per timed repetition of a row whose one call covers
+/// `records` records: enough that a repetition covers about
+/// `records_per_repetition`. The count depends on the record count only
+/// and lifts short rows above bench_compare.py's 10 ms TIME floor.
+inline size_t CallsPerRepetition(size_t records,
+                                 size_t records_per_repetition) {
+  if (records == 0) return 1;
+  return std::max<size_t>(
+      1, (records_per_repetition + records - 1) / records);
+}
+
 /// The Cora-scale bibliographic dataset (1,879 records / 190 entities, as
 /// in the paper) from the generator substitute.
 inline data::Dataset MakePaperCora(size_t records = 1879,

@@ -110,8 +110,8 @@ class Dataset {
   RecordId AddRow(std::span<const std::string_view> values,
                   EntityId entity = kUnknownEntity);
 
-  /// Assembles a dataset directly from prebuilt columnar storage — the
-  /// snapshot loader's entry point. `values` must be row-major with
+  /// Assembles a dataset directly from prebuilt columnar storage (the
+  /// snapshot loader and ReadCsv). `values` must be row-major with
   /// schema-width rows whose views stay valid for `arena`'s lifetime
   /// (interned or adopted bytes); aborts on a size mismatch. The version
   /// counter ends up as if the records had been appended one by one.

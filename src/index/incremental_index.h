@@ -100,15 +100,6 @@ Status ResolveAttributes(const data::Schema& schema,
 /// reproduces the batch technique.
 void LoadDataset(IncrementalIndex& index, const data::Dataset& dataset);
 
-/// Canonical serialization of a block multiset: every block's ids sorted,
-/// blocks sorted lexicographically, rendered one block per line. Two
-/// collections with equal canonical bytes contain exactly the same
-/// blocks — the representation the index/batch parity goldens compare.
-std::string CanonicalBlockBytes(const core::BlockCollection& blocks);
-
-/// Collects EmitBlocks output into a BlockCollection.
-core::BlockCollection CollectBlocks(const IncrementalIndex& index);
-
 }  // namespace sablock::index
 
 #endif  // SABLOCK_INDEX_INCREMENTAL_INDEX_H_

@@ -164,6 +164,15 @@ TEST(CsvReadTest, MissingEntityColumnFails) {
   EXPECT_FALSE(ReadCsv(path, "entity_id", &d).ok());
 }
 
+TEST(CsvReadTest, RepeatedEntityColumnFailsNamingIt) {
+  std::string path = TempPath("repeated_entity.csv");
+  WriteFile(path, "entity,a,entity\n1,x,2\n");
+  Dataset d;
+  Status s = ReadCsv(path, "entity", &d);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "CSV header repeats the entity column: entity");
+}
+
 TEST(CsvReadTest, EntityLabelsGroupRecords) {
   std::string path = TempPath("labels.csv");
   WriteFile(path, "id,name\ne1,foo\ne2,bar\ne1,foo2\n");

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "common/random.h"
 #include "core/blocking.h"
 #include "core/budget.h"

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "baselines/blocking_key.h"
+#include "collect_blocks.h"
 #include "common/random.h"
 #include "core/blocking.h"
 #include "index/incremental_index.h"

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "common/hashing.h"
 #include "common/random.h"
 #include "common/string_util.h"

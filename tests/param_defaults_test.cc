@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
 #include "index/incremental_index.h"

@@ -21,6 +21,7 @@
 
 #include "api/registry.h"
 #include "baselines/blocking_key.h"
+#include "collect_blocks.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
 #include "data/record.h"

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "collect_blocks.h"
 #include "common/string_util.h"
 #include "core/budget.h"
 #include "core/domains.h"

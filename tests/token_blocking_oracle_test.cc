@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/blocking.h"

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -165,12 +166,18 @@ bool LoadDatasetFromFlags(const Flags& flags, sablock::data::Dataset* out) {
     return true;
   }
   if (flags.Has("input")) {
-    status = sablock::data::ReadCsv(flags.Get("input"),
-                                    flags.Get("entity-column"), out);
+    const std::string path = flags.Get("input");
+    sablock::WallTimer timer;
+    status = sablock::data::ReadCsv(path, flags.Get("entity-column"), out);
+    const double seconds = timer.Seconds();
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.message().c_str());
       return false;
     }
+    std::error_code size_error;  // a pipe has no size
+    const auto bytes = std::filesystem::file_size(path, size_error);
+    std::printf("csv: %zu records, %s bytes, parsed in %.3fs\n", out->size(),
+                size_error ? "?" : std::to_string(bytes).c_str(), seconds);
     return true;
   }
   if (flags.Get("generate") == "cora") {
