@@ -81,12 +81,6 @@ std::string RowKey(const BlockingKeyDef& def, std::span<const int> positions,
   return key;
 }
 
-std::string MakeKey(const data::Dataset& dataset, data::RecordId id,
-                    const BlockingKeyDef& def) {
-  return RowKey(def, dataset.schema().Positions(KeyAttributes(def)),
-                dataset.Values(id));
-}
-
 std::vector<std::string> MakeAllKeys(const data::Dataset& dataset,
                                      const BlockingKeyDef& def) {
   KeyBuilder builder(dataset, def);

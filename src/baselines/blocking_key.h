@@ -35,8 +35,7 @@ struct BlockingKeyDef {
 /// Per-dataset BKV generator: resolves each component's one-attribute
 /// text column (the value RowKey encodes) from the dataset's FeatureStore
 /// once, then builds keys with no per-record normalization or attribute
-/// lookup. Every key-based technique should construct one of these per
-/// Run instead of calling MakeKey in a loop.
+/// lookup. Every key-based technique constructs one of these per Run.
 class KeyBuilder {
  public:
   KeyBuilder(const data::Dataset& dataset, const BlockingKeyDef& def);
@@ -57,14 +56,9 @@ std::vector<std::string> KeyAttributes(const BlockingKeyDef& def);
 /// The BKV of one schema-aligned value row, component c read at
 /// `positions[c]` (-1: the schema lacks it, and it adds nothing) as its
 /// one-attribute data::BlockingText. The one per-record key function,
-/// behind MakeKey and the incremental sorted-neighbourhood index.
+/// behind the incremental sorted-neighbourhood index.
 std::string RowKey(const BlockingKeyDef& def, std::span<const int> positions,
                    std::span<const std::string_view> values);
-
-/// One-shot: RowKey over record `id`, resolving the attributes for this
-/// call and caching no column (prefer KeyBuilder in loops).
-std::string MakeKey(const data::Dataset& dataset, data::RecordId id,
-                    const BlockingKeyDef& def);
 
 /// Computes all records' BKVs.
 std::vector<std::string> MakeAllKeys(const data::Dataset& dataset,

@@ -23,15 +23,13 @@ class CanopyIndex {
               CanopySimilarity similarity) {
     KeyBuilder keys(dataset, key);
     // Tokenize each BKV exactly once; the word lists feed the inverted
-    // index, the Jaccard token sets and the TF-IDF vectors.
+    // index, the Jaccard token sets and the TF-IDF vectors. A token's id is
+    // its first appearance over each record's sorted distinct words.
     std::vector<std::vector<std::string>> words(dataset.size());
     for (data::RecordId id = 0; id < dataset.size(); ++id) {
       words[id] = sablock::SplitWords(keys.Key(id));
     }
-    if (similarity == CanopySimilarity::kTfIdfCosine) {
-      vectorizer_.BuildFromWords(words);
-    }
-    vectors_.resize(dataset.size());
+    std::unordered_map<std::string, uint32_t> token_ids;
     token_sets_.resize(dataset.size());
     for (data::RecordId id = 0; id < dataset.size(); ++id) {
       std::vector<std::string> tokens = words[id];
@@ -39,17 +37,27 @@ class CanopyIndex {
       tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
       for (const std::string& t : tokens) {
         auto [it, inserted] =
-            token_ids_.emplace(t, static_cast<uint32_t>(token_ids_.size()));
+            token_ids.emplace(t, static_cast<uint32_t>(token_ids.size()));
         token_sets_[id].push_back(it->second);
         if (inserted) postings_.emplace_back();
         postings_[it->second].push_back(id);
       }
       std::sort(token_sets_[id].begin(), token_sets_[id].end());
-      if (similarity == CanopySimilarity::kTfIdfCosine) {
-        vectors_[id] = vectorizer_.VectorizeWords(words[id]);
-      }
     }
     similarity_ = similarity;
+    if (similarity != CanopySimilarity::kTfIdfCosine) return;
+    // The postings give the document frequencies; each record's vector
+    // counts its ids in word order, duplicates included.
+    vectorizer_.Build(postings_, dataset.size());
+    vectors_.resize(dataset.size());
+    std::vector<uint32_t> terms;
+    for (data::RecordId id = 0; id < dataset.size(); ++id) {
+      terms.clear();
+      for (const std::string& word : words[id]) {
+        terms.push_back(token_ids.find(word)->second);
+      }
+      vectors_[id] = vectorizer_.Vectorize(terms);
+    }
   }
 
   // Records sharing at least one token with `id` (excluding `id`).
@@ -93,7 +101,6 @@ class CanopyIndex {
 
  private:
   CanopySimilarity similarity_;
-  std::unordered_map<std::string, uint32_t> token_ids_;
   std::vector<std::vector<data::RecordId>> postings_;
   std::vector<std::vector<uint32_t>> token_sets_;
   text::TfIdfVectorizer vectorizer_;

@@ -13,14 +13,6 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string ToUpper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();

@@ -11,9 +11,6 @@ namespace sablock {
 /// ASCII lowercase copy.
 std::string ToLower(std::string_view s);
 
-/// ASCII uppercase copy.
-std::string ToUpper(std::string_view s);
-
 /// Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

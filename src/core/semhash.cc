@@ -52,7 +52,6 @@ SemhashEncoder SemhashEncoder::Build(
       enc.ordinal_to_feature_[o] =
           static_cast<uint32_t>(enc.feature_leaf_ordinals_.size());
       enc.feature_leaf_ordinals_.push_back(o);
-      enc.feature_concepts_.push_back(taxonomy.LeafAt(o));
     }
   }
   return enc;
@@ -63,18 +62,11 @@ SemhashEncoder SemhashEncoder::BuildFromAllLeaves(const Taxonomy& taxonomy) {
   SemhashEncoder enc;
   enc.ordinal_to_feature_.resize(taxonomy.TotalLeaves());
   enc.feature_leaf_ordinals_.resize(taxonomy.TotalLeaves());
-  enc.feature_concepts_.resize(taxonomy.TotalLeaves());
   for (uint32_t o = 0; o < taxonomy.TotalLeaves(); ++o) {
     enc.ordinal_to_feature_[o] = o;
     enc.feature_leaf_ordinals_[o] = o;
-    enc.feature_concepts_[o] = taxonomy.LeafAt(o);
   }
   return enc;
-}
-
-ConceptId SemhashEncoder::FeatureConcept(uint32_t i) const {
-  SABLOCK_DCHECK(i < feature_concepts_.size());
-  return feature_concepts_[i];
 }
 
 SemSignature SemhashEncoder::Encode(
@@ -87,42 +79,6 @@ SemSignature SemhashEncoder::Encode(
     }
   }
   return sig;
-}
-
-CompressedSemhash::CompressedSemhash(int num_hashes, uint64_t seed) {
-  SABLOCK_CHECK(num_hashes > 0);
-  hashes_.reserve(static_cast<size_t>(num_hashes));
-  for (int i = 0; i < num_hashes; ++i) {
-    hashes_.push_back(
-        UniversalHash::FromSeed(seed ^ 0x5e3a, static_cast<uint64_t>(i)));
-  }
-}
-
-int CompressedSemhash::num_hashes() const {
-  return static_cast<int>(hashes_.size());
-}
-
-std::vector<uint64_t> CompressedSemhash::Compress(
-    const SemSignature& signature) const {
-  std::vector<uint64_t> out(hashes_.size(), UniversalHash::kPrime);
-  for (uint32_t bit = 0; bit < signature.dimension(); ++bit) {
-    if (!signature.Get(bit)) continue;
-    for (size_t i = 0; i < hashes_.size(); ++i) {
-      uint64_t h = hashes_[i](bit);
-      if (h < out[i]) out[i] = h;
-    }
-  }
-  return out;
-}
-
-double CompressedSemhash::EstimateJaccard(const std::vector<uint64_t>& a,
-                                          const std::vector<uint64_t>& b) {
-  SABLOCK_CHECK(a.size() == b.size() && !a.empty());
-  size_t agree = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) ++agree;
-  }
-  return static_cast<double>(agree) / static_cast<double>(a.size());
 }
 
 std::vector<SemSignature> SemhashEncoder::EncodeAll(

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hashing.h"
 #include "core/taxonomy.h"
 
 namespace sablock::core {
@@ -70,9 +69,6 @@ class SemhashEncoder {
     return static_cast<uint32_t>(feature_leaf_ordinals_.size());
   }
 
-  /// Concept id of feature bit `i`.
-  ConceptId FeatureConcept(uint32_t i) const;
-
   /// Encodes one record's interpretation (Algorithm 1 step 2).
   SemSignature Encode(const Taxonomy& taxonomy,
                       const std::vector<ConceptId>& zeta) const;
@@ -88,33 +84,6 @@ class SemhashEncoder {
   // marks unselected leaves).
   std::vector<uint32_t> feature_leaf_ordinals_;
   std::vector<uint32_t> ordinal_to_feature_;
-  std::vector<ConceptId> feature_concepts_;
-};
-
-/// Minhash compression of semhash signatures — the Section 4.4 note:
-/// "it is possible to combine semhash and minhash functions for generating
-/// semantic signatures ... [when] many semantic features are considered".
-/// For taxonomies with thousands of leaves the full bit signature is
-/// wasteful; this encoder minhashes the set of 1-bits so that the
-/// compressed signatures still approximately preserve semantic Jaccard
-/// (and hence, by Proposition 4.3, the Eq. 5 similarity order).
-class CompressedSemhash {
- public:
-  CompressedSemhash(int num_hashes, uint64_t seed);
-
-  /// Minhash signature over the set feature indices of `signature`.
-  /// All-zero signatures compress to all-sentinel vectors.
-  std::vector<uint64_t> Compress(const SemSignature& signature) const;
-
-  /// Fraction of agreeing rows — estimates SemSignature::Jaccard of the
-  /// originals.
-  static double EstimateJaccard(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b);
-
-  int num_hashes() const;
-
- private:
-  std::vector<UniversalHash> hashes_;
 };
 
 }  // namespace sablock::core

@@ -26,7 +26,6 @@ void SimilarityDistribution::Add(double similarity) {
     bin = static_cast<int>(bins_.size()) - 1;
   }
   ++bins_[bin];
-  raw_.push_back(similarity);
   ++count_;
 }
 
@@ -37,15 +36,6 @@ double SimilarityDistribution::BinFraction(int i) const {
 
 double SimilarityDistribution::BinLowerEdge(int i) const {
   return static_cast<double>(i) / static_cast<double>(bins_.size());
-}
-
-double SimilarityDistribution::Cdf(double x) const {
-  if (count_ == 0) return 0.0;
-  uint64_t below = 0;
-  for (double v : raw_) {
-    if (v <= x) ++below;
-  }
-  return static_cast<double>(below) / static_cast<double>(count_);
 }
 
 double SimilarityDistribution::ThresholdForErrorRatio(double epsilon) const {

@@ -29,9 +29,6 @@ class SimilarityDistribution {
   /// Lower edge of bin i.
   double BinLowerEdge(int i) const;
 
-  /// Empirical CDF at x: fraction of observations with similarity <= x.
-  double Cdf(double x) const;
-
   /// Smallest similarity threshold s_h such that ∫_0^{s_h} fs = epsilon
   /// (Section 5.3 step (i)): records below s_h are the lost true matches.
   /// Quantized to bin edges (conservative upper edge).
@@ -39,7 +36,6 @@ class SimilarityDistribution {
 
  private:
   std::vector<uint64_t> bins_;
-  std::vector<double> raw_;  // kept for exact quantiles
   uint64_t count_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #ifndef SABLOCK_DATA_ARENA_H_
 #define SABLOCK_DATA_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -15,6 +16,11 @@ namespace sablock::data {
 /// lifetime — including across further Intern calls. Datasets share one
 /// arena through a shared_ptr, which is what makes Slice/Prefix zero-copy:
 /// a slice copies only (pointer, length) spans, never record bytes.
+///
+/// The first chunk holds just the first value, and each later chunk
+/// doubles the one before, up to 256 KiB (a longer value gets a chunk of
+/// its own size). So a small dataset allocates little and stays under
+/// malloc's mmap threshold, and a large one still grows in 256 KiB steps.
 ///
 /// Not internally synchronized: Intern() must not race with itself.
 /// Concurrent *reads* of previously interned spans are safe (interning
@@ -54,11 +60,12 @@ class StringArena {
   size_t bytes() const { return bytes_; }
 
  private:
-  static constexpr size_t kChunkBytes = 1 << 18;  // 256 KiB
+  static constexpr size_t kMaxChunkBytes = 1 << 18;  // 256 KiB
 
   void Grow(size_t at_least) {
-    size_t size = at_least > kChunkBytes ? at_least : kChunkBytes;
-    chunks_.push_back(std::make_unique<char[]>(size));
+    const size_t size = std::max(std::min(2 * capacity_, kMaxChunkBytes),
+                                 at_least);
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
     capacity_ = size;
     used_ = 0;
   }

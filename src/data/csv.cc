@@ -15,7 +15,7 @@ namespace sablock::data {
 
 namespace {
 
-/// Splits a row into fields by ParseCsvLine's quote rules, in place: each
+/// Splits a row into fields by ReadCsv's quote rules, in place: each
 /// value is written over its field's own bytes (unescaping never
 /// lengthens it), so a quote-free field is not written at all. Feed()
 /// takes the row a line at a time and leaves in_quotes() set when a line
@@ -194,16 +194,6 @@ Status ReadFile(const std::string& path, std::string* bytes) {
 }
 
 }  // namespace
-
-std::vector<std::string> ParseCsvLine(std::string_view line) {
-  std::string bytes(line);
-  std::vector<std::string> fields;
-  auto add_field = [&](std::string_view field) { fields.emplace_back(field); };
-  FieldSplitter<decltype(add_field)> row(bytes.data(), 0, add_field);
-  row.Feed(0, bytes.size());
-  row.Finish();
-  return fields;
-}
 
 std::string EscapeCsvField(std::string_view field) {
   bool needs_quotes = field.find_first_of(",\"\n\r") != std::string_view::npos;

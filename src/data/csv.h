@@ -3,19 +3,11 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "data/record.h"
 
 namespace sablock::data {
-
-/// Splits one CSV line into fields by RFC 4180's quote rules, as ReadCsv
-/// splits rows: a quote opens a quoted field only as the field's first
-/// byte, a doubled quote inside one is a literal quote, and any other
-/// quote ends it. No byte of `line` ends it early, and a quoted field it
-/// leaves open ends with it.
-std::vector<std::string> ParseCsvLine(std::string_view line);
 
 /// Escapes a field for CSV output, quoting when needed.
 std::string EscapeCsvField(std::string_view field);
@@ -28,6 +20,9 @@ std::string EscapeCsvField(std::string_view field);
 /// plus as many more as a quoted field left open at a line's end needs;
 /// those line breaks, LF or CRLF, stay in the value, so everything
 /// WriteCsv writes reads back. Blank lines before a data row are skipped.
+/// Fields split at commas by RFC 4180's quote rules: a quote opens a
+/// quoted field only as the field's first byte, a doubled quote inside
+/// one is a literal quote, and any other quote ends it.
 ///
 /// The file is read once, with read(2) to its end, into one buffer that
 /// rows are split in place; each value is then copied once into the

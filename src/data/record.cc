@@ -36,12 +36,6 @@ int Schema::IndexOf(std::string_view name) const {
   return static_cast<int>(it->second);
 }
 
-size_t Schema::RequireIndex(std::string_view name) const {
-  int idx = IndexOf(name);
-  SABLOCK_CHECK_MSG(idx >= 0, "schema is missing a required attribute");
-  return static_cast<size_t>(idx);
-}
-
 std::vector<int> Schema::Positions(std::span<const std::string> names) const {
   std::vector<int> positions;
   positions.reserve(names.size());
@@ -173,15 +167,6 @@ void Dataset::AdoptFeatures(
   std::lock_guard<std::mutex> lock(FeatureCreationMutex());
   features_ = std::move(store);
   feature_offset_ = 0;
-}
-
-Record Dataset::record(RecordId id) const {
-  Record out;
-  out.values.reserve(schema_.size());
-  for (std::string_view v : Values(id)) {
-    out.values.emplace_back(v);
-  }
-  return out;
 }
 
 std::string_view Dataset::Value(RecordId id, std::string_view attribute) const {

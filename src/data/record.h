@@ -40,9 +40,6 @@ class Schema {
   /// Index of an attribute name, or -1 if absent.
   int IndexOf(std::string_view name) const;
 
-  /// Index of an attribute name; aborts if absent.
-  size_t RequireIndex(std::string_view name) const;
-
   /// The positions of `names`, in list order (-1: absent), resolved once
   /// so that a per-record path reads value rows by position.
   std::vector<int> Positions(std::span<const std::string> names) const;
@@ -138,10 +135,6 @@ class Dataset {
     return {values_.data() + static_cast<size_t>(id) * schema_.size(),
             schema_.size()};
   }
-
-  /// Materializes record `id` as owning strings (copies the bytes).
-  /// Prefer Values() on hot paths.
-  Record record(RecordId id) const;
 
   /// Ground-truth entity of a record (kUnknownEntity if unlabeled).
   EntityId entity(RecordId id) const { return entities_[id]; }

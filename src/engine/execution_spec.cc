@@ -4,11 +4,6 @@
 
 namespace sablock::engine {
 
-std::string ExecutionSpec::ToString() const {
-  return "threads=" + std::to_string(threads) +
-         ",shards=" + std::to_string(shards);
-}
-
 Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
   api::ParamMap params;
   Status status = api::ParamMap::Parse(text, &params);

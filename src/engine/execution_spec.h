@@ -27,9 +27,6 @@ struct ExecutionSpec {
   /// The effective shard count: `shards`, or `threads` when shards == 0.
   int ResolvedShards() const { return shards > 0 ? shards : threads; }
 
-  /// Round-trips through Parse: "threads=4,shards=8".
-  std::string ToString() const;
-
   /// Parses "threads=N,shards=M" (every key optional; empty text is the
   /// default spec). "merge=collect", the name of the one shard-order
   /// merge, is accepted; unknown keys, malformed values, any other merge,

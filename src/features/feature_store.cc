@@ -395,11 +395,4 @@ bool FeatureStore::AdoptBands(const std::vector<std::string>& attributes,
                std::move(column));
 }
 
-FeatureStore::Stats FeatureStore::stats() const {
-  std::lock_guard<std::mutex> lock(map_mutex_);
-  return {catalog_.texts.size(), catalog_.tokens.size(),
-          catalog_.shingles.size(), catalog_.signatures.size(),
-          catalog_.bands.size()};
-}
-
 }  // namespace sablock::features

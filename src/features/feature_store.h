@@ -166,7 +166,9 @@ class FeatureStore {
   };
 
   /// The built-column catalog, one list per column kind, in publication
-  /// order (deterministic for a single-threaded warm-up sequence).
+  /// order (deterministic for a single-threaded warm-up sequence). A build
+  /// or an adoption enters a column there once, so the list sizes count
+  /// the builds.
   struct Catalog {
     std::vector<ColumnParams> texts;
     std::vector<ColumnParams> tokens;
@@ -195,18 +197,6 @@ class FeatureStore {
   [[nodiscard]] bool AdoptBands(const std::vector<std::string>& attributes,
                                 int q, int k, int l, uint64_t seed,
                                 BandColumn column);
-
-  /// Build counters, exposed so tests can assert each cache is built
-  /// exactly once under concurrency: the catalog's list sizes (a build or
-  /// an adoption enters a column there once).
-  struct Stats {
-    uint64_t text_builds = 0;
-    uint64_t token_builds = 0;
-    uint64_t shingle_builds = 0;
-    uint64_t signature_builds = 0;
-    uint64_t band_builds = 0;
-  };
-  Stats stats() const;
 
  private:
   struct ColumnMetrics;  // per-kind cache telemetry (feature_store.cc)

@@ -12,7 +12,7 @@ namespace sablock::index {
 
 /// Incremental sorted-neighbourhood index: records live in a key-ordered
 /// structure (ids ascending within equal keys, matching the batch stable
-/// sort), keyed by baselines::RowKey as MakeKey keys them, and a window of
+/// sort), keyed by baselines::RowKey, and a window of
 /// `window_size` positions defines the blocks. EmitBlocks reproduces
 /// baselines::SortedNeighbourhoodArray byte-identically; Query returns the
 /// records a probe would share a window with if it were inserted next.

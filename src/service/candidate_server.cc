@@ -46,7 +46,6 @@ struct OpMetrics {
 OpMetrics& MetricsFor(uint8_t op) {
   static OpMetrics& insert = *new OpMetrics("insert");
   static OpMetrics& query = *new OpMetrics("query");
-  static OpMetrics& batch_query = *new OpMetrics("batch_query");
   static OpMetrics& stats = *new OpMetrics("stats");
   static OpMetrics& remove = *new OpMetrics("remove");
   static OpMetrics& metrics = *new OpMetrics("metrics");
@@ -55,7 +54,6 @@ OpMetrics& MetricsFor(uint8_t op) {
   switch (static_cast<Op>(op)) {
     case Op::kInsert: return insert;
     case Op::kQuery: return query;
-    case Op::kBatchQuery: return batch_query;
     case Op::kStats: return stats;
     case Op::kRemove: return remove;
     case Op::kMetrics: return metrics;
@@ -76,11 +74,6 @@ bool ReadValueList(WireReader& r, size_t arity,
     values->push_back(r.Str());
   }
   return r.ok();
-}
-
-void AppendIdList(const std::vector<data::RecordId>& ids, WireWriter* w) {
-  w->U32(static_cast<uint32_t>(ids.size()));
-  for (data::RecordId id : ids) w->U32(id);
 }
 
 }  // namespace
@@ -209,22 +202,10 @@ std::string CandidateServer::Handle(std::string_view request) const {
         return ErrorResponse("malformed query (expected " +
                              std::to_string(arity) + " values)");
       }
+      std::vector<data::RecordId> ids = service_->Query(values);
       w.U8(kStatusOk);
-      AppendIdList(service_->Query(values), &w);
-      return w.bytes();
-    }
-    case Op::kBatchQuery: {
-      uint32_t probes = r.U32();
-      w.U8(kStatusOk);
-      w.U32(probes);
-      for (uint32_t i = 0; i < probes; ++i) {
-        if (!ReadValueList(r, arity, &values)) {
-          return ErrorResponse("malformed batch query probe " +
-                               std::to_string(i));
-        }
-        AppendIdList(service_->Query(values), &w);
-      }
-      if (!r.Finished()) return ErrorResponse("trailing batch-query bytes");
+      w.U32(static_cast<uint32_t>(ids.size()));
+      for (data::RecordId id : ids) w.U32(id);
       return w.bytes();
     }
     case Op::kStats: {

@@ -167,35 +167,6 @@ Status CandidateClient::QueryProgressive(
   return Status::Ok();
 }
 
-Status CandidateClient::BatchQuery(
-    const std::vector<std::vector<std::string>>& probes,
-    std::vector<std::vector<data::RecordId>>* candidates) {
-  WireWriter w;
-  BeginRequest(Op::kBatchQuery, &w);
-  w.U32(static_cast<uint32_t>(probes.size()));
-  for (const std::vector<std::string>& probe : probes) {
-    w.U32(static_cast<uint32_t>(probe.size()));
-    for (const std::string& v : probe) w.Str(v);
-  }
-  std::string response;
-  Status s = Call(w, &response);
-  if (!s.ok()) return s;
-  WireReader r(response);
-  s = CheckResponse(r);
-  if (!s.ok()) return s;
-  uint32_t count = r.U32();
-  if (!r.ok() || count != probes.size()) {
-    return Status::Error("malformed batch-query response");
-  }
-  candidates->assign(count, {});
-  for (uint32_t i = 0; i < count; ++i) {
-    s = ReadIdList(r, &(*candidates)[i]);
-    if (!s.ok()) return s;
-  }
-  if (!r.Finished()) return Status::Error("malformed batch-query response");
-  return Status::Ok();
-}
-
 Status CandidateClient::Remove(data::RecordId id, bool* removed) {
   WireWriter w;
   BeginRequest(Op::kRemove, &w);

@@ -49,11 +49,6 @@ class CandidateClient {
       std::span<const std::string_view> values, const std::string& budget_spec,
       std::vector<std::pair<data::RecordId, double>>* candidates);
 
-  /// Candidate ids for many probes in one round trip.
-  Status BatchQuery(
-      const std::vector<std::vector<std::string>>& probes,
-      std::vector<std::vector<data::RecordId>>* candidates);
-
   /// Un-indexes a record; `*removed` reports whether it was live.
   Status Remove(data::RecordId id, bool* removed);
 

@@ -28,7 +28,6 @@ namespace sablock::service {
 /// Bodies (request -> ok-response):
 ///   kInsert:     value list            -> uint32 assigned record id
 ///   kQuery:      value list            -> record-id list
-///   kBatchQuery: uint32 n, n x value list -> n x record-id list
 ///   kStats:      (empty)               -> uint64 records, inserts,
 ///                                         queries, removes; index name
 ///   kRemove:     uint32 record id      -> uint8 removed (0/1)
@@ -41,10 +40,11 @@ namespace sablock::service {
 ///                                       -> uint32 count, count x
 ///                                         (uint32 id, uint64 score bits —
 ///                                         an IEEE double, best first)
+/// Opcode 3 is unassigned: like any opcode outside this enum, it gets an
+/// "unknown opcode 3" error response and the connection stays open.
 enum class Op : uint8_t {
   kInsert = 1,
   kQuery = 2,
-  kBatchQuery = 3,
   kStats = 4,
   kRemove = 5,
   kMetrics = 6,
@@ -67,7 +67,7 @@ inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 struct ServiceStats {
   uint64_t records = 0;  ///< live (inserted minus removed) records
   uint64_t inserts = 0;
-  uint64_t queries = 0;  ///< single probes, batch probes counted each
+  uint64_t queries = 0;  ///< kQuery and kQueryProgressive requests
   uint64_t removes = 0;
   std::string index_name;
 };

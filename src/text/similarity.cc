@@ -96,22 +96,6 @@ double BigramSimilarity(std::string_view a, std::string_view b) {
   return QGramSimilarity(a, b, 2);
 }
 
-int LongestCommonSubstring(std::string_view a, std::string_view b) {
-  if (a.empty() || b.empty()) return 0;
-  std::vector<int> row(b.size() + 1, 0);
-  int best = 0;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    int prev_diag = 0;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      int cur = row[j];
-      row[j] = (a[i - 1] == b[j - 1]) ? prev_diag + 1 : 0;
-      best = std::max(best, row[j]);
-      prev_diag = cur;
-    }
-  }
-  return best;
-}
-
 namespace {
 
 // Finds the longest common substring and its positions; returns length.

@@ -28,9 +28,6 @@ double QGramSimilarity(std::string_view a, std::string_view b, int q);
 /// comparator used in blocking-survey parameter grids.
 double BigramSimilarity(std::string_view a, std::string_view b);
 
-/// Longest common substring length.
-int LongestCommonSubstring(std::string_view a, std::string_view b);
-
 /// Longest-common-substring similarity: repeatedly removes the longest
 /// common substring (of length >= min_len) from both strings and sums the
 /// removed lengths; similarity = total / max(|a|, |b|). This is the LCS

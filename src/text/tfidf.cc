@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
-#include "common/string_util.h"
+#include "common/check.h"
 
 namespace sablock::text {
 
@@ -25,50 +26,23 @@ double CosineSimilarity(const SparseVector& a, const SparseVector& b) {
   return dot;
 }
 
-void TfIdfVectorizer::Build(const std::vector<std::string>& corpus) {
-  std::vector<std::vector<std::string>> words;
-  words.reserve(corpus.size());
-  for (const std::string& doc : corpus) {
-    words.push_back(SplitWords(doc));
-  }
-  BuildFromWords(words);
-}
-
-void TfIdfVectorizer::BuildFromWords(
-    const std::vector<std::vector<std::string>>& corpus) {
-  term_ids_.clear();
-  std::vector<uint32_t> doc_freq;
-  for (const std::vector<std::string>& doc : corpus) {
-    std::vector<std::string> tokens = doc;
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    for (const std::string& t : tokens) {
-      auto [it, inserted] =
-          term_ids_.emplace(t, static_cast<uint32_t>(term_ids_.size()));
-      if (inserted) {
-        doc_freq.push_back(1);
-      } else {
-        ++doc_freq[it->second];
-      }
-    }
-  }
-  idf_.resize(doc_freq.size());
-  const double n = static_cast<double>(std::max<size_t>(corpus.size(), 1));
-  for (size_t i = 0; i < doc_freq.size(); ++i) {
-    idf_[i] = static_cast<float>(std::log(n / (1.0 + doc_freq[i])) + 1.0);
+void TfIdfVectorizer::Build(
+    const std::vector<std::vector<uint32_t>>& postings,
+    size_t num_documents) {
+  idf_.resize(postings.size());
+  const double n = static_cast<double>(std::max<size_t>(num_documents, 1));
+  for (size_t t = 0; t < postings.size(); ++t) {
+    idf_[t] = static_cast<float>(
+        std::log(n / (1.0 + static_cast<double>(postings[t].size()))) + 1.0);
   }
 }
 
-SparseVector TfIdfVectorizer::Vectorize(std::string_view document) const {
-  return VectorizeWords(SplitWords(document));
-}
-
-SparseVector TfIdfVectorizer::VectorizeWords(
-    const std::vector<std::string>& words) const {
+SparseVector TfIdfVectorizer::Vectorize(
+    std::span<const uint32_t> terms) const {
   std::unordered_map<uint32_t, float> counts;
-  for (const std::string& t : words) {
-    auto it = term_ids_.find(t);
-    if (it != term_ids_.end()) counts[it->second] += 1.0f;
+  for (uint32_t t : terms) {
+    SABLOCK_DCHECK(t < idf_.size());
+    counts[t] += 1.0f;
   }
   SparseVector v;
   v.entries.reserve(counts.size());

@@ -2,9 +2,7 @@
 #define SABLOCK_TEXT_TFIDF_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace sablock::text {
@@ -17,33 +15,27 @@ struct SparseVector {
 /// Cosine similarity of two L2-normalized sparse vectors.
 double CosineSimilarity(const SparseVector& a, const SparseVector& b);
 
-/// Corpus-level TF-IDF vectorizer over whitespace tokens. Build() fixes the
-/// vocabulary and document frequencies; Vectorize() then maps any string to
-/// an L2-normalized sparse vector (unknown terms are dropped). Used by the
-/// canopy-clustering baselines (CaTh / CaNN with "TF-IDF cosine").
+/// Corpus-level TF-IDF vectorizer over term ids 0..n-1, numbered by the
+/// caller. Build() fixes each term's IDF from an inverted index; Vectorize()
+/// then maps a document, given as its term ids, to an L2-normalized sparse
+/// vector. Used by the canopy-clustering baselines (CaTh / CaNN with "TF-IDF
+/// cosine"), whose token postings are that index.
 class TfIdfVectorizer {
  public:
-  /// Builds the vocabulary and IDF table from the corpus documents.
-  void Build(const std::vector<std::string>& corpus);
+  /// Builds the IDF table: term t occurs in the postings[t].size() documents
+  /// it lists, out of `num_documents`.
+  void Build(const std::vector<std::vector<uint32_t>>& postings,
+             size_t num_documents);
 
-  /// Build() over pre-tokenized documents (each inner vector is one
-  /// document's whitespace tokens, duplicates included). Callers that
-  /// already tokenized — e.g. via the feature store's token columns —
-  /// avoid a second SplitWords pass per document.
-  void BuildFromWords(const std::vector<std::vector<std::string>>& corpus);
-
-  /// Vectorizes one document against the built vocabulary.
-  SparseVector Vectorize(std::string_view document) const;
-
-  /// Vectorize() over a pre-tokenized document (duplicates included —
-  /// term frequency counts them).
-  SparseVector VectorizeWords(const std::vector<std::string>& words) const;
+  /// Vectorizes one document's term ids, in word order with duplicates
+  /// (term frequency counts them). Every id must be below
+  /// vocabulary_size().
+  SparseVector Vectorize(std::span<const uint32_t> terms) const;
 
   /// Number of distinct terms in the vocabulary.
   size_t vocabulary_size() const { return idf_.size(); }
 
  private:
-  std::unordered_map<std::string, uint32_t> term_ids_;
   std::vector<float> idf_;
 };
 

@@ -31,29 +31,30 @@ Dataset NameDataset() {
 TEST(BlockingKeyTest, ExactKeyConcatenatesNormalizedValues) {
   Dataset d = NameDataset();
   BlockingKeyDef def = ExactKey({"first", "last"});
-  EXPECT_EQ(MakeKey(d, 0, def), "qingwang");
-  EXPECT_EQ(MakeKey(d, 2, def), "wangqing");
+  EXPECT_EQ(KeyBuilder(d, def).Key(0), "qingwang");
+  EXPECT_EQ(KeyBuilder(d, def).Key(2), "wangqing");
 }
 
 TEST(BlockingKeyTest, MissingValuesContributeNothing) {
   Dataset d{Schema({"a", "b"})};
   d.Add({{"", "x"}});
   BlockingKeyDef def = ExactKey({"a", "b"});
-  EXPECT_EQ(MakeKey(d, 0, def), "x");
+  EXPECT_EQ(KeyBuilder(d, def).Key(0), "x");
 }
 
 TEST(BlockingKeyTest, PrefixAndEncodings) {
   Dataset d{Schema({"name"})};
   d.Add({{"Christopher Smith"}});
   BlockingKeyDef prefix{{{"name", KeyComponent::Encoding::kPrefix, 5}}};
-  EXPECT_EQ(MakeKey(d, 0, prefix), "chris");
+  EXPECT_EQ(KeyBuilder(d, prefix).Key(0), "chris");
   BlockingKeyDef soundex{{{"name", KeyComponent::Encoding::kSoundex, 0}}};
-  EXPECT_EQ(MakeKey(d, 0, soundex), "C623");  // soundex of "christopher"
+  // The Soundex code of "christopher".
+  EXPECT_EQ(KeyBuilder(d, soundex).Key(0), "C623");
   BlockingKeyDef first_word{
       {{"name", KeyComponent::Encoding::kFirstWord, 0}}};
-  EXPECT_EQ(MakeKey(d, 0, first_word), "christopher");
+  EXPECT_EQ(KeyBuilder(d, first_word).Key(0), "christopher");
   BlockingKeyDef nysiis{{{"name", KeyComponent::Encoding::kNysiis, 0}}};
-  EXPECT_FALSE(MakeKey(d, 0, nysiis).empty());
+  EXPECT_FALSE(KeyBuilder(d, nysiis).Key(0).empty());
 }
 
 TEST(StandardBlockingTest, GroupsByExactKey) {

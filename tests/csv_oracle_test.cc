@@ -306,6 +306,20 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/csv_oracle_" + name;
 }
 
+// The quote rules on one line: each file is a header alone, whose names
+// are the fields the line splits into.
+TEST(CsvOracleTest, OneLineFilesSplitByTheQuoteRules) {
+  MemoryFile file;
+  const char alphabet[] = {'a', 'b', ',', '"', ' ', '\r'};
+  Rng rng(17);
+  for (int n = 0; n < 20000; ++n) {
+    std::string line(rng.UniformIndex(24), 'a');
+    for (char& c : line) c = alphabet[rng.UniformIndex(sizeof(alphabet))];
+    ExpectMatchesReference(file, line, "");
+    if (::testing::Test::HasFailure()) FAIL() << "stopped at line " << n;
+  }
+}
+
 TEST(CsvOracleTest, SeededRandomFilesMatchTheReference) {
   MemoryFile file;
   Rng rng(0xc5f0);

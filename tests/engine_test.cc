@@ -112,17 +112,6 @@ TEST(ExecutionSpecTest, RejectsBadInput) {
   EXPECT_FALSE(ExecutionSpec::Parse("threads", &spec).ok());
 }
 
-TEST(ExecutionSpecTest, ToStringRoundTrips) {
-  ExecutionSpec spec;
-  spec.threads = 3;
-  spec.shards = 12;
-  EXPECT_EQ(spec.ToString(), "threads=3,shards=12");
-  ExecutionSpec parsed;
-  ASSERT_TRUE(ExecutionSpec::Parse(spec.ToString(), &parsed).ok());
-  EXPECT_EQ(parsed.threads, 3);
-  EXPECT_EQ(parsed.shards, 12);
-}
-
 // --- ShardedExecutor ------------------------------------------------------
 
 TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
@@ -163,9 +152,10 @@ TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
         << "threads=" << threads;
     // The shards raced the band column, built once; sa-lsh reads no
     // signature column.
-    const features::FeatureStore::Stats stats = cold.features().store().stats();
-    EXPECT_EQ(stats.band_builds, 1u);
-    EXPECT_EQ(stats.signature_builds, 0u);
+    const features::FeatureStore::Catalog built =
+        cold.features().store().catalog();
+    EXPECT_EQ(built.bands.size(), 1u);
+    EXPECT_EQ(built.signatures.size(), 0u);
     BlockCollection warm;
     ShardedExecutor(spec).Execute(*technique, cold, warm);
     EXPECT_EQ(warm.blocks(), reference.blocks())

@@ -48,11 +48,6 @@ TEST(PreconditionDeathTest, SemanticFunctionRejectsWrongArity) {
   EXPECT_DEATH(lambda.Interpret(schema, values), "arity");
 }
 
-TEST(PreconditionDeathTest, SchemaRequireMissingAttribute) {
-  Schema s({"a"});
-  EXPECT_DEATH(s.RequireIndex("zzz"), "missing");
-}
-
 TEST(PreconditionDeathTest, MinHasherRejectsNonPositiveCount) {
   EXPECT_DEATH(core::MinHasher(0, 1), "CHECK");
 }

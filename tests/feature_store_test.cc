@@ -101,9 +101,9 @@ TEST(FeatureStoreTest, TextColumnsDoNotPayForTokenization) {
   features.TextsFor(NameCity());
   features.TextsFor({"name"});
   // Text-only consumers (blocking keys) never build a token column.
-  EXPECT_EQ(features.store().stats().token_builds, 0u);
+  EXPECT_EQ(features.store().catalog().tokens.size(), 0u);
   features.TokensFor(NameCity());
-  EXPECT_EQ(features.store().stats().token_builds, 1u);
+  EXPECT_EQ(features.store().catalog().tokens.size(), 1u);
 }
 
 TEST(FeatureStoreTest, ShingleColumnMatchesQGramHashes) {
@@ -145,10 +145,10 @@ TEST(FeatureStoreTest, DistinctKeysAreDistinctColumns) {
   features.BandsFor(NameCity(), 2, 2, 4, 7);
   features.BandsFor(NameCity(), 2, 4, 2, 7);
   features.BandsFor(NameCity(), 2, 4, 2, 11);
-  FeatureStore::Stats stats = features.store().stats();
-  EXPECT_EQ(stats.shingle_builds, 3u);
-  EXPECT_EQ(stats.signature_builds, 2u);
-  EXPECT_EQ(stats.band_builds, 3u);
+  FeatureStore::Catalog built = features.store().catalog();
+  EXPECT_EQ(built.shingles.size(), 3u);
+  EXPECT_EQ(built.signatures.size(), 2u);
+  EXPECT_EQ(built.bands.size(), 3u);
 }
 
 /// A Cora-like dataset spanning many chunks of a cooperative build.
@@ -222,11 +222,11 @@ TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
     }
   });
 
-  FeatureStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.text_builds, 1u);
-  EXPECT_EQ(stats.token_builds, 1u);
-  EXPECT_EQ(stats.shingle_builds, 1u);
-  EXPECT_EQ(stats.signature_builds, 1u);
+  FeatureStore::Catalog built = store.catalog();
+  EXPECT_EQ(built.texts.size(), 1u);
+  EXPECT_EQ(built.tokens.size(), 1u);
+  EXPECT_EQ(built.shingles.size(), 1u);
+  EXPECT_EQ(built.signatures.size(), 1u);
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(token_cols[t], token_cols[0]);
     EXPECT_EQ(sig_cols[t], sig_cols[0]);
@@ -294,10 +294,10 @@ TEST(FeatureStoreTest, RacingGettersNeverRebuildAnAdoptedColumn) {
 
   // The adoption is the only build, and no getter reached for the
   // adopted column's parents.
-  FeatureStore::Stats stats = adopted.stats();
-  EXPECT_EQ(stats.signature_builds, 1u);
-  EXPECT_EQ(stats.shingle_builds, 0u);
-  EXPECT_EQ(stats.text_builds, 0u);
+  FeatureStore::Catalog entered = adopted.catalog();
+  EXPECT_EQ(entered.signatures.size(), 1u);
+  EXPECT_EQ(entered.shingles.size(), 0u);
+  EXPECT_EQ(entered.texts.size(), 0u);
   const CacheCounts counts = CacheCounts::Of("signature").Since(before);
   EXPECT_EQ(counts.hits, static_cast<uint64_t>(kThreads));
   EXPECT_EQ(counts.misses, 0u);
@@ -413,11 +413,11 @@ TEST(FeatureStoreTest, FourThreadsRacingABandColumnBuildItOnce) {
     // One build, counted once: one band miss and a hit per other getter.
     // The text column is asked for once, by the band build's starter;
     // the helpers' share of it is not a getter call.
-    const FeatureStore::Stats stats = store.stats();
-    EXPECT_EQ(stats.band_builds, 1u);
-    EXPECT_EQ(stats.text_builds, 1u);
-    EXPECT_EQ(stats.shingle_builds, 0u);
-    EXPECT_EQ(stats.signature_builds, 0u);
+    const FeatureStore::Catalog built = store.catalog();
+    EXPECT_EQ(built.bands.size(), 1u);
+    EXPECT_EQ(built.texts.size(), 1u);
+    EXPECT_EQ(built.shingles.size(), 0u);
+    EXPECT_EQ(built.signatures.size(), 0u);
     const CacheCounts bands = CacheCounts::Of("band").Since(bands_before);
     const CacheCounts texts = CacheCounts::Of("text").Since(texts_before);
     EXPECT_EQ(bands.misses, 1u);
@@ -452,7 +452,7 @@ TEST(FeatureStoreTest, SlicesShareTheParentStoreWithOffset) {
               parent_shingles.Row(id + 1).size());
   }
   // No rebuild happened for the slice.
-  EXPECT_EQ(parent.store().stats().shingle_builds, 1u);
+  EXPECT_EQ(parent.store().catalog().shingles.size(), 1u);
 
   // Nested slices compose offsets.
   data::Dataset nested = slice.Slice(1, 2);

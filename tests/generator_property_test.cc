@@ -31,7 +31,7 @@ TEST_P(CoraSweep, StructuralInvariants) {
     // Entities labelled 0..entities-1, titles non-empty, arity correct.
     EXPECT_LT(d.entity(id), entities);
     EXPECT_FALSE(d.Value(id, "title").empty());
-    EXPECT_EQ(d.record(id).values.size(), d.schema().size());
+    EXPECT_EQ(d.Values(id).size(), d.schema().size());
     ++cluster_sizes[d.entity(id)];
   }
   // Every entity has at least one record.

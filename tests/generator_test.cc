@@ -52,7 +52,7 @@ TEST(CoraGeneratorTest, DeterministicForSeed) {
   Dataset b = GenerateCoraLike(SmallCora());
   ASSERT_EQ(a.size(), b.size());
   for (data::RecordId id = 0; id < a.size(); ++id) {
-    EXPECT_EQ(a.record(id).values, b.record(id).values);
+    EXPECT_TRUE(std::ranges::equal(a.Values(id), b.Values(id))) << id;
     EXPECT_EQ(a.entity(id), b.entity(id));
   }
 }
@@ -65,7 +65,7 @@ TEST(CoraGeneratorTest, DifferentSeedsDiffer) {
   Dataset b = GenerateCoraLike(c2);
   bool any_diff = false;
   for (data::RecordId id = 0; id < a.size() && !any_diff; ++id) {
-    any_diff = a.record(id).values != b.record(id).values;
+    any_diff = !std::ranges::equal(a.Values(id), b.Values(id));
   }
   EXPECT_TRUE(any_diff);
 }
@@ -171,7 +171,7 @@ TEST(VoterGeneratorTest, DeterministicForSeed) {
   Dataset b = GenerateVoterLike(SmallVoter());
   ASSERT_EQ(a.size(), b.size());
   for (data::RecordId id = 0; id < a.size(); ++id) {
-    EXPECT_EQ(a.record(id).values, b.record(id).values);
+    EXPECT_TRUE(std::ranges::equal(a.Values(id), b.Values(id))) << id;
   }
 }
 

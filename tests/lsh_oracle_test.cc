@@ -415,21 +415,21 @@ TEST_P(LshOracleTest, TechniquesOnSnapshotLoadedDatasets) {
     ASSERT_GT(written.feature_sections, 0u);
     EXPECT_EQ(info.feature_sections, written.feature_sections);
     const features::FeatureStore& store = loaded.records.features().store();
-    const features::FeatureStore::Stats adopted = store.stats();
+    const features::FeatureStore::Catalog adopted = store.catalog();
     // lsh and sa-lsh read band columns only: the file carried one per
     // (q, k, l) the settings use.
-    EXPECT_GT(adopted.band_builds, 0u);
+    EXPECT_GT(adopted.bands.size(), 0u);
     for (const Setting& setting : settings) {
       const std::string spec = setting.Spec(loaded);
       EXPECT_EQ(RunTechnique(spec, loaded.records), Oracle(loaded, setting))
           << spec << " compress=" << compress;
     }
     // The runs read the adopted columns and built none.
-    const features::FeatureStore::Stats after = store.stats();
-    EXPECT_EQ(after.text_builds, adopted.text_builds);
-    EXPECT_EQ(after.shingle_builds, adopted.shingle_builds);
-    EXPECT_EQ(after.signature_builds, adopted.signature_builds);
-    EXPECT_EQ(after.band_builds, adopted.band_builds);
+    const features::FeatureStore::Catalog after = store.catalog();
+    EXPECT_EQ(after.texts.size(), adopted.texts.size());
+    EXPECT_EQ(after.shingles.size(), adopted.shingles.size());
+    EXPECT_EQ(after.signatures.size(), adopted.signatures.size());
+    EXPECT_EQ(after.bands.size(), adopted.bands.size());
   }
 }
 
@@ -453,9 +453,9 @@ TEST_P(LshOracleTest, TechniquesOnSnapshotsWithoutBandSections) {
   std::remove(path.c_str());
   ASSERT_TRUE(s.ok()) << s.message();
   const features::FeatureStore& store = loaded.records.features().store();
-  const features::FeatureStore::Stats adopted = store.stats();
-  ASSERT_EQ(adopted.band_builds, 0u);
-  ASSERT_GT(adopted.signature_builds, 0u);
+  const features::FeatureStore::Catalog adopted = store.catalog();
+  ASSERT_EQ(adopted.bands.size(), 0u);
+  ASSERT_GT(adopted.signatures.size(), 0u);
   // Run every setting twice: the first run builds its band column from
   // the adopted text, the second reuses it.
   for (int pass = 0; pass < 2; ++pass) {
@@ -465,11 +465,11 @@ TEST_P(LshOracleTest, TechniquesOnSnapshotsWithoutBandSections) {
           << spec << " pass " << pass;
     }
   }
-  const features::FeatureStore::Stats after = store.stats();
-  EXPECT_EQ(after.band_builds, band_columns.size());
-  EXPECT_EQ(after.text_builds, adopted.text_builds);
-  EXPECT_EQ(after.shingle_builds, adopted.shingle_builds);
-  EXPECT_EQ(after.signature_builds, adopted.signature_builds);
+  const features::FeatureStore::Catalog after = store.catalog();
+  EXPECT_EQ(after.bands.size(), band_columns.size());
+  EXPECT_EQ(after.texts.size(), adopted.texts.size());
+  EXPECT_EQ(after.shingles.size(), adopted.shingles.size());
+  EXPECT_EQ(after.signatures.size(), adopted.signatures.size());
 }
 
 TEST_P(LshOracleTest, IndexesAfterLoadDataset) {

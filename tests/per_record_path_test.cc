@@ -1,7 +1,7 @@
 // The per-record path under hostile input. A record's blocking text and
 // its blocking key are each computed by one function over attribute
 // positions resolved once (data::BlockingText, baselines::RowKey); the
-// FeatureStore's text columns, Dataset::ConcatenatedValues, MakeKey,
+// FeatureStore's text columns, Dataset::ConcatenatedValues, RowKey,
 // KeyBuilder and the incremental indexes all go through them. Here the
 // attribute lists run out of schema order and name an attribute the
 // schema lacks, and the values are empty or carry punctuation, mixed
@@ -66,7 +66,9 @@ data::Dataset HostileCorpus() {
   const data::Dataset clean = data::GenerateCoraLike(config);
   data::Dataset hostile(clean.schema());
   for (data::RecordId id = 0; id < clean.size(); ++id) {
-    data::Record record = clean.record(id);
+    const std::span<const std::string_view> row = clean.Values(id);
+    data::Record record;
+    record.values.assign(row.begin(), row.end());
     for (size_t c = 0; c < record.values.size(); ++c) {
       record.values[c] = Hostile(record.values[c], id, c);
     }
@@ -120,11 +122,14 @@ TEST(PerRecordPathTest, KeysEqualTheDefinitionOnAHostileCorpus) {
   def.components.push_back(
       {"title", baselines::KeyComponent::Encoding::kPrefix, 6});
   const baselines::KeyBuilder builder(d, def);
+  const std::vector<int> positions =
+      d.schema().Positions(baselines::KeyAttributes(def));
   for (data::RecordId id = 0; id < d.size(); ++id) {
     const std::string defined =
         DefinedText(d, id, {"authors"}) +
         DefinedText(d, id, {"title"}).substr(0, 6);
-    EXPECT_EQ(baselines::MakeKey(d, id, def), defined) << id;
+    EXPECT_EQ(baselines::RowKey(def, positions, d.Values(id)), defined)
+        << id;
     EXPECT_EQ(builder.Key(id), defined) << id;
   }
 }

@@ -248,9 +248,8 @@ size_t ExpectValuesFormAgrees(const SemanticFunction& fn, const Dataset& d) {
   const Schema reversed(reversed_names);
   size_t interpreted = 0;
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    const Record copy = d.record(id);
-    std::vector<std::string_view> values(copy.values.begin(),
-                                         copy.values.end());
+    const std::span<const std::string_view> row = d.Values(id);
+    std::vector<std::string_view> values(row.begin(), row.end());
     EXPECT_EQ(fn.Interpret(d, id), all[id]) << id;
     EXPECT_EQ(fn.Interpret(d.schema(), values), all[id]) << id;
     std::reverse(values.begin(), values.end());

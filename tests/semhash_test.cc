@@ -138,59 +138,18 @@ TEST(SemhashEncoderTest, EncodeAllMatchesIndividualEncodes) {
   }
 }
 
-TEST(SemhashEncoderTest, FeatureConceptsAreLeaves) {
+TEST(SemhashEncoderTest, FeaturesAreTheLeaves) {
+  // With every leaf a feature, encoding leaf o alone sets bit o and no
+  // other.
   Taxonomy t = MakeBibliographicTaxonomy();
   SemhashEncoder enc = SemhashEncoder::BuildFromAllLeaves(t);
-  for (uint32_t i = 0; i < enc.dimension(); ++i) {
-    EXPECT_TRUE(t.IsLeaf(enc.FeatureConcept(i)));
+  ASSERT_EQ(enc.dimension(), t.TotalLeaves());
+  for (uint32_t o = 0; o < t.TotalLeaves(); ++o) {
+    ASSERT_TRUE(t.IsLeaf(t.LeafAt(o)));
+    SemSignature sig = enc.Encode(t, {t.LeafAt(o)});
+    EXPECT_EQ(sig.PopCount(), 1u) << o;
+    EXPECT_TRUE(sig.Get(o)) << o;
   }
-}
-
-TEST(CompressedSemhashTest, CompressionLengthAndDeterminism) {
-  CompressedSemhash c(16, 9);
-  SemSignature sig(40);
-  sig.Set(3);
-  sig.Set(17);
-  std::vector<uint64_t> a = c.Compress(sig);
-  std::vector<uint64_t> b = c.Compress(sig);
-  EXPECT_EQ(a.size(), 16u);
-  EXPECT_EQ(a, b);
-}
-
-TEST(CompressedSemhashTest, AllZeroSignatureIsSentinel) {
-  CompressedSemhash c(8, 9);
-  SemSignature zero(16);
-  for (uint64_t v : c.Compress(zero)) {
-    EXPECT_EQ(v, sablock::UniversalHash::kPrime);
-  }
-}
-
-TEST(CompressedSemhashTest, EstimatePreservesSignatureJaccard) {
-  // Section 4.4's optional combination: minhash over semhash bits should
-  // approximate the bit-level Jaccard (and hence the Eq. 5 similarity).
-  CompressedSemhash c(512, 9);
-  const uint32_t dim = 200;
-  SemSignature a(dim);
-  SemSignature b(dim);
-  for (uint32_t i = 0; i < 100; ++i) a.Set(i);
-  for (uint32_t i = 50; i < 150; ++i) b.Set(i);
-  double true_jaccard = a.Jaccard(b);  // 50 / 150 = 1/3
-  double est =
-      CompressedSemhash::EstimateJaccard(c.Compress(a), c.Compress(b));
-  EXPECT_NEAR(est, true_jaccard, 0.08);
-}
-
-TEST(CompressedSemhashTest, IdenticalSignaturesFullyAgree) {
-  CompressedSemhash c(64, 9);
-  SemSignature a(30);
-  a.Set(1);
-  a.Set(29);
-  SemSignature b(30);
-  b.Set(1);
-  b.Set(29);
-  EXPECT_DOUBLE_EQ(
-      CompressedSemhash::EstimateJaccard(c.Compress(a), c.Compress(b)),
-      1.0);
 }
 
 TEST(SemhashEncoderTest, EmptyInterpretationsGiveZeroDimension) {

@@ -65,11 +65,14 @@ TEST(BigramSimilarityTest, MatchesQ2) {
                    QGramSimilarity("hello", "hella", 2));
 }
 
-TEST(LongestCommonSubstringTest, KnownValues) {
-  EXPECT_EQ(LongestCommonSubstring("", "abc"), 0);
-  EXPECT_EQ(LongestCommonSubstring("abcdef", "zabcy"), 3);
-  EXPECT_EQ(LongestCommonSubstring("abc", "abc"), 3);
-  EXPECT_EQ(LongestCommonSubstring("xy", "yx"), 1);
+TEST(LcsSimilarityTest, FirstFragmentIsTheLongestCommonSubstring) {
+  // The longest common substring is removed first, so a min_len one past
+  // its length scores 0.
+  EXPECT_DOUBLE_EQ(LcsSimilarity("", "abc", 1), 0.0);
+  EXPECT_DOUBLE_EQ(LcsSimilarity("abcdef", "zabcy", 3), 3.0 / 6.0);
+  EXPECT_DOUBLE_EQ(LcsSimilarity("abcdef", "zabcy", 4), 0.0);
+  EXPECT_DOUBLE_EQ(LcsSimilarity("xy", "yx", 1), 1.0);
+  EXPECT_DOUBLE_EQ(LcsSimilarity("xy", "yx", 2), 0.0);
 }
 
 TEST(LcsSimilarityTest, RepeatedExtraction) {

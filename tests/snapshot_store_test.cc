@@ -328,13 +328,13 @@ TEST(SnapshotTest, FeatureSectionsRoundtripAndPreWarmTheCache) {
                                  ref_column.rows().values()));
   EXPECT_TRUE(std::ranges::equal(column.rows().offsets(),
                                  ref_column.rows().offsets()));
-  // Adoption counts as the build for the stats counters: reads above
-  // must not have rebuilt anything.
-  features::FeatureStore::Stats stats = view.store().stats();
-  EXPECT_EQ(stats.text_builds, 1u);
-  EXPECT_EQ(stats.token_builds, 1u);
-  EXPECT_EQ(stats.shingle_builds, 1u);
-  EXPECT_EQ(stats.signature_builds, 1u);
+  // Adoption enters the catalog as the build: reads above must not have
+  // rebuilt anything.
+  features::FeatureStore::Catalog built = view.store().catalog();
+  EXPECT_EQ(built.texts.size(), 1u);
+  EXPECT_EQ(built.tokens.size(), 1u);
+  EXPECT_EQ(built.shingles.size(), 1u);
+  EXPECT_EQ(built.signatures.size(), 1u);
   std::remove(path.c_str());
 }
 
@@ -382,7 +382,7 @@ TEST(SnapshotTest, LoadWithoutFeaturesSkipsFeatureSections) {
   ExpectSameRecords(original, loaded);
   // The cache starts cold: the first getter call builds.
   loaded.features().TokensFor({"name"});
-  EXPECT_EQ(loaded.features().store().stats().token_builds, 1u);
+  EXPECT_EQ(loaded.features().store().catalog().tokens.size(), 1u);
   std::remove(path.c_str());
 }
 

@@ -17,10 +17,6 @@ TEST(ToLowerTest, Basic) {
   EXPECT_EQ(ToLower(""), "");
 }
 
-TEST(ToUpperTest, Basic) {
-  EXPECT_EQ(ToUpper("aBc"), "ABC");
-}
-
 TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("  a b  "), "a b");
   EXPECT_EQ(Trim("\t\nx\r "), "x");

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -44,6 +45,15 @@ constexpr char kIndex[] = "token:attrs=authors+title";
 std::string TmpPath(const char* tag) {
   return "/tmp/sablock-token-oracle-" + std::to_string(::getpid()) + "-" +
          tag;
+}
+
+/// ASCII uppercase copy.
+std::string ToUpper(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return out;
 }
 
 data::Dataset Records() {

@@ -10,7 +10,7 @@
 namespace sablock::core {
 namespace {
 
-TEST(SimilarityDistributionTest, BinsAndCdf) {
+TEST(SimilarityDistributionTest, Bins) {
   SimilarityDistribution dist(10);
   dist.Add(0.05);
   dist.Add(0.15);
@@ -20,9 +20,6 @@ TEST(SimilarityDistributionTest, BinsAndCdf) {
   EXPECT_NEAR(dist.BinFraction(0), 0.25, 1e-12);
   EXPECT_NEAR(dist.BinFraction(1), 0.50, 1e-12);
   EXPECT_NEAR(dist.BinFraction(9), 0.25, 1e-12);
-  EXPECT_NEAR(dist.Cdf(0.2), 0.75, 1e-12);
-  EXPECT_NEAR(dist.Cdf(1.0), 1.0, 1e-12);
-  EXPECT_NEAR(dist.Cdf(0.0), 0.0, 1e-12);
 }
 
 TEST(SimilarityDistributionTest, BoundaryValueGoesToLastBin) {
@@ -46,7 +43,6 @@ TEST(SimilarityDistributionTest, ThresholdForErrorRatio) {
 
 TEST(SimilarityDistributionTest, EmptyDistribution) {
   SimilarityDistribution dist;
-  EXPECT_DOUBLE_EQ(dist.Cdf(0.5), 0.0);
   EXPECT_DOUBLE_EQ(dist.ThresholdForErrorRatio(0.1), 0.0);
   EXPECT_DOUBLE_EQ(dist.BinFraction(0), 0.0);
 }
@@ -89,8 +85,11 @@ TEST(MeasureTrueMatchSimilarityTest, OnGeneratedCora) {
   options.q = 3;
   SimilarityDistribution dist = MeasureTrueMatchSimilarity(d, options);
   EXPECT_EQ(dist.count(), d.CountTrueMatchPairs());
-  // Duplicates are corrupted copies: most mass should sit above 0.2.
-  EXPECT_LT(dist.Cdf(0.2), 0.5);
+  // Duplicates are corrupted copies: most mass should sit above 0.2, that
+  // is, in the 20 default bins past the first four.
+  double below = 0.0;
+  for (int i = 0; i < 4; ++i) below += dist.BinFraction(i);
+  EXPECT_LT(below, 0.5);
 }
 
 TEST(MeasureTrueMatchSimilarityTest, SamplingCapsPairCount) {
@@ -118,7 +117,8 @@ TEST(MeasureTrueMatchSimilarityTest, ExactValueMode) {
   SimilarityDistribution dist = MeasureTrueMatchSimilarity(d, options);
   EXPECT_EQ(dist.count(), 3u);
   // Exactly one of the three pairs is an exact match.
-  EXPECT_NEAR(dist.Cdf(0.5), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(dist.BinFraction(0), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(dist.BinFraction(dist.num_bins() - 1), 1.0 / 3.0, 1e-12);
 }
 
 TEST(MeasureTrueMatchSimilarityTest, NoLabelsYieldsEmpty) {

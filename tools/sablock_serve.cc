@@ -2,8 +2,8 @@
 // socket, or talk to one as a client. The server holds a mutable Dataset
 // plus an IncrementalIndex built from a registry spec string (the same
 // grammar as batch techniques; see --list-indexes) and answers insert /
-// query / batch-query / remove / stats requests (length-prefixed frames;
-// see README "Serving").
+// query / progressive-query / remove / stats / metrics requests
+// (length-prefixed frames; see README "Serving").
 //
 // Examples:
 //   sablock_serve --socket=/tmp/sab.sock --preload=cora --records=1879
