@@ -1,8 +1,8 @@
 // Experiment E11 — micro-benchmarks of the substrate hot paths: string
 // comparators, q-gram shingling, minhash signatures, semhash encoding,
-// concept similarity, pair-set inserts, pair dedup at DRAM scale,
-// end-to-end block construction per record, and the FeatureStore
-// cached-vs-uncached reuse win.
+// concept similarity, pair-set inserts, pair collection and dedup at
+// DRAM scale, end-to-end block construction per record, and the
+// FeatureStore cached-vs-uncached reuse win.
 //
 // Self-contained timing harness (no Google Benchmark dependency): each
 // case auto-scales its iteration count until a measurement pass is long
@@ -208,18 +208,28 @@ int RunMicro(report::BenchContext& ctx) {
     DoNotOptimize(set.size());
   });
 
-  // --- pair dedup past the caches (one op = DistinctPairs over 2^20
-  // distinct 2-record blocks) -----------------------------------------------
+  // --- the meta output layer over 2^20 distinct 2-record blocks: collect
+  // (one op = streaming them through Consume into a fresh collection) and
+  // dedup (one op = DistinctPairs over the collected blocks) --------------
   // The shape of a pruned meta-blocking output, grouped by smaller
   // endpoint as MetaPrune emits it. Deduping it fills a 32 MiB PairSet, so
   // every probe is a likely cache miss — the layer pair_set_insert_10k,
   // which stays in L2, cannot show.
   {
+    auto stream_pairs = [](core::BlockSink& sink) {
+      for (uint32_t i = 0; i < (1u << 20); ++i) {
+        const uint32_t a = i / 8;
+        const data::RecordId pair[] = {a, a + 1 + i % 8};
+        sink.Consume(pair);
+      }
+    };
+    suite.Case("collect_pairs_1m", [&] {
+      core::BlockCollection collected;
+      stream_pairs(collected);
+      DoNotOptimize(collected.NumBlocks());
+    });
     core::BlockCollection pair_blocks;
-    for (uint32_t i = 0; i < (1u << 20); ++i) {
-      const uint32_t a = i / 8;
-      pair_blocks.Add({a, a + 1 + i % 8});
-    }
+    stream_pairs(pair_blocks);
     suite.Case("distinct_pairs_1m", [&] {
       DoNotOptimize(pair_blocks.DistinctPairs().size());
     });

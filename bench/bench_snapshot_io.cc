@@ -153,7 +153,7 @@ int RunSnapshotIo(report::BenchContext& ctx) {
   // the parsed path's blocks exactly.
   bool workload_identical = true;
   for (const SnapRow& row : rows) {
-    if (row.blocks.blocks() != parsed_blocks.blocks()) {
+    if (row.blocks != parsed_blocks) {
       workload_identical = false;
       std::printf("FAIL: %s workload blocks differ from parsed path\n",
                   row.name);
@@ -179,7 +179,7 @@ int RunSnapshotIo(report::BenchContext& ctx) {
       std::unique_ptr<core::BlockingTechnique> t = FromSpec(spec);
       core::BlockCollection from_parsed = RunStreaming(*t, cora);
       core::BlockCollection from_loaded = RunStreaming(*t, cora_loaded);
-      if (from_parsed.blocks() == from_loaded.blocks()) {
+      if (from_parsed == from_loaded) {
         ++identical_specs;
       } else {
         std::printf("FAIL: blocks differ after snapshot roundtrip: %s\n",

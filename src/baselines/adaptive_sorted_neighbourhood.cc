@@ -31,7 +31,7 @@ void AdaptiveSortedNeighbourhood::Run(const data::Dataset& dataset,
                      return keys[a] < keys[b];
                    });
 
-  core::Block current;
+  std::vector<data::RecordId> current;
   auto flush = [&sink, &current]() {
     if (current.size() >= 2) sink.Consume(current);
     current.clear();

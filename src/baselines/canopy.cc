@@ -60,17 +60,18 @@ class CanopyIndex {
     }
   }
 
-  // Records sharing at least one token with `id` (excluding `id`).
-  std::vector<data::RecordId> Candidates(data::RecordId id) const {
-    std::vector<data::RecordId> cands;
+  // Sets `cands` to the records sharing at least one token with `id`
+  // (excluding `id`), ascending.
+  void Candidates(data::RecordId id,
+                  std::vector<data::RecordId>* cands) const {
+    cands->clear();
     for (uint32_t token : token_sets_[id]) {
       const auto& posting = postings_[token];
-      cands.insert(cands.end(), posting.begin(), posting.end());
+      cands->insert(cands->end(), posting.begin(), posting.end());
     }
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-    cands.erase(std::remove(cands.begin(), cands.end(), id), cands.end());
-    return cands;
+    std::sort(cands->begin(), cands->end());
+    cands->erase(std::unique(cands->begin(), cands->end()), cands->end());
+    cands->erase(std::remove(cands->begin(), cands->end(), id), cands->end());
   }
 
   double Similarity(data::RecordId a, data::RecordId b) const {
@@ -139,12 +140,15 @@ void CanopyThreshold::Run(const data::Dataset& dataset,
   sablock::Rng rng(seed_);
   rng.Shuffle(&pool);
 
+  std::vector<data::RecordId> cands;
+  std::vector<data::RecordId> canopy;
   for (data::RecordId seed_record : pool) {
     if (sink.Done()) return;
     if (removed[seed_record]) continue;
     removed[seed_record] = true;
-    core::Block canopy = {seed_record};
-    for (data::RecordId cand : index.Candidates(seed_record)) {
+    canopy.assign(1, seed_record);
+    index.Candidates(seed_record, &cands);
+    for (data::RecordId cand : cands) {
       if (removed[cand]) continue;
       double sim = index.Similarity(seed_record, cand);
       if (sim >= loose_) {
@@ -152,7 +156,7 @@ void CanopyThreshold::Run(const data::Dataset& dataset,
         if (sim >= tight_) removed[cand] = true;
       }
     }
-    if (canopy.size() >= 2) sink.Consume(std::move(canopy));
+    if (canopy.size() >= 2) sink.Consume(canopy);
   }
 }
 
@@ -181,12 +185,16 @@ void CanopyNearestNeighbour::Run(const data::Dataset& dataset,
   sablock::Rng rng(seed_);
   rng.Shuffle(&pool);
 
+  std::vector<data::RecordId> cands;
+  std::vector<std::pair<double, data::RecordId>> scored;
+  std::vector<data::RecordId> canopy;
   for (data::RecordId seed_record : pool) {
     if (sink.Done()) return;
     if (removed[seed_record]) continue;
     removed[seed_record] = true;
-    std::vector<std::pair<double, data::RecordId>> scored;
-    for (data::RecordId cand : index.Candidates(seed_record)) {
+    scored.clear();
+    index.Candidates(seed_record, &cands);
+    for (data::RecordId cand : cands) {
       if (removed[cand]) continue;
       scored.emplace_back(index.Similarity(seed_record, cand), cand);
     }
@@ -194,12 +202,12 @@ void CanopyNearestNeighbour::Run(const data::Dataset& dataset,
     std::partial_sort(scored.begin(),
                       scored.begin() + static_cast<ptrdiff_t>(keep),
                       scored.end(), std::greater<>());
-    core::Block canopy = {seed_record};
+    canopy.assign(1, seed_record);
     for (size_t i = 0; i < keep; ++i) {
       canopy.push_back(scored[i].second);
       if (i < static_cast<size_t>(n2_)) removed[scored[i].second] = true;
     }
-    if (canopy.size() >= 2) sink.Consume(std::move(canopy));
+    if (canopy.size() >= 2) sink.Consume(canopy);
   }
 }
 

@@ -79,7 +79,7 @@ void GenerateSubListKeys(const std::vector<uint64_t>& grams, size_t max_del,
 void QGramIndexing::Run(const data::Dataset& dataset,
                         core::BlockSink& sink) const {
   KeyBuilder keys(dataset, key_);
-  std::unordered_map<uint64_t, core::Block> buckets;
+  std::unordered_map<uint64_t, std::vector<data::RecordId>> buckets;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     std::string bkv = keys.Key(id);
     if (bkv.empty()) continue;
@@ -101,9 +101,9 @@ void QGramIndexing::Run(const data::Dataset& dataset,
       buckets[key].push_back(id);
     }
   }
-  for (auto& [key, block] : buckets) {
+  for (const auto& [key, block] : buckets) {
     if (sink.Done()) return;
-    if (block.size() >= 2) sink.Consume(std::move(block));
+    if (block.size() >= 2) sink.Consume(block);
   }
 }
 

@@ -19,33 +19,34 @@ void SortedNeighbourhoodArray::Run(const data::Dataset& dataset,
                    [&keys](data::RecordId a, data::RecordId b) {
                      return keys[a] < keys[b];
                    });
-  core::EmitWindows(std::move(order), static_cast<size_t>(window_size_),
-                    sink);
+  core::EmitWindows(order, static_cast<size_t>(window_size_), sink);
 }
 
 void SortedNeighbourhoodInvertedIndex::Run(const data::Dataset& dataset,
                                            core::BlockSink& sink) const {
   SABLOCK_CHECK(window_size_ >= 1);
   std::vector<std::string> keys = MakeAllKeys(dataset, key_);
-  std::map<std::string, core::Block> index;  // sorted unique keys
+  // Sorted unique keys.
+  std::map<std::string, std::vector<data::RecordId>> index;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     index[keys[id]].push_back(id);
   }
-  std::vector<const core::Block*> postings;
+  std::vector<const std::vector<data::RecordId>*> postings;
   postings.reserve(index.size());
   for (const auto& [key, block] : index) {
     postings.push_back(&block);
   }
 
   const size_t w = static_cast<size_t>(window_size_);
+  std::vector<data::RecordId> merged;
   for (size_t start = 0; start < postings.size(); ++start) {
     if (sink.Done()) return;
     size_t end = std::min(start + w, postings.size());
-    core::Block merged;
+    merged.clear();
     for (size_t i = start; i < end; ++i) {
       merged.insert(merged.end(), postings[i]->begin(), postings[i]->end());
     }
-    if (merged.size() >= 2) sink.Consume(std::move(merged));
+    if (merged.size() >= 2) sink.Consume(merged);
     if (end == postings.size()) break;
   }
 }

@@ -65,9 +65,11 @@ class Grid2D {
            static_cast<uint32_t>(cy);
   }
 
-  /// Records in the (2r+1)x(2r+1) cell neighbourhood around (cx, cy).
-  std::vector<uint32_t> Neighbourhood(int cx, int cy, int radius) const {
-    std::vector<uint32_t> out;
+  /// Sets `out` to the records in the (2r+1)x(2r+1) cell neighbourhood
+  /// around (cx, cy).
+  void Neighbourhood(int cx, int cy, int radius,
+                     std::vector<uint32_t>* out) const {
+    out->clear();
     for (int dx = -radius; dx <= radius; ++dx) {
       for (int dy = -radius; dy <= radius; ++dy) {
         int x = cx + dx;
@@ -75,11 +77,10 @@ class Grid2D {
         if (x < 0 || y < 0 || x >= grid_size_ || y >= grid_size_) continue;
         auto it = cells_.find(CellKey(x, y));
         if (it != cells_.end()) {
-          out.insert(out.end(), it->second.begin(), it->second.end());
+          out->insert(out->end(), it->second.begin(), it->second.end());
         }
       }
     }
-    return out;
   }
 
   double CellEdge(int d) const { return span_[d] / grid_size_; }
@@ -179,18 +180,21 @@ void StringMapThreshold::Run(const data::Dataset& dataset,
   int cell_radius =
       std::clamp(static_cast<int>(std::ceil(radius / edge)), 1, 8);
 
+  std::vector<uint32_t> cands;
+  std::vector<data::RecordId> block;
   for (uint32_t id = 0; id < points.size(); ++id) {
     if (sink.Done()) return;
     int cx = grid.Coord(points[id], 0);
     int cy = grid.Coord(points[id], 1);
-    core::Block block = {id};
-    for (uint32_t other : grid.Neighbourhood(cx, cy, cell_radius)) {
+    block.assign(1, id);
+    grid.Neighbourhood(cx, cy, cell_radius, &cands);
+    for (uint32_t other : cands) {
       if (other <= id) continue;  // emit each pair once (from its lower id)
       if (SquaredEuclidean(points[id], points[other]) <= radius_sq) {
         block.push_back(other);
       }
     }
-    if (block.size() >= 2) sink.Consume(std::move(block));
+    if (block.size() >= 2) sink.Consume(block);
   }
 }
 
@@ -225,19 +229,20 @@ void StringMapNearestNeighbour::Run(const data::Dataset& dataset,
   Grid2D grid(points, grid_size_);
 
   const size_t nn = static_cast<size_t>(num_neighbours_);
+  std::vector<uint32_t> cands;
+  std::vector<std::pair<double, uint32_t>> scored;
+  std::vector<data::RecordId> block;
   for (uint32_t id = 0; id < points.size(); ++id) {
     if (sink.Done()) return;
     int cx = grid.Coord(points[id], 0);
     int cy = grid.Coord(points[id], 1);
     // Expand the search ring until enough candidates are gathered (or the
     // ring is maximal).
-    std::vector<uint32_t> cands;
     for (int radius = 1; radius <= 8; ++radius) {
-      cands = grid.Neighbourhood(cx, cy, radius);
+      grid.Neighbourhood(cx, cy, radius, &cands);
       if (cands.size() > nn) break;
     }
-    std::vector<std::pair<double, uint32_t>> scored;
-    scored.reserve(cands.size());
+    scored.clear();
     for (uint32_t other : cands) {
       if (other == id) continue;
       scored.emplace_back(SquaredEuclidean(points[id], points[other]), other);
@@ -247,9 +252,9 @@ void StringMapNearestNeighbour::Run(const data::Dataset& dataset,
     std::partial_sort(scored.begin(),
                       scored.begin() + static_cast<ptrdiff_t>(keep),
                       scored.end());
-    core::Block block = {id};
+    block.assign(1, id);
     for (size_t i = 0; i < keep; ++i) block.push_back(scored[i].second);
-    sink.Consume(std::move(block));
+    sink.Consume(block);
   }
 }
 

@@ -13,7 +13,7 @@ namespace {
 
 // Shared: build suffix (or substring) -> records index, drop oversized
 // postings, emit blocks.
-using SuffixIndex = std::map<std::string, core::Block>;
+using SuffixIndex = std::map<std::string, std::vector<data::RecordId>>;
 
 void AddSuffixes(const std::string& bkv, data::RecordId id, int min_len,
                  SuffixIndex* index) {
@@ -23,7 +23,8 @@ void AddSuffixes(const std::string& bkv, data::RecordId id, int min_len,
     return;
   }
   for (int start = 0; start + min_len <= len; ++start) {
-    core::Block& posting = (*index)[bkv.substr(static_cast<size_t>(start))];
+    std::vector<data::RecordId>& posting =
+        (*index)[bkv.substr(static_cast<size_t>(start))];
     if (posting.empty() || posting.back() != id) posting.push_back(id);
   }
 }
@@ -37,7 +38,7 @@ void AddAllSubstrings(const std::string& bkv, data::RecordId id, int min_len,
   }
   for (int start = 0; start < len; ++start) {
     for (int sub_len = min_len; start + sub_len <= len; ++sub_len) {
-      core::Block& posting =
+      std::vector<data::RecordId>& posting =
           (*index)[bkv.substr(static_cast<size_t>(start),
                               static_cast<size_t>(sub_len))];
       if (posting.empty() || posting.back() != id) posting.push_back(id);
@@ -45,12 +46,12 @@ void AddAllSubstrings(const std::string& bkv, data::RecordId id, int min_len,
   }
 }
 
-void EmitBlocks(SuffixIndex&& index, size_t max_block_size,
+void EmitBlocks(const SuffixIndex& index, size_t max_block_size,
                 core::BlockSink& sink) {
-  for (auto& [suffix, posting] : index) {
+  for (const auto& [suffix, posting] : index) {
     if (sink.Done()) return;
     if (posting.size() < 2 || posting.size() > max_block_size) continue;
-    sink.Consume(std::move(posting));
+    sink.Consume(posting);
   }
 }
 
@@ -77,7 +78,7 @@ void SuffixArrayBlocking::Run(const data::Dataset& dataset,
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     AddSuffixes(keys.Key(id), id, min_suffix_len_, &index);
   }
-  EmitBlocks(std::move(index), max_block_size_, sink);
+  EmitBlocks(index, max_block_size_, sink);
 }
 
 SuffixArrayAllSubstrings::SuffixArrayAllSubstrings(BlockingKeyDef key,
@@ -101,7 +102,7 @@ void SuffixArrayAllSubstrings::Run(const data::Dataset& dataset,
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     AddAllSubstrings(keys.Key(id), id, min_suffix_len_, &index);
   }
-  EmitBlocks(std::move(index), max_block_size_, sink);
+  EmitBlocks(index, max_block_size_, sink);
 }
 
 RobustSuffixArrayBlocking::RobustSuffixArrayBlocking(
@@ -132,7 +133,7 @@ void RobustSuffixArrayBlocking::Run(const data::Dataset& dataset,
 
   // Merge runs of adjacent similar suffixes in the (sorted) index. The
   // std::map iteration order is exactly the sorted suffix order.
-  core::Block merged;
+  std::vector<data::RecordId> merged;
   const std::string* prev_suffix = nullptr;
   auto flush = [&]() {
     if (!merged.empty()) {

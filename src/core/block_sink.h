@@ -5,16 +5,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "core/budget.h"
 #include "data/record.h"
 
 namespace sablock::core {
 
-/// A block: the ids of the records placed together by a blocking technique.
-using Block = std::vector<data::RecordId>;
+/// A block: the ids of the records placed together by a blocking
+/// technique, borrowed from storage its producer holds. Code that owns
+/// ids spells std::vector<data::RecordId>.
+using Block = std::span<const data::RecordId>;
 
 /// One scored candidate comparison: a record pair and the scheduler's
 /// priority for it (higher = compare sooner). Pairs are normalized a < b.
@@ -44,8 +46,10 @@ class BlockSink {
  public:
   virtual ~BlockSink() = default;
 
-  /// Receives one block. Blocks with fewer than 2 records carry no
-  /// comparisons; techniques normally skip emitting them.
+  /// Receives one block, borrowed for the call: its ids stay valid only
+  /// until Consume returns, so a sink that keeps a block copies it. Blocks
+  /// with fewer than 2 records carry no comparisons; techniques normally
+  /// skip emitting them.
   virtual void Consume(Block block) = 0;
 
   /// Backpressure signal: once true, the sink no longer wants blocks.
@@ -81,7 +85,7 @@ class PairCountingSink : public BlockSink {
     comparisons_ += n * (n - 1) / 2;
     total_block_sizes_ += n;
     max_block_size_ = std::max<uint64_t>(max_block_size_, n);
-    if (next_ != nullptr) next_->Consume(std::move(block));
+    if (next_ != nullptr) next_->Consume(block);
   }
 
   bool Done() const override { return next_ != nullptr && next_->Done(); }
@@ -127,7 +131,7 @@ class BudgetedSink : public BlockSink {
       ++dropped_blocks_;
       return;
     }
-    inner_->Consume(std::move(block));
+    inner_->Consume(block);
   }
 
   bool Done() const override {
@@ -152,20 +156,19 @@ class BudgetedSink : public BlockSink {
 
 /// Emits the sliding windows of sorted neighbourhood over `order`: every
 /// run of `window` consecutive records, front to back, polling Done()
-/// before each. A sequence no longer than the window is one block. The
-/// batch technique and its incremental index both emit through this.
-inline void EmitWindows(std::vector<data::RecordId> order, size_t window,
-                        BlockSink& sink) {
+/// before each, each a subspan of `order`. A sequence no longer than the
+/// window is one block. The batch technique and its incremental index
+/// both emit through this.
+inline void EmitWindows(Block order, size_t window, BlockSink& sink) {
   const size_t n = order.size();
   if (n < 2) return;
   if (window >= n) {
-    sink.Consume(std::move(order));
+    sink.Consume(order);
     return;
   }
   for (size_t start = 0; start + window <= n; ++start) {
     if (sink.Done()) return;
-    sink.Consume(Block(order.begin() + static_cast<ptrdiff_t>(start),
-                       order.begin() + static_cast<ptrdiff_t>(start + window)));
+    sink.Consume(order.subspan(start, window));
   }
 }
 

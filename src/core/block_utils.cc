@@ -42,11 +42,11 @@ BlockCollection ConnectedComponents(const BlockCollection& blocks,
       sets.Union(b[0], b[i]);
     }
   }
-  std::unordered_map<uint32_t, Block> components;
+  std::unordered_map<uint32_t, std::vector<data::RecordId>> components;
   // Only records that appear in some block belong to a component.
   for (const Block& b : blocks.blocks()) {
     for (data::RecordId id : b) {
-      Block& component = components[sets.Find(id)];
+      std::vector<data::RecordId>& component = components[sets.Find(id)];
       if (component.empty() || component.back() != id) {
         component.push_back(id);
       }
@@ -57,7 +57,7 @@ BlockCollection ConnectedComponents(const BlockCollection& blocks,
     std::sort(component.begin(), component.end());
     component.erase(std::unique(component.begin(), component.end()),
                     component.end());
-    if (component.size() >= 2) out.Add(std::move(component));
+    if (component.size() >= 2) out.Add(component);
   }
   return out;
 }

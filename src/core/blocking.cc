@@ -1,35 +1,63 @@
 #include "core/blocking.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
+
+#include "common/check.h"
 
 namespace sablock::core {
 
+BlockCollection::BlockCollection(std::vector<data::RecordId> ids,
+                                 std::vector<uint32_t> ends)
+    : ids_(std::move(ids)), ends_(std::move(ends)) {
+  SABLOCK_CHECK((ends_.empty() ? 0 : ends_.back()) == ids_.size());
+  SABLOCK_DCHECK(std::ranges::is_sorted(ends_));
+}
+
 void BlockCollection::Drain(BlockSink& sink) {
-  for (Block& b : blocks_) {
+  for (Block b : blocks()) {
     if (sink.Done()) break;
-    sink.Consume(std::move(b));
+    sink.Consume(b);
   }
-  blocks_.clear();
+  *this = BlockCollection();
+}
+
+void BlockCollection::SortBlocks() {
+  const auto lex_less = [](Block x, Block y) {
+    return std::ranges::lexicographical_compare(x, y);
+  };
+  if (std::ranges::is_sorted(blocks(), lex_less)) return;
+  // Sort a permutation, then gather once. Equal blocks are identical, so
+  // the order is the one any sort of the blocks themselves gives.
+  std::vector<size_t> order(NumBlocks());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::ranges::sort(order, lex_less, [this](size_t i) { return At(i); });
+  std::vector<data::RecordId> ids;
+  std::vector<uint32_t> ends;
+  ids.reserve(ids_.size());
+  ends.reserve(ends_.size());
+  for (size_t i : order) {
+    const Block b = At(i);
+    ids.insert(ids.end(), b.begin(), b.end());
+    ends.push_back(static_cast<uint32_t>(ids.size()));
+  }
+  ids_ = std::move(ids);
+  ends_ = std::move(ends);
 }
 
 uint64_t BlockCollection::TotalComparisons() const {
   uint64_t total = 0;
-  for (const Block& b : blocks_) {
+  for (Block b : blocks()) {
     uint64_t n = b.size();
     total += n * (n - 1) / 2;
   }
   return total;
 }
 
-uint64_t BlockCollection::TotalBlockSizes() const {
-  uint64_t total = 0;
-  for (const Block& b : blocks_) total += b.size();
-  return total;
-}
-
 size_t BlockCollection::MaxBlockSize() const {
   size_t max_size = 0;
-  for (const Block& b : blocks_) max_size = std::max(max_size, b.size());
+  for (Block b : blocks()) max_size = std::max(max_size, b.size());
   return max_size;
 }
 
@@ -43,7 +71,7 @@ PairSet BlockCollection::DistinctPairs() const {
   constexpr size_t kBatch = 512;
   uint64_t batch[kBatch];
   size_t filled = 0;
-  for (const Block& b : blocks_) {
+  for (Block b : blocks()) {
     for (size_t i = 0; i < b.size(); ++i) {
       for (size_t j = i + 1; j < b.size(); ++j) {
         if (b[i] == b[j]) continue;
@@ -60,7 +88,7 @@ PairSet BlockCollection::DistinctPairs() const {
 }
 
 bool BlockCollection::InSameBlock(data::RecordId a, data::RecordId b) const {
-  for (const Block& block : blocks_) {
+  for (Block block : blocks()) {
     bool has_a = false;
     bool has_b = false;
     for (data::RecordId id : block) {

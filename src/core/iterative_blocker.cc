@@ -40,7 +40,7 @@ void IterativeLshBlocker::Run(const data::Dataset& dataset,
   const auto shingle_cache =
       dataset.features().ShinglesFor(params_.attributes, params_.q);
   std::vector<std::vector<uint64_t>> shingles;
-  std::vector<Block> members;
+  std::vector<std::vector<data::RecordId>> members;
   std::vector<uint32_t> group_of(dataset.size());
   shingles.reserve(dataset.size());
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
@@ -105,13 +105,14 @@ void IterativeLshBlocker::Run(const data::Dataset& dataset,
   }
 
   // Final blocks: the connected components of the merge log (equivalently
-  // the surviving groups with >= 2 members).
-  for (const Block& group : members) {
+  // the surviving groups with >= 2 members), each sorted in one buffer.
+  std::vector<data::RecordId> sorted;
+  for (const std::vector<data::RecordId>& group : members) {
     if (sink.Done()) return;
     if (group.size() >= 2) {
-      Block sorted = group;
+      sorted.assign(group.begin(), group.end());
       std::sort(sorted.begin(), sorted.end());
-      sink.Consume(std::move(sorted));
+      sink.Consume(sorted);
     }
   }
 }

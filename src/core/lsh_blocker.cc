@@ -79,8 +79,7 @@ void LshBuckets::EmitTable(BlockSink& sink) {
   });
   for (uint32_t bucket : kept_) {
     if (sink.Done()) return;
-    std::span<const data::RecordId> block = members(bucket);
-    sink.Consume(Block(block.begin(), block.end()));
+    sink.Consume(members(bucket));
   }
 }
 

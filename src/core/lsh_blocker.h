@@ -132,8 +132,9 @@ class LshTableKeys {
 /// non-decreasing order, and EmitTable groups them through a FlatMap with
 /// a counting scatter — no per-bucket allocation, ids ascending within a
 /// bucket — and emits the buckets of two or more records in canonical
-/// content order (BlockCollection::SortBlocks', as the LSH indexes do).
-/// Tables are bucketed one at a time, reusing the scratch.
+/// content order (BlockCollection::SortBlocks', as the LSH indexes do),
+/// each a span over the scatter array. Tables are bucketed one at a time,
+/// reusing the scratch.
 class LshBuckets {
  public:
   void Add(uint64_t key, data::RecordId id) { entries_.push_back({key, id}); }

@@ -135,8 +135,8 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
     // Iterative splitting: (group, depth) work list. Groups are split by
     // the next row's value while they are too large — the forest's
     // variable-length prefixes.
-    std::vector<std::pair<Block, int>> work;
-    Block all;
+    std::vector<std::pair<std::vector<data::RecordId>, int>> work;
+    std::vector<data::RecordId> all;
     all.reserve(dataset.size());
     for (data::RecordId id = 0; id < dataset.size(); ++id) {
       const std::span<const uint64_t> sig = sigs.Row(id);
@@ -153,10 +153,10 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
       if (group.size() <= max_block_size_ || depth == max_depth_) {
         // depth 0 can only reach here if the whole dataset fits in one
         // block; still a valid (degenerate) prefix group.
-        sink.Consume(std::move(group));
+        sink.Consume(group);
         continue;
       }
-      std::unordered_map<uint64_t, Block> children;
+      std::unordered_map<uint64_t, std::vector<data::RecordId>> children;
       for (data::RecordId id : group) {
         children[sigs.Row(id)[base + static_cast<size_t>(depth)]]
             .push_back(id);

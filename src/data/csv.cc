@@ -110,6 +110,8 @@ class CsvScanner {
 
   /// The physical line (1-based) the last row started on.
   size_t row_line() const { return row_line_; }
+  /// Where the line after the last row starts.
+  size_t next() const { return next_; }
   const Status& status() const { return status_; }
 
  private:
@@ -133,6 +135,20 @@ class CsvScanner {
   size_t row_line_ = 0;
   Status status_ = Status::Ok();
 };
+
+/// The lines of `text` that are not blank once their LF and one CR are
+/// dropped: no fewer than the rows a scan of it finds, since every row
+/// starts on a line of its own and blank lines are skipped.
+size_t NonBlankLines(std::string_view text) {
+  size_t lines = 0;
+  for (size_t begin = 0; begin < text.size();) {
+    const size_t lf = std::min(text.find('\n', begin), text.size());
+    const size_t length = lf - begin;
+    if (length > 1 || (length == 1 && text[begin] != '\r')) ++lines;
+    begin = lf + 1;
+  }
+  return lines;
+}
 
 /// Entity labels to ids in first-appearance order: open addressing over
 /// one array of id + 1 (0: empty), keyed by views into the file buffer,
@@ -238,9 +254,20 @@ Status ReadCsv(const std::string& path, const std::string& entity_column,
 
   // Values and labels are views into the buffer until every row has read
   // (an empty value as a null view, as Intern makes it); a field past the
-  // header's width is only counted.
+  // header's width is only counted. Both are sized before the scan for
+  // the most rows the rest of the file can hold: no more than its
+  // non-blank lines, and, since each value but a row's last takes a
+  // separator byte and every row but the last a line end, no more than
+  // one per `width` of its bytes — so a wide header over many short or
+  // blank lines reserves no more views than the file has bytes.
+  const std::string_view rest(bytes.data() + rows.next(),
+                              bytes.size() - rows.next());
+  const size_t max_rows =
+      std::min(NonBlankLines(rest), (rest.size() + 1) / width);
   std::vector<std::string_view> values;
   std::vector<std::string_view> labels;
+  values.reserve(max_rows * (entity_at < width ? width - 1 : width));
+  if (entity_at < width) labels.reserve(max_rows);
   size_t value_bytes = 0;
   size_t records = 0;
   size_t field = 0;

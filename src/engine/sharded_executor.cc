@@ -120,6 +120,7 @@ void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
     }
     pool.Wait();
   }
+  // Drain releases each shard's arrays as soon as that shard is merged.
   for (core::BlockCollection& collection : per_shard) {
     collection.Drain(sink);
     if (sink.Done()) return;

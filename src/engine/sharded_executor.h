@@ -29,15 +29,17 @@ std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
 
 /// Sink adapter translating shard-local record ids back to global dataset
 /// ids: a technique running on Dataset::Slice(begin, end) emits ids in
-/// [0, end-begin); adding `offset` = begin recovers the original ids.
+/// [0, end-begin); adding `offset` = begin recovers the original ids. The
+/// shifted ids go out through one buffer the sink reuses for every block.
 class OffsetSink : public core::BlockSink {
  public:
   OffsetSink(core::BlockSink& inner, data::RecordId offset)
       : inner_(&inner), offset_(offset) {}
 
   void Consume(core::Block block) override {
-    for (data::RecordId& id : block) id += offset_;
-    inner_->Consume(std::move(block));
+    shifted_.clear();
+    for (data::RecordId id : block) shifted_.push_back(id + offset_);
+    inner_->Consume(shifted_);
   }
 
   bool Done() const override { return inner_->Done(); }
@@ -47,6 +49,7 @@ class OffsetSink : public core::BlockSink {
  private:
   core::BlockSink* inner_;
   data::RecordId offset_;
+  std::vector<data::RecordId> shifted_;
 };
 
 /// Runs any BlockingTechnique over a dataset partitioned into record

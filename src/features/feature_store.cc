@@ -1,5 +1,7 @@
 #include "features/feature_store.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -10,6 +12,16 @@
 #include "text/qgram.h"
 
 namespace sablock::features {
+
+void UnmapWords::operator()(uint64_t* words) const { ::munmap(words, bytes); }
+
+MappedWords MapWords(size_t n) {
+  const size_t bytes = std::max<size_t>(n, 1) * sizeof(uint64_t);
+  void* words = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  SABLOCK_CHECK(words != MAP_FAILED);
+  return MappedWords(static_cast<uint64_t*>(words), UnmapWords{bytes});
+}
 
 /// Cache telemetry for one column kind: a getter call either finds the
 /// column published or joins its build (hit), or starts the build (miss,
@@ -262,7 +274,7 @@ const SignatureColumn& FeatureStore::Signatures(
       [&](Caller caller) { shingles = &Shingles(attributes, q, caller); },
       [&](SignatureColumn& out) {
         out.num_hashes = static_cast<uint32_t>(num_hashes);
-        out.data = std::make_unique_for_overwrite<uint64_t[]>(size() * width);
+        out.data = MapWords(size() * width);
         out.rows = {out.data.get(), size() * width};
       },
       [&](SignatureColumn& out, size_t begin, size_t end) {
@@ -292,8 +304,7 @@ const BandColumn& FeatureStore::Bands(
       [&](BandColumn& out) {
         const size_t keys = size() * width;
         out.tables = static_cast<uint32_t>(l);
-        out.data = std::make_unique_for_overwrite<uint64_t[]>(
-            keys + BandColumn::MarkWords(size()));
+        out.data = MapWords(keys + BandColumn::MarkWords(size()));
         out.keys = {out.data.get(), keys};
         out.empty = {out.data.get() + keys, BandColumn::MarkWords(size())};
       },

@@ -29,6 +29,23 @@ using TextColumn = Rows<char>;
 /// is exactly text::QGramHashes over the text row.
 using ShingleColumn = Rows<uint64_t>;
 
+/// Owning storage of a built signature or band column: its words in an
+/// anonymous mapping of their own, unmapped when the column is released.
+/// A column is built on whichever engine thread asks for it first. From
+/// malloc, a column the size of one freed before comes out of that
+/// thread's arena (glibc raises its mmap threshold to the last large
+/// block freed), and glibc keeps a worker arena's freed top resident,
+/// past malloc_trim, after the column's dataset is gone.
+struct UnmapWords {
+  size_t bytes = 0;
+  void operator()(uint64_t* words) const;
+};
+using MappedWords = std::unique_ptr<uint64_t[], UnmapWords>;
+
+/// `n` zero words, each page faulted in by the thread that first touches
+/// it; aborts when the mapping fails.
+MappedWords MapWords(size_t n);
+
 /// Per-record minhash signatures for one (attributes, q, num_hashes,
 /// seed) selection — core::MinHasher over the shingle column. Stored as
 /// one flat row-major array (record-major, num_hashes slots per record):
@@ -44,7 +61,7 @@ using ShingleColumn = Rows<uint64_t>;
 /// the matrix is served zero-copy straight out of the file).
 struct SignatureColumn {
   uint32_t num_hashes = 0;
-  std::unique_ptr<uint64_t[]> data;  // owning storage; null when adopted
+  MappedWords data;                  // owning storage; null when adopted
   std::span<const uint64_t> rows;    // records × num_hashes values
   std::shared_ptr<const void> retain;  // keep-alive for non-owned rows
 
@@ -65,7 +82,7 @@ struct SignatureColumn {
 /// matrix, or adopted from a snapshot mapping kept alive by `retain`.
 struct BandColumn {
   uint32_t tables = 0;                 // l
-  std::unique_ptr<uint64_t[]> data;    // owning storage; null when adopted
+  MappedWords data;                    // owning storage; null when adopted
   std::span<const uint64_t> keys;      // records × tables keys
   std::span<const uint64_t> empty;     // MarkWords(records) mark words
   std::shared_ptr<const void> retain;  // keep-alive for non-owned words

@@ -92,8 +92,7 @@ void SortedWindowIndex::EmitBlocks(core::BlockSink& sink) const {
   for (const auto& [key, ids] : buckets_) {
     order.insert(order.end(), ids.begin(), ids.end());
   }
-  core::EmitWindows(std::move(order), static_cast<size_t>(window_size_),
-                    sink);
+  core::EmitWindows(order, static_cast<size_t>(window_size_), sink);
 }
 
 }  // namespace sablock::index

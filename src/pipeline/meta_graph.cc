@@ -49,10 +49,9 @@ class NodeIndex {
       : num_blocks_(input.NumBlocks()),
         record_blocks_(num_records, 0),
         offsets_(num_records + 1, 0) {
-    const std::vector<core::Block>& blocks = input.blocks();
     members_.reserve(input.TotalBlockSizes());
-    inv_comparisons_.reserve(blocks.size());
-    for (const core::Block& b : blocks) {
+    inv_comparisons_.reserve(input.NumBlocks());
+    for (core::Block b : input.blocks()) {
       const double comparisons = static_cast<double>(b.size()) *
                                  (static_cast<double>(b.size()) - 1) / 2.0;
       inv_comparisons_.push_back(1.0 / comparisons);
@@ -70,8 +69,8 @@ class NodeIndex {
     entries_.resize(members_.size());
     std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
     size_t begin = 0;
-    for (uint32_t block = 0; block < blocks.size(); ++block) {
-      const size_t end = begin + blocks[block].size();
+    for (uint32_t block = 0; block < num_blocks_; ++block) {
+      const size_t end = begin + input.blocks()[block].size();
       for (size_t p = begin; p < end; ++p) {
         entries_[cursor[members_[p]]++] = {p + 1, end, block};
       }
@@ -321,11 +320,13 @@ class NodeTopK {
   std::vector<Entry> slots_;  // node i's heap at [i·k, i·k + count_[i])
 };
 
-/// Emits one retained comparison as a 2-record block, polling Done()
-/// first as BlockCollection::Drain does. False once the sink is done.
+/// Emits one retained comparison as a 2-record block from the stack,
+/// polling Done() first as BlockCollection::Drain does. False once the
+/// sink is done.
 bool EmitPair(uint32_t a, uint32_t b, core::BlockSink& sink) {
   if (sink.Done()) return false;
-  sink.Consume({a, b});
+  const data::RecordId pair[] = {a, b};
+  sink.Consume(pair);
   return true;
 }
 

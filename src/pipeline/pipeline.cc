@@ -52,7 +52,7 @@ void Chain::Observer::Consume(core::Block block) {
   counts_.max_block_size = std::max(counts_.max_block_size, n);
   ++size_buckets_[block_size_->BucketIndex(static_cast<double>(n))];
   size_sum_ += n;
-  next_->Consume(std::move(block));
+  next_->Consume(block);
 }
 
 void Chain::Observer::Flush() {

@@ -55,10 +55,10 @@ MetaPruning GetMetaPruning(api::ParamMap& p, const std::string& key) {
 void FilterStage::Consume(core::Block block) {
   if (block.size() < min_size_) return;
   if (top_frac_ < 1.0) {
-    buffered_.push_back(std::move(block));
+    buffered_.Add(block);
     return;
   }
-  next_->Consume(std::move(block));
+  next_->Consume(block);
 }
 
 bool FilterStage::Done() const {
@@ -67,7 +67,7 @@ bool FilterStage::Done() const {
 }
 
 void FilterStage::Flush() {
-  if (top_frac_ < 1.0 && !buffered_.empty()) {
+  if (top_frac_ < 1.0 && buffered_.NumBlocks() > 0) {
     // Keep the ⌊top_frac·n⌋ smallest blocks. The size threshold comes
     // from a selection over the sorted sizes; survivors are emitted in
     // arrival order, with ties at the threshold resolved first-come, so
@@ -75,10 +75,10 @@ void FilterStage::Flush() {
     // absorbs binary-float rounding (0.29 * 100 = 28.999...), which
     // would otherwise truncate one block below the documented floor.
     const size_t keep = static_cast<size_t>(
-        top_frac_ * static_cast<double>(buffered_.size()) + 1e-9);
+        top_frac_ * static_cast<double>(buffered_.NumBlocks()) + 1e-9);
     std::vector<uint64_t> sizes;
-    sizes.reserve(buffered_.size());
-    for (const core::Block& b : buffered_) sizes.push_back(b.size());
+    sizes.reserve(buffered_.NumBlocks());
+    for (core::Block b : buffered_.blocks()) sizes.push_back(b.size());
     if (keep > 0) {
       std::nth_element(sizes.begin(), sizes.begin() + (keep - 1),
                        sizes.end());
@@ -86,7 +86,7 @@ void FilterStage::Flush() {
       size_t under = 0;
       for (uint64_t s : sizes) under += (s < threshold) ? 1 : 0;
       size_t at_threshold_quota = keep - under;
-      for (core::Block& b : buffered_) {
+      for (core::Block b : buffered_.blocks()) {
         if (next_->Done()) break;
         const uint64_t n = b.size();
         if (n > threshold) continue;
@@ -94,10 +94,10 @@ void FilterStage::Flush() {
           if (at_threshold_quota == 0) continue;
           --at_threshold_quota;
         }
-        next_->Consume(std::move(b));
+        next_->Consume(b);
       }
     }
-    buffered_.clear();
+    buffered_ = {};
   }
   next_->Flush();
 }

@@ -32,7 +32,7 @@ class PurgeStage : public PipelineStage {
       ++purged_blocks_;
       return;
     }
-    next_->Consume(std::move(block));
+    next_->Consume(block);
   }
 
   /// Blocks dropped so far.
@@ -67,7 +67,7 @@ class FilterStage : public PipelineStage {
  private:
   uint64_t min_size_;
   double top_frac_;
-  std::vector<core::Block> buffered_;  // barrier mode only
+  core::BlockCollection buffered_;  // barrier mode only
 };
 
 /// `cap:budget=` — comparison budget (streaming): a core::BudgetedSink
@@ -92,7 +92,7 @@ class CapStage : public PipelineStage {
       capped_.emplace(*next_, std::make_shared<core::BudgetMeter>(
                                   core::Budget{.pairs = budget_}));
     }
-    capped_->Consume(std::move(block));
+    capped_->Consume(block);
   }
 
   bool Done() const override {
@@ -144,7 +144,7 @@ class MetaStage : public PipelineStage {
     return std::make_unique<MetaStage>(weighting_, pruning_);
   }
 
-  void Consume(core::Block block) override { buffered_.Add(std::move(block)); }
+  void Consume(core::Block block) override { buffered_.Add(block); }
 
   /// Never signals Done upstream: the graph needs the full input even
   /// when downstream has already stopped accepting (the flush's MetaPrune

@@ -31,7 +31,8 @@ void ProgressiveStage::Flush() {
   pairs_emitted_ = 0;
   for (const core::CandidatePair& pair : ranked) {
     if (next_->Done() || !meter_->Spend(1)) break;
-    next_->Consume(core::Block{pair.a, pair.b});
+    const data::RecordId ids[] = {pair.a, pair.b};
+    next_->Consume(ids);
     ++pairs_emitted_;
     if (track_recall && dataset_->IsMatch(pair.a, pair.b)) {
       meter_->NoteMatch();

@@ -48,7 +48,7 @@ class ProgressiveStage : public pipeline::PipelineStage {
 
   void Consume(core::Block block) override {
     if (meter_ == nullptr) Arm();
-    buffered_.Add(std::move(block));
+    buffered_.Add(block);
   }
 
   /// Never signals Done upstream: ranking needs the full input stream

@@ -35,7 +35,7 @@ std::vector<core::CandidatePair> EmitFirstSeen(
   PairSet seen = SeenSet(input, limit);
   std::vector<core::CandidatePair> out;
   for (size_t index : order) {
-    const core::Block& b = input.blocks()[index];
+    const core::Block b = input.blocks()[index];
     for (size_t i = 0; i < b.size(); ++i) {
       for (size_t j = i + 1; j < b.size(); ++j) {
         if (out.size() >= limit) return out;
@@ -130,7 +130,7 @@ class RoundRobinScheduler : public PairScheduler {
       size_t i = 0;
       size_t j = 1;
     };
-    const std::vector<core::Block>& blocks = input.blocks();
+    const auto blocks = input.blocks();
     std::vector<Cursor> cursors(blocks.size());
     PairSet seen = SeenSet(input, limit);
     std::vector<core::CandidatePair> out;
@@ -140,7 +140,7 @@ class RoundRobinScheduler : public PairScheduler {
       double score = 1.0 / static_cast<double>(round + 1);
       for (size_t idx = 0; idx < blocks.size(); ++idx) {
         if (out.size() >= limit) return out;
-        const core::Block& b = blocks[idx];
+        const core::Block b = blocks[idx];
         Cursor& c = cursors[idx];
         // Advance to this block's next unseen pair, if any.
         while (c.i + 1 < b.size()) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collect_blocks.h"
 #include "core/block_utils.h"
 
 namespace sablock::core {
@@ -25,7 +26,7 @@ TEST(ConnectedComponentsTest, DropsSingletonsAndUnblockedRecords) {
   c.Add({0, 1});
   BlockCollection components = ConnectedComponents(c, 10);
   EXPECT_EQ(components.NumBlocks(), 1u);
-  EXPECT_EQ(components.blocks()[0], (Block{0, 1}));
+  EXPECT_EQ(AsVectors(components)[0], (Ids{0, 1}));
 }
 
 TEST(ConnectedComponentsTest, EmptyInput) {

@@ -81,9 +81,9 @@ TEST(BlockCollectionTest, DuplicateIdsInsideBlockAreIgnoredForPairs) {
 TEST(BlockCollectionTest, LargeOverlappingCollectionPairCount) {
   BlockCollection c;
   for (uint32_t t = 0; t < 50; ++t) {
-    Block b;
+    std::vector<data::RecordId> b;
     for (uint32_t i = 0; i < 40; ++i) b.push_back((t + i) % 200);
-    c.Add(std::move(b));
+    c.Add(b);
   }
   PairSet pairs = c.DistinctPairs();
   EXPECT_GT(pairs.size(), 0u);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "collect_blocks.h"
 #include "core/block_sink.h"
 #include "core/blocking.h"
 #include "core/budget.h"
@@ -238,11 +239,11 @@ TEST(BudgetedSinkTest, SharesOneMeterAcrossSinks) {
   BlockCollection out_b;
   BudgetedSink a(out_a, meter);
   BudgetedSink b(out_b, meter);
-  a.Consume(Block{0, 1, 2});  // 3 comparisons
-  b.Consume(Block{3, 4, 5});  // 3 more: crossing spend, still forwarded
+  a.Consume(Ids{0, 1, 2});  // 3 comparisons
+  b.Consume(Ids{3, 4, 5});  // 3 more: crossing spend, still forwarded
   EXPECT_TRUE(a.Done());
   EXPECT_TRUE(b.Done());
-  b.Consume(Block{6, 7});  // refused
+  b.Consume(Ids{6, 7});  // refused
   EXPECT_EQ(out_a.NumBlocks(), 1u);
   EXPECT_EQ(out_b.NumBlocks(), 1u);
   EXPECT_EQ(b.dropped_blocks(), 1u);

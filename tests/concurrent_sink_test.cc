@@ -10,6 +10,7 @@
 
 #include "api/blocker_spec.h"
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "core/block_sink.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
@@ -19,7 +20,6 @@
 namespace sablock::engine {
 namespace {
 
-using core::Block;
 using core::BlockCollection;
 using core::BudgetedSink;
 using core::BudgetMeter;
@@ -31,9 +31,9 @@ std::shared_ptr<BudgetMeter> PairsMeter(uint64_t pairs) {
 TEST(OffsetSinkTest, TranslatesShardLocalIds) {
   BlockCollection collection;
   OffsetSink sink(collection, /*offset=*/100);
-  sink.Consume({0, 3, 7});
+  sink.Consume(Ids{0, 3, 7});
   ASSERT_EQ(collection.NumBlocks(), 1u);
-  EXPECT_EQ(collection.blocks()[0], (Block{100, 103, 107}));
+  EXPECT_EQ(AsVectors(collection)[0], (Ids{100, 103, 107}));
 }
 
 TEST(OffsetSinkTest, PropagatesDone) {
@@ -41,7 +41,7 @@ TEST(OffsetSinkTest, PropagatesDone) {
   BudgetedSink capped(collection, PairsMeter(1));
   OffsetSink sink(capped, 10);
   EXPECT_FALSE(sink.Done());
-  sink.Consume({0, 1});
+  sink.Consume(Ids{0, 1});
   EXPECT_TRUE(sink.Done());
 }
 
@@ -105,12 +105,12 @@ TEST(MergeContractTest, ExecuteIsTheShardOrderConcatenationOfSliceRuns) {
 
     // The contract's reference: each slice run on its own, ids offset
     // back to the dataset, concatenated in shard order.
-    std::vector<Block> expected;
+    std::vector<Ids> expected;
     for (const ShardRange& range :
          MakeShardRanges(dataset.size(), kShards)) {
       BlockCollection local;
       technique->Run(dataset.Slice(range.begin, range.end), local);
-      for (Block block : local.blocks()) {
+      for (Ids block : AsVectors(local)) {
         for (data::RecordId& id : block) id += range.begin;
         expected.push_back(std::move(block));
       }
@@ -123,20 +123,19 @@ TEST(MergeContractTest, ExecuteIsTheShardOrderConcatenationOfSliceRuns) {
       const uint64_t n = expected[kept].size();
       spent += n * (n - 1) / 2;
     }
-    const std::vector<Block> prefix(expected.begin(),
-                                    expected.begin() + kept);
+    const std::vector<Ids> prefix(expected.begin(), expected.begin() + kept);
 
     for (int threads : {1, 3}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       const ShardedExecutor executor({.threads = threads, .shards = kShards});
       BlockCollection merged;
       executor.Execute(*technique, dataset.ColdCopy(), merged);
-      EXPECT_EQ(merged.blocks(), expected);
+      EXPECT_EQ(AsVectors(merged), expected);
 
       BlockCollection budgeted;
       BudgetedSink capped(budgeted, PairsMeter(kBudget));
       executor.Execute(*technique, dataset.ColdCopy(), capped);
-      EXPECT_EQ(budgeted.blocks(), prefix);
+      EXPECT_EQ(AsVectors(budgeted), prefix);
     }
   }
 }

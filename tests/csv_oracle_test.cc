@@ -30,6 +30,8 @@ namespace sablock {
 /// Global operator new calls so far: a call that allocates nothing leaves
 /// it unchanged.
 std::atomic<size_t> g_allocations{0};
+/// The largest single operator new request since it was last zeroed.
+std::atomic<size_t> g_largest_allocation{0};
 
 namespace {
 
@@ -446,6 +448,32 @@ TEST(CsvOracleTest, ExtraFieldsOfARaggedRowAreOnlyCounted) {
   EXPECT_EQ(allocations(100000), allocations(1000));
 }
 
+// ReadCsv reserves its values before the scan, for no more rows than the
+// file's non-blank lines and no more views than its bytes can hold. A
+// 1,000-name header over 100,000 blank lines reserves almost nothing,
+// and over 100,000 one-byte lines at most a view per byte: the largest
+// allocation of the read stays within a small multiple of the file size,
+// never the 10^8 views that lines × width would ask for.
+TEST(CsvOracleTest, ValuesReserveStaysWithinTheFileSize) {
+  std::string header;
+  for (int i = 0; i < 1000; ++i) {
+    header += (i > 0 ? ",c" : "c") + std::to_string(i);
+  }
+  MemoryFile file;
+  auto largest = [&](const std::string& bytes) {
+    EXPECT_TRUE(file.Write(bytes));
+    Dataset d;
+    g_largest_allocation = 0;
+    data::ReadCsv(file.path(), "", &d);
+    return g_largest_allocation.load();
+  };
+  std::string blank = header + "\n" + std::string(100000, '\n');
+  EXPECT_LE(largest(blank), 2 * blank.size());
+  std::string short_lines = header + "\n";
+  for (int i = 0; i < 100000; ++i) short_lines += "x\n";
+  EXPECT_LE(largest(short_lines), 16 * short_lines.size());
+}
+
 }  // namespace
 }  // namespace sablock
 
@@ -455,6 +483,10 @@ TEST(CsvOracleTest, ExtraFieldsOfARaggedRowAreOnlyCounted) {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
   sablock::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  size_t largest = sablock::g_largest_allocation.load();
+  while (size > largest &&
+         !sablock::g_largest_allocation.compare_exchange_weak(largest, size)) {
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "common/check.h"
 #include "core/block_sink.h"
 #include "core/blocking.h"
@@ -123,7 +124,7 @@ TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
   ExecutionSpec spec;  // threads=1, shards -> 1
   BlockCollection sharded;
   ShardedExecutor(spec).Execute(*technique, dataset, sharded);
-  EXPECT_EQ(sharded.blocks(), direct.blocks());
+  EXPECT_EQ(AsVectors(sharded), AsVectors(direct));
 }
 
 TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
@@ -148,7 +149,7 @@ TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
     BlockCollection merged;
     ShardedExecutor(spec).Execute(*technique, cold, merged);
     // Bit-identical, including block order (stable shard/block ordering).
-    EXPECT_EQ(merged.blocks(), reference.blocks())
+    EXPECT_EQ(AsVectors(merged), AsVectors(reference))
         << "threads=" << threads;
     // The shards raced the band column, built once; sa-lsh reads no
     // signature column.
@@ -158,7 +159,7 @@ TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(built.signatures.size(), 0u);
     BlockCollection warm;
     ShardedExecutor(spec).Execute(*technique, cold, warm);
-    EXPECT_EQ(warm.blocks(), reference.blocks())
+    EXPECT_EQ(AsVectors(warm), AsVectors(reference))
         << "warm, threads=" << threads;
   }
 }
@@ -187,9 +188,9 @@ TEST(ShardedExecutorTest, HonoursBudgetedSinkBackpressure) {
     EXPECT_EQ(collection.TotalComparisons(), capped.meter()->Spent());
     EXPECT_EQ(capped.dropped_blocks(), 0u);
     ASSERT_LT(collection.NumBlocks(), full.NumBlocks());
-    EXPECT_TRUE(std::equal(collection.blocks().begin(),
-                           collection.blocks().end(),
-                           full.blocks().begin()));
+    const std::vector<Ids> kept = AsVectors(collection);
+    const std::vector<Ids> all = AsVectors(full);
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), all.begin()));
   }
 }
 

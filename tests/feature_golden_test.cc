@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
 #include "eval/metrics.h"
@@ -40,8 +41,8 @@ std::unique_ptr<core::BlockingTechnique> MustCreate(const std::string& spec) {
 /// hash-map-keyed legacy paths and the token-id-keyed cached paths; the
 /// *set* of blocks may not.
 uint64_t CanonicalHash(const core::BlockCollection& blocks) {
-  std::vector<core::Block> canon = blocks.blocks();
-  for (core::Block& b : canon) std::sort(b.begin(), b.end());
+  std::vector<Ids> canon = AsVectors(blocks);
+  for (Ids& b : canon) std::sort(b.begin(), b.end());
   std::sort(canon.begin(), canon.end());
   uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   auto mix = [&h](uint64_t v) {
@@ -50,7 +51,7 @@ uint64_t CanonicalHash(const core::BlockCollection& blocks) {
       h *= 1099511628211ULL;  // FNV prime
     }
   };
-  for (const core::Block& b : canon) {
+  for (const Ids& b : canon) {
     mix(b.size());
     for (data::RecordId id : b) mix(id);
   }
@@ -164,7 +165,7 @@ TEST(FeatureGoldenTest, WarmAndColdStoresProduceByteIdenticalBlocks) {
     technique->Run(cold, cold_blocks);
     core::BlockCollection warm_blocks;
     technique->Run(warm, warm_blocks);
-    EXPECT_EQ(cold_blocks.blocks(), warm_blocks.blocks()) << golden.spec;
+    EXPECT_EQ(AsVectors(cold_blocks), AsVectors(warm_blocks)) << golden.spec;
   }
 }
 

@@ -136,7 +136,7 @@ void ExpectSameState(const IncrementalIndex& got, const IncrementalIndex& want,
                      const data::Dataset& records,
                      const data::Dataset& probes) {
   EXPECT_EQ(got.size(), want.size());
-  EXPECT_EQ(CollectBlocks(got).blocks(), CollectBlocks(want).blocks());
+  EXPECT_EQ(AsVectors(CollectBlocks(got)), AsVectors(CollectBlocks(want)));
   for (const data::Dataset* d : {&records, &probes}) {
     for (data::RecordId id = 0; id < d->size(); ++id) {
       ASSERT_EQ(got.Query(d->Values(id)), want.Query(d->Values(id)))
@@ -252,7 +252,7 @@ TEST(IndexBulkLoad, SplitLoadWhoseBulkPartGrowsTheSemanticDimension) {
     ASSERT_TRUE(api::BlockerRegistry::Global().Create(c.spec, &batch).ok());
     core::BlockCollection want;
     batch->Run(split, want);
-    EXPECT_EQ(CollectBlocks(*mixed).blocks(), want.blocks());
+    EXPECT_EQ(AsVectors(CollectBlocks(*mixed)), AsVectors(want));
   }
 }
 
@@ -324,7 +324,7 @@ TEST(IndexBulkLoad, PreloadEqualsServiceInsertLoop) {
     core::BlockCollection got;
     inserted->EmitBlocks(want);
     preloaded->EmitBlocks(got);
-    EXPECT_EQ(got.blocks(), want.blocks());
+    EXPECT_EQ(AsVectors(got), AsVectors(want));
     for (const data::Dataset* d : {&records, &probes}) {
       for (data::RecordId id = 0; id < d->size(); ++id) {
         ASSERT_EQ(preloaded->Query(d->Values(id)),

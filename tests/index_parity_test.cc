@@ -109,13 +109,13 @@ TEST(IndexParityGolden, IncrementalLoadMatchesBatchBlocks) {
     core::BlockCollection incremental = CollectBlocks(*index);
     // The full emission sequence, not just the multiset: block order and
     // intra-block id order must match.
-    EXPECT_EQ(incremental.blocks(), batch.blocks());
+    EXPECT_EQ(AsVectors(incremental), AsVectors(batch));
     // LoadDataset bulk-loads; the per-record path, and a load that inserts
     // the first third one by one and bulk-loads the rest, match too.
     for (size_t bulk_from : {c.dataset->size(), c.dataset->size() / 3}) {
-      EXPECT_EQ(CollectBlocks(*SplitLoad(c.spec, *c.dataset, bulk_from))
-                    .blocks(),
-                batch.blocks())
+      EXPECT_EQ(
+          AsVectors(CollectBlocks(*SplitLoad(c.spec, *c.dataset, bulk_from))),
+          AsVectors(batch))
           << "records before the bulk load: " << bulk_from;
     }
   }

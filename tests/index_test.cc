@@ -27,8 +27,6 @@
 namespace sablock::index {
 namespace {
 
-using Ids = std::vector<data::RecordId>;
-
 data::Schema TwoAttrSchema() { return data::Schema({"name", "city"}); }
 
 std::vector<std::string_view> Row(const std::vector<std::string>& values) {
@@ -118,8 +116,8 @@ TEST(SortedIndexTest, EqualKeysOrderByIdLikeStableSort) {
   // Sliding window of 2 over the id-ordered run: {0,1}, {1,2}.
   core::BlockCollection blocks = CollectBlocks(index);
   ASSERT_EQ(blocks.NumBlocks(), 2u);
-  EXPECT_EQ(blocks.blocks()[0], (Ids{0, 1}));
-  EXPECT_EQ(blocks.blocks()[1], (Ids{1, 2}));
+  EXPECT_EQ(AsVectors(blocks)[0], (Ids{0, 1}));
+  EXPECT_EQ(AsVectors(blocks)[1], (Ids{1, 2}));
 }
 
 /// The live records that share a window with a probe, by definition: the

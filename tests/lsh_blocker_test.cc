@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collect_blocks.h"
 #include "run_streaming.h"
 
 #include <algorithm>
@@ -240,7 +241,7 @@ TEST(SaLshBlockerTest, WithoutSemanticFeaturesItIsPlainLsh) {
   const Dataset cold = d.ColdCopy();
   const BlockCollection semantic = RunStreaming(
       SemanticAwareLshBlocker(SmallParams(), FullOr(), no_concepts), cold);
-  EXPECT_EQ(semantic.blocks(), plain.blocks());
+  EXPECT_EQ(AsVectors(semantic), AsVectors(plain));
   EXPECT_EQ(misses->value() - misses_before, 1u);
   EXPECT_EQ(hits->value() - hits_before, 0u);
 }
@@ -269,7 +270,7 @@ TEST(LshFamilyTest, EveryTableEmitsInCanonicalContentOrder) {
   for (const BlockingTechnique* technique : techniques) {
     SCOPED_TRACE(technique->name());
     const BlockCollection output = RunStreaming(*technique, d);
-    const std::vector<Block>& blocks = output.blocks();
+    const std::vector<Ids> blocks = AsVectors(output);
     ASSERT_GT(blocks.size(), static_cast<size_t>(4 * p.l));
     size_t runs = 1;
     for (size_t i = 0; i < blocks.size(); ++i) {

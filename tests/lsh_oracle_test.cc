@@ -297,18 +297,18 @@ using Rows = std::map<data::RecordId, data::RecordId>;
 
 /// Each table's groups of at least 2 of `records` in canonical content
 /// order, tables in order.
-std::vector<core::Block> Groups(const std::vector<TableKeys>& keys,
-                                const Rows& records, int l) {
-  std::vector<core::Block> out;
+std::vector<Ids> Groups(const std::vector<TableKeys>& keys, const Rows& records,
+                        int l) {
+  std::vector<Ids> out;
   for (size_t t = 0; t < static_cast<size_t>(l); ++t) {
-    std::map<std::pair<std::vector<uint64_t>, int64_t>, core::Block> groups;
+    std::map<std::pair<std::vector<uint64_t>, int64_t>, Ids> groups;
     for (const auto& [id, row] : records) {
       if (keys[row].bands.empty()) continue;
       for (int64_t tag : keys[row].tags[t]) {
         groups[{keys[row].bands[t], tag}].push_back(id);
       }
     }
-    std::vector<core::Block> table;
+    std::vector<Ids> table;
     for (auto& [key, members] : groups) {
       if (members.size() >= 2) table.push_back(std::move(members));
     }
@@ -318,7 +318,7 @@ std::vector<core::Block> Groups(const std::vector<TableKeys>& keys,
   return out;
 }
 
-std::vector<core::Block> Oracle(const Corpus& corpus, const Setting& s) {
+std::vector<Ids> Oracle(const Corpus& corpus, const Setting& s) {
   std::set<uint32_t> used;
   Rows records;
   for (data::RecordId id = 0; id < corpus.records.size(); ++id) {
@@ -352,15 +352,14 @@ std::vector<data::RecordId> SharingAKey(const std::vector<TableKeys>& keys,
   return out;
 }
 
-std::vector<core::Block> RunTechnique(const std::string& spec,
-                                      const data::Dataset& d) {
+std::vector<Ids> RunTechnique(const std::string& spec, const data::Dataset& d) {
   std::unique_ptr<core::BlockingTechnique> technique;
   Status s = api::BlockerRegistry::Global().Create(spec, &technique);
   EXPECT_TRUE(s.ok()) << spec << ": " << s.message();
   if (!s.ok()) return {};
   core::BlockCollection blocks;
   technique->Run(d, blocks);
-  return blocks.blocks();
+  return AsVectors(blocks);
 }
 
 std::string TmpPath(const char* tag) {
@@ -385,7 +384,7 @@ TEST_P(LshOracleTest, TechniquesOnAParsedDataset) {
   const Corpus corpus = Parsed(GetParam()());
   for (const Setting& setting : Settings(corpus)) {
     const std::string spec = setting.Spec(corpus);
-    const std::vector<core::Block> oracle = Oracle(corpus, setting);
+    const std::vector<Ids> oracle = Oracle(corpus, setting);
     ASSERT_FALSE(oracle.empty()) << spec;
     EXPECT_EQ(RunTechnique(spec, corpus.records), oracle) << spec;
   }
@@ -480,16 +479,15 @@ TEST_P(LshOracleTest, IndexesAfterLoadDataset) {
     Status s = index::IndexRegistry::Global().Create(spec, &idx);
     ASSERT_TRUE(s.ok()) << spec << ": " << s.message();
     index::LoadDataset(*idx, corpus.records);
-    EXPECT_EQ(index::CollectBlocks(*idx).blocks(), Oracle(corpus, setting))
+    EXPECT_EQ(AsVectors(index::CollectBlocks(*idx)), Oracle(corpus, setting))
         << spec;
     // LoadDataset bulk-loads. Insert every record one by one, or the first
     // third one by one and bulk-load the rest: the same oracle holds.
     const size_t n = corpus.records.size();
     for (size_t bulk_from : {n, n / 3}) {
-      EXPECT_EQ(
-          index::CollectBlocks(*SplitLoad(spec, corpus.records, bulk_from))
-              .blocks(),
-          Oracle(corpus, setting))
+      EXPECT_EQ(AsVectors(index::CollectBlocks(
+                    *SplitLoad(spec, corpus.records, bulk_from))),
+                Oracle(corpus, setting))
           << spec << ", records before the bulk load: " << bulk_from;
     }
   }
@@ -602,7 +600,7 @@ TEST_P(LshOracleTest, IndexQueriesUnderTrafficMatchTheDefinitions) {
       }
     }
     EXPECT_EQ(idx->size(), live.size());
-    EXPECT_EQ(index::CollectBlocks(*idx).blocks(),
+    EXPECT_EQ(AsVectors(index::CollectBlocks(*idx)),
               Groups(keys, live, setting.l));
     // The traffic covered what it is meant to.
     EXPECT_GE(threshold_compactions, 3u);

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "collect_blocks.h"
 #include "run_streaming.h"
 
 #include "common/flat_map.h"
@@ -231,17 +232,17 @@ BlockCollection RandomBlocks(uint64_t seed, size_t num_records,
   const size_t used = num_records - 5;
   BlockCollection blocks;
   for (size_t i = 0; i < num_blocks; ++i) {
-    Block b;
+    Ids b;
     const size_t size = rng.UniformIndex(9);  // 0..8 members
     for (size_t j = 0; j < size; ++j) {
       b.push_back(static_cast<data::RecordId>(rng.UniformIndex(used)));
     }
     if (size >= 2 && rng.UniformReal() < 0.3) b.push_back(b[1]);
-    blocks.Add(std::move(b));
+    blocks.Add(b);
   }
-  blocks.Add(Block{});
-  blocks.Add(Block{3});
-  blocks.Add(Block{4, 4});
+  blocks.Add({});
+  blocks.Add({3});
+  blocks.Add({4, 4});
   return blocks;
 }
 
@@ -304,9 +305,9 @@ TEST(WeightPairsTest, EmptyAndPairlessInputsHaveNoEdges) {
   BlockCollection none;
   EXPECT_TRUE(WeightPairs(10, none, MetaWeighting::kEjs).empty());
   BlockCollection pairless;
-  pairless.Add(Block{});
-  pairless.Add(Block{2});
-  pairless.Add(Block{5, 5});
+  pairless.Add({});
+  pairless.Add({2});
+  pairless.Add({5, 5});
   for (MetaWeighting w : kWeightings) {
     EXPECT_TRUE(WeightPairs(10, pairless, w).empty());
     EXPECT_TRUE(TopWeightedPairs(10, pairless, w, 3).empty());
@@ -350,8 +351,9 @@ TEST(MetaPruneTest, CepBreaksWeightTiesByPairKey) {
   MetaPrune(records, cora.blocks, MetaWeighting::kCbs, MetaPruning::kCep,
             kept);
   ASSERT_EQ(kept.NumBlocks(), k);
+  const std::vector<Ids> got = AsVectors(kept);
   for (size_t i = 0; i < k; ++i) {
-    EXPECT_EQ(kept.blocks()[i], (Block{brute[i].a(), brute[i].b()})) << i;
+    EXPECT_EQ(got[i], (Ids{brute[i].a(), brute[i].b()})) << i;
   }
 }
 
@@ -370,8 +372,8 @@ void ExpectOracleSequence(size_t num_records, const BlockCollection& input,
                           const std::string& label) {
   for (MetaWeighting w : kWeightings) {
     for (MetaPruning p : kPrunings) {
-      EXPECT_EQ(StreamedPrune(num_records, input, w, p).blocks(),
-                OracleMetaPrune(num_records, input, w, p).blocks())
+      EXPECT_EQ(AsVectors(StreamedPrune(num_records, input, w, p)),
+                AsVectors(OracleMetaPrune(num_records, input, w, p)))
           << label << " " << MetaPruningName(p) << "+"
           << MetaWeightingName(w);
     }
@@ -396,13 +398,13 @@ TEST(MetaPruneTest, EdgeCaseInputsMatchTheOracle) {
   // Repeated ids inside blocks, a 0-record and a 1-record block, records
   // 3, 5 and 7..11 in no block, and num_records above the largest id.
   BlockCollection shapes;
-  shapes.Add(Block{0, 1, 2});
-  shapes.Add(Block{1, 2, 2, 4});
-  shapes.Add(Block{});
-  shapes.Add(Block{6});
-  shapes.Add(Block{2, 4, 6});
-  shapes.Add(Block{0, 0});
-  shapes.Add(Block{1, 4});
+  shapes.Add({0, 1, 2});
+  shapes.Add({1, 2, 2, 4});
+  shapes.Add({});
+  shapes.Add({6});
+  shapes.Add({2, 4, 6});
+  shapes.Add({0, 0});
+  shapes.Add({1, 4});
   ExpectOracleSequence(12, shapes, "shapes");
   EXPECT_GT(StreamedPrune(12, shapes, MetaWeighting::kJs, MetaPruning::kWnp)
                 .NumBlocks(),
@@ -411,16 +413,16 @@ TEST(MetaPruneTest, EdgeCaseInputsMatchTheOracle) {
   // Only pair blocks: K = Σ|b|/2 reaches the comparison count, which is
   // TopWeightedPairs' all-edges case.
   BlockCollection pairs;
-  pairs.Add(Block{0, 3});
-  pairs.Add(Block{3, 0});
-  pairs.Add(Block{2, 5});
-  pairs.Add(Block{5, 9});
+  pairs.Add({0, 3});
+  pairs.Add({3, 0});
+  pairs.Add({2, 5});
+  pairs.Add({5, 9});
   ExpectOracleSequence(20, pairs, "pairs");
 
   BlockCollection pairless;
-  pairless.Add(Block{});
-  pairless.Add(Block{2});
-  pairless.Add(Block{5, 5});
+  pairless.Add({});
+  pairless.Add({2});
+  pairless.Add({5, 5});
   ExpectOracleSequence(10, pairless, "pairless");
   ExpectOracleSequence(10, BlockCollection(), "no blocks");
   ExpectOracleSequence(0, BlockCollection(), "no records");
@@ -430,7 +432,7 @@ TEST(MetaPruneTest, EdgeCaseInputsMatchTheOracle) {
 class StopAfter : public core::BlockSink {
  public:
   explicit StopAfter(size_t limit) : limit_(limit) {}
-  void Consume(Block block) override { got_.Add(std::move(block)); }
+  void Consume(Block block) override { got_.Add(block); }
   bool Done() const override { return got_.NumBlocks() >= limit_; }
   const BlockCollection& got() const { return got_; }
 
@@ -444,18 +446,18 @@ TEST(MetaPruneTest, StopsWhenTheSinkIsDone) {
   const size_t records = cora.dataset.size();
   for (MetaWeighting w : kWeightings) {
     for (MetaPruning p : kPrunings) {
-      const std::vector<Block> expected =
-          OracleMetaPrune(records, cora.blocks, w, p).blocks();
+      const std::vector<Ids> expected =
+          AsVectors(OracleMetaPrune(records, cora.blocks, w, p));
       const size_t total = expected.size();
       ASSERT_GT(total, 10u);
       for (size_t n : {size_t{0}, size_t{1}, size_t{7}, total / 2, total - 1,
                        total, total + 3}) {
         StopAfter sink(n);
         MetaPrune(records, cora.blocks, w, p, sink);
-        const std::vector<Block> prefix(
+        const std::vector<Ids> prefix(
             expected.begin(),
             expected.begin() + static_cast<ptrdiff_t>(std::min(n, total)));
-        EXPECT_EQ(sink.got().blocks(), prefix)
+        EXPECT_EQ(AsVectors(sink.got()), prefix)
             << MetaPruningName(p) << "+" << MetaWeightingName(w) << " n=" << n;
       }
     }

@@ -72,15 +72,15 @@ void ForEachDocumentedDefault(const api::Registry<Product>& registry,
   EXPECT_GT(defaults, 0u);
 }
 
-std::vector<core::Block> RunPipeline(const std::string& spec,
-                                     const data::Dataset& dataset) {
+std::vector<Ids> RunPipeline(const std::string& spec,
+                             const data::Dataset& dataset) {
   std::unique_ptr<pipeline::PipelinedBlocker> blocker;
   Status status = pipeline::Build(spec, &blocker);
   EXPECT_TRUE(status.ok()) << spec << ": " << status.message();
   if (!status.ok()) return {};
   core::BlockCollection blocks;
   blocker->Run(dataset, blocks);
-  return blocks.blocks();
+  return AsVectors(blocks);
 }
 
 TEST(ParamDefaultsTest, SpelledTechniqueDefaultsBuildTheSameBlocks) {
@@ -88,7 +88,7 @@ TEST(ParamDefaultsTest, SpelledTechniqueDefaultsBuildTheSameBlocks) {
   ForEachDocumentedDefault(
       api::BlockerRegistry::Global(),
       [&](const std::string& omitted, const std::string& spelled) {
-        const std::vector<core::Block> expected = RunPipeline(omitted, corpus);
+        const std::vector<Ids> expected = RunPipeline(omitted, corpus);
         EXPECT_FALSE(expected.empty());
         EXPECT_TRUE(RunPipeline(spelled, corpus) == expected);
       });
@@ -119,14 +119,14 @@ TEST(ParamDefaultsTest, SpelledIndexDefaultsBuildTheSameBlocks) {
     std::unique_ptr<index::IncrementalIndex> built;
     Status status = index::IndexRegistry::Global().Create(spec, &built);
     EXPECT_TRUE(status.ok()) << spec << ": " << status.message();
-    if (!status.ok()) return std::vector<core::Block>{};
+    if (!status.ok()) return std::vector<Ids>{};
     index::LoadDataset(*built, corpus);
-    return index::CollectBlocks(*built).blocks();
+    return AsVectors(index::CollectBlocks(*built));
   };
   ForEachDocumentedDefault(
       index::IndexRegistry::Global(),
       [&](const std::string& omitted, const std::string& spelled) {
-        const std::vector<core::Block> expected = load(omitted);
+        const std::vector<Ids> expected = load(omitted);
         EXPECT_FALSE(expected.empty());
         EXPECT_TRUE(load(spelled) == expected);
       });

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "collect_blocks.h"
 #include "core/block_sink.h"
 #include "data/cora_generator.h"
 #include "engine/sharded_executor.h"
@@ -165,7 +166,7 @@ void CheckSteps(const char* spec_text) {
       EXPECT_EQ(result.stages[k].max_block_size, counted.max_block_size())
           << k;
     }
-    EXPECT_EQ(result.blocks.blocks(), out.blocks());
+    EXPECT_EQ(AsVectors(result.blocks), AsVectors(out));
   }
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/pipeline_spec.h"
+#include "collect_blocks.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
 #include "engine/sharded_executor.h"
@@ -42,13 +43,13 @@ Status CreateStageErr(const std::string& spec) {
 
 /// Feeds `input` through a freshly attached `stage` into a collection
 /// and flushes.
-BlockCollection RunStage(PipelineStage& stage, std::vector<Block> input,
+BlockCollection RunStage(PipelineStage& stage, const std::vector<Ids>& input,
                          const data::Dataset& dataset) {
   BlockCollection out;
   stage.Attach(dataset, out);
-  for (Block& b : input) {
+  for (const Ids& b : input) {
     if (stage.Done()) break;
-    stage.Consume(std::move(b));
+    stage.Consume(b);
   }
   stage.Flush();
   return out;
@@ -167,8 +168,8 @@ TEST(PurgeStageTest, DropsOversizedBlocks) {
   BlockCollection out =
       RunStage(purge, {{0, 1}, {0, 1, 2, 3}, {4, 5, 6}}, d);
   ASSERT_EQ(out.NumBlocks(), 2u);
-  EXPECT_EQ(out.blocks()[0], (Block{0, 1}));
-  EXPECT_EQ(out.blocks()[1], (Block{4, 5, 6}));
+  EXPECT_EQ(AsVectors(out)[0], (Ids{0, 1}));
+  EXPECT_EQ(AsVectors(out)[1], (Ids{4, 5, 6}));
   EXPECT_EQ(purge.purged_blocks(), 1u);
 }
 
@@ -178,8 +179,8 @@ TEST(FilterStageTest, MinSizeStreams) {
   BlockCollection out =
       RunStage(filter, {{0, 1}, {0, 1, 2}, {3, 4}, {4, 5, 6, 7}}, d);
   ASSERT_EQ(out.NumBlocks(), 2u);
-  EXPECT_EQ(out.blocks()[0], (Block{0, 1, 2}));
-  EXPECT_EQ(out.blocks()[1], (Block{4, 5, 6, 7}));
+  EXPECT_EQ(AsVectors(out)[0], (Ids{0, 1, 2}));
+  EXPECT_EQ(AsVectors(out)[1], (Ids{4, 5, 6, 7}));
 }
 
 TEST(FilterStageTest, TopFracKeepsSmallestInArrivalOrder) {
@@ -190,8 +191,8 @@ TEST(FilterStageTest, TopFracKeepsSmallestInArrivalOrder) {
   BlockCollection out =
       RunStage(filter, {{0, 1, 2}, {3, 4}, {0, 1, 2, 3}, {5, 6}}, d);
   ASSERT_EQ(out.NumBlocks(), 2u);
-  EXPECT_EQ(out.blocks()[0], (Block{3, 4}));
-  EXPECT_EQ(out.blocks()[1], (Block{5, 6}));
+  EXPECT_EQ(AsVectors(out)[0], (Ids{3, 4}));
+  EXPECT_EQ(AsVectors(out)[1], (Ids{5, 6}));
 }
 
 TEST(FilterStageTest, TopFracTieBreaksFirstCome) {
@@ -201,8 +202,8 @@ TEST(FilterStageTest, TopFracTieBreaksFirstCome) {
   BlockCollection out =
       RunStage(filter, {{4, 5}, {0, 1}, {2, 3}, {6, 7}}, d);
   ASSERT_EQ(out.NumBlocks(), 2u);
-  EXPECT_EQ(out.blocks()[0], (Block{4, 5}));
-  EXPECT_EQ(out.blocks()[1], (Block{0, 1}));
+  EXPECT_EQ(AsVectors(out)[0], (Ids{4, 5}));
+  EXPECT_EQ(AsVectors(out)[1], (Ids{0, 1}));
 }
 
 TEST(CapStageTest, StopsProducerAtBudget) {
@@ -211,11 +212,11 @@ TEST(CapStageTest, StopsProducerAtBudget) {
   CapStage cap(4);  // pairs carry 1 comparison, triples 3
   cap.Attach(d, out);
   EXPECT_FALSE(cap.Done());
-  cap.Consume({0, 1, 2});  // 3 comparisons
+  cap.Consume(Ids{0, 1, 2});  // 3 comparisons
   EXPECT_FALSE(cap.Done());
-  cap.Consume({3, 4});  // crosses the budget; still forwarded
+  cap.Consume(Ids{3, 4});  // crosses the budget; still forwarded
   EXPECT_TRUE(cap.Done());
-  cap.Consume({5, 6});  // dropped
+  cap.Consume(Ids{5, 6});  // dropped
   cap.Flush();
   EXPECT_EQ(out.NumBlocks(), 2u);
   EXPECT_EQ(cap.comparisons(), 4u);
@@ -228,8 +229,8 @@ TEST(MetaStageTest, BuffersUntilFlushAndIgnoresDownstreamDone) {
   MetaStage meta(MetaWeighting::kCbs, MetaPruning::kWep);
   meta.Attach(d, out);
   // Records 0-1 share two blocks, 2-3 one: WEP keeps the 0-1 edge.
-  meta.Consume({0, 1});
-  meta.Consume({0, 1, 2, 3});
+  meta.Consume(Ids{0, 1});
+  meta.Consume(Ids{0, 1, 2, 3});
   EXPECT_FALSE(meta.Done());  // barrier: never propagates backpressure up
   EXPECT_EQ(out.NumBlocks(), 0u);  // nothing emitted before the flush
   meta.Flush();
@@ -244,7 +245,7 @@ TEST(PipelineTest, RunFlushesBarrierStagesButNotTheCallerSink) {
   // A sink that records whether its Flush was ever invoked.
   class FlushProbe : public core::BlockSink {
    public:
-    void Consume(Block block) override { blocks.Consume(std::move(block)); }
+    void Consume(Block block) override { blocks.Consume(block); }
     void Flush() override { flushed = true; }
     BlockCollection blocks;
     bool flushed = false;
@@ -277,7 +278,7 @@ TEST(PipelineTest, PipelinedBlockerIsReusableAndConcurrencySafe) {
   BlockCollection second;
   p->Run(d, first);
   p->Run(d, second);
-  EXPECT_EQ(first.blocks(), second.blocks());
+  EXPECT_EQ(AsVectors(first), AsVectors(second));
 }
 
 TEST(PipelineTest, CapBackpressureReachesTheProducerThroughTheChain) {
@@ -323,7 +324,7 @@ TEST(RunPipelineTest, ReportsPerStageCounts) {
   // The run is byte-identical to the uninstrumented pipeline.
   BlockCollection direct;
   p->Run(d, direct);
-  EXPECT_EQ(direct.blocks(), result.blocks.blocks());
+  EXPECT_EQ(AsVectors(direct), AsVectors(result.blocks));
 }
 
 // ------------------------------------------- sharded engine into pipeline
@@ -350,7 +351,7 @@ TEST(PipelineShardedTest, GlobalStagesCollectIsDeterministicAcrossThreads) {
   BlockCollection four = run("threads=4,shards=4,merge=collect");
   // Byte-identical at any thread count: the barrier stage ran once, at
   // merge, over the full cross-shard stream in shard order.
-  EXPECT_EQ(one.blocks(), four.blocks());
+  EXPECT_EQ(AsVectors(one), AsVectors(four));
 }
 
 TEST(PipelineShardedTest, PerShardPipelineMatchesEngineRunOfWrappedBlocker) {
@@ -378,13 +379,12 @@ TEST(PipelineShardedTest, PerShardPipelineMatchesEngineRunOfWrappedBlocker) {
     data::Dataset shard = d.Slice(range.begin, range.end);
     BlockCollection local;
     p->Run(shard, local);
-    for (const Block& b : local.blocks()) {
-      Block global = b;
+    for (Ids global : AsVectors(local)) {
       for (data::RecordId& id : global) id += range.begin;
-      expected.Add(std::move(global));
+      expected.Add(global);
     }
   }
-  EXPECT_EQ(sharded.blocks(), expected.blocks());
+  EXPECT_EQ(AsVectors(sharded), AsVectors(expected));
 }
 
 }  // namespace

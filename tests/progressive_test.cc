@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "collect_blocks.h"
 #include "common/pair_set.h"
 #include "core/blocking.h"
 #include "core/budget.h"
@@ -38,10 +39,10 @@ constexpr uint64_t kAll = core::Budget::kUnlimitedPairs;
 // three blocks (high edge weight), the big block dilutes its pairs.
 BlockCollection OverlappingBlocks() {
   BlockCollection blocks;
-  blocks.Add(Block{0, 1});
-  blocks.Add(Block{0, 1, 2});
-  blocks.Add(Block{0, 1, 2, 3, 4, 5});
-  blocks.Add(Block{6, 7});
+  blocks.Add({0, 1});
+  blocks.Add({0, 1, 2});
+  blocks.Add({0, 1, 2, 3, 4, 5});
+  blocks.Add({6, 7});
   return blocks;
 }
 
@@ -244,19 +245,21 @@ TEST(ProgressiveStageTest, PairsBudgetEmitsExactlyThatPrefix) {
   EXPECT_STREQ(run.progressive->meter()->ExhaustedReason(), "pairs");
   // Best-first: the budgeted prefix is the head of the unlimited order.
   StageRun full("progressive:sched=ew-cbs", blocks, d);
-  for (size_t i = 0; i < run.out.NumBlocks(); ++i) {
-    EXPECT_EQ(run.out.blocks()[i], full.out.blocks()[i]) << i;
+  const std::vector<Ids> budgeted = AsVectors(run.out);
+  const std::vector<Ids> unlimited = AsVectors(full.out);
+  for (size_t i = 0; i < budgeted.size(); ++i) {
+    EXPECT_EQ(budgeted[i], unlimited[i]) << i;
   }
 }
 
 TEST(ProgressiveStageTest, RecallTargetStopsOnceEnoughMatchesEmitted) {
   data::Dataset d = SmallDataset();  // entities in pairs: 4 true matches
   BlockCollection blocks;
-  blocks.Add(Block{0, 1});  // match
-  blocks.Add(Block{2, 3});  // match
-  blocks.Add(Block{4, 5});  // match
-  blocks.Add(Block{0, 2});
-  blocks.Add(Block{6, 7});  // match
+  blocks.Add({0, 1});  // match
+  blocks.Add({2, 3});  // match
+  blocks.Add({4, 5});  // match
+  blocks.Add({0, 2});
+  blocks.Add({6, 7});  // match
   StageRun run("progressive:sched=bsa,recall-target=0.5", blocks, d);
   ASSERT_NE(run.progressive->meter(), nullptr);
   EXPECT_TRUE(run.progressive->meter()->Exhausted());
@@ -293,13 +296,11 @@ TEST(ProgressiveStageTest, EmittedOrderIgnoresInputArrivalOrder) {
   data::Dataset d = SmallDataset();
   BlockCollection forward = OverlappingBlocks();
   BlockCollection reversed;
-  for (auto it = forward.blocks().rbegin(); it != forward.blocks().rend();
-       ++it) {
-    reversed.Add(*it);
-  }
+  const auto blocks = forward.blocks();
+  for (size_t i = blocks.size(); i-- > 0;) reversed.Add(blocks[i]);
   StageRun run_a("progressive:sched=ew-cbs", forward, d);
   StageRun run_b("progressive:sched=ew-cbs", reversed, d);
-  EXPECT_EQ(run_a.out.blocks(), run_b.out.blocks());
+  EXPECT_EQ(AsVectors(run_a.out), AsVectors(run_b.out));
 }
 
 TEST(ProgressiveStageTest, PipelineSpecBuildsAndRuns) {

@@ -713,7 +713,7 @@ TEST(CandidateServiceConcurrencyTest, QueriesRaceCompactionsAndGrowth) {
   core::BlockCollection emitted;
   service->EmitBlocks(emitted);
   EXPECT_GT(emitted.NumBlocks(), 0u);
-  EXPECT_EQ(emitted.blocks(), index::CollectBlocks(*serial).blocks());
+  EXPECT_EQ(AsVectors(emitted), AsVectors(index::CollectBlocks(*serial)));
   for (data::RecordId row = 0; row < rows.size(); ++row) {
     ASSERT_EQ(service->Query(rows.Values(row)),
               serial->Query(rows.Values(row)))

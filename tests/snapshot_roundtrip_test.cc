@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "collect_blocks.h"
 #include "core/blocking.h"
 #include "data/cora_generator.h"
 #include "data/csv.h"
@@ -80,9 +81,9 @@ std::unique_ptr<core::BlockingTechnique> MustCreate(const std::string& spec) {
 /// technique's emission order is pinned by its own goldens. Neither store
 /// has global token ids: every token column interns its own vocabulary,
 /// the same way when built and when adopted.
-std::vector<core::Block> Canonical(const core::BlockCollection& blocks) {
-  std::vector<core::Block> canon = blocks.blocks();
-  for (core::Block& b : canon) std::sort(b.begin(), b.end());
+std::vector<Ids> Canonical(const core::BlockCollection& blocks) {
+  std::vector<Ids> canon = AsVectors(blocks);
+  for (Ids& b : canon) std::sort(b.begin(), b.end());
   std::sort(canon.begin(), canon.end());
   return canon;
 }
@@ -93,7 +94,7 @@ TEST(SnapshotRoundtripTest, EveryRegistryTechniqueSurvivesTheRoundtrip) {
   // Parsed-path reference runs; these also warm the feature store with
   // every column the 19 techniques touch, so the snapshot carries the
   // full feature catalog.
-  std::vector<std::vector<core::Block>> reference;
+  std::vector<std::vector<Ids>> reference;
   std::vector<eval::Metrics> reference_metrics;
   for (const char* spec : kSpecs) {
     std::unique_ptr<core::BlockingTechnique> t = MustCreate(spec);

@@ -84,9 +84,9 @@ std::map<std::string, std::vector<data::RecordId>> Postings(
   return postings;
 }
 
-std::vector<core::Block> OracleBlocks(const data::Dataset& d,
-                                      const std::vector<bool>& live) {
-  std::vector<core::Block> blocks;
+std::vector<Ids> OracleBlocks(const data::Dataset& d,
+                              const std::vector<bool>& live) {
+  std::vector<Ids> blocks;
   for (auto& [token, ids] : Postings(d, live)) {
     if (ids.size() >= 2) blocks.push_back(ids);
   }
@@ -94,13 +94,13 @@ std::vector<core::Block> OracleBlocks(const data::Dataset& d,
   return blocks;
 }
 
-std::vector<core::Block> RunTechnique(const data::Dataset& d) {
+std::vector<Ids> RunTechnique(const data::Dataset& d) {
   std::unique_ptr<core::BlockingTechnique> technique;
   Status s = api::BlockerRegistry::Global().Create(kTechnique, &technique);
   EXPECT_TRUE(s.ok()) << s.message();
   core::BlockCollection blocks;
   technique->Run(d, blocks);
-  return blocks.blocks();
+  return AsVectors(blocks);
 }
 
 std::unique_ptr<index::IncrementalIndex> MakeIndex() {
@@ -118,7 +118,7 @@ TEST(TokenBlockingOracleTest, TechniqueOnAParsedDataset) {
   Status s = data::ReadCsv(path, "entity", &parsed);
   std::remove(path.c_str());
   ASSERT_TRUE(s.ok()) << s.message();
-  const std::vector<core::Block> oracle =
+  const std::vector<Ids> oracle =
       OracleBlocks(parsed, std::vector<bool>(parsed.size(), true));
   ASSERT_FALSE(oracle.empty());
   EXPECT_EQ(RunTechnique(parsed), oracle);
@@ -149,7 +149,7 @@ TEST(TokenBlockingOracleTest, IndexAfterLoadAndSeededRemovals) {
   std::unique_ptr<index::IncrementalIndex> idx = MakeIndex();
   index::LoadDataset(*idx, d);
   std::vector<bool> live(d.size(), true);
-  EXPECT_EQ(index::CollectBlocks(*idx).blocks(), OracleBlocks(d, live));
+  EXPECT_EQ(AsVectors(index::CollectBlocks(*idx)), OracleBlocks(d, live));
 
   Rng rng(5);
   for (int round = 0; round < 3; ++round) {
@@ -160,7 +160,7 @@ TEST(TokenBlockingOracleTest, IndexAfterLoadAndSeededRemovals) {
     }
     EXPECT_EQ(idx->size(),
               static_cast<size_t>(std::count(live.begin(), live.end(), true)));
-    EXPECT_EQ(index::CollectBlocks(*idx).blocks(), OracleBlocks(d, live))
+    EXPECT_EQ(AsVectors(index::CollectBlocks(*idx)), OracleBlocks(d, live))
         << "round " << round;
   }
 }

@@ -478,10 +478,12 @@ int main(int argc, char** argv) {
   if (flags.Has("blocks-out")) {
     const std::string path = flags.Get("blocks-out");
     if (!WriteCsvOutput(path, "block_id,record_id\n", [&](std::ofstream& out) {
-          for (size_t bi = 0; bi < blocks.blocks().size(); ++bi) {
-            for (sablock::data::RecordId id : blocks.blocks()[bi]) {
+          size_t bi = 0;
+          for (sablock::core::Block block : blocks.blocks()) {
+            for (sablock::data::RecordId id : block) {
               out << bi << ',' << id << '\n';
             }
+            ++bi;
           }
         })) {
       return 1;
