@@ -39,11 +39,13 @@ int RunFig13Scalability(report::BenchContext& ctx) {
   using sablock::core::SemanticParams;
 
   size_t max_records = ctx.SizeOr("max", 292892, 5000);
-  int threads = static_cast<int>(ctx.SizeOr(
-      "threads",
-      static_cast<size_t>(
-          std::min(4, sablock::engine::ThreadPool::DefaultThreads())),
-      2));
+  // A pool holds at most ThreadPool::kMaxThreads workers.
+  int threads = static_cast<int>(std::min<size_t>(
+      ctx.SizeOr("threads",
+                 static_cast<size_t>(std::min(
+                     4, sablock::engine::ThreadPool::DefaultThreads())),
+                 2),
+      sablock::engine::ThreadPool::kMaxThreads));
   int shards = static_cast<int>(ctx.SizeOr("shards", 8, 4));
 
   std::printf("Fig. 13 reproduction (E10): scalability on Voter-like data\n"

@@ -154,15 +154,6 @@ int RunMicro(report::BenchContext& ctx) {
       DoNotOptimize(windows.data());
     });
   }
-  {
-    std::vector<uint64_t> mix_in(4096);
-    for (size_t i = 0; i < mix_in.size(); ++i) mix_in[i] = i * 11400714819323198485ULL;
-    std::vector<uint64_t> mix_out(mix_in.size());
-    suite.Case("mix64_batch_4k", [&] {
-      Mix64Batch(mix_in.data(), mix_in.size(), mix_out.data());
-      DoNotOptimize(mix_out.data());
-    });
-  }
 
   // --- minhash ----------------------------------------------------------
   const std::vector<uint64_t> shingles = text::QGramHashes(kTitleA, 3);

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "baselines/sorted_neighbourhood.h"
 #include "baselines/standard_blocking.h"
@@ -72,8 +74,7 @@ int main(int argc, char** argv) {
   sem.w = 5;
   sem.mode = SemanticMode::kOr;
 
-  sablock::baselines::BlockingKeyDef key =
-      sablock::baselines::ExactKey({"authors", "title"});
+  const std::vector<std::string> key = {"authors", "title"};
 
   sablock::eval::TablePrinter table(
       {"technique", "PC", "PQ", "RR", "FM", "pairs", "time(s)"});

@@ -11,7 +11,6 @@
 
 #include "api/registry.h"
 #include "baselines/adaptive_sorted_neighbourhood.h"
-#include "baselines/blocking_key.h"
 #include "baselines/canopy.h"
 #include "baselines/qgram_indexing.h"
 #include "baselines/sorted_neighbourhood.h"
@@ -36,11 +35,6 @@ using core::BlockingTechnique;
 
 Status RangeError(const std::string& key, const std::string& constraint) {
   return Status::Error("param '" + key + "': must be " + constraint);
-}
-
-/// Exact-value blocking key over the '+'-separated "attrs" parameter.
-baselines::BlockingKeyDef KeyFromParams(ParamMap& p) {
-  return baselines::ExactKey(p.GetStringList("attrs", {}));
 }
 
 /// The shared "attrs" parameter doc.
@@ -123,12 +117,12 @@ Status AttrsFromParams(ParamMap& p, std::vector<std::string>* attrs) {
 
 /// Array-based sorted neighbourhood's parameters.
 struct WindowConfig {
-  baselines::BlockingKeyDef key;
+  std::vector<std::string> attrs;
   int window = 3;
 };
 
 Status SorAFromParams(ParamMap& p, WindowConfig* out) {
-  out->key = KeyFromParams(p);
+  out->attrs = p.GetStringList("attrs", {});
   out->window = p.GetInt("window", 3);
   if (out->window < 2) return RangeError("window", ">= 2");
   return Status::Ok();
@@ -209,7 +203,7 @@ void RegisterKeyBased(BlockerRegistry& r) {
        {AttrsDoc()}},
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
         *out = std::make_unique<baselines::StandardBlocking>(
-            KeyFromParams(p));
+            p.GetStringList("attrs", {}));
         return Status::Ok();
       });
 
@@ -217,7 +211,7 @@ void RegisterKeyBased(BlockerRegistry& r) {
       r, "array-based sorted neighbourhood: fixed window over sorted keys",
       [](WindowConfig c) {
         return std::make_unique<baselines::SortedNeighbourhoodArray>(
-            std::move(c.key), c.window);
+            std::move(c.attrs), c.window);
       });
 
   r.Register(
@@ -226,11 +220,11 @@ void RegisterKeyBased(BlockerRegistry& r) {
        {},
        {AttrsDoc(), {"window", "3", "window over sorted unique keys"}}},
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         int window = p.GetInt("window", 3);
         if (window < 1) return RangeError("window", ">= 1");
         *out = std::make_unique<baselines::SortedNeighbourhoodInvertedIndex>(
-            std::move(key), window);
+            std::move(attrs), window);
         return Status::Ok();
       });
 
@@ -247,13 +241,8 @@ void RegisterKeyBased(BlockerRegistry& r) {
         }
         int window = p.GetInt("window", 3);
         if (window < 2) return RangeError("window", ">= 2");
-        std::vector<baselines::BlockingKeyDef> keys;
-        keys.reserve(attrs.size());
-        for (const std::string& attr : attrs) {
-          keys.push_back(baselines::ExactKey({attr}));
-        }
         *out = std::make_unique<baselines::MultiPassSortedNeighbourhood>(
-            std::move(keys), window);
+            std::move(attrs), window);
         return Status::Ok();
       });
 
@@ -268,14 +257,14 @@ void RegisterKeyBased(BlockerRegistry& r) {
         {"threshold", "0.8", "boundary similarity threshold"},
         {"max-block", "50", "run-length cap, 0 = unlimited"}}},
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         std::string sim = "jaro_winkler";
         ReadSimilarityName(p, "sim", &sim);
         double threshold = p.GetDouble("threshold", 0.8);
         int max_block = p.GetInt("max-block", 50);
         if (max_block < 0) return RangeError("max-block", ">= 0");
         *out = std::make_unique<baselines::AdaptiveSortedNeighbourhood>(
-            std::move(key), std::move(sim), threshold,
+            std::move(attrs), std::move(sim), threshold,
             static_cast<size_t>(max_block));
         return Status::Ok();
       });
@@ -289,7 +278,7 @@ void RegisterKeyBased(BlockerRegistry& r) {
         {"threshold", "0.8", "minimum kept fraction of grams, in (0,1]"},
         {"max-keys", "64", "sub-list key cap per record"}}},
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         int q = p.GetInt("q", 2);
         double threshold = p.GetDouble("threshold", 0.8);
         int max_keys = p.GetInt("max-keys", 64);
@@ -299,7 +288,7 @@ void RegisterKeyBased(BlockerRegistry& r) {
         }
         if (max_keys < 1) return RangeError("max-keys", ">= 1");
         *out = std::make_unique<baselines::QGramIndexing>(
-            std::move(key), q, threshold, static_cast<size_t>(max_keys));
+            std::move(attrs), q, threshold, static_cast<size_t>(max_keys));
         return Status::Ok();
       });
 }
@@ -325,13 +314,13 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
       {"sua", "suffix-array blocking: every BKV suffix becomes an index key",
        {"suffix"}, suffix_docs()},
       [suffix_params](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         int min_suffix = 0;
         size_t max_block = 0;
         Status s = suffix_params(p, &min_suffix, &max_block);
         if (!s.ok()) return s;
         *out = std::make_unique<baselines::SuffixArrayBlocking>(
-            std::move(key), min_suffix, max_block);
+            std::move(attrs), min_suffix, max_block);
         return Status::Ok();
       });
 
@@ -339,13 +328,13 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
       {"suas", "suffix-array blocking over all substrings", {},
        suffix_docs()},
       [suffix_params](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         int min_suffix = 0;
         size_t max_block = 0;
         Status s = suffix_params(p, &min_suffix, &max_block);
         if (!s.ok()) return s;
         *out = std::make_unique<baselines::SuffixArrayAllSubstrings>(
-            std::move(key), min_suffix, max_block);
+            std::move(attrs), min_suffix, max_block);
         return Status::Ok();
       });
 
@@ -360,7 +349,7 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
         {"sim", "jaro_winkler", "suffix similarity comparator"},
         {"threshold", "0.9", "merge threshold for adjacent suffixes"}}},
       [suffix_params](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         int min_suffix = 0;
         size_t max_block = 0;
         Status s = suffix_params(p, &min_suffix, &max_block);
@@ -369,7 +358,7 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
         ReadSimilarityName(p, "sim", &sim);
         double threshold = p.GetDouble("threshold", 0.9);
         *out = std::make_unique<baselines::RobustSuffixArrayBlocking>(
-            std::move(key), min_suffix, max_block, std::move(sim),
+            std::move(attrs), min_suffix, max_block, std::move(sim),
             threshold);
         return Status::Ok();
       });
@@ -395,7 +384,7 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
         {"seed", "73", "pivot-selection seed"}}},
       [stringmap_common](ParamMap& p,
                          std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         double threshold = p.GetDouble("threshold", 0.9);
         if (threshold <= 0.0 || threshold > 1.0) {
           return RangeError("threshold", "in (0, 1]");
@@ -406,7 +395,7 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
         Status s = stringmap_common(p, &grid, &dim, &seed);
         if (!s.ok()) return s;
         *out = std::make_unique<baselines::StringMapThreshold>(
-            std::move(key), threshold, grid, dim, seed);
+            std::move(attrs), threshold, grid, dim, seed);
         return Status::Ok();
       });
 
@@ -421,7 +410,7 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
         {"seed", "73", "pivot-selection seed"}}},
       [stringmap_common](ParamMap& p,
                          std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         int nn = p.GetInt("nn", 5);
         if (nn < 1) return RangeError("nn", ">= 1");
         int grid = 0;
@@ -430,7 +419,7 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
         Status s = stringmap_common(p, &grid, &dim, &seed);
         if (!s.ok()) return s;
         *out = std::make_unique<baselines::StringMapNearestNeighbour>(
-            std::move(key), nn, grid, dim, seed);
+            std::move(attrs), nn, grid, dim, seed);
         return Status::Ok();
       });
 }
@@ -463,14 +452,14 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
         {"seed", "31", "seed-record shuffle seed"}}},
       [canopy_similarity](ParamMap& p,
                           std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         baselines::CanopySimilarity sim = canopy_similarity(p);
         double loose = p.GetDouble("loose", 0.4);
         double tight = p.GetDouble("tight", 0.8);
         uint64_t seed = p.GetUint64("seed", 31);
         if (tight < loose) return RangeError("tight", ">= loose");
         *out = std::make_unique<baselines::CanopyThreshold>(
-            std::move(key), sim, loose, tight, seed);
+            std::move(attrs), sim, loose, tight, seed);
         return Status::Ok();
       });
 
@@ -485,7 +474,7 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
         {"seed", "31", "seed-record shuffle seed"}}},
       [canopy_similarity](ParamMap& p,
                           std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
+        std::vector<std::string> attrs = p.GetStringList("attrs", {});
         baselines::CanopySimilarity sim = canopy_similarity(p);
         int n1 = p.GetInt("n1", 10);
         int n2 = p.GetInt("n2", 5);
@@ -493,7 +482,7 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
         if (n1 < 1) return RangeError("n1", ">= 1");
         if (n2 < 1 || n2 > n1) return RangeError("n2", "in [1, n1]");
         *out = std::make_unique<baselines::CanopyNearestNeighbour>(
-            std::move(key), sim, n1, n2, seed);
+            std::move(attrs), sim, n1, n2, seed);
         return Status::Ok();
       });
 
@@ -641,7 +630,7 @@ void RegisterIndexes(index::IndexRegistry& r) {
       "incremental array-based sorted neighbourhood: fixed window over "
       "key-sorted records",
       [](WindowConfig c) {
-        return std::make_unique<index::SortedWindowIndex>(std::move(c.key),
+        return std::make_unique<index::SortedWindowIndex>(std::move(c.attrs),
                                                           c.window);
       });
 }

@@ -25,16 +25,6 @@ struct KernelTable {
   void (*minhash_signature)(const uint64_t* shingles, size_t num_shingles,
                             const uint64_t* a, const uint64_t* b,
                             size_t num_hashes, uint64_t* sig);
-
-  /// FNV-1a of every overlapping q-byte window of `data`:
-  /// out[i] = fold of data[i..i+q) starting from `basis`, for
-  /// i in [0, len - q]. Preconditions: q >= 1, len >= q. Identical
-  /// values to HashBytes on each window with the same basis.
-  void (*fnv1a_windows)(const char* data, size_t len, int q, uint64_t basis,
-                        uint64_t* out);
-
-  /// Bulk SplitMix64 finalizer: out[i] = Mix64(in[i]). In-place allowed.
-  void (*mix64_batch)(const uint64_t* in, size_t n, uint64_t* out);
 };
 
 /// The table for one ISA level. Levels that are not compiled in resolve

@@ -4,16 +4,13 @@
 //
 // Bit-exactness: the Mersenne-61 hash computes the mathematically exact
 // (a·x + b) mod 2^61-1 via 32-bit limb products, fully reduced — the
-// same canonical representative the scalar MersenneHash61 produces. The
-// FNV kernel reproduces the exact wrap-around 64-bit multiply chain.
+// same canonical representative the scalar MersenneHash61 produces.
 
 #include "arch/kernels.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 #include "common/hashing.h"
 
@@ -25,16 +22,6 @@ constexpr size_t kShingleTile = 4096;  // matches the scalar blocking
 
 inline __m256i Set1(uint64_t v) {
   return _mm256_set1_epi64x(static_cast<long long>(v));
-}
-
-/// Exact low 64 bits of a 64×64 multiply per lane (AVX2 has no 64-bit
-/// multiply; compose it from three 32×32→64 partial products).
-inline __m256i MulLo64(__m256i a, __m256i b) {
-  __m256i lo = _mm256_mul_epu32(a, b);  // aL·bL, full 64 bits
-  __m256i cross = _mm256_add_epi64(
-      _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),   // aH·bL (low 64)
-      _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));  // aL·bH (low 64)
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
 /// (a·x + b) mod 2^61-1 per lane, fully reduced to [0, p). Requires
@@ -111,62 +98,9 @@ void MinhashSignatureAvx2(const uint64_t* shingles, size_t num_shingles,
   }
 }
 
-void Fnv1aWindowsAvx2(const char* data, size_t len, int q, uint64_t basis,
-                      uint64_t* out) {
-  const size_t count = len - static_cast<size_t>(q) + 1;
-  const size_t width = static_cast<size_t>(q);
-  size_t i = 0;
-  if (width <= 5) {
-    // Four adjacent windows per iteration. One 8-byte load covers the
-    // bytes of windows i..i+3 when q <= 5; lane k holds the load shifted
-    // by 8k bits, so byte j of window i+k is ((lane_k >> 8j) & 0xff).
-    const __m256i prime = Set1(kFnv1aPrime);
-    const __m256i byte_mask = Set1(0xff);
-    const __m256i stagger = _mm256_set_epi64x(24, 16, 8, 0);
-    const __m256i vbasis = Set1(basis);
-    for (; i + 4 <= count && i + 8 <= len; i += 4) {
-      uint64_t window;
-      std::memcpy(&window, data + i, sizeof(window));
-      const __m256i lanes = _mm256_srlv_epi64(Set1(window), stagger);
-      __m256i h = vbasis;
-      for (size_t j = 0; j < width; ++j) {
-        const __m256i byte = _mm256_and_si256(
-            _mm256_srli_epi64(lanes, static_cast<int>(8 * j)), byte_mask);
-        h = MulLo64(_mm256_xor_si256(h, byte), prime);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), h);
-    }
-  }
-  for (; i < count; ++i) {  // tail windows (and the whole q > 5 case)
-    uint64_t h = basis;
-    for (size_t j = 0; j < width; ++j) {
-      h = (h ^ static_cast<unsigned char>(data[i + j])) * kFnv1aPrime;
-    }
-    out[i] = h;
-  }
-}
-
-void Mix64BatchAvx2(const uint64_t* in, size_t n, uint64_t* out) {
-  const __m256i c0 = Set1(0x9e3779b97f4a7c15ULL);
-  const __m256i c1 = Set1(0xbf58476d1ce4e5b9ULL);
-  const __m256i c2 = Set1(0x94d049bb133111ebULL);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    x = _mm256_add_epi64(x, c0);
-    x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), c1);
-    x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), c2);
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-  }
-  for (; i < n; ++i) out[i] = Mix64(in[i]);
-}
-
 const KernelTable kAvx2Table = {
     Isa::kAvx2,
     MinhashSignatureAvx2,
-    Fnv1aWindowsAvx2,
-    Mix64BatchAvx2,
 };
 
 }  // namespace

@@ -2,9 +2,7 @@
 // bit-for-bit. Also where the cache-conscious restructuring lives: the
 // minhash kernel is the blocked hash-major loop (shingle tiles stay
 // L1-resident across the hash sweep, each signature slot accumulates in
-// a register instead of being re-loaded per shingle), and the FNV window
-// kernel runs four independent hash chains so the multiply latency of
-// one window overlaps the others.
+// a register instead of being re-loaded per shingle).
 
 #include <cstddef>
 #include <cstdint>
@@ -42,45 +40,9 @@ void MinhashSignatureScalar(const uint64_t* shingles, size_t num_shingles,
   }
 }
 
-void Fnv1aWindowsScalar(const char* data, size_t len, int q, uint64_t basis,
-                        uint64_t* out) {
-  const size_t count = len - static_cast<size_t>(q) + 1;
-  const size_t width = static_cast<size_t>(q);
-  size_t i = 0;
-  // Four independent FNV chains per iteration: each chain is a strict
-  // xor->multiply dependency, but adjacent windows are independent, so
-  // interleaving them hides the 64-bit multiply latency.
-  for (; i + 4 <= count; i += 4) {
-    uint64_t h0 = basis, h1 = basis, h2 = basis, h3 = basis;
-    for (size_t j = 0; j < width; ++j) {
-      h0 = (h0 ^ static_cast<unsigned char>(data[i + j])) * kFnv1aPrime;
-      h1 = (h1 ^ static_cast<unsigned char>(data[i + 1 + j])) * kFnv1aPrime;
-      h2 = (h2 ^ static_cast<unsigned char>(data[i + 2 + j])) * kFnv1aPrime;
-      h3 = (h3 ^ static_cast<unsigned char>(data[i + 3 + j])) * kFnv1aPrime;
-    }
-    out[i] = h0;
-    out[i + 1] = h1;
-    out[i + 2] = h2;
-    out[i + 3] = h3;
-  }
-  for (; i < count; ++i) {
-    uint64_t h = basis;
-    for (size_t j = 0; j < width; ++j) {
-      h = (h ^ static_cast<unsigned char>(data[i + j])) * kFnv1aPrime;
-    }
-    out[i] = h;
-  }
-}
-
-void Mix64BatchScalar(const uint64_t* in, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = Mix64(in[i]);
-}
-
 const KernelTable kScalarTable = {
     Isa::kScalar,
     MinhashSignatureScalar,
-    Fnv1aWindowsScalar,
-    Mix64BatchScalar,
 };
 
 }  // namespace

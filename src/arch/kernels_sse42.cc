@@ -9,8 +9,6 @@
 
 #include <nmmintrin.h>
 
-#include <cstring>
-
 #include "common/hashing.h"
 
 namespace sablock::arch {
@@ -21,14 +19,6 @@ constexpr size_t kShingleTile = 4096;
 
 inline __m128i Set1(uint64_t v) {
   return _mm_set1_epi64x(static_cast<long long>(v));
-}
-
-/// Exact low 64 bits of a 64×64 multiply per lane.
-inline __m128i MulLo64(__m128i a, __m128i b) {
-  __m128i lo = _mm_mul_epu32(a, b);
-  __m128i cross = _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), b),
-                                _mm_mul_epu32(a, _mm_srli_epi64(b, 32)));
-  return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
 }
 
 /// (a·x + b) mod 2^61-1 per lane, fully reduced; see the AVX2 TU for the
@@ -93,62 +83,9 @@ void MinhashSignatureSse42(const uint64_t* shingles, size_t num_shingles,
   }
 }
 
-void Fnv1aWindowsSse42(const char* data, size_t len, int q, uint64_t basis,
-                       uint64_t* out) {
-  const size_t count = len - static_cast<size_t>(q) + 1;
-  const size_t width = static_cast<size_t>(q);
-  size_t i = 0;
-  if (width <= 7) {
-    // Two adjacent windows per iteration out of one 8-byte load (lane 1
-    // is the load shifted by one byte, so q can reach 7).
-    const __m128i prime = Set1(kFnv1aPrime);
-    const __m128i byte_mask = Set1(0xff);
-    const __m128i vbasis = Set1(basis);
-    for (; i + 2 <= count && i + 8 <= len; i += 2) {
-      uint64_t window;
-      std::memcpy(&window, data + i, sizeof(window));
-      const __m128i lanes =
-          _mm_set_epi64x(static_cast<long long>(window >> 8),
-                         static_cast<long long>(window));
-      __m128i h = vbasis;
-      for (size_t j = 0; j < width; ++j) {
-        const __m128i byte = _mm_and_si128(
-            _mm_srli_epi64(lanes, static_cast<int>(8 * j)), byte_mask);
-        h = MulLo64(_mm_xor_si128(h, byte), prime);
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), h);
-    }
-  }
-  for (; i < count; ++i) {
-    uint64_t h = basis;
-    for (size_t j = 0; j < width; ++j) {
-      h = (h ^ static_cast<unsigned char>(data[i + j])) * kFnv1aPrime;
-    }
-    out[i] = h;
-  }
-}
-
-void Mix64BatchSse42(const uint64_t* in, size_t n, uint64_t* out) {
-  const __m128i c0 = Set1(0x9e3779b97f4a7c15ULL);
-  const __m128i c1 = Set1(0xbf58476d1ce4e5b9ULL);
-  const __m128i c2 = Set1(0x94d049bb133111ebULL);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    x = _mm_add_epi64(x, c0);
-    x = MulLo64(_mm_xor_si128(x, _mm_srli_epi64(x, 30)), c1);
-    x = MulLo64(_mm_xor_si128(x, _mm_srli_epi64(x, 27)), c2);
-    x = _mm_xor_si128(x, _mm_srli_epi64(x, 31));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), x);
-  }
-  for (; i < n; ++i) out[i] = Mix64(in[i]);
-}
-
 const KernelTable kSse42Table = {
     Isa::kSse42,
     MinhashSignatureSse42,
-    Fnv1aWindowsSse42,
-    Mix64BatchSse42,
 };
 
 }  // namespace

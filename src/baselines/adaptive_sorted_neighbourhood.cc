@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <numeric>
 
+#include "baselines/blocking_key.h"
 #include "common/string_util.h"
 
 namespace sablock::baselines {
 
 AdaptiveSortedNeighbourhood::AdaptiveSortedNeighbourhood(
-    BlockingKeyDef key, std::string similarity_name, double threshold,
-    size_t max_block_size)
-    : key_(std::move(key)),
+    std::vector<std::string> attributes, std::string similarity_name,
+    double threshold, size_t max_block_size)
+    : attributes_(std::move(attributes)),
       similarity_name_(std::move(similarity_name)),
       similarity_(text::SimilarityByName(similarity_name_)),
       threshold_(threshold),
@@ -23,7 +24,7 @@ std::string AdaptiveSortedNeighbourhood::name() const {
 
 void AdaptiveSortedNeighbourhood::Run(const data::Dataset& dataset,
                                       core::BlockSink& sink) const {
-  std::vector<std::string> keys = MakeAllKeys(dataset, key_);
+  std::vector<std::string> keys = MakeAllKeys(dataset, attributes_);
   std::vector<data::RecordId> order(dataset.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),

@@ -1,7 +1,9 @@
 #ifndef SABLOCK_BASELINES_ADAPTIVE_SORTED_NEIGHBOURHOOD_H_
 #define SABLOCK_BASELINES_ADAPTIVE_SORTED_NEIGHBOURHOOD_H_
 
-#include "baselines/blocking_key.h"
+#include <string>
+#include <vector>
+
 #include "core/blocking.h"
 #include "text/similarity.h"
 
@@ -17,15 +19,16 @@ class AdaptiveSortedNeighbourhood : public core::BlockingTechnique {
   /// `similarity_name` is one of the SimilarityByName comparators
   /// ("jaro_winkler", "bigram", "edit", "lcs"); `threshold` the boundary
   /// similarity; `max_block_size` caps run length (0 = unlimited).
-  AdaptiveSortedNeighbourhood(BlockingKeyDef key, std::string similarity_name,
-                              double threshold, size_t max_block_size = 0);
+  AdaptiveSortedNeighbourhood(std::vector<std::string> attributes,
+                              std::string similarity_name, double threshold,
+                              size_t max_block_size = 0);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   std::string similarity_name_;
   text::StringSimilarityFn similarity_;
   double threshold_;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/blocking_key.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -19,9 +20,10 @@ namespace {
 // sparse vectors (uniform weights for Jaccard, TF-IDF weights for cosine).
 class CanopyIndex {
  public:
-  CanopyIndex(const data::Dataset& dataset, const BlockingKeyDef& key,
+  CanopyIndex(const data::Dataset& dataset,
+              const std::vector<std::string>& attributes,
               CanopySimilarity similarity) {
-    KeyBuilder keys(dataset, key);
+    KeyBuilder keys(dataset, attributes);
     // Tokenize each BKV exactly once; the word lists feed the inverted
     // index, the Jaccard token sets and the TF-IDF vectors. A token's id is
     // its first appearance over each record's sorted distinct words.
@@ -114,10 +116,10 @@ const char* SimilarityLabel(CanopySimilarity s) {
 
 }  // namespace
 
-CanopyThreshold::CanopyThreshold(BlockingKeyDef key,
+CanopyThreshold::CanopyThreshold(std::vector<std::string> attributes,
                                  CanopySimilarity similarity, double loose,
                                  double tight, uint64_t seed)
-    : key_(std::move(key)),
+    : attributes_(std::move(attributes)),
       similarity_(similarity),
       loose_(loose),
       tight_(tight),
@@ -133,7 +135,7 @@ std::string CanopyThreshold::name() const {
 
 void CanopyThreshold::Run(const data::Dataset& dataset,
                           core::BlockSink& sink) const {
-  CanopyIndex index(dataset, key_, similarity_);
+  CanopyIndex index(dataset, attributes_, similarity_);
   std::vector<bool> removed(dataset.size(), false);
   std::vector<data::RecordId> pool(dataset.size());
   for (data::RecordId id = 0; id < dataset.size(); ++id) pool[id] = id;
@@ -160,10 +162,10 @@ void CanopyThreshold::Run(const data::Dataset& dataset,
   }
 }
 
-CanopyNearestNeighbour::CanopyNearestNeighbour(BlockingKeyDef key,
-                                               CanopySimilarity similarity,
-                                               int n1, int n2, uint64_t seed)
-    : key_(std::move(key)),
+CanopyNearestNeighbour::CanopyNearestNeighbour(
+    std::vector<std::string> attributes, CanopySimilarity similarity, int n1,
+    int n2, uint64_t seed)
+    : attributes_(std::move(attributes)),
       similarity_(similarity),
       n1_(n1),
       n2_(n2),
@@ -178,7 +180,7 @@ std::string CanopyNearestNeighbour::name() const {
 
 void CanopyNearestNeighbour::Run(const data::Dataset& dataset,
                                  core::BlockSink& sink) const {
-  CanopyIndex index(dataset, key_, similarity_);
+  CanopyIndex index(dataset, attributes_, similarity_);
   std::vector<bool> removed(dataset.size(), false);
   std::vector<data::RecordId> pool(dataset.size());
   for (data::RecordId id = 0; id < dataset.size(); ++id) pool[id] = id;

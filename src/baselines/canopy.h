@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "baselines/blocking_key.h"
 #include "core/blocking.h"
 
 namespace sablock::baselines {
@@ -20,15 +20,16 @@ enum class CanopySimilarity { kJaccard, kTfIdfCosine };
 /// seed (the "cheap distance" trick of the original paper).
 class CanopyThreshold : public core::BlockingTechnique {
  public:
-  CanopyThreshold(BlockingKeyDef key, CanopySimilarity similarity,
-                  double loose, double tight, uint64_t seed = 31);
+  CanopyThreshold(std::vector<std::string> attributes,
+                  CanopySimilarity similarity, double loose, double tight,
+                  uint64_t seed = 31);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   CanopySimilarity similarity_;
   double loose_;
   double tight_;
@@ -40,15 +41,16 @@ class CanopyThreshold : public core::BlockingTechnique {
 /// candidates, of which the `n2` most similar are removed from the pool.
 class CanopyNearestNeighbour : public core::BlockingTechnique {
  public:
-  CanopyNearestNeighbour(BlockingKeyDef key, CanopySimilarity similarity,
-                         int n1, int n2, uint64_t seed = 31);
+  CanopyNearestNeighbour(std::vector<std::string> attributes,
+                         CanopySimilarity similarity, int n1, int n2,
+                         uint64_t seed = 31);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   CanopySimilarity similarity_;
   int n1_;
   int n2_;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "baselines/blocking_key.h"
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/string_util.h"
@@ -12,9 +13,9 @@
 
 namespace sablock::baselines {
 
-QGramIndexing::QGramIndexing(BlockingKeyDef key, int q, double threshold,
-                             size_t max_keys_per_record)
-    : key_(std::move(key)),
+QGramIndexing::QGramIndexing(std::vector<std::string> attributes, int q,
+                             double threshold, size_t max_keys_per_record)
+    : attributes_(std::move(attributes)),
       q_(q),
       threshold_(threshold),
       max_keys_per_record_(max_keys_per_record) {
@@ -78,7 +79,7 @@ void GenerateSubListKeys(const std::vector<uint64_t>& grams, size_t max_del,
 
 void QGramIndexing::Run(const data::Dataset& dataset,
                         core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   std::unordered_map<uint64_t, std::vector<data::RecordId>> buckets;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     std::string bkv = keys.Key(id);

@@ -1,7 +1,9 @@
 #ifndef SABLOCK_BASELINES_QGRAM_INDEXING_H_
 #define SABLOCK_BASELINES_QGRAM_INDEXING_H_
 
-#include "baselines/blocking_key.h"
+#include <string>
+#include <vector>
+
 #include "core/blocking.h"
 
 namespace sablock::baselines {
@@ -15,7 +17,7 @@ namespace sablock::baselines {
 /// variants).
 class QGramIndexing : public core::BlockingTechnique {
  public:
-  QGramIndexing(BlockingKeyDef key, int q, double threshold,
+  QGramIndexing(std::vector<std::string> attributes, int q, double threshold,
                 size_t max_keys_per_record = 64);
 
   std::string name() const override;
@@ -23,7 +25,7 @@ class QGramIndexing : public core::BlockingTechnique {
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int q_;
   double threshold_;
   size_t max_keys_per_record_;

@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 
+#include "baselines/blocking_key.h"
 #include "common/check.h"
 #include "core/block_utils.h"
 
@@ -12,7 +13,7 @@ namespace sablock::baselines {
 void SortedNeighbourhoodArray::Run(const data::Dataset& dataset,
                                    core::BlockSink& sink) const {
   SABLOCK_CHECK(window_size_ >= 2);
-  std::vector<std::string> keys = MakeAllKeys(dataset, key_);
+  std::vector<std::string> keys = MakeAllKeys(dataset, attributes_);
   std::vector<data::RecordId> order(dataset.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
@@ -25,7 +26,7 @@ void SortedNeighbourhoodArray::Run(const data::Dataset& dataset,
 void SortedNeighbourhoodInvertedIndex::Run(const data::Dataset& dataset,
                                            core::BlockSink& sink) const {
   SABLOCK_CHECK(window_size_ >= 1);
-  std::vector<std::string> keys = MakeAllKeys(dataset, key_);
+  std::vector<std::string> keys = MakeAllKeys(dataset, attributes_);
   // Sorted unique keys.
   std::map<std::string, std::vector<data::RecordId>> index;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
@@ -52,14 +53,14 @@ void SortedNeighbourhoodInvertedIndex::Run(const data::Dataset& dataset,
 }
 
 MultiPassSortedNeighbourhood::MultiPassSortedNeighbourhood(
-    std::vector<BlockingKeyDef> keys, int window_size)
-    : keys_(std::move(keys)), window_size_(window_size) {
-  SABLOCK_CHECK(!keys_.empty());
+    std::vector<std::string> attributes, int window_size)
+    : attributes_(std::move(attributes)), window_size_(window_size) {
+  SABLOCK_CHECK(!attributes_.empty());
   SABLOCK_CHECK(window_size_ >= 2);
 }
 
 std::string MultiPassSortedNeighbourhood::name() const {
-  return "SorMP(passes=" + std::to_string(keys_.size()) +
+  return "SorMP(passes=" + std::to_string(attributes_.size()) +
          ",w=" + std::to_string(window_size_) + ")";
 }
 
@@ -68,8 +69,8 @@ void MultiPassSortedNeighbourhood::Run(const data::Dataset& dataset,
   // The transitive closure needs every window pair before any block can be
   // emitted, so the passes materialize into a collection first.
   core::BlockCollection all_windows;
-  for (const BlockingKeyDef& key : keys_) {
-    SortedNeighbourhoodArray pass(key, window_size_);
+  for (const std::string& attribute : attributes_) {
+    SortedNeighbourhoodArray pass({attribute}, window_size_);
     pass.Run(dataset, all_windows);
   }
   core::BlockCollection components =

@@ -1,9 +1,9 @@
 #ifndef SABLOCK_BASELINES_SORTED_NEIGHBOURHOOD_H_
 #define SABLOCK_BASELINES_SORTED_NEIGHBOURHOOD_H_
 
+#include <string>
 #include <vector>
 
-#include "baselines/blocking_key.h"
 #include "core/blocking.h"
 
 namespace sablock::baselines {
@@ -13,8 +13,9 @@ namespace sablock::baselines {
 /// the sorted array and each window position forms a block.
 class SortedNeighbourhoodArray : public core::BlockingTechnique {
  public:
-  SortedNeighbourhoodArray(BlockingKeyDef key, int window_size)
-      : key_(std::move(key)), window_size_(window_size) {}
+  SortedNeighbourhoodArray(std::vector<std::string> attributes,
+                           int window_size)
+      : attributes_(std::move(attributes)), window_size_(window_size) {}
 
   std::string name() const override {
     return "SorA(w=" + std::to_string(window_size_) + ")";
@@ -23,7 +24,7 @@ class SortedNeighbourhoodArray : public core::BlockingTechnique {
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int window_size_;
 };
 
@@ -33,8 +34,9 @@ class SortedNeighbourhoodArray : public core::BlockingTechnique {
 /// records with equal keys are always compared regardless of window size.
 class SortedNeighbourhoodInvertedIndex : public core::BlockingTechnique {
  public:
-  SortedNeighbourhoodInvertedIndex(BlockingKeyDef key, int window_size)
-      : key_(std::move(key)), window_size_(window_size) {}
+  SortedNeighbourhoodInvertedIndex(std::vector<std::string> attributes,
+                                   int window_size)
+      : attributes_(std::move(attributes)), window_size_(window_size) {}
 
   std::string name() const override {
     return "SorII(w=" + std::to_string(window_size_) + ")";
@@ -43,18 +45,18 @@ class SortedNeighbourhoodInvertedIndex : public core::BlockingTechnique {
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int window_size_;
 };
 
 /// Multi-pass sorted neighbourhood (Hernández & Stolfo's merge/purge):
-/// one SorA pass per blocking key, followed by the transitive closure of
-/// all window pairs. Several cheap passes with small windows outperform a
-/// single pass with a large window because different keys make different
-/// errors sortable.
+/// one SorA pass per attribute, each keyed on that attribute alone,
+/// followed by the transitive closure of all window pairs. Several cheap
+/// passes with small windows outperform a single pass with a large window
+/// because different keys make different errors sortable.
 class MultiPassSortedNeighbourhood : public core::BlockingTechnique {
  public:
-  MultiPassSortedNeighbourhood(std::vector<BlockingKeyDef> keys,
+  MultiPassSortedNeighbourhood(std::vector<std::string> attributes,
                                int window_size);
 
   std::string name() const override;
@@ -62,7 +64,7 @@ class MultiPassSortedNeighbourhood : public core::BlockingTechnique {
            core::BlockSink& sink) const override;
 
  private:
-  std::vector<BlockingKeyDef> keys_;
+  std::vector<std::string> attributes_;
   int window_size_;
 };
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/blocking_key.h"
 #include "common/flat_map.h"
 #include "features/feature_store.h"
 
@@ -12,7 +13,7 @@ namespace sablock::baselines {
 
 void StandardBlocking::Run(const data::Dataset& dataset,
                            core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   std::unordered_map<std::string, std::vector<data::RecordId>> buckets;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     std::string key = keys.Key(id);

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/blocking_key.h"
 #include "core/blocking.h"
 
 namespace sablock::baselines {
@@ -14,14 +13,15 @@ namespace sablock::baselines {
 /// motivates against — "Qing Wang" vs "Wang Qing" never share a block.
 class StandardBlocking : public core::BlockingTechnique {
  public:
-  explicit StandardBlocking(BlockingKeyDef key) : key_(std::move(key)) {}
+  explicit StandardBlocking(std::vector<std::string> attributes)
+      : attributes_(std::move(attributes)) {}
 
   std::string name() const override { return "TBlo"; }
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
 };
 
 /// Token blocking: the canonical schema-agnostic input of meta-blocking.

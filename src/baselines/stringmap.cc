@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "baselines/blocking_key.h"
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/random.h"
@@ -138,10 +139,10 @@ std::vector<std::vector<double>> StringMapEmbedding::Embed(
   return points;
 }
 
-StringMapThreshold::StringMapThreshold(BlockingKeyDef key, double threshold,
-                                       int grid_size, int dimensions,
-                                       uint64_t seed)
-    : key_(std::move(key)),
+StringMapThreshold::StringMapThreshold(std::vector<std::string> attributes,
+                                       double threshold, int grid_size,
+                                       int dimensions, uint64_t seed)
+    : attributes_(std::move(attributes)),
       threshold_(threshold),
       grid_size_(grid_size),
       dimensions_(dimensions),
@@ -157,7 +158,7 @@ std::string StringMapThreshold::name() const {
 
 void StringMapThreshold::Run(const data::Dataset& dataset,
                              core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   std::vector<std::string> bkvs(dataset.size());
   double avg_len = 0.0;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
@@ -198,12 +199,10 @@ void StringMapThreshold::Run(const data::Dataset& dataset,
   }
 }
 
-StringMapNearestNeighbour::StringMapNearestNeighbour(BlockingKeyDef key,
-                                                     int num_neighbours,
-                                                     int grid_size,
-                                                     int dimensions,
-                                                     uint64_t seed)
-    : key_(std::move(key)),
+StringMapNearestNeighbour::StringMapNearestNeighbour(
+    std::vector<std::string> attributes, int num_neighbours, int grid_size,
+    int dimensions, uint64_t seed)
+    : attributes_(std::move(attributes)),
       num_neighbours_(num_neighbours),
       grid_size_(grid_size),
       dimensions_(dimensions),
@@ -219,7 +218,7 @@ std::string StringMapNearestNeighbour::name() const {
 
 void StringMapNearestNeighbour::Run(const data::Dataset& dataset,
                                     core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   std::vector<std::string> bkvs(dataset.size());
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     bkvs[id] = keys.Key(id);

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/blocking_key.h"
 #include "core/blocking.h"
 
 namespace sablock::baselines {
@@ -43,15 +42,15 @@ class StringMapEmbedding {
 /// (dim {15,20}, grid {100,1000}).
 class StringMapThreshold : public core::BlockingTechnique {
  public:
-  StringMapThreshold(BlockingKeyDef key, double threshold, int grid_size,
-                     int dimensions, uint64_t seed = 73);
+  StringMapThreshold(std::vector<std::string> attributes, double threshold,
+                     int grid_size, int dimensions, uint64_t seed = 73);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   double threshold_;
   int grid_size_;
   int dimensions_;
@@ -64,8 +63,8 @@ class StringMapThreshold : public core::BlockingTechnique {
 /// searched over an expanding grid neighbourhood.
 class StringMapNearestNeighbour : public core::BlockingTechnique {
  public:
-  StringMapNearestNeighbour(BlockingKeyDef key, int num_neighbours,
-                            int grid_size, int dimensions,
+  StringMapNearestNeighbour(std::vector<std::string> attributes,
+                            int num_neighbours, int grid_size, int dimensions,
                             uint64_t seed = 73);
 
   std::string name() const override;
@@ -73,7 +72,7 @@ class StringMapNearestNeighbour : public core::BlockingTechnique {
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int num_neighbours_;
   int grid_size_;
   int dimensions_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "baselines/blocking_key.h"
 #include "common/check.h"
 #include "common/string_util.h"
 #include "text/similarity.h"
@@ -57,10 +58,10 @@ void EmitBlocks(const SuffixIndex& index, size_t max_block_size,
 
 }  // namespace
 
-SuffixArrayBlocking::SuffixArrayBlocking(BlockingKeyDef key,
+SuffixArrayBlocking::SuffixArrayBlocking(std::vector<std::string> attributes,
                                          int min_suffix_len,
                                          size_t max_block_size)
-    : key_(std::move(key)),
+    : attributes_(std::move(attributes)),
       min_suffix_len_(min_suffix_len),
       max_block_size_(max_block_size) {
   SABLOCK_CHECK(min_suffix_len_ >= 1 && max_block_size_ >= 2);
@@ -73,7 +74,7 @@ std::string SuffixArrayBlocking::name() const {
 
 void SuffixArrayBlocking::Run(const data::Dataset& dataset,
                               core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   SuffixIndex index;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     AddSuffixes(keys.Key(id), id, min_suffix_len_, &index);
@@ -81,10 +82,10 @@ void SuffixArrayBlocking::Run(const data::Dataset& dataset,
   EmitBlocks(index, max_block_size_, sink);
 }
 
-SuffixArrayAllSubstrings::SuffixArrayAllSubstrings(BlockingKeyDef key,
-                                                   int min_suffix_len,
-                                                   size_t max_block_size)
-    : key_(std::move(key)),
+SuffixArrayAllSubstrings::SuffixArrayAllSubstrings(
+    std::vector<std::string> attributes, int min_suffix_len,
+    size_t max_block_size)
+    : attributes_(std::move(attributes)),
       min_suffix_len_(min_suffix_len),
       max_block_size_(max_block_size) {
   SABLOCK_CHECK(min_suffix_len_ >= 1 && max_block_size_ >= 2);
@@ -97,7 +98,7 @@ std::string SuffixArrayAllSubstrings::name() const {
 
 void SuffixArrayAllSubstrings::Run(const data::Dataset& dataset,
                                    core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   SuffixIndex index;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     AddAllSubstrings(keys.Key(id), id, min_suffix_len_, &index);
@@ -106,9 +107,10 @@ void SuffixArrayAllSubstrings::Run(const data::Dataset& dataset,
 }
 
 RobustSuffixArrayBlocking::RobustSuffixArrayBlocking(
-    BlockingKeyDef key, int min_suffix_len, size_t max_block_size,
-    std::string similarity_name, double similarity_threshold)
-    : key_(std::move(key)),
+    std::vector<std::string> attributes, int min_suffix_len,
+    size_t max_block_size, std::string similarity_name,
+    double similarity_threshold)
+    : attributes_(std::move(attributes)),
       min_suffix_len_(min_suffix_len),
       max_block_size_(max_block_size),
       similarity_name_(std::move(similarity_name)),
@@ -124,7 +126,7 @@ std::string RobustSuffixArrayBlocking::name() const {
 
 void RobustSuffixArrayBlocking::Run(const data::Dataset& dataset,
                                     core::BlockSink& sink) const {
-  KeyBuilder keys(dataset, key_);
+  KeyBuilder keys(dataset, attributes_);
   SuffixIndex index;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     AddSuffixes(keys.Key(id), id, min_suffix_len_, &index);

@@ -2,8 +2,8 @@
 #define SABLOCK_BASELINES_SUFFIX_ARRAY_H_
 
 #include <string>
+#include <vector>
 
-#include "baselines/blocking_key.h"
 #include "core/blocking.h"
 
 namespace sablock::baselines {
@@ -14,15 +14,15 @@ namespace sablock::baselines {
 /// frequent to be discriminating). Remaining posting lists are the blocks.
 class SuffixArrayBlocking : public core::BlockingTechnique {
  public:
-  SuffixArrayBlocking(BlockingKeyDef key, int min_suffix_len,
-                      size_t max_block_size);
+  SuffixArrayBlocking(std::vector<std::string> attributes,
+                      int min_suffix_len, size_t max_block_size);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int min_suffix_len_;
   size_t max_block_size_;
 };
@@ -32,15 +32,15 @@ class SuffixArrayBlocking : public core::BlockingTechnique {
 /// errors at the end of the BKV as well as the beginning.
 class SuffixArrayAllSubstrings : public core::BlockingTechnique {
  public:
-  SuffixArrayAllSubstrings(BlockingKeyDef key, int min_suffix_len,
-                           size_t max_block_size);
+  SuffixArrayAllSubstrings(std::vector<std::string> attributes,
+                           int min_suffix_len, size_t max_block_size);
 
   std::string name() const override;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int min_suffix_len_;
   size_t max_block_size_;
 };
@@ -51,8 +51,8 @@ class SuffixArrayAllSubstrings : public core::BlockingTechnique {
 /// merged, making the index robust against single-character errors.
 class RobustSuffixArrayBlocking : public core::BlockingTechnique {
  public:
-  RobustSuffixArrayBlocking(BlockingKeyDef key, int min_suffix_len,
-                            size_t max_block_size,
+  RobustSuffixArrayBlocking(std::vector<std::string> attributes,
+                            int min_suffix_len, size_t max_block_size,
                             std::string similarity_name,
                             double similarity_threshold);
 
@@ -61,7 +61,7 @@ class RobustSuffixArrayBlocking : public core::BlockingTechnique {
            core::BlockSink& sink) const override;
 
  private:
-  BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int min_suffix_len_;
   size_t max_block_size_;
   std::string similarity_name_;

@@ -1,20 +1,14 @@
 #include "common/hashing.h"
 
-#include "arch/kernels.h"
-
 namespace sablock {
 
 uint64_t HashBytes(std::string_view bytes, uint64_t seed) {
-  uint64_t h = 0xcbf29ce484222325ULL ^ Mix64(seed);
+  uint64_t h = kFnv1aOffsetBasis ^ Mix64(seed);
   for (unsigned char c : bytes) {
     h ^= c;
-    h *= 0x100000001b3ULL;
+    h *= kFnv1aPrime;
   }
   return h;
-}
-
-void Mix64Batch(const uint64_t* in, size_t n, uint64_t* out) {
-  arch::ActiveKernels().mix64_batch(in, n, out);
 }
 
 UniversalHash UniversalHash::FromSeed(uint64_t seed, uint64_t index) {

@@ -38,8 +38,8 @@ struct TransparentStringHash {
 /// keys where determinism matters more than speed.
 uint64_t HashBytes(std::string_view bytes, uint64_t seed = 0);
 
-/// FNV-1a constants (the HashBytes fold), exposed for the batched window
-/// -hashing kernels in src/arch/ which must reproduce HashBytes exactly.
+/// FNV-1a constants (the HashBytes fold), exposed for
+/// text::QGramWindowHashes, which must reproduce HashBytes exactly.
 inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnv1aPrime = 0x100000001b3ULL;
 
@@ -88,10 +88,6 @@ class UniversalHash {
   uint64_t a_;
   uint64_t b_;
 };
-
-/// Bulk Mix64 through the arch-dispatched kernel layer: out[i] =
-/// Mix64(in[i]) for i in [0, n). `in == out` (in-place) is allowed.
-void Mix64Batch(const uint64_t* in, size_t n, uint64_t* out);
 
 }  // namespace sablock
 

@@ -149,13 +149,6 @@ class Dataset {
   /// does not exist in the schema.
   std::string_view Value(RecordId id, std::string_view attribute) const;
 
-  /// The blocking text of record `id` over `attributes`, looked up by
-  /// name. Techniques read the cached text column in features() instead.
-  std::string ConcatenatedValues(
-      RecordId id, const std::vector<std::string>& attributes) const {
-    return BlockingText(Values(id), schema_.Positions(attributes));
-  }
-
   /// Total number of ground-truth matching pairs |Ω_tp|.
   uint64_t CountTrueMatchPairs() const;
 

@@ -1,6 +1,9 @@
 #include "engine/execution_spec.h"
 
+#include <string>
+
 #include "api/param_map.h"
+#include "engine/thread_pool.h"
 
 namespace sablock::engine {
 
@@ -16,8 +19,9 @@ Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
   params.GetEnum("merge", 0, {{"collect", 0}});
   status = params.Finish();
   if (!status.ok()) return status;
-  if (spec.threads < 1) {
-    return Status::Error("param 'threads': must be >= 1");
+  if (spec.threads < 1 || spec.threads > ThreadPool::kMaxThreads) {
+    return Status::Error("param 'threads': must be in [1, " +
+                         std::to_string(ThreadPool::kMaxThreads) + "]");
   }
   if (spec.shards < 0) {
     return Status::Error("param 'shards': must be >= 0 (0 = threads)");

@@ -14,8 +14,8 @@ namespace sablock::engine {
 ///   "threads=4,shards=8"
 ///
 /// Semantics:
-///  - threads: worker count (>= 1). Purely an execution property — it
-///    never changes the produced blocks.
+///  - threads: worker count, in [1, ThreadPool::kMaxThreads]. Purely an
+///    execution property — it never changes the produced blocks.
 ///  - shards:  number of record partitions (>= 1), or 0 (the default) to
 ///    follow `threads`. A computation property: the merged result depends
 ///    on the shard count (blocks never span shards), so pin shards
@@ -30,7 +30,8 @@ struct ExecutionSpec {
   /// Parses "threads=N,shards=M" (every key optional; empty text is the
   /// default spec). "merge=collect", the name of the one shard-order
   /// merge, is accepted; unknown keys, malformed values, any other merge,
-  /// threads < 1 and shards < 0 are errors.
+  /// threads outside [1, ThreadPool::kMaxThreads] and shards < 0 are
+  /// errors.
   static Status Parse(const std::string& text, ExecutionSpec* out);
 };
 

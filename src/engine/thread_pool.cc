@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/check.h"
 #include "common/timer.h"
 
 namespace sablock::engine {
 
 ThreadPool::ThreadPool(int num_threads) {
+  SABLOCK_CHECK_MSG(num_threads <= kMaxThreads,
+                    "thread pool size must be <= ThreadPool::kMaxThreads");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   queue_depth_ = registry.GetGauge(
       "threadpool_queue_depth", "tasks submitted but not yet started");
@@ -49,8 +52,9 @@ void ThreadPool::Wait() {
 }
 
 int ThreadPool::DefaultThreads() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
+  const unsigned n = std::thread::hardware_concurrency();
+  return static_cast<int>(
+      std::clamp(n, 1u, static_cast<unsigned>(kMaxThreads)));
 }
 
 void ThreadPool::WorkerLoop() {

@@ -21,7 +21,13 @@ namespace sablock::engine {
 /// task is allowed — workers never hold the queue lock while executing.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (clamped to >= 1).
+  /// The most workers a pool may hold. Every thread count a user gives
+  /// (the CLI's --threads, an ExecutionSpec, sablock_serve's --threads) is
+  /// checked against it where it is parsed.
+  static constexpr int kMaxThreads = 256;
+
+  /// Spawns `num_threads` workers (clamped to >= 1). Requires
+  /// num_threads <= kMaxThreads.
   explicit ThreadPool(int num_threads);
 
   /// Joins all workers; pending tasks are completed first.
@@ -39,8 +45,8 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency may
-  /// report 0 on exotic platforms).
+  /// Hardware concurrency clamped to [1, kMaxThreads]
+  /// (hardware_concurrency may report 0 on exotic platforms).
   static int DefaultThreads();
 
  private:

@@ -21,7 +21,7 @@ namespace sablock::features {
 
 /// Per-record normalized blocking text for one attribute selection, in
 /// the one row layout over chars: Row(id) is a std::string_view, the
-/// record's data::BlockingText (Dataset::ConcatenatedValues).
+/// record's data::BlockingText over the selection's schema positions.
 using TextColumn = Rows<char>;
 
 /// Per-record sorted distinct q-gram shingle hashes for one

@@ -4,14 +4,15 @@
 #include <iterator>
 #include <utility>
 
+#include "baselines/blocking_key.h"
 #include "common/check.h"
 #include "index/sorted_ids.h"
 
 namespace sablock::index {
 
-SortedWindowIndex::SortedWindowIndex(baselines::BlockingKeyDef key,
+SortedWindowIndex::SortedWindowIndex(std::vector<std::string> attributes,
                                      int window_size)
-    : key_(std::move(key)), window_size_(window_size) {
+    : attributes_(std::move(attributes)), window_size_(window_size) {
   SABLOCK_CHECK_MSG(window_size_ >= 2, "window size must be >= 2");
 }
 
@@ -21,8 +22,7 @@ std::string SortedWindowIndex::name() const {
 
 Status SortedWindowIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  Status status = ResolveAttributes(schema, baselines::KeyAttributes(key_),
-                                    &positions_);
+  Status status = ResolveAttributes(schema, attributes_, &positions_);
   bound_ = status.ok();
   return status;
 }
@@ -31,7 +31,7 @@ void SortedWindowIndex::Insert(data::RecordId id,
                                std::span<const std::string_view> values) {
   SABLOCK_CHECK_MSG(bound_, "Bind must precede Insert");
   SABLOCK_CHECK_MSG(record_keys_.count(id) == 0, "record id already live");
-  std::string key = baselines::RowKey(key_, positions_, values);
+  std::string key = baselines::RowKey(positions_, values);
   InsertSortedId(&buckets_[key], id);
   record_keys_.emplace(id, std::move(key));
 }
@@ -63,7 +63,7 @@ std::vector<data::RecordId> SortedWindowIndex::Query(
   // starts. Every window holding it covers the w - 1 live records on each
   // side of that point, across bucket boundaries.
   const auto next =
-      buckets_.upper_bound(baselines::RowKey(key_, positions_, values));
+      buckets_.upper_bound(baselines::RowKey(positions_, values));
   size_t want = w - 1;
   for (auto it = std::make_reverse_iterator(next);
        it != buckets_.rend() && want > 0; ++it) {

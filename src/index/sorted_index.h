@@ -5,20 +5,19 @@
 #include <string>
 #include <vector>
 
-#include "baselines/blocking_key.h"
 #include "index/incremental_index.h"
 
 namespace sablock::index {
 
 /// Incremental sorted-neighbourhood index: records live in a key-ordered
 /// structure (ids ascending within equal keys, matching the batch stable
-/// sort), keyed by baselines::RowKey, and a window of
+/// sort), keyed by baselines::RowKey over its attributes, and a window of
 /// `window_size` positions defines the blocks. EmitBlocks reproduces
 /// baselines::SortedNeighbourhoodArray byte-identically; Query returns the
 /// records a probe would share a window with if it were inserted next.
 class SortedWindowIndex : public IncrementalIndex {
  public:
-  SortedWindowIndex(baselines::BlockingKeyDef key, int window_size);
+  SortedWindowIndex(std::vector<std::string> attributes, int window_size);
 
   std::string name() const override;
   Status Bind(const data::Schema& schema) override;
@@ -31,7 +30,7 @@ class SortedWindowIndex : public IncrementalIndex {
   size_t size() const override { return record_keys_.size(); }
 
  private:
-  baselines::BlockingKeyDef key_;
+  std::vector<std::string> attributes_;
   int window_size_;
   std::vector<int> positions_;  // the key attributes' positions, set by Bind
   bool bound_ = false;

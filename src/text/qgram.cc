@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "arch/kernels.h"
 #include "common/check.h"
 #include "common/hashing.h"
 
@@ -41,11 +40,34 @@ std::vector<std::string> QGramSet(std::string_view s, int q, bool padded) {
 void QGramWindowHashes(std::string_view s, int q, std::span<uint64_t> out) {
   SABLOCK_CHECK(q >= 1 && s.size() >= static_cast<size_t>(q));
   SABLOCK_CHECK(out.size() == s.size() - static_cast<size_t>(q) + 1);
-  // HashBytes seeds every chain with basis ^ Mix64(seed); the bulk kernel
-  // takes the pre-mixed basis so the per-window loop is pure FNV-1a.
+  // HashBytes seeds every chain with basis ^ Mix64(seed), here with the
+  // seed 0 mixed once, so the per-window loop is pure FNV-1a.
   const uint64_t basis = kFnv1aOffsetBasis ^ Mix64(0);
-  arch::ActiveKernels().fnv1a_windows(s.data(), s.size(), q, basis,
-                                      out.data());
+  const unsigned char* data = reinterpret_cast<const unsigned char*>(s.data());
+  const size_t count = out.size();
+  const size_t width = static_cast<size_t>(q);
+  size_t i = 0;
+  // Four independent FNV chains per iteration: each chain is a strict
+  // xor->multiply dependency, but adjacent windows are independent, so
+  // interleaving them hides the 64-bit multiply latency.
+  for (; i + 4 <= count; i += 4) {
+    uint64_t h0 = basis, h1 = basis, h2 = basis, h3 = basis;
+    for (size_t j = 0; j < width; ++j) {
+      h0 = (h0 ^ data[i + j]) * kFnv1aPrime;
+      h1 = (h1 ^ data[i + 1 + j]) * kFnv1aPrime;
+      h2 = (h2 ^ data[i + 2 + j]) * kFnv1aPrime;
+      h3 = (h3 ^ data[i + 3 + j]) * kFnv1aPrime;
+    }
+    out[i] = h0;
+    out[i + 1] = h1;
+    out[i + 2] = h2;
+    out[i + 3] = h3;
+  }
+  for (; i < count; ++i) {
+    uint64_t h = basis;
+    for (size_t j = 0; j < width; ++j) h = (h ^ data[i + j]) * kFnv1aPrime;
+    out[i] = h;
+  }
 }
 
 std::vector<uint64_t> QGramHashes(std::string_view s, int q) {

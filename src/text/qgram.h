@@ -34,8 +34,9 @@ size_t QGramHashesInto(std::string_view s, int q, std::span<uint64_t> out);
 
 /// Bulk path under QGramHashes: writes HashBytes(s.substr(i, q)) for every
 /// window i into `out` (no sort/dedup, no allocation). Requires q >= 1,
-/// s.size() >= q and out.size() == s.size() - q + 1. Dispatches to the
-/// active SIMD kernel (src/arch/); byte-identical across dispatch levels.
+/// s.size() >= q and out.size() == s.size() - q + 1. Runs the FNV-1a
+/// chains of four adjacent windows side by side, in scalar code at every
+/// dispatch level: SIMD versions of this loop measured no faster.
 void QGramWindowHashes(std::string_view s, int q, std::span<uint64_t> out);
 
 /// Jaccard coefficient of two sorted, deduplicated sequences.

@@ -26,7 +26,7 @@ Dataset TokenDataset() {
 
 TEST(CanopyThresholdTest, GroupsTokenOverlappingRecords) {
   Dataset d = TokenDataset();
-  CanopyThreshold cath(ExactKey({"name"}), CanopySimilarity::kJaccard,
+  CanopyThreshold cath({"name"}, CanopySimilarity::kJaccard,
                        /*loose=*/0.3, /*tight=*/0.8, /*seed=*/5);
   BlockCollection blocks = RunStreaming(cath, d);
   EXPECT_TRUE(blocks.InSameBlock(0, 1));
@@ -39,7 +39,7 @@ TEST(CanopyThresholdTest, EveryRecordInAtMostOneSeedRole) {
   // With tight == loose every canopied record is removed from the pool, so
   // canopies partition the reachable records.
   Dataset d = TokenDataset();
-  CanopyThreshold cath(ExactKey({"name"}), CanopySimilarity::kJaccard, 0.3,
+  CanopyThreshold cath({"name"}, CanopySimilarity::kJaccard, 0.3,
                        0.3, 5);
   BlockCollection blocks = RunStreaming(cath, d);
   std::vector<int> membership(d.size(), 0);
@@ -51,7 +51,7 @@ TEST(CanopyThresholdTest, EveryRecordInAtMostOneSeedRole) {
 
 TEST(CanopyThresholdTest, TfIdfVariantRuns) {
   Dataset d = TokenDataset();
-  CanopyThreshold cath(ExactKey({"name"}), CanopySimilarity::kTfIdfCosine,
+  CanopyThreshold cath({"name"}, CanopySimilarity::kTfIdfCosine,
                        0.2, 0.6, 5);
   BlockCollection blocks = RunStreaming(cath, d);
   EXPECT_TRUE(blocks.InSameBlock(0, 1) || blocks.InSameBlock(0, 2));
@@ -59,20 +59,20 @@ TEST(CanopyThresholdTest, TfIdfVariantRuns) {
 
 TEST(CanopyThresholdTest, DeterministicForSeed) {
   Dataset d = TokenDataset();
-  CanopyThreshold cath(ExactKey({"name"}), CanopySimilarity::kJaccard, 0.3,
+  CanopyThreshold cath({"name"}, CanopySimilarity::kJaccard, 0.3,
                        0.8, 5);
   EXPECT_EQ(RunStreaming(cath, d).TotalComparisons(), RunStreaming(cath, d).TotalComparisons());
 }
 
 TEST(CanopyThresholdTest, NameEncodesParameters) {
-  CanopyThreshold cath(ExactKey({"a"}), CanopySimilarity::kJaccard, 0.7,
+  CanopyThreshold cath({"a"}, CanopySimilarity::kJaccard, 0.7,
                        0.9);
   EXPECT_EQ(cath.name(), "CaTh(jac,0.90/0.70)");
 }
 
 TEST(CanopyNearestNeighbourTest, CanopySizesRespectN1) {
   Dataset d = TokenDataset();
-  CanopyNearestNeighbour cann(ExactKey({"name"}),
+  CanopyNearestNeighbour cann({"name"},
                               CanopySimilarity::kJaccard, /*n1=*/2,
                               /*n2=*/1, /*seed=*/5);
   BlockCollection blocks = RunStreaming(cann, d);
@@ -83,7 +83,7 @@ TEST(CanopyNearestNeighbourTest, CanopySizesRespectN1) {
 
 TEST(CanopyNearestNeighbourTest, FindsNearDuplicates) {
   Dataset d = TokenDataset();
-  CanopyNearestNeighbour cann(ExactKey({"name"}),
+  CanopyNearestNeighbour cann({"name"},
                               CanopySimilarity::kJaccard, 3, 2, 5);
   BlockCollection blocks = RunStreaming(cann, d);
   // Within the john-smith cluster at least one true pair must be covered.
@@ -93,13 +93,13 @@ TEST(CanopyNearestNeighbourTest, FindsNearDuplicates) {
 }
 
 TEST(CanopyNearestNeighbourTest, NameEncodesParameters) {
-  CanopyNearestNeighbour cann(ExactKey({"a"}),
+  CanopyNearestNeighbour cann({"a"},
                               CanopySimilarity::kTfIdfCosine, 10, 5);
   EXPECT_EQ(cann.name(), "CaNN(tfidf,10/5)");
 }
 
 TEST(CanopyNearestNeighbourDeathTest, RejectsRemoveCountAboveCanopySize) {
-  EXPECT_DEATH(CanopyNearestNeighbour(ExactKey({"a"}),
+  EXPECT_DEATH(CanopyNearestNeighbour({"a"},
                                       CanopySimilarity::kJaccard, 5, 10),
                "CHECK");
 }
@@ -109,7 +109,7 @@ TEST(CanopyTest, IsolatedRecordsFormNoBlocks) {
   d.Add({{"alpha"}});
   d.Add({{"beta"}});
   d.Add({{"gamma"}});
-  CanopyThreshold cath(ExactKey({"name"}), CanopySimilarity::kJaccard, 0.5,
+  CanopyThreshold cath({"name"}, CanopySimilarity::kJaccard, 0.5,
                        0.9, 5);
   EXPECT_EQ(RunStreaming(cath, d).NumBlocks(), 0u);
 }

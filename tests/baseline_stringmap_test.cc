@@ -58,7 +58,7 @@ Dataset TypoDataset() {
 
 TEST(StringMapThresholdTest, FindsTypoDuplicates) {
   Dataset d = TypoDataset();
-  StringMapThreshold stmt(ExactKey({"name"}), /*threshold=*/0.8,
+  StringMapThreshold stmt({"name"}, /*threshold=*/0.8,
                           /*grid_size=*/10, /*dimensions=*/4);
   BlockCollection blocks = RunStreaming(stmt, d);
   EXPECT_TRUE(blocks.InSameBlock(0, 1));
@@ -67,19 +67,19 @@ TEST(StringMapThresholdTest, FindsTypoDuplicates) {
 
 TEST(StringMapThresholdTest, SeparatesVeryDifferentStrings) {
   Dataset d = TypoDataset();
-  StringMapThreshold stmt(ExactKey({"name"}), 0.9, 10, 4);
+  StringMapThreshold stmt({"name"}, 0.9, 10, 4);
   BlockCollection blocks = RunStreaming(stmt, d);
   EXPECT_FALSE(blocks.InSameBlock(0, 5));
 }
 
 TEST(StringMapThresholdTest, NameEncodesParameters) {
-  StringMapThreshold stmt(ExactKey({"a"}), 0.85, 100, 15);
+  StringMapThreshold stmt({"a"}, 0.85, 100, 15);
   EXPECT_EQ(stmt.name(), "StMT(t=0.85,g=100,d=15)");
 }
 
 TEST(StringMapNearestNeighbourTest, EveryRecordGetsNeighbours) {
   Dataset d = TypoDataset();
-  StringMapNearestNeighbour stmnn(ExactKey({"name"}), /*num_neighbours=*/2,
+  StringMapNearestNeighbour stmnn({"name"}, /*num_neighbours=*/2,
                                   /*grid_size=*/10, /*dimensions=*/4);
   BlockCollection blocks = RunStreaming(stmnn, d);
   // One block per record (each of the 6 records finds >= 1 candidate).
@@ -92,20 +92,20 @@ TEST(StringMapNearestNeighbourTest, EveryRecordGetsNeighbours) {
 
 TEST(StringMapNearestNeighbourTest, NearestNeighbourIsTheTypoTwin) {
   Dataset d = TypoDataset();
-  StringMapNearestNeighbour stmnn(ExactKey({"name"}), 1, 10, 4);
+  StringMapNearestNeighbour stmnn({"name"}, 1, 10, 4);
   BlockCollection blocks = RunStreaming(stmnn, d);
   EXPECT_TRUE(blocks.InSameBlock(0, 1) || blocks.InSameBlock(0, 2));
 }
 
 TEST(StringMapNearestNeighbourTest, NameEncodesParameters) {
-  StringMapNearestNeighbour stmnn(ExactKey({"a"}), 5, 1000, 20);
+  StringMapNearestNeighbour stmnn({"a"}, 5, 1000, 20);
   EXPECT_EQ(stmnn.name(), "StMNN(nn=5,g=1000,d=20)");
 }
 
 TEST(StringMapTest, DeterministicForSeed) {
   Dataset d = TypoDataset();
-  StringMapThreshold a(ExactKey({"name"}), 0.8, 10, 4, /*seed=*/9);
-  StringMapThreshold b(ExactKey({"name"}), 0.8, 10, 4, /*seed=*/9);
+  StringMapThreshold a({"name"}, 0.8, 10, 4, /*seed=*/9);
+  StringMapThreshold b({"name"}, 0.8, 10, 4, /*seed=*/9);
   EXPECT_EQ(RunStreaming(a, d).TotalComparisons(), RunStreaming(b, d).TotalComparisons());
 }
 

@@ -24,7 +24,7 @@ Dataset SuffixDataset() {
 
 TEST(SuffixArrayTest, SharedSuffixesCreateBlocks) {
   Dataset d = SuffixDataset();
-  SuffixArrayBlocking sua(ExactKey({"name"}), /*min_suffix_len=*/4,
+  SuffixArrayBlocking sua({"name"}, /*min_suffix_len=*/4,
                           /*max_block_size=*/10);
   BlockCollection blocks = RunStreaming(sua, d);
   // katherine & catherine share "atherine", "therine", ...
@@ -37,7 +37,7 @@ TEST(SuffixArrayTest, SharedSuffixesCreateBlocks) {
 TEST(SuffixArrayTest, MaxBlockSizeDiscardsCommonSuffixes) {
   Dataset d{Schema({"name"})};
   for (int i = 0; i < 8; ++i) d.Add({{"common_suffix"}});
-  SuffixArrayBlocking sua(ExactKey({"name"}), 4, /*max_block_size=*/5);
+  SuffixArrayBlocking sua({"name"}, 4, /*max_block_size=*/5);
   // Every suffix posting has 8 > 5 records: everything is purged.
   EXPECT_EQ(RunStreaming(sua, d).NumBlocks(), 0u);
 }
@@ -46,13 +46,13 @@ TEST(SuffixArrayTest, ShortValuesIndexedWhole) {
   Dataset d{Schema({"name"})};
   d.Add({{"ab"}}, 0);
   d.Add({{"ab"}}, 0);
-  SuffixArrayBlocking sua(ExactKey({"name"}), 5, 10);
+  SuffixArrayBlocking sua({"name"}, 5, 10);
   EXPECT_TRUE(RunStreaming(sua, d).InSameBlock(0, 1));
 }
 
 TEST(SuffixArrayAllSubstringsTest, ToleratesTrailingErrors) {
   Dataset d = SuffixDataset();
-  SuffixArrayAllSubstrings suas(ExactKey({"name"}), 4, 10);
+  SuffixArrayAllSubstrings suas({"name"}, 4, 10);
   BlockCollection blocks = RunStreaming(suas, d);
   // Substrings recover the pair that plain suffixes lose.
   EXPECT_TRUE(blocks.InSameBlock(0, 2));
@@ -62,10 +62,10 @@ TEST(SuffixArrayAllSubstringsTest, ToleratesTrailingErrors) {
 
 TEST(SuffixArrayAllSubstringsTest, MoreCandidatesThanPlainSuffixes) {
   Dataset d = SuffixDataset();
-  size_t sua_pairs = RunStreaming(SuffixArrayBlocking(ExactKey({"name"}), 4, 10), d)
+  size_t sua_pairs = RunStreaming(SuffixArrayBlocking({"name"}, 4, 10), d)
                          .DistinctPairs()
                          .size();
-  size_t suas_pairs = RunStreaming(SuffixArrayAllSubstrings(ExactKey({"name"}), 4, 10), d)
+  size_t suas_pairs = RunStreaming(SuffixArrayAllSubstrings({"name"}, 4, 10), d)
                           .DistinctPairs()
                           .size();
   EXPECT_GE(suas_pairs, sua_pairs);
@@ -75,29 +75,29 @@ TEST(RobustSuffixArrayTest, MergesSimilarAdjacentSuffixes) {
   Dataset d{Schema({"name"})};
   d.Add({{"katherine"}}, 0);
   d.Add({{"kathersne"}}, 0);  // "therine"->"thersne": similar suffixes
-  RobustSuffixArrayBlocking rsua(ExactKey({"name"}), 5, 20, "edit", 0.7);
+  RobustSuffixArrayBlocking rsua({"name"}, 5, 20, "edit", 0.7);
   BlockCollection blocks = RunStreaming(rsua, d);
   EXPECT_TRUE(blocks.InSameBlock(0, 1));
   // Plain SuA misses this pair at the same settings.
-  SuffixArrayBlocking sua(ExactKey({"name"}), 5, 20);
+  SuffixArrayBlocking sua({"name"}, 5, 20);
   EXPECT_FALSE(RunStreaming(sua, d).InSameBlock(0, 1));
 }
 
 TEST(RobustSuffixArrayTest, ThresholdOneBehavesLikePlainSuA) {
   Dataset d = SuffixDataset();
-  RobustSuffixArrayBlocking rsua(ExactKey({"name"}), 4, 10, "edit", 1.0);
-  SuffixArrayBlocking sua(ExactKey({"name"}), 4, 10);
+  RobustSuffixArrayBlocking rsua({"name"}, 4, 10, "edit", 1.0);
+  SuffixArrayBlocking sua({"name"}, 4, 10);
   EXPECT_EQ(RunStreaming(rsua, d).DistinctPairs().size(),
             RunStreaming(sua, d).DistinctPairs().size());
 }
 
 TEST(SuffixFamilyTest, NamesEncodeParameters) {
-  EXPECT_EQ(SuffixArrayBlocking(ExactKey({"a"}), 3, 10).name(),
+  EXPECT_EQ(SuffixArrayBlocking({"a"}, 3, 10).name(),
             "SuA(len=3,max=10)");
-  EXPECT_EQ(SuffixArrayAllSubstrings(ExactKey({"a"}), 5, 20).name(),
+  EXPECT_EQ(SuffixArrayAllSubstrings({"a"}, 5, 20).name(),
             "SuAS(len=5,max=20)");
   EXPECT_EQ(
-      RobustSuffixArrayBlocking(ExactKey({"a"}), 3, 10, "edit", 0.8).name(),
+      RobustSuffixArrayBlocking({"a"}, 3, 10, "edit", 0.8).name(),
       "RSuA(len=3,max=10,edit,0.80)");
 }
 
@@ -105,7 +105,7 @@ TEST(SuffixFamilyTest, EmptyValuesProduceNoBlocks) {
   Dataset d{Schema({"name"})};
   d.Add({{""}});
   d.Add({{""}});
-  EXPECT_EQ(RunStreaming(SuffixArrayBlocking(ExactKey({"name"}), 3, 10), d).NumBlocks(),
+  EXPECT_EQ(RunStreaming(SuffixArrayBlocking({"name"}, 3, 10), d).NumBlocks(),
             0u);
 }
 

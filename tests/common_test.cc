@@ -86,16 +86,6 @@ TEST(UniversalHashTest, BranchlessReductionMatchesLoopReference) {
   }
 }
 
-TEST(Mix64BatchTest, MatchesScalarMix64) {
-  std::vector<uint64_t> in;
-  for (uint64_t i = 0; i < 1027; ++i) in.push_back(i * 0x9e3779b97f4a7c15ULL);
-  std::vector<uint64_t> out(in.size());
-  Mix64Batch(in.data(), in.size(), out.data());
-  for (size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i], Mix64(in[i])) << i;
-  }
-}
-
 TEST(UniversalHashTest, FamilyMembersDiffer) {
   UniversalHash h0 = UniversalHash::FromSeed(9, 0);
   UniversalHash h1 = UniversalHash::FromSeed(9, 1);

@@ -104,6 +104,16 @@ TEST(ExecutionSpecTest, ShardsZeroFollowsThreads) {
   EXPECT_EQ(spec.ResolvedShards(), 6);
 }
 
+TEST(ExecutionSpecTest, ThreadsAreBounded) {
+  ExecutionSpec spec;
+  ASSERT_TRUE(ExecutionSpec::Parse("threads=256", &spec).ok());
+  EXPECT_EQ(spec.threads, 256);
+  const Status status = ExecutionSpec::Parse("threads=257", &spec);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "param 'threads': must be in [1, 256]");
+  EXPECT_EQ(spec.threads, 256);  // a failed parse leaves the spec alone
+}
+
 TEST(ExecutionSpecTest, RejectsBadInput) {
   ExecutionSpec spec;
   EXPECT_FALSE(ExecutionSpec::Parse("threads=0", &spec).ok());

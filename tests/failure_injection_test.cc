@@ -75,16 +75,14 @@ TEST(PreconditionDeathTest, TuneKLRequiresOrderedThresholds) {
 }
 
 TEST(PreconditionDeathTest, SuffixArrayRejectsTinyBlockCap) {
-  EXPECT_DEATH(baselines::SuffixArrayBlocking(
-                   baselines::ExactKey({"a"}), 3, /*max_block_size=*/1),
+  EXPECT_DEATH(baselines::SuffixArrayBlocking({"a"}, 3, /*max_block_size=*/1),
                "CHECK");
 }
 
 TEST(PreconditionDeathTest, CanopyRejectsInvertedThresholds) {
-  EXPECT_DEATH(baselines::CanopyThreshold(baselines::ExactKey({"a"}),
-                                          baselines::CanopySimilarity::
-                                              kJaccard,
-                                          /*loose=*/0.9, /*tight=*/0.5),
+  EXPECT_DEATH(baselines::CanopyThreshold(
+                   {"a"}, baselines::CanopySimilarity::kJaccard,
+                   /*loose=*/0.9, /*tight=*/0.5),
                "CHECK");
 }
 

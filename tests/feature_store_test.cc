@@ -48,7 +48,7 @@ bool SameRows(const Rows<T>& a, const Rows<T>& b) {
          std::ranges::equal(a.offsets(), b.offsets());
 }
 
-TEST(FeatureStoreTest, TextColumnMatchesConcatenatedValues) {
+TEST(FeatureStoreTest, TextColumnMatchesDefinedText) {
   data::Dataset d = TinyDataset();
   const auto texts = d.features().TextsFor(NameCity());
   for (data::RecordId id = 0; id < d.size(); ++id) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/standard_blocking.h"
 #include "baselines/sorted_neighbourhood.h"
@@ -13,7 +15,6 @@
 namespace sablock::eval {
 namespace {
 
-using baselines::ExactKey;
 using baselines::SortedNeighbourhoodArray;
 using baselines::StandardBlocking;
 using data::Dataset;
@@ -30,7 +31,7 @@ Dataset SmallDataset() {
 
 TEST(RunTechniqueTest, ReportsNameTimeAndMetrics) {
   Dataset d = SmallDataset();
-  StandardBlocking tblo(ExactKey({"name"}));
+  StandardBlocking tblo({"name"});
   TechniqueResult r = RunTechnique(tblo, d);
   EXPECT_EQ(r.name, "TBlo");
   EXPECT_GE(r.seconds, 0.0);
@@ -42,10 +43,10 @@ TEST(RunAllTest, OneResultPerSetting) {
   Dataset d = SmallDataset();
   std::vector<std::unique_ptr<core::BlockingTechnique>> settings;
   settings.push_back(
-      std::make_unique<StandardBlocking>(ExactKey({"name"})));
+      std::make_unique<StandardBlocking>(std::vector<std::string>{"name"}));
   for (int w : {2, 3}) {
-    settings.push_back(
-        std::make_unique<SortedNeighbourhoodArray>(ExactKey({"name"}), w));
+    settings.push_back(std::make_unique<SortedNeighbourhoodArray>(
+        std::vector<std::string>{"name"}, w));
   }
   std::vector<TechniqueResult> results = RunAll(settings, d);
   ASSERT_EQ(results.size(), 3u);

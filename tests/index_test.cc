@@ -79,7 +79,7 @@ TEST(TokenIndexTest, RemoveUnindexes) {
 TEST(SortedIndexTest, QueryWindowMath) {
   // Keys sort as a < b < c < d (ids 0..3). With window w the probe sees
   // the w-1 predecessors and w-2 successors of its sort position.
-  SortedWindowIndex index(baselines::ExactKey({"name"}), 2);
+  SortedWindowIndex index({"name"}, 2);
   ASSERT_TRUE(index.Bind(TwoAttrSchema()).ok());
   for (data::RecordId id = 0; id < 4; ++id) {
     std::vector<std::string> row = {std::string(1, 'a' + id), ""};
@@ -96,7 +96,7 @@ TEST(SortedIndexTest, QueryWindowMath) {
 }
 
 TEST(SortedIndexTest, OversizedWindowReturnsEverything) {
-  SortedWindowIndex index(baselines::ExactKey({"name"}), 10);
+  SortedWindowIndex index({"name"}, 10);
   ASSERT_TRUE(index.Bind(TwoAttrSchema()).ok());
   for (data::RecordId id = 0; id < 3; ++id) {
     std::vector<std::string> row = {std::string(1, 'z' - id), ""};
@@ -107,7 +107,7 @@ TEST(SortedIndexTest, OversizedWindowReturnsEverything) {
 }
 
 TEST(SortedIndexTest, EqualKeysOrderByIdLikeStableSort) {
-  SortedWindowIndex index(baselines::ExactKey({"name"}), 2);
+  SortedWindowIndex index({"name"}, 2);
   ASSERT_TRUE(index.Bind(TwoAttrSchema()).ok());
   std::vector<std::string> same = {"same", ""};
   index.Insert(0, Row(same));
@@ -158,8 +158,7 @@ TEST(SortedIndexTest, QueryMatchesTheWindowsOfTheProbeInsertedIntoACopy) {
   Rng rng(0x50a);
   for (size_t w : {2, 3, 4, 7, 60}) {
     for (bool empty_keys : {true, false}) {
-      SortedWindowIndex index(baselines::ExactKey({"name"}),
-                              static_cast<int>(w));
+      SortedWindowIndex index({"name"}, static_cast<int>(w));
       ASSERT_TRUE(index.Bind(TwoAttrSchema()).ok());
       std::map<data::RecordId, std::string> live;
       for (data::RecordId id = 0; id < 40; ++id) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "run_streaming.h"
 
@@ -147,7 +149,7 @@ TEST(IntegrationTest, SaLshImprovesPqOverLshOnVoter) {
 
 TEST(IntegrationTest, AllBaselinesRunOnCora) {
   Dataset d = MakeCora();
-  BlockingKeyDef key = ExactKey({"authors", "title"});
+  const std::vector<std::string> key = {"authors", "title"};
 
   std::vector<std::unique_ptr<core::BlockingTechnique>> techniques;
   techniques.push_back(std::make_unique<StandardBlocking>(key));

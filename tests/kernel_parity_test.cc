@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "arch/arch.h"
@@ -67,45 +66,6 @@ TEST_F(KernelParityTest, MinhashSignatureMatchesScalar) {
             << IsaName(t->isa) << " h=" << num_hashes
             << " s=" << num_shingles;
       }
-    }
-  }
-}
-
-TEST_F(KernelParityTest, Fnv1aWindowsMatchesScalar) {
-  const KernelTable& scalar = *ScalarKernelTable();
-  Rng rng(43);
-  std::string text;
-  for (int i = 0; i < 300; ++i) {
-    text.push_back(static_cast<char>(rng.UniformInt(0, 255)));
-  }
-  const uint64_t basis = kFnv1aOffsetBasis ^ Mix64(0);
-  for (int q : {1, 2, 3, 4, 5, 6, 7, 8, 11}) {
-    for (size_t len : {static_cast<size_t>(q), static_cast<size_t>(q) + 1,
-                       size_t{9}, size_t{64}, text.size()}) {
-      if (len < static_cast<size_t>(q) || len > text.size()) continue;
-      const size_t count = len - static_cast<size_t>(q) + 1;
-      std::vector<uint64_t> want(count), got(count);
-      scalar.fnv1a_windows(text.data(), len, q, basis, want.data());
-      for (const KernelTable* t : tables_) {
-        got.assign(count, 0);
-        t->fnv1a_windows(text.data(), len, q, basis, got.data());
-        ASSERT_EQ(want, got) << IsaName(t->isa) << " q=" << q
-                             << " len=" << len;
-      }
-    }
-  }
-}
-
-TEST_F(KernelParityTest, Mix64BatchMatchesScalar) {
-  const KernelTable& scalar = *ScalarKernelTable();
-  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 127u, 1000u}) {
-    std::vector<uint64_t> in(n);
-    for (size_t i = 0; i < n; ++i) in[i] = ~(i * 0x2545f4914f6cdd1dULL);
-    std::vector<uint64_t> want(n), got(n);
-    scalar.mix64_batch(in.data(), n, want.data());
-    for (const KernelTable* t : tables_) {
-      t->mix64_batch(in.data(), n, got.data());
-      ASSERT_EQ(want, got) << IsaName(t->isa) << " n=" << n;
     }
   }
 }

@@ -50,18 +50,22 @@ TEST(DatasetTest, IsMatchRequiresKnownEqualEntities) {
   EXPECT_FALSE(d.IsMatch(3, 3));
 }
 
-TEST(DatasetTest, ConcatenatedValuesNormalizes) {
+TEST(DatasetTest, BlockingTextNormalizes) {
   Dataset d{Schema({"x", "y"})};
   d.Add({{"Foo-Bar", "BAZ!"}});
-  EXPECT_EQ(d.ConcatenatedValues(0, {"x", "y"}), "foo bar baz");
-  EXPECT_EQ(d.ConcatenatedValues(0, {"y"}), "baz");
-  EXPECT_EQ(d.ConcatenatedValues(0, {"missing"}), "");
+  auto text = [&d](const std::vector<std::string>& attributes) {
+    return BlockingText(d.Values(0), d.schema().Positions(attributes));
+  };
+  EXPECT_EQ(text({"x", "y"}), "foo bar baz");
+  EXPECT_EQ(text({"y"}), "baz");
+  EXPECT_EQ(text({"missing"}), "");
 }
 
-TEST(DatasetTest, ConcatenatedValuesSkipsEmpty) {
+TEST(DatasetTest, BlockingTextSkipsEmpty) {
   Dataset d{Schema({"x", "y"})};
   d.Add({{"", "b"}});
-  EXPECT_EQ(d.ConcatenatedValues(0, {"x", "y"}), "b");
+  const std::vector<std::string> attributes = {"x", "y"};
+  EXPECT_EQ(BlockingText(d.Values(0), d.schema().Positions(attributes)), "b");
 }
 
 TEST(DatasetTest, CountTrueMatchPairs) {

@@ -14,6 +14,7 @@
 #include "core/budget.h"
 #include "engine/execution_spec.h"
 #include "engine/sharded_executor.h"
+#include "engine/thread_pool.h"
 #include "index/index_registry.h"
 #include "pipeline/stage_registry.h"
 
@@ -97,7 +98,9 @@ TEST(SpecSweepTest, ExecutionSpecTerms) {
             << text << " -> " << status.message();
         continue;
       }
-      // Whatever parses is a valid executor configuration.
+      // Whatever parses is a valid executor configuration, with no more
+      // threads than a pool may hold.
+      EXPECT_LE(spec.threads, engine::ThreadPool::kMaxThreads) << text;
       engine::ShardedExecutor executor(spec);
       EXPECT_GE(executor.spec().ResolvedShards(), 1) << text;
     }

@@ -72,6 +72,7 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
 
 TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);
+  EXPECT_LE(ThreadPool::DefaultThreads(), ThreadPool::kMaxThreads);
 }
 
 TEST(ThreadPoolTest, ParallelWritesToDistinctSlotsAreVisibleAfterWait) {

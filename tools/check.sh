@@ -26,6 +26,11 @@
 #       build-surface/), and fails when libsablock.a defines a sablock::
 #       function that no binary holds and the allowlist below does not
 #       name. -O0 keeps a function inlined into every caller visible.
+#       What it cannot see: a function defined in a header puts no
+#       symbol into libsablock.a unless a library file calls it, and a
+#       `case` or branch no caller can select lives inside a function
+#       that every run reaches. Unreached code of either kind needs a
+#       reading of its callers.
 #
 # ctest's exit status is captured explicitly and re-raised as the script
 # status in every mode, so a test failure can never be masked by `cd`,

@@ -30,22 +30,23 @@ struct Flags {
     return it == values.end() ? fallback : it->second;
   }
 
-  /// The value of --NAME as an int in [min, INT_MAX], or `fallback` when
-  /// the flag is absent. Anything else — text, a bare flag, a negative
-  /// or overflowing number — prints `error: --NAME ...` and exits 1, so
-  /// a bad count never reaches a generator or the wire as 0 or as a
-  /// wrapped size. Read integer flags before starting any thread.
-  int GetInt(const std::string& name, int fallback, int min = 0) const {
+  /// The value of --NAME as an int in [min, max], or `fallback` when the
+  /// flag is absent. Anything else — text, a bare flag, a number out of
+  /// range — prints `error: --NAME ...` and exits 1, so a bad count never
+  /// reaches a generator or the wire as 0 or as a wrapped size. Read
+  /// integer flags before starting any thread.
+  int GetInt(const std::string& name, int fallback, int min = 0,
+             int max = INT_MAX) const {
     auto it = values.find(name);
     if (it == values.end()) return fallback;
     const std::string& text = it->second;
     int value = 0;
     const char* end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end || value < min) {
+    if (ec != std::errc() || ptr != end || value < min || value > max) {
       std::fprintf(stderr,
                    "error: --%s expects an integer in [%d, %d], got '%s'\n",
-                   name.c_str(), min, INT_MAX, text.c_str());
+                   name.c_str(), min, max, text.c_str());
       std::exit(1);
     }
     return value;

@@ -33,6 +33,7 @@
 #include "common/timer.h"
 #include "data/cora_generator.h"
 #include "data/voter_generator.h"
+#include "engine/thread_pool.h"
 #include "flags.h"
 #include "index/index_registry.h"
 #include "obs/export.h"
@@ -204,7 +205,8 @@ int RunServer(const Flags& flags) {
     std::fprintf(stderr, "error: --socket=PATH is required\n");
     return 1;
   }
-  const int threads = flags.GetInt("threads", 4, 1);
+  const int threads =
+      flags.GetInt("threads", 4, 1, sablock::engine::ThreadPool::kMaxThreads);
 
   // Block the shutdown signals before any thread exists so every server
   // thread inherits the mask and the sigwait below is the only receiver.
